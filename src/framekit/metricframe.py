@@ -8,6 +8,13 @@ for all points x, y. On a finite sample everything is decidable by an
 exhaustive pair scan: bounds, Bessel constants, perturbation hypotheses.
 Families cut from infinite series carry a certified truncation remainder
 that widens the reported upper bound.
+
+One kernel, _extremes, runs every pair scan here and in the multiplier
+module, in numpy chunks of at most CHUNK elements per temporary. Where the
+batched arithmetic is the scalar one (1- and max-norms, moduli) its values
+are final; elsewhere they only screen, and every pair whose a-priori
+rounding window can reach an extreme is recomputed on the scalar vec_pnorm
+path. Reported extremes therefore equal the exhaustive scalar scan.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ from . import linops
 from .linops import vec_pnorm
 
 DIST_TOL = 1e-12
+CHUNK = 1 << 14  # array elements per temporary of a pair scan
+_U = 2.0 ** -53
+_TINY, _HUGE = 2.0 ** -500, 2.0 ** 500
 
 
 class HypothesisViolated(ValueError):
@@ -125,26 +135,123 @@ def _check_sizes(S: MetricSample, F: LipschitzFamily):
         raise ValueError("need at least 2 points")
 
 
-def _pair_ratios(S: MetricSample, values: np.ndarray, p: float):
-    """All ratios ||f(x_i) - f(x_j)||_p / d(x_i, x_j) over pairs i < j."""
-    p = float(p)
-    if not 1 <= p < math.inf:
+def _pairs(n: int, width: int):
+    """Index arrays (i, j) of the pairs i < j in row-major order, at most
+    CHUNK // width pairs at a time."""
+    start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    step = max(1, CHUNK // width)
+    for k0 in range(0, start[-1], step):
+        k = np.arange(k0, min(k0 + step, start[-1]))
+        i = np.searchsorted(start, k, side="right") - 1
+        yield i, k - start[i] + i + 1
+
+
+def _extremes(n: int, width: int, block, exact):
+    """Least and greatest exact(i, j) over the pairs i < j of n points.
+
+    block(i, j) screens a chunk: arrays (val, err) with |exact - val| <= err,
+    err = 0 where val is exact and inf or nan where nothing is known; a nan
+    val with err = 0, or a nan from exact, skips the pair. Only pairs whose
+    window val +- err reaches an extreme go to exact.
+    """
+    known = [math.inf, -math.inf]  # extremes of the exact values so far
+    reach = [math.inf, -math.inf]  # least val + err, greatest val - err
+    held = np.empty((4, 0))  # i, j, val, err of screened pairs still in play
+    for i, j in _pairs(n, width):
+        val, err = block(i, j)
+        sure = err == 0
+        known = [np.fmin.reduce(val[sure], initial=known[0]),
+                 np.fmax.reduce(val[sure], initial=known[1])]
+        reach = [np.fmin.reduce(val + err, initial=reach[0]),
+                 np.fmax.reduce(val - err, initial=reach[1])]
+        new = ~sure
+        I, J, V, E = held = np.hstack([held, [i[new], j[new], val[new], err[new]]])
+        held = held[:, ~((V - E > reach[0]) & (V + E < reach[1]))]
+    for i, j in held[:2].T.astype(int).tolist():
+        x = exact(i, j)
+        if not math.isnan(x):
+            known = [min(known[0], x), max(known[1], x)]
+    return known[0], known[1]
+
+
+class _PairNorms:
+    """Norms ||Tau (coeff (f(x_i) - f(x_j)))||_p over pairs of points, with
+    values[n][j] = f_n(point j); Tau and coeff are optional.
+
+    at(i, j) is the scalar vec_pnorm path. chunk(i, j) does many pairs with
+    numpy and bounds its distance from at() by err. Both paths give the
+    norm of one vector within relative gamma_(w+16) (Higham's
+    gamma_k = k u / (1 - k u), w the longest vector) plus 2^-500 (squares
+    underflowing in the unscaled p = 2 path), and the product within
+    sqrt(2) gamma_(m+2) |Tau| |coeff diff| per entry. err is 0 for 1- and
+    max-norms without Tau, whose reductions are the scalar ones, and on
+    zero rows; it is inf from 2^500 up, where the p = 2 path may overflow.
+    """
+
+    def __init__(self, values, p, Tau=None, coeff=None):
+        self.values, self.p = values, linops._check_p(p)
+        self.Tau, self.coeff = Tau, coeff
+        self.rows = np.ascontiguousarray(values.T)
+        self.width = max(values.shape[0], 0 if Tau is None else Tau.shape[0])
+        self.g = (self.width + 16) * _U / (1 - (self.width + 16) * _U)
+        self.exact = Tau is None and self.p in (1, math.inf)
+
+    def at(self, i: int, j: int) -> float:
+        diff = self.values[:, i] - self.values[:, j]
+        return vec_pnorm(diff if self.Tau is None
+                         else self.Tau @ (self.coeff * diff), self.p)
+
+    def _norms(self, A: np.ndarray) -> np.ndarray:
+        a, p = np.abs(A), self.p
+        if p == 1:
+            return a.sum(axis=1)
+        mx = a.max(axis=1)
+        if math.isinf(p):
+            return mx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = mx * np.power(a / mx[:, None], p).sum(axis=1) ** (1.0 / p)
+        return np.where(mx > 0, s, 0.0)
+
+    def chunk(self, i: np.ndarray, j: np.ndarray):
+        D = self.rows[i] - self.rows[j]
+        if self.Tau is None:
+            N = top = self._norms(D)
+        else:
+            D = self.coeff * D
+            N = self._norms(D @ self.Tau.T)
+            top = self._norms(np.abs(D) @ np.abs(self.Tau).T)
+        err = 0.0 if self.exact else 6 * self.g * (N + top) + 4 * _TINY
+        return N, np.where(top < _HUGE, np.where(D.any(axis=1), err, 0.0), math.inf)
+
+
+def _over_dist(S: MetricSample, num: _PairNorms) -> tuple[float, float]:
+    """Extremes of num / d(x_i, x_j) over the pairs at positive distance;
+    a pair at distance 0 whose norm exceeds DIST_TOL raises ValueError."""
+    def block(i, j):
+        N, e = num.chunk(i, j)
+        d = S.dist[i, j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (np.where(d > 0, N / d, math.nan), np.where(
+                d > 0, e / d, np.where(N + e <= DIST_TOL, 0.0, math.inf)))
+
+    def exact(i, j):
+        x, d = num.at(i, j), S.dist[i, j]
+        if d <= 0 and x > DIST_TOL:
+            raise ValueError("points at distance 0 take different values: "
+                             "no finite upper bound")
+        return x / d if d > 0 else math.nan
+
+    return _extremes(S.n, num.width, block, exact)
+
+
+def _pair_ratios(S: MetricSample, values: np.ndarray, p) -> tuple[float, float]:
+    """Least and greatest ||f(x_i) - f(x_j)||_p / d(x_i, x_j) over i < j."""
+    if not 1 <= float(p) < math.inf:
         raise ValueError("metric p-frames need 1 <= p < inf")
-    ratios = []
-    for i in range(S.n):
-        for j in range(i + 1, S.n):
-            num = vec_pnorm(values[:, i] - values[:, j], p)
-            d = S.dist[i, j]
-            if d <= 0:
-                if num > DIST_TOL:
-                    raise ValueError(
-                        "points at distance 0 take different values: "
-                        "no finite upper bound")
-                continue
-            ratios.append(num / d)
-    if not ratios:
+    lo, hi = _over_dist(S, _PairNorms(values, float(p)))
+    if lo > hi:
         raise ValueError("degenerate sample: all pairwise distances are 0")
-    return ratios
+    return lo, hi
 
 
 def metric_frame_bounds(S: MetricSample, F: LipschitzFamily, p) -> tuple[float, float]:
@@ -155,8 +262,8 @@ def metric_frame_bounds(S: MetricSample, F: LipschitzFamily, p) -> tuple[float, 
     remainder (the l^1 tail dominates the l^p tail for every p >= 1).
     """
     _check_sizes(S, F)
-    ratios = _pair_ratios(S, F.values, p)
-    return min(ratios), max(ratios) + F.remainder
+    a, b = _pair_ratios(S, F.values, p)
+    return a, b + F.remainder
 
 
 def lipschitz_number(S: MetricSample, values) -> float:
@@ -165,17 +272,16 @@ def lipschitz_number(S: MetricSample, values) -> float:
     v = np.asarray(values).reshape(-1)
     if v.size != S.n:
         raise ValueError("value row does not match the sample size")
-    best = 0.0
-    for i in range(S.n):
-        for j in range(i + 1, S.n):
-            num = abs(v[i] - v[j])
-            d = S.dist[i, j]
-            if d <= 0:
-                if num > DIST_TOL:
-                    return math.inf
-                continue
-            best = max(best, num / d)
-    return best
+
+    def block(i, j):
+        diff, d = v[i] - v[j], S.dist[i, j]
+        num = np.hypot(diff.real, diff.imag)  # the scalar abs() of each pair
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = np.where(d > 0, num / d,
+                           np.where(num > DIST_TOL, math.inf, math.nan))
+        return val, np.zeros_like(val)
+
+    return max(0.0, _extremes(S.n, 1, block, None)[1])
 
 
 _NAME = re.compile(r"^\s*(log|rational)\s*\(\s*([^,()]+?)\s*(?:,\s*([^,()]+?)\s*)?\)\s*$")
@@ -271,7 +377,7 @@ def combine(S: MetricSample, F: LipschitzFamily, G: Optional[LipschitzFamily],
         _check_sizes(S, G)
         if G.values.shape[0] != F.m:
             raise ValueError("families must have the same number of terms")
-        d = max(_pair_ratios(S, G.values, p)) + G.remainder
+        d = _pair_ratios(S, G.values, p)[1] + G.remainder
         if not al * d < a:
             raise HypothesisViolated(
                 f"|lam| d = {al * d:.6g} must stay below the lower bound {a:.6g}")
@@ -313,24 +419,28 @@ def perturb_certificate(S: MetricSample, F: LipschitzFamily, G: LipschitzFamily,
         raise HypothesisViolated("alpha, beta, gamma must be nonnegative")
     if alpha >= 1 or beta >= 1:
         raise HypothesisViolated("need alpha < 1 and beta < 1")
-    ratios = _pair_ratios(S, F.values, p)
-    a, b = min(ratios), max(ratios)
+    a, b = _pair_ratios(S, F.values, p)
     if not gamma < (1 - alpha) * a:
         raise HypothesisViolated("need gamma < (1 - alpha) a")
 
-    holds = True
-    diff = F.values - G.values
-    for i in range(S.n):
-        for j in range(i + 1, S.n):
-            lhs = vec_pnorm(diff[:, i] - diff[:, j], p)
-            rhs = (alpha * vec_pnorm(F.values[:, i] - F.values[:, j], p)
-                   + beta * vec_pnorm(G.values[:, i] - G.values[:, j], p)
-                   + gamma * S.dist[i, j])
-            if lhs > rhs + 1e-12:
-                holds = False
+    norms = [_PairNorms(V, p) for V in (F.values - G.values, F.values, G.values)]
+
+    def block(i, j):
+        (lhs, el), (f, ef), (g, eg) = (nm.chunk(i, j) for nm in norms)
+        rhs = alpha * f + beta * g + gamma * S.dist[i, j]
+        err = el + alpha * ef + beta * eg
+        return (lhs - (rhs + 1e-12),
+                np.where(err == 0, 0.0, err + 16 * _U * (lhs + rhs + 1e-12)))
+
+    def exact(i, j):
+        lhs, f, g = (nm.at(i, j) for nm in norms)
+        return lhs - (alpha * f + beta * g + gamma * S.dist[i, j] + 1e-12)
+
+    # lhs > rhs + 1e-12 exactly when their rounded difference is positive
+    holds = not _extremes(S.n, F.m, block, exact)[1] > 0
     predicted = (((1 - alpha) * a - gamma) / (1 + beta),
                  ((1 + alpha) * b + gamma) / (1 - beta))
-    measured = (min(_pair_ratios(S, G.values, p)), max(_pair_ratios(S, G.values, p)))
+    measured = _pair_ratios(S, G.values, p)
     return MetricPerturbation(holds, predicted, measured)
 
 
@@ -366,12 +476,20 @@ def reconstruction_check(S: MetricSample, F: LipschitzFamily,
     outs = np.asarray([reconstructor(F.values[:, j]) for j in range(S.n)],
                       dtype=float)
     deviation = float(np.abs(outs - pts).max())
-    lip = 0.0
-    for i in range(S.n):
-        for j in range(i + 1, S.n):
-            gap = vec_pnorm(F.values[:, i] - F.values[:, j], p)
-            if gap > 0:
-                lip = max(lip, abs(outs[i] - outs[j]) / gap)
+    gaps = _PairNorms(F.values, p)
+
+    def block(i, j):
+        N, e = gaps.chunk(i, j)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = np.abs(outs[i] - outs[j]) / N
+            err = np.where(N > e, val * e / (N - e), math.inf)
+        return np.where(N > 0, val, math.nan), np.where(e > 0, err, 0.0)
+
+    def exact(i, j):
+        gap = gaps.at(i, j)
+        return abs(outs[i] - outs[j]) / gap if gap > 0 else math.nan
+
+    lip = max(0.0, _extremes(S.n, gaps.width, block, exact)[1])
     return ReconstructionReport(deviation, lip)
 
 

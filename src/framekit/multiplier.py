@@ -3,7 +3,10 @@
 M x = sum_n lambda_n f_n(x) tau_n, built from a symbol lambda, a pointed
 Lipschitz p-Bessel family f_n (f_n(base) = 0) and vectors tau_n in K^d.
 The module measures Lipschitz numbers by exhaustive pair scans and checks
-them against the certified products of Bessel constants.
+them against the certified products of Bessel constants. The scans run in
+metricframe's chunked pair kernel; since the product Tau @ diff rounds
+differently in a batch, the batch only screens and every pair that can
+reach the maximum is recomputed on the scalar path, whose value is reported.
 """
 
 from __future__ import annotations
@@ -102,17 +105,10 @@ def apply(M: Multiplier, point_index: int) -> np.ndarray:
 
 
 def _pair_lip(M: Multiplier, coeff: np.ndarray, Tau: np.ndarray) -> float:
-    """max over pairs of ||Tau (coeff * (f(x)-f(y)))||_out / d(x,y)."""
-    S = M.sample
-    best = 0.0
-    for i in range(S.n):
-        for j in range(i + 1, S.n):
-            d = S.dist[i, j]
-            if d <= 0:
-                continue
-            diff = coeff * (M.family.values[:, i] - M.family.values[:, j])
-            best = max(best, vec_pnorm(Tau @ diff, M.out_norm) / d)
-    return best
+    """max over pairs of ||Tau (coeff * (f(x)-f(y)))||_out / d(x,y); points
+    at distance 0 must give the same output, else ValueError."""
+    num = metricframe._PairNorms(M.family.values, M.out_norm, Tau, coeff)
+    return max(0.0, metricframe._over_dist(M.sample, num)[1])
 
 
 @dataclass(frozen=True)

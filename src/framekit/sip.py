@@ -29,30 +29,31 @@ def sip(x, y, p) -> complex:
     if not p > 1 or math.isinf(p):
         raise ValueError("the semi-inner product needs 1 < p < inf")
     x = linops.as_vector(x)
-    y = linops.as_vector(y)
-    if x.size != y.size:
+    w = sip_functional(y, p)
+    if x.size != w.size:
         raise ValueError("vectors must share a dimension")
-    ny = vec_pnorm(y, p)
-    if ny == 0.0:
-        return 0.0 + 0.0j
-    ay = np.abs(y)
-    w = np.zeros_like(y)
-    nz = ay > 0
-    w[nz] = np.conj(y[nz]) * ay[nz] ** (p - 2)
-    return complex((x * w).sum() / ny ** (p - 2))
+    return complex((x * w).sum())
 
 
 def sip_functional(y, p) -> np.ndarray:
-    """Row w with [x, y] = w . x for all x (the duality map at y)."""
+    """Row w with [x, y] = w . x for all x (the duality map at y).
+
+    Computed as w_j = ||y||_p conj(y_j / |y_j|) u_j^(p-1) with
+    u_j = |y_j| / ||y||_p <= 1: no power of ||y||_p is formed, so nothing
+    overflows or turns into NaN at any scale of y.
+    """
     y = linops.as_vector(y)
     ny = vec_pnorm(y, p)
-    if ny == 0.0:
-        return np.zeros_like(y)
-    ay = np.abs(y)
     w = np.zeros_like(y)
+    if ny == 0.0:
+        return w
+    ay = np.abs(y)
     nz = ay > 0
-    w[nz] = np.conj(y[nz]) * ay[nz] ** (p - 2)
-    return w / ny ** (p - 2)
+    a, yn = ay[nz], y[nz]
+    # conj(y_j / |y_j|) by real divisions: complex division by a
+    # subnormal |y_j| overflows in numpy
+    w[nz] = (yn.real / a - 1j * (yn.imag / a)) * (a / ny) ** (p - 1)
+    return ny * w
 
 
 @dataclass(frozen=True)

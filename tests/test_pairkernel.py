@@ -1,0 +1,349 @@
+"""The chunked pair kernel against the exhaustive scalar scan.
+
+The references below are the plain i < j loops that computed every pair
+with vec_pnorm before the kernel existed. The kernel must reproduce their
+extremes exactly (==), including where its batched arithmetic differs
+from vec_pnorm in the last bits, and must stay within a small memory
+budget because it never builds the whole pair-difference tensor.
+"""
+
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from framekit import cli, multiplier
+from framekit.linops import vec_pnorm
+from framekit.metricframe import (
+    DIST_TOL,
+    LipschitzFamily,
+    MetricSample,
+    lipschitz_number,
+    log_family_reconstructor,
+    make_named_family,
+    metric_frame_bounds,
+    perturb_certificate,
+    reconstruction_check,
+    sample_from_points,
+)
+from framekit.multiplier import Multiplier, lip_bound_check
+
+# ------------------------------------------------ scalar reference scans
+
+
+def ref_pair_ratios(S, values, p):
+    p = float(p)
+    if not 1 <= p < math.inf:
+        raise ValueError("metric p-frames need 1 <= p < inf")
+    ratios = []
+    for i in range(S.n):
+        for j in range(i + 1, S.n):
+            num = vec_pnorm(values[:, i] - values[:, j], p)
+            d = S.dist[i, j]
+            if d <= 0:
+                if num > DIST_TOL:
+                    raise ValueError(
+                        "points at distance 0 take different values: "
+                        "no finite upper bound")
+                continue
+            ratios.append(num / d)
+    if not ratios:
+        raise ValueError("degenerate sample: all pairwise distances are 0")
+    return ratios
+
+
+def ref_bounds(S, F, p):
+    ratios = ref_pair_ratios(S, F.values, p)
+    return min(ratios), max(ratios) + F.remainder
+
+
+def ref_lipschitz_number(S, values):
+    v = np.asarray(values).reshape(-1)
+    best = 0.0
+    for i in range(S.n):
+        for j in range(i + 1, S.n):
+            num = abs(v[i] - v[j])
+            d = S.dist[i, j]
+            if d <= 0:
+                if num > DIST_TOL:
+                    return math.inf
+                continue
+            best = max(best, num / d)
+    return best
+
+
+def ref_perturb(S, F, G, alpha, beta, gamma, p):
+    ratios = ref_pair_ratios(S, F.values, p)
+    a, b = min(ratios), max(ratios)
+    holds = True
+    diff = F.values - G.values
+    for i in range(S.n):
+        for j in range(i + 1, S.n):
+            lhs = vec_pnorm(diff[:, i] - diff[:, j], p)
+            rhs = (alpha * vec_pnorm(F.values[:, i] - F.values[:, j], p)
+                   + beta * vec_pnorm(G.values[:, i] - G.values[:, j], p)
+                   + gamma * S.dist[i, j])
+            if lhs > rhs + 1e-12:
+                holds = False
+    predicted = (((1 - alpha) * a - gamma) / (1 + beta),
+                 ((1 + alpha) * b + gamma) / (1 - beta))
+    measured = (min(ref_pair_ratios(S, G.values, p)),
+                max(ref_pair_ratios(S, G.values, p)))
+    return holds, predicted, measured
+
+
+def ref_reconstruction_lip(S, F, reconstructor, p):
+    outs = np.asarray([reconstructor(F.values[:, j]) for j in range(S.n)],
+                      dtype=float)
+    lip = 0.0
+    for i in range(S.n):
+        for j in range(i + 1, S.n):
+            gap = vec_pnorm(F.values[:, i] - F.values[:, j], p)
+            if gap > 0:
+                lip = max(lip, abs(outs[i] - outs[j]) / gap)
+    return lip
+
+
+def ref_pair_lip(M, coeff, Tau):
+    S = M.sample
+    best = 0.0
+    for i in range(S.n):
+        for j in range(i + 1, S.n):
+            d = S.dist[i, j]
+            if d <= 0:
+                continue
+            diff = coeff * (M.family.values[:, i] - M.family.values[:, j])
+            best = max(best, vec_pnorm(Tau @ diff, M.out_norm) / d)
+    return best
+
+
+def same(got, want):
+    # bit-identical results, or the same error with the same message
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got == want, (got, want)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return exc
+
+
+# ----------------------------------------------------------- inputs
+
+# n = 60 with m = 40 spans five chunks of metricframe.CHUNK elements
+N_POINTS, TERMS = 60, 40
+P_VALUES = [1.0, 1.5, 2.0, 3.0, 50.0]
+
+
+def make_sample(rng, dup, n=N_POINTS):
+    """Points on [1, 20]; dup > 0 repeats that many of them (distance 0)."""
+    pts = np.sort(rng.uniform(1.0, 20.0, n - dup))
+    if dup:
+        pts = np.sort(np.concatenate([pts, rng.choice(pts[1:], dup)]))
+    return sample_from_points(pts, base=0)
+
+
+def make_values(rng, S, kind, cplx, m=TERMS, split=False):
+    """m x n value table: functions of the point (so duplicates agree),
+    unless split, which moves one duplicated point's values."""
+    x = np.asarray(S.points)
+    if kind == "smooth":
+        V = np.vstack([np.sin(rng.uniform(0.1, 3.0) * x + rng.uniform(0, 6))
+                       * rng.uniform(0.1, 10.0) for _ in range(m)])
+    else:  # linear: every ratio equals ||c||_p up to rounding (all ties)
+        V = rng.uniform(-2.0, 2.0, (m, 1)) * x[None, :]
+    if cplx:
+        V = V + 1j * np.vstack([np.cos(rng.uniform(0.1, 3.0) * x)
+                                for _ in range(m)])
+    if split:
+        k = int(np.flatnonzero(np.diff(x) == 0)[0])
+        V[:, k] = V[:, k] + 0.5
+    return V
+
+
+cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "p": st.sampled_from(P_VALUES),
+    "kind": st.sampled_from(["smooth", "linear"]),
+    "cplx": st.booleans(),
+    "dup": st.sampled_from([0, 0, 2]),
+    "split": st.booleans(),
+})
+
+
+# ----------------------------------------------------------- metric
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases)
+def test_bounds_equal_scalar_scan(c):
+    rng = np.random.default_rng(c["seed"])
+    S = make_sample(rng, c["dup"])
+    F = LipschitzFamily(make_values(rng, S, c["kind"], c["cplx"],
+                                    split=c["split"] and c["dup"] > 0), 0.25)
+    same(outcome(metric_frame_bounds, S, F, c["p"]),
+         outcome(ref_bounds, S, F, c["p"]))
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_log_family_bounds_equal_scalar_scan(p):
+    # at p = 1 every ratio is 1 within rounding: the case a tolerance
+    # window could not separate, so the kernel must be exact there
+    S = make_sample(np.random.default_rng(7), 0, n=90)
+    F = make_named_family("log(1)", S, TERMS)
+    got = metric_frame_bounds(S, F, p)
+    assert got == ref_bounds(S, F, p)
+    if p == 1:
+        assert abs(got[0] - 1.0) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases)
+def test_lipschitz_number_equals_scalar_scan(c):
+    # one value row: 16384 pairs per chunk, so 200 points span two chunks
+    rng = np.random.default_rng(c["seed"])
+    S = make_sample(rng, c["dup"], n=200)
+    v = make_values(rng, S, c["kind"], c["cplx"], m=1,
+                    split=c["split"] and c["dup"] > 0)[0]
+    got, want = lipschitz_number(S, v), ref_lipschitz_number(S, v)
+    assert got == want
+    assert math.isinf(got) == (c["split"] and c["dup"] > 0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(cases, st.floats(0.0, 0.6), st.floats(0.0, 0.6), st.floats(0.0, 1.0),
+       st.sampled_from([0.0, 1e-9, 1e-3, 0.3]))
+def test_perturb_certificate_equals_scalar_scan(c, alpha, beta, frac, eps):
+    rng = np.random.default_rng(c["seed"])
+    S = make_sample(rng, c["dup"])
+    V = make_values(rng, S, c["kind"], c["cplx"])
+    F = LipschitzFamily(V)
+    G = LipschitzFamily(V + eps * make_values(rng, S, "smooth", c["cplx"]))
+    a = min(ref_pair_ratios(S, F.values, c["p"]))
+    gamma = frac * (1 - alpha) * a * 0.999
+    got = perturb_certificate(S, F, G, alpha, beta, gamma, c["p"])
+    want = ref_perturb(S, F, G, alpha, beta, gamma, c["p"])
+    assert (got.hypothesis_holds, got.predicted, got.measured) == want
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+@pytest.mark.parametrize("seed", range(4))
+def test_perturb_verdict_at_its_flip_point(p, seed):
+    # alpha = beta = 0: the hypothesis holds iff every scalar lhs stays
+    # within gamma d + 1e-12. Find the float gamma at which the scalar
+    # verdict flips; with a linear family every pair sits at that edge
+    # within rounding, so the verdict turns on the last bit of the norms.
+    rng = np.random.default_rng(seed)
+    S = make_sample(rng, 0, n=30)
+    V = make_values(rng, S, "linear", False)
+    F, G = LipschitzFamily(V), LipschitzFamily(0.5 * V)
+    i, j = np.triu_indices(S.n, 1)
+    diff = F.values - G.values
+    lhs = np.array([vec_pnorm(diff[:, a] - diff[:, b], p) for a, b in zip(i, j)])
+    d = S.dist[i, j]
+
+    def holds(gamma):  # the reference's comparison, elementwise
+        return bool(np.all(~(lhs > gamma * d + 1e-12)))
+
+    lo, hi = (np.float64(np.max(lhs / d) * (1 + s)).view(np.int64)
+              for s in (-1e-9, 1e-9))
+    assert not holds(lo.view(np.float64)) and holds(hi.view(np.float64))
+    while hi - lo > 1:
+        mid = lo + (hi - lo) // 2
+        lo, hi = (lo, mid) if holds(mid.view(np.float64)) else (mid, hi)
+    for k in (lo - 1, lo, hi, hi + 1):
+        gamma = float(k.view(np.float64))
+        got = perturb_certificate(S, F, G, 0.0, 0.0, gamma, p)
+        want = ref_perturb(S, F, G, 0.0, 0.0, gamma, p)
+        assert (got.hypothesis_holds, got.predicted, got.measured) == want
+        assert got.hypothesis_holds == (k >= hi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cases)
+def test_reconstruction_lip_equals_scalar_scan(c):
+    rng = np.random.default_rng(c["seed"])
+    S = make_sample(rng, c["dup"])
+    F = LipschitzFamily(make_values(rng, S, c["kind"], c["cplx"]))
+    w = rng.standard_normal(TERMS)
+    rec = lambda col: float(np.real(w @ col)) ** 3  # noqa: E731
+    got = reconstruction_check(S, F, rec, c["p"])
+    assert got.reconstructor_lipschitz == ref_reconstruction_lip(S, F, rec, c["p"])
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_log_reconstruction_equals_scalar_scan(p):
+    S = make_sample(np.random.default_rng(11), 0, n=90)
+    F = make_named_family("log(1)", S, TERMS)
+    got = reconstruction_check(S, F, log_family_reconstructor, p)
+    want = ref_reconstruction_lip(S, F, log_family_reconstructor, p)
+    assert got.reconstructor_lipschitz == want
+
+
+# ------------------------------------------------------- multiplier
+
+
+@settings(max_examples=20, deadline=None)
+@given(cases, st.sampled_from([1.0, 2.0, 3.0]), st.integers(1, 5))
+def test_pair_lip_equals_scalar_scan(c, out_norm, dim):
+    rng = np.random.default_rng(c["seed"])
+    S = make_sample(rng, c["dup"])
+    V = make_values(rng, S, c["kind"], c["cplx"])
+    V = V - V[:, [0]]  # vanish at the base point
+    Tau = rng.standard_normal((dim, TERMS))
+    if c["cplx"]:
+        Tau = Tau + 1j * rng.standard_normal((dim, TERMS))
+    lam = 0.8 ** np.arange(TERMS) * rng.uniform(0.5, 1.0, TERMS)
+    M = Multiplier(S, LipschitzFamily(V), Tau, lam, max(c["p"], 1.5), out_norm)
+    for coeff, T in ((M.lam, M.Tau), (M.lam * (np.arange(TERMS) >= 3), M.Tau),
+                     (M.lam, 0.1 * M.Tau)):
+        assert multiplier._pair_lip(M, coeff, T) == ref_pair_lip(M, coeff, T)
+
+
+def test_pair_lip_rejects_separated_points_at_distance_zero():
+    S = MetricSample((0, 1, 2), np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0.0]]),
+                     base=0)
+    M = Multiplier(S, LipschitzFamily(np.array([[0.0, 1.0, 5.0]])),
+                   np.array([[1.0]]), [1.0], 2.0, bessel_b=10.0, bessel_d=1.0)
+    with pytest.raises(ValueError, match="distance 0 take different values"):
+        lip_bound_check(M)
+    # merged points with equal values are skipped, as before
+    M = Multiplier(S, LipschitzFamily(np.array([[0.0, 1.0, 1.0]])),
+                   np.array([[1.0]]), [1.0], 2.0, bessel_b=10.0, bessel_d=1.0)
+    assert lip_bound_check(M).measured == 1.0
+
+
+def test_cli_multiplier_lip_refuses_separated_points(tmp_path):
+    obj = {"p": 2.0, "bessel_b": 10.0, "bessel_d": 1.0,
+           "sample": {"points": [0, 1, 2],
+                      "dist": [[0, 1, 1], [1, 0, 0], [1, 0, 0]], "base": 0},
+           "family": {"values": [[0, 1, 5]]},
+           "Tau": {"rows": 1, "cols": 1, "re": [[1.0]]}, "lam": [1.0]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["multiplier", "lip", "--in", str(path), "--json"]) == 2
+
+
+# ------------------------------------------------------------ memory
+
+
+def test_bounds_scan_memory_stays_chunk_sized():
+    # the whole pair-difference tensor would take ~57 MiB here
+    S = make_sample(np.random.default_rng(5), 0, n=600)
+    F = LipschitzFamily(make_values(np.random.default_rng(6), S, "smooth",
+                                    False))
+    for p in (1.0, 2.0):
+        tracemalloc.start()
+        try:
+            metric_frame_bounds(S, F, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, peak

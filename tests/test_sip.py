@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from framekit import hframe, linops
 from framekit.sip import (
@@ -100,11 +100,25 @@ def test_sip_norm_identity(seed, p):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), complexes, st.sampled_from([1.5, 2.0, 3.0]))
+@example(seed=0, lam=2.2e-311, p=3.0)  # ||y||^(p-2) underflowed to NaN
 def test_sip_homogeneity_both_slots(seed, lam, p):
     x, y = vec(5, seed), vec(5, seed + 1)
     base = sip(x, y, p)
     assert abs(sip(lam * x, y, p) - lam * base) <= 1e-9 * max(1.0, abs(lam))
     assert abs(sip(x, lam * y, p) - np.conj(lam) * base) <= 1e-9 * max(1.0, abs(lam))
+
+
+@pytest.mark.parametrize("p", [3.0, 50.0])
+def test_sip_at_huge_scale(p):
+    # ||y|| near 1e160: ||y||^(p-2) overflows when taken directly
+    x, y = vec(5, 20), vec(5, 21)
+    base = sip(x, y, p)
+    for t in (1e160, 1e-160):
+        got = sip(x, t * y, p)
+        assert abs(got - t * base) <= 1e-12 * t * abs(base)
+        w = sip_functional(t * y, p)
+        assert np.all(np.isfinite(w))
+        assert abs(w @ x - got) <= 1e-12 * t * abs(base)
 
 
 @settings(max_examples=60, deadline=None)
