@@ -9,13 +9,18 @@ fail to find a counterexample, never prove the hypothesis).
 
 Exit status: 0 when everything passed or the command is a pure
 computation, 1 on a certified failure (a hypothesis violated or a
-check over tolerance), 2 on input or usage errors.
+check over tolerance), 2 on input or usage errors, 3 on an internal
+error. Input errors include a non-finite or out-of-domain option, a
+computation that leaves the floating-point range and a report with a
+non-finite value; every exit 2 or 3 prints "error: ..." as the first
+line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,20 +39,7 @@ from framekit import (
     sip,
     vsdilate,
 )
-
-# Module errors that mean "the mathematics said no" rather than "the
-# input file is broken"; they exit 1 with a fail report.
-_MATH_FAIL = (
-    hframe.NotAFrame,
-    hframe.DependentInput,
-    hframe.HypothesisViolated,
-    pasf.NotADual,
-    pasf.HypothesisViolated,
-    metricframe.HypothesisViolated,
-    ovf.HypothesisViolated,
-    linops.NotInvertible,
-    cuntz.ConvergenceError,
-)
+from framekit.errors import CertifiedFailure
 
 
 class CliError(Exception):
@@ -131,8 +123,12 @@ def _plain(x):
 
 
 def canonical(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    try:
+        return json.dumps(report, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError:
+        raise CliError(2, "the report holds a non-finite value "
+                          "(NaN or infinity)") from None
 
 
 def g(x) -> str:
@@ -245,8 +241,13 @@ def parse_exact_matrix(obj, where: str = "matrix") -> list:
     like "2/3"; imaginary parts are rejected."""
     if not isinstance(obj, dict):
         raise CliError(2, f"{where}: expected a Matrix object")
-    if "im" in obj and np.abs(np.asarray(obj["im"], dtype=float)).max() > 0:
-        raise CliError(2, f"{where}: rational commands take real matrices")
+    if "im" in obj:
+        try:
+            imag = np.abs(np.asarray(obj["im"], dtype=float)).max()
+        except (TypeError, ValueError):
+            raise CliError(2, f"{where}: 'im' must be a numeric grid") from None
+        if imag > 0:
+            raise CliError(2, f"{where}: rational commands take real matrices")
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         grid = obj["re"]
@@ -333,7 +334,7 @@ def parse_pasf(obj) -> tuple:
             m = int(obj.get("m", 8))
             p = float(obj.get("p", 2.0))
             return pasf.shift_pair(m, p), {"named": "shift", "m": m}
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise CliError(2, f"pair file: {exc}") from None
     if "named" in obj:
         raise CliError(2, f"pair file: unknown named pair {obj['named']!r}")
@@ -434,7 +435,7 @@ def parse_ovf(obj) -> ovf.OvfPair:
         raise CliError(2, "pair file: all blocks must share one r x d shape")
     r, d = A[0].shape
     for key, want in (("r", r), ("d", d)):
-        if key in obj and int(obj[key]) != want:
+        if key in obj and obj[key] != want:
             raise CliError(2, f"pair file: '{key}' disagrees with the blocks")
     return ovf.OvfPair(np.stack(A), np.stack(Psi))
 
@@ -462,8 +463,9 @@ def parse_group_rep(source: str) -> dict:
         R = np.array([[0.0, -1.0], [1.0, 0.0]])
         return {k: np.linalg.matrix_power(R, k) for k in range(4)}
     obj = load_json(source)
-    if (not isinstance(obj, dict) or "labels" not in obj
-            or "matrices" not in obj
+    if (not isinstance(obj, dict)
+            or not isinstance(obj.get("labels"), list)
+            or not isinstance(obj.get("matrices"), list)
             or len(obj["labels"]) != len(obj["matrices"])):
         raise CliError(2, "rep file: needs equal-length 'labels' and "
                           "'matrices'")
@@ -544,14 +546,69 @@ def dump_word_matrix(M) -> dict:
 
 # ----------------------------------------------------------- dispatching
 
+# (group, verb) -> handler, and (group, verb) -> (needs_in, options):
+# build_parser makes one subcommand per entry, in declaration order.
 _HANDLERS: dict = {}
+_OPTIONS: dict = {}
+
+_GROUP_HELP = {
+    "hframe": "Hilbert-space frames",
+    "pasf": "p-approximate Schauder frames",
+    "sip": "semi-inner products on l^p",
+    "metric": "metric (Lipschitz) frames",
+    "multiplier": "(p, q)-Bessel multipliers",
+    "ovf": "operator-valued frames",
+    "vsdilate": "vector-space dilations",
+    "cuntz": "Cuntz-isometry commutators",
+}
 
 
-def command(*path):
+def command(group: str, verb: str, *options, needs_in: bool = True):
+    """Registers a handler with its options, each an _opt(...) pair."""
     def deco(fn):
-        _HANDLERS[path] = fn
+        _HANDLERS[(group, verb)] = fn
+        _OPTIONS[(group, verb)] = (needs_in, options)
         return fn
     return deco
+
+
+def _opt(*flags, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+def _domain(cast, ok, want: str):
+    """Option type: cast(text), refused with exit 2 unless ok(value)."""
+    def parse(text: str):
+        x = cast(text)
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return x
+    parse.__name__ = cast.__name__  # argparse: "invalid float value: ..."
+    return parse
+
+
+_finite = _domain(float, math.isfinite, "finite")
+_tolerance = _domain(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
+_count = _domain(int, lambda k: k >= 1, ">= 1")
+
+
+def _file(flag: str, help: str = None) -> tuple:
+    return _opt(flag, required=True, metavar="FILE", help=help)
+
+
+_H = _opt("--h", default=None, help="target vector, comma separated")
+_PERTURB = (_opt("--alpha", type=_finite, default=0.0),
+            _opt("--beta", type=_finite, default=0.0),
+            _opt("--gamma", type=_finite, default=0.0),
+            _opt("--samples", type=_count, default=256))
+_SIP = (_opt("--p", type=_finite, default=None),
+        _opt("--subset", required=True),
+        _opt("--x", default=None, help="sample vector, csv"))
+_RATIONAL = _opt("--rational", action=argparse.BooleanOptionalAction,
+                 default=True, help="exact Fraction arithmetic")
+_MU = _opt("--mu", type=_finite, default=0.5)
+_N = _opt("--n", type=int, required=True)
+_HORIZON = _opt("--horizon", type=int, required=True)
 
 
 # ------------------------------------------------------------- hframe
@@ -591,7 +648,10 @@ def cmd_hframe_parsevalize(cfg: RunConfig, R: ReportBuilder):
             resid, tol)
 
 
-@command("hframe", "algorithm")
+@command("hframe", "algorithm",
+         _opt("--iters", type=_count, default=50,
+              help="number of iterations to run"),
+         _H)
 def cmd_hframe_algorithm(cfg: RunConfig, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
     slack = cfg.tolerance(1e-10)
@@ -608,7 +668,12 @@ def cmd_hframe_algorithm(cfg: RunConfig, R: ReportBuilder):
             max(worst, 0.0), slack)
 
 
-@command("hframe", "identity")
+@command("hframe", "identity",
+         _opt("--subset", required=True, help="0-based indices, csv"),
+         _H,
+         _opt("--mode", choices=("auto", "general", "parseval"),
+              default="auto",
+              help="identity variant; auto picks from the frame"))
 def cmd_hframe_identity(cfg: RunConfig, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
     tol = cfg.tolerance(1e-10)
@@ -648,7 +713,11 @@ def cmd_hframe_dilate(cfg: RunConfig, R: ReportBuilder):
         R.result["parseval_input"] = False
 
 
-@command("hframe", "perturb")
+@command("hframe", "perturb",
+         _file("--other", "perturbed frame file, same shape"),
+         _opt("--mode", choices=("quadratic", "general"),
+              default="quadratic", help="perturbation hypothesis"),
+         *_PERTURB)
 def cmd_hframe_perturb(cfg: RunConfig, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
     G = parse_frame(load_json(cfg.extra["other"]))
@@ -702,7 +771,7 @@ def cmd_pasf_dual(cfg: RunConfig, R: ReportBuilder):
             resid, tol)
 
 
-@command("pasf", "alldual")
+@command("pasf", "alldual", _file("--u"), _file("--v"))
 def cmd_pasf_alldual(cfg: RunConfig, R: ReportBuilder):
     P, _ = parse_pasf(need_in(cfg))
     tol = cfg.tolerance(pasf.DUAL_TOL)
@@ -717,7 +786,7 @@ def cmd_pasf_alldual(cfg: RunConfig, R: ReportBuilder):
             resid, tol)
 
 
-@command("pasf", "similar")
+@command("pasf", "similar", _file("--other"))
 def cmd_pasf_similar(cfg: RunConfig, R: ReportBuilder):
     P, _ = parse_pasf(need_in(cfg))
     Q, _ = parse_pasf(load_json(cfg.extra["other"]))
@@ -777,7 +846,16 @@ def cmd_pasf_riesz(cfg: RunConfig, R: ReportBuilder):
     R.check("approximate Riesz basis: F S^-1 T = I", "theorem", resid, tol)
 
 
-@command("pasf", "perturb")
+@command("pasf", "perturb",
+         _file("--omega", "replacement vector matrix (d x m)"),
+         _opt("--mode", choices=("quadratic", "general", "two_sided"),
+              default="quadratic"),
+         *_PERTURB,
+         _opt("--case", type=int, default=1),
+         _opt("--g", default=None, metavar="FILE"),
+         _opt("--r", type=_finite, default=0.0),
+         _opt("--s", type=_finite, default=0.0),
+         _opt("--t", type=_finite, default=0.0))
 def cmd_pasf_perturb(cfg: RunConfig, R: ReportBuilder):
     P, _ = parse_pasf(need_in(cfg))
     Omega = parse_matrix(load_json(cfg.extra["omega"]), "omega")
@@ -798,7 +876,9 @@ def cmd_pasf_perturb(cfg: RunConfig, R: ReportBuilder):
     R.check("perturbation hypothesis", kind, 0.0 if rep.valid else 1.0, 0.0)
 
 
-@command("pasf", "expand")
+@command("pasf", "expand",
+         _file("--other", "reconstructing pair to borrow vectors from"),
+         _opt("--lam", type=_finite, default=1.0))
 def cmd_pasf_expand(cfg: RunConfig, R: ReportBuilder):
     P, _ = parse_pasf(need_in(cfg))
     Q, _ = parse_pasf(load_json(cfg.extra["other"]))
@@ -822,7 +902,7 @@ def _sip_setup(cfg: RunConfig):
     return P, subset, x
 
 
-@command("sip", "identity")
+@command("sip", "identity", *_SIP)
 def cmd_sip_identity(cfg: RunConfig, R: ReportBuilder):
     P, subset, x = _sip_setup(cfg)
     tol = cfg.tolerance(1e-8)
@@ -831,7 +911,7 @@ def cmd_sip_identity(cfg: RunConfig, R: ReportBuilder):
     R.check("semi-inner-product frame identity", "theorem", resid, tol)
 
 
-@command("sip", "parseval")
+@command("sip", "parseval", *_SIP)
 def cmd_sip_parseval(cfg: RunConfig, R: ReportBuilder):
     P, subset, x = _sip_setup(cfg)
     tol = cfg.tolerance(1e-8)
@@ -844,7 +924,7 @@ def cmd_sip_parseval(cfg: RunConfig, R: ReportBuilder):
             op_resid, tol)
 
 
-@command("sip", "lower34")
+@command("sip", "lower34", *_SIP)
 def cmd_sip_lower34(cfg: RunConfig, R: ReportBuilder):
     P, subset, x = _sip_setup(cfg)
     slack = cfg.tolerance(1e-9)
@@ -863,7 +943,11 @@ def cmd_sip_lower34(cfg: RunConfig, R: ReportBuilder):
 # -------------------------------------------------------------- metric
 
 
-@command("metric", "bounds")
+@command("metric", "bounds",
+         _opt("--family", required=True,
+              help="family JSON file or named builder like 'log(1)'"),
+         _opt("--terms", type=int, default=32),
+         _opt("--p", type=_finite, default=1.0))
 def cmd_metric_bounds(cfg: RunConfig, R: ReportBuilder):
     S = parse_sample(need_in(cfg))
     fam = family_arg(cfg.extra["family"], S, cfg.extra["terms"])
@@ -874,7 +958,13 @@ def cmd_metric_bounds(cfg: RunConfig, R: ReportBuilder):
                      f"{g(fam.remainder)}")
 
 
-@command("metric", "logframe")
+@command("metric", "logframe",
+         _opt("--lo", type=_finite, default=1.0),
+         _opt("--hi", type=_finite, default=20.0),
+         _opt("--points", type=int, default=200),
+         _opt("--terms", type=int, default=40),
+         _opt("--p", type=_finite, default=1.0),
+         needs_in=False)
 def cmd_metric_logframe(cfg: RunConfig, R: ReportBuilder):
     lo, hi = cfg.extra["lo"], cfg.extra["hi"]
     if not 1.0 <= lo < hi:
@@ -904,7 +994,7 @@ def cmd_metric_logframe(cfg: RunConfig, R: ReportBuilder):
 # ---------------------------------------------------------- multiplier
 
 
-@command("multiplier", "apply")
+@command("multiplier", "apply", _opt("--point", type=int, required=True))
 def cmd_multiplier_apply(cfg: RunConfig, R: ReportBuilder):
     M = parse_multiplier(need_in(cfg))
     idx = cfg.extra["point"]
@@ -926,7 +1016,7 @@ def cmd_multiplier_lip(cfg: RunConfig, R: ReportBuilder):
             max(rep.measured - rep.certified, 0.0), tol)
 
 
-@command("multiplier", "tail")
+@command("multiplier", "tail", _opt("--cut", type=int, required=True))
 def cmd_multiplier_tail(cfg: RunConfig, R: ReportBuilder):
     M = parse_multiplier(need_in(cfg))
     tol = cfg.tolerance(1e-9)
@@ -937,7 +1027,9 @@ def cmd_multiplier_tail(cfg: RunConfig, R: ReportBuilder):
             max(measured - bound, 0.0), tol)
 
 
-@command("multiplier", "continuity")
+@command("multiplier", "continuity",
+         _opt("--symbol", default=None, help="replacement symbol, csv"),
+         _opt("--vectors", default=None, metavar="FILE"))
 def cmd_multiplier_continuity(cfg: RunConfig, R: ReportBuilder):
     M = parse_multiplier(need_in(cfg))
     tol = cfg.tolerance(1e-9)
@@ -990,7 +1082,7 @@ def cmd_ovf_dual(cfg: RunConfig, R: ReportBuilder):
     R.check("dual of the dual returns the pair", "theorem", involution, tol)
 
 
-@command("ovf", "similar")
+@command("ovf", "similar", _file("--other"))
 def cmd_ovf_similar(cfg: RunConfig, R: ReportBuilder):
     P = parse_ovf(need_in(cfg))
     Q = parse_ovf(load_json(cfg.extra["other"]))
@@ -1038,7 +1130,11 @@ def cmd_ovf_dilate(cfg: RunConfig, R: ReportBuilder):
     R.check("dilated pair is orthonormal", "theorem", gap, tol)
 
 
-@command("ovf", "group")
+@command("ovf", "group",
+         _opt("--rep", required=True,
+              help="'c4' or a JSON file with labels and matrices"),
+         _file("--a"), _file("--psi"),
+         needs_in=False)
 def cmd_ovf_group(cfg: RunConfig, R: ReportBuilder):
     rep = parse_group_rep(cfg.extra["rep"])
     A = parse_matrix(load_json(cfg.extra["a"]), "A")
@@ -1055,7 +1151,10 @@ def cmd_ovf_group(cfg: RunConfig, R: ReportBuilder):
             got.gc1_residual, tol)
 
 
-@command("ovf", "perturb")
+@command("ovf", "perturb",
+         _file("--b", "replacement block stack"),
+         _opt("--mode", choices=("quadratic", "triple"), default="quadratic"),
+         *_PERTURB)
 def cmd_ovf_perturb(cfg: RunConfig, R: ReportBuilder):
     P = parse_ovf(need_in(cfg))
     B = parse_ovf_stack(load_json(cfg.extra["b"]), P.A.shape, "B")
@@ -1089,7 +1188,7 @@ def _exact_in(cfg: RunConfig, key: str = None) -> np.ndarray:
     return vsdilate.as_exact(data, cfg.extra["rational"])
 
 
-@command("vsdilate", "halmos")
+@command("vsdilate", "halmos", _RATIONAL)
 def cmd_vsdilate_halmos(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
     tol = _exact_tol(cfg)
@@ -1104,7 +1203,7 @@ def cmd_vsdilate_halmos(cfg: RunConfig, R: ReportBuilder):
                 quad.inverse_defect(), tol)
 
 
-@command("vsdilate", "ndilate")
+@command("vsdilate", "ndilate", _RATIONAL, _N)
 def cmd_vsdilate_ndilate(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
     tol = _exact_tol(cfg)
@@ -1121,7 +1220,8 @@ def cmd_vsdilate_ndilate(cfg: RunConfig, R: ReportBuilder):
                          f"{g(beyond[0])}")
 
 
-@command("vsdilate", "sznagy")
+@command("vsdilate", "sznagy", _RATIONAL,
+         _opt("--window", type=int, required=True))
 def cmd_vsdilate_sznagy(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
     tol = _exact_tol(cfg)
@@ -1136,7 +1236,7 @@ def cmd_vsdilate_sznagy(cfg: RunConfig, R: ReportBuilder):
             bw.interior_identity_defect(), tol)
 
 
-@command("vsdilate", "standard")
+@command("vsdilate", "standard", _RATIONAL, _HORIZON)
 def cmd_vsdilate_standard(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
     tol = _exact_tol(cfg)
@@ -1150,7 +1250,7 @@ def cmd_vsdilate_standard(cfg: RunConfig, R: ReportBuilder):
             0.0 if sd.minimality_check() else 1.0, 0.0)
 
 
-@command("vsdilate", "ando")
+@command("vsdilate", "ando", _RATIONAL, _file("--other"), _HORIZON)
 def cmd_vsdilate_ando(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
     S = _exact_in(cfg, "other")
@@ -1169,7 +1269,8 @@ def cmd_vsdilate_ando(cfg: RunConfig, R: ReportBuilder):
             0.0 if ad.pad_identity_check() else 1.0, 0.0)
 
 
-@command("vsdilate", "intertwine")
+@command("vsdilate", "intertwine", _RATIONAL, _file("--other"),
+         _file("--s", "intertwining matrix"), _HORIZON)
 def cmd_vsdilate_intertwine(cfg: RunConfig, R: ReportBuilder):
     T1 = _exact_in(cfg)
     T2 = _exact_in(cfg, "other")
@@ -1188,7 +1289,7 @@ def cmd_vsdilate_intertwine(cfg: RunConfig, R: ReportBuilder):
             lift.embedding_defect, tol)
 
 
-@command("vsdilate", "witness")
+@command("vsdilate", "witness", _RATIONAL)
 def cmd_vsdilate_witness(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
     wit = vsdilate.non_similarity_witness(T, cfg.extra["rational"])
@@ -1204,7 +1305,9 @@ def cmd_vsdilate_witness(cfg: RunConfig, R: ReportBuilder):
 # --------------------------------------------------------------- cuntz
 
 
-@command("cuntz", "solve")
+@command("cuntz", "solve", _N,
+         _opt("--max-iters", type=_count, default=200),
+         needs_in=False)
 def cmd_cuntz_solve(cfg: RunConfig, R: ReportBuilder):
     n = cfg.extra["n"]
     iter_tol = cfg.tolerance(1e-10)
@@ -1228,7 +1331,7 @@ def cmd_cuntz_solve(cfg: RunConfig, R: ReportBuilder):
             max(max(sol.first_bounds) - sol.bound_limit / 2.0, 0.0), 0.0)
 
 
-@command("cuntz", "build")
+@command("cuntz", "build", _N, _MU, needs_in=False)
 def cmd_cuntz_build(cfg: RunConfig, R: ReportBuilder):
     n, mu = cfg.extra["n"], cfg.extra["mu"]
     if mu <= 0:
@@ -1250,7 +1353,11 @@ def cmd_cuntz_build(cfg: RunConfig, R: ReportBuilder):
             "(coefficient-exact)", "theorem", 0.0 if ok else 1.0, 0.0)
 
 
-@command("cuntz", "verify")
+@command("cuntz", "verify",
+         _opt("--n-range", default="6:12:2",
+              help="start:stop:step, stop included"),
+         _MU,
+         needs_in=False)
 def cmd_cuntz_verify(cfg: RunConfig, R: ReportBuilder):
     ns = _parse_range(cfg.extra["n_range"])
     mu = cfg.extra["mu"]
@@ -1281,11 +1388,12 @@ def cmd_cuntz_verify(cfg: RunConfig, R: ReportBuilder):
                 "theorem", off, 1.1)
 
 
-@command("cuntz", "obstruction")
+@command("cuntz", "obstruction",
+         _opt("--dim", type=_count, default=5),
+         _opt("--trials", type=_count, default=1000),
+         needs_in=False)
 def cmd_cuntz_obstruction(cfg: RunConfig, R: ReportBuilder):
     dim, trials = cfg.extra["dim"], cfg.extra["trials"]
-    if dim < 1 or trials < 1:
-        raise CliError(2, "--dim and --trials must be positive")
     tol = cfg.tolerance(1e-9)
     rng = np.random.default_rng(cfg.seed)
     worst = float("inf")
@@ -1320,9 +1428,16 @@ def _parse_range(text: str) -> list:
 # --------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as "error: ..." first, then the usage line."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol", type=float, default=None,
+    shared.add_argument("--tol", type=_tolerance, default=None,
                         help="override the default tolerance of the checks")
     shared.add_argument("--seed", type=int, default=0,
                         help="seed for any sampling step (recorded)")
@@ -1331,170 +1446,20 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", default=None,
                         help="also write the JSON report to this file")
 
-    top = argparse.ArgumentParser(
-        prog="framekit",
-        description="certified finite-scale frame computations")
+    top = _Parser(prog="framekit",
+                  description="certified finite-scale frame computations")
     groups = top.add_subparsers(dest="group", required=True)
-
-    def leaf(group, name, *, needs_in=True, help=None):
-        sub = group.add_parser(name, parents=[shared], help=help)
+    verbs = {name: groups.add_parser(name, help=text).add_subparsers(
+                 dest="verb", required=True)
+             for name, text in _GROUP_HELP.items()}
+    for (group, verb), (needs_in, options) in _OPTIONS.items():
+        sub = verbs[group].add_parser(verb, parents=[shared])
         if needs_in:
             sub.add_argument("--in", dest="in_path", required=True,
                              metavar="FILE", help="input JSON file")
-        return sub
-
-    hf = top_group(groups, "hframe", "Hilbert-space frames")
-    leaf(hf, "bounds")
-    leaf(hf, "dual")
-    leaf(hf, "parsevalize")
-    s = leaf(hf, "algorithm")
-    s.add_argument("--iters", type=int, default=50,
-                   help="number of iterations to run")
-    s.add_argument("--h", default=None, help="target vector, comma separated")
-    s = leaf(hf, "identity")
-    s.add_argument("--subset", required=True, help="0-based indices, csv")
-    s.add_argument("--h", default=None, help="target vector, comma separated")
-    s.add_argument("--mode", choices=("auto", "general", "parseval"),
-                   default="auto",
-                   help="identity variant; auto picks from the frame")
-    leaf(hf, "dilate")
-    s = leaf(hf, "perturb")
-    s.add_argument("--other", required=True, metavar="FILE",
-                   help="perturbed frame file, same shape")
-    s.add_argument("--mode", choices=("quadratic", "general"),
-                   default="quadratic", help="perturbation hypothesis")
-    _perturb_params(s)
-
-    pa = top_group(groups, "pasf", "p-approximate Schauder frames")
-    leaf(pa, "check")
-    leaf(pa, "dual")
-    s = leaf(pa, "alldual")
-    s.add_argument("--u", required=True, metavar="FILE")
-    s.add_argument("--v", required=True, metavar="FILE")
-    s = leaf(pa, "similar")
-    s.add_argument("--other", required=True, metavar="FILE")
-    leaf(pa, "dilate")
-    leaf(pa, "riesz")
-    s = leaf(pa, "perturb")
-    s.add_argument("--omega", required=True, metavar="FILE",
-                   help="replacement vector matrix (d x m)")
-    s.add_argument("--mode", choices=("quadratic", "general", "two_sided"),
-                   default="quadratic")
-    _perturb_params(s)
-    s.add_argument("--case", type=int, default=1)
-    s.add_argument("--g", default=None, metavar="FILE")
-    s.add_argument("--r", type=float, default=0.0)
-    s.add_argument("--s", type=float, default=0.0)
-    s.add_argument("--t", type=float, default=0.0)
-    s = leaf(pa, "expand")
-    s.add_argument("--other", required=True, metavar="FILE",
-                   help="reconstructing pair to borrow vectors from")
-    s.add_argument("--lam", type=float, default=1.0)
-
-    si = top_group(groups, "sip", "semi-inner products on l^p")
-    for name in ("identity", "parseval", "lower34"):
-        s = leaf(si, name)
-        s.add_argument("--p", type=float, default=None)
-        s.add_argument("--subset", required=True)
-        s.add_argument("--x", default=None, help="sample vector, csv")
-
-    me = top_group(groups, "metric", "metric (Lipschitz) frames")
-    s = leaf(me, "bounds")
-    s.add_argument("--family", required=True,
-                   help="family JSON file or named builder like 'log(1)'")
-    s.add_argument("--terms", type=int, default=32)
-    s.add_argument("--p", type=float, default=1.0)
-    s = leaf(me, "logframe", needs_in=False)
-    s.add_argument("--lo", type=float, default=1.0)
-    s.add_argument("--hi", type=float, default=20.0)
-    s.add_argument("--points", type=int, default=200)
-    s.add_argument("--terms", type=int, default=40)
-    s.add_argument("--p", type=float, default=1.0)
-
-    mu = top_group(groups, "multiplier", "(p, q)-Bessel multipliers")
-    s = leaf(mu, "apply")
-    s.add_argument("--point", type=int, required=True)
-    leaf(mu, "lip")
-    s = leaf(mu, "tail")
-    s.add_argument("--cut", type=int, required=True)
-    s = leaf(mu, "continuity")
-    s.add_argument("--symbol", default=None, help="replacement symbol, csv")
-    s.add_argument("--vectors", default=None, metavar="FILE")
-
-    ov = top_group(groups, "ovf", "operator-valued frames")
-    leaf(ov, "check")
-    leaf(ov, "dual")
-    s = leaf(ov, "similar")
-    s.add_argument("--other", required=True, metavar="FILE")
-    leaf(ov, "classify")
-    leaf(ov, "dilate")
-    s = leaf(ov, "group", needs_in=False)
-    s.add_argument("--rep", required=True,
-                   help="'c4' or a JSON file with labels and matrices")
-    s.add_argument("--a", required=True, metavar="FILE")
-    s.add_argument("--psi", required=True, metavar="FILE")
-    s = leaf(ov, "perturb")
-    s.add_argument("--b", required=True, metavar="FILE",
-                   help="replacement block stack")
-    s.add_argument("--mode", choices=("quadratic", "triple"),
-                   default="quadratic")
-    _perturb_params(s)
-
-    vs = top_group(groups, "vsdilate", "vector-space dilations")
-
-    def vleaf(name):
-        s = leaf(vs, name)
-        s.add_argument("--rational", action=argparse.BooleanOptionalAction,
-                       default=True, help="exact Fraction arithmetic")
-        return s
-
-    vleaf("halmos")
-    vleaf("ndilate").add_argument("--n", type=int, required=True)
-    vleaf("sznagy").add_argument("--window", type=int, required=True)
-    vleaf("standard").add_argument("--horizon", type=int, required=True)
-    s = vleaf("ando")
-    s.add_argument("--other", required=True, metavar="FILE")
-    s.add_argument("--horizon", type=int, required=True)
-    s = vleaf("intertwine")
-    s.add_argument("--other", required=True, metavar="FILE")
-    s.add_argument("--s", required=True, metavar="FILE",
-                   help="intertwining matrix")
-    s.add_argument("--horizon", type=int, required=True)
-    vleaf("witness")
-
-    cu = top_group(groups, "cuntz", "Cuntz-isometry commutators")
-    s = leaf(cu, "solve", needs_in=False)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--max-iters", dest="max_iters", type=int, default=200)
-    s = leaf(cu, "build", needs_in=False)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--mu", type=float, default=0.5)
-    s = leaf(cu, "verify", needs_in=False)
-    s.add_argument("--n-range", dest="n_range", default="6:12:2",
-                   help="start:stop:step, stop included")
-    s.add_argument("--mu", type=float, default=0.5)
-    s = leaf(cu, "obstruction", needs_in=False)
-    s.add_argument("--dim", type=int, default=5)
-    s.add_argument("--trials", type=int, default=1000)
-
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
     return top
-
-
-_GROUP_SUBS: dict = {}
-
-
-def top_group(groups, name: str, help: str):
-    sub = groups.add_parser(name, help=help)
-    verbs = sub.add_subparsers(dest="verb", required=True)
-    _GROUP_SUBS[name] = verbs
-    return verbs
-
-
-def _perturb_params(sub):
-    sub.add_argument("--alpha", type=float, default=0.0)
-    sub.add_argument("--beta", type=float, default=0.0)
-    sub.add_argument("--gamma", type=float, default=0.0)
-    sub.add_argument("--samples", type=int, default=256)
 
 
 _SHARED_KEYS = ("group", "verb", "in_path", "out", "tol", "seed", "json")
@@ -1514,13 +1479,18 @@ def run(cfg: RunConfig) -> tuple:
     R = ReportBuilder()
     error = None
     try:
-        handler(cfg, R)
+        # canonical() refuses a non-finite result; no numpy warning first
+        with np.errstate(all="ignore"):
+            handler(cfg, R)
     except CliError:
         raise
-    except _MATH_FAIL as exc:
+    except CertifiedFailure as exc:
         error = f"{type(exc).__name__}: {exc}"
     except ValueError as exc:
         raise CliError(2, f"invalid input: {exc}") from exc
+    except ArithmeticError as exc:
+        raise CliError(2, "out of floating-point range: "
+                          f"{type(exc).__name__}: {exc}") from exc
     status = "pass" if error is None and R.passed else "fail"
     report = {"command": " ".join(cfg.command), "config": cfg.recorded(),
               "display": R.display, "result": _plain(R.result),
@@ -1539,15 +1509,20 @@ def main(argv=None) -> int:
     cfg = config_from(args)
     try:
         code, report = run(cfg)
+        payload = canonical(report)
+        text = payload if cfg.fmt == "json" else render_text(report)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    text = canonical(report) if cfg.fmt == "json" else render_text(report)
+    except Exception as exc:  # a bug: exit 3 with one line, no traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
     print(text)
     if cfg.out_path is not None:
         try:
             with open(cfg.out_path, "w", encoding="utf-8") as fh:
-                fh.write(canonical(report) + "\n")
+                fh.write(payload + "\n")
         except OSError as exc:
             print(f"error: cannot write {cfg.out_path}: {exc}",
                   file=sys.stderr)

@@ -26,23 +26,11 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .linops import NormInterval
 
 WORD_PRUNE = 1e-14
 _GEN = ("u", "v")
-
-
-class ConvergenceError(RuntimeError):
-    """Fixed-point iteration ran out of iterations."""
-
-    def __init__(self, iterations: int, contraction: float, last_delta: float):
-        self.iterations = iterations
-        self.contraction = contraction
-        self.last_delta = last_delta
-        super().__init__(
-            f"no convergence after {iterations} iterations "
-            f"(contraction estimate {contraction:.3g}, last delta {last_delta:.3g})"
-        )
 
 
 def _letters(part) -> tuple:
@@ -423,6 +411,8 @@ def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     delta = 1.0 / (2000 * n**5)
     w = {i: math.sqrt(2.0 - (i * i) / (n * n)) for i in range(2, n + 1)}
 

@@ -14,21 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linops
+from .errors import DependentInput, HypothesisViolated, NotAFrame
 from .linops import herm, inverse
 
 RANK_RTOL = 1e-10
-
-
-class NotAFrame(ValueError):
-    """Vector family does not span, so the lower frame bound is zero."""
-
-
-class DependentInput(ValueError):
-    """Gram-Schmidt hit a (numerically) dependent vector."""
-
-
-class HypothesisViolated(ValueError):
-    """A perturbation hypothesis fails, so no certificate can be issued."""
 
 
 @dataclass(frozen=True)

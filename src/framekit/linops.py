@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NotInvertible
+
 EQ_TOL = 1e-9
 SINGULAR_RTOL = 1e-10
-
-
-class NotInvertible(ValueError):
-    """Matrix is singular to working precision."""
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linops
+from .errors import HypothesisViolated
 from .linops import vec_pnorm
 
 DIST_TOL = 1e-12
 CHUNK = 1 << 14  # array elements per temporary of a pair scan
 _U = 2.0 ** -53
 _TINY, _HUGE = 2.0 ** -500, 2.0 ** 500
-
-
-class HypothesisViolated(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import linops
+from .errors import HypothesisViolated
 from .linops import NotInvertible, herm, inverse, singular_extremes
 
 DUAL_TOL = 1e-9
@@ -24,10 +25,6 @@ RIESZ_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-8
 DILATE_TOL = 1e-8
 REP_TOL = 1e-10
-
-
-class HypothesisViolated(ValueError):
-    """A theorem's hypothesis fails on the given data."""
 
 
 def _norm2(A) -> float:

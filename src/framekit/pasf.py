@@ -15,20 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linops
-from .linops import NormInterval, NotInvertible, inverse, opnorm_interval, vec_pnorm
+from .errors import HypothesisViolated, NotADual, NotInvertible
+from .linops import NormInterval, inverse, opnorm_interval, vec_pnorm
 
 DUAL_TOL = 1e-9
 SIMILAR_TOL = 1e-8
 PARSEVAL_TOL = 1e-8
 RIESZ_TOL = 1e-9
-
-
-class NotADual(ValueError):
-    """Candidate operators fail to produce a dual pair."""
-
-
-class HypothesisViolated(ValueError):
-    """A certificate's hypothesis fails on the given data."""
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linops import NotInvertible
+from .errors import NotInvertible
 
 FLOAT_TOL = 1e-12
 

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from framekit import hframe, metricframe, ovf, pasf, sip
+from framekit import cli, cuntz, hframe, linops, metricframe, ovf, pasf, sip
 from framekit.cli import dump_frame, dump_matrix, dump_ovf, dump_pasf, main
+from framekit.errors import CertifiedFailure
 
 
 def write(tmp_path, name, obj):
@@ -155,6 +156,79 @@ def test_math_refusal_exits_one(capsys, tmp_path):
     rc, out, _ = run(capsys, ["hframe", "dual", "--in", path])
     assert rc == 1
     assert "NotAFrame" in out
+
+
+# Each exits 2 with one "error: ..." line first on stderr: non-finite or
+# out-of-domain options, arithmetic beyond the float range, a report
+# holding a non-finite value, and malformed input shapes.
+REFUSALS = [
+    ["hframe", "bounds", "--in", "{frame}", "--tol", "nan"],
+    ["hframe", "bounds", "--in", "{frame}", "--tol", "-1"],
+    ["cuntz", "build", "--n", "3", "--mu", "inf"],
+    ["hframe", "perturb", "--in", "{frame}", "--other", "{frame}",
+     "--mode", "general", "--alpha", "nan"],
+    ["hframe", "perturb", "--in", "{frame}", "--other", "{frame}",
+     "--mode", "general", "--samples", "0"],
+    ["cuntz", "solve", "--n", "3", "--max-iters", "0"],
+    ["hframe", "algorithm", "--in", "{frame}", "--iters", "0"],
+    ["cuntz", "obstruction", "--dim", "0"],
+    ["cuntz", "obstruction", "--trials", "0"],
+    ["pasf", "perturb", "--in", "{frame}", "--omega", "{frame}",
+     "--r", "inf"],
+    ["metric", "logframe", "--hi", "nan"],
+    ["cuntz", "build", "--n", "2", "--mu", "1e308"],
+    ["cuntz", "build", "--n", "2", "--mu", "1e-300"],
+    ["hframe", "algorithm", "--in", "{frame}", "--h", "1e308,1e308"],
+    ["hframe", "algorithm", "--in", "{frame}", "--h", "1e308,1e308",
+     "--json"],
+    ["ovf", "check", "--in", "{ovf_r}"],
+    ["ovf", "group", "--rep", "{rep}", "--a", "{a}", "--psi", "{a}"],
+    ["pasf", "check", "--in", "{shift_m}"],
+    ["vsdilate", "halmos", "--in", "{exact_im}"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSALS, ids=" ".join)
+def test_refusals_exit_two_without_traceback(capsys, tmp_path, argv):
+    block = {"rows": 1, "cols": 2, "re": [[1, 0]]}
+    files = {
+        "frame": write(tmp_path, "m.json", {"named": "mercedes"}),
+        "ovf_r": write(tmp_path, "o.json",
+                       {"A": [block], "Psi": [block], "r": [1]}),
+        "rep": write(tmp_path, "rep.json", {"labels": 5, "matrices": []}),
+        "a": write(tmp_path, "a.json", dump_matrix(np.eye(2))),
+        "shift_m": write(tmp_path, "s.json", {"named": "shift", "m": [8]}),
+        "exact_im": write(tmp_path, "t.json",
+                          {"rows": 1, "cols": 1, "re": [[1]], "im": {}}),
+    }
+    rc, out, err = run(capsys, [a.format(**files) for a in argv])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_three(capsys, mercedes, monkeypatch):
+    def broken(cfg, R):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(cli._HANDLERS, ("hframe", "bounds"), broken)
+    rc, out, err = run(capsys, ["hframe", "bounds", "--in", mercedes])
+    assert rc == 3
+    assert out == ""
+    assert err == "error: internal error: KeyError: 'lost'\n"
+
+
+def test_certified_failures_keep_name_and_base():
+    for cls, base in ((hframe.NotAFrame, ValueError),
+                      (hframe.DependentInput, ValueError),
+                      (hframe.HypothesisViolated, ValueError),
+                      (pasf.NotADual, ValueError),
+                      (linops.NotInvertible, ValueError),
+                      (cuntz.ConvergenceError, RuntimeError)):
+        assert issubclass(cls, CertifiedFailure) and issubclass(cls, base)
+    assert (pasf.HypothesisViolated is metricframe.HypothesisViolated
+            is ovf.HypothesisViolated is hframe.HypothesisViolated)
 
 
 # ---------------------------------------------------------- per group

@@ -392,6 +392,11 @@ def test_solve_rejects_small_n():
         solve_b(1)
 
 
+def test_solve_rejects_zero_iterations():
+    with pytest.raises(ValueError, match="max_iters"):
+        solve_b(4, max_iters=0)
+
+
 # --- structural commutator identity ----------------------------------------
 
 
