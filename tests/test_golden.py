@@ -104,6 +104,15 @@ REPORTS = [
     ["vsdilate", "intertwine", "--in", VST, "--other", VST, "--s",
      _in("vs_eye"), "--horizon", "3"],
     ["vsdilate", "witness", "--in", VST],
+    # sizes where the exact products are large and mostly zero
+    ["vsdilate", "standard", "--in", VST, "--horizon", "20"],
+    ["vsdilate", "standard", "--in", VST, "--horizon", "20", "--no-rational"],
+    ["vsdilate", "ndilate", "--in", VST, "--n", "20"],
+    ["vsdilate", "ndilate", "--in", VST, "--n", "20", "--no-rational"],
+    ["vsdilate", "ando", "--in", _in("vs_half"), "--other", _in("vs_eye"),
+     "--horizon", "4"],
+    ["vsdilate", "ando", "--in", _in("vs_half"), "--other", _in("vs_eye"),
+     "--horizon", "4", "--no-rational"],
     ["cuntz", "solve", "--n", "4"],
     ["cuntz", "build", "--n", "3"],
     ["cuntz", "verify", "--n-range", "6:8:2"],
