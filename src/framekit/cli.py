@@ -619,7 +619,7 @@ def cmd_hframe_bounds(cfg: RunConfig, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
     tol = cfg.tolerance(1e-12)
     a, b = hframe.frame_bounds(F)
-    tight = abs(b - a) <= tol * max(1.0, abs(b))
+    tight = abs(b - a) <= tol * abs(b)
     R.result.update({"d": F.d, "m": F.m, "lower": a, "upper": b,
                      "tight": tight, "tight_tol": tol})
     R.display.append(f"bounds = ({g(a)}, {g(b)})" + (" tight" if tight else ""))

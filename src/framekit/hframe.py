@@ -73,7 +73,7 @@ class HilbertFrame:
 def frame_bounds(F: HilbertFrame) -> tuple[float, float]:
     """Optimal frame bounds (a, b); a = 0 signals a non-frame."""
     lo, hi = linops.hermitian_extremes(F.frame_operator)
-    if lo <= RANK_RTOL * max(hi, 1.0):
+    if lo <= RANK_RTOL * hi:
         return 0.0, hi
     return lo, hi
 

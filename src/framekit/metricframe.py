@@ -41,8 +41,8 @@ class MetricSample:
     """Finite metric space: point labels, a distance table, optional base.
 
     The table must be symmetric with zero diagonal and satisfy the
-    triangle inequality within 1e-12; labels are opaque except where an
-    operation states otherwise.
+    triangle inequality within 1e-12 times its largest distance; labels
+    are opaque except where an operation states otherwise.
     """
 
     points: tuple
@@ -59,12 +59,13 @@ class MetricSample:
             raise ValueError("distances must be finite")
         if D.min() < 0:
             raise ValueError("distances must be nonnegative")
-        if np.abs(np.diagonal(D)).max(initial=0.0) > DIST_TOL:
+        slack = DIST_TOL * D.max()
+        if np.abs(np.diagonal(D)).max(initial=0.0) > slack:
             raise ValueError("diagonal must be zero")
-        if np.abs(D - D.T).max(initial=0.0) > DIST_TOL:
+        if np.abs(D - D.T).max(initial=0.0) > slack:
             raise ValueError("distance table must be symmetric")
         for k in range(n):
-            if (D - (D[:, [k]] + D[[k], :])).max() > DIST_TOL:
+            if (D - (D[:, [k]] + D[[k], :])).max() > slack:
                 raise ValueError("triangle inequality fails through point "
                                  f"{self.points[k]!r}")
         if self.base is not None and not 0 <= int(self.base) < n:

@@ -8,14 +8,18 @@ intertwining lift between standard dilations, and a trace witness for
 non-similar Halmos dilations.
 
 Rational mode (the default) stores entries as Fraction objects inside
-object-dtype numpy arrays, so every identity the theorems assert is checked
-with zero residual; float mode uses float64 for interoperability.
+dense object-dtype numpy arrays, so every identity the theorems assert is
+checked with zero residual; float mode uses float64 for interoperability.
+The shifts, embeddings and collapses are mostly zero, so every product in
+this module goes through ``_matmul``, which in rational mode multiplies
+only nonzero entries; the checks still apply the stored operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -75,7 +79,7 @@ def exact_inverse(M: np.ndarray) -> np.ndarray:
         raise NotInvertible("matrix is not square")
     rational = _is_rational(M)
     A = np.concatenate([M.copy(), _eye(n, rational)], axis=1)
-    scale = max(max_abs(M), 1.0)
+    scale = max_abs(M)
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(A[r, col]))
         if (A[pivot, col] == 0 if rational
@@ -90,17 +94,44 @@ def exact_inverse(M: np.ndarray) -> np.ndarray:
     return A[:, n:]
 
 
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B.  With Fraction entries each row of A accumulates over its own
+    nonzero entries, among the rows of B that have any, against the nonzero
+    (column, value) pairs of those rows; untouched cells hold Fraction(0).
+    Fraction sums are exact in any order, so the result equals the dense
+    product."""
+    if not (_is_rational(A) or _is_rational(B)):
+        return A @ B
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in B.tolist()]
+    live = [k for k, pairs in enumerate(nonzero) if pairs]
+    zero, cols = Fraction(0), range(B.shape[1])
+    out = np.empty((A.shape[0], B.shape[1]), dtype=object)
+    for i, row in enumerate(A.tolist()):
+        acc = {}
+        for k in live:
+            a = row[k]
+            if a:
+                for j, b in nonzero[k]:
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+        out[i] = [acc.get(j, zero) for j in cols]
+    return out
+
+
+def _chain(*Ms: np.ndarray) -> np.ndarray:
+    return reduce(_matmul, Ms)
+
+
 def mat_power(M: np.ndarray, k: int) -> np.ndarray:
     out = _eye(M.shape[0], _is_rational(M))
     for _ in range(int(k)):
-        out = out @ M
+        out = _matmul(out, M)
     return out
 
 
 def _apply_power(M: np.ndarray, k: int, col: np.ndarray) -> np.ndarray:
-    # M^k @ col without forming M^k (object-dtype matmul is costly)
+    # M^k @ col without forming M^k
     for _ in range(int(k)):
-        col = M @ col
+        col = _matmul(M, col)
     return col
 
 
@@ -126,15 +157,15 @@ class DilationQuadruple:
 
     def compression(self, k: int = 1) -> np.ndarray:
         """First-coordinate compression of U^k back to V."""
-        return self.embed.T @ _apply_power(self.U, k, self.embed)
+        return _matmul(self.embed.T, _apply_power(self.U, k, self.embed))
 
     def inverse_defect(self) -> float:
         if self.U_inv is None:
             raise ValueError("no closed-form inverse stored")
         n = self.U.shape[0]
         rational = _is_rational(self.U)
-        return max(max_abs(self.U @ self.U_inv - _eye(n, rational)),
-                   max_abs(self.U_inv @ self.U - _eye(n, rational)))
+        return max(max_abs(_matmul(self.U, self.U_inv) - _eye(n, rational)),
+                   max_abs(_matmul(self.U_inv, self.U) - _eye(n, rational)))
 
 
 def _first_block_embed(d: int, blocks: int, rational: bool) -> np.ndarray:
@@ -178,24 +209,24 @@ def schur_halmos(T, B, C, D, case: int, rational: bool = True) -> DilationQuadru
         raise ValueError("T, B, C, D must be square of equal size")
     if case == 1:
         Ti = exact_inverse(T)
-        Si = exact_inverse(D - C @ Ti @ B)
-        inv = np.block([[Ti + Ti @ B @ Si @ C @ Ti, -Ti @ B @ Si],
-                        [-Si @ C @ Ti, Si]])
+        Si = exact_inverse(D - _chain(C, Ti, B))
+        inv = np.block([[Ti + _chain(Ti, B, Si, C, Ti), -_chain(Ti, B, Si)],
+                        [-_chain(Si, C, Ti), Si]])
     elif case == 2:
         Di = exact_inverse(D)
-        Si = exact_inverse(T - B @ Di @ C)
-        inv = np.block([[Si, -Si @ B @ Di],
-                        [-Di @ C @ Si, Di + Di @ C @ Si @ B @ Di]])
+        Si = exact_inverse(T - _chain(B, Di, C))
+        inv = np.block([[Si, -_chain(Si, B, Di)],
+                        [-_chain(Di, C, Si), Di + _chain(Di, C, Si, B, Di)]])
     elif case == 3:
         Bi = exact_inverse(B)
-        Si = exact_inverse(C - D @ Bi @ T)
-        inv = np.block([[-Si @ D @ Bi, Si],
-                        [Bi + Bi @ T @ Si @ D @ Bi, -Bi @ T @ Si]])
+        Si = exact_inverse(C - _chain(D, Bi, T))
+        inv = np.block([[-_chain(Si, D, Bi), Si],
+                        [Bi + _chain(Bi, T, Si, D, Bi), -_chain(Bi, T, Si)]])
     elif case == 4:
         Ci = exact_inverse(C)
-        Si = exact_inverse(B - T @ Ci @ D)
-        inv = np.block([[-Ci @ D @ Si, Ci + Ci @ D @ Si @ T @ Ci],
-                        [Si, -Si @ T @ Ci]])
+        Si = exact_inverse(B - _chain(T, Ci, D))
+        inv = np.block([[-_chain(Ci, D, Si), Ci + _chain(Ci, D, Si, T, Ci)],
+                        [Si, -_chain(Si, T, Ci)]])
     else:
         raise ValueError("case must be 1, 2, 3 or 4")
     U = np.block([[T, B], [C, D]])
@@ -241,9 +272,9 @@ def n_dilation(T, N: int, rational: bool = True) -> NDilation:
                              _first_block_projection(d, blocks, rational), V)
     table, power, col = [], _eye(d, rational), quad.embed
     for k in range(1, N + 2):
-        power = power @ T
-        col = U @ col
-        table.append((k, max_abs(quad.embed.T @ col - power)))
+        power = _matmul(power, T)
+        col = _matmul(U, col)
+        table.append((k, max_abs(_matmul(quad.embed.T, col) - power)))
     return NDilation(quad, N, tuple(table))
 
 
@@ -275,13 +306,13 @@ class BandedWindow:
                 f"power {n} exceeds the window's valid horizon "
                 f"{self.valid_horizon}")
         E = self._center_embed()
-        return E.T @ _apply_power(self.U, n, E)
+        return _matmul(E.T, _apply_power(self.U, n, E))
 
     def interior_identity_defect(self) -> float:
         """max-abs defect of V U - I on the interior block columns
         -w+1..w-1 (the only place the truncation cannot be felt)."""
         d, w = self.base_dim, self.window
-        G = self.V @ self.U - _eye((2 * w + 1) * d, _is_rational(self.U))
+        G = _matmul(self.V, self.U) - _eye((2 * w + 1) * d, _is_rational(self.U))
         return max_abs(G[:, d:2 * w * d])
 
 
@@ -324,11 +355,12 @@ class StandardDilation:
     def dilation_defect(self, n: int) -> float:
         """max-abs defect of I T^n = P U^n I, exact for n <= horizon."""
         q = self.quadruple
-        lhs = q.embed @ mat_power(self.T, n)
-        return max_abs(lhs - q.P @ _apply_power(q.U, n, q.embed))
+        lhs = _matmul(q.embed, mat_power(self.T, n))
+        return max_abs(lhs - _matmul(q.P, _apply_power(q.U, n, q.embed)))
 
     def idempotent_defect(self) -> float:
-        return max_abs(self.quadruple.P @ self.quadruple.P - self.quadruple.P)
+        P = self.quadruple.P
+        return max_abs(_matmul(P, P) - P)
 
     def minimality_check(self) -> bool:
         """U^n I x over n = 0..horizon spans the truncated space: the
@@ -337,7 +369,7 @@ class StandardDilation:
         pieces, col = [], q.embed
         for _ in range(self.horizon + 1):
             pieces.append(col)
-            col = q.U @ col
+            col = _matmul(q.U, col)
         cols = np.concatenate(pieces, axis=1)
         rational = _is_rational(q.U)
         target = _eye(cols.shape[0], rational)
@@ -363,7 +395,7 @@ def standard_dilation(T, horizon: int, rational: bool = True) -> StandardDilatio
     power = I
     for n in range(blocks):
         P[:d, n * d:(n + 1) * d] = power
-        power = power @ T
+        power = _matmul(power, T)
     quad = DilationQuadruple(f"finitely supported sequences, indices 0..{K}",
                              _first_block_embed(d, blocks, rational), U, P)
     return StandardDilation(quad, K, T)
@@ -385,9 +417,10 @@ class AndoDilation:
     def dilation_defect(self, n: int, m: int) -> float:
         """max-abs defect of I T^n S^m = P U^n V^m I, exact when
         n + m <= horizon."""
-        lhs = self.embed @ (mat_power(self.T, n) @ mat_power(self.S, m))
-        rhs = self.P @ _apply_power(self.U, n,
-                                    _apply_power(self.V, m, self.embed))
+        lhs = _matmul(self.embed,
+                      _matmul(mat_power(self.T, n), mat_power(self.S, m)))
+        rhs = _matmul(self.P, _apply_power(self.U, n,
+                                           _apply_power(self.V, m, self.embed)))
         return max_abs(lhs - rhs)
 
     def pad_identity_check(self) -> bool:
@@ -405,8 +438,8 @@ class AndoDilation:
                 diag[((n + 1) * side + m + 1) * d:
                      ((n + 1) * side + m + 2) * d,
                      (n * side + m) * d:(n * side + m + 1) * d] = I
-        left = self.V @ self.U
-        right = self.U @ self.V
+        left = _matmul(self.V, self.U)
+        right = _matmul(self.U, self.V)
         if rational:
             return bool(np.all(left == right) and np.all(left == diag))
         return max_abs(left - right) == 0.0 and max_abs(left - diag) == 0.0
@@ -421,7 +454,7 @@ def ando_like(T, S, horizon: int, rational: bool = True) -> AndoDilation:
         raise ValueError("T and S must be square of equal size")
     if h < 1:
         raise ValueError("horizon must be at least 1")
-    gap = max_abs(T @ S - S @ T)
+    gap = max_abs(_matmul(T, S) - _matmul(S, T))
     if gap > (0 if _is_rational(T) else FLOAT_TOL):
         raise ValueError("T and S must commute")
     side = h + 1
@@ -443,8 +476,8 @@ def ando_like(T, S, horizon: int, rational: bool = True) -> AndoDilation:
     P = _zeros(cells * d, cells * d, rational)
     for n in range(side):
         for m in range(side):
-            P[:d, (n * side + m) * d:(n * side + m + 1) * d] = (
-                mat_power(T, n) @ mat_power(S, m))
+            P[:d, (n * side + m) * d:(n * side + m + 1) * d] = _matmul(
+                mat_power(T, n), mat_power(S, m))
     embed = _zeros(cells * d, d, rational)
     embed[:d] = I
     return AndoDilation(embed, U, V, P, h, T, S)
@@ -468,7 +501,7 @@ def intertwine_lift(T1, T2, S, horizon: int,
     S = as_exact(S, rational)
     if S.shape != (T1.shape[0], T2.shape[0]):
         raise ValueError("S must map the second space into the first")
-    gap = max_abs(T1 @ S - S @ T2)
+    gap = max_abs(_matmul(T1, S) - _matmul(S, T2))
     if gap > (0 if _is_rational(S) else FLOAT_TOL):
         raise ValueError("T1 S = S T2 must hold")
     D1 = standard_dilation(T1, horizon, rational)
@@ -481,9 +514,9 @@ def intertwine_lift(T1, T2, S, horizon: int,
     q1, q2 = D1.quadruple, D2.quadruple
     return IntertwineLift(
         R,
-        max_abs(q1.U @ R - R @ q2.U),
-        max_abs(R @ q2.P - q1.P @ R),
-        max_abs(R @ q2.embed - q1.embed @ S),
+        max_abs(_matmul(q1.U, R) - _matmul(R, q2.U)),
+        max_abs(_matmul(R, q2.P) - _matmul(q1.P, R)),
+        max_abs(_matmul(R, q2.embed) - _matmul(q1.embed, S)),
     )
 
 

@@ -395,3 +395,14 @@ def test_a16_no_small_matrix_pair_commutes_to_the_identity():
         D = rng.standard_normal((dim, dim))
         X = rng.standard_normal((dim, dim))
         assert cuntz.finite_obstruction(D, X) >= 1.0 - 1e-9
+
+
+def test_a17_ando_grid_at_horizon_six_within_budget():
+    T = as_exact([["1/2", 0, 0], [0, "2/3", 0], [0, 0, 3]], True)
+    S = as_exact([[5, 0, 0], [0, "-1/7", 0], [0, 0, "3/4"]], True)
+    t0 = time.perf_counter()
+    ad = vsdilate.ando_like(T, S, 6, True)
+    assert all(ad.dilation_defect(n, m) == 0
+               for n in range(7) for m in range(7 - n))
+    assert ad.pad_identity_check()
+    assert time.perf_counter() - t0 < 10.0

@@ -40,6 +40,32 @@ def test_mercedes_bounds_line(capsys, mercedes):
     assert "status: pass" in out
 
 
+FRAMES = {"mercedes": np.real(hframe.make_named_frame("mercedes").synthesis).T,
+          "doubled": np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])}
+
+
+def scaled_bounds(capsys, tmp_path, name, k):
+    path = write(tmp_path, f"{name}{k}.json",
+                 {"field": "R", "vectors": (FRAMES[name] * 2.0 ** k).tolist()})
+    rc, out, _ = run(capsys, ["hframe", "bounds", "--in", path, "--json"])
+    assert rc == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("k", [-200, -20, 0, 20, 200])
+@pytest.mark.parametrize("name", ["mercedes", "doubled"])
+def test_frame_bounds_scale_with_the_frame(capsys, tmp_path, name, k):
+    # bounds (1.5, 1.5) tight and (1, 2) not tight, times 4^k
+    base = scaled_bounds(capsys, tmp_path, name, 0)
+    rep = scaled_bounds(capsys, tmp_path, name, k)
+    assert rep["status"] == base["status"] == "pass"
+    assert rep["result"]["tight"] is base["result"]["tight"] is (
+        name == "mercedes")
+    for key in ("lower", "upper"):
+        want = base["result"][key] * 4.0 ** k
+        assert abs(rep["result"][key] - want) <= 1e-12 * want
+
+
 def test_shift_dilation_table(capsys, shift):
     rc, out, _ = run(capsys, ["pasf", "dilate", "--in", shift])
     assert rc == 0
@@ -303,6 +329,21 @@ def test_metric_verbs(capsys, tmp_path):
                               "--terms", "40", "--seed", "3"])
     assert rc == 0
     assert "status: pass" in out
+
+
+def test_logframe_near_overflow_is_not_refused_as_a_non_metric(capsys):
+    # the points form a metric by construction; the refusal left is the
+    # log family's: 40 terms cannot certify its tail up to 1e308
+    rc, out, err = run(capsys, ["metric", "logframe", "--points", "10",
+                                "--hi", "1e308", "--json"])
+    assert rc == 2 and out == ""
+    assert "triangle" not in err
+    assert "too few terms" in err
+    _, out, _ = run(capsys, ["metric", "logframe", "--points", "10",
+                             "--hi", "1e4", "--terms", "60", "--json"])
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert checks["1-frame bounds equal (1, 1)"]
+    assert checks["tail remainder certified below 1e-8"]
 
 
 def test_multiplier_verbs(capsys, tmp_path):

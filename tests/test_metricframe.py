@@ -55,6 +55,27 @@ def test_sample_validation():
         MetricSample(("a",), np.zeros((1, 1)), base=3)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_sample_validation_is_scale_relative(scale):
+    # points on a line are a metric by construction at any scale
+    pts = np.sort(np.random.default_rng(4).uniform(0.0, 1.0, 12)) * scale
+    S = sample_from_points(pts)
+    assert S.n == 12
+    # a 1% triangle violation is refused at every scale
+    D = np.array([[0.0, 1.0, 2.02], [1.0, 0.0, 1.0], [2.02, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="triangle"):
+        MetricSample(("a", "b", "c"), D * scale)
+    with pytest.raises(ValueError, match="symmetric"):
+        MetricSample(("a", "b"), np.array([[0.0, 1.0], [1.01, 0.0]]) * scale)
+    with pytest.raises(ValueError, match="diagonal"):
+        MetricSample(("a", "b"), np.array([[0.01, 1.0], [1.0, 0.0]]) * scale)
+
+
+def test_sample_from_points_near_overflow():
+    pts = np.sort(np.random.default_rng(3).uniform(1.0, 1e308, 10))
+    assert sample_from_points(pts, base=0).n == 10
+
+
 def test_bounds_match_pair_scan_oracle():
     S = line_sample(0, 12, 1.0, 4.0)
     rng = np.random.default_rng(1)

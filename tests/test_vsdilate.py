@@ -106,6 +106,185 @@ def test_mat_power_matches_oracle():
         assert np.array_equal(mat_power(T, k), power_oracle(T, k))
 
 
+def test_exact_inverse_float_pivot_test_is_scale_relative():
+    M = np.array([[2.0, 1.0], [1.0, 3.0]])
+    for k in (-600, -60, 0, 60, 600):
+        scaled = M * 2.0 ** k
+        assert np.array_equal(exact_inverse(scaled) * 2.0 ** k,
+                              exact_inverse(M))
+    with pytest.raises(NotInvertible):
+        exact_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]) * 2.0 ** -60)
+    with pytest.raises(NotInvertible):
+        exact_inverse(np.zeros((2, 2)))
+
+
+# ----------------------------------------------------------- exact product
+
+sparse_entries = st.one_of(st.just(Fraction(0)),
+                           st.fractions(-5, 5, max_denominator=9))
+
+
+@st.composite
+def sparse_matrix(draw, rows, cols):
+    M = np.empty((rows, cols), dtype=object)
+    for i in range(rows):
+        for j in range(cols):
+            M[i, j] = draw(sparse_entries)
+    for i in draw(st.sets(st.integers(0, rows - 1))):
+        M[i, :] = Fraction(0)
+    for j in draw(st.sets(st.integers(0, cols - 1))):
+        M[:, j] = Fraction(0)
+    return M
+
+
+@st.composite
+def sparse_pair(draw):
+    n, p, m = (draw(st.integers(1, 6)) for _ in range(3))
+    return draw(sparse_matrix(n, p)), draw(sparse_matrix(p, m))
+
+
+def assert_matmul_is_dense_product(A, B):
+    got = vsdilate._matmul(A, B)
+    assert got.dtype == object and got.shape == (A.shape[0], B.shape[1])
+    assert all(type(x) is Fraction for x in got.flat)
+    assert np.array_equal(got, A @ B)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_pair())
+def test_matmul_equals_dense_object_product(pair):
+    assert_matmul_is_dense_product(*pair)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_matmul_row_and_column_shapes(n):
+    row, col = frac_matrix(5, 1, n), frac_matrix(6, n, 1)
+    assert_matmul_is_dense_product(row, col)
+    assert_matmul_is_dense_product(col, row)
+    zero = vsdilate._zeros(n, n, True)
+    assert_matmul_is_dense_product(zero, col)
+    assert_matmul_is_dense_product(row, zero)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sparse_pair())
+def test_matmul_float_mode_is_plain_product(pair):
+    A, B = (M.astype(float) for M in pair)
+    got = vsdilate._matmul(A, B)
+    assert got.dtype == float
+    assert np.array_equal(got, A @ B)
+
+
+def undetected_changes(M, passes):
+    """Positions of nonzero entries of M whose change to M[i, j] + 1
+    leaves passes() true.  M is restored after each change."""
+    assert passes()
+    missed = []
+    for i, j in zip(*np.nonzero(M != 0)):
+        old = M[i, j]
+        M[i, j] = old + 1
+        try:
+            if passes():
+                missed.append((int(i), int(j)))
+        finally:
+            M[i, j] = old
+    assert passes()
+    return missed
+
+
+# Each check multiplies the operators the dilation stores, so changing any
+# entry it reads must show up as a nonzero defect or a failed identity.
+
+def test_standard_checks_read_stored_operators():
+    T = frac_matrix(91, 2)
+    sd = standard_dilation(T, 3)
+    q = sd.quadruple
+
+    def passes():
+        return (all(sd.dilation_defect(n) == 0 for n in range(4))
+                and sd.idempotent_defect() == 0 and sd.minimality_check())
+
+    assert undetected_changes(q.U, passes) == []
+    assert undetected_changes(q.P, passes) == []
+    assert undetected_changes(q.U, sd.minimality_check) == []
+
+
+def test_ando_checks_read_stored_operators():
+    T = frac_matrix(92, 2)
+    ad = ando_like(T, T @ T - vsdilate._eye(2, True), 2)
+
+    def passes():
+        # every cell of the grid is reached by some U^n V^m I
+        return (all(ad.dilation_defect(n, m) == 0
+                    for n in range(3) for m in range(3))
+                and ad.pad_identity_check())
+
+    for M in (ad.U, ad.V, ad.P):
+        assert undetected_changes(M, passes) == []
+    for M in (ad.U, ad.V):
+        assert undetected_changes(M, ad.pad_identity_check) == []
+
+
+def test_sznagy_checks_read_stored_operators():
+    T = frac_matrix(93, 2)
+    d, w = 2, 3
+    bw = banded_sznagy(T, w)
+
+    def passes():
+        return (all(np.array_equal(bw.compression(n), mat_power(T, n))
+                    for n in range(bw.valid_horizon + 1))
+                and bw.interior_identity_defect() == 0)
+
+    # Only the identity blocks that reach the window's last block (rows
+    # and columns of index w) lie where the truncation is felt; no
+    # identity on the window reads them.
+    last = range(2 * w * d, (2 * w + 1) * d)
+    assert undetected_changes(bw.U, passes) == [
+        (2 * w * d - d + k, last[k]) for k in range(d)]
+    assert undetected_changes(bw.V, passes) == [
+        (last[k], 2 * w * d - d + k) for k in range(d)]
+
+
+def test_ndilate_checks_read_stored_operators():
+    T = frac_matrix(94, 2)
+    q = n_dilation(T, 3).quadruple
+
+    def passes():
+        return (q.inverse_defect() == 0
+                and all(np.array_equal(q.compression(k), mat_power(T, k))
+                        for k in range(1, 4)))
+
+    assert undetected_changes(q.U, passes) == []
+    assert undetected_changes(q.U_inv, passes) == []
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("field", ["U", "P"])
+def test_intertwine_defects_read_stored_operators(monkeypatch, which, field):
+    A = invertible_frac_matrix(95, 2)
+    T2 = frac_matrix(96, 2)
+    T1 = A @ T2 @ exact_inverse(A)
+    real = vsdilate.standard_dilation
+    M = getattr(real((T1, T2)[which], 3).quadruple, field)
+    positions = list(zip(*np.nonzero(M != 0)))
+    assert positions
+
+    for i, j in positions:
+        made = []
+
+        def changed(T, horizon, rational=True):
+            sd = real(T, horizon, rational)
+            if len(made) == which:
+                getattr(sd.quadruple, field)[i, j] += 1
+            made.append(sd)
+            return sd
+
+        monkeypatch.setattr(vsdilate, "standard_dilation", changed)
+        lift = intertwine_lift(T1, T2, A, 3)
+        assert max(lift.shift_defect, lift.projection_defect,
+                   lift.embedding_defect) > 0
+
+
 # ----------------------------------------------------------------- halmos
 
 def test_halmos_zero_map_is_self_inverse_swap():
