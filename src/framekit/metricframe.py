@@ -41,8 +41,8 @@ class MetricSample:
     """Finite metric space: point labels, a distance table, optional base.
 
     The table must be symmetric with zero diagonal and satisfy the
-    triangle inequality within 1e-12 times its largest distance; labels
-    are opaque except where an operation states otherwise.
+    triangle inequality, each within 1e-12 times its largest distance;
+    labels are opaque except where an operation states otherwise.
     """
 
     points: tuple

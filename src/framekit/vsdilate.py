@@ -312,7 +312,8 @@ class BandedWindow:
         """max-abs defect of V U - I on the interior block columns
         -w+1..w-1 (the only place the truncation cannot be felt)."""
         d, w = self.base_dim, self.window
-        G = _matmul(self.V, self.U) - _eye((2 * w + 1) * d, _is_rational(self.U))
+        G = (_matmul(self.V, self.U)
+             - _eye((2 * w + 1) * d, _is_rational(self.U)))
         return max_abs(G[:, d:2 * w * d])
 
 
@@ -419,8 +420,8 @@ class AndoDilation:
         n + m <= horizon."""
         lhs = _matmul(self.embed,
                       _matmul(mat_power(self.T, n), mat_power(self.S, m)))
-        rhs = _matmul(self.P, _apply_power(self.U, n,
-                                           _apply_power(self.V, m, self.embed)))
+        rhs = _matmul(self.P, _apply_power(
+            self.U, n, _apply_power(self.V, m, self.embed)))
         return max_abs(lhs - rhs)
 
     def pad_identity_check(self) -> bool:
