@@ -116,6 +116,9 @@ REPORTS = [
     ["cuntz", "solve", "--n", "4"],
     ["cuntz", "build", "--n", "3"],
     ["cuntz", "verify", "--n-range", "6:8:2"],
+    # sizes where the lemma's exact commutator is large and mostly zero
+    ["cuntz", "build", "--n", "12", "--mu", "0.2"],
+    ["cuntz", "verify", "--n-range", "21:33:4"],
     ["cuntz", "obstruction", "--dim", "3", "--trials", "40"],
     # certified failures: exit 1 with a fail report
     ["pasf", "riesz", "--in", _in("pasf_trunc")],
