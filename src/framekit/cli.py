@@ -19,6 +19,7 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -1462,6 +1463,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the tree as it was, so one serves every main call
+    return build_parser()
+
+
 _SHARED_KEYS = ("group", "verb", "in_path", "out", "tol", "seed", "json")
 
 
@@ -1501,9 +1508,8 @@ def run(cfg: RunConfig) -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     cfg = config_from(args)

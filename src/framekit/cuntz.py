@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError
-from .linops import NormInterval
+from .linops import NormInterval, _matmul
 
 WORD_PRUNE = 1e-14
 _GEN = ("u", "v")
@@ -92,6 +92,9 @@ class CuntzElement:
 
     def coeff(self, left, right=()) -> complex:
         return self.table.get((_letters(left), _letters(right)), 0j)
+
+    def __bool__(self) -> bool:
+        return bool(self.table)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self.table.values())
@@ -289,16 +292,8 @@ class CuntzMatrix:
 
     def __matmul__(self, other: "CuntzMatrix") -> "CuntzMatrix":
         self._check(other)
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                acc = zero()
-                for k in range(self.n):
-                    acc = acc + self.grid[i][k] * other.grid[k][j]
-                row.append(acc)
-            out.append(row)
-        return CuntzMatrix(out)
+        return CuntzMatrix(_matmul(np.array(self.grid, dtype=object),
+                                   np.array(other.grid, dtype=object)))
 
     def _check(self, other):
         if not isinstance(other, CuntzMatrix) or other.n != self.n:
@@ -497,63 +492,53 @@ def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:
 #
 # Free noncommutative polynomials over u, v, b_1..b_n with Fraction
 # coefficients; the commutator identity below uses no relations at all,
-# so this engine decides it coefficient-exactly (float coefficients
-# would prune the delta^2 cross terms).
+# so it is decided coefficient-exactly (float coefficients would prune the
+# delta^2 cross terms).  D and X are object matrices of such polynomials,
+# multiplied by linops._matmul, the same exact product as everywhere else.
 
 
-def _padd(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, Fraction(0)) + c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+class _Poly(dict):
+    """Word tuple -> nonzero Fraction; the empty polynomial is falsy."""
+
+    def __init__(self, terms=()):
+        super().__init__((k, c) for k, c in dict(terms).items() if c)
+
+    def __add__(self, other: "_Poly") -> "_Poly":
+        out = dict(self)
+        for k, c in other.items():
+            out[k] = out.get(k, 0) + c
+        return _Poly(out)
+
+    def __sub__(self, other: "_Poly") -> "_Poly":
+        return self + _Poly({k: -c for k, c in other.items()})
+
+    def __mul__(self, other: "_Poly") -> "_Poly":
+        out: dict = {}
+        for wa, ca in self.items():
+            for wb, cb in other.items():
+                k = wa + wb
+                out[k] = out.get(k, 0) + ca * cb
+        return _Poly(out)
 
 
-def _pscale(a: dict, c: Fraction) -> dict:
-    return {k: v * c for k, v in a.items()} if c else {}
-
-def _pmul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            k = wa + wb
-            s = out.get(k, Fraction(0)) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _mat_commutator(A, B, n):
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc: dict = {}
-            for k in range(n):
-                acc = _padd(acc, _pmul(A[i][k], B[k][j]))
-                acc = _padd(acc, _pscale(_pmul(B[i][k], A[k][j]), Fraction(-1)))
-            out[i][j] = acc
-    return out
+def _const(c) -> _Poly:
+    return _Poly({(): Fraction(c)})
 
 
 def _lemma_matrices(n: int):
     delta = Fraction(1, 2000 * n**5)
     inv = 1 / delta
-    D = [[{} for _ in range(n)] for _ in range(n)]
-    X = [[{} for _ in range(n)] for _ in range(n)]
+    D = np.full((n, n), _Poly(), dtype=object)
+    X = np.full((n, n), _Poly(), dtype=object)
     for r in range(n):
-        D[r][r] = {("v",): inv}
+        D[r, r] = _Poly({("v",): inv})
         if r + 1 < n:
-            X[r + 1][r] = {(): Fraction(1)}
-            D[r + 1][r] = {("u",): inv}
-            D[r][r + 1] = _padd(D[r][r + 1], {(): Fraction(r + 1)})
+            X[r + 1, r] = _const(1)
+            D[r + 1, r] = _Poly({("u",): inv})
+            D[r, r + 1] = _const(r + 1)
         i = r + 1
-        D[r][n - 1] = _padd(D[r][n - 1], {(f"b{i}", "u"): Fraction(1)})
-        X[r][n - 1] = _padd(X[r][n - 1], {(f"b{i}",): delta})
+        D[r, n - 1] = D[r, n - 1] + _Poly({(f"b{i}", "u"): Fraction(1)})
+        X[r, n - 1] = X[r, n - 1] + _Poly({(f"b{i}",): delta})
     return D, X, delta
 
 
@@ -570,14 +555,6 @@ class LemmaReport:
         return self.off_column_zero and self.last_column_matches
 
 
-def _scale_grid(M, n, mu: Fraction, shift: int):
-    # conjugation by diag(mu^{n-1}, ..., mu, 1) times mu^shift
-    return [
-        [_pscale(M[i][j], mu ** (j - i + shift)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
     """Verify coefficient-exactly that the commutator of the triangular
     pair differs from the identity in the last column only, with the
@@ -588,34 +565,33 @@ def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
     D, X, delta = _lemma_matrices(n)
     scale = [Fraction(1)] * (n + 1)
     if mu is not None:
+        # conjugation by diag(mu^{n-1}, ..., mu, 1), times 1/mu on D, mu on X
         mu = Fraction(mu)
-        D = _scale_grid(D, n, mu, -1)
-        X = _scale_grid(X, n, mu, 1)
+        power = {k: _const(mu ** k) for k in range(-n, n + 1)}
+        for i in range(n):
+            for j in range(n):
+                D[i, j] = D[i, j] * power[j - i - 1]
+                X[i, j] = X[i, j] * power[j - i + 1]
         scale = [mu ** (n - i) for i in range(n + 1)]
-    C = _mat_commutator(D, X, n)
-    off = True
-    for i in range(n):
-        for j in range(n):
-            expect = {(): Fraction(1)} if i == j else {}
-            if j < n - 1 and C[i][j] != expect:
-                off = False
-    cmt = lambda a, b: _padd(_pmul(a, b), _pscale(_pmul(b, a), Fraction(-1)))
-    sym = lambda name: {(name,): Fraction(1)}
+    C = _matmul(D, X) - _matmul(X, D)
+    off = all(C[i, j] == (_const(1) if i == j else {})
+              for i in range(n) for j in range(n - 1))
+    sym = lambda name: _Poly({(name,): Fraction(1)})
     vv, uu = sym("v"), sym("u")
     bb = [None] + [sym(f"b{i}") for i in range(1, n + 1)]
     expected = []
     for i in range(1, n + 1):
-        e = cmt(vv, bb[i])
+        e = commutator(vv, bb[i])
         if i > 1:
-            e = _padd(e, cmt(uu, bb[i - 1]))
+            e = e + commutator(uu, bb[i - 1])
         if i < n:
-            e = _padd(e, _pscale(bb[i + 1], Fraction(i) * delta))
-        e = _padd(e, _pscale(_pmul(bb[i], cmt(uu, bb[n])), delta))
+            e = e + bb[i + 1] * _const(i * delta)
+        e = e + bb[i] * commutator(uu, bb[n]) * _const(delta)
         if i == n:
             # the (n, n) cell is diagonal, so the identity contributes there
-            e = _padd(e, {(): Fraction(1 - n)})
-        expected.append(_pscale(e, scale[i]))
-    last = all(C[i][n - 1] == expected[i] for i in range(n))
+            e = e + _const(1 - n)
+        expected.append(e * _const(scale[i]))
+    last = all(C[i, n - 1] == expected[i] for i in range(n))
     return LemmaReport(n=n, off_column_zero=off, last_column_matches=last)
 
 
@@ -701,7 +677,7 @@ def build_DX(n: int, mu: float = 0.5, tol: float = 1e-10,
         X_interval=NormInterval(1.0, X_hi),
         error_bound=error,
         b_bounds={f"b{i}": B[i] for i in range(1, n + 1)},
-        structure=lemma_structure(n),
+        structure=lemma_structure(n, Fraction(mu)),
         solution=sol,
     )
 

@@ -1,5 +1,10 @@
 """Dense linear-algebra kernel: vector/operator p-norms with certified
-intervals, inverses, Hermitian spectra.
+intervals, inverses, Hermitian spectra, and the one exact matrix product.
+
+``_matmul`` is the only product of object-dtype matrices in framekit: the
+exact dilations of ``vsdilate``, the Cuntz lemma's word polynomials and
+``CuntzMatrix`` all multiply through it, and it reads the field (or ring)
+from the entries themselves.
 
 Operator norms for p outside {1, 2, inf} are NP-hard to compute exactly, so
 they are reported as certified intervals: the lower end comes from a
@@ -268,3 +273,29 @@ def hermitian_extremes(S, tol: float = 1e-8) -> tuple[float, float]:
         raise ValueError("matrix is not Hermitian within tolerance")
     w = np.linalg.eigvalsh((S + herm(S)) / 2)
     return float(w[0]), float(w[-1])
+
+
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B.  Float arrays go to numpy.  Object arrays may hold any ring
+    elements with +, * and a falsy zero (Fractions, word polynomials,
+    Cuntz elements): each row of A accumulates over its own nonzero
+    entries, among the rows of B that have any, against the nonzero
+    (column, value) pairs of those rows, always as a * b and in increasing
+    k within a cell, so noncommuting and inexact entries give what the
+    dense loop gives; untouched cells hold the zero of B's entries,
+    ``type(B.flat[0])()``."""
+    if A.dtype != object and B.dtype != object:
+        return A @ B
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in B.tolist()]
+    live = [k for k, pairs in enumerate(nonzero) if pairs]
+    zero, cols = type(B.flat[0])(), range(B.shape[1])
+    out = np.empty((A.shape[0], B.shape[1]), dtype=object)
+    for i, row in enumerate(A.tolist()):
+        acc = {}
+        for k in live:
+            a = row[k]
+            if a:
+                for j, b in nonzero[k]:
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+        out[i] = [acc.get(j, zero) for j in cols]
+    return out

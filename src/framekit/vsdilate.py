@@ -10,9 +10,12 @@ non-similar Halmos dilations.
 Rational mode (the default) stores entries as Fraction objects inside
 dense object-dtype numpy arrays, so every identity the theorems assert is
 checked with zero residual; float mode uses float64 for interoperability.
-The shifts, embeddings and collapses are mostly zero, so every product in
-this module goes through ``_matmul``, which in rational mode multiplies
-only nonzero entries; the checks still apply the stored operators.
+Past ``as_exact`` the mode is read from the entries: identities and zeros
+are built like a matrix of the same field, and tolerances are 0 for
+object arrays.  The shifts, embeddings and collapses are mostly zero, so
+every product here goes through ``linops._matmul``, the one exact product,
+which multiplies only nonzero entries; the checks still apply the stored
+operators.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotInvertible
+from .linops import _matmul
 
 FLOAT_TOL = 1e-12
 
@@ -49,23 +53,20 @@ def as_exact(M, rational: bool = True) -> np.ndarray:
     return out
 
 
-def _eye(n: int, rational: bool) -> np.ndarray:
-    if not rational:
-        return np.eye(n)
-    out = np.full((n, n), Fraction(0), dtype=object)
-    for i in range(n):
-        out[i, i] = Fraction(1)
+def _zeros(n: int, m: int, like: np.ndarray) -> np.ndarray:
+    """n x m zero matrix over the field of like's entries."""
+    return np.full((n, m), type(like.flat[0])(), dtype=like.dtype)
+
+
+def _eye(n: int, like: np.ndarray) -> np.ndarray:
+    out = _zeros(n, n, like)
+    np.fill_diagonal(out, type(like.flat[0])(1))
     return out
 
 
-def _zeros(n: int, m: int, rational: bool) -> np.ndarray:
-    if not rational:
-        return np.zeros((n, m))
-    return np.full((n, m), Fraction(0), dtype=object)
-
-
-def _is_rational(M: np.ndarray) -> bool:
-    return M.dtype == object
+def _tol(M: np.ndarray) -> float:
+    """Zero test threshold: exact for object entries."""
+    return 0 if M.dtype == object else FLOAT_TOL
 
 
 def max_abs(M) -> float:
@@ -77,13 +78,11 @@ def exact_inverse(M: np.ndarray) -> np.ndarray:
     n, m = M.shape
     if n != m:
         raise NotInvertible("matrix is not square")
-    rational = _is_rational(M)
-    A = np.concatenate([M.copy(), _eye(n, rational)], axis=1)
+    A = np.concatenate([M.copy(), _eye(n, M)], axis=1)
     scale = max_abs(M)
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(A[r, col]))
-        if (A[pivot, col] == 0 if rational
-                else abs(A[pivot, col]) <= FLOAT_TOL * scale):
+        if abs(A[pivot, col]) <= _tol(M) * scale:
             raise NotInvertible("singular matrix")
         if pivot != col:
             A[[col, pivot]] = A[[pivot, col]]
@@ -94,35 +93,12 @@ def exact_inverse(M: np.ndarray) -> np.ndarray:
     return A[:, n:]
 
 
-def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B.  With Fraction entries each row of A accumulates over its own
-    nonzero entries, among the rows of B that have any, against the nonzero
-    (column, value) pairs of those rows; untouched cells hold Fraction(0).
-    Fraction sums are exact in any order, so the result equals the dense
-    product."""
-    if not (_is_rational(A) or _is_rational(B)):
-        return A @ B
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in B.tolist()]
-    live = [k for k, pairs in enumerate(nonzero) if pairs]
-    zero, cols = Fraction(0), range(B.shape[1])
-    out = np.empty((A.shape[0], B.shape[1]), dtype=object)
-    for i, row in enumerate(A.tolist()):
-        acc = {}
-        for k in live:
-            a = row[k]
-            if a:
-                for j, b in nonzero[k]:
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-        out[i] = [acc.get(j, zero) for j in cols]
-    return out
-
-
 def _chain(*Ms: np.ndarray) -> np.ndarray:
     return reduce(_matmul, Ms)
 
 
 def mat_power(M: np.ndarray, k: int) -> np.ndarray:
-    out = _eye(M.shape[0], _is_rational(M))
+    out = _eye(M.shape[0], M)
     for _ in range(int(k)):
         out = _matmul(out, M)
     return out
@@ -162,21 +138,22 @@ class DilationQuadruple:
     def inverse_defect(self) -> float:
         if self.U_inv is None:
             raise ValueError("no closed-form inverse stored")
-        n = self.U.shape[0]
-        rational = _is_rational(self.U)
-        return max(max_abs(_matmul(self.U, self.U_inv) - _eye(n, rational)),
-                   max_abs(_matmul(self.U_inv, self.U) - _eye(n, rational)))
+        I = _eye(self.U.shape[0], self.U)
+        return max(max_abs(_matmul(self.U, self.U_inv) - I),
+                   max_abs(_matmul(self.U_inv, self.U) - I))
 
 
-def _first_block_embed(d: int, blocks: int, rational: bool) -> np.ndarray:
-    E = _zeros(blocks * d, d, rational)
-    E[:d, :] = _eye(d, rational)
+def _first_block_embed(T: np.ndarray, blocks: int) -> np.ndarray:
+    d = T.shape[0]
+    E = _zeros(blocks * d, d, T)
+    E[:d, :] = _eye(d, T)
     return E
 
 
-def _first_block_projection(d: int, blocks: int, rational: bool) -> np.ndarray:
-    P = _zeros(blocks * d, blocks * d, rational)
-    P[:d, :d] = _eye(d, rational)
+def _first_block_projection(T: np.ndarray, blocks: int) -> np.ndarray:
+    d = T.shape[0]
+    P = _zeros(blocks * d, blocks * d, T)
+    P[:d, :d] = _eye(d, T)
     return P
 
 
@@ -187,11 +164,11 @@ def halmos(T, rational: bool = True) -> DilationQuadruple:
     d = T.shape[0]
     if T.shape[1] != d:
         raise ValueError("T must be square")
-    I, Z = _eye(d, rational), _zeros(d, d, rational)
+    I, Z = _eye(d, T), _zeros(d, d, T)
     U = np.block([[T, I], [I, Z]])
     V = np.block([[Z, I], [I, -T]])
-    return DilationQuadruple("V (+) V", _first_block_embed(d, 2, rational),
-                             U, _first_block_projection(d, 2, rational), V)
+    return DilationQuadruple("V (+) V", _first_block_embed(T, 2),
+                             U, _first_block_projection(T, 2), V)
 
 
 def schur_halmos(T, B, C, D, case: int, rational: bool = True) -> DilationQuadruple:
@@ -230,8 +207,8 @@ def schur_halmos(T, B, C, D, case: int, rational: bool = True) -> DilationQuadru
     else:
         raise ValueError("case must be 1, 2, 3 or 4")
     U = np.block([[T, B], [C, D]])
-    return DilationQuadruple("V (+) V", _first_block_embed(d, 2, rational),
-                             U, _first_block_projection(d, 2, rational), inv)
+    return DilationQuadruple("V (+) V", _first_block_embed(T, 2),
+                             U, _first_block_projection(T, 2), inv)
 
 
 @dataclass(frozen=True)
@@ -256,21 +233,20 @@ def n_dilation(T, N: int, rational: bool = True) -> NDilation:
     if N < 1:
         raise ValueError("N must be at least 1")
     blocks = N + 1
-    I = _eye(d, rational)
-    U = _zeros(blocks * d, blocks * d, rational)
+    I = _eye(d, T)
+    U = _zeros(blocks * d, blocks * d, T)
     U[:d, :d] = T
     U[:d, N * d:] = I
     for i in range(1, blocks):
         U[i * d:(i + 1) * d, (i - 1) * d:i * d] = I
-    V = _zeros(blocks * d, blocks * d, rational)
+    V = _zeros(blocks * d, blocks * d, T)
     for i in range(blocks - 1):
         V[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = I
     V[N * d:, :d] = I
     V[N * d:, d:2 * d] = -T
-    quad = DilationQuadruple(f"V^{blocks}",
-                             _first_block_embed(d, blocks, rational), U,
-                             _first_block_projection(d, blocks, rational), V)
-    table, power, col = [], _eye(d, rational), quad.embed
+    quad = DilationQuadruple(f"V^{blocks}", _first_block_embed(T, blocks), U,
+                             _first_block_projection(T, blocks), V)
+    table, power, col = [], I, quad.embed
     for k in range(1, N + 2):
         power = _matmul(power, T)
         col = _matmul(U, col)
@@ -296,8 +272,8 @@ class BandedWindow:
 
     def _center_embed(self) -> np.ndarray:
         d, w = self.base_dim, self.window
-        E = _zeros((2 * w + 1) * d, d, _is_rational(self.U))
-        E[w * d:(w + 1) * d] = _eye(d, _is_rational(self.U))
+        E = _zeros((2 * w + 1) * d, d, self.U)
+        E[w * d:(w + 1) * d] = _eye(d, self.U)
         return E
 
     def compression(self, n: int) -> np.ndarray:
@@ -312,8 +288,7 @@ class BandedWindow:
         """max-abs defect of V U - I on the interior block columns
         -w+1..w-1 (the only place the truncation cannot be felt)."""
         d, w = self.base_dim, self.window
-        G = (_matmul(self.V, self.U)
-             - _eye((2 * w + 1) * d, _is_rational(self.U)))
+        G = _matmul(self.V, self.U) - _eye((2 * w + 1) * d, self.U)
         return max_abs(G[:, d:2 * w * d])
 
 
@@ -326,17 +301,17 @@ def banded_sznagy(T, window: int, rational: bool = True) -> BandedWindow:
     if w < 2:
         raise ValueError("window must be at least 2")
     size = 2 * w + 1
-    I = _eye(d, rational)
+    I = _eye(d, T)
 
     def at(M, i, j, block):  # i, j in -w..w
         r, c = (i + w) * d, (j + w) * d
         M[r:r + d, c:c + d] = block
 
-    U = _zeros(size * d, size * d, rational)
+    U = _zeros(size * d, size * d, T)
     at(U, 0, 0, T)
     for n in range(-w, w):
         at(U, n, n + 1, I)
-    V = _zeros(size * d, size * d, rational)
+    V = _zeros(size * d, size * d, T)
     at(V, 1, -1, -T)
     for n in range(-w + 1, w + 1):
         at(V, n, n - 1, I)
@@ -372,11 +347,7 @@ class StandardDilation:
             pieces.append(col)
             col = _matmul(q.U, col)
         cols = np.concatenate(pieces, axis=1)
-        rational = _is_rational(q.U)
-        target = _eye(cols.shape[0], rational)
-        if rational:
-            return bool(np.all(cols == target))
-        return max_abs(cols - target) == 0.0
+        return bool(np.array_equal(cols, _eye(cols.shape[0], q.U)))
 
 
 def standard_dilation(T, horizon: int, rational: bool = True) -> StandardDilation:
@@ -388,17 +359,17 @@ def standard_dilation(T, horizon: int, rational: bool = True) -> StandardDilatio
     if K < 1:
         raise ValueError("horizon must be at least 1")
     blocks = K + 1
-    I = _eye(d, rational)
-    U = _zeros(blocks * d, blocks * d, rational)
+    I = _eye(d, T)
+    U = _zeros(blocks * d, blocks * d, T)
     for i in range(K):
         U[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = I
-    P = _zeros(blocks * d, blocks * d, rational)
+    P = _zeros(blocks * d, blocks * d, T)
     power = I
     for n in range(blocks):
         P[:d, n * d:(n + 1) * d] = power
         power = _matmul(power, T)
     quad = DilationQuadruple(f"finitely supported sequences, indices 0..{K}",
-                             _first_block_embed(d, blocks, rational), U, P)
+                             _first_block_embed(T, blocks), U, P)
     return StandardDilation(quad, K, T)
 
 
@@ -430,10 +401,9 @@ class AndoDilation:
         zero-column prefix is V itself and the zero-row stack is U itself,
         so the identity reads V U = U V = diagonal shift, exactly."""
         h, d = self.horizon, self.T.shape[0]
-        rational = _is_rational(self.U)
         side = h + 1
-        diag = _zeros(side * side * d, side * side * d, rational)
-        I = _eye(d, rational)
+        diag = _zeros(side * side * d, side * side * d, self.U)
+        I = _eye(d, self.U)
         for n in range(h):
             for m in range(h):
                 diag[((n + 1) * side + m + 1) * d:
@@ -441,9 +411,7 @@ class AndoDilation:
                      (n * side + m) * d:(n * side + m + 1) * d] = I
         left = _matmul(self.V, self.U)
         right = _matmul(self.U, self.V)
-        if rational:
-            return bool(np.all(left == right) and np.all(left == diag))
-        return max_abs(left - right) == 0.0 and max_abs(left - diag) == 0.0
+        return np.array_equal(left, right) and np.array_equal(left, diag)
 
 
 def ando_like(T, S, horizon: int, rational: bool = True) -> AndoDilation:
@@ -456,30 +424,30 @@ def ando_like(T, S, horizon: int, rational: bool = True) -> AndoDilation:
     if h < 1:
         raise ValueError("horizon must be at least 1")
     gap = max_abs(_matmul(T, S) - _matmul(S, T))
-    if gap > (0 if _is_rational(T) else FLOAT_TOL):
+    if gap > _tol(T):
         raise ValueError("T and S must commute")
     side = h + 1
     cells = side * side
-    I = _eye(d, rational)
+    I = _eye(d, T)
 
     def place(M, n, m, n2, m2):
         M[(n2 * side + m2) * d:(n2 * side + m2 + 1) * d,
           (n * side + m) * d:(n * side + m + 1) * d] = I
 
-    U = _zeros(cells * d, cells * d, rational)
-    V = _zeros(cells * d, cells * d, rational)
+    U = _zeros(cells * d, cells * d, T)
+    V = _zeros(cells * d, cells * d, T)
     for n in range(side):
         for m in range(side):
             if n + 1 < side:
                 place(U, n, m, n + 1, m)
             if m + 1 < side:
                 place(V, n, m, n, m + 1)
-    P = _zeros(cells * d, cells * d, rational)
+    P = _zeros(cells * d, cells * d, T)
     for n in range(side):
         for m in range(side):
             P[:d, (n * side + m) * d:(n * side + m + 1) * d] = _matmul(
                 mat_power(T, n), mat_power(S, m))
-    embed = _zeros(cells * d, d, rational)
+    embed = _zeros(cells * d, d, T)
     embed[:d] = I
     return AndoDilation(embed, U, V, P, h, T, S)
 
@@ -503,13 +471,13 @@ def intertwine_lift(T1, T2, S, horizon: int,
     if S.shape != (T1.shape[0], T2.shape[0]):
         raise ValueError("S must map the second space into the first")
     gap = max_abs(_matmul(T1, S) - _matmul(S, T2))
-    if gap > (0 if _is_rational(S) else FLOAT_TOL):
+    if gap > _tol(S):
         raise ValueError("T1 S = S T2 must hold")
     D1 = standard_dilation(T1, horizon, rational)
     D2 = standard_dilation(T2, horizon, rational)
     blocks = int(horizon) + 1
     d1, d2 = T1.shape[0], T2.shape[0]
-    R = _zeros(blocks * d1, blocks * d2, rational)
+    R = _zeros(blocks * d1, blocks * d2, S)
     for n in range(blocks):
         R[n * d1:(n + 1) * d1, n * d2:(n + 1) * d2] = S
     q1, q2 = D1.quadruple, D2.quadruple
@@ -537,9 +505,9 @@ def non_similarity_witness(T, rational: bool = True) -> SimilarityWitness:
     d = T.shape[0]
     if T.shape[1] != d:
         raise ValueError("T must be square")
-    I, Z = _eye(d, rational), _zeros(d, d, rational)
+    I, Z = _eye(d, T), _zeros(d, d, T)
     t1 = _trace(np.block([[T, T - I], [T + I, T]]))
     t2 = _trace(np.block([[T, I], [I, Z]]))
     tr = _trace(T)
-    conclusive = (tr != 0) if _is_rational(T) else abs(tr) > FLOAT_TOL
+    conclusive = abs(tr) > _tol(T)
     return SimilarityWitness(t1, t2, bool(t1 != t2), bool(conclusive))

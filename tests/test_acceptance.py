@@ -7,6 +7,7 @@ mandated work with perf_counter and assert the budget.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -406,3 +407,10 @@ def test_a17_ando_grid_at_horizon_six_within_budget():
                for n in range(7) for m in range(7 - n))
     assert ad.pad_identity_check()
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_a18_cuntz_lemma_at_sixty_within_budget():
+    t0 = time.perf_counter()
+    assert cuntz.lemma_structure(60).ok
+    assert cuntz.lemma_structure(60, Fraction(1, 5)).ok
+    assert time.perf_counter() - t0 < 0.8

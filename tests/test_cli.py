@@ -114,6 +114,17 @@ def test_help_exits_zero(capsys):
     assert "framekit" in out
 
 
+def test_main_builds_the_parser_at_most_once(capsys, mercedes, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real())
+    for _ in range(2):
+        assert run(capsys, ["hframe", "bounds", "--in", mercedes])[0] == 0
+    assert len(built) <= 1
+    assert real() is not real()  # build_parser itself makes a fresh tree
+
+
 def test_json_reports_are_byte_identical(capsys, tmp_path):
     path = write(tmp_path, "f.json", dump_frame(hframe.harmonic_frame(3, 7)))
     argv = ["hframe", "algorithm", "--in", path, "--seed", "9", "--json"]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framekit import cuntz
+from framekit.linops import _matmul
 from framekit.cuntz import (
     U,
     U_STAR,
@@ -242,6 +243,97 @@ def test_cuntz_matrix_validation():
     assert (I2 @ I2).entry(0, 1) == zero()
 
 
+# --- the exact product on noncommuting entries -------------------------------
+
+
+def dense_product(A, B, zero):
+    """Triple-loop reference: acc + A[i, k] * B[k, j] over every k."""
+    out = np.empty((A.shape[0], B.shape[1]), dtype=object)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = zero
+            for k in range(A.shape[1]):
+                acc = acc + A[i, k] * B[k, j]
+            out[i, j] = acc
+    return out
+
+
+POLY_LETTERS = st.lists(st.sampled_from("abc"), max_size=2).map(tuple)
+polys = st.dictionaries(
+    POLY_LETTERS,
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    max_size=3).map(cuntz._Poly)
+CUNTZ_WORDS = st.lists(st.sampled_from("uv"), max_size=1).map(tuple)
+elements = st.dictionaries(
+    st.tuples(CUNTZ_WORDS, CUNTZ_WORDS),
+    st.sampled_from([0.1, 0.2, 0.3, -1 / 3, 0.7, 1e-3]),
+    min_size=1, max_size=3).map(cuntz.CuntzElement)
+
+
+@st.composite
+def entry_matrix(draw, entries, rows, cols):
+    M = np.empty((rows, cols), dtype=object)
+    for i in range(rows):
+        for j in range(cols):
+            M[i, j] = draw(entries)
+    zero = type(M.flat[0])()
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=1)):
+        M[i, :] = [zero] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=1)):
+        M[:, j] = [zero] * rows
+    return M
+
+
+@st.composite
+def entry_pair(draw):
+    entries = draw(st.sampled_from([polys, elements]))
+    n, p, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return (draw(entry_matrix(entries, n, p)),
+            draw(entry_matrix(entries, p, m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(entry_pair())
+def test_matmul_equals_dense_loop_on_noncommuting_entries(pair):
+    A, B = pair
+    zero = type(B.flat[0])()
+    got = _matmul(A, B)
+    assert got.shape == (A.shape[0], B.shape[1])
+    assert all(type(x) is type(zero) for x in got.flat)
+    assert np.array_equal(got, dense_product(A, B, zero))
+
+
+def test_matmul_adds_inexact_word_products_in_k_order():
+    # float coefficients round differently when summed in another order
+    rng = np.random.default_rng(7)
+    words, coeffs = [(), ("u",), ("v",)], [0.1, 0.2, 0.3, -1 / 3, 0.7]
+
+    def matrix(rows, cols):
+        M = np.empty((rows, cols), dtype=object)
+        for i in range(rows):
+            for j in range(cols):
+                M[i, j] = cuntz.CuntzElement({
+                    (words[rng.integers(3)], words[rng.integers(3)]):
+                        coeffs[rng.integers(5)] for _ in range(3)})
+        M[rng.integers(rows), :] = [zero()] * cols
+        M[:, rng.integers(cols)] = [zero()] * rows
+        return M
+
+    for _ in range(10):
+        A, B = matrix(3, 5), matrix(5, 3)
+        assert np.array_equal(_matmul(A, B), dense_product(A, B, zero()))
+
+
+def test_matmul_keeps_the_factor_order():
+    a = np.array([[cuntz._Poly({("a",): 1})]], dtype=object)
+    b = np.array([[cuntz._Poly({("b",): 1})]], dtype=object)
+    assert _matmul(a, b)[0, 0] == {("a", "b"): 1}
+    assert _matmul(b, a)[0, 0] == {("b", "a"): 1}
+    u_star, v = (np.array([[x]], dtype=object) for x in (U_STAR, V))
+    assert not _matmul(u_star, v)[0, 0]  # u* v = 0
+    assert _matmul(v, u_star)[0, 0] == word("v", "u")
+
+
 # --- dyadic kernel ---------------------------------------------------------
 
 
@@ -419,11 +511,31 @@ def test_delta_scaled_column_breaks_structure():
     D, X, delta = cuntz._lemma_matrices(n)
     for r in range(n):
         bad = {}
-        for k, c in D[r][n - 1].items():
+        for k, c in D[r, n - 1].items():
             bad[k] = c * delta if k and k[0].startswith("b") else c
-        D[r][n - 1] = bad
-    C = cuntz._mat_commutator(D, X, n)
-    assert C[0][n - 2] != {}
+        D[r, n - 1] = cuntz._Poly(bad)
+    C = _matmul(D, X) - _matmul(X, D)
+    assert C[0, n - 2] != {}
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("mu", [None, Fraction(1, 5)])
+def test_lemma_catches_every_changed_coefficient(n, mu, monkeypatch):
+    real = cuntz._lemma_matrices
+    D, X, _ = real(n)
+    sites = [(which, i, j, w) for which, M in enumerate((D, X))
+             for (i, j), p in np.ndenumerate(M) for w in p]
+    assert len(sites) == 6 * n - 3
+    for site in sites:
+        def mutated(m, site=site):
+            which, i, j, w = site
+            mats = real(m)
+            p = dict(mats[which][i, j])
+            p[w] /= 3
+            mats[which][i, j] = cuntz._Poly(p)
+            return mats
+        monkeypatch.setattr(cuntz, "_lemma_matrices", mutated)
+        assert not lemma_structure(n, mu).ok, site
 
 
 # --- assembled matrices -----------------------------------------------------
@@ -445,6 +557,17 @@ def test_build_n2_exact_commutator_within_bound():
     hi = sum(abs(c) for c in top.table.values())
     assert hi <= built.error_bound + 1e-12
     assert built.error_bound < 1.1
+
+
+def test_build_certifies_the_reported_pair(monkeypatch):
+    calls = []
+    real = cuntz.lemma_structure
+    monkeypatch.setattr(cuntz, "lemma_structure",
+                        lambda n, mu=None: calls.append((n, mu)) or real(n, mu))
+    built = build_DX(5, mu=0.2)
+    assert calls == [(5, Fraction(0.2))]
+    assert Fraction(built.mu) == calls[0][1]
+    assert built.structure.ok
 
 
 def test_build_mu_one_matches_raw_layout():

@@ -90,8 +90,8 @@ def test_as_exact_float_mode():
 def test_exact_inverse_rational_round_trip():
     M = invertible_frac_matrix(3, 4)
     Minv = exact_inverse(M)
-    assert_exact_zero(M @ Minv - vsdilate._eye(4, True))
-    assert_exact_zero(Minv @ M - vsdilate._eye(4, True))
+    assert_exact_zero(M @ Minv - as_exact(np.eye(4)))
+    assert_exact_zero(Minv @ M - as_exact(np.eye(4)))
 
 
 def test_exact_inverse_singular_raises():
@@ -161,7 +161,7 @@ def test_matmul_row_and_column_shapes(n):
     row, col = frac_matrix(5, 1, n), frac_matrix(6, n, 1)
     assert_matmul_is_dense_product(row, col)
     assert_matmul_is_dense_product(col, row)
-    zero = vsdilate._zeros(n, n, True)
+    zero = as_exact(np.zeros((n, n)))
     assert_matmul_is_dense_product(zero, col)
     assert_matmul_is_dense_product(row, zero)
 
@@ -211,7 +211,7 @@ def test_standard_checks_read_stored_operators():
 
 def test_ando_checks_read_stored_operators():
     T = frac_matrix(92, 2)
-    ad = ando_like(T, T @ T - vsdilate._eye(2, True), 2)
+    ad = ando_like(T, T @ T - as_exact(np.eye(2)), 2)
 
     def passes():
         # every cell of the grid is reached by some U^n V^m I
@@ -289,8 +289,8 @@ def test_intertwine_defects_read_stored_operators(monkeypatch, which, field):
 
 def test_halmos_zero_map_is_self_inverse_swap():
     q = halmos([[0, 0], [0, 0]])
-    I2 = vsdilate._eye(2, True)
-    Z2 = vsdilate._zeros(2, 2, True)
+    I2 = as_exact(np.eye(2))
+    Z2 = as_exact(np.zeros((2, 2)))
     swap = np.block([[Z2, I2], [I2, Z2]])
     assert np.array_equal(q.U, swap)
     assert np.array_equal(q.U_inv, swap)
@@ -338,8 +338,8 @@ def test_halmos_integer_property(rows):
 
 def test_schur_case1_reduces_to_halmos():
     T = invertible_frac_matrix(5, 3)
-    I3 = vsdilate._eye(3, True)
-    Z3 = vsdilate._zeros(3, 3, True)
+    I3 = as_exact(np.eye(3))
+    Z3 = as_exact(np.zeros((3, 3)))
     q = schur_halmos(T, I3, I3, Z3, case=1)
     base = halmos(T)
     assert np.array_equal(q.U, base.U)
@@ -348,8 +348,8 @@ def test_schur_case1_reduces_to_halmos():
 
 def test_schur_case2_block_diagonal():
     T = invertible_frac_matrix(9, 2)
-    I2 = vsdilate._eye(2, True)
-    Z2 = vsdilate._zeros(2, 2, True)
+    I2 = as_exact(np.eye(2))
+    Z2 = as_exact(np.zeros((2, 2)))
     q = schur_halmos(T, Z2, Z2, I2, case=2)
     expected = np.block([[exact_inverse(T), Z2], [Z2, I2]])
     assert np.array_equal(q.U_inv, expected)
@@ -389,14 +389,14 @@ def test_schur_case4_random_rational_exact():
 
 
 def test_schur_hypothesis_violation_raises():
-    Z = vsdilate._zeros(2, 2, True)
-    I2 = vsdilate._eye(2, True)
+    Z = as_exact(np.zeros((2, 2)))
+    I2 = as_exact(np.eye(2))
     with pytest.raises(NotInvertible):
         schur_halmos(Z, I2, I2, I2, case=1)  # T singular
 
 
 def test_schur_bad_case_rejected():
-    I2 = vsdilate._eye(2, True)
+    I2 = as_exact(np.eye(2))
     with pytest.raises(ValueError):
         schur_halmos(I2, I2, I2, I2, case=5)
 
@@ -433,7 +433,7 @@ def test_n_dilation_defect_beyond_horizon_is_identity():
     N = 3
     nd = n_dilation(T, N)
     beyond = nd.quadruple.compression(N + 1)
-    expected = power_oracle(T, N + 1) + vsdilate._eye(2, True)
+    expected = power_oracle(T, N + 1) + as_exact(np.eye(2))
     assert np.array_equal(beyond, expected)
 
 
@@ -536,7 +536,7 @@ def test_standard_float_mode():
 
 def test_ando_with_identity_reduces_to_standard():
     T = frac_matrix(71, 2)
-    ad = ando_like(T, vsdilate._eye(2, True), 3)
+    ad = ando_like(T, as_exact(np.eye(2)), 3)
     for n in range(4):
         for m in range(4 - n):
             assert ad.dilation_defect(n, m) == 0.0
@@ -563,7 +563,7 @@ def test_ando_simultaneous_diagonal_exact():
 
 def test_ando_commuting_polynomials_exact():
     A = frac_matrix(72, 3)
-    I3 = vsdilate._eye(3, True)
+    I3 = as_exact(np.eye(3))
     T = A @ A + 2 * I3
     S = 3 * A - A @ A @ A
     ad = ando_like(T, S, 5)
@@ -573,7 +573,7 @@ def test_ando_commuting_polynomials_exact():
 
 
 def test_ando_pad_identity():
-    ad = ando_like(frac_matrix(73, 2), vsdilate._eye(2, True), 2)
+    ad = ando_like(frac_matrix(73, 2), as_exact(np.eye(2)), 2)
     assert ad.pad_identity_check()
 
 
@@ -586,8 +586,8 @@ def test_ando_rejects_non_commuting():
 
 def test_intertwine_identity_case():
     T = frac_matrix(81, 3)
-    lift = intertwine_lift(T, T, vsdilate._eye(3, True), 4)
-    assert np.array_equal(lift.R, vsdilate._eye(15, True))
+    lift = intertwine_lift(T, T, as_exact(np.eye(3)), 4)
+    assert np.array_equal(lift.R, as_exact(np.eye(15)))
     assert (lift.shift_defect, lift.projection_defect,
             lift.embedding_defect) == (0.0, 0.0, 0.0)
 
@@ -653,13 +653,13 @@ def test_intertwine_rejects_non_intertwiner():
     T1 = as_exact([[1, 0], [0, 2]])
     T2 = as_exact([[3, 0], [0, 4]])
     with pytest.raises(ValueError):
-        intertwine_lift(T1, T2, vsdilate._eye(2, True), 3)
+        intertwine_lift(T1, T2, as_exact(np.eye(2)), 3)
 
 
 # ---------------------------------------------------------- trace witness
 
 def test_witness_identity_map():
-    w = non_similarity_witness(vsdilate._eye(3, True))
+    w = non_similarity_witness(as_exact(np.eye(3)))
     assert w.trace_asymmetric == Fraction(6)
     assert w.trace_halmos == Fraction(3)
     assert w.distinct and w.conclusive
