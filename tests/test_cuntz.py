@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framekit import cuntz
-from framekit.linops import _matmul
 from framekit.cuntz import (
     U,
     U_STAR,
@@ -34,6 +33,7 @@ from framekit.cuntz import (
     word,
     zero,
 )
+from framekit.linops import _matmul
 
 
 def tables_close(x, y, tol=1e-12):
