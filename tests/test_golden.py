@@ -65,6 +65,10 @@ REPORTS = [
     ["pasf", "perturb", "--in", PASF, "--omega", _in("pasf_omega")],
     ["pasf", "perturb", "--in", PASF, "--omega", _in("pasf_omega"),
      "--mode", "general", "--alpha", "0.1", "--samples", "16"],
+    *[["pasf", "perturb", "--in", PASF, "--omega", _in("pasf_omega"),
+       "--mode", "two_sided", "--g", _in("pasf_g"), "--case", str(k),
+       "--alpha", "0.05", "--beta", "0.1", "--gamma", "0.02", "--r", "0.1",
+       "--s", "0.2", "--t", "0.05"] for k in range(1, 5)],
     ["pasf", "expand", "--in", _in("pasf_weak"), "--other", PASF,
      "--lam", "1.5"],
     ["sip", "identity", "--in", _in("sip"), "--subset", "0,2", "--seed", "6"],
@@ -87,6 +91,7 @@ REPORTS = [
     ["ovf", "dual", "--in", OVF],
     ["ovf", "similar", "--in", OVF, "--other", OVF],
     ["ovf", "classify", "--in", _in("ovf_parseval")],
+    ["ovf", "classify", "--in", OVF],
     ["ovf", "dilate", "--in", _in("ovf_parseval")],
     ["ovf", "group", "--rep", "c4", "--a", _in("ovf_a"), "--psi",
      _in("ovf_psi")],
