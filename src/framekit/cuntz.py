@@ -547,6 +547,7 @@ class LemmaReport:
     """Exact check that [D, X] - 1 lives in the last column only."""
 
     n: int
+    mu: Optional[Fraction]  # the scaling checked; None for the raw pair
     off_column_zero: bool
     last_column_matches: bool
 
@@ -562,6 +563,8 @@ def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
     (the defect entry in row i scales by mu^{n-i})."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    if mu is not None and not Fraction(mu) > 0:
+        raise ValueError("mu must be positive")
     D, X, delta = _lemma_matrices(n)
     scale = [Fraction(1)] * (n + 1)
     if mu is not None:
@@ -592,7 +595,7 @@ def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
             e = e + _const(1 - n)
         expected.append(e * _const(scale[i]))
     last = all(C[i, n - 1] == expected[i] for i in range(n))
-    return LemmaReport(n=n, off_column_zero=off, last_column_matches=last)
+    return LemmaReport(n, mu, off_column_zero=off, last_column_matches=last)
 
 
 # --- assembled matrices with certified bounds ------------------------------

@@ -9,13 +9,13 @@ frame operator is S = sum_n <., tau_n> tau_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linops
 from .errors import DependentInput, HypothesisViolated, NotAFrame
-from .linops import herm, inverse
+from .linops import Perturbation, _falsify, herm, inverse
 
 RANK_RTOL = 1e-10
 
@@ -66,8 +66,13 @@ class HilbertFrame:
         smin, smax = linops.singular_extremes(self.synthesis)
         return smax > 0 and smin / smax > RANK_RTOL
 
+    @property
+    def parseval_residual(self) -> float:
+        """max |S - I|, entrywise; zero exactly for a Parseval frame."""
+        return float(np.abs(self.frame_operator - np.eye(self.d)).max())
+
     def is_parseval(self, tol: float = 1e-8) -> bool:
-        return float(np.abs(self.frame_operator - np.eye(self.d)).max()) <= tol
+        return self.parseval_residual <= tol
 
 
 def frame_bounds(F: HilbertFrame) -> tuple[float, float]:
@@ -211,17 +216,9 @@ def naimark_dilate(F: HilbertFrame) -> NaimarkDilation:
     return NaimarkDilation(d + r2, HilbertFrame(omega), proj)
 
 
-@dataclass(frozen=True)
-class PerturbationCertificate:
-    mode: str
-    valid: bool
-    predicted_bounds: tuple[float, float] | None
-    detail: dict = field(default_factory=dict)
-
-
 def perturb_certificate(F: HilbertFrame, G: HilbertFrame, mode: str,
                         alpha: float = 0.0, beta: float = 0.0, gamma: float = 0.0,
-                        seed: int = 0, samples: int = 256) -> PerturbationCertificate:
+                        seed: int = 0, samples: int = 256) -> Perturbation:
     """Frame-bound certificate for a perturbed family G.
 
     quadratic: if c = sum ||tau_n - omega_n||^2 < a then G is a frame with
@@ -248,31 +245,21 @@ def perturb_certificate(F: HilbertFrame, G: HilbertFrame, mode: str,
         if valid:
             bounds = (a * (1 - math.sqrt(c / a)) ** 2,
                       b * (1 + math.sqrt(c / b)) ** 2)
-        return PerturbationCertificate("quadratic", valid, bounds, {"c": c})
+        return Perturbation("quadratic", valid, bounds, {"c": c})
     if mode != "general":
         raise ValueError("mode must be quadratic or general")
     if max(alpha + gamma / math.sqrt(a), beta) >= 1:
         raise HypothesisViolated(
             "need max(alpha + gamma/sqrt(a), beta) < 1 for the general certificate")
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    falsified = False
-    for _ in range(samples):
-        cvec = rng.standard_normal(F.m) + 1j * rng.standard_normal(F.m)
-        lhs = np.linalg.norm(diff @ cvec)
-        rhs = (alpha * np.linalg.norm(F.synthesis @ cvec)
-               + beta * np.linalg.norm(G.synthesis @ cvec)
-               + gamma * np.linalg.norm(cvec))
-        worst = max(worst, lhs - rhs)
-        if lhs > rhs + 1e-12:
-            falsified = True
+    norm = np.linalg.norm
+    valid, detail = _falsify(
+        lambda c: ((norm(diff @ c), alpha * norm(F.synthesis @ c)
+                    + beta * norm(G.synthesis @ c) + gamma * norm(c)),),
+        F.m, samples, seed)
     mu = (alpha + beta + gamma / math.sqrt(a)) / (1 + beta)
     nu = (alpha + beta + gamma / math.sqrt(b)) / (1 - beta)
     bounds = (a * (1 - mu) ** 2, b * (1 + nu) ** 2)
-    return PerturbationCertificate(
-        "general", not falsified, bounds,
-        {"samples": samples, "worst_margin": worst,
-         "note": "hypothesis falsification-tested on samples, not proven"})
+    return Perturbation("general", valid, bounds, detail)
 
 
 def gram_schmidt(vectors) -> np.ndarray:

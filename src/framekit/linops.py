@@ -1,10 +1,15 @@
 """Dense linear-algebra kernel: vector/operator p-norms with certified
-intervals, inverses, Hermitian spectra, and the one exact matrix product.
+intervals, inverses, Hermitian spectra, the one exact matrix product and
+the one sampled falsification loop.
 
 ``_matmul`` is the only product of object-dtype matrices in framekit: the
 exact dilations of ``vsdilate``, the Cuntz lemma's word polynomials and
 ``CuntzMatrix`` all multiply through it, and it reads the field (or ring)
 from the entries themselves.
+
+``_falsify`` is the only seeded search for counterexamples to a
+perturbation hypothesis, and ``Perturbation`` the verdict of the hframe and
+pasf certificates.
 
 Operator norms for p outside {1, 2, inf} are NP-hard to compute exactly, so
 they are reported as certified intervals: the lower end comes from a
@@ -15,7 +20,7 @@ the upper end from interpolation between the exact p = 1 and p = inf norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -236,6 +241,33 @@ def opnorm_mixed_interval(A, p_in, p_out, seed: int = 0,
     lo = _ascent_lower(A, p_in, p_out, seed=seed, starts=starts)
     lo = min(lo, hi)
     return NormInterval(lo, hi)
+
+
+@dataclass(frozen=True)
+class Perturbation:
+    """A perturbation certificate: its verdict, the frame bounds it predicts
+    (None for no prediction) and the figures it was decided on."""
+
+    mode: str
+    valid: bool
+    predicted_bounds: tuple[float, float] | None
+    detail: dict = field(default_factory=dict)
+
+
+def _falsify(sides, size: int, samples: int, seed: int) -> tuple[bool, dict]:
+    """Seek lhs > rhs + 1e-12 over seeded complex vectors c of length size,
+    where sides(c) yields the (lhs, rhs) pairs to test; returns whether none
+    was found and a detail with the largest lhs - rhs seen."""
+    rng = np.random.default_rng(seed)
+    holds, worst = True, -math.inf
+    for _ in range(samples):
+        c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        for lhs, rhs in sides(c):
+            worst = max(worst, lhs - rhs)
+            if lhs > rhs + 1e-12:
+                holds = False
+    note = "hypothesis falsification-tested on samples, not proven"
+    return holds, {"samples": samples, "worst_margin": worst, "note": note}
 
 
 def singular_extremes(A) -> tuple[float, float]:

@@ -5,7 +5,8 @@ S = sum_n Psi_n* A_n is invertible. The stacked analysis operators
 theta_A, theta_Psi place block n in rows n*r..(n+1)*r of K^(m*r), so the
 block embeddings L_n satisfy L_n* L_k = delta_{nk} I and sum L_n L_n* = I
 by construction. S need not be positive or Hermitian; frame bounds are
-the extreme singular values.
+the extreme singular values. Every defect a report checks is defined
+here once; the triple hypothesis is sampled by ``linops._falsify``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import linops
 from .errors import HypothesisViolated
-from .linops import NotInvertible, herm, inverse, singular_extremes
+from .linops import NotInvertible, _falsify, herm, inverse, singular_extremes
 
 DUAL_TOL = 1e-9
 SIMILAR_TOL = 1e-8
@@ -128,13 +129,19 @@ def canonical_dual(P: OvfPair) -> OvfPair:
     return OvfPair(P.A @ Sinv, P.Psi @ herm(Sinv))
 
 
-def duality_check(P: OvfPair, Q: OvfPair, tol: float = DUAL_TOL) -> bool:
-    """sum Psi_n* B_n = sum Phi_n* A_n = I within tol."""
+def duality_residual(P: OvfPair, Q: OvfPair) -> float:
+    """max(||sum Psi_n* B_n - I||, ||sum Phi_n* A_n - I||)."""
     if P.A.shape != Q.A.shape:
         raise ValueError("shape mismatch")
     I = np.eye(P.d)
-    return (_norm2(herm(P.theta_Psi) @ Q.theta_A - I) <= tol
-            and _norm2(herm(Q.theta_Psi) @ P.theta_A - I) <= tol)
+    return max(_norm2(herm(P.theta_Psi) @ Q.theta_A - I),
+               _norm2(herm(Q.theta_Psi) @ P.theta_A - I))
+
+
+def block_gap(P: OvfPair, Q: OvfPair) -> float:
+    """Largest entry of |A_n - B_n| and |Psi_n - Phi_n|."""
+    return max(float(np.abs(P.A - Q.A).max()),
+               float(np.abs(P.Psi - Q.Psi).max()))
 
 
 def orthogonality_check(P: OvfPair, Q: OvfPair, tol: float = DUAL_TOL) -> bool:
@@ -166,20 +173,23 @@ class OvfClass:
     orthonormal: bool
 
 
+def orthonormal_gap(P: OvfPair) -> float:
+    """max(||S - I||, max_{n,k} ||A_n Psi_k* - delta_{nk} I_r||)."""
+    gap = _norm2(P.frame_operator() - np.eye(P.d))
+    for n in range(P.m):
+        for k in range(P.m):
+            C = P.A[n] @ herm(P.Psi[k])
+            if n == k:
+                C = C - np.eye(P.r)
+            gap = max(gap, _norm2(C))
+    return gap
+
+
 def classify(P: OvfPair) -> OvfClass:
     """Riesz: the idempotent is the identity of the stacked space.
     Orthonormal: Parseval with A_n Psi_k* = delta_{nk} I_r."""
     riesz = _norm2(P.projection() - np.eye(P.m * P.r)) <= RIESZ_TOL
-    orthonormal = False
-    if P.is_parseval():
-        gap = 0.0
-        for n in range(P.m):
-            for k in range(P.m):
-                C = P.A[n] @ herm(P.Psi[k])
-                if n == k:
-                    C = C - np.eye(P.r)
-                gap = max(gap, _norm2(C))
-        orthonormal = gap <= ORTHONORMAL_TOL
+    orthonormal = P.is_parseval() and orthonormal_gap(P) <= ORTHONORMAL_TOL
     return OvfClass(riesz, orthonormal)
 
 
@@ -402,20 +412,17 @@ def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
         raise HypothesisViolated(
             f"max(alpha + gamma ||theta_Psi (S*)^{{-1}}||, beta) = "
             f"{max(reach, beta)} >= 1")
-    rng = np.random.default_rng(seed)
     thA, thB = herm(P.theta_A), herm(new.theta_A)
-    holds = True
-    for _ in range(samples):
-        y = rng.normal(size=P.m * P.r) + 1j * rng.normal(size=P.m * P.r)
+    norm = np.linalg.norm
+
+    def prefixes(y):
         for k in range(1, P.m + 1):
             yk = np.zeros_like(y)
             yk[:k * P.r] = y[:k * P.r]
-            left = np.linalg.norm(thA @ yk - thB @ yk)
-            right = (alpha * np.linalg.norm(thA @ yk)
-                     + beta * np.linalg.norm(thB @ yk)
-                     + gamma * np.linalg.norm(yk))
-            if left > right + 1e-12:
-                holds = False
+            yield (norm(thA @ yk - thB @ yk), alpha * norm(thA @ yk)
+                   + beta * norm(thB @ yk) + gamma * norm(yk))
+
+    holds, _ = _falsify(prefixes, P.m * P.r, samples, seed)
     lo = (1 - reach) / ((1 + beta) * _norm2(Sinv_star))
     hi = _norm2(P.theta_Psi) * ((1 + alpha) * _norm2(P.theta_A) + gamma) / (1 - beta)
     return OvfPerturbation("triple", holds, (lo, hi), measured)

@@ -4,19 +4,20 @@ A pair is a family of functionals f_n (rows of F) and vectors tau_n
 (columns of T) whose frame operator S = T F is invertible. Frame bounds
 are certified p-operator-norm intervals, duality and similarity are exact
 matrix identities, and dilation extends any pair to an approximate Riesz
-basis on K^d (+) range(I - P_{f,tau}).
+basis on K^d (+) range(I - P_{f,tau}). Every defect a report checks is
+defined here once; the general hypothesis is sampled by ``linops._falsify``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linops
 from .errors import HypothesisViolated, NotADual, NotInvertible
-from .linops import NormInterval, inverse, opnorm_interval, vec_pnorm
+from .linops import (NormInterval, Perturbation, _falsify, inverse,
+                     opnorm_interval, vec_pnorm)
 
 DUAL_TOL = 1e-9
 SIMILAR_TOL = 1e-8
@@ -124,13 +125,13 @@ def canonical_dual(P: PAsf) -> PAsf:
     return PAsf(P.p, P.F @ Sinv, Sinv @ P.T)
 
 
-def dual_check(P: PAsf, Q: PAsf, tol: float = DUAL_TOL) -> bool:
-    """Duality: T_P F_Q = I and T_Q F_P = I."""
+def dual_residual(P: PAsf, Q: PAsf) -> float:
+    """max(|T_P F_Q - I|, |T_Q F_P - I|), entrywise: the duality defect."""
     if (P.d, P.m, P.p) != (Q.d, Q.m, Q.p):
         raise ValueError("pairs must share shape and exponent")
     eye = np.eye(P.d)
-    return (float(np.abs(P.T @ Q.F - eye).max()) <= tol
-            and float(np.abs(Q.T @ P.F - eye).max()) <= tol)
+    return max(float(np.abs(P.T @ Q.F - eye).max()),
+               float(np.abs(Q.T @ P.F - eye).max()))
 
 
 def dual_from_operators(P: PAsf, U, V) -> PAsf:
@@ -218,16 +219,18 @@ def dilate(P: PAsf) -> PasfDilation:
     G1 = np.hstack([P.F, B])
     T1 = np.vstack([P.T, linops.herm(B) @ Q])
     out = PAsf(P.p, G1, T1)
-    return PasfDilation(out, B, riesz_check(out))
-
-
-def riesz_check(P: PAsf, tol: float = RIESZ_TOL) -> bool:
-    """Approximate Riesz basis iff F S^(-1) T = I_m."""
     try:
-        Sinv = inverse(P.frame_operator)
+        riesz = riesz_residual(out) <= RIESZ_TOL
     except NotInvertible:
-        return False
-    return float(np.abs(P.F @ Sinv @ P.T - np.eye(P.m)).max()) <= tol
+        riesz = False
+    return PasfDilation(out, B, riesz)
+
+
+def riesz_residual(P: PAsf) -> float:
+    """Entrywise max of |F S^(-1) T - I_m|; zero exactly for an approximate
+    Riesz basis. Raises NotInvertible when S is singular."""
+    Sinv = inverse(P.frame_operator)
+    return float(np.abs(P.F @ Sinv @ P.T - np.eye(P.m)).max())
 
 
 def shift_dilation_table(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -251,23 +254,11 @@ def shift_dilation_table(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return table
 
 
-def _functional_norm(row, q: float) -> float:
-    return vec_pnorm(row, q)
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    mode: str
-    valid: bool
-    predicted_bounds: tuple[float, float] | None
-    detail: dict = field(default_factory=dict)
-
-
 def perturb_certificate(P: PAsf, Omega, mode: str = "quadratic",
                         alpha: float = 0.0, beta: float = 0.0, gamma: float = 0.0,
                         case: int = 1, G=None,
                         r: float = 0.0, s: float = 0.0, t: float = 0.0,
-                        seed: int = 0, samples: int = 256) -> PerturbationReport:
+                        seed: int = 0, samples: int = 256) -> Perturbation:
     """Certificates that (f_n, omega_n) stays an approximate Schauder frame.
 
     quadratic: lam = sum ||tau_n - omega_n||^q must satisfy
@@ -276,7 +267,9 @@ def perturb_certificate(P: PAsf, Omega, mode: str = "quadratic",
     parameters (alpha, gamma, beta) is falsification-tested on seeded
     samples; predicted bounds follow the closed formulas. two_sided: the
     requested summability condition (1-4) for a jointly perturbed pair
-    (g_n, omega_n) is evaluated as a numeric sum, reported valid iff < 1.
+    (g_n, omega_n) is evaluated as a numeric sum, reported valid iff < 1:
+    cases 1 and 2 apply S^(-1) to the vectors, cases 3 and 4 to the
+    functionals; odd cases weigh by (tau_n, g_n), even ones by (omega_n, f_n).
     """
     Omega = linops.as_matrix(Omega)
     if Omega.shape != P.T.shape:
@@ -297,30 +290,21 @@ def perturb_certificate(P: PAsf, Omega, mode: str = "quadratic",
             lo = (1 - lam ** (1 / p) * theta_f_sinv.hi) / sinv_iv.hi
             hi = (theta_tau.hi + lam ** (1 / p)) * theta_f.hi
             bounds = (lo, hi)
-        return PerturbationReport("quadratic", valid, bounds, {"lambda": lam})
+        return Perturbation("quadratic", valid, bounds, {"lambda": lam})
 
     if mode == "general":
         if max(alpha + gamma * theta_f_sinv.hi, beta) >= 1:
             raise HypothesisViolated(
                 "need max(alpha + gamma ||theta_f S^-1||, beta) < 1")
-        rng = np.random.default_rng(seed)
-        falsified = False
-        worst = -math.inf
-        for _ in range(samples):
-            c = rng.standard_normal(P.m) + 1j * rng.standard_normal(P.m)
-            lhs = vec_pnorm(diff @ c, p)
-            rhs = (alpha * vec_pnorm(P.T @ c, p) + gamma * vec_pnorm(c, p)
-                   + beta * vec_pnorm(Omega @ c, p))
-            worst = max(worst, lhs - rhs)
-            if lhs > rhs + 1e-12:
-                falsified = True
+        valid, detail = _falsify(
+            lambda c: ((vec_pnorm(diff @ c, p),
+                        alpha * vec_pnorm(P.T @ c, p) + gamma * vec_pnorm(c, p)
+                        + beta * vec_pnorm(Omega @ c, p)),),
+            P.m, samples, seed)
         lo = (1 - (alpha + gamma * theta_f_sinv.hi)) / ((1 + beta) * sinv_iv.hi)
         hi = ((1 + alpha) / (1 - beta) * theta_tau.hi
               + gamma / (1 - beta)) * theta_f.hi
-        return PerturbationReport(
-            "general", not falsified, (lo, hi),
-            {"samples": samples, "worst_margin": worst,
-             "note": "hypothesis falsification-tested on samples, not proven"})
+        return Perturbation("general", valid, (lo, hi), detail)
 
     if mode == "two_sided":
         if G is None:
@@ -332,31 +316,18 @@ def perturb_certificate(P: PAsf, Omega, mode: str = "quadratic",
             raise ValueError("case must be 1..4")
         if max(beta, s) >= 1:
             raise HypothesisViolated("need max(beta, s) < 1")
-        fn = [P.functional(n) for n in range(P.m)]
-        gn = [G[n, :] for n in range(P.m)]
-        taun = [P.vector(n) for n in range(P.m)]
-        omn = [Omega[:, n] for n in range(P.m)]
-        if case == 1:
-            total = sum(_functional_norm(fn[n] - gn[n], q) * vec_pnorm(Sinv @ taun[n], p)
-                        + _functional_norm(gn[n], q) * vec_pnorm(Sinv @ (taun[n] - omn[n]), p)
-                        for n in range(P.m))
-        elif case == 2:
-            total = sum(_functional_norm(fn[n] - gn[n], q) * vec_pnorm(Sinv @ omn[n], p)
-                        + _functional_norm(fn[n], q) * vec_pnorm(Sinv @ (taun[n] - omn[n]), p)
-                        for n in range(P.m))
-        elif case == 3:
-            total = sum(_functional_norm((fn[n] - gn[n]) @ Sinv, q) * vec_pnorm(taun[n], p)
-                        + _functional_norm(gn[n] @ Sinv, q) * vec_pnorm(taun[n] - omn[n], p)
-                        for n in range(P.m))
-        else:
-            total = sum(_functional_norm((fn[n] - gn[n]) @ Sinv, q) * vec_pnorm(omn[n], p)
-                        + _functional_norm(fn[n] @ Sinv, q) * vec_pnorm(taun[n] - omn[n], p)
-                        for n in range(P.m))
-        total = float(total)
+        vec = (lambda x: Sinv @ x) if case <= 2 else (lambda x: x)
+        fun = (lambda y: y) if case <= 2 else (lambda y: y @ Sinv)
+        V, W = (P.T, G) if case % 2 else (Omega, P.F)
+        total = float(sum(
+            vec_pnorm(fun(P.F[n] - G[n]), q) * vec_pnorm(vec(V[:, n]), p)
+            + vec_pnorm(fun(W[n]), q)
+            * vec_pnorm(vec(P.T[:, n] - Omega[:, n]), p)
+            for n in range(P.m)))
         valid = total < 1.0
         upper = (((1 + alpha) / (1 - beta) * theta_tau.hi + gamma / (1 - beta))
                  * ((1 + r) / (1 - s) * theta_f.hi + t / (1 - s)))
-        return PerturbationReport(
+        return Perturbation(
             "two_sided", valid, (0.0, upper) if valid else None,
             {"case": int(case), "condition_sum": total,
              "note": "only the upper bound is certified in two_sided mode"})

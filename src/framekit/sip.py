@@ -185,6 +185,8 @@ class LowerBoundReport:
     condition_value: float
     condition_holds: bool
     value: float
+    floor: float  # (3/4) ||x||_p^2
+    deficit: float  # max(floor - value, 0)
     passes: bool
 
 
@@ -194,7 +196,7 @@ def lower_bound_check(P: SipPair, M, x, slack: float = 1e-9) -> LowerBoundReport
     Whenever [(S_M - I/2)^2 x, x] >= 0 (checked with a -1e-10 allowance),
     the quantity sum_{n in M} [x,w_n][t_n,x]
     + sum_{n,k in M^c} [x,w_n][t_n,w_k][t_k,x] is at least
-    (3/4) ||x||_p^2 - slack.
+    (3/4) ||x||_p^2: it passes when its deficit is at most slack.
     """
     if not P.is_parseval():
         raise ValueError("frame operator is not the identity within 1e-8")
@@ -214,8 +216,10 @@ def lower_bound_check(P: SipPair, M, x, slack: float = 1e-9) -> LowerBoundReport
                   * sip(P.Tau[:, k], x, p)
                   for n in Mc for k in Mc), 0.0 + 0.0j)
     value = (first + second).real
-    passes = (not condition_holds) or value >= 0.75 * vec_pnorm(x, p) ** 2 - slack
-    return LowerBoundReport(condition_value, condition_holds, value, passes)
+    floor = 0.75 * vec_pnorm(x, p) ** 2
+    deficit = max(floor - value, 0.0)
+    return LowerBoundReport(condition_value, condition_holds, value, floor,
+                            deficit, not condition_holds or deficit <= slack)
 
 
 def make_parseval(p: float, d: int, m: int, seed: int = 0) -> SipPair:

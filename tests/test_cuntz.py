@@ -505,6 +505,19 @@ def test_lemma_structure_scaled():
     assert lemma_structure(3, mu=Fraction(2, 3)).ok
 
 
+def test_lemma_structure_rejects_nonpositive_mu():
+    for mu in (0, -2, Fraction(-1, 3), 0.0):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            lemma_structure(3, mu)
+
+
+def test_lemma_report_records_mu():
+    assert lemma_structure(3).mu is None
+    assert lemma_structure(3, 0.5).mu == Fraction(1, 2)
+    for n, mu in ((3, 0.2), (5, 0.5), (4, 1.0)):
+        assert build_DX(n, mu).structure.mu == Fraction(mu)
+
+
 def test_delta_scaled_column_breaks_structure():
     # adding the small factor to D's last column leaves defects outside it
     n = 4

@@ -15,7 +15,7 @@ from framekit.ovf import (
     classify,
     dilate,
     direct_sum,
-    duality_check,
+    duality_residual,
     from_factors,
     gc1_residual,
     group_generated,
@@ -158,9 +158,9 @@ def test_canonical_dual_of_parseval_is_itself():
 
 def test_duality_with_canonical_dual():
     P = random_pair(8)
-    assert duality_check(P, canonical_dual(P))
-    assert not duality_check(P, P)  # P is far from Parseval
-    assert duality_check(parseval_pair(9), parseval_pair(9))
+    assert duality_residual(P, canonical_dual(P)) <= ovf.DUAL_TOL
+    assert duality_residual(P, P) > ovf.DUAL_TOL  # P is far from Parseval
+    assert duality_residual(parseval_pair(9), parseval_pair(9)) <= ovf.DUAL_TOL
 
 
 def test_orthogonality_on_complementary_supports():
@@ -226,6 +226,19 @@ def test_dilate_parseval_to_orthonormal():
     rest = dil.restrict()
     assert np.array_equal(rest.A, P.A)
     assert np.array_equal(rest.Psi, P.Psi)
+
+
+def test_gaps_of_a_dilation():
+    P = parseval_pair(23)
+    dil = dilate(P)
+    assert ovf.block_gap(dil.restrict(), P) == 0.0
+    assert ovf.orthonormal_gap(dil.pair) <= ovf.ORTHONORMAL_TOL
+    # Parseval but not orthonormal: the gap is the block products' defect
+    assert ovf.orthonormal_gap(P) > ovf.ORTHONORMAL_TOL
+    assert not classify(P).orthonormal
+    Q = random_pair(24)
+    assert ovf.block_gap(Q, canonical_dual(canonical_dual(Q))) <= 1e-9
+    assert ovf.block_gap(Q, P) > 0
 
 
 def test_dilate_orthonormal_input_has_trivial_tail():

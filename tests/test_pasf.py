@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from framekit import hframe, linops
 from framekit.pasf import (
+    DUAL_TOL,
+    RIESZ_TOL,
     Expansion,
     HypothesisViolated,
     NotADual,
@@ -11,14 +13,14 @@ from framekit.pasf import (
     canonical_dual,
     check,
     dilate,
-    dual_check,
+    dual_residual,
     dual_from_operators,
     expand_to_asf,
     from_shift_operators,
     interpolate,
     orthogonality_check,
     perturb_certificate,
-    riesz_check,
+    riesz_residual,
     shift_dilation_table,
     shift_pair,
     similarity,
@@ -73,7 +75,7 @@ def test_projection_is_idempotent():
 def test_canonical_dual_passes_dual_check():
     P = random_pasf(7, 4, 9, 3)
     Q = canonical_dual(P)
-    assert dual_check(P, Q)
+    assert dual_residual(P, Q) <= DUAL_TOL
     # involution: the dual of the dual is the original pair
     R = canonical_dual(Q)
     assert np.abs(R.F - P.F).max() < 1e-9
@@ -87,7 +89,7 @@ def test_dual_from_operators_generates_valid_duals():
         U = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
         V = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
         Q = dual_from_operators(P, U, V)
-        assert dual_check(P, Q)
+        assert dual_residual(P, Q) <= DUAL_TOL
 
 
 def test_dual_from_operators_raises_on_singular_validity():
@@ -180,7 +182,7 @@ def test_dilate_gives_riesz_basis_with_exact_restriction(seed, p):
     P = random_pasf(seed, d, m, p)
     dil = dilate(P)
     out = dil.pasf
-    assert dil.riesz and riesz_check(out)
+    assert dil.riesz and riesz_residual(out) <= RIESZ_TOL
     assert out.d == m  # d + (m - d)
     # the first d coordinates restore the input with no tolerance
     assert np.array_equal(out.F[:, :d], P.F)
@@ -203,8 +205,21 @@ def test_dilate_trivial_when_projection_is_identity():
 
 
 def test_riesz_check_square_vs_redundant():
-    assert riesz_check(random_pasf(43, 3, 3, 2))
-    assert not riesz_check(random_pasf(44, 3, 6, 2))
+    assert riesz_residual(random_pasf(43, 3, 3, 2)) <= RIESZ_TOL
+    assert riesz_residual(random_pasf(44, 3, 6, 2)) > RIESZ_TOL
+
+
+def test_riesz_residual_raises_on_singular_pair_and_dilate_reads_false():
+    with pytest.raises(linops.NotInvertible):
+        riesz_residual(PAsf(2, np.ones((3, 2)), np.ones((2, 3))))
+    # S = 1e-11 I is invertible, but the dilated operator diag(S, I) is
+    # singular to working precision, so dilate catches NotInvertible
+    base = shift_pair(5, 2.0)
+    P = PAsf(2, 1e-11 * base.F, base.T)
+    dil = dilate(P)
+    with pytest.raises(linops.NotInvertible):
+        riesz_residual(dil.pasf)
+    assert dil.riesz is False
 
 
 def shift_table_oracle(m):

@@ -313,6 +313,19 @@ def test_lower_bound_general_p_where_condition_holds():
     assert hit > 0  # the check must actually exercise the bound
 
 
+def test_lower_bound_reports_floor_and_deficit():
+    P = make_parseval(3, 3, 7, seed=15)
+    for seed in range(20):
+        x = vec(3, 400 + seed)
+        rep = lower_bound_check(P, [0, 2, 4, 6], x, slack=1e-9)
+        assert rep.floor == 0.75 * linops.vec_pnorm(x, 3) ** 2
+        assert rep.deficit == max(rep.floor - rep.value, 0.0)
+        assert rep.passes == (not rep.condition_holds or rep.deficit <= 1e-9)
+    # a negative slack makes every held condition fail
+    rep = lower_bound_check(P, [], vec(3, 420), slack=-1.0)
+    assert rep.condition_holds and rep.deficit == 0.0 and not rep.passes
+
+
 def test_lower_bound_rejects_non_parseval():
     P = random_pair(9, 3, 7, 3)
     with pytest.raises(ValueError):
