@@ -152,6 +152,10 @@ USAGE = [
     ["vsdilate", "halmos", "--in", _in("vs_bad")],
     ["cuntz", "verify", "--n-range", "10:6"],
     ["cuntz", "build", "--n", "2", "--mu", "0"],
+    # tables that break the triangle inequality through one middle point
+    ["metric", "bounds", "--in", _in("sample_bad"), "--family", "log(1)",
+     "--terms", "24"],
+    ["multiplier", "lip", "--in", _in("multiplier_bad")],
 ]
 
 
