@@ -373,8 +373,7 @@ def parse_sample(obj) -> metricframe.MetricSample:
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise CliError(2, "sample file: needs 'points' and 'dist'")
     try:
-        return metricframe.MetricSample(tuple(obj["points"]),
-                                        np.asarray(obj["dist"], dtype=float),
+        return metricframe.MetricSample(obj["points"], obj["dist"],
                                         obj.get("base"))
     except (TypeError, ValueError) as exc:
         raise CliError(2, f"sample file: {exc}") from None

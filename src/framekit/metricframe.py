@@ -40,9 +40,10 @@ _TINY, _HUGE = 2.0 ** -500, 2.0 ** 500
 class MetricSample:
     """Finite metric space: point labels, a distance table, optional base.
 
-    The table must be symmetric with zero diagonal and satisfy the
-    triangle inequality, each within 1e-12 times its largest distance;
-    labels are opaque except where an operation states otherwise.
+    The table must be symmetric with zero diagonal and satisfy the triangle
+    inequality within 1e-12 times its largest distance (not scanned for the
+    metrics by construction of sample_from_*); labels are opaque except
+    where an operation states otherwise.
     """
 
     points: tuple
@@ -50,33 +51,56 @@ class MetricSample:
     base: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        D = np.asarray(self.dist, dtype=float)
-        n = len(self.points)
-        if n < 1 or D.shape != (n, n):
-            raise ValueError("distance table must be square and match the points")
-        if not np.all(np.isfinite(D)):
-            raise ValueError("distances must be finite")
-        if D.min() < 0:
-            raise ValueError("distances must be nonnegative")
-        slack = DIST_TOL * D.max()
-        if np.abs(np.diagonal(D)).max(initial=0.0) > slack:
-            raise ValueError("diagonal must be zero")
-        if np.abs(D - D.T).max(initial=0.0) > slack:
-            raise ValueError("distance table must be symmetric")
-        for k in range(n):
-            if (D - (D[:, [k]] + D[[k], :])).max() > slack:
-                raise ValueError("triangle inequality fails through point "
-                                 f"{self.points[k]!r}")
-        if self.base is not None and not 0 <= int(self.base) < n:
-            raise ValueError("base index out of range")
-        object.__setattr__(self, "dist", D)
-        if self.base is not None:
-            object.__setattr__(self, "base", int(self.base))
+        S = _unscanned(self.points, self.dist, self.base)
+        k = _triangle_violation(S.dist, DIST_TOL * S.dist.max())
+        if k is not None:
+            raise ValueError("triangle inequality fails through point "
+                             f"{S.points[k]!r}")
+        vars(self).update(vars(S))
 
     @property
     def n(self) -> int:
         return len(self.points)
+
+
+def _unscanned(points, dist, base) -> MetricSample:
+    """A sample after the O(n^2) checks of its table only: for metrics by
+    construction (|x - y|, p-norms), whose rounding is far inside the slack."""
+    points, D = tuple(points), np.asarray(dist, dtype=float)
+    n = len(points)
+    if n < 1 or D.shape != (n, n):
+        raise ValueError("distance table must be square and match the points")
+    if not np.all(np.isfinite(D)):
+        raise ValueError("distances must be finite")
+    if D.min() < 0:
+        raise ValueError("distances must be nonnegative")
+    slack = DIST_TOL * D.max()
+    if np.abs(np.diagonal(D)).max(initial=0.0) > slack:
+        raise ValueError("diagonal must be zero")
+    if np.abs(D - D.T).max(initial=0.0) > slack:
+        raise ValueError("distance table must be symmetric")
+    if base is not None and not 0 <= int(base) < n:
+        raise ValueError("base index out of range")
+    S = object.__new__(MetricSample)
+    vars(S).update(points=points, dist=D, base=None if base is None else int(base))
+    return S
+
+
+def _triangle_violation(D: np.ndarray, slack: float) -> Optional[int]:
+    """First k with D[i, j] - (D[i, k] + D[k, j]) > slack for some i, j, or
+    None. Blocks of rows take min_k (D[i, k] + D[k, j]) in place; rounding
+    is monotone, so a block fails exactly when the per-k scan does, which
+    then runs to name k. If D == D.T, columns j >= i suffice."""
+    n, half = len(D), np.array_equal(D, D.T)
+    rows = max(1, 4 * CHUNK // n)
+    for r in range(0, n, rows):
+        R, c = D[r:r + rows], r if half else 0
+        low, s = R[:, :1] + D[:1, c:], np.empty((len(R), n - c))
+        for k in range(1, n):
+            np.minimum(low, np.add(R[:, k, None], D[k, c:], out=s), out=low)
+        if (R[:, c:] - low).max() > slack:
+            return next(k for k in range(n)
+                        if (D - (D[:, [k]] + D[[k], :])).max() > slack)
 
 
 @dataclass(frozen=True)
@@ -111,19 +135,16 @@ class LipschitzFamily:
 def sample_from_points(points, base: Optional[int] = None) -> MetricSample:
     """Sample of the real line: numeric labels, d(x, y) = |x - y|."""
     x = np.asarray(points, dtype=float).reshape(-1)
-    return MetricSample(tuple(x.tolist()), np.abs(x[:, None] - x[None, :]), base)
+    return _unscanned(x.tolist(), np.abs(x[:, None] - x[None, :]), base)
 
 
 def sample_from_vectors(X, p, base: Optional[int] = None) -> MetricSample:
     """Sample of K^d with the p-norm metric; labels are the columns of X."""
     X = linops.as_matrix(X)
     n = X.shape[1]
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i):
-            D[i, j] = D[j, i] = vec_pnorm(X[:, i] - X[:, j], p)
-    labels = tuple(tuple(X[:, j].tolist()) for j in range(n))
-    return MetricSample(labels, D, base)
+    D = np.array([[vec_pnorm(X[:, i] - X[:, j], p) for j in range(n)]
+                  for i in range(n)])
+    return _unscanned([tuple(X[:, j].tolist()) for j in range(n)], D, base)
 
 
 def _check_sizes(S: MetricSample, F: LipschitzFamily):

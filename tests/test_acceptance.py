@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from framekit import (
+    cli,
     cuntz,
     hframe,
     linops,
@@ -414,3 +415,23 @@ def test_a18_cuntz_lemma_at_sixty_within_budget():
     assert cuntz.lemma_structure(60).ok
     assert cuntz.lemma_structure(60, Fraction(1, 5)).ok
     assert time.perf_counter() - t0 < 0.8
+
+
+def test_a19_logframe_at_thousand_points_within_budget(capsys):
+    # points on a line are a metric by construction: no triangle scan
+    t0 = time.perf_counter()
+    assert cli.main(["metric", "logframe", "--points", "1000", "--terms",
+                     "40", "--seed", "7", "--json"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert '"status":"pass"' in capsys.readouterr().out
+
+
+def test_a20_thousand_point_table_validated_within_budget():
+    x = np.sort(np.random.default_rng(20).uniform(1.0, 30.0, 1000))
+    D = np.abs(x[:, None] - x[None, :])
+    t0 = time.perf_counter()
+    S = metricframe.MetricSample(tuple(x.tolist()), D, 0)
+    assert time.perf_counter() - t0 < 3.0
+    D[1, 4] = D[4, 1] = 1.5 * D[1, 4]  # one distance raised: refused
+    with pytest.raises(ValueError, match="triangle inequality fails"):
+        metricframe.MetricSample(S.points, D, 0)

@@ -55,11 +55,16 @@ def test_sample_validation():
         MetricSample(("a",), np.zeros((1, 1)), base=3)
 
 
+def full_check(S):
+    """The public constructor runs every check, the triangle scan too."""
+    return MetricSample(S.points, S.dist, S.base)
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
 def test_sample_validation_is_scale_relative(scale):
     # points on a line are a metric by construction at any scale
     pts = np.sort(np.random.default_rng(4).uniform(0.0, 1.0, 12)) * scale
-    S = sample_from_points(pts)
+    S = full_check(sample_from_points(pts))
     assert S.n == 12
     # a 1% triangle violation is refused at every scale
     D = np.array([[0.0, 1.0, 2.02], [1.0, 0.0, 1.0], [2.02, 1.0, 0.0]])
@@ -73,7 +78,46 @@ def test_sample_validation_is_scale_relative(scale):
 
 def test_sample_from_points_near_overflow():
     pts = np.sort(np.random.default_rng(3).uniform(1.0, 1e308, 10))
-    assert sample_from_points(pts, base=0).n == 10
+    assert full_check(sample_from_points(pts, base=0)).n == 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=30),
+       k=st.integers(-500, 500))
+def test_points_are_a_metric_by_construction(pts, k):
+    for x in (np.asarray(pts) * 2.0 ** k,
+              np.asarray(pts) * 8.9e307):  # differences up to 1.78e308
+        S = sample_from_points(x, base=0)
+        with np.errstate(over="ignore"):  # sums near 1e308 reach inf
+            T = full_check(S)
+        assert T.points == S.points and np.array_equal(T.dist, S.dist)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5),
+       n=st.integers(1, 16), k=st.integers(-500, 500),
+       p=st.sampled_from([1, 1.5, 2, 3, math.inf]), cplx=st.booleans())
+def test_vectors_are_a_metric_by_construction(seed, d, n, k, p, cplx):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((d, n)) * 2.0 ** k
+    if cplx:
+        X = X + 1j * rng.standard_normal((d, n)) * 2.0 ** k
+    full_check(sample_from_vectors(X, p))
+
+
+def test_constructed_samples_keep_the_cheap_checks():
+    with pytest.raises(ValueError, match="base index"):
+        sample_from_points([0.0, 1.0], base=2)
+    with np.errstate(all="ignore"):
+        for pts in ([0.0, 1e308, -1e308], [0.0, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                sample_from_points(pts)
+
+
+def test_base_is_checked_before_the_triangle_scan():
+    D = np.array([[0, 1, 5.0], [1, 0, 1], [5.0, 1, 0]])  # 5 > 1 + 1
+    with pytest.raises(ValueError, match="base index out of range"):
+        MetricSample(("a", "b", "c"), D, base=3)
 
 
 def test_bounds_match_pair_scan_oracle():
