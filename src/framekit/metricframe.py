@@ -40,10 +40,9 @@ _TINY, _HUGE = 2.0 ** -500, 2.0 ** 500
 class MetricSample:
     """Finite metric space: point labels, a distance table, optional base.
 
-    The table must be symmetric with zero diagonal and satisfy the triangle
-    inequality within 1e-12 times its largest distance (not scanned for the
-    metrics by construction of sample_from_*); labels are opaque except
-    where an operation states otherwise.
+    The table must be symmetric with zero diagonal and satisfy the
+    triangle inequality, each within 1e-12 times its largest distance;
+    labels are opaque except where an operation states otherwise.
     """
 
     points: tuple

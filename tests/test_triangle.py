@@ -61,7 +61,8 @@ def graph_table(rng, n):
     W[rng.random((n, n)) < 0.5] = np.inf
     W = np.minimum(W, W.T)
     np.fill_diagonal(W, 0.0)
-    W[np.arange(n - 1), np.arange(1, n)] = W[np.arange(1, n), np.arange(n - 1)] = 1.0
+    path = np.arange(n - 1)  # keep the graph connected
+    W[path, path + 1] = W[path + 1, path] = 1.0
     for k in range(n):
         W = np.minimum(W, W[:, [k]] + W[[k], :])
     return W
