@@ -87,19 +87,20 @@ def _unscanned(points, dist, base) -> MetricSample:
 
 def _triangle_violation(D: np.ndarray, slack: float) -> Optional[int]:
     """First k with D[i, j] - (D[i, k] + D[k, j]) > slack for some i, j, or
-    None. Blocks of rows take min_k (D[i, k] + D[k, j]) in place; rounding
-    is monotone, so a block fails exactly when the per-k scan does, which
-    then runs to name k. If D == D.T, columns j >= i suffice."""
+    None. Each block of rows takes min (D[i, k] + D[k, j]) over the k below
+    the least failure so far; rounding is monotone, so it fails exactly when
+    the per-k scan of its rows, which names k, does. If D == D.T, j >= i do."""
     n, half = len(D), np.array_equal(D, D.T)
-    rows = max(1, 4 * CHUNK // n)
+    rows, first = max(1, 4 * CHUNK // n), n
     for r in range(0, n, rows):
         R, c = D[r:r + rows], r if half else 0
-        low, s = R[:, :1] + D[:1, c:], np.empty((len(R), n - c))
-        for k in range(1, n):
+        low, s = np.full((2, len(R), n - c), np.inf)
+        for k in range(first):
             np.minimum(low, np.add(R[:, k, None], D[k, c:], out=s), out=low)
         if (R[:, c:] - low).max() > slack:
-            return next(k for k in range(n)
-                        if (D - (D[:, [k]] + D[[k], :])).max() > slack)
+            first = next(k for k in range(first) if
+                         (R[:, c:] - (R[:, [k]] + D[[k], c:])).max() > slack)
+    return first if first < n else None
 
 
 @dataclass(frozen=True)

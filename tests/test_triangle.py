@@ -178,6 +178,22 @@ def test_kernel_finds_a_violation_in_the_last_row(n, j, mirror):
     assert assert_same(D) is not None
 
 
+@pytest.mark.parametrize("mirror", [False, True])
+def test_kernel_takes_the_least_point_over_all_blocks(mirror):
+    # the first block of rows fails only through points near 150, a later
+    # block through smaller ones: the named point is the least of all
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.uniform(0.0, 1.0, 300))
+    D = np.abs(x[:, None] - x[None, :])
+    pairs = [(150, 160, 1.01), (250, 290, 10.0) if mirror else (250, 2, 1.01)]
+    for i, j, factor in pairs:
+        D[i, j] *= factor
+        if mirror:
+            D[j, i] = D[i, j]
+    k = assert_same(D)
+    assert k is not None and k < 140
+
+
 def test_kernel_names_the_first_point_among_several():
     x = np.arange(40, dtype=float)
     D = np.abs(x[:, None] - x[None, :])
