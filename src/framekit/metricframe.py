@@ -88,8 +88,8 @@ def _unscanned(points, dist, base) -> MetricSample:
 def _triangle_violation(D: np.ndarray, slack: float) -> Optional[int]:
     """First k with D[i, j] - (D[i, k] + D[k, j]) > slack for some i, j, or
     None. Each block of rows takes min (D[i, k] + D[k, j]) over the k below
-    the least failure so far; rounding is monotone, so it fails exactly when
-    the per-k scan of its rows, which names k, does. If D == D.T, j >= i do."""
+    the least failure so far (j >= i only if D == D.T); rounding is monotone,
+    so a block fails exactly when its per-k scan, run to name k, does."""
     n, half = len(D), np.array_equal(D, D.T)
     rows, first = max(1, 4 * CHUNK // n), n
     for r in range(0, n, rows):
