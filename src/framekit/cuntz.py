@@ -100,19 +100,12 @@ class CuntzElement:
         return all(abs(c) <= tol for c in self.table.values())
 
     @property
-    def word_length(self) -> int:
-        return max((max(len(w), len(s)) for w, s in self.table), default=0)
-
-    @property
     def symbols(self) -> frozenset:
         syms = set()
         for w, s in self.table:
             syms.update(w)
             syms.update(s)
         return frozenset(syms)
-
-    def prune(self, tol: float = WORD_PRUNE) -> "CuntzElement":
-        return CuntzElement({k: c for k, c in self.table.items() if abs(c) > tol})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CuntzElement) and self.table == other.table
@@ -161,8 +154,6 @@ def zero() -> CuntzElement:
 
 U = word("u")
 V = word("v")
-U_STAR = word(right="u")
-V_STAR = word(right="v")
 
 
 def commutator(x: CuntzElement, y: CuntzElement) -> CuntzElement:
@@ -209,48 +200,6 @@ def concrete_equal(x: CuntzElement, y: CuntzElement, count: int = 16,
             if abs(a.get(idx, 0j) - b.get(idx, 0j)) > tol:
                 return False
     return True
-
-
-def restriction_matrix(e: CuntzElement, depth: int) -> np.ndarray:
-    """Matrix of e on the span of e_0..e_{2^depth - 1} (full images kept)."""
-    n_cols = 1 << depth
-    cols = [concrete_apply(e, {k: 1.0}) for k in range(n_cols)]
-    n_rows = max((max(col) + 1 for col in cols if col), default=1)
-    M = np.zeros((n_rows, n_cols), dtype=complex)
-    for k, col in enumerate(cols):
-        for idx, val in col.items():
-            M[idx, k] = val
-    return M
-
-
-def norm_bounds(e: CuntzElement, depth: int, symbol_bounds=None) -> NormInterval:
-    """Certified enclosure of the operator norm of e.
-
-    hi is the coefficient sum (normal-form words are partial isometries;
-    opaque atoms contribute their entry in symbol_bounds). lo is the
-    largest singular value of the restriction to basis vectors with
-    index < 2^depth, which is monotone nondecreasing in depth; elements
-    with opaque atoms have no concrete action, so lo = 0 for them.
-    """
-    if depth < e.word_length:
-        raise ValueError(f"depth {depth} < max word length {e.word_length}")
-    opaque = e.symbols - set(_GEN)
-    hi = 0.0
-    for (w, s), c in e.table.items():
-        scale = 1.0
-        for sym in list(w) + list(s):
-            if sym in _GEN:
-                continue
-            if symbol_bounds is None or sym not in symbol_bounds:
-                raise ValueError(f"no bound supplied for symbol {sym!r}")
-            scale *= float(symbol_bounds[sym])
-        hi += abs(c) * scale
-    if opaque:
-        return NormInterval(0.0, hi)
-    if not e.table:
-        return NormInterval(0.0, 0.0)
-    lo = float(np.linalg.norm(restriction_matrix(e, depth), 2))
-    return NormInterval(min(lo, hi), hi)
 
 
 class CuntzMatrix:
@@ -301,25 +250,6 @@ class CuntzMatrix:
 
     def entry(self, i: int, j: int) -> CuntzElement:
         return self.grid[i][j]
-
-
-def matrix_iso(x: CuntzElement) -> CuntzMatrix:
-    """Corner decomposition [[u*xu, u*xv], [v*xu, v*xv]]."""
-    return CuntzMatrix(
-        [
-            [U_STAR * x * U, U_STAR * x * V],
-            [V_STAR * x * U, V_STAR * x * V],
-        ]
-    )
-
-
-def matrix_iso_inverse(M: CuntzMatrix) -> CuntzElement:
-    """u a u* + u b v* + v c u* + v d v* for M = [[a, b], [c, d]]."""
-    if M.n != 2:
-        raise ValueError("inverse map expects a 2x2 matrix")
-    a, b = M.grid[0]
-    c, d = M.grid[1]
-    return U * a * U_STAR + U * b * V_STAR + V * c * U_STAR + V * d * V_STAR
 
 
 # --- dyadic entries of the first corrector iterate ------------------------
@@ -387,12 +317,6 @@ class SolveResult:
     residual: float
     residual_rows: tuple
     b_exact: Optional[tuple]
-
-    def kernel_entry(self, i: int, p: int, q: int) -> Fraction:
-        return kernel_entry(self.n, i, p, q)
-
-    def first_iterate_entry(self, i: int, p: int, q: int) -> Fraction:
-        return first_iterate_entry(self.n, i, p, q)
 
 
 def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:

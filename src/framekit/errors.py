@@ -15,10 +15,6 @@ class NotAFrame(CertifiedFailure, ValueError):
     """Vector family does not span, so the lower frame bound is zero."""
 
 
-class DependentInput(CertifiedFailure, ValueError):
-    """Gram-Schmidt hit a (numerically) dependent vector."""
-
-
 class HypothesisViolated(CertifiedFailure, ValueError):
     """A theorem's hypothesis fails, so no certificate can be issued."""
 

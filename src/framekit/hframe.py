@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops
-from .errors import DependentInput, HypothesisViolated, NotAFrame
+from .errors import HypothesisViolated, NotAFrame
 from .linops import Perturbation, _falsify, herm, inverse
 
 RANK_RTOL = 1e-10
@@ -180,11 +180,6 @@ def frame_identity_residuals(F: HilbertFrame, M, h, mode: str = "auto") -> Ident
     return IdentityReport(general_residual, parseval_residual, lower_bound_value)
 
 
-def riesz_basis_check(F: HilbertFrame) -> bool:
-    """Riesz basis iff the family is exact: m = d and the Gram is invertible."""
-    return F.m == F.d and linops.is_invertible(F.gram)
-
-
 @dataclass(frozen=True)
 class NaimarkDilation:
     space_dim: int
@@ -260,28 +255,6 @@ def perturb_certificate(F: HilbertFrame, G: HilbertFrame, mode: str,
     nu = (alpha + beta + gamma / math.sqrt(b)) / (1 - beta)
     bounds = (a * (1 - mu) ** 2, b * (1 + nu) ** 2)
     return Perturbation("general", valid, bounds, detail)
-
-
-def gram_schmidt(vectors) -> np.ndarray:
-    """Orthonormal columns spanning the input, in order; raises on dependence."""
-    cols = [linops.as_vector(v) for v in vectors]
-    if len({c.size for c in cols}) != 1:
-        raise ValueError("vectors must share a dimension")
-    scale = max(np.linalg.norm(c) for c in cols)
-    if scale == 0:
-        raise DependentInput("all vectors vanish")
-    out: list[np.ndarray] = []
-    for c in cols:
-        w = c.astype(complex)
-        for q in out:  # modified Gram-Schmidt, two passes
-            w = w - np.vdot(q, w) * q
-        for q in out:
-            w = w - np.vdot(q, w) * q
-        n = np.linalg.norm(w)
-        if n <= 1e-12 * scale:
-            raise DependentInput("dependent vector encountered")
-        out.append(w / n)
-    return np.column_stack(out)
 
 
 def mercedes_frame() -> HilbertFrame:

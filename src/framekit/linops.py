@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import NotInvertible
 
-EQ_TOL = 1e-9
 SINGULAR_RTOL = 1e-10
 
 

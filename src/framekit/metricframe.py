@@ -5,7 +5,8 @@ A family of Lipschitz functions f_n is a metric p-frame when
     a d(x,y) <= (sum_n |f_n(x) - f_n(y)|^p)^(1/p) <= b d(x,y)
 
 for all points x, y. On a finite sample everything is decidable by an
-exhaustive pair scan: bounds, Bessel constants, perturbation hypotheses.
+exhaustive pair scan: frame bounds and the Lipschitz number of a
+reconstruction map.
 Families cut from infinite series carry a certified truncation remainder
 that widens the reported upper bound.
 
@@ -27,7 +28,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linops
-from .errors import HypothesisViolated
 from .linops import vec_pnorm
 
 DIST_TOL = 1e-12
@@ -62,7 +62,9 @@ class MetricSample:
 
 
 def _unscanned(points, dist, base) -> MetricSample:
-    """A sample after the O(n^2) checks only: for metrics by construction."""
+    """A sample after the O(n^2) checks only: for the line metric of
+    sample_from_points, a metric by construction. MetricSample adds the
+    O(n^3) triangle scan."""
     points, D = tuple(points), np.asarray(dist, dtype=float)
     n = len(points)
     if n < 1 or D.shape != (n, n):
@@ -89,14 +91,15 @@ def _triangle_violation(D: np.ndarray, slack: float) -> Optional[int]:
     so far and, rounding being monotone, fails exactly when its per-k scan does."""
     n = len(D)
     rows, first = max(1, 4 * CHUNK // n), n
-    for r in range(0, n, rows):
-        R = D[r:r + rows]
-        low, s = np.full((2, len(R), n), np.inf)
-        for k in range(first):
-            np.minimum(low, np.add(R[:, k, None], D[k], out=s), out=low)
-        if (R - low).max() > slack:
-            first = next(k for k in range(first) if
-                         (R - (R[:, [k]] + D[[k], :])).max() > slack)
+    with np.errstate(over="ignore"):  # a sum that overflows to inf never fails
+        for r in range(0, n, rows):
+            R = D[r:r + rows]
+            low, s = np.full((2, len(R), n), np.inf)
+            for k in range(first):
+                np.minimum(low, np.add(R[:, k, None], D[k], out=s), out=low)
+            if (R - low).max() > slack:
+                first = next(k for k in range(first) if
+                             (R - (R[:, [k]] + D[[k], :])).max() > slack)
     return first if first < n else None
 
 
@@ -133,18 +136,6 @@ def sample_from_points(points, base: Optional[int] = None) -> MetricSample:
     """Sample of the real line: numeric labels, d(x, y) = |x - y|."""
     x = np.asarray(points, dtype=float).reshape(-1)
     return _unscanned(x.tolist(), np.abs(x[:, None] - x[None, :]), base)
-
-
-def sample_from_vectors(X, p, base: Optional[int] = None) -> MetricSample:
-    """Sample of K^d with the p-norm metric; labels are the columns of X."""
-    X = linops.as_matrix(X)
-    n = X.shape[1]
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i):
-            D[i, j] = D[j, i] = vec_pnorm(X[:, i] - X[:, j], p)
-    labels = tuple(tuple(X[:, j].tolist()) for j in range(n))
-    return _unscanned(labels, D, base)
 
 
 def _check_sizes(S: MetricSample, F: LipschitzFamily):
@@ -263,44 +254,21 @@ def _over_dist(S: MetricSample, num: _PairNorms) -> tuple[float, float]:
     return _extremes(S.n, num.width, block, exact)
 
 
-def _pair_ratios(S: MetricSample, values: np.ndarray, p) -> tuple[float, float]:
-    """Least and greatest ||f(x_i) - f(x_j)||_p / d(x_i, x_j) over i < j."""
-    if not 1 <= float(p) < math.inf:
-        raise ValueError("metric p-frames need 1 <= p < inf")
-    lo, hi = _over_dist(S, _PairNorms(values, float(p)))
-    if lo > hi:
-        raise ValueError("degenerate sample: all pairwise distances are 0")
-    return lo, hi
-
-
 def metric_frame_bounds(S: MetricSample, F: LipschitzFamily, p) -> tuple[float, float]:
-    """Sampled frame bounds (a, b) = extreme pairwise ratios.
+    """Sampled frame bounds (a, b): the least and greatest ratio
+    ||f(x_i) - f(x_j)||_p / d(x_i, x_j) over the pairs i < j.
 
     A dropped tail can only increase each pairwise sum, so the measured
     minimum stays a valid lower bound while the upper bound widens by the
     remainder (the l^1 tail dominates the l^p tail for every p >= 1).
     """
     _check_sizes(S, F)
-    a, b = _pair_ratios(S, F.values, p)
+    if not 1 <= float(p) < math.inf:
+        raise ValueError("metric p-frames need 1 <= p < inf")
+    a, b = _over_dist(S, _PairNorms(F.values, float(p)))
+    if a > b:
+        raise ValueError("degenerate sample: all pairwise distances are 0")
     return a, b + F.remainder
-
-
-def lipschitz_number(S: MetricSample, values) -> float:
-    """max |f(x) - f(y)| / d(x, y) over sampled pairs; inf if a zero-distance
-    pair separates values."""
-    v = np.asarray(values).reshape(-1)
-    if v.size != S.n:
-        raise ValueError("value row does not match the sample size")
-
-    def block(i, j):
-        diff, d = v[i] - v[j], S.dist[i, j]
-        num = np.hypot(diff.real, diff.imag)  # the scalar abs() of each pair
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.where(d > 0, num / d,
-                           np.where(num > DIST_TOL, math.inf, math.nan))
-        return val, np.zeros_like(val)
-
-    return max(0.0, _extremes(S.n, 1, block, None)[1])
 
 
 _NAME = re.compile(r"^\s*(log|rational)\s*\(\s*([^,()]+?)\s*(?:,\s*([^,()]+?)\s*)?\)\s*$")
@@ -366,115 +334,6 @@ def make_named_family(name: str, S: MetricSample, m: int) -> LipschitzFamily:
 
 
 @dataclass(frozen=True)
-class CombineReport:
-    mode: str
-    lam: complex
-    predicted: tuple[float, float]
-    measured: tuple[float, float]
-    family: LipschitzFamily
-
-
-def combine(S: MetricSample, F: LipschitzFamily, G: Optional[LipschitzFamily],
-            lam, mode: str, p=1) -> CombineReport:
-    """Scale a frame family or add a Bessel family to it.
-
-    scale: lam*F has bounds (|lam| a, |lam| b). add: F + lam*G has bounds
-    (a - |lam| d, b + |lam| d) where d is the measured Bessel bound of G,
-    provided |lam| < a/d. Measured bounds of the combined family are
-    reported next to the predictions.
-    """
-    _check_sizes(S, F)
-    lam = complex(lam)
-    al = abs(lam)
-    a, b = metric_frame_bounds(S, F, p)
-    if mode == "scale":
-        fam = LipschitzFamily(lam * F.values, al * F.remainder)
-        predicted = (al * a, al * b)
-    elif mode == "add":
-        if G is None:
-            raise ValueError("add mode needs a second family")
-        _check_sizes(S, G)
-        if G.values.shape[0] != F.m:
-            raise ValueError("families must have the same number of terms")
-        d = _pair_ratios(S, G.values, p)[1] + G.remainder
-        if not al * d < a:
-            raise HypothesisViolated(
-                f"|lam| d = {al * d:.6g} must stay below the lower bound {a:.6g}")
-        fam = LipschitzFamily(F.values + lam * G.values,
-                              F.remainder + al * G.remainder)
-        predicted = (a - al * d, b + al * d)
-    else:
-        raise ValueError("mode must be 'scale' or 'add'")
-    return CombineReport(mode, lam, predicted, metric_frame_bounds(S, fam, p), fam)
-
-
-@dataclass(frozen=True)
-class MetricPerturbation:
-    hypothesis_holds: bool
-    predicted: tuple[float, float]
-    measured: tuple[float, float]
-
-
-def perturb_certificate(S: MetricSample, F: LipschitzFamily, G: LipschitzFamily,
-                        alpha: float, beta: float, gamma: float, p) -> MetricPerturbation:
-    """Pairwise perturbation certificate for a candidate family G.
-
-    Checks exhaustively (the sample is finite, so this is the whole
-    hypothesis, not a sampling) that for all pairs
-
-    ||(f-g)(x)-(f-g)(y)||_p <= alpha ||f(x)-f(y)||_p + beta ||g(x)-g(y)||_p
-                               + gamma d(x,y),
-
-    and reports the implied bounds ((1-alpha)a - gamma)/(1+beta) and
-    ((1+alpha)b + gamma)/(1-beta). Certificates apply to the recorded
-    tables; truncation remainders are not part of the hypothesis.
-    """
-    _check_sizes(S, F)
-    _check_sizes(S, G)
-    if G.values.shape != F.values.shape:
-        raise ValueError("families must share the table shape")
-    alpha, beta, gamma = float(alpha), float(beta), float(gamma)
-    if min(alpha, beta, gamma) < 0:
-        raise HypothesisViolated("alpha, beta, gamma must be nonnegative")
-    if alpha >= 1 or beta >= 1:
-        raise HypothesisViolated("need alpha < 1 and beta < 1")
-    a, b = _pair_ratios(S, F.values, p)
-    if not gamma < (1 - alpha) * a:
-        raise HypothesisViolated("need gamma < (1 - alpha) a")
-
-    norms = [_PairNorms(V, p) for V in (F.values - G.values, F.values, G.values)]
-
-    def block(i, j):
-        (lhs, el), (f, ef), (g, eg) = (nm.chunk(i, j) for nm in norms)
-        rhs = alpha * f + beta * g + gamma * S.dist[i, j]
-        err = el + alpha * ef + beta * eg
-        return (lhs - (rhs + 1e-12),
-                np.where(err == 0, 0.0, err + 16 * _U * (lhs + rhs + 1e-12)))
-
-    def exact(i, j):
-        lhs, f, g = (nm.at(i, j) for nm in norms)
-        return lhs - (alpha * f + beta * g + gamma * S.dist[i, j] + 1e-12)
-
-    # lhs > rhs + 1e-12 exactly when their rounded difference is positive
-    holds = not _extremes(S.n, F.m, block, exact)[1] > 0
-    predicted = (((1 - alpha) * a - gamma) / (1 + beta),
-                 ((1 + alpha) * b + gamma) / (1 - beta))
-    measured = _pair_ratios(S, G.values, p)
-    return MetricPerturbation(holds, predicted, measured)
-
-
-def diff_lip_radius(S: MetricSample, F: LipschitzFamily, G: LipschitzFamily, p) -> float:
-    """r = (sum_n Lip(f_n - g_n)^p)^(1/p) over the sample; when r < a the
-    perturbed family is a frame with bounds (a - r, b + r)."""
-    _check_sizes(S, F)
-    _check_sizes(S, G)
-    if G.values.shape != F.values.shape:
-        raise ValueError("families must share the table shape")
-    lips = [lipschitz_number(S, F.values[n] - G.values[n]) for n in range(F.m)]
-    return float(vec_pnorm(np.asarray(lips), p))
-
-
-@dataclass(frozen=True)
 class ReconstructionReport:
     max_deviation: float
     reconstructor_lipschitz: float
@@ -517,18 +376,3 @@ def log_family_reconstructor(coeffs) -> float:
     c = np.asarray(coeffs).reshape(-1)
     return float(1.0 + abs(c[1:].sum()))
 
-
-def stability_bounds(theta_lip: float, S_lip: float,
-                     alpha: float, gamma: float) -> tuple[float, float]:
-    """Frame bounds surviving a perturbation of the analysis map when a
-    Lipschitz reconstruction with number S_lip exists: requires
-    alpha*theta_lip + gamma <= 1/S_lip and returns
-    (1/S_lip - (alpha*theta_lip + gamma), theta_lip + (alpha*theta_lip + gamma))."""
-    theta_lip, S_lip = float(theta_lip), float(S_lip)
-    alpha, gamma = float(alpha), float(gamma)
-    if min(theta_lip, S_lip) <= 0 or min(alpha, gamma) < 0:
-        raise ValueError("Lipschitz numbers must be positive, alpha and gamma nonnegative")
-    drift = alpha * theta_lip + gamma
-    if drift > 1.0 / S_lip:
-        raise HypothesisViolated("alpha*theta_lip + gamma exceeds 1/S_lip")
-    return 1.0 / S_lip - drift, theta_lip + drift

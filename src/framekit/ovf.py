@@ -18,9 +18,8 @@ import numpy as np
 
 from . import linops
 from .errors import HypothesisViolated
-from .linops import NotInvertible, _falsify, herm, inverse, singular_extremes
+from .linops import _falsify, herm, inverse, singular_extremes
 
-DUAL_TOL = 1e-9
 SIMILAR_TOL = 1e-8
 RIESZ_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-8
@@ -86,15 +85,6 @@ class OvfPair:
         return _norm2(self.frame_operator() - np.eye(self.d)) <= tol
 
 
-def block_embedding(m: int, r: int, n: int) -> np.ndarray:
-    """L_n: K^r -> K^(m*r), the n-th block column of the identity."""
-    if not 0 <= n < m:
-        raise ValueError("block index out of range")
-    L = np.zeros((m * r, r))
-    L[n * r:(n + 1) * r] = np.eye(r)
-    return L
-
-
 @dataclass(frozen=True)
 class OvfCheck:
     is_ovf: bool
@@ -107,19 +97,6 @@ def check(P: OvfPair) -> OvfCheck:
     S = P.frame_operator()
     lo, hi = singular_extremes(S)
     return OvfCheck(linops.is_invertible(S), lo, hi)
-
-
-def from_factors(U, V, r: int = 1) -> OvfPair:
-    """Pair with A_n = L_n* U, Psi_n = L_n* V for (m*r) x d factors with
-    V*U invertible; the frame operator is V*U by construction."""
-    U = linops.as_matrix(U)
-    V = linops.as_matrix(V)
-    r = int(r)
-    if U.shape != V.shape or r < 1 or U.shape[0] % r:
-        raise ValueError("U, V must be equal-shape stacks of r-row blocks")
-    inverse(herm(V) @ U)  # NotInvertible on a singular V*U
-    m = U.shape[0] // r
-    return OvfPair(U.reshape(m, r, U.shape[1]), V.reshape(m, r, V.shape[1]))
 
 
 def canonical_dual(P: OvfPair) -> OvfPair:
@@ -142,14 +119,6 @@ def block_gap(P: OvfPair, Q: OvfPair) -> float:
     """Largest entry of |A_n - B_n| and |Psi_n - Phi_n|."""
     return max(float(np.abs(P.A - Q.A).max()),
                float(np.abs(P.Psi - Q.Psi).max()))
-
-
-def orthogonality_check(P: OvfPair, Q: OvfPair, tol: float = DUAL_TOL) -> bool:
-    """sum Psi_n* B_n = sum Phi_n* A_n = 0 within tol."""
-    if P.A.shape != Q.A.shape:
-        raise ValueError("shape mismatch")
-    return (_norm2(herm(P.theta_Psi) @ Q.theta_A) <= tol
-            and _norm2(herm(Q.theta_Psi) @ P.theta_A) <= tol)
 
 
 def similarity(P: OvfPair, Q: OvfPair,
@@ -243,40 +212,6 @@ def dilate(P: OvfPair) -> OvfDilation:
     pair = OvfPair(theta_B.reshape(P.m, P.r, mr),
                    theta_Phi.reshape(P.m, P.r, mr))
     return OvfDilation(pair, P.d, C)
-
-
-def _as_op(X, d: int) -> np.ndarray:
-    X = np.asarray(X, dtype=complex)
-    if X.ndim == 0:
-        return complex(X) * np.eye(d)
-    return linops.as_matrix(X)
-
-
-def interpolate(P: OvfPair, Q: OvfPair, C, D, E, F) -> OvfPair:
-    """(A_n C + B_n D, Psi_n E + Phi_n F) for Parseval orthogonal P, Q and
-    weights with C*E + D*F = I; scalars c, d, e, f stand for c I etc."""
-    if P.A.shape != Q.A.shape:
-        raise ValueError("shape mismatch")
-    C, D, E, F = (_as_op(X, P.d) for X in (C, D, E, F))
-    if not (P.is_parseval() and Q.is_parseval()):
-        raise HypothesisViolated("both pairs must be Parseval")
-    if not orthogonality_check(P, Q):
-        raise HypothesisViolated("pairs must be orthogonal")
-    if _norm2(herm(C) @ E + herm(D) @ F - np.eye(P.d)) > DUAL_TOL:
-        raise HypothesisViolated("weights must satisfy C*E + D*F = I")
-    return OvfPair(P.A @ C + Q.A @ D, P.Psi @ E + Q.Psi @ F)
-
-
-def direct_sum(P: OvfPair, Q: OvfPair) -> OvfPair:
-    """(A_n (+) B_n, Psi_n (+) Phi_n) on K^d (+) K^d for orthogonal pairs;
-    the frame operator is the block diagonal of the two frame operators."""
-    if P.A.shape != Q.A.shape:
-        raise ValueError("shape mismatch")
-    if not orthogonality_check(P, Q):
-        raise HypothesisViolated("pairs must be orthogonal")
-    A = np.concatenate([P.A, Q.A], axis=2)
-    Psi = np.concatenate([P.Psi, Q.Psi], axis=2)
-    return OvfPair(A, Psi)
 
 
 def _match(table: dict, M: np.ndarray, tol: float):
@@ -427,20 +362,3 @@ def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
     hi = _norm2(P.theta_Psi) * ((1 + alpha) * _norm2(P.theta_A) + gamma) / (1 - beta)
     return OvfPerturbation("triple", holds, (lo, hi), measured)
 
-
-def best_approximation_residual(P: OvfPair, y, z) -> float:
-    """For h = sum A_n* y_n = sum Psi_n* z_n, the defect in
-    sum <y_n, z_n> = sum <Psi~_n h, A~_n h> + sum <y_n - Psi~_n h, z_n - A~_n h>
-    with A~, Psi~ the canonical dual blocks."""
-    y = np.asarray(y, dtype=complex).reshape(P.m * P.r)
-    z = np.asarray(z, dtype=complex).reshape(P.m * P.r)
-    h1 = herm(P.theta_A) @ y
-    h2 = herm(P.theta_Psi) @ z
-    if np.linalg.norm(h1 - h2) > DUAL_TOL * max(1.0, np.linalg.norm(h1)):
-        raise ValueError("y and z must synthesize the same vector")
-    dual = canonical_dual(P)
-    ah = dual.theta_A @ h1
-    ph = dual.theta_Psi @ h1
-    left = np.vdot(z, y)
-    right = np.vdot(ah, ph) + np.vdot(ah - z, ph - y)
-    return abs(left - right)

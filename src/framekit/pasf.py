@@ -21,7 +21,6 @@ from .linops import (NormInterval, Perturbation, _falsify, inverse,
 
 DUAL_TOL = 1e-9
 SIMILAR_TOL = 1e-8
-PARSEVAL_TOL = 1e-8
 RIESZ_TOL = 1e-9
 
 
@@ -60,21 +59,12 @@ class PAsf:
     def frame_operator(self) -> np.ndarray:
         return self.T @ self.F
 
-    def functional(self, n: int) -> np.ndarray:
-        return self.F[n, :]
-
-    def vector(self, n: int) -> np.ndarray:
-        return self.T[:, n]
-
     def projection(self) -> np.ndarray:
         """The idempotent P_{f,tau} = F S^(-1) T on coefficient space."""
         return self.F @ inverse(self.frame_operator) @ self.T
 
     def is_pasf(self) -> bool:
         return linops.is_invertible(self.frame_operator)
-
-    def is_parseval(self, tol: float = PARSEVAL_TOL) -> bool:
-        return float(np.abs(self.frame_operator - np.eye(self.d)).max()) <= tol
 
 
 @dataclass(frozen=True)
@@ -94,15 +84,6 @@ def check(P: PAsf, seed: int = 0) -> PasfCheck:
     inv_iv = opnorm_interval(inverse(P.frame_operator), P.p, seed=seed)
     lower = NormInterval(1.0 / inv_iv.hi, 1.0 / inv_iv.lo)
     return PasfCheck(True, lower, upper)
-
-
-def from_shift_operators(U, V, p: float) -> PAsf:
-    """Pair built from an analysis operator U (m x d) and synthesis V (d x m):
-    f_n = row n of U, tau_n = column n of V."""
-    P = PAsf(p, U, V)
-    if not P.is_pasf():
-        raise NotInvertible("V U is singular; the operators do not form a pair")
-    return P
 
 
 def shift_pair(m: int, p: float) -> PAsf:
@@ -173,27 +154,6 @@ def similarity(P: PAsf, Q: PAsf, tol: float = SIMILAR_TOL):
     T_fg = Sinv @ P.T @ Q.F
     T_tw = Q.T @ P.F @ Sinv
     return T_fg, T_tw
-
-
-def orthogonality_check(P: PAsf, Q: PAsf, tol: float = DUAL_TOL) -> bool:
-    """Orthogonality: T_P F_Q = 0 and T_Q F_P = 0."""
-    if (P.d, P.m, P.p) != (Q.d, Q.m, Q.p):
-        raise ValueError("pairs must share shape and exponent")
-    return (float(np.abs(P.T @ Q.F).max()) <= tol
-            and float(np.abs(Q.T @ P.F).max()) <= tol)
-
-
-def interpolate(P: PAsf, Q: PAsf, A, B, C, D) -> PAsf:
-    """Mix two Parseval orthogonal pairs through operators with CA + DB = I:
-    the pair (f_n A + g_n B, C tau_n + D omega_n) is again Parseval."""
-    A, B, C, D = (linops.as_matrix(M) for M in (A, B, C, D))
-    if not (P.is_parseval() and Q.is_parseval()):
-        raise ValueError("both pairs must be Parseval within 1e-8")
-    if not orthogonality_check(P, Q):
-        raise ValueError("pairs must be orthogonal")
-    if float(np.abs(C @ A + D @ B - np.eye(P.d)).max()) > DUAL_TOL:
-        raise ValueError("need C A + D B = I")
-    return PAsf(P.p, P.F @ A + Q.F @ B, C @ P.T + D @ Q.T)
 
 
 @dataclass(frozen=True)

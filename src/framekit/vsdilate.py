@@ -1,7 +1,7 @@
 """Dilations of linear maps on finite-dimensional vector spaces.
 
-Every construction here is a block-matrix model: Halmos and Schur-variant
-two-block dilations, the N-step companion dilation, a finite window of the
+Every construction here is a block-matrix model: the Halmos two-block
+dilation, the N-step companion dilation, a finite window of the
 doubly-infinite banded dilation, the standard minimal dilation on finitely
 supported sequences, an Ando-like pair of commuting shifts on a grid, the
 intertwining lift between standard dilations, and a trace witness for
@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from .errors import NotInvertible
 from .linops import _matmul
 
 FLOAT_TOL = 1e-12
@@ -71,30 +69,6 @@ def _tol(M: np.ndarray) -> float:
 
 def max_abs(M) -> float:
     return float(max((abs(x) for x in np.asarray(M).flat), default=0))
-
-
-def exact_inverse(M: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan inverse with partial pivoting; exact on Fractions."""
-    n, m = M.shape
-    if n != m:
-        raise NotInvertible("matrix is not square")
-    A = np.concatenate([M.copy(), _eye(n, M)], axis=1)
-    scale = max_abs(M)
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(A[r, col]))
-        if abs(A[pivot, col]) <= _tol(M) * scale:
-            raise NotInvertible("singular matrix")
-        if pivot != col:
-            A[[col, pivot]] = A[[pivot, col]]
-        A[col] = A[col] / A[col, col]
-        for r in range(n):
-            if r != col and A[r, col] != 0:
-                A[r] = A[r] - A[r, col] * A[col]
-    return A[:, n:]
-
-
-def _chain(*Ms: np.ndarray) -> np.ndarray:
-    return reduce(_matmul, Ms)
 
 
 def mat_power(M: np.ndarray, k: int) -> np.ndarray:
@@ -169,46 +143,6 @@ def halmos(T, rational: bool = True) -> DilationQuadruple:
     V = np.block([[Z, I], [I, -T]])
     return DilationQuadruple("V (+) V", _first_block_embed(T, 2),
                              U, _first_block_projection(T, 2), V)
-
-
-def schur_halmos(T, B, C, D, case: int, rational: bool = True) -> DilationQuadruple:
-    """Two-block dilation U = [[T, B], [C, D]] inverted through the Schur
-    complement of the invertible corner named by the case:
-
-    1: T and D - C T^{-1} B invertible
-    2: D and T - B D^{-1} C invertible
-    3: B and C - D B^{-1} T invertible
-    4: C and B - T C^{-1} D invertible
-    """
-    T, B, C, D = (as_exact(X, rational) for X in (T, B, C, D))
-    d = T.shape[0]
-    if any(X.shape != (d, d) for X in (T, B, C, D)):
-        raise ValueError("T, B, C, D must be square of equal size")
-    if case == 1:
-        Ti = exact_inverse(T)
-        Si = exact_inverse(D - _chain(C, Ti, B))
-        inv = np.block([[Ti + _chain(Ti, B, Si, C, Ti), -_chain(Ti, B, Si)],
-                        [-_chain(Si, C, Ti), Si]])
-    elif case == 2:
-        Di = exact_inverse(D)
-        Si = exact_inverse(T - _chain(B, Di, C))
-        inv = np.block([[Si, -_chain(Si, B, Di)],
-                        [-_chain(Di, C, Si), Di + _chain(Di, C, Si, B, Di)]])
-    elif case == 3:
-        Bi = exact_inverse(B)
-        Si = exact_inverse(C - _chain(D, Bi, T))
-        inv = np.block([[-_chain(Si, D, Bi), Si],
-                        [Bi + _chain(Bi, T, Si, D, Bi), -_chain(Bi, T, Si)]])
-    elif case == 4:
-        Ci = exact_inverse(C)
-        Si = exact_inverse(B - _chain(T, Ci, D))
-        inv = np.block([[-_chain(Ci, D, Si), Ci + _chain(Ci, D, Si, T, Ci)],
-                        [Si, -_chain(Si, T, Ci)]])
-    else:
-        raise ValueError("case must be 1, 2, 3 or 4")
-    U = np.block([[T, B], [C, D]])
-    return DilationQuadruple("V (+) V", _first_block_embed(T, 2),
-                             U, _first_block_projection(T, 2), inv)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from framekit import cli, cuntz, hframe, linops, metricframe, ovf, pasf, sip
+from framekit import cli, cuntz, hframe, linops, ovf, pasf, sip
 from framekit.cli import dump_frame, dump_matrix, dump_ovf, dump_pasf, main
 from framekit.errors import CertifiedFailure
 
@@ -258,14 +258,13 @@ def test_internal_error_exits_three(capsys, mercedes, monkeypatch):
 
 def test_certified_failures_keep_name_and_base():
     for cls, base in ((hframe.NotAFrame, ValueError),
-                      (hframe.DependentInput, ValueError),
                       (hframe.HypothesisViolated, ValueError),
                       (pasf.NotADual, ValueError),
                       (linops.NotInvertible, ValueError),
                       (cuntz.ConvergenceError, RuntimeError)):
         assert issubclass(cls, CertifiedFailure) and issubclass(cls, base)
-    assert (pasf.HypothesisViolated is metricframe.HypothesisViolated
-            is ovf.HypothesisViolated is hframe.HypothesisViolated)
+    assert (pasf.HypothesisViolated is ovf.HypothesisViolated
+            is hframe.HypothesisViolated)
 
 
 # ---------------------------------------------------------- per group

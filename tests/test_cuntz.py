@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from framekit import cuntz
 from framekit.cuntz import (
     U,
-    U_STAR,
     V,
-    V_STAR,
     ConvergenceError,
     CuntzMatrix,
     build_DX,
@@ -23,10 +21,6 @@ from framekit.cuntz import (
     first_iterate_entry,
     kernel_entry,
     lemma_structure,
-    matrix_iso,
-    matrix_iso_inverse,
-    norm_bounds,
-    restriction_matrix,
     solve_b,
     unit,
     verify_bounds,
@@ -34,6 +28,8 @@ from framekit.cuntz import (
     zero,
 )
 from framekit.linops import _matmul
+
+U_STAR, V_STAR = word(right="u"), word(right="v")
 
 
 def tables_close(x, y, tol=1e-12):
@@ -149,88 +145,7 @@ def test_products_agree_with_composed_action(x, y, k):
         assert abs(via_product.get(idx, 0j) - composed.get(idx, 0j)) <= 1e-9
 
 
-# --- norm bounds -----------------------------------------------------------
-
-
-def test_norm_bounds_isometry():
-    nb = norm_bounds(U, 1)
-    assert nb.hi == 1.0
-    assert nb.lo == pytest.approx(1.0, abs=1e-12)
-
-
-def test_norm_bounds_projection_lo_one_any_depth():
-    p = U * U_STAR
-    for depth in (1, 2, 3, 4):
-        nb = norm_bounds(p, depth)
-        assert nb.hi == 1.0
-        assert nb.lo == pytest.approx(1.0, abs=1e-12)
-
-
-def test_norm_bounds_sum_and_monotone():
-    e = U + V
-    los = [norm_bounds(e, depth).lo for depth in (1, 2, 3, 4)]
-    assert norm_bounds(e, 1).hi == 2.0
-    assert los[0] == pytest.approx(math.sqrt(2), abs=1e-12)
-    for a, b in zip(los, los[1:]):
-        assert b >= a - 1e-12
-    assert all(lo <= 2.0 for lo in los)
-
-
-def test_norm_bounds_depth_precondition():
-    with pytest.raises(ValueError):
-        norm_bounds(word("uv"), 1)
-
-
-def test_norm_bounds_opaque_symbols():
-    e = word(("b1",), coeff=3.0)
-    nb = norm_bounds(e, 1, symbol_bounds={"b1": 2.0})
-    assert nb.hi == 6.0 and nb.lo == 0.0
-    with pytest.raises(ValueError):
-        norm_bounds(e, 1)
-
-
-def test_restriction_matrix_shape():
-    M = restriction_matrix(U, 2)
-    assert M.shape == (7, 4)
-    assert M[6, 3] == 1.0 + 0j
-
-
-# --- corner decomposition --------------------------------------------------
-
-
-def test_matrix_iso_example():
-    M = matrix_iso(word("u", "v"))
-    assert M.entry(0, 1) == unit()
-    for i, j in ((0, 0), (1, 0), (1, 1)):
-        assert M.entry(i, j) == zero()
-
-
-def test_matrix_iso_roundtrip_is_concrete_identity():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        x = zero()
-        for w, s in ((("u",), ()), (("v",), ("u",)), ((), ("v",)), ((), ())):
-            c = complex(*rng.normal(size=2))
-            x = x + word(w, s, c)
-        back = matrix_iso_inverse(matrix_iso(x))
-        assert concrete_equal(back, x, count=16)
-    # word tables themselves differ: the roundtrip of 1 is uu* + vv*
-    back = matrix_iso_inverse(matrix_iso(unit()))
-    assert back != unit()
-    assert concrete_equal(back, unit(), count=16)
-
-
-def test_matrix_iso_forward_after_inverse_is_exact():
-    rng = np.random.default_rng(3)
-    entries = [
-        [word("u", coeff=complex(*rng.normal(size=2))), word("", "v", 1.5)],
-        [word("v", "u", 2j), unit()],
-    ]
-    M = CuntzMatrix(entries)
-    N = matrix_iso(matrix_iso_inverse(M))
-    for i in range(2):
-        for j in range(2):
-            assert tables_close(N.entry(i, j), M.entry(i, j))
+# --- matrices of elements --------------------------------------------------
 
 
 def test_cuntz_matrix_validation():
@@ -603,8 +518,7 @@ def test_build_symbolic_entries_and_intervals():
     built = build_DX(n)
     entry = built.D.entry(0, n - 1)
     assert "b1" in entry.symbols
-    nb = norm_bounds(entry, 2, symbol_bounds=built.b_bounds)
-    assert nb.hi == pytest.approx(0.5 ** (n - 2) * built.b_bounds["b1"])
+    assert entry.coeff(("b1", "u")) == pytest.approx(0.5 ** (n - 2))
     assert built.X_interval.hi <= 2.0
     assert built.X_interval.lo == 1.0
     assert built.D_interval.lo <= built.D_interval.hi

@@ -79,9 +79,9 @@ def _functional_norm(row, q):
 def two_sided_sum(P, Omega, G, case):
     p, q = P.p, P.q
     Sinv = inverse(P.frame_operator)
-    fn = [P.functional(n) for n in range(P.m)]
+    fn = [P.F[n, :] for n in range(P.m)]
     gn = [G[n, :] for n in range(P.m)]
-    taun = [P.vector(n) for n in range(P.m)]
+    taun = [P.T[:, n] for n in range(P.m)]
     omn = [Omega[:, n] for n in range(P.m)]
     if case == 1:
         total = sum(_functional_norm(fn[n] - gn[n], q) * vec_pnorm(Sinv @ taun[n], p)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framekit import hframe
+from framekit import linops
 from framekit.hframe import (
-    DependentInput,
     HilbertFrame,
     HypothesisViolated,
     NotAFrame,
@@ -14,7 +13,6 @@ from framekit.hframe import (
     frame_algorithm,
     frame_bounds,
     frame_identity_residuals,
-    gram_schmidt,
     harmonic_frame,
     lines_frame,
     make_named_frame,
@@ -22,7 +20,6 @@ from framekit.hframe import (
     naimark_dilate,
     parsevalize,
     perturb_certificate,
-    riesz_basis_check,
 )
 
 
@@ -190,12 +187,6 @@ def test_identity_subset_validation():
         frame_identity_residuals(F, [3], np.array([1.0, 0.0]))
 
 
-def test_riesz_basis_check():
-    assert riesz_basis_check(HilbertFrame(np.array([[1.0, 1.0], [0.0, 1.0]])))
-    assert not riesz_basis_check(mercedes_frame())  # m > d
-    assert not riesz_basis_check(HilbertFrame(np.array([[1.0, 2.0], [2.0, 4.0]])))
-
-
 def test_naimark_dilation_of_parseval_frame_is_orthonormal():
     F = harmonic_frame(2, 5)
     dil = naimark_dilate(F)
@@ -210,7 +201,9 @@ def test_naimark_dilation_of_general_frame_is_riesz():
     F = random_frame(9, 3, 7)
     dil = naimark_dilate(F)
     assert dil.space_dim == 7
-    assert riesz_basis_check(dil.frame)
+    # a Riesz basis: as many vectors as dimensions, invertible Gram
+    assert dil.frame.m == dil.frame.d
+    assert linops.is_invertible(dil.frame.gram)
     assert np.array_equal(dil.projection @ dil.frame.synthesis, F.synthesis)
 
 
@@ -246,16 +239,3 @@ def test_general_perturbation_certificate():
     with pytest.raises(HypothesisViolated):
         perturb_certificate(F, G, "general", beta=1.0)
 
-
-def test_gram_schmidt():
-    rng = np.random.default_rng(4)
-    vs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
-    Q = gram_schmidt(vs)
-    assert np.abs(Q.conj().T @ Q - np.eye(3)).max() < 1e-12
-    # same span: projectors agree
-    A = np.column_stack(vs)
-    PA = A @ np.linalg.pinv(A)
-    PQ = Q @ Q.conj().T
-    assert np.abs(PA - PQ).max() < 1e-10
-    with pytest.raises(DependentInput):
-        gram_schmidt([vs[0], vs[1], vs[0] + vs[1]])

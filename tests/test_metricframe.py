@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,21 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from framekit import linops
 from framekit.metricframe import (
-    CombineReport,
-    HypothesisViolated,
     LipschitzFamily,
     MetricSample,
-    combine,
-    diff_lip_radius,
-    lipschitz_number,
     log_family_reconstructor,
     make_named_family,
     metric_frame_bounds,
-    perturb_certificate,
     reconstruction_check,
     sample_from_points,
-    sample_from_vectors,
-    stability_bounds,
 )
 
 
@@ -81,6 +74,17 @@ def test_sample_from_points_near_overflow():
     assert full_check(sample_from_points(pts, base=0)).n == 10
 
 
+def test_triangle_scan_overflow_is_silent():
+    # sums of two distances near 1e308 round to inf, which never fails the
+    # triangle inequality, so the scan neither refuses nor warns
+    x = np.linspace(0.0, 1.0, 20) * 1.5e308
+    D = np.abs(x[:, None] - x[None, :])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = MetricSample(tuple(range(20)), D)
+    assert np.array_equal(S.dist, D)
+
+
 @settings(max_examples=60, deadline=None)
 @given(pts=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=30),
        k=st.integers(-500, 500))
@@ -88,21 +92,8 @@ def test_points_are_a_metric_by_construction(pts, k):
     for x in (np.asarray(pts) * 2.0 ** k,
               np.asarray(pts) * 8.9e307):  # differences up to 1.78e308
         S = sample_from_points(x, base=0)
-        with np.errstate(over="ignore"):  # sums near 1e308 reach inf
-            T = full_check(S)
+        T = full_check(S)
         assert T.points == S.points and np.array_equal(T.dist, S.dist)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5),
-       n=st.integers(1, 16), k=st.integers(-500, 500),
-       p=st.sampled_from([1, 1.5, 2, 3, math.inf]), cplx=st.booleans())
-def test_vectors_are_a_metric_by_construction(seed, d, n, k, p, cplx):
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((d, n)) * 2.0 ** k
-    if cplx:
-        X = X + 1j * rng.standard_normal((d, n)) * 2.0 ** k
-    full_check(sample_from_vectors(X, p))
 
 
 def test_constructed_samples_keep_the_cheap_checks():
@@ -155,23 +146,6 @@ def test_bounds_reject_degenerate_samples():
     assert a == b == 1.0
 
 
-def test_lipschitz_number_of_square_on_unit_interval():
-    pts = np.linspace(0.0, 1.0, 17)
-    S = sample_from_points(pts)
-    got = lipschitz_number(S, pts ** 2)
-    # |x^2 - y^2|/|x - y| = x + y, maximized by the two largest points
-    want = pts[-1] + pts[-2]
-    assert abs(got - want) <= 1e-12
-    assert lipschitz_number(S, np.ones(17)) == 0.0
-    assert abs(lipschitz_number(S, pts) - 1.0) <= 1e-12
-
-
-def test_lipschitz_number_infinite_on_merged_points():
-    D = np.array([[0, 0.0], [0.0, 0]])
-    S = MetricSample((0, 1), D)
-    assert lipschitz_number(S, [0.0, 1.0]) == math.inf
-
-
 def test_log_family_is_a_1_frame():
     S = line_sample(3, 30, 1.0, 10.0)
     F = make_named_family("log(1)", S, 30)
@@ -217,129 +191,27 @@ def test_single_term_family_is_not_a_frame():
     assert a == 0.0
 
 
+def vector_sample(X, p):
+    # the columns of X with the p-norm metric
+    n = X.shape[1]
+    D = [[linops.vec_pnorm(X[:, i] - X[:, j], p) for j in range(n)]
+         for i in range(n)]
+    return MetricSample(tuple(range(n)), np.array(D))
+
+
 def test_linear_frame_restricted_to_samples():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((4, 3))
     X = rng.standard_normal((3, 9))
-    S = sample_from_vectors(X, 2)
+    S = vector_sample(X, 2)
     F = LipschitzFamily(A @ X)
     a, b = metric_frame_bounds(S, F, 2)
     smin, smax = linops.singular_extremes(A)
     assert smin - 1e-10 <= a <= b <= smax + 1e-10
     # p != 2: the certified operator-norm interval still caps the top ratio
-    S15 = sample_from_vectors(X, 1.5)
+    S15 = vector_sample(X, 1.5)
     a15, b15 = metric_frame_bounds(S15, F, 1.5)
     assert b15 <= linops.opnorm_interval(A, 1.5).hi + 1e-10
-
-
-def test_combine_scale_is_exact():
-    S = line_sample(8, 9, 1.0, 2.0)
-    F = make_named_family("log(1)", S, 20)
-    a, b = metric_frame_bounds(S, F, 1)
-    rep = combine(S, F, None, 2.0, "scale")
-    assert isinstance(rep, CombineReport)
-    assert rep.predicted == (2 * a, 2 * b)
-    assert rep.measured == rep.predicted
-
-
-def linear_family(S, coeffs):
-    # rows c_k * x are Lipschitz with number exactly |c_k|
-    x = np.asarray(S.points)
-    return LipschitzFamily(np.outer(np.asarray(coeffs), x))
-
-
-def test_combine_add_containment():
-    S = line_sample(9, 10, 1.0, 3.0)
-    F = make_named_family("log(1)", S, 25)
-    rng = np.random.default_rng(10)
-    G = linear_family(S, 0.01 * rng.standard_normal(F.m))
-    rep = combine(S, F, G, 0.5, "add")
-    assert rep.predicted[0] > 0
-    assert rep.predicted[0] - 1e-12 <= rep.measured[0]
-    assert rep.measured[1] <= rep.predicted[1] + 1e-12
-
-
-def test_combine_identity_and_violations():
-    S = line_sample(11, 7, 1.0, 2.0)
-    F = make_named_family("log(1)", S, 20)
-    Z = LipschitzFamily(np.zeros(F.values.shape))
-    rep = combine(S, F, Z, 1.0, "add")
-    assert rep.predicted == rep.measured == metric_frame_bounds(S, F, 1)
-    big = LipschitzFamily(100.0 * np.ones((F.m, S.n)) * np.asarray(S.points))
-    with pytest.raises(HypothesisViolated):
-        combine(S, F, big, 1.0, "add")
-    with pytest.raises(ValueError):
-        combine(S, F, None, 1.0, "blend")
-    with pytest.raises(ValueError):
-        combine(S, F, None, 1.0, "add")
-
-
-def test_perturb_identical_family():
-    S = line_sample(12, 8, 1.0, 4.0)
-    F = make_named_family("log(1)", S, 25)
-    rep = perturb_certificate(S, F, F, 0.0, 0.0, 0.0, 1)
-    a, b = metric_frame_bounds(S, F, 1)
-    assert rep.hypothesis_holds
-    assert rep.predicted == (a - F.remainder, b - F.remainder) or rep.predicted[0] <= a
-    assert rep.measured[0] >= rep.predicted[0] - 1e-12
-    assert rep.measured[1] <= rep.predicted[1] + 1e-12
-
-
-def test_perturb_lip_radius_route():
-    S = line_sample(13, 12, 1.0, 3.0)
-    F = make_named_family("log(1)", S, 25)
-    rng = np.random.default_rng(14)
-    G = LipschitzFamily(F.values + linear_family(S, 0.01 * rng.uniform(1, 2, F.m)).values)
-    r = diff_lip_radius(S, F, G, 1)
-    a, b = metric_frame_bounds(S, F, 1)
-    assert r < a
-    rep = perturb_certificate(S, F, G, 0.0, 0.0, r * (1 + 1e-12), 1)
-    assert rep.hypothesis_holds  # gamma = r makes the inequality definitional
-    assert rep.measured[0] >= a - r - 1e-9
-    assert rep.measured[1] <= b + r + 1e-9
-
-
-def test_perturb_detects_violation():
-    S = line_sample(15, 8, 1.0, 2.0)
-    F = make_named_family("log(1)", S, 20)
-    rng = np.random.default_rng(16)
-    G = LipschitzFamily(F.values + 0.1 * rng.standard_normal(F.values.shape))
-    rep = perturb_certificate(S, F, G, 0.0, 0.0, 1e-9, 1)
-    assert not rep.hypothesis_holds
-
-
-def test_perturb_parameter_violations():
-    S = line_sample(17, 6, 1.0, 2.0)
-    F = make_named_family("log(1)", S, 20)
-    a, _ = metric_frame_bounds(S, F, 1)
-    with pytest.raises(HypothesisViolated):
-        perturb_certificate(S, F, F, 1.0, 0.0, 0.0, 1)
-    with pytest.raises(HypothesisViolated):
-        perturb_certificate(S, F, F, 0.0, 1.0, 0.0, 1)
-    with pytest.raises(HypothesisViolated):
-        perturb_certificate(S, F, F, 0.0, 0.0, a, 1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([1.0, 2.0]))
-def test_perturbation_theorem_containment(seed, p):
-    rng = np.random.default_rng(seed)
-    S = sample_from_points(np.cumsum(0.1 + rng.uniform(0, 1, 6)))
-    F = LipschitzFamily(rng.standard_normal((4, 6)))
-    G = LipschitzFamily(F.values + 0.01 * rng.standard_normal((4, 6)))
-    a, b = metric_frame_bounds(S, F, p)
-    # smallest gamma that makes the hypothesis true on every pair
-    gamma = max(
-        linops.vec_pnorm((F.values - G.values)[:, i] - (F.values - G.values)[:, j], p)
-        / S.dist[i, j]
-        for i in range(6) for j in range(i + 1, 6)
-    ) * (1 + 1e-9)
-    if gamma >= a:
-        return
-    rep = perturb_certificate(S, F, G, 0.0, 0.0, gamma, p)
-    assert rep.hypothesis_holds
-    assert rep.predicted[0] - 1e-12 <= rep.measured[0]
-    assert rep.measured[1] <= rep.predicted[1] + 1e-12
 
 
 def test_reconstruction_log_family_binding_remainder():
@@ -382,12 +254,3 @@ def test_reconstruction_needs_pointed_numeric_sample():
     with pytest.raises(ValueError):
         reconstruction_check(S2, LipschitzFamily(np.zeros((1, 2))), lambda c: 0.0, 1)
 
-
-def test_stability_bounds_formula():
-    assert stability_bounds(2.0, 1.0, 0.0, 0.0) == (1.0, 2.0)
-    lo, hi = stability_bounds(2.0, 1.0, 0.1, 0.05)
-    assert abs(lo - 0.75) <= 1e-15 and abs(hi - 2.25) <= 1e-15
-    with pytest.raises(HypothesisViolated):
-        stability_bounds(2.0, 1.0, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        stability_bounds(0.0, 1.0, 0.1, 0.1)

@@ -21,11 +21,9 @@ from framekit.metricframe import (
     DIST_TOL,
     LipschitzFamily,
     MetricSample,
-    lipschitz_number,
     log_family_reconstructor,
     make_named_family,
     metric_frame_bounds,
-    perturb_certificate,
     reconstruction_check,
     sample_from_points,
 )
@@ -58,41 +56,6 @@ def ref_pair_ratios(S, values, p):
 def ref_bounds(S, F, p):
     ratios = ref_pair_ratios(S, F.values, p)
     return min(ratios), max(ratios) + F.remainder
-
-
-def ref_lipschitz_number(S, values):
-    v = np.asarray(values).reshape(-1)
-    best = 0.0
-    for i in range(S.n):
-        for j in range(i + 1, S.n):
-            num = abs(v[i] - v[j])
-            d = S.dist[i, j]
-            if d <= 0:
-                if num > DIST_TOL:
-                    return math.inf
-                continue
-            best = max(best, num / d)
-    return best
-
-
-def ref_perturb(S, F, G, alpha, beta, gamma, p):
-    ratios = ref_pair_ratios(S, F.values, p)
-    a, b = min(ratios), max(ratios)
-    holds = True
-    diff = F.values - G.values
-    for i in range(S.n):
-        for j in range(i + 1, S.n):
-            lhs = vec_pnorm(diff[:, i] - diff[:, j], p)
-            rhs = (alpha * vec_pnorm(F.values[:, i] - F.values[:, j], p)
-                   + beta * vec_pnorm(G.values[:, i] - G.values[:, j], p)
-                   + gamma * S.dist[i, j])
-            if lhs > rhs + 1e-12:
-                holds = False
-    predicted = (((1 - alpha) * a - gamma) / (1 + beta),
-                 ((1 + alpha) * b + gamma) / (1 - beta))
-    measured = (min(ref_pair_ratios(S, G.values, p)),
-                max(ref_pair_ratios(S, G.values, p)))
-    return holds, predicted, measured
 
 
 def ref_reconstruction_lip(S, F, reconstructor, p):
@@ -202,68 +165,6 @@ def test_log_family_bounds_equal_scalar_scan(p):
     assert got == ref_bounds(S, F, p)
     if p == 1:
         assert abs(got[0] - 1.0) < 1e-12
-
-
-@settings(max_examples=30, deadline=None)
-@given(cases)
-def test_lipschitz_number_equals_scalar_scan(c):
-    # one value row: 16384 pairs per chunk, so 200 points span two chunks
-    rng = np.random.default_rng(c["seed"])
-    S = make_sample(rng, c["dup"], n=200)
-    v = make_values(rng, S, c["kind"], c["cplx"], m=1,
-                    split=c["split"] and c["dup"] > 0)[0]
-    got, want = lipschitz_number(S, v), ref_lipschitz_number(S, v)
-    assert got == want
-    assert math.isinf(got) == (c["split"] and c["dup"] > 0)
-
-
-@settings(max_examples=15, deadline=None)
-@given(cases, st.floats(0.0, 0.6), st.floats(0.0, 0.6), st.floats(0.0, 1.0),
-       st.sampled_from([0.0, 1e-9, 1e-3, 0.3]))
-def test_perturb_certificate_equals_scalar_scan(c, alpha, beta, frac, eps):
-    rng = np.random.default_rng(c["seed"])
-    S = make_sample(rng, c["dup"])
-    V = make_values(rng, S, c["kind"], c["cplx"])
-    F = LipschitzFamily(V)
-    G = LipschitzFamily(V + eps * make_values(rng, S, "smooth", c["cplx"]))
-    a = min(ref_pair_ratios(S, F.values, c["p"]))
-    gamma = frac * (1 - alpha) * a * 0.999
-    got = perturb_certificate(S, F, G, alpha, beta, gamma, c["p"])
-    want = ref_perturb(S, F, G, alpha, beta, gamma, c["p"])
-    assert (got.hypothesis_holds, got.predicted, got.measured) == want
-
-
-@pytest.mark.parametrize("p", P_VALUES)
-@pytest.mark.parametrize("seed", range(4))
-def test_perturb_verdict_at_its_flip_point(p, seed):
-    # alpha = beta = 0: the hypothesis holds iff every scalar lhs stays
-    # within gamma d + 1e-12. Find the float gamma at which the scalar
-    # verdict flips; with a linear family every pair sits at that edge
-    # within rounding, so the verdict turns on the last bit of the norms.
-    rng = np.random.default_rng(seed)
-    S = make_sample(rng, 0, n=30)
-    V = make_values(rng, S, "linear", False)
-    F, G = LipschitzFamily(V), LipschitzFamily(0.5 * V)
-    i, j = np.triu_indices(S.n, 1)
-    diff = F.values - G.values
-    lhs = np.array([vec_pnorm(diff[:, a] - diff[:, b], p) for a, b in zip(i, j)])
-    d = S.dist[i, j]
-
-    def holds(gamma):  # the reference's comparison, elementwise
-        return bool(np.all(~(lhs > gamma * d + 1e-12)))
-
-    lo, hi = (np.float64(np.max(lhs / d) * (1 + s)).view(np.int64)
-              for s in (-1e-9, 1e-9))
-    assert not holds(lo.view(np.float64)) and holds(hi.view(np.float64))
-    while hi - lo > 1:
-        mid = lo + (hi - lo) // 2
-        lo, hi = (lo, mid) if holds(mid.view(np.float64)) else (mid, hi)
-    for k in (lo - 1, lo, hi, hi + 1):
-        gamma = float(k.view(np.float64))
-        got = perturb_certificate(S, F, G, 0.0, 0.0, gamma, p)
-        want = ref_perturb(S, F, G, 0.0, 0.0, gamma, p)
-        assert (got.hypothesis_holds, got.predicted, got.measured) == want
-        assert got.hypothesis_holds == (k >= hi)
 
 
 @settings(max_examples=25, deadline=None)

@@ -16,9 +16,6 @@ from framekit.pasf import (
     dual_residual,
     dual_from_operators,
     expand_to_asf,
-    from_shift_operators,
-    interpolate,
-    orthogonality_check,
     perturb_certificate,
     riesz_residual,
     shift_dilation_table,
@@ -148,31 +145,6 @@ def test_similarity_returns_none_for_unrelated_pairs():
     assert similarity(P, Q) is None
 
 
-def orthogonal_parseval_pairs(d, p):
-    # complementary coordinate blocks of K^(2d)
-    F1 = np.vstack([np.eye(d), np.zeros((d, d))])
-    T1 = np.hstack([np.eye(d), np.zeros((d, d))])
-    F2 = np.vstack([np.zeros((d, d)), np.eye(d)])
-    T2 = np.hstack([np.zeros((d, d)), np.eye(d)])
-    return PAsf(p, F1, T1), PAsf(p, F2, T2)
-
-
-def test_interpolate_produces_parseval_pair():
-    P, Q = orthogonal_parseval_pairs(3, 2)
-    assert orthogonality_check(P, Q)
-    h = 1 / np.sqrt(2)
-    out = interpolate(P, Q, h * np.eye(3), h * np.eye(3), h * np.eye(3), h * np.eye(3))
-    assert np.abs(out.frame_operator - np.eye(3)).max() < 1e-12
-    with pytest.raises(ValueError):
-        interpolate(P, Q, np.eye(3), np.eye(3), np.eye(3), np.eye(3))  # CA+DB=2I
-
-
-def test_interpolate_requires_orthogonality():
-    P = random_pasf(31, 2, 4, 2)
-    with pytest.raises(ValueError):
-        interpolate(P, P, np.eye(2), np.eye(2), np.eye(2), np.eye(2))
-
-
 @settings(max_examples=16, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 def test_dilate_gives_riesz_basis_with_exact_restriction(seed, p):
@@ -256,14 +228,6 @@ def test_shift_dilation_table_m8_rows():
     for n in range(3, 9):
         assert np.array_equal(table[n - 1][0], e[:, n - 2])
         assert np.array_equal(table[n - 1][1], e[:, n - 2])
-
-
-def test_from_shift_operators():
-    P = shift_pair(6, 2)
-    Q = from_shift_operators(P.F, P.T, 2)
-    assert np.array_equal(Q.F, P.F)
-    with pytest.raises(linops.NotInvertible):
-        from_shift_operators(np.zeros((6, 5)), np.zeros((5, 6)), 2)
 
 
 def test_perturb_zero_perturbation_envelope():
