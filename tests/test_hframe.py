@@ -65,6 +65,49 @@ def test_lines_frames_are_tight():
         assert abs(b - n / 2) < 1e-12
 
 
+TIGHT_FRAMES = ["mercedes", "harmonic(1,1)", "harmonic(2,4)", "harmonic(3,7)",
+                "lines(2)", "lines(3)", "lines(6)"]
+
+
+@pytest.mark.parametrize("spec", TIGHT_FRAMES)
+def test_tight_frame_bound_is_total_energy_over_dimension(spec):
+    # S = A I gives trace(S) = A d, and trace(S) = sum_n ||tau_n||^2
+    F = make_named_frame(spec)
+    energy = sum(np.linalg.norm(F.vector(n)) ** 2 for n in range(F.m))
+    a, b = frame_bounds(F)
+    assert a == pytest.approx(energy / F.d, rel=1e-12)
+    assert b == pytest.approx(energy / F.d, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["mercedes", "lines(4)", "harmonic(2,5)"])
+def test_canonical_dual_of_tight_frame_is_rescaled(spec):
+    # S = A I, so the canonical dual vectors are tau_n / A
+    F = make_named_frame(spec)
+    a, _ = frame_bounds(F)
+    G = canonical_dual(F)
+    assert np.abs(G.synthesis - F.synthesis / a).max() < 1e-12
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.5, 3.0, 1e4])
+def test_frame_bounds_scale_with_the_square_of_a_factor(c):
+    F = random_frame(13, 3, 6)
+    a, b = frame_bounds(F)
+    ca, cb = frame_bounds(HilbertFrame(c * F.synthesis))
+    assert ca == pytest.approx(c * c * a, rel=1e-10)
+    assert cb == pytest.approx(c * c * b, rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_frame_bounds_ignore_unitaries_and_reordering(seed):
+    # U S U^H has the spectrum of S, and S does not see the order of tau_n
+    F = random_frame(seed, 3, 7)
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                        + 1j * rng.standard_normal((3, 3)))
+    G = HilbertFrame(U @ F.synthesis[:, rng.permutation(7)])
+    assert frame_bounds(G) == pytest.approx(frame_bounds(F), rel=1e-10)
+
+
 def test_make_named_frame_parsing():
     assert make_named_frame("mercedes").m == 3
     assert make_named_frame("harmonic(2, 4)").m == 4

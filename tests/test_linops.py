@@ -46,6 +46,59 @@ def test_dual_exponent():
     assert dual_exponent(1.5) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("p", [1, 1.25, 2, 3, 10, math.inf])
+def test_dual_exponent_is_an_involution(p):
+    q = dual_exponent(p)
+    assert dual_exponent(q) == pytest.approx(p, rel=1e-12)
+    # Hoelder conjugates: 1/p + 1/q = 1, with 1/inf = 0
+    assert 1 / p + 1 / q == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 4, math.inf])
+def test_vec_pnorm_is_absolutely_homogeneous_and_subadditive(p):
+    rng = np.random.default_rng(int(10 * min(p, 9)))
+    for _ in range(20):
+        x = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        y = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        assert vec_pnorm(c * x, p) == pytest.approx(abs(c) * vec_pnorm(x, p),
+                                                    rel=1e-12)
+        assert vec_pnorm(x + y, p) <= (vec_pnorm(x, p) + vec_pnorm(y, p)) * (1 + 1e-12)
+
+
+def test_vec_pnorm_is_nonincreasing_in_p():
+    x = np.random.default_rng(5).standard_normal(9)
+    norms = [vec_pnorm(x, p) for p in (1, 1.1, 1.5, 2, 3, 8, 40, math.inf)]
+    assert all(a >= b * (1 - 1e-12) for a, b in zip(norms, norms[1:]))
+    # the ends: ||x||_inf <= ||x||_p <= n^(1/p) ||x||_inf
+    assert norms[-1] == max(abs(x))
+    assert norms[0] <= 9 * norms[-1]
+
+
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+def test_exact_opnorms_ignore_permutations_and_phases(p):
+    # permutations and unimodular diagonals are isometries of every p-norm,
+    # so multiplying by them on either side leaves the norm unchanged
+    rng = np.random.default_rng(23)
+    A = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    P_out = np.eye(5)[rng.permutation(5)] * np.exp(1j * rng.uniform(0, 6, 5))
+    P_in = np.eye(4)[rng.permutation(4)] * np.exp(1j * rng.uniform(0, 6, 4))
+    iv, jv = opnorm_interval(A, p), opnorm_interval(P_out @ A @ P_in, p)
+    assert iv.exact and jv.exact
+    assert jv.hi == pytest.approx(iv.hi, rel=1e-13)
+
+
+def test_singular_extremes_of_the_inverse_are_reciprocal():
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    smin, smax = linops.singular_extremes(A)
+    imin, imax = linops.singular_extremes(inverse(A))
+    assert 0 < smin <= smax
+    assert imin == pytest.approx(1 / smax, rel=1e-10)
+    assert imax == pytest.approx(1 / smin, rel=1e-10)
+    assert linops.is_invertible(A) and not linops.is_invertible(A[:, :3])
+
+
 def test_opnorm_exact_cases_match_column_row_oracles():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))

@@ -199,6 +199,18 @@ def vector_sample(X, p):
     return MetricSample(tuple(range(n)), np.array(D))
 
 
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
+def test_pnorm_tables_pass_the_triangle_scan(p):
+    # every p-norm is a metric, so the full scan must accept its tables
+    # however close their triangles come to equality
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((3, 25))
+    X[:, 5:10] = X[:, [4]] * np.arange(2, 7)  # collinear points: equality
+    S = vector_sample(X, p)
+    assert S.n == 25 and S.dist[4, 9] == pytest.approx(
+        5 * linops.vec_pnorm(X[:, 4], p), rel=1e-12)
+
+
 def test_linear_frame_restricted_to_samples():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((4, 3))

@@ -167,6 +167,41 @@ def test_log_family_bounds_equal_scalar_scan(p):
         assert abs(got[0] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("p", P_VALUES)
+@pytest.mark.parametrize("seed", range(4))
+def test_bounds_at_ties_equal_scalar_scan(p, seed):
+    # a linear family puts every pair ratio at ||c||_p within rounding, so
+    # both extremes turn on the last bit of the norms and no screening
+    # window can separate the pairs: the kernel must still equal the scan
+    rng = np.random.default_rng(seed)
+    S = make_sample(rng, 0)
+    F = LipschitzFamily(make_values(rng, S, "linear", seed % 2 == 1))
+    got = metric_frame_bounds(S, F, p)
+    assert got == ref_bounds(S, F, p)
+    if seed % 2 == 0:
+        c = F.values[:, 0] / S.points[0]
+        assert got[0] <= vec_pnorm(c, p) <= got[1]
+        assert got[1] - got[0] <= 1e-12 * got[1]
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+@pytest.mark.parametrize("seed", range(4))
+def test_reconstruction_lip_at_ties_equals_scalar_scan(p, seed):
+    # a linear reconstructor on a linear family: every ratio is
+    # |w.c| / ||c||_p within rounding, the same tie as above
+    rng = np.random.default_rng(100 + seed)
+    S = make_sample(rng, 0)
+    F = LipschitzFamily(make_values(rng, S, "linear", False))
+    w = rng.standard_normal(TERMS)
+    rec = lambda col: float(w @ col)  # noqa: E731
+    got = reconstruction_check(S, F, rec, p).reconstructor_lipschitz
+    assert got == ref_reconstruction_lip(S, F, rec, p)
+    # the outputs cancel over the closest pair (gaps near 1e-3 on [1, 20]),
+    # so the tie holds to about 1e-16 * 20 / 1e-3 relative
+    c = F.values[:, 0] / S.points[0]
+    assert got == pytest.approx(abs(w @ c) / vec_pnorm(c, p), rel=1e-9)
+
+
 @settings(max_examples=25, deadline=None)
 @given(cases)
 def test_reconstruction_lip_equals_scalar_scan(c):
