@@ -87,25 +87,11 @@ class CuntzElement:
     def __rmul__(self, other) -> "CuntzElement":
         return self * other
 
-    def adjoint(self) -> "CuntzElement":
-        return CuntzElement({(s, w): c.conjugate() for (w, s), c in self.table.items()})
-
-    def coeff(self, left, right=()) -> complex:
-        return self.table.get((_letters(left), _letters(right)), 0j)
+    def coeff(self, left) -> complex:
+        return self.table.get((_letters(left), ()), 0j)
 
     def __bool__(self) -> bool:
         return bool(self.table)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.table.values())
-
-    @property
-    def symbols(self) -> frozenset:
-        syms = set()
-        for w, s in self.table:
-            syms.update(w)
-            syms.update(s)
-        return frozenset(syms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CuntzElement) and self.table == other.table
@@ -202,56 +188,6 @@ def concrete_equal(x: CuntzElement, y: CuntzElement, count: int = 16,
     return True
 
 
-class CuntzMatrix:
-    """Square grid of elements, side >= 2."""
-
-    __slots__ = ("grid", "n")
-
-    def __init__(self, grid):
-        rows = [tuple(row) for row in grid]
-        n = len(rows)
-        if n < 2 or any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square with side >= 2")
-        for row in rows:
-            for entry in row:
-                if not isinstance(entry, CuntzElement):
-                    raise ValueError("entries must be CuntzElement")
-        self.grid = tuple(rows)
-        self.n = n
-
-    @staticmethod
-    def identity(n: int) -> "CuntzMatrix":
-        return CuntzMatrix(
-            [[unit() if i == j else zero() for j in range(n)] for i in range(n)]
-        )
-
-    def __add__(self, other: "CuntzMatrix") -> "CuntzMatrix":
-        self._check(other)
-        return CuntzMatrix(
-            [[self.grid[i][j] + other.grid[i][j] for j in range(self.n)]
-             for i in range(self.n)]
-        )
-
-    def __sub__(self, other: "CuntzMatrix") -> "CuntzMatrix":
-        self._check(other)
-        return CuntzMatrix(
-            [[self.grid[i][j] - other.grid[i][j] for j in range(self.n)]
-             for i in range(self.n)]
-        )
-
-    def __matmul__(self, other: "CuntzMatrix") -> "CuntzMatrix":
-        self._check(other)
-        return CuntzMatrix(_matmul(np.array(self.grid, dtype=object),
-                                   np.array(other.grid, dtype=object)))
-
-    def _check(self, other):
-        if not isinstance(other, CuntzMatrix) or other.n != self.n:
-            raise ValueError("size mismatch")
-
-    def entry(self, i: int, j: int) -> CuntzElement:
-        return self.grid[i][j]
-
-
 # --- dyadic entries of the first corrector iterate ------------------------
 #
 # z = (1-E)^{-1} a with a_i = n·1 at i = n only; in the concrete
@@ -305,15 +241,12 @@ class SolveResult:
     b_exact carries the finite closed form when one exists (n = 2).
     """
 
-    n: int
     delta: float
-    tol: float
     iterations: int
     contraction: float
     bounds: tuple
     first_bounds: tuple
     bound_limit: float
-    bound_ok: bool
     residual: float
     residual_rows: tuple
     b_exact: Optional[tuple]
@@ -397,15 +330,12 @@ def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:
     if n == 2:
         b_exact = (word(right="u", coeff=-2.0), word(right="v", coeff=-2.0))
     return SolveResult(
-        n=n,
         delta=delta,
-        tol=tol,
         iterations=iterations,
         contraction=contraction,
         bounds=bounds,
         first_bounds=first_bounds,
         bound_limit=limit,
-        bound_ok=max(bounds) <= limit,
         residual=max(residual_rows),
         residual_rows=residual_rows,
         b_exact=b_exact,
@@ -470,7 +400,6 @@ def _lemma_matrices(n: int):
 class LemmaReport:
     """Exact check that [D, X] - 1 lives in the last column only."""
 
-    n: int
     mu: Optional[Fraction]  # the scaling checked; None for the raw pair
     off_column_zero: bool
     last_column_matches: bool
@@ -519,7 +448,7 @@ def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
             e = e + _const(1 - n)
         expected.append(e * _const(scale[i]))
     last = all(C[i, n - 1] == expected[i] for i in range(n))
-    return LemmaReport(n, mu, off_column_zero=off, last_column_matches=last)
+    return LemmaReport(mu, off_column_zero=off, last_column_matches=last)
 
 
 # --- assembled matrices with certified bounds ------------------------------
@@ -535,10 +464,9 @@ class DXBuild:
     """
 
     n: int
-    mu: float
     delta: float
-    D: CuntzMatrix
-    X: CuntzMatrix
+    D: np.ndarray  # object arrays of CuntzElement
+    X: np.ndarray
     D_interval: NormInterval
     X_interval: NormInterval
     error_bound: float
@@ -547,13 +475,10 @@ class DXBuild:
     solution: SolveResult
 
 
-def build_DX(n: int, mu: float = 0.5, tol: float = 1e-10,
-             solution: Optional[SolveResult] = None) -> DXBuild:
+def build_DX(n: int, mu: float = 0.5, tol: float = 1e-10) -> DXBuild:
     if not mu > 0:
         raise ValueError("mu must be positive")
-    sol = solution if solution is not None else solve_b(n, tol=tol)
-    if sol.n != n:
-        raise ValueError("solution was computed for a different n")
+    sol = solve_b(n, tol=tol)
     delta = sol.delta
     B = {i: sol.bounds[i - 1] for i in range(1, n + 1)}
 
@@ -562,17 +487,17 @@ def build_DX(n: int, mu: float = 0.5, tol: float = 1e-10,
             return sol.b_exact[i - 1]
         return word((f"b{i}",))
 
-    D = [[zero() for _ in range(n)] for _ in range(n)]
-    X = [[zero() for _ in range(n)] for _ in range(n)]
+    D = np.full((n, n), zero(), dtype=object)
+    X = np.full((n, n), zero(), dtype=object)
     for r in range(n):
         i = r + 1
-        D[r][r] = D[r][r] + (1.0 / (mu * delta)) * V
+        D[r, r] = D[r, r] + (1.0 / (mu * delta)) * V
         if r + 1 < n:
-            X[r + 1][r] = unit()
-            D[r + 1][r] = (1.0 / (mu * mu * delta)) * U
-            D[r][r + 1] = D[r][r + 1] + float(i) * unit()
-        D[r][n - 1] = D[r][n - 1] + mu ** (n - i - 1) * (bword(i) * U)
-        X[r][n - 1] = X[r][n - 1] + (mu ** (n - i + 1) * delta) * bword(i)
+            X[r + 1, r] = unit()
+            D[r + 1, r] = (1.0 / (mu * mu * delta)) * U
+            D[r, r + 1] = D[r, r + 1] + float(i) * unit()
+        D[r, n - 1] = D[r, n - 1] + mu ** (n - i - 1) * (bword(i) * U)
+        X[r, n - 1] = X[r, n - 1] + (mu ** (n - i + 1) * delta) * bword(i)
 
     D_hi = (
         1.0 / (mu * mu * delta)
@@ -596,47 +521,15 @@ def build_DX(n: int, mu: float = 0.5, tol: float = 1e-10,
     )
     return DXBuild(
         n=n,
-        mu=float(mu),
         delta=delta,
-        D=CuntzMatrix(D),
-        X=CuntzMatrix(X),
+        D=D,
+        X=X,
         D_interval=NormInterval(min(D_lo, D_hi), D_hi),
         X_interval=NormInterval(1.0, X_hi),
         error_bound=error,
         b_bounds={f"b{i}": B[i] for i in range(1, n + 1)},
         structure=lemma_structure(n, Fraction(mu)),
         solution=sol,
-    )
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Norm growth and commutator decay certificates at one size."""
-
-    n: int
-    mu: float
-    delta: float
-    D_interval: NormInterval
-    X_interval: NormInterval
-    error_bound: float
-    residual: float
-
-    @property
-    def d_scale(self) -> float:
-        # ||D|| grows like n^5; this ratio stays bounded
-        return self.D_interval.hi / self.n**5
-
-
-def verify_bounds(n: int, mu: float = 0.5, tol: float = 1e-10) -> BoundReport:
-    built = build_DX(n, mu=mu, tol=tol)
-    return BoundReport(
-        n=n,
-        mu=built.mu,
-        delta=built.delta,
-        D_interval=built.D_interval,
-        X_interval=built.X_interval,
-        error_bound=built.error_bound,
-        residual=built.solution.residual,
     )
 
 

@@ -56,9 +56,6 @@ class HilbertFrame:
     def gram(self) -> np.ndarray:
         return self.analysis @ self.synthesis
 
-    def vector(self, n: int) -> np.ndarray:
-        return self.synthesis[:, n]
-
     def coefficients(self, h) -> np.ndarray:
         return self.analysis @ linops.as_vector(h)
 
@@ -71,8 +68,8 @@ class HilbertFrame:
         """max |S - I|, entrywise; zero exactly for a Parseval frame."""
         return float(np.abs(self.frame_operator - np.eye(self.d)).max())
 
-    def is_parseval(self, tol: float = 1e-8) -> bool:
-        return self.parseval_residual <= tol
+    def is_parseval(self) -> bool:
+        return self.parseval_residual <= 1e-8
 
 
 def frame_bounds(F: HilbertFrame) -> tuple[float, float]:
@@ -184,7 +181,6 @@ def frame_identity_residuals(F: HilbertFrame, M, h, mode: str = "auto") -> Ident
 class NaimarkDilation:
     space_dim: int
     frame: HilbertFrame
-    projection: np.ndarray  # maps the dilation space onto the first d coords
 
 
 def naimark_dilate(F: HilbertFrame) -> NaimarkDilation:
@@ -207,8 +203,7 @@ def naimark_dilate(F: HilbertFrame) -> NaimarkDilation:
     B = U[:, :r2]
     tail = herm(B) @ Q  # coordinates of (I-P) e_n in the basis of range(I-P)
     omega = np.vstack([F.synthesis, tail])
-    proj = np.hstack([np.eye(d), np.zeros((d, r2))])
-    return NaimarkDilation(d + r2, HilbertFrame(omega), proj)
+    return NaimarkDilation(d + r2, HilbertFrame(omega))
 
 
 def perturb_certificate(F: HilbertFrame, G: HilbertFrame, mode: str,

@@ -3,9 +3,9 @@ intervals, inverses, Hermitian spectra, the one exact matrix product and
 the one sampled falsification loop.
 
 ``_matmul`` is the only product of object-dtype matrices in framekit: the
-exact dilations of ``vsdilate``, the Cuntz lemma's word polynomials and
-``CuntzMatrix`` all multiply through it, and it reads the field (or ring)
-from the entries themselves.
+exact dilations of ``vsdilate`` and the Cuntz lemma's word polynomials
+multiply through it, and it reads the field (or ring) from the entries
+themselves.
 
 ``_falsify`` is the only seeded search for counterexamples to a
 perturbation hypothesis, and ``Perturbation`` the verdict of the hframe and
@@ -41,10 +41,6 @@ class NormInterval:
             raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
         if self.lo < 0:
             raise ValueError("norm interval must be nonnegative")
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
 
 
 def as_matrix(a) -> np.ndarray:
@@ -123,8 +119,8 @@ def _dual_vector(y: np.ndarray, p: float) -> np.ndarray:
     return g / vec_pnorm(g, dual_exponent(p))
 
 
-def _ascent_lower(A: np.ndarray, p_in: float, p_out: float, seed: int,
-                  starts: int, iters: int = 60) -> float:
+def _ascent_lower(A: np.ndarray, p_in: float, p_out: float,
+                  seed: int) -> float:
     """Best ratio ||Ax||_p_out / ||x||_p_in found by dual-norm ascent.
 
     Every iterate is a feasible point, so the returned value is always a
@@ -141,7 +137,7 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float, seed: int,
         starts_list.append(vh[0].conj())
     except np.linalg.LinAlgError:
         pass
-    for _ in range(starts):
+    for _ in range(8):
         starts_list.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
     for x in starts_list:
         x = np.asarray(x, dtype=complex)
@@ -150,7 +146,7 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float, seed: int,
             continue
         x = x / nx
         val = vec_pnorm(A @ x, p_out)
-        for _ in range(iters):
+        for _ in range(60):
             y = A @ x
             g = _dual_vector(y, p_out)
             z = herm(A) @ g
@@ -182,7 +178,7 @@ def _norm_2(A: np.ndarray) -> float:
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-def opnorm_interval(A, p, seed: int = 0, starts: int = 8) -> NormInterval:
+def opnorm_interval(A, p, seed: int = 0) -> NormInterval:
     """Certified interval for the operator norm of A on the p-norm.
 
     Exact for p in {1, 2, inf}; otherwise lo is an ascent value and hi is the
@@ -200,13 +196,12 @@ def opnorm_interval(A, p, seed: int = 0, starts: int = 8) -> NormInterval:
         v = _norm_2(A)
         return NormInterval(v, v)
     hi = _norm_1(A) ** (1.0 / p) * _norm_inf(A) ** (1.0 - 1.0 / p)
-    lo = _ascent_lower(A, p, p, seed=seed, starts=starts)
+    lo = _ascent_lower(A, p, p, seed)
     lo = min(lo, hi)
     return NormInterval(lo, hi)
 
 
-def opnorm_mixed_interval(A, p_in, p_out, seed: int = 0,
-                          starts: int = 8) -> NormInterval:
+def opnorm_mixed_interval(A, p_in, p_out) -> NormInterval:
     """Certified interval for ||A||_{p_in -> p_out}.
 
     Exact cases: p_in = p_out in {1, 2, inf}; p_in = 1 (max column p_out-norm);
@@ -217,7 +212,7 @@ def opnorm_mixed_interval(A, p_in, p_out, seed: int = 0,
     A = as_matrix(A)
     p_in, p_out = _check_p(p_in), _check_p(p_out)
     if p_in == p_out:
-        return opnorm_interval(A, p_in, seed=seed, starts=starts)
+        return opnorm_interval(A, p_in)
     m, d = A.shape
     if p_in == 1:
         v = max(vec_pnorm(A[:, j], p_out) for j in range(d))
@@ -237,7 +232,7 @@ def opnorm_mixed_interval(A, p_in, p_out, seed: int = 0,
         theta = 2.0 / p_out
         two_inf = max(vec_pnorm(A[i, :], 2) for i in range(m))
         hi = min(hi, smax ** theta * two_inf ** (1.0 - theta))
-    lo = _ascent_lower(A, p_in, p_out, seed=seed, starts=starts)
+    lo = _ascent_lower(A, p_in, p_out, 0)
     lo = min(lo, hi)
     return NormInterval(lo, hi)
 
@@ -274,12 +269,12 @@ def singular_extremes(A) -> tuple[float, float]:
     return float(s[-1]), float(s[0])
 
 
-def is_invertible(A, rtol: float = SINGULAR_RTOL) -> bool:
+def is_invertible(A) -> bool:
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         return False
     smin, smax = singular_extremes(A)
-    return smax > 0 and smin / smax > rtol
+    return smax > 0 and smin / smax > SINGULAR_RTOL
 
 
 def inverse(A) -> np.ndarray:
@@ -294,13 +289,13 @@ def inverse(A) -> np.ndarray:
     return np.linalg.solve(A, np.eye(A.shape[0], dtype=complex))
 
 
-def hermitian_extremes(S, tol: float = 1e-8) -> tuple[float, float]:
+def hermitian_extremes(S) -> tuple[float, float]:
     """Extreme eigenvalues (lambda_min, lambda_max) of a Hermitian matrix."""
     S = as_matrix(S)
     if S.shape[0] != S.shape[1]:
         raise ValueError("expected a square matrix")
     scale = max(1.0, float(np.abs(S).max()))
-    if float(np.abs(S - herm(S)).max()) > tol * scale:
+    if float(np.abs(S - herm(S)).max()) > 1e-8 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     w = np.linalg.eigvalsh((S + herm(S)) / 2)
     return float(w[0]), float(w[-1])

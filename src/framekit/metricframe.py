@@ -4,9 +4,8 @@ A family of Lipschitz functions f_n is a metric p-frame when
 
     a d(x,y) <= (sum_n |f_n(x) - f_n(y)|^p)^(1/p) <= b d(x,y)
 
-for all points x, y. On a finite sample everything is decidable by an
-exhaustive pair scan: frame bounds and the Lipschitz number of a
-reconstruction map.
+for all points x, y. On a finite sample the frame bounds are decidable by
+an exhaustive pair scan.
 Families cut from infinite series carry a certified truncation remainder
 that widens the reported upper bound.
 
@@ -78,7 +77,10 @@ def _unscanned(points, dist, base) -> MetricSample:
         raise ValueError("diagonal must be zero")
     if np.abs(D - D.T).max(initial=0.0) > slack:
         raise ValueError("distance table must be symmetric")
-    if base is not None and not 0 <= int(base) < n:
+    if base is not None and (isinstance(base, bool)
+                             or not isinstance(base, (int, np.integer))):
+        raise ValueError("base must be an integer point index")
+    if base is not None and not 0 <= base < n:
         raise ValueError("base index out of range")
     S = object.__new__(MetricSample)
     vars(S).update(points=points, dist=D, base=None if base is None else int(base))
@@ -333,17 +335,10 @@ def make_named_family(name: str, S: MetricSample, m: int) -> LipschitzFamily:
     return LipschitzFamily(np.vstack(rows), r)
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
-    max_deviation: float
-    reconstructor_lipschitz: float
-
-
-def reconstruction_check(S: MetricSample, F: LipschitzFamily,
-                         reconstructor: Callable, p=1) -> ReconstructionReport:
+def reconstruction_deviation(S: MetricSample, F: LipschitzFamily,
+                             reconstructor: Callable) -> float:
     """Feed each point's coefficient column through the reconstructor and
-    measure the worst distance back to the point (numeric labels), plus a
-    sampled Lipschitz number of the reconstructor on those columns."""
+    return the worst distance back to the point (numeric labels)."""
     _check_sizes(S, F)
     if S.base is None:
         raise ValueError("reconstruction needs a pointed sample")
@@ -353,22 +348,7 @@ def reconstruction_check(S: MetricSample, F: LipschitzFamily,
         raise ValueError("reconstruction needs numeric point labels") from None
     outs = np.asarray([reconstructor(F.values[:, j]) for j in range(S.n)],
                       dtype=float)
-    deviation = float(np.abs(outs - pts).max())
-    gaps = _PairNorms(F.values, p)
-
-    def block(i, j):
-        N, e = gaps.chunk(i, j)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.abs(outs[i] - outs[j]) / N
-            err = np.where(N > e, val * e / (N - e), math.inf)
-        return np.where(N > 0, val, math.nan), np.where(e > 0, err, 0.0)
-
-    def exact(i, j):
-        gap = gaps.at(i, j)
-        return abs(outs[i] - outs[j]) / gap if gap > 0 else math.nan
-
-    lip = max(0.0, _extremes(S.n, gaps.width, block, exact)[1])
-    return ReconstructionReport(deviation, lip)
+    return float(np.abs(outs - pts).max())
 
 
 def log_family_reconstructor(coeffs) -> float:

@@ -91,10 +91,6 @@ class Multiplier:
                                           dual_exponent(self.out_norm), self.q)
         return iv.hi, "measured"
 
-    def symbol_with(self, lam) -> "Multiplier":
-        return Multiplier(self.sample, self.family, self.Tau, lam, self.p,
-                          self.out_norm, self.bessel_b, self.bessel_d)
-
 
 def apply(M: Multiplier, point_index: int) -> np.ndarray:
     """sum_n lambda_n f_n(x) tau_n at the sample point with that index."""
@@ -115,7 +111,6 @@ def _pair_lip(M: Multiplier, coeff: np.ndarray, Tau: np.ndarray) -> float:
 class LipReport:
     measured: float
     certified: float
-    holds: bool
     b: float
     b_source: str
     d: float
@@ -130,8 +125,7 @@ def lip_bound_check(M: Multiplier) -> LipReport:
     d, ds = M.vector_bessel()
     measured = _pair_lip(M, M.lam, M.Tau)
     certified = b * d * float(np.abs(M.lam).max())
-    return LipReport(measured, certified, measured <= certified + 1e-9,
-                     b, bs, d, ds)
+    return LipReport(measured, certified, b, bs, d, ds)
 
 
 def tail_decay(M: Multiplier, cut: int) -> tuple[float, float]:

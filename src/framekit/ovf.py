@@ -81,8 +81,8 @@ class OvfPair:
         S = self.frame_operator()
         return self.theta_A @ inverse(S) @ herm(self.theta_Psi)
 
-    def is_parseval(self, tol: float = ORTHONORMAL_TOL) -> bool:
-        return _norm2(self.frame_operator() - np.eye(self.d)) <= tol
+    def is_parseval(self) -> bool:
+        return _norm2(self.frame_operator() - np.eye(self.d)) <= ORTHONORMAL_TOL
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,12 @@ def _range_basis(M: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class OvfDilation:
     """Orthonormal pair on K^d (+) range(theta_A)^perp, stored in the
-    coordinates (h, c) with c the coefficients along the columns of
-    complement; the first d columns of every block restrict to the
-    original operators."""
+    coordinates (h, c) with c the coefficients along an orthonormal basis
+    of range(theta_A)^perp; the first d columns of every block restrict to
+    the original operators."""
 
     pair: OvfPair
     base_dim: int
-    complement: np.ndarray
 
     def restrict(self) -> OvfPair:
         d = self.base_dim
@@ -211,7 +210,7 @@ def dilate(P: OvfPair) -> OvfDilation:
     mr = P.m * P.r
     pair = OvfPair(theta_B.reshape(P.m, P.r, mr),
                    theta_Phi.reshape(P.m, P.r, mr))
-    return OvfDilation(pair, P.d, C)
+    return OvfDilation(pair, P.d)
 
 
 def _match(table: dict, M: np.ndarray, tol: float):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops
-from .errors import HypothesisViolated, NotADual, NotInvertible
+from .errors import HypothesisViolated, NotADual
 from .linops import (NormInterval, Perturbation, _falsify, inverse,
                      opnorm_interval, vec_pnorm)
 
@@ -156,14 +156,7 @@ def similarity(P: PAsf, Q: PAsf, tol: float = SIMILAR_TOL):
     return T_fg, T_tw
 
 
-@dataclass(frozen=True)
-class PasfDilation:
-    pasf: PAsf
-    range_basis: np.ndarray  # orthonormal basis of range(I - P) in K^m
-    riesz: bool
-
-
-def dilate(P: PAsf) -> PasfDilation:
+def dilate(P: PAsf) -> PAsf:
     """Extend the pair to an approximate Riesz basis of K^d (+) range(I-P):
 
     omega_n = tau_n (+) (I-P) e_n, g_n = f_n (+) restriction to the range,
@@ -178,12 +171,7 @@ def dilate(P: PAsf) -> PasfDilation:
     B = U[:, :r2]
     G1 = np.hstack([P.F, B])
     T1 = np.vstack([P.T, linops.herm(B) @ Q])
-    out = PAsf(P.p, G1, T1)
-    try:
-        riesz = riesz_residual(out) <= RIESZ_TOL
-    except NotInvertible:
-        riesz = False
-    return PasfDilation(out, B, riesz)
+    return PAsf(P.p, G1, T1)
 
 
 def riesz_residual(P: PAsf) -> float:
@@ -298,7 +286,6 @@ def perturb_certificate(P: PAsf, Omega, mode: str = "quadratic",
 @dataclass(frozen=True)
 class Expansion:
     expanded: PAsf
-    appended_vectors: np.ndarray
     n_min: int
 
 
@@ -320,4 +307,4 @@ def expand_to_asf(P_weak: PAsf, Q: PAsf, lam: float = 1.0) -> Expansion:
     T_comb = np.hstack([P_weak.T, appended])
     sv = np.linalg.svd(lam * np.eye(P_weak.d) - Sp, compute_uv=False)
     n_min = int((sv > 1e-10 * max(1.0, sv[0] if sv.size else 1.0)).sum())
-    return Expansion(PAsf(P_weak.p, F_comb, T_comb), appended, n_min)
+    return Expansion(PAsf(P_weak.p, F_comb, T_comb), n_min)

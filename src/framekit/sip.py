@@ -87,15 +87,11 @@ class SipPair:
         return np.vstack([sip_functional(self.Omega[:, n], self.p)
                           for n in range(self.m)])
 
-    def analysis(self, x) -> np.ndarray:
-        """Coefficients ([x, omega_n])_n."""
-        return self.functionals() @ linops.as_vector(x)
-
     def frame_operator(self) -> np.ndarray:
         return self.Tau @ self.functionals()
 
-    def is_parseval(self, tol: float = PARSEVAL_TOL) -> bool:
-        return float(np.abs(self.frame_operator() - np.eye(self.d)).max()) <= tol
+    def is_parseval(self) -> bool:
+        return float(np.abs(self.frame_operator() - np.eye(self.d)).max()) <= PARSEVAL_TOL
 
 
 def _subset(P: SipPair, M) -> list[int]:
@@ -187,16 +183,15 @@ class LowerBoundReport:
     value: float
     floor: float  # (3/4) ||x||_p^2
     deficit: float  # max(floor - value, 0)
-    passes: bool
 
 
-def lower_bound_check(P: SipPair, M, x, slack: float = 1e-9) -> LowerBoundReport:
+def lower_bound_check(P: SipPair, M, x) -> LowerBoundReport:
     """The 3/4 lower bound for Parseval pairs.
 
     Whenever [(S_M - I/2)^2 x, x] >= 0 (checked with a -1e-10 allowance),
     the quantity sum_{n in M} [x,w_n][t_n,x]
     + sum_{n,k in M^c} [x,w_n][t_n,w_k][t_k,x] is at least
-    (3/4) ||x||_p^2: it passes when its deficit is at most slack.
+    (3/4) ||x||_p^2; the deficit is how far it falls short.
     """
     if not P.is_parseval():
         raise ValueError("frame operator is not the identity within 1e-8")
@@ -219,7 +214,7 @@ def lower_bound_check(P: SipPair, M, x, slack: float = 1e-9) -> LowerBoundReport
     floor = 0.75 * vec_pnorm(x, p) ** 2
     deficit = max(floor - value, 0.0)
     return LowerBoundReport(condition_value, condition_holds, value, floor,
-                            deficit, not condition_holds or deficit <= slack)
+                            deficit)
 
 
 def make_parseval(p: float, d: int, m: int, seed: int = 0) -> SipPair:

@@ -91,19 +91,14 @@ def _trace(M: np.ndarray):
 
 @dataclass(frozen=True)
 class DilationQuadruple:
-    """(W, I, U, P): embedding I of V into W = V^(+blocks), dilation map U,
-    idempotent P onto the embedded copy, and U's inverse when the
-    construction supplies one in closed form."""
+    """(I, U, P): embedding I of V into a direct sum of copies of V,
+    dilation map U, idempotent P onto the embedded copy, and U's inverse
+    when the construction supplies one in closed form."""
 
-    space: str
     embed: np.ndarray
     U: np.ndarray
     P: np.ndarray
     U_inv: Optional[np.ndarray] = None
-
-    @property
-    def base_dim(self) -> int:
-        return self.embed.shape[1]
 
     def compression(self, k: int = 1) -> np.ndarray:
         """First-coordinate compression of U^k back to V."""
@@ -141,7 +136,7 @@ def halmos(T, rational: bool = True) -> DilationQuadruple:
     I, Z = _eye(d, T), _zeros(d, d, T)
     U = np.block([[T, I], [I, Z]])
     V = np.block([[Z, I], [I, -T]])
-    return DilationQuadruple("V (+) V", _first_block_embed(T, 2),
+    return DilationQuadruple(_first_block_embed(T, 2),
                              U, _first_block_projection(T, 2), V)
 
 
@@ -178,7 +173,7 @@ def n_dilation(T, N: int, rational: bool = True) -> NDilation:
         V[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = I
     V[N * d:, :d] = I
     V[N * d:, d:2 * d] = -T
-    quad = DilationQuadruple(f"V^{blocks}", _first_block_embed(T, blocks), U,
+    quad = DilationQuadruple(_first_block_embed(T, blocks), U,
                              _first_block_projection(T, blocks), V)
     table, power, col = [], I, quad.embed
     for k in range(1, N + 2):
@@ -302,8 +297,7 @@ def standard_dilation(T, horizon: int, rational: bool = True) -> StandardDilatio
     for n in range(blocks):
         P[:d, n * d:(n + 1) * d] = power
         power = _matmul(power, T)
-    quad = DilationQuadruple(f"finitely supported sequences, indices 0..{K}",
-                             _first_block_embed(T, blocks), U, P)
+    quad = DilationQuadruple(_first_block_embed(T, blocks), U, P)
     return StandardDilation(quad, K, T)
 
 
@@ -388,10 +382,9 @@ def ando_like(T, S, horizon: int, rational: bool = True) -> AndoDilation:
 
 @dataclass(frozen=True)
 class IntertwineLift:
-    """R = blockdiag(S, ..., S) between truncated standard dilations, with
-    the three lifted-identity defects (all zero given T1 S = S T2)."""
+    """The three lifted-identity defects of R = blockdiag(S, ..., S) between
+    truncated standard dilations (all zero given T1 S = S T2)."""
 
-    R: np.ndarray
     shift_defect: float       # U1 R - R U2
     projection_defect: float  # R P2 - P1 R
     embedding_defect: float   # R I2 - I1 S
@@ -416,7 +409,6 @@ def intertwine_lift(T1, T2, S, horizon: int,
         R[n * d1:(n + 1) * d1, n * d2:(n + 1) * d2] = S
     q1, q2 = D1.quadruple, D2.quadruple
     return IntertwineLift(
-        R,
         max_abs(_matmul(q1.U, R) - _matmul(R, q2.U)),
         max_abs(_matmul(R, q2.P) - _matmul(q1.P, R)),
         max_abs(_matmul(R, q2.embed) - _matmul(q1.embed, S)),

@@ -136,9 +136,9 @@ def test_a06_dilation_is_riesz_and_restricts_exactly():
         m = int(rng.integers(d, 11))
         P = conditioned_pasf(rng, ps[trial % 4], d, m)
         D = pasf.dilate(P)
-        assert pasf.riesz_residual(D.pasf) <= 1e-8
-        assert np.array_equal(D.pasf.F[:, :P.d], P.F)
-        assert np.array_equal(D.pasf.T[:P.d, :], P.T)
+        assert pasf.riesz_residual(D) <= 1e-8
+        assert np.array_equal(D.F[:, :P.d], P.F)
+        assert np.array_equal(D.T[:P.d, :], P.T)
 
 
 def test_a07_similarity_recovers_the_transforming_operators():
@@ -219,7 +219,7 @@ def test_a09_semi_inner_product_axioms_and_p_two_agreement():
     for _ in range(20):
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         M = random_subset(rng, 6)
-        assert float(np.abs(P2.analysis(x) - F.coefficients(x)).max()) <= 1e-10
+        assert float(np.abs(P2.functionals() @ x - F.coefficients(x)).max()) <= 1e-10
         S_M = sum((np.outer(F.synthesis[:, n], np.conj(F.synthesis[:, n]))
                    for n in M), np.zeros((3, 3), dtype=complex))
         assert float(np.abs(sip.partial_operator(P2, M) - S_M).max()) <= 1e-10
@@ -236,12 +236,12 @@ def test_a10_lower_bound_holds_whenever_its_condition_does():
         for _ in range(300):
             M = random_subset(rng, 7)
             x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            rep = sip.lower_bound_check(P, M, x, slack=1e-9)
+            rep = sip.lower_bound_check(P, M, x)
             if not rep.condition_holds:
                 continue
             held += 1
             assert rep.value >= 0.75 * linops.vec_pnorm(x, p) ** 2 - 1e-9
-            assert rep.passes
+            assert rep.deficit <= 1e-9
     assert held >= 100  # the claim must have been exercised
 
 
@@ -254,11 +254,11 @@ def test_a11_log_family_is_a_metric_one_frame_with_reconstruction():
     a, b = metricframe.metric_frame_bounds(S, fam, 1)
     assert abs(a - 1.0) <= 1e-6
     assert abs(b - 1.0) <= 1e-6
-    rep = metricframe.reconstruction_check(
-        S, fam, metricframe.log_family_reconstructor, 1)
+    dev = metricframe.reconstruction_deviation(
+        S, fam, metricframe.log_family_reconstructor)
     # the certified tail sits far below double precision here, so the
     # comparison carries the usual representation floor
-    assert rep.max_deviation <= fam.remainder + 1e-12
+    assert dev <= fam.remainder + 1e-12
 
 
 def test_a12_multiplier_bounds_hold_with_tiny_slack():
@@ -376,11 +376,12 @@ def test_a15_commutator_decay_and_norm_growth_across_sizes():
     t0 = time.perf_counter()
     built = {}
     for n in (6, 8, 10, 12):
-        sol = cuntz.solve_b(n)
+        built[n] = cuntz.build_DX(n, 0.5)
+        sol = built[n].solution
         assert sol.residual < 1e-8
-        assert sol.bound_ok  # every ||b_i|| under 16 sqrt(2) n^3
+        # every ||b_i|| under 16 sqrt(2) n^3
+        assert max(sol.bounds) <= sol.bound_limit
         assert max(sol.bounds) <= 16.0 * math.sqrt(2.0) * n**3
-        built[n] = cuntz.build_DX(n, 0.5, solution=sol)
         assert built[n].structure.ok  # [D, X] - I in the last column only
         assert built[n].X_interval.hi <= 2.0
     for n1, n2 in ((6, 8), (8, 10), (10, 12)):

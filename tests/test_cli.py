@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -256,6 +257,17 @@ def test_internal_error_exits_three(capsys, mercedes, monkeypatch):
     assert err == "error: internal error: KeyError: 'lost'\n"
 
 
+@pytest.mark.parametrize("residual, tolerance, passed", [
+    (0.0, 0.0, True), (1e-9, 1e-9, True), (2e-9, 1e-9, False),
+    (math.nan, 1.0, False)])
+def test_a_check_passes_when_its_residual_is_at_most_its_tolerance(
+        residual, tolerance, passed):
+    # the exact vsdilate checks pass at residual 0 against tolerance 0
+    R = cli.ReportBuilder()
+    assert R.check("c", "theorem", residual, tolerance) is passed
+    assert R.checks[0]["passed"] is passed and R.passed is passed
+
+
 def test_certified_failures_keep_name_and_base():
     for cls, base in ((hframe.NotAFrame, ValueError),
                       (hframe.HypothesisViolated, ValueError),
@@ -467,6 +479,50 @@ def test_vsdilate_rejects_bad_fraction(capsys, tmp_path):
     rc, _, err = run(capsys, ["vsdilate", "halmos", "--in", mat])
     assert rc == 2
     assert "p/q" in err
+
+
+@pytest.mark.parametrize("verb, files, field", [
+    ("halmos", ("in",), "in"), ("halmos --no-rational", ("in",), "in"),
+    ("witness", ("in",), "in"),
+    ("ando --horizon 2", ("in", "other"), "other"),
+    ("intertwine --horizon 2", ("in", "other", "s"), "s")])
+def test_vsdilate_refuses_a_nan_imaginary_part(capsys, tmp_path, verb, files,
+                                               field):
+    eye = {"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]]}
+    argv = ["vsdilate"] + verb.split()
+    for key in files:
+        obj = dict(eye, im=[[math.nan, 0], [0, 0]]) if key == field else eye
+        argv += [f"--{key}", write(tmp_path, f"{key}.json", obj)]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    where = "matrix" if field == "in" else field
+    assert err.startswith(f"error: {where}: rational commands take real")
+
+
+def test_matrix_loader_refuses_a_non_finite_imaginary_part(capsys, tmp_path):
+    eye = {"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]]}
+    for bad in (math.nan, math.inf):
+        pair = write(tmp_path, "p.json", {"p": 2, "F": eye, "T": dict(
+            eye, im=[[0, bad], [0, 0]])})
+        rc, out, err = run(capsys, ["pasf", "check", "--in", pair])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: T: entries must be finite")
+
+
+@pytest.mark.parametrize("base, why", [
+    (1.5, "must be an integer"), (True, "must be an integer"),
+    ("0", "must be an integer"), (0.0, "must be an integer"),
+    (3, "index out of range"), (-1, "index out of range")])
+def test_metric_sample_refuses_a_base_that_is_not_a_point_index(
+        capsys, tmp_path, base, why):
+    pts = [1.0, 2.0, 4.0]
+    dist = np.abs(np.subtract.outer(pts, pts)).tolist()
+    sample = write(tmp_path, "s.json",
+                   {"points": pts, "dist": dist, "base": base})
+    rc, out, err = run(capsys, ["metric", "bounds", "--in", sample,
+                                "--family", "log(1)", "--terms", "24"])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: sample file: base {why}")
 
 
 def test_cuntz_verbs(capsys):

@@ -73,7 +73,7 @@ TIGHT_FRAMES = ["mercedes", "harmonic(1,1)", "harmonic(2,4)", "harmonic(3,7)",
 def test_tight_frame_bound_is_total_energy_over_dimension(spec):
     # S = A I gives trace(S) = A d, and trace(S) = sum_n ||tau_n||^2
     F = make_named_frame(spec)
-    energy = sum(np.linalg.norm(F.vector(n)) ** 2 for n in range(F.m))
+    energy = sum(np.linalg.norm(F.synthesis[:, n]) ** 2 for n in range(F.m))
     a, b = frame_bounds(F)
     assert a == pytest.approx(energy / F.d, rel=1e-12)
     assert b == pytest.approx(energy / F.d, rel=1e-12)
@@ -180,16 +180,16 @@ def identity_sides_oracle(F, M, h):
     # explicit-loop evaluation of both identity sides for a Parseval frame
     m = F.m
     Mc = [n for n in range(m) if n not in set(M)]
-    c = [ip(h, F.vector(n)) for n in range(m)]
+    c = [ip(h, F.synthesis[:, n]) for n in range(m)]
 
     def parseval_side(idx):
         first = sum(abs(c[n]) ** 2 for n in idx)
-        vec = sum((c[n] * F.vector(n) for n in idx), np.zeros(F.d, dtype=complex))
+        vec = sum((c[n] * F.synthesis[:, n] for n in idx), np.zeros(F.d, dtype=complex))
         return first - sum(abs(t) ** 2 for t in vec)
 
     def lower_value(idx, idxc):
         first = sum(abs(c[n]) ** 2 for n in idx)
-        vec = sum((c[n] * F.vector(n) for n in idxc), np.zeros(F.d, dtype=complex))
+        vec = sum((c[n] * F.synthesis[:, n] for n in idxc), np.zeros(F.d, dtype=complex))
         return first + sum(abs(t) ** 2 for t in vec)
 
     return parseval_side(M), parseval_side(Mc), lower_value(M, Mc)
@@ -236,8 +236,8 @@ def test_naimark_dilation_of_parseval_frame_is_orthonormal():
     assert dil.space_dim == 5
     W = dil.frame.synthesis
     assert np.abs(W.conj().T @ W - np.eye(5)).max() < 1e-10
-    # projection onto the first d coordinates recovers the frame exactly
-    assert np.array_equal(dil.projection @ W, F.synthesis)
+    # the first d coordinates recover the frame exactly
+    assert np.array_equal(W[:F.d], F.synthesis)
 
 
 def test_naimark_dilation_of_general_frame_is_riesz():
@@ -247,7 +247,7 @@ def test_naimark_dilation_of_general_frame_is_riesz():
     # a Riesz basis: as many vectors as dimensions, invertible Gram
     assert dil.frame.m == dil.frame.d
     assert linops.is_invertible(dil.frame.gram)
-    assert np.array_equal(dil.projection @ dil.frame.synthesis, F.synthesis)
+    assert np.array_equal(dil.frame.synthesis[:F.d], F.synthesis)
 
 
 def test_quadratic_perturbation_certificate():
@@ -257,7 +257,8 @@ def test_quadratic_perturbation_certificate():
     cert = perturb_certificate(F, G, "quadratic")
     assert cert.valid
     a, b = frame_bounds(F)
-    c = sum(np.linalg.norm(F.vector(n) - G.vector(n)) ** 2 for n in range(3))
+    c = sum(np.linalg.norm(F.synthesis[:, n] - G.synthesis[:, n]) ** 2
+            for n in range(3))
     assert cert.detail["c"] == pytest.approx(c, rel=1e-12)
     lo, hi = cert.predicted_bounds
     ga, gb = frame_bounds(G)

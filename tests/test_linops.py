@@ -84,7 +84,7 @@ def test_exact_opnorms_ignore_permutations_and_phases(p):
     P_out = np.eye(5)[rng.permutation(5)] * np.exp(1j * rng.uniform(0, 6, 5))
     P_in = np.eye(4)[rng.permutation(4)] * np.exp(1j * rng.uniform(0, 6, 4))
     iv, jv = opnorm_interval(A, p), opnorm_interval(P_out @ A @ P_in, p)
-    assert iv.exact and jv.exact
+    assert iv.lo == iv.hi and jv.lo == jv.hi
     assert jv.hi == pytest.approx(iv.hi, rel=1e-13)
 
 
@@ -106,8 +106,8 @@ def test_opnorm_exact_cases_match_column_row_oracles():
     row = max(sum(abs(A[i, j]) for j in range(4)) for i in range(5))
     i1 = opnorm_interval(A, 1)
     iinf = opnorm_interval(A, math.inf)
-    assert i1.exact and i1.hi == pytest.approx(col, rel=1e-13)
-    assert iinf.exact and iinf.hi == pytest.approx(row, rel=1e-13)
+    assert i1.lo == i1.hi and i1.hi == pytest.approx(col, rel=1e-13)
+    assert iinf.lo == iinf.hi and iinf.hi == pytest.approx(row, rel=1e-13)
     # 2-norm against power iteration on A^H A
     B = A.conj().T @ A
     v = np.ones(4, dtype=complex)
@@ -116,7 +116,7 @@ def test_opnorm_exact_cases_match_column_row_oracles():
         v = v / np.linalg.norm(v)
     s2 = math.sqrt(abs(np.vdot(v, B @ v)))
     i2 = opnorm_interval(A, 2)
-    assert i2.exact and i2.hi == pytest.approx(s2, rel=1e-10)
+    assert i2.lo == i2.hi and i2.hi == pytest.approx(s2, rel=1e-10)
 
 
 def test_opnorm_p15_contains_frozen_grid_maximum():
@@ -172,11 +172,11 @@ def test_mixed_norm_exact_cases():
     for q in (1.5, 2.0, 4.0):
         iv = opnorm_mixed_interval(A, 1, q)
         oracle = max(pnorm_oracle(A[:, j], q) for j in range(3))
-        assert iv.exact and iv.hi == pytest.approx(oracle, rel=1e-12)
+        assert iv.lo == iv.hi and iv.hi == pytest.approx(oracle, rel=1e-12)
     # p_in -> inf: max row dual-norm
     iv = opnorm_mixed_interval(A, 2, math.inf)
     oracle = max(pnorm_oracle(A[i, :], 2) for i in range(4))
-    assert iv.exact and iv.hi == pytest.approx(oracle, rel=1e-12)
+    assert iv.lo == iv.hi and iv.hi == pytest.approx(oracle, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

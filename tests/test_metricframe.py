@@ -12,7 +12,7 @@ from framekit.metricframe import (
     log_family_reconstructor,
     make_named_family,
     metric_frame_bounds,
-    reconstruction_check,
+    reconstruction_deviation,
     sample_from_points,
 )
 
@@ -46,6 +46,10 @@ def test_sample_validation():
         MetricSample(("a", "b", "c"), D)
     with pytest.raises(ValueError):
         MetricSample(("a",), np.zeros((1, 1)), base=3)
+    # a base that is not an integer is refused, not truncated to a point
+    for base in (1.5, True, 1.0, "1"):
+        with pytest.raises(ValueError, match="base must be an integer"):
+            MetricSample(("a", "b"), np.array([[0, 1.0], [1.0, 0]]), base=base)
 
 
 def full_check(S):
@@ -231,10 +235,9 @@ def test_reconstruction_log_family_binding_remainder():
     # remainder is then a real theorem check, not a rounding artifact
     S = line_sample(18, 40, 1.0, 20.0, base=0)
     F = make_named_family("log(1)", S, 12)
-    rep = reconstruction_check(S, F, log_family_reconstructor, 1)
-    assert rep.max_deviation > 1e-6  # the tail is visibly nonzero here
-    assert rep.max_deviation <= F.remainder
-    assert rep.reconstructor_lipschitz <= 1.0 + 1e-12
+    dev = reconstruction_deviation(S, F, log_family_reconstructor)
+    assert dev > 1e-6  # the tail is visibly nonzero here
+    assert dev <= F.remainder
 
 
 def test_reconstruction_log_family_deep_truncation():
@@ -242,27 +245,22 @@ def test_reconstruction_log_family_deep_truncation():
     # precision, so the deviation is pure representation noise
     S = line_sample(18, 40, 1.0, 20.0, base=0)
     F = make_named_family("log(1)", S, 40)
-    rep = reconstruction_check(S, F, log_family_reconstructor, 1)
-    assert rep.max_deviation <= F.remainder + 1e-12
-    assert rep.reconstructor_lipschitz <= 1.0 + 1e-12
+    dev = reconstruction_deviation(S, F, log_family_reconstructor)
+    assert dev <= F.remainder + 1e-12
 
 
 def test_reconstruction_identity_frame():
     S = line_sample(19, 9, 0.0, 1.0, base=0)
     F = LipschitzFamily(np.asarray(S.points).reshape(1, -1))
-    rep = reconstruction_check(S, F, lambda c: c[0], 1)
-    assert rep.max_deviation == 0.0
-    assert abs(rep.reconstructor_lipschitz - 1.0) <= 1e-12
-    off = reconstruction_check(S, F, lambda c: c[0] + 0.125, 1)
-    assert off.max_deviation == 0.125
+    assert reconstruction_deviation(S, F, lambda c: c[0]) == 0.0
+    assert reconstruction_deviation(S, F, lambda c: c[0] + 0.125) == 0.125
 
 
 def test_reconstruction_needs_pointed_numeric_sample():
     S = line_sample(20, 5, 0.0, 1.0)  # no base
     F = LipschitzFamily(np.zeros((1, 5)))
     with pytest.raises(ValueError):
-        reconstruction_check(S, F, lambda c: 0.0, 1)
+        reconstruction_deviation(S, F, lambda c: 0.0)
     S2 = MetricSample(("x", "y"), np.array([[0, 1.0], [1.0, 0]]), base=0)
     with pytest.raises(ValueError):
-        reconstruction_check(S2, LipschitzFamily(np.zeros((1, 2))), lambda c: 0.0, 1)
-
+        reconstruction_deviation(S2, LipschitzFamily(np.zeros((1, 2))), lambda c: 0.0)

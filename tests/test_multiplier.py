@@ -71,10 +71,11 @@ def test_symbol_linearity_exact_on_integer_data():
                     [0.0, 1.0, 3.0]])
     lam = np.array([1.0, 2.0, 3.0])
     mu = np.array([4.0, 0.0, 5.0])
-    M = Multiplier(S, LipschitzFamily(vals), Tau, lam, 2.0)
+    F = LipschitzFamily(vals)
+    M = Multiplier(S, F, Tau, lam, 2.0)
     for j in range(4):
-        left = apply(M.symbol_with(lam + mu), j)
-        right = apply(M, j) + apply(M.symbol_with(mu), j)
+        left = apply(Multiplier(S, F, Tau, lam + mu, 2.0), j)
+        right = apply(M, j) + apply(Multiplier(S, F, Tau, mu, 2.0), j)
         assert np.array_equal(left, right)
 
 
@@ -82,9 +83,11 @@ def test_symbol_linearity_random():
     M = pointed_instance(3)
     rng = np.random.default_rng(30)
     mu = rng.normal(size=M.m) + 1j * rng.normal(size=M.m)
+    with_symbol = lambda lam: Multiplier(  # noqa: E731
+        M.sample, M.family, M.Tau, lam, M.p, M.out_norm)
     for j in range(M.sample.n):
-        left = apply(M.symbol_with(M.lam + mu), j)
-        right = apply(M, j) + apply(M.symbol_with(mu), j)
+        left = apply(with_symbol(M.lam + mu), j)
+        right = apply(M, j) + apply(with_symbol(mu), j)
         np.testing.assert_allclose(left, right, atol=1e-12)
 
 
@@ -120,7 +123,7 @@ def test_single_term_lipschitz_is_norm_times_lip():
     M = Multiplier(S, F, Tau, [0.5], 2.0)
     rep = lip_bound_check(M)
     assert math.isclose(rep.measured, 5.0, rel_tol=1e-12)
-    assert rep.holds
+    assert rep.measured <= rep.certified + 1e-9
 
 
 def test_lip_measured_matches_oracle_and_bound_holds():
@@ -167,7 +170,7 @@ def test_tail_decay_bound_and_monotonicity():
     rng = np.random.default_rng(10)
     M = pointed_instance(10, m=8)
     lam = 2.0 ** -np.arange(8.0)
-    M = M.symbol_with(lam)
+    M = Multiplier(M.sample, M.family, M.Tau, lam, M.p, M.out_norm)
     prev = math.inf
     for cut in range(M.m):
         measured, bound = tail_decay(M, cut)
@@ -271,6 +274,7 @@ def test_out_norm_changes_measured_and_certified():
     M1 = pointed_instance(19, out_norm=1.0)
     Minf = Multiplier(M1.sample, M1.family, M1.Tau, M1.lam, M1.p, math.inf)
     r1, rinf = lip_bound_check(M1), lip_bound_check(Minf)
-    assert r1.holds and rinf.holds
+    assert r1.measured <= r1.certified + 1e-9
+    assert rinf.measured <= rinf.certified + 1e-9
     assert r1.measured >= rinf.measured  # l1 dominates linf on K^d
     assert r1.d >= rinf.d

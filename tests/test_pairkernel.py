@@ -21,10 +21,8 @@ from framekit.metricframe import (
     DIST_TOL,
     LipschitzFamily,
     MetricSample,
-    log_family_reconstructor,
     make_named_family,
     metric_frame_bounds,
-    reconstruction_check,
     sample_from_points,
 )
 from framekit.multiplier import Multiplier, lip_bound_check
@@ -56,18 +54,6 @@ def ref_pair_ratios(S, values, p):
 def ref_bounds(S, F, p):
     ratios = ref_pair_ratios(S, F.values, p)
     return min(ratios), max(ratios) + F.remainder
-
-
-def ref_reconstruction_lip(S, F, reconstructor, p):
-    outs = np.asarray([reconstructor(F.values[:, j]) for j in range(S.n)],
-                      dtype=float)
-    lip = 0.0
-    for i in range(S.n):
-        for j in range(i + 1, S.n):
-            gap = vec_pnorm(F.values[:, i] - F.values[:, j], p)
-            if gap > 0:
-                lip = max(lip, abs(outs[i] - outs[j]) / gap)
-    return lip
 
 
 def ref_pair_lip(M, coeff, Tau):
@@ -182,45 +168,6 @@ def test_bounds_at_ties_equal_scalar_scan(p, seed):
         c = F.values[:, 0] / S.points[0]
         assert got[0] <= vec_pnorm(c, p) <= got[1]
         assert got[1] - got[0] <= 1e-12 * got[1]
-
-
-@pytest.mark.parametrize("p", P_VALUES)
-@pytest.mark.parametrize("seed", range(4))
-def test_reconstruction_lip_at_ties_equals_scalar_scan(p, seed):
-    # a linear reconstructor on a linear family: every ratio is
-    # |w.c| / ||c||_p within rounding, the same tie as above
-    rng = np.random.default_rng(100 + seed)
-    S = make_sample(rng, 0)
-    F = LipschitzFamily(make_values(rng, S, "linear", False))
-    w = rng.standard_normal(TERMS)
-    rec = lambda col: float(w @ col)  # noqa: E731
-    got = reconstruction_check(S, F, rec, p).reconstructor_lipschitz
-    assert got == ref_reconstruction_lip(S, F, rec, p)
-    # the outputs cancel over the closest pair (gaps near 1e-3 on [1, 20]),
-    # so the tie holds to about 1e-16 * 20 / 1e-3 relative
-    c = F.values[:, 0] / S.points[0]
-    assert got == pytest.approx(abs(w @ c) / vec_pnorm(c, p), rel=1e-9)
-
-
-@settings(max_examples=25, deadline=None)
-@given(cases)
-def test_reconstruction_lip_equals_scalar_scan(c):
-    rng = np.random.default_rng(c["seed"])
-    S = make_sample(rng, c["dup"])
-    F = LipschitzFamily(make_values(rng, S, c["kind"], c["cplx"]))
-    w = rng.standard_normal(TERMS)
-    rec = lambda col: float(np.real(w @ col)) ** 3  # noqa: E731
-    got = reconstruction_check(S, F, rec, c["p"])
-    assert got.reconstructor_lipschitz == ref_reconstruction_lip(S, F, rec, c["p"])
-
-
-@pytest.mark.parametrize("p", P_VALUES)
-def test_log_reconstruction_equals_scalar_scan(p):
-    S = make_sample(np.random.default_rng(11), 0, n=90)
-    F = make_named_family("log(1)", S, TERMS)
-    got = reconstruction_check(S, F, log_family_reconstructor, p)
-    want = ref_reconstruction_lip(S, F, log_family_reconstructor, p)
-    assert got.reconstructor_lipschitz == want
 
 
 # ------------------------------------------------------- multiplier

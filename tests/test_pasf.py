@@ -152,9 +152,8 @@ def test_dilate_gives_riesz_basis_with_exact_restriction(seed, p):
     d = int(rng.integers(2, 5))
     m = int(rng.integers(d + 1, 9))
     P = random_pasf(seed, d, m, p)
-    dil = dilate(P)
-    out = dil.pasf
-    assert dil.riesz and riesz_residual(out) <= RIESZ_TOL
+    out = dilate(P)
+    assert riesz_residual(out) <= RIESZ_TOL
     assert out.d == m  # d + (m - d)
     # the first d coordinates restore the input with no tolerance
     assert np.array_equal(out.F[:, :d], P.F)
@@ -170,7 +169,7 @@ def test_dilate_gives_riesz_basis_with_exact_restriction(seed, p):
 def test_dilate_trivial_when_projection_is_identity():
     P = random_pasf(41, 3, 3, 2)
     assert np.abs(P.projection() - np.eye(3)).max() < 1e-9
-    out = dilate(P).pasf
+    out = dilate(P)
     assert out.F.shape == P.F.shape
     assert np.array_equal(out.F, P.F)
     assert np.array_equal(out.T, P.T)
@@ -181,17 +180,15 @@ def test_riesz_check_square_vs_redundant():
     assert riesz_residual(random_pasf(44, 3, 6, 2)) > RIESZ_TOL
 
 
-def test_riesz_residual_raises_on_singular_pair_and_dilate_reads_false():
+def test_riesz_residual_raises_on_singular_pairs():
     with pytest.raises(linops.NotInvertible):
         riesz_residual(PAsf(2, np.ones((3, 2)), np.ones((2, 3))))
     # S = 1e-11 I is invertible, but the dilated operator diag(S, I) is
-    # singular to working precision, so dilate catches NotInvertible
+    # singular to working precision: dilate still returns the pair
     base = shift_pair(5, 2.0)
     P = PAsf(2, 1e-11 * base.F, base.T)
-    dil = dilate(P)
     with pytest.raises(linops.NotInvertible):
-        riesz_residual(dil.pasf)
-    assert dil.riesz is False
+        riesz_residual(dilate(P))
 
 
 def shift_table_oracle(m):
@@ -309,9 +306,10 @@ def test_expand_to_asf_shift_example():
     Q = PAsf(2, np.eye(5), np.eye(5))
     exp = expand_to_asf(P, Q)
     # (I - S) e_1 = e_1 and (I - S) e_n = 0: exactly one appended vector
-    nonzero_cols = [n for n in range(5) if np.abs(exp.appended_vectors[:, n]).max() > 0]
+    appended = exp.expanded.T[:, P.m:]
+    nonzero_cols = [n for n in range(5) if np.abs(appended[:, n]).max() > 0]
     assert nonzero_cols == [0]
-    assert np.array_equal(exp.appended_vectors[:, 0], np.eye(5)[:, 0])
+    assert np.array_equal(appended[:, 0], np.eye(5)[:, 0])
     assert np.abs(exp.expanded.frame_operator - np.eye(5)).max() < 1e-9
     assert exp.n_min == 1
 
@@ -320,7 +318,7 @@ def test_expand_to_asf_trivial_and_rank():
     Q = PAsf(2, np.eye(4), np.eye(4))
     P = shift_pair(5, 2)  # S = I already
     exp = expand_to_asf(P, PAsf(2, np.eye(4), np.eye(4)))
-    assert np.abs(exp.appended_vectors).max() == 0.0
+    assert np.abs(exp.expanded.T[:, P.m:]).max() == 0.0
     rng = np.random.default_rng(58)
     A = rng.standard_normal((4, 2))
     weak = PAsf(2, A.T.copy(), A)  # rank-2 frame operator

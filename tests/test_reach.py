@@ -1,5 +1,6 @@
 """Every public top-level function and class in ``src/framekit`` is named
-somewhere in the package outside its own definition.
+somewhere in the package outside its own definition, and every member of a
+public class is read there.
 
 A name counts as reached when another statement of its module uses it,
 when another module imports it by name, or when another module reads it
@@ -8,6 +9,13 @@ decorated function counts as reached, because the decorator registers it
 (every ``cmd_*`` handler of the command line). What no verb reaches gets a
 verb or is deleted; the allowlist holds the few names that tests keep on
 purpose.
+
+A member (a method, property or annotated field, dunders aside) counts as
+read when an attribute load of its name appears anywhere in the package
+outside the member's own definition; a load on ``self`` reads only the
+members of the class it is written in. Other loads match by name alone, so
+a member that shares its name with one that is read passes unseen. A
+keyword in a constructor call is not a read.
 """
 
 import ast
@@ -27,6 +35,15 @@ ALLOWED = {
     ("sip", "make_parseval"):
         "test fixture: builds the Parseval semi-inner-product pairs of the "
         "sip tests",
+}
+
+MEMBER_ALLOWED = {
+    ("cuntz", "CuntzElement", "coeff"):
+        "test oracle: the coefficient of one word, which the word-algebra "
+        "and build_DX tests read",
+    ("cuntz", "LemmaReport", "mu"):
+        "test oracle: the scaling the lemma certified, against which the "
+        "tests check that build_DX certifies the pair it reports",
 }
 
 
@@ -72,3 +89,49 @@ def test_every_public_name_is_reached():
     assert unreached == []
     # an allowlist entry goes once its name is deleted or gets a caller
     assert [k for k in ALLOWED if k not in defined or k in used] == []
+
+
+def public_members():
+    """(spans, unread): the members of public top-level classes with the
+    lines of their definition, and those that no attribute load outside
+    that definition reads."""
+    spans, loads = {}, {}
+    for path in SRC.glob("*.py"):
+        mod, tree = path.stem, ast.parse(path.read_text())
+        for stmt in tree.body:
+            owner = (mod, stmt.name) if isinstance(stmt, ast.ClassDef) else None
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    on_self = (isinstance(node.value, ast.Name)
+                               and node.value.id == "self")
+                    loads.setdefault(node.attr, []).append(
+                        (mod, node.lineno, owner if on_self else None))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    name = stmt.name
+                elif (isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)):
+                    name = stmt.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    spans[mod, cls.name, name] = (stmt.lineno, stmt.end_lineno)
+    unread = {key for key, (lo, hi) in spans.items()
+              if not any(owner in (None, key[:2])
+                         and not (m == key[0] and lo <= line <= hi)
+                         for m, line, owner in loads.get(key[2], ()))}
+    return spans, unread
+
+
+def test_every_public_member_is_read():
+    spans, unread = public_members()
+    assert ("cuntz", "DXBuild", "error_bound") in spans  # fields are seen
+    assert [f"{mod}.py:{spans[mod, cls, name][0]} {cls}.{name}"
+            for mod, cls, name in sorted(unread)
+            if (mod, cls, name) not in MEMBER_ALLOWED] == []
+    # an allowlist entry goes once its member is deleted or gets a reader
+    assert [k for k in MEMBER_ALLOWED if k not in unread] == []

@@ -288,7 +288,7 @@ def test_lower_bound_p2_condition_automatic():
         rep = lower_bound_check(P, [0, 1, 4], x)
         assert isinstance(rep, LowerBoundReport)
         assert rep.condition_holds  # (S_M - I/2)^2 is PSD in the p = 2 case
-        assert rep.passes
+        assert rep.deficit <= 1e-9
         assert rep.value >= 0.75 * np.linalg.norm(x) ** 2 - 1e-9
 
 
@@ -299,7 +299,7 @@ def test_lower_bound_empty_subset_gives_full_norm():
     rep = lower_bound_check(P, [], x)
     n2 = np.linalg.norm(x) ** 2
     assert abs(rep.value - n2) <= 1e-9 * max(1.0, n2)
-    assert rep.passes
+    assert not rep.condition_holds or rep.deficit <= 1e-9
 
 
 def test_lower_bound_general_p_where_condition_holds():
@@ -308,7 +308,7 @@ def test_lower_bound_general_p_where_condition_holds():
     for seed in range(40):
         x = vec(3, 300 + seed)
         rep = lower_bound_check(P, [0, 2, 4, 6], x)
-        assert rep.passes
+        assert not rep.condition_holds or rep.deficit <= 1e-9
         hit += rep.condition_holds
     assert hit > 0  # the check must actually exercise the bound
 
@@ -317,13 +317,11 @@ def test_lower_bound_reports_floor_and_deficit():
     P = make_parseval(3, 3, 7, seed=15)
     for seed in range(20):
         x = vec(3, 400 + seed)
-        rep = lower_bound_check(P, [0, 2, 4, 6], x, slack=1e-9)
+        rep = lower_bound_check(P, [0, 2, 4, 6], x)
         assert rep.floor == 0.75 * linops.vec_pnorm(x, 3) ** 2
         assert rep.deficit == max(rep.floor - rep.value, 0.0)
-        assert rep.passes == (not rep.condition_holds or rep.deficit <= 1e-9)
-    # a negative slack makes every held condition fail
-    rep = lower_bound_check(P, [], vec(3, 420), slack=-1.0)
-    assert rep.condition_holds and rep.deficit == 0.0 and not rep.passes
+    rep = lower_bound_check(P, [], vec(3, 420))
+    assert rep.condition_holds and rep.deficit == 0.0
 
 
 def test_lower_bound_rejects_non_parseval():
