@@ -1404,14 +1404,17 @@ def _parse_range(text: str) -> list:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Prints a usage error as "error: ..." first, then the usage line."""
+    """Prints a usage error as "error: ..." first; takes no option prefix."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n{self.format_usage()}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = _Parser(add_help=False)
     shared.add_argument("--tol", type=_tolerance, default=None,
                         help="override the default tolerance of the checks")
     shared.add_argument("--seed", type=int, default=0,

@@ -349,6 +349,8 @@ def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:
 # so it is decided coefficient-exactly (float coefficients would prune the
 # delta^2 cross terms).  D and X are object matrices of such polynomials,
 # multiplied by linops._matmul, the same exact product as everywhere else.
+# Empty cells are never multiplied: _matmul and the mu scaling skip them, and
+# +, - and * return at once on an empty operand (a _Poly is never changed).
 
 
 class _Poly(dict):
@@ -358,20 +360,27 @@ class _Poly(dict):
         super().__init__((k, c) for k, c in dict(terms).items() if c)
 
     def __add__(self, other: "_Poly") -> "_Poly":
+        if not other or not self:
+            return self or other
         out = dict(self)
         for k, c in other.items():
-            out[k] = out.get(k, 0) + c
+            out[k] = out[k] + c if k in out else c
         return _Poly(out)
 
+    def __neg__(self) -> "_Poly":
+        return _Poly({k: -c for k, c in self.items()})
+
     def __sub__(self, other: "_Poly") -> "_Poly":
-        return self + _Poly({k: -c for k, c in other.items()})
+        return self + -other if other else self
 
     def __mul__(self, other: "_Poly") -> "_Poly":
+        if not self or not other:
+            return _Poly()
         out: dict = {}
         for wa, ca in self.items():
             for wb, cb in other.items():
                 k = wa + wb
-                out[k] = out.get(k, 0) + ca * cb
+                out[k] = out[k] + ca * cb if k in out else ca * cb
         return _Poly(out)
 
 
@@ -423,11 +432,11 @@ def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
     if mu is not None:
         # conjugation by diag(mu^{n-1}, ..., mu, 1), times 1/mu on D, mu on X
         mu = Fraction(mu)
-        power = {k: _const(mu ** k) for k in range(-n, n + 1)}
-        for i in range(n):
-            for j in range(n):
-                D[i, j] = D[i, j] * power[j - i - 1]
-                X[i, j] = X[i, j] * power[j - i + 1]
+        power = lru_cache(None)(lambda k: _const(mu ** k))
+        for M, shift in ((D, -1), (X, 1)):
+            for (i, j), cell in np.ndenumerate(M):
+                if cell:
+                    M[i, j] = cell * power(j - i + shift)
         scale = [mu ** (n - i) for i in range(n + 1)]
     C = _matmul(D, X) - _matmul(X, D)
     off = all(C[i, j] == (_const(1) if i == j else {})

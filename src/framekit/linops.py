@@ -87,18 +87,26 @@ def dual_exponent(p) -> float:
 def vec_pnorm(x, p) -> float:
     """(sum |x_i|^p)^(1/p), or max |x_i| for p = inf."""
     p = _check_p(p)
-    v = np.abs(as_vector(x))
+    return _pnorm(as_vector(x), p)
+
+
+def _pnorm(x: np.ndarray, p: float) -> float:
+    """vec_pnorm of a complex vector, p checked; the entries are checked only
+    when the norm is not finite, as a non-finite entry always makes it."""
+    v = np.abs(x)
     if math.isinf(p):
-        return float(v.max())
-    if p == 1:
-        return float(v.sum())
-    if p == 2:
-        return float(np.linalg.norm(v))
-    mx = float(v.max())
-    if mx == 0.0:
-        return 0.0
-    # factor out the max to avoid overflow for large p
-    return mx * float(np.power(v / mx, p).sum()) ** (1.0 / p)
+        r = float(v.max())
+    elif p == 1:
+        r = float(v.sum())
+    elif p == 2:
+        r = float(np.linalg.norm(v))
+    else:
+        mx = float(v.max())
+        # factor out the max to avoid overflow for large p
+        r = mx * float(np.power(v / mx, p).sum()) ** (1.0 / p) if mx else 0.0
+    if not math.isfinite(r):
+        as_vector(x)
+    return r
 
 
 def _dual_vector(y: np.ndarray, p: float) -> np.ndarray:
@@ -116,7 +124,7 @@ def _dual_vector(y: np.ndarray, p: float) -> np.ndarray:
         return g
     w = (ay / ay.max()) ** (p - 1.0)
     g = phase * w
-    return g / vec_pnorm(g, dual_exponent(p))
+    return g / _pnorm(g, dual_exponent(p))
 
 
 def _ascent_lower(A: np.ndarray, p_in: float, p_out: float,
@@ -141,11 +149,11 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float,
         starts_list.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
     for x in starts_list:
         x = np.asarray(x, dtype=complex)
-        nx = vec_pnorm(x, p_in)
+        nx = _pnorm(x, p_in)
         if nx == 0:
             continue
         x = x / nx
-        val = vec_pnorm(A @ x, p_out)
+        val = _pnorm(A @ x, p_out)
         for _ in range(60):
             y = A @ x
             g = _dual_vector(y, p_out)
@@ -153,11 +161,11 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float,
             if not np.abs(z).any():
                 break
             x_new = _dual_vector(z, q_in).conj()
-            nx = vec_pnorm(x_new, p_in)
+            nx = _pnorm(x_new, p_in)
             if nx == 0:
                 break
             x_new = x_new / nx
-            val_new = vec_pnorm(A @ x_new, p_out)
+            val_new = _pnorm(A @ x_new, p_out)
             if val_new <= val * (1 + 1e-14):
                 val = max(val, val_new)
                 break

@@ -353,8 +353,9 @@ def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
         for k in range(1, P.m + 1):
             yk = np.zeros_like(y)
             yk[:k * P.r] = y[:k * P.r]
-            yield (norm(thA @ yk - thB @ yk), alpha * norm(thA @ yk)
-                   + beta * norm(thB @ yk) + gamma * norm(yk))
+            a, b = thA @ yk, thB @ yk
+            yield (norm(a - b), alpha * norm(a) + beta * norm(b)
+                   + gamma * norm(yk))
 
     holds, _ = _falsify(prefixes, P.m * P.r, samples, seed)
     lo = (1 - reach) / ((1 + beta) * _norm2(Sinv_star))

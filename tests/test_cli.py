@@ -109,6 +109,29 @@ def test_unknown_verb(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("abbreviated", [
+    ["hframe", "bounds", "--in", "{in}", "--t", "1e-30"],
+    ["hframe", "bounds", "--in", "{in}", "--se", "3"],
+    ["hframe", "bounds", "--in", "{in}", "--js"],
+    ["hframe", "bounds", "--i", "{in}"],
+    ["cuntz", "build", "--n", "3", "--m", "0.25"],
+])
+def test_an_option_is_taken_only_by_its_full_name(capsys, mercedes,
+                                                   abbreviated):
+    argv = [mercedes if a == "{in}" else a for a in abbreviated]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def test_a_full_option_name_may_carry_its_value_after_an_equals_sign(capsys, mercedes):
+    argv = ["hframe", "bounds", "--in", mercedes, "--tol=1e-3", "--json"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert json.loads(out)["config"]["tol"] == 1e-3
+
+
 def test_help_exits_zero(capsys):
     rc, out, _ = run(capsys, ["--help"])
     assert rc == 0

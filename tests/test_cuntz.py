@@ -445,6 +445,60 @@ def test_lemma_catches_every_changed_coefficient(n, mu, monkeypatch):
         assert not lemma_structure(n, mu).ok, site
 
 
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("mu", [None, Fraction(1, 5)])
+@pytest.mark.parametrize("term", [{("v",): Fraction(1)}, {(): Fraction(3, 7)}])
+def test_lemma_catches_a_term_in_every_zero_cell(n, mu, term, monkeypatch):
+    # the zero-skipping product and scaling must still see a cell that
+    # should be empty and is not
+    real = cuntz._lemma_matrices
+    D, X, _ = real(n)
+    sites = [(which, i, j) for which, M in enumerate((D, X))
+             for (i, j), p in np.ndenumerate(M) if not p]
+    assert len(sites) == 2 * n * n - (4 * n - 4) - (2 * n - 1)
+    for site in sites:
+        def mutated(m, site=site):
+            which, i, j = site
+            mats = real(m)
+            mats[which][i, j] = cuntz._Poly(term)
+            return mats
+        monkeypatch.setattr(cuntz, "_lemma_matrices", mutated)
+        assert not lemma_structure(n, mu).ok, site
+
+
+def plain_sum(a, b, sign):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def plain_product(a, b):
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+sparse_polys = st.one_of(st.just(cuntz._Poly()), polys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_polys, sparse_polys)
+def test_poly_shortcuts_equal_the_plain_dict_loop(a, b):
+    before = (dict(a), dict(b))
+    results = {"+": (a + b, plain_sum(a, b, 1)),
+               "-": (a - b, plain_sum(a, b, -1)),
+               "*": (a * b, plain_product(a, b)),
+               "neg": (-a, plain_sum({}, a, -1))}
+    for op, (got, want) in results.items():
+        assert type(got) is cuntz._Poly, op
+        assert got == want, op
+        assert all(got.values()), op
+    assert (dict(a), dict(b)) == before  # operands are never changed
+
+
 # --- assembled matrices -----------------------------------------------------
 
 

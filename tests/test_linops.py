@@ -75,6 +75,48 @@ def test_vec_pnorm_is_nonincreasing_in_p():
     assert norms[0] <= 9 * norms[-1]
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+complex_vectors = st.one_of(
+    st.integers(1, 6).map(lambda n: np.zeros(n, dtype=complex)),
+    st.lists(st.builds(complex, finite, finite), min_size=1, max_size=6)
+    .map(lambda v: np.array(v, dtype=complex)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(complex_vectors, st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+def test_internal_pnorm_is_bit_identical_to_vec_pnorm(x, p):
+    # the ascent's own vectors skip the public checks, not the arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = vec_pnorm(x, p)
+        got = linops._pnorm(x, p)
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0, math.nan), complex(1, math.inf)])
+def test_internal_pnorm_refuses_non_finite_entries_as_as_vector_does(p, bad):
+    x = np.array([1.0, bad, 2.0], dtype=complex)
+    with pytest.raises(ValueError) as public:
+        linops.as_vector(x)
+    with pytest.raises(ValueError) as internal, np.errstate(invalid="ignore"):
+        linops._pnorm(x, p)
+    assert str(internal.value) == str(public.value)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("x", [[1.5e308, 1.5e308], [1.5e308 + 1.5e308j],
+                               [-1.5e308, 1.5e308j, 1.0]])
+def test_internal_pnorm_returns_an_overflowing_norm_unrefused(p, x):
+    # finite entries, norm beyond the float range: no refusal either way
+    x = np.array(x, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = vec_pnorm(x, p)
+        got = linops._pnorm(x, p)
+    assert not math.isfinite(want)
+    assert got.hex() == want.hex()
+
+
 @pytest.mark.parametrize("p", [1, 2, math.inf])
 def test_exact_opnorms_ignore_permutations_and_phases(p):
     # permutations and unimodular diagonals are isometries of every p-norm,
