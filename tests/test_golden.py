@@ -69,6 +69,14 @@ REPORTS = [
        "--mode", "two_sided", "--g", _in("pasf_g"), "--case", str(k),
        "--alpha", "0.05", "--beta", "0.1", "--gamma", "0.02", "--r", "0.1",
        "--s", "0.2", "--t", "0.05"] for k in range(1, 5)],
+    # p = 3: the norms come from the interpolation bound, not an exact formula
+    ["pasf", "perturb", "--in", _in("pasf_p3"), "--omega", _in("pasf_omega")],
+    ["pasf", "perturb", "--in", _in("pasf_p3"), "--omega", _in("pasf_omega"),
+     "--mode", "general", "--alpha", "0.1", "--samples", "16"],
+    ["pasf", "perturb", "--in", _in("pasf_p3"), "--omega", _in("pasf_omega"),
+     "--mode", "two_sided", "--g", _in("pasf_g"), "--case", "1",
+     "--alpha", "0.05", "--beta", "0.1", "--gamma", "0.02", "--r", "0.1",
+     "--s", "0.2", "--t", "0.05"],
     ["pasf", "expand", "--in", _in("pasf_weak"), "--other", PASF,
      "--lam", "1.5"],
     ["sip", "identity", "--in", _in("sip"), "--subset", "0,2", "--seed", "6"],
@@ -82,6 +90,9 @@ REPORTS = [
     ["multiplier", "apply", "--in", MULT, "--point", "2"],
     ["multiplier", "lip", "--in", MULT],
     ["multiplier", "tail", "--in", MULT, "--cut", "4"],
+    # p = 3: the mixed norm 2 -> 1.5 of the vectors has no exact formula
+    ["multiplier", "lip", "--in", _in("multiplier_p3")],
+    ["multiplier", "tail", "--in", _in("multiplier_p3"), "--cut", "4"],
     ["multiplier", "continuity", "--in", MULT, "--symbol",
      "0.9,0.45,0.225,0.1125,0.05625,0.028125,0.0140625,0.00703125,"
      "0.003515625,0.0017578125"],
