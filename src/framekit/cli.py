@@ -1312,18 +1312,19 @@ def cmd_cuntz_build(cfg: RunConfig, R: ReportBuilder):
     if mu <= 0:
         raise CliError(2, "--mu must be positive")
     built = cuntz.build_DX(n, mu, tol=cfg.tolerance(1e-10))
+    D, X = cuntz.dx_matrices(built.solution, mu)
     R.result.update({"n": n, "mu": mu, "delta": built.delta,
                      "D_norm": interval(built.D_interval),
                      "X_norm": interval(built.X_interval),
                      "error_bound": built.error_bound,
                      "b_bounds": dict(built.b_bounds),
-                     "D": dump_word_matrix(built.D),
-                     "X": dump_word_matrix(built.X)})
+                     "D": dump_word_matrix(D),
+                     "X": dump_word_matrix(X)})
     R.display.append(
         f"||D|| in [{g(built.D_interval.lo)}, {g(built.D_interval.hi)}], "
         f"||X|| in [{g(built.X_interval.lo)}, {g(built.X_interval.hi)}], "
         f"||[D, X] - I|| <= {g(built.error_bound)}")
-    ok = built.structure.ok
+    ok = cuntz.lemma_structure(n, Fraction(mu)).ok
     R.check("[D, X] - I is supported on the last column "
             "(coefficient-exact)", "theorem", 0.0 if ok else 1.0, 0.0)
 

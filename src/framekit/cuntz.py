@@ -409,7 +409,6 @@ def _lemma_matrices(n: int):
 class LemmaReport:
     """Exact check that [D, X] - 1 lives in the last column only."""
 
-    mu: Optional[Fraction]  # the scaling checked; None for the raw pair
     off_column_zero: bool
     last_column_matches: bool
 
@@ -457,7 +456,7 @@ def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
             e = e + _const(1 - n)
         expected.append(e * _const(scale[i]))
     last = all(C[i, n - 1] == expected[i] for i in range(n))
-    return LemmaReport(mu, off_column_zero=off, last_column_matches=last)
+    return LemmaReport(off_column_zero=off, last_column_matches=last)
 
 
 # --- assembled matrices with certified bounds ------------------------------
@@ -465,22 +464,17 @@ def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
 
 @dataclass(frozen=True)
 class DXBuild:
-    """Rescaled pair D_mu, X_mu with certified norm and commutator data.
-
-    Entries that involve the corrector b_i appear as opaque atoms
-    "b{i}" bounded by b_bounds (for n = 2 the exact word tables are
-    substituted). error_bound certifies ||[D_mu, X_mu] - 1||.
-    """
+    """Certified norm and commutator data of the rescaled pair D_mu, X_mu
+    that ``dx_matrices`` writes out, through the bounds b_bounds on the
+    corrector's ||b_i||: error_bound certifies ||[D_mu, X_mu] - 1||, whose
+    shape ``lemma_structure(n, mu)`` certifies."""
 
     n: int
     delta: float
-    D: np.ndarray  # object arrays of CuntzElement
-    X: np.ndarray
     D_interval: NormInterval
     X_interval: NormInterval
     error_bound: float
     b_bounds: dict
-    structure: LemmaReport
     solution: SolveResult
 
 
@@ -490,24 +484,6 @@ def build_DX(n: int, mu: float = 0.5, tol: float = 1e-10) -> DXBuild:
     sol = solve_b(n, tol=tol)
     delta = sol.delta
     B = {i: sol.bounds[i - 1] for i in range(1, n + 1)}
-
-    def bword(i: int) -> CuntzElement:
-        if sol.b_exact is not None:
-            return sol.b_exact[i - 1]
-        return word((f"b{i}",))
-
-    D = np.full((n, n), zero(), dtype=object)
-    X = np.full((n, n), zero(), dtype=object)
-    for r in range(n):
-        i = r + 1
-        D[r, r] = D[r, r] + (1.0 / (mu * delta)) * V
-        if r + 1 < n:
-            X[r + 1, r] = unit()
-            D[r + 1, r] = (1.0 / (mu * mu * delta)) * U
-            D[r, r + 1] = D[r, r + 1] + float(i) * unit()
-        D[r, n - 1] = D[r, n - 1] + mu ** (n - i - 1) * (bword(i) * U)
-        X[r, n - 1] = X[r, n - 1] + (mu ** (n - i + 1) * delta) * bword(i)
-
     D_hi = (
         1.0 / (mu * mu * delta)
         + 1.0 / (mu * delta)
@@ -531,15 +507,32 @@ def build_DX(n: int, mu: float = 0.5, tol: float = 1e-10) -> DXBuild:
     return DXBuild(
         n=n,
         delta=delta,
-        D=D,
-        X=X,
         D_interval=NormInterval(min(D_lo, D_hi), D_hi),
         X_interval=NormInterval(1.0, X_hi),
         error_bound=error,
         b_bounds={f"b{i}": B[i] for i in range(1, n + 1)},
-        structure=lemma_structure(n, Fraction(mu)),
         solution=sol,
     )
+
+
+def dx_matrices(sol: SolveResult, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pair D_mu, X_mu as object matrices of CuntzElement, for the
+    corrector solved in sol. Entries that involve b_i appear as opaque
+    atoms "b{i}" (for n = 2 the exact word tables are substituted)."""
+    n, delta = len(sol.bounds), sol.delta
+    b = sol.b_exact or [word((f"b{i}",)) for i in range(1, n + 1)]
+    D = np.full((n, n), zero(), dtype=object)
+    X = np.full((n, n), zero(), dtype=object)
+    for r in range(n):
+        i = r + 1
+        D[r, r] = D[r, r] + (1.0 / (mu * delta)) * V
+        if r + 1 < n:
+            X[r + 1, r] = unit()
+            D[r + 1, r] = (1.0 / (mu * mu * delta)) * U
+            D[r, r + 1] = D[r, r + 1] + float(i) * unit()
+        D[r, n - 1] = D[r, n - 1] + mu ** (n - i - 1) * (b[r] * U)
+        X[r, n - 1] = X[r, n - 1] + (mu ** (n - i + 1) * delta) * b[r]
+    return D, X
 
 
 def decay_reference(n1: int, n2: int) -> float:

@@ -14,7 +14,9 @@ pasf certificates.
 Operator norms for p outside {1, 2, inf} are NP-hard to compute exactly, so
 they are reported as certified intervals: the lower end comes from a
 multi-start normalized ascent (any feasible point is a valid lower bound),
-the upper end from interpolation between the exact p = 1 and p = inf norms.
+the upper end, ``opnorm_upper``, from interpolation between the exact
+p = 1 and p = inf norms. Mixed norms ||A||_{p_in -> p_out} are reported as
+a certified upper bound only, ``opnorm_mixed_upper``.
 """
 
 from __future__ import annotations
@@ -101,9 +103,10 @@ def _pnorm(x: np.ndarray, p: float) -> float:
     elif p == 2:
         r = float(np.linalg.norm(v))
     else:
-        mx = float(v.max())
-        # factor out the max to avoid overflow for large p
-        r = mx * float(np.power(v / mx, p).sum()) ** (1.0 / p) if mx else 0.0
+        r = mx = float(v.max())  # 0, or inf when a modulus overflows
+        if mx and mx != math.inf:
+            # factor out the max to avoid overflow for large p
+            r = mx * float(np.power(v / mx, p).sum()) ** (1.0 / p)
     if not math.isfinite(r):
         as_vector(x)
     return r
@@ -127,16 +130,15 @@ def _dual_vector(y: np.ndarray, p: float) -> np.ndarray:
     return g / _pnorm(g, dual_exponent(p))
 
 
-def _ascent_lower(A: np.ndarray, p_in: float, p_out: float,
-                  seed: int) -> float:
-    """Best ratio ||Ax||_p_out / ||x||_p_in found by dual-norm ascent.
+def _ascent_lower(A: np.ndarray, p: float, seed: int) -> float:
+    """Best ratio ||Ax||_p / ||x||_p found by dual-norm ascent.
 
     Every iterate is a feasible point, so the returned value is always a
     valid lower bound regardless of convergence.
     """
     m, d = A.shape
     rng = np.random.default_rng(seed)
-    q_in = dual_exponent(p_in)
+    q = dual_exponent(p)
     best = 0.0
     starts_list = [np.ones(d, dtype=complex)]
     starts_list += [e for e in np.eye(d, dtype=complex)[: min(d, 8)]]
@@ -149,23 +151,23 @@ def _ascent_lower(A: np.ndarray, p_in: float, p_out: float,
         starts_list.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
     for x in starts_list:
         x = np.asarray(x, dtype=complex)
-        nx = _pnorm(x, p_in)
+        nx = _pnorm(x, p)
         if nx == 0:
             continue
         x = x / nx
-        val = _pnorm(A @ x, p_out)
+        val = _pnorm(A @ x, p)
         for _ in range(60):
             y = A @ x
-            g = _dual_vector(y, p_out)
+            g = _dual_vector(y, p)
             z = herm(A) @ g
             if not np.abs(z).any():
                 break
-            x_new = _dual_vector(z, q_in).conj()
-            nx = _pnorm(x_new, p_in)
+            x_new = _dual_vector(z, q).conj()
+            nx = _pnorm(x_new, p)
             if nx == 0:
                 break
             x_new = x_new / nx
-            val_new = _pnorm(A @ x_new, p_out)
+            val_new = _pnorm(A @ x_new, p)
             if val_new <= val * (1 + 1e-14):
                 val = max(val, val_new)
                 break
@@ -186,50 +188,50 @@ def _norm_2(A: np.ndarray) -> float:
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-def opnorm_interval(A, p, seed: int = 0) -> NormInterval:
-    """Certified interval for the operator norm of A on the p-norm.
+def opnorm_upper(A, p) -> float:
+    """Certified upper bound for the operator norm of A on the p-norm.
 
-    Exact for p in {1, 2, inf}; otherwise lo is an ascent value and hi is the
-    interpolation bound ||A||_1^(1/p) * ||A||_inf^(1-1/p).
+    Exact for p in {1, 2, inf}; otherwise the interpolation bound
+    ||A||_1^(1/p) * ||A||_inf^(1-1/p).
     """
     A = as_matrix(A)
     p = _check_p(p)
     if p == 1:
-        v = _norm_1(A)
-        return NormInterval(v, v)
+        return _norm_1(A)
     if math.isinf(p):
-        v = _norm_inf(A)
-        return NormInterval(v, v)
+        return _norm_inf(A)
     if p == 2:
-        v = _norm_2(A)
-        return NormInterval(v, v)
-    hi = _norm_1(A) ** (1.0 / p) * _norm_inf(A) ** (1.0 - 1.0 / p)
-    lo = _ascent_lower(A, p, p, seed)
-    lo = min(lo, hi)
-    return NormInterval(lo, hi)
+        return _norm_2(A)
+    return _norm_1(A) ** (1.0 / p) * _norm_inf(A) ** (1.0 - 1.0 / p)
 
 
-def opnorm_mixed_interval(A, p_in, p_out) -> NormInterval:
-    """Certified interval for ||A||_{p_in -> p_out}.
+def opnorm_interval(A, p, seed: int = 0) -> NormInterval:
+    """Certified interval for the operator norm of A on the p-norm: hi is
+    ``opnorm_upper``, lo equals it for p in {1, 2, inf} and is otherwise an
+    ascent value."""
+    A, p = as_matrix(A), _check_p(p)
+    hi = opnorm_upper(A, p)
+    if p in (1, 2) or math.isinf(p):
+        return NormInterval(hi, hi)
+    return NormInterval(min(_ascent_lower(A, p, seed), hi), hi)
 
-    Exact cases: p_in = p_out in {1, 2, inf}; p_in = 1 (max column p_out-norm);
-    p_out = inf (max row dual-norm). Otherwise lo by ascent and hi as the
-    minimum of a Hoelder column bound, a Euclidean embedding bound and, for
-    p_in = 2 <= p_out, interpolation between the exact 2->2 and 2->inf norms.
-    """
+
+def opnorm_mixed_upper(A, p_in, p_out) -> float:
+    """Certified upper bound for ||A||_{p_in -> p_out}: ``opnorm_upper`` for
+    p_in = p_out; exact for p_in = 1 (max column p_out-norm) and p_out = inf
+    (max row dual-norm); otherwise the minimum of a Hoelder column bound, a
+    Euclidean embedding bound and, for p_in = 2 < p_out, interpolation
+    between the exact 2->2 and 2->inf norms."""
     A = as_matrix(A)
     p_in, p_out = _check_p(p_in), _check_p(p_out)
     if p_in == p_out:
-        return opnorm_interval(A, p_in)
+        return opnorm_upper(A, p_in)
     m, d = A.shape
     if p_in == 1:
-        v = max(vec_pnorm(A[:, j], p_out) for j in range(d))
-        return NormInterval(v, v)
-    if math.isinf(p_out):
-        q_in = dual_exponent(p_in)
-        v = max(vec_pnorm(A[i, :], q_in) for i in range(m))
-        return NormInterval(v, v)
+        return max(vec_pnorm(A[:, j], p_out) for j in range(d))
     q_in = dual_exponent(p_in)
+    if math.isinf(p_out):
+        return max(vec_pnorm(A[i, :], q_in) for i in range(m))
     cols = np.array([vec_pnorm(A[:, j], p_out) for j in range(d)])
     hi = vec_pnorm(cols, q_in)
     smax = _norm_2(A)
@@ -240,9 +242,7 @@ def opnorm_mixed_interval(A, p_in, p_out) -> NormInterval:
         theta = 2.0 / p_out
         two_inf = max(vec_pnorm(A[i, :], 2) for i in range(m))
         hi = min(hi, smax ** theta * two_inf ** (1.0 - theta))
-    lo = _ascent_lower(A, p_in, p_out, 0)
-    lo = min(lo, hi)
-    return NormInterval(lo, hi)
+    return hi
 
 
 @dataclass(frozen=True)

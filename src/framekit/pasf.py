@@ -17,7 +17,7 @@ import numpy as np
 from . import linops
 from .errors import HypothesisViolated, NotADual
 from .linops import (NormInterval, Perturbation, _falsify, inverse,
-                     opnorm_interval, vec_pnorm)
+                     opnorm_interval, opnorm_upper, vec_pnorm)
 
 DUAL_TOL = 1e-9
 SIMILAR_TOL = 1e-8
@@ -210,8 +210,8 @@ def perturb_certificate(P: PAsf, Omega, mode: str = "quadratic",
     """Certificates that (f_n, omega_n) stays an approximate Schauder frame.
 
     quadratic: lam = sum ||tau_n - omega_n||^q must satisfy
-    lam < 1 / ||theta_f S^(-1)||^q, decided conservatively with the upper
-    ends of the norm intervals. general: the coefficient inequality with
+    lam < 1 / ||theta_f S^(-1)||^q, decided conservatively with the
+    certified upper bounds. general: the coefficient inequality with
     parameters (alpha, gamma, beta) is falsification-tested on seeded
     samples; predicted bounds follow the closed formulas. two_sided: the
     requested summability condition (1-4) for a jointly perturbed pair
@@ -224,24 +224,24 @@ def perturb_certificate(P: PAsf, Omega, mode: str = "quadratic",
         raise ValueError("replacement vectors must be d x m")
     p, q = P.p, P.q
     Sinv = inverse(P.frame_operator)
-    theta_f_sinv = opnorm_interval(P.F @ Sinv, p, seed=seed)
-    sinv_iv = opnorm_interval(Sinv, p, seed=seed)
-    theta_tau = opnorm_interval(P.T, p, seed=seed)
-    theta_f = opnorm_interval(P.F, p, seed=seed)
+    theta_f_sinv = opnorm_upper(P.F @ Sinv, p)
+    sinv_norm = opnorm_upper(Sinv, p)
+    theta_tau = opnorm_upper(P.T, p)
+    theta_f = opnorm_upper(P.F, p)
     diff = P.T - Omega
 
     if mode == "quadratic":
         lam = float(sum(vec_pnorm(diff[:, n], p) ** q for n in range(P.m)))
-        valid = lam * theta_f_sinv.hi ** q < 1.0
+        valid = lam * theta_f_sinv ** q < 1.0
         bounds = None
         if valid:
-            lo = (1 - lam ** (1 / p) * theta_f_sinv.hi) / sinv_iv.hi
-            hi = (theta_tau.hi + lam ** (1 / p)) * theta_f.hi
+            lo = (1 - lam ** (1 / p) * theta_f_sinv) / sinv_norm
+            hi = (theta_tau + lam ** (1 / p)) * theta_f
             bounds = (lo, hi)
         return Perturbation("quadratic", valid, bounds, {"lambda": lam})
 
     if mode == "general":
-        if max(alpha + gamma * theta_f_sinv.hi, beta) >= 1:
+        if max(alpha + gamma * theta_f_sinv, beta) >= 1:
             raise HypothesisViolated(
                 "need max(alpha + gamma ||theta_f S^-1||, beta) < 1")
         valid, detail = _falsify(
@@ -249,9 +249,9 @@ def perturb_certificate(P: PAsf, Omega, mode: str = "quadratic",
                         alpha * vec_pnorm(P.T @ c, p) + gamma * vec_pnorm(c, p)
                         + beta * vec_pnorm(Omega @ c, p)),),
             P.m, samples, seed)
-        lo = (1 - (alpha + gamma * theta_f_sinv.hi)) / ((1 + beta) * sinv_iv.hi)
-        hi = ((1 + alpha) / (1 - beta) * theta_tau.hi
-              + gamma / (1 - beta)) * theta_f.hi
+        lo = (1 - (alpha + gamma * theta_f_sinv)) / ((1 + beta) * sinv_norm)
+        hi = ((1 + alpha) / (1 - beta) * theta_tau
+              + gamma / (1 - beta)) * theta_f
         return Perturbation("general", valid, (lo, hi), detail)
 
     if mode == "two_sided":
@@ -273,8 +273,8 @@ def perturb_certificate(P: PAsf, Omega, mode: str = "quadratic",
             * vec_pnorm(vec(P.T[:, n] - Omega[:, n]), p)
             for n in range(P.m)))
         valid = total < 1.0
-        upper = (((1 + alpha) / (1 - beta) * theta_tau.hi + gamma / (1 - beta))
-                 * ((1 + r) / (1 - s) * theta_f.hi + t / (1 - s)))
+        upper = (((1 + alpha) / (1 - beta) * theta_tau + gamma / (1 - beta))
+                 * ((1 + r) / (1 - s) * theta_f + t / (1 - s)))
         return Perturbation(
             "two_sided", valid, (0.0, upper) if valid else None,
             {"case": int(case), "condition_sum": total,

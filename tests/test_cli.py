@@ -1,5 +1,7 @@
 import json
 import math
+import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,10 @@ import pytest
 from framekit import cli, cuntz, hframe, linops, ovf, pasf, sip
 from framekit.cli import dump_frame, dump_matrix, dump_ovf, dump_pasf, main
 from framekit.errors import CertifiedFailure
+
+
+INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "golden", "inputs")
 
 
 def write(tmp_path, name, obj):
@@ -556,6 +562,77 @@ def test_cuntz_verbs(capsys):
         rc, out, _ = run(capsys, argv)
         assert rc == 0, argv
         assert "status: pass" in out
+
+
+def spy(monkeypatch, module, name, calls, result=None):
+    """Record each call of module.name in calls; return result, or what
+    the real function returns when result is None."""
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append((name,) + args)
+        return real(*args) if result is None else result
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_cuntz_runs_the_lemma_and_word_matrices_only_for_build(capsys,
+                                                               monkeypatch):
+    calls = []
+    spy(monkeypatch, cuntz, "lemma_structure", calls)
+    spy(monkeypatch, cuntz, "dx_matrices", calls)
+    rc, _, _ = run(capsys, ["cuntz", "verify", "--n-range", "21:33:4"])
+    assert (rc, calls) == (0, [])
+    argv = ["cuntz", "build", "--n", "5", "--mu", "0.2", "--json"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert [c[:3] for c in calls if c[0] == "lemma_structure"] == [
+        ("lemma_structure", 5, Fraction(0.2))]
+    # the report carries the lemma's verdict
+    monkeypatch.undo()
+    spy(monkeypatch, cuntz, "lemma_structure", [],
+        cuntz.LemmaReport(off_column_zero=True, last_column_matches=False))
+    rc, out, _ = run(capsys, argv)
+    assert rc == 1
+    assert [c["passed"] for c in json.loads(out)["checks"]] == [False]
+
+
+def golden_input(name):
+    return os.path.join(INPUTS, f"{name}.json")
+
+
+PASF_P3, MULT_P3 = golden_input("pasf_p3"), golden_input("multiplier_p3")
+OMEGA = ("--omega", golden_input("pasf_omega"))
+P3_REPORTS = {
+    "pasf check": (["pasf", "check", "--in", PASF_P3], True),
+    "pasf perturb quadratic": (["pasf", "perturb", "--in", PASF_P3, *OMEGA],
+                               False),
+    "pasf perturb general": (["pasf", "perturb", "--in", PASF_P3, *OMEGA,
+                              "--mode", "general", "--alpha", "0.1",
+                              "--samples", "16"], False),
+    "pasf perturb two_sided": (["pasf", "perturb", "--in", PASF_P3, *OMEGA,
+                                "--mode", "two_sided", "--g",
+                                golden_input("pasf_g"), "--case", "1"], False),
+    "multiplier lip": (["multiplier", "lip", "--in", MULT_P3], False),
+    "multiplier tail": (["multiplier", "tail", "--in", MULT_P3, "--cut", "4"],
+                        False),
+    "multiplier continuity": (["multiplier", "continuity", "--in", MULT_P3,
+                               "--symbol", "1,0.5,0.25,0.125,0.0625,0,0,0,0,0"],
+                              False),
+}
+
+
+@pytest.mark.parametrize("argv, ascends", P3_REPORTS.values(),
+                         ids=P3_REPORTS.keys())
+def test_only_reports_of_a_lower_end_run_the_norm_ascent(capsys, monkeypatch,
+                                                         argv, ascends):
+    # at p = 3 no norm has an exact formula; perturb and the multiplier
+    # read only upper bounds
+    calls = []
+    spy(monkeypatch, linops, "_ascent_lower", calls)
+    rc, _, _ = run(capsys, argv)
+    assert rc == 0
+    assert bool(calls) == ascends
 
 
 def test_cuntz_range_is_end_inclusive(capsys):

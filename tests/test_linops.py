@@ -12,7 +12,8 @@ from framekit.linops import (
     hermitian_extremes,
     inverse,
     opnorm_interval,
-    opnorm_mixed_interval,
+    opnorm_mixed_upper,
+    opnorm_upper,
     vec_pnorm,
 )
 
@@ -113,8 +114,15 @@ def test_internal_pnorm_returns_an_overflowing_norm_unrefused(p, x):
     with np.errstate(over="ignore", invalid="ignore"):
         want = vec_pnorm(x, p)
         got = linops._pnorm(x, p)
-    assert not math.isfinite(want)
+    assert want == math.inf
     assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_vec_pnorm_of_an_overflowing_modulus_is_inf(p):
+    # |1.5e308 + 1.5e308j| overflows; the norm is inf, as for p = 1 and 2
+    with np.errstate(over="ignore"):
+        assert vec_pnorm([1.5e308 + 1.5e308j], p) == math.inf
 
 
 @pytest.mark.parametrize("p", [1, 2, math.inf])
@@ -206,33 +214,42 @@ def test_opnorm_hi_submultiplicative(seed, p):
     assert hi_ab <= opnorm_interval(A, p).hi * opnorm_interval(B, p).hi + 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+def test_opnorm_interval_hi_is_opnorm_upper(seed, p):
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    A = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    assert opnorm_interval(A, p).hi.hex() == opnorm_upper(A, p).hex()
+
+
 def test_mixed_norm_exact_cases():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     # 1 -> p_out: max column p_out-norm (unit l1 ball is the convex hull
     # of the scaled basis vectors)
     for q in (1.5, 2.0, 4.0):
-        iv = opnorm_mixed_interval(A, 1, q)
+        hi = opnorm_mixed_upper(A, 1, q)
         oracle = max(pnorm_oracle(A[:, j], q) for j in range(3))
-        assert iv.lo == iv.hi and iv.hi == pytest.approx(oracle, rel=1e-12)
+        assert hi == pytest.approx(oracle, rel=1e-12)
     # p_in -> inf: max row dual-norm
-    iv = opnorm_mixed_interval(A, 2, math.inf)
+    hi = opnorm_mixed_upper(A, 2, math.inf)
     oracle = max(pnorm_oracle(A[i, :], 2) for i in range(4))
-    assert iv.lo == iv.hi and iv.hi == pytest.approx(oracle, rel=1e-12)
+    assert hi == pytest.approx(oracle, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([(2.0, 4.0), (1.5, 3.0), (3.0, 1.5)]))
-def test_mixed_norm_interval_bounds_every_ratio(seed, pq):
+def test_mixed_norm_upper_bounds_every_ratio(seed, pq):
     p_in, p_out = pq
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    iv = opnorm_mixed_interval(A, p_in, p_out)
-    assert 0 <= iv.lo <= iv.hi
+    hi = opnorm_mixed_upper(A, p_in, p_out)
+    assert 0 <= hi
     for _ in range(25):
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         ratio = vec_pnorm(A @ x, p_out) / vec_pnorm(x, p_in)
-        assert ratio <= iv.hi * (1 + 1e-12) + 1e-12
+        assert ratio <= hi * (1 + 1e-12) + 1e-12
 
 
 def test_inverse_residual_and_singular_rejection():

@@ -40,10 +40,7 @@ ALLOWED = {
 MEMBER_ALLOWED = {
     ("cuntz", "CuntzElement", "coeff"):
         "test oracle: the coefficient of one word, which the word-algebra "
-        "and build_DX tests read",
-    ("cuntz", "LemmaReport", "mu"):
-        "test oracle: the scaling the lemma certified, against which the "
-        "tests check that build_DX certifies the pair it reports",
+        "and dx_matrices tests read",
 }
 
 

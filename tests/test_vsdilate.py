@@ -476,8 +476,8 @@ def test_ando_simultaneous_diagonal_exact():
     for n in range(5):
         for m in range(5 - n):
             assert ad.dilation_defect(n, m) == 0.0
-            top = (ad.P @ mat_power(ad.U, n) @ mat_power(ad.V, m)
-                   @ ad.embed)[:2]
+            top = (ad.P @ (mat_power(ad.U, n)
+                           @ (mat_power(ad.V, m) @ ad.embed)))[:2]
             assert top[0, 0] == Fraction(2) ** n * Fraction(5) ** m
             assert top[1, 1] == Fraction(3) ** n * Fraction(7) ** m
 
