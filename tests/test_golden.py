@@ -109,6 +109,12 @@ REPORTS = [
     ["ovf", "perturb", "--in", OVF, "--b", _in("ovf_b")],
     ["ovf", "perturb", "--in", OVF, "--b", _in("ovf_b"), "--mode", "triple",
      "--samples", "8"],
+    # triple hypotheses that hold at the default 256 samples
+    # (||theta_A - theta_B||_2 = 3.24e-4 < gamma)
+    ["ovf", "perturb", "--in", OVF, "--b", _in("ovf_b"), "--mode", "triple",
+     "--gamma", "5e-4"],
+    ["ovf", "perturb", "--in", OVF, "--b", _in("ovf_b"), "--mode", "triple",
+     "--gamma", "5e-4", "--alpha", "0.1", "--beta", "0.1"],
     ["vsdilate", "halmos", "--in", VST],
     ["vsdilate", "halmos", "--in", VST, "--no-rational"],
     ["vsdilate", "ndilate", "--in", VST, "--n", "2"],
