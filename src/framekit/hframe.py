@@ -243,8 +243,9 @@ def perturb_certificate(F: HilbertFrame, G: HilbertFrame, mode: str,
             "need max(alpha + gamma/sqrt(a), beta) < 1 for the general certificate")
     norm = np.linalg.norm
     valid, detail = _falsify(
-        lambda c: ((norm(diff @ c), alpha * norm(F.synthesis @ c)
-                    + beta * norm(G.synthesis @ c) + gamma * norm(c)),),
+        lambda C: np.array([(norm(diff @ c), alpha * norm(F.synthesis @ c)
+                             + beta * norm(G.synthesis @ c) + gamma * norm(c))
+                            for c in C]).T,
         F.m, samples, seed)
     mu = (alpha + beta + gamma / math.sqrt(a)) / (1 + beta)
     nu = (alpha + beta + gamma / math.sqrt(b)) / (1 - beta)

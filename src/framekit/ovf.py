@@ -11,6 +11,7 @@ here once; the triple hypothesis is sampled by ``linops._falsify``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -317,7 +318,13 @@ def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
     ||sum_{n<=k} (A_n* - B_n*) y_n|| <= alpha ||sum A_n* y_n||
       + beta ||sum B_n* y_n|| + gamma (sum ||y_n||^2)^(1/2)
     over seeded random stacked vectors (a sampled falsification, not a
-    proof); predicts
+    proof). Each chunk of samples is evaluated at once: the products
+    A_n* y_n of every block, summed over n, give theta_A* y_k for every
+    prefix k, and likewise for B. These sums round differently from the
+    product of theta_A* with the zero-padded y_k, so every (sample, prefix)
+    cell whose lhs - rhs lies within a rounding window of the 1e-12 slack is
+    evaluated again as that product; the verdict is the one of the
+    per-prefix products. Predicts
     (1 - alpha - gamma ||theta_Psi (S*)^{-1}||) / ((1 + beta) ||(S*)^{-1}||)
     and ||theta_Psi|| ((1 + alpha) ||theta_A|| + gamma) / (1 - beta).
     """
@@ -349,15 +356,58 @@ def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
     thA, thB = herm(P.theta_A), herm(new.theta_A)
     norm = np.linalg.norm
 
-    def prefixes(y):
-        for k in range(1, P.m + 1):
-            yk = np.zeros_like(y)
-            yk[:k * P.r] = y[:k * P.r]
-            a, b = thA @ yk, thB @ yk
-            yield (norm(a - b), alpha * norm(a) + beta * norm(b)
-                   + gamma * norm(yk))
+    def prefix(y, k):
+        yk = np.zeros_like(y)
+        yk[:k * P.r] = y[:k * P.r]
+        a, b = thA @ yk, thB @ yk
+        return (norm(a - b), alpha * norm(a) + beta * norm(b)
+                + gamma * norm(yk))
 
-    holds, _ = _falsify(prefixes, P.m * P.r, samples, seed)
+    # Window w on |(lhs - rhs) - (the prefix() values' lhs - rhs)|, with
+    # u = 2^-53, n = m r and Higham's g_k = k u / (1 - k u):
+    # - each entry of theta_A* y_k, whether one gemv over the zero-padded
+    #   y_k or block products summed over the blocks, is within
+    #   sqrt(2) g_(n+2) (|A*| |y_k|) of the exact value (complex inner
+    #   products in any summation order); so the two a's differ by at most
+    #   2 E_A in 2-norm, E_A = sqrt(2) g_(n+2) ||A||_F ||y_k|| bounding
+    #   sqrt(2) g_(n+2) || |A*| |y_k| ||, and the same for b and B;
+    # - lhs moves by at most 2 (E_A + E_B), rhs by 2 (alpha E_A + beta E_B);
+    # - the norms, a - b, the products by alpha, beta, gamma, the sums and
+    #   the comparison with rhs + 1e-12 round within g_(n+d+8) of
+    #   lhs + rhs + 1e-12 on each path;
+    # - squares and products below 2^-1074 lose at most 2^-500 per norm;
+    #   beyond 2^500 a square may overflow on one path only, so w = inf.
+    # A safety factor 4 covers the rest. A cell whose lhs - rhs - 1e-12 is
+    # farther than w from 0 has the verdict of prefix(); the others are
+    # re-evaluated with it.
+    u, n = 2.0 ** -53, P.m * P.r
+    g = math.sqrt(2) * (n + 2) * u / (1 - (n + 2) * u)
+    g_round = (n + P.d + 8) * u / (1 - (n + P.d + 8) * u)
+    frob = float(norm(P.A) + norm(B))
+    Ac, Bc = P.A.conj(), B.conj()
+
+    def sides(C):
+        # block products, summed up to each prefix: a[k - 1, s] is
+        # theta_A* y_k of sample s, ny[k - 1, s] its ||y_k||; the sums run
+        # in place, as np.cumsum over the outer axis strides through memory
+        Y = C.reshape(len(C), P.m, P.r).transpose(1, 0, 2)
+        a, b = Y @ Ac, Y @ Bc
+        for k in range(1, P.m):
+            a[k] += a[k - 1]
+            b[k] += b[k - 1]
+        ny = np.sqrt(np.cumsum((Y.real ** 2 + Y.imag ** 2).sum(axis=2), axis=0))
+        lhs = norm(a - b, axis=2).T
+        rhs = (alpha * norm(a, axis=2) + beta * norm(b, axis=2) + gamma * ny).T
+        ny = ny.T
+        w = 4 * (2 * (1 + alpha + beta) * g * frob * ny
+                 + g_round * (lhs + rhs + 1e-12)
+                 + (1 + alpha + beta + gamma) * 2.0 ** -500)
+        w[~(frob * ny + lhs + rhs < 2.0 ** 500)] = math.inf
+        for s, k in np.argwhere(~(np.abs(lhs - rhs - 1e-12) > w)).tolist():
+            lhs[s, k], rhs[s, k] = prefix(C[s], k + 1)
+        return lhs, rhs
+
+    holds, _ = _falsify(sides, n, samples, seed)
     lo = (1 - reach) / ((1 + beta) * _norm2(Sinv_star))
     hi = _norm2(P.theta_Psi) * ((1 + alpha) * _norm2(P.theta_A) + gamma) / (1 - beta)
     return OvfPerturbation("triple", holds, (lo, hi), measured)

@@ -6,10 +6,14 @@ seeded loops that ``hframe``, ``pasf`` and ``ovf`` ran before the shared
 sampler existed, and ``two_sided_sum`` is a verbatim copy of the four
 separate condition sums of ``pasf``'s two_sided mode. The library must
 reproduce their verdicts and margins exactly (``==``), so that reports do
-not move by a single bit.
+not move by a single bit. That still holds now that the sampler draws its
+vectors in chunks and ``ovf`` evaluates a chunk's prefixes as cumulative
+block sums: the near-tie test puts ``ovf``'s worst prefix within 8 ulp of
+the slack, where only the per-prefix products decide.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -70,6 +74,25 @@ def ovf_loop(P, B, alpha, beta, gamma, seed, samples):
             if left > right + 1e-12:
                 holds = False
     return holds
+
+
+def ovf_cells(P, B, alpha, beta, seed, samples):
+    """ovf_loop's left side, its alpha and beta part of the right side and
+    ||y_k||, in its arithmetic, for every sample and prefix."""
+    new = ovf.OvfPair(B, P.Psi)
+    rng = np.random.default_rng(seed)
+    thA, thB = herm(P.theta_A), herm(new.theta_A)
+    cells = []
+    for _ in range(samples):
+        y = rng.normal(size=P.m * P.r) + 1j * rng.normal(size=P.m * P.r)
+        for k in range(1, P.m + 1):
+            yk = np.zeros_like(y)
+            yk[:k * P.r] = y[:k * P.r]
+            cells.append((np.linalg.norm(thA @ yk - thB @ yk),
+                          alpha * np.linalg.norm(thA @ yk)
+                          + beta * np.linalg.norm(thB @ yk),
+                          np.linalg.norm(yk)))
+    return cells
 
 
 def _functional_norm(row, q):
@@ -184,6 +207,35 @@ def test_ovf_sampler_equals_the_old_loop(seed, samples, eps, params):
                                             samples)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+       st.sampled_from([1e-6, 1e-3, 0.05]),
+       st.sampled_from([0.0, 0.05]), st.sampled_from([0.0, 0.1]))
+def test_ovf_sampler_equals_the_old_loop_at_a_near_tie(seed, samples, eps,
+                                                       alpha, beta):
+    # gamma puts the worst prefix exactly on the 1e-12 slack, then steps it
+    # up to 8 ulp either way: the verdicts that the block sums must not
+    # decide alone
+    P, B = _ovf_case(np.random.default_rng(seed), eps)
+    assume(ovf.check(P).is_ovf)
+    tie = max((left - ab - 1e-12) / ny
+              for left, ab, ny in ovf_cells(P, B, alpha, beta, seed, samples)
+              if ny > 0)
+    assume(tie > 0)
+    gammas = [tie]
+    for _ in range(8):
+        gammas = [np.nextafter(gammas[0], 0), *gammas,
+                  np.nextafter(gammas[-1], np.inf)]
+    for gamma in map(float, gammas):
+        try:
+            got = ovf.perturb_certificate(P, B, "triple", alpha, beta, gamma,
+                                          samples=samples, seed=seed)
+        except HypothesisViolated:
+            assume(False)
+        assert got.hypothesis_holds == ovf_loop(P, B, alpha, beta, gamma,
+                                                seed, samples), gamma
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.01, 0.3]),
        st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.integers(1, 4))
@@ -217,19 +269,45 @@ def test_the_oracles_see_both_verdicts():
 
 def test_sampler_note_and_stream():
     # the shared draw is standard_normal(size) twice per sample, which is
-    # the stream ovf drew with rng.normal(size=size)
-    holds, detail = linops._falsify(lambda c: ((0.0, 1.0),), 3, 5, 7)
+    # the stream ovf drew with rng.normal(size=size); sides(C) sees the
+    # samples as the rows of C and answers with one row per sample
+    holds, detail = linops._falsify(
+        lambda C: (np.zeros(len(C)), np.ones(len(C))), 3, 5, 7)
     assert holds and detail == {
         "samples": 5, "worst_margin": -1.0,
         "note": "hypothesis falsification-tested on samples, not proven"}
     seen = []
-    linops._falsify(lambda c: seen.append(c) or (), 4, 3, 11)
+    linops._falsify(lambda C: seen.append(C) or ((), ()), 4, 3, 11)
     rng = np.random.default_rng(11)
-    for c in seen:
+    for c in np.concatenate(seen):
         assert np.array_equal(c, rng.normal(size=4) + 1j * rng.normal(size=4))
-    assert len(seen) == 3
+    assert sum(map(len, seen)) == 3
 
 
 def test_sampler_slack_is_one_e_minus_twelve():
-    assert linops._falsify(lambda c: ((1.0 + 1e-12, 1.0),), 2, 1, 0)[0]
-    assert not linops._falsify(lambda c: ((1.0 + 1e-11, 1.0),), 2, 1, 0)[0]
+    assert linops._falsify(lambda C: ([1.0 + 1e-12], [1.0]), 2, 1, 0)[0]
+    assert not linops._falsify(lambda C: ([1.0 + 1e-11], [1.0]), 2, 1, 0)[0]
+
+
+def test_sampler_memory_is_bounded_by_the_chunk():
+    # 200,000 samples of 64 entries drawn at once would take 205 MB
+    tracemalloc.start()
+    try:
+        holds, detail = linops._falsify(
+            lambda C: (np.zeros(len(C)), np.ones(len(C))), 64, 200_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds and detail["worst_margin"] == -1.0
+    assert peak < 4 * 2**20
+
+
+def test_sampler_stream_runs_on_across_chunks():
+    rows = linops.CHUNK // 64
+    seen = []
+    linops._falsify(lambda C: seen.append(C) or ((), ()), 64, 2 * rows + 3, 5)
+    assert [len(C) for C in seen] == [rows, rows, 3]
+    rng = np.random.default_rng(5)
+    for c in np.concatenate(seen):
+        assert np.array_equal(
+            c, rng.standard_normal(64) + 1j * rng.standard_normal(64))
