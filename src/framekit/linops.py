@@ -117,7 +117,7 @@ def _pnorm(x: np.ndarray, p: float) -> float:
 
 
 def _dual_vector(y: np.ndarray, p: float, q: float) -> np.ndarray:
-    """A vector g with <g, y> = ||y||_p and ||g||_q = 1, q = dual_exponent(p)."""
+    """g with <g, y> = ||y||_p and ||g||_q = 1, for q = dual_exponent(p)."""
     ay = np.abs(y)
     if not ay.any():
         return np.zeros_like(y)
@@ -268,8 +268,8 @@ def _falsify(sides, size: int, samples: int, seed: int) -> tuple[bool, dict]:
     of C = z[:, 0] + 1j z[:, 1] with z = standard_normal((rows, 2, size)):
     the stream of two standard_normal(size) draws per sample, so memory is
     bounded by the chunk, not by samples. sides(C) returns the arrays
-    (lhs, rhs) with one row per row of C (one pair or a row of pairs per
-    sample); pairs are taken in sample order, then in row order.
+    (lhs, rhs) with one row per row of C: one pair, or a row of pairs, per
+    sample, taken in sample order and then along the row.
     """
     rng = np.random.default_rng(seed)
     holds, worst = True, -math.inf

@@ -395,7 +395,8 @@ def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
         for k in range(1, P.m):
             a[k] += a[k - 1]
             b[k] += b[k - 1]
-        ny = np.sqrt(np.cumsum((Y.real ** 2 + Y.imag ** 2).sum(axis=2), axis=0))
+        ny = np.sqrt(np.cumsum((Y.real ** 2 + Y.imag ** 2).sum(axis=2),
+                               axis=0))
         lhs = norm(a - b, axis=2).T
         rhs = (alpha * norm(a, axis=2) + beta * norm(b, axis=2) + gamma * ny).T
         ny = ny.T

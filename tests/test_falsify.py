@@ -215,7 +215,9 @@ def test_ovf_sampler_equals_the_old_loop_at_a_near_tie(seed, samples, eps,
                                                        alpha, beta):
     # gamma puts the worst prefix exactly on the 1e-12 slack, then steps it
     # up to 8 ulp either way: the verdicts that the block sums must not
-    # decide alone
+    # decide alone; alpha and beta scale with the perturbation, so that
+    # some gamma >= 0 reaches the slack
+    alpha, beta = alpha * eps, beta * eps
     P, B = _ovf_case(np.random.default_rng(seed), eps)
     assume(ovf.check(P).is_ovf)
     tie = max((left - ab - 1e-12) / ny
