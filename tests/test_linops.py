@@ -118,6 +118,108 @@ def test_internal_pnorm_returns_an_overflowing_norm_unrefused(p, x):
     assert got.hex() == want.hex()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.one_of(st.just(np.zeros(n, dtype=complex)),
+              st.lists(st.builds(complex, finite, finite), min_size=n,
+                       max_size=n).map(lambda v: np.array(v, dtype=complex))),
+    min_size=1, max_size=5)),
+    st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+def test_row_pnorms_are_bit_identical_to_pnorm(rows, p):
+    X = np.array(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = linops._pnorm_rows(X, p)
+        want = [linops._pnorm(x, p) for x in X]
+    assert [float(r).hex() for r in got] == [w.hex() for w in want]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_row_pnorms_refuse_a_non_finite_row_as_pnorm_does(p):
+    X = np.array([[1.0, 2.0], [1.0, complex(0, math.nan)]])
+    with pytest.raises(ValueError) as one, np.errstate(invalid="ignore"):
+        linops._pnorm(X[1], p)
+    with pytest.raises(ValueError) as rows, np.errstate(invalid="ignore"):
+        linops._pnorm_rows(X, p)
+    assert str(rows.value) == str(one.value)
+
+
+def per_start_ascent(A, p, seed):
+    # the ascent one start at a time, as it ran before the starts were
+    # batched: the oracle the batched ascent must equal bit for bit
+    def dual(y, p, q):
+        ay = np.abs(y)
+        if not ay.any():
+            return np.zeros_like(y)
+        phase = np.where(ay > 0, y / np.where(ay > 0, ay, 1.0), 0.0)
+        if p == 1:
+            return phase
+        if math.isinf(p):
+            g = np.zeros_like(y)
+            k = int(np.argmax(ay))
+            g[k] = phase[k]
+            return g
+        g = phase * (ay / ay.max()) ** (p - 1.0)
+        return g / linops._pnorm(g, q)
+
+    pn = linops._pnorm
+    d = A.shape[1]
+    rng = np.random.default_rng(seed)
+    q = dual_exponent(p)
+    starts = [np.ones(d, dtype=complex)]
+    starts += [e for e in np.eye(d, dtype=complex)[: min(d, 8)]]
+    starts.append(np.linalg.svd(A)[2][0].conj())
+    for _ in range(8):
+        starts.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    best = 0.0
+    for x in starts:
+        nx = pn(x, p)
+        if nx == 0:
+            continue
+        x = x / nx
+        val = pn(A @ x, p)
+        for _ in range(60):
+            z = A.conj().T @ dual(A @ x, p, q)
+            if not np.abs(z).any():
+                break
+            x_new = dual(z, q, dual_exponent(q)).conj()
+            nx = pn(x_new, p)
+            if nx == 0:
+                break
+            x_new = x_new / nx
+            val_new = pn(A @ x_new, p)
+            if val_new <= val * (1 + 1e-14):
+                val = max(val, val_new)
+                break
+            x, val = x_new, val_new
+        best = max(best, val)
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000),
+       st.sampled_from([1.2, 1.5, 2.0, 3.0, 7.5, 1e300]),
+       st.sampled_from(["dense", "real", "kernel", "rank1", "tiny"]))
+def test_batched_ascent_equals_the_per_start_loop(seed, p, kind):
+    # "kernel": zero columns, so some starts map to zero; "rank1": many
+    # starts stop at once; p = 1e300 has q = 1 and q's dual inf
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+    A = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    if kind == "real":
+        A = A.real + 0j
+    elif kind == "kernel":
+        A[:, ::2] = 0
+    elif kind == "rank1":
+        A = np.outer(A[:, 0], A[0])
+    elif kind == "tiny":
+        A *= 1e-300
+    with np.errstate(all="ignore"):
+        want = per_start_ascent(A, p, seed)
+        got = linops._ascent_lower(A, p, seed)
+    assert type(got) is float
+    assert got.hex() == want.hex()
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_vec_pnorm_of_an_overflowing_modulus_is_inf(p):
     # |1.5e308 + 1.5e308j| overflows; the norm is inf, as for p = 1 and 2
