@@ -325,15 +325,14 @@ def dump_frame(F: hframe.HilbertFrame) -> dict:
             "vectors": [dump_matrix(syn[:, [n]]) for n in range(F.m)]}
 
 
-def parse_pasf(obj) -> tuple:
-    """Returns (pair, meta); meta carries the named-instance fields."""
+def parse_pasf(obj) -> pasf.PAsf:
     if not isinstance(obj, dict):
         raise CliError(2, "pair file: expected an object")
     if obj.get("named") == "shift":
         try:
             m = int(obj.get("m", 8))
             p = float(obj.get("p", 2.0))
-            return pasf.shift_pair(m, p), {"named": "shift", "m": m}
+            return pasf.shift_pair(m, p)
         except (TypeError, ValueError) as exc:
             raise CliError(2, f"pair file: {exc}") from None
     if "named" in obj:
@@ -345,7 +344,7 @@ def parse_pasf(obj) -> tuple:
     F = parse_matrix(obj.get("F"), "F")
     T = parse_matrix(obj.get("T"), "T")
     try:
-        return pasf.PAsf(p, F, T), {}
+        return pasf.PAsf(p, F, T)
     except ValueError as exc:
         raise CliError(2, f"pair file: {exc}") from None
 
@@ -698,15 +697,14 @@ def cmd_hframe_identity(cfg: RunConfig, R: ReportBuilder):
 def cmd_hframe_dilate(cfg: RunConfig, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
     tol = cfg.tolerance(1e-8)
-    nd = hframe.naimark_dilate(F)
-    top = float(np.abs(nd.frame.synthesis[:F.d, :] - F.synthesis).max())
-    R.result.update({"space_dim": nd.space_dim, "frame": dump_frame(nd.frame)})
+    big = hframe.naimark_dilate(F)
+    top = float(np.abs(big.synthesis[:F.d, :] - F.synthesis).max())
+    R.result.update({"space_dim": big.d, "frame": dump_frame(big)})
     R.check("restriction to the first coordinates is the input", "theorem",
             top, 0.0)
     if F.is_parseval():
-        gram = nd.frame.gram
         R.check("dilated family is an orthonormal basis", "theorem",
-                float(np.abs(gram - np.eye(nd.frame.m)).max()), tol)
+                float(np.abs(big.gram - np.eye(big.m)).max()), tol)
     else:
         R.result["parseval_input"] = False
 
@@ -743,7 +741,7 @@ def cmd_hframe_perturb(cfg: RunConfig, R: ReportBuilder):
 
 @command("pasf", "check")
 def cmd_pasf_check(cfg: RunConfig, R: ReportBuilder):
-    P, _ = parse_pasf(need_in(cfg))
+    P = parse_pasf(need_in(cfg))
     rep = pasf.check(P, seed=cfg.seed)
     R.result.update({"d": P.d, "m": P.m, "p": P.p, "is_pasf": rep.is_pasf,
                      "upper": interval(rep.upper)})
@@ -758,7 +756,7 @@ def cmd_pasf_check(cfg: RunConfig, R: ReportBuilder):
 
 @command("pasf", "dual")
 def cmd_pasf_dual(cfg: RunConfig, R: ReportBuilder):
-    P, _ = parse_pasf(need_in(cfg))
+    P = parse_pasf(need_in(cfg))
     tol = cfg.tolerance(pasf.DUAL_TOL)
     Q = pasf.canonical_dual(P)
     R.result["dual"] = dump_pasf(Q)
@@ -768,7 +766,7 @@ def cmd_pasf_dual(cfg: RunConfig, R: ReportBuilder):
 
 @command("pasf", "alldual", _file("--u"), _file("--v"))
 def cmd_pasf_alldual(cfg: RunConfig, R: ReportBuilder):
-    P, _ = parse_pasf(need_in(cfg))
+    P = parse_pasf(need_in(cfg))
     tol = cfg.tolerance(pasf.DUAL_TOL)
     U = parse_matrix(load_json(cfg.extra["u"]), "U")
     V = parse_matrix(load_json(cfg.extra["v"]), "V")
@@ -780,8 +778,8 @@ def cmd_pasf_alldual(cfg: RunConfig, R: ReportBuilder):
 
 @command("pasf", "similar", _file("--other"))
 def cmd_pasf_similar(cfg: RunConfig, R: ReportBuilder):
-    P, _ = parse_pasf(need_in(cfg))
-    Q, _ = parse_pasf(load_json(cfg.extra["other"]))
+    P = parse_pasf(need_in(cfg))
+    Q = parse_pasf(load_json(cfg.extra["other"]))
     tol = cfg.tolerance(pasf.SIMILAR_TOL)
     got = pasf.similarity(P, Q, tol)
     if got is None:
@@ -800,11 +798,11 @@ def cmd_pasf_similar(cfg: RunConfig, R: ReportBuilder):
 @command("pasf", "dilate")
 def cmd_pasf_dilate(cfg: RunConfig, R: ReportBuilder):
     obj = need_in(cfg)
-    P, meta = parse_pasf(obj)
-    if meta.get("named") == "shift":
+    P = parse_pasf(obj)
+    if obj.get("named") == "shift":
         # the classical two-sided shift table; its honest truncation has a
         # singular frame operator, so the generic path would refuse it
-        table = pasf.shift_dilation_table(meta["m"])
+        table = pasf.shift_dilation_table(P.m)
         R.result["omega"] = [{"first": _plain(t), "second": _plain(s)}
                              for t, s in table]
         for n, (t, s) in enumerate(table, start=1):
@@ -829,7 +827,7 @@ def cmd_pasf_dilate(cfg: RunConfig, R: ReportBuilder):
 
 @command("pasf", "riesz")
 def cmd_pasf_riesz(cfg: RunConfig, R: ReportBuilder):
-    P, _ = parse_pasf(need_in(cfg))
+    P = parse_pasf(need_in(cfg))
     tol = cfg.tolerance(pasf.RIESZ_TOL)
     R.check("approximate Riesz basis: F S^-1 T = I", "theorem",
             pasf.riesz_residual(P), tol)
@@ -846,7 +844,7 @@ def cmd_pasf_riesz(cfg: RunConfig, R: ReportBuilder):
          _opt("--s", type=_finite, default=0.0),
          _opt("--t", type=_finite, default=0.0))
 def cmd_pasf_perturb(cfg: RunConfig, R: ReportBuilder):
-    P, _ = parse_pasf(need_in(cfg))
+    P = parse_pasf(need_in(cfg))
     Omega = parse_matrix(load_json(cfg.extra["omega"]), "omega")
     mode = cfg.extra["mode"]
     G = None
@@ -869,8 +867,8 @@ def cmd_pasf_perturb(cfg: RunConfig, R: ReportBuilder):
          _file("--other", "reconstructing pair to borrow vectors from"),
          _opt("--lam", type=_finite, default=1.0))
 def cmd_pasf_expand(cfg: RunConfig, R: ReportBuilder):
-    P, _ = parse_pasf(need_in(cfg))
-    Q, _ = parse_pasf(load_json(cfg.extra["other"]))
+    P = parse_pasf(need_in(cfg))
+    Q = parse_pasf(load_json(cfg.extra["other"]))
     tol = cfg.tolerance(1e-10)
     exp = pasf.expand_to_asf(P, Q, cfg.extra["lam"])
     comb = exp.expanded
@@ -1152,8 +1150,8 @@ def cmd_ovf_perturb(cfg: RunConfig, R: ReportBuilder):
 # ------------------------------------------------------------ vsdilate
 
 
-def _exact_tol(cfg: RunConfig) -> float:
-    return 0.0 if cfg.extra["rational"] else cfg.tolerance(vsdilate.FLOAT_TOL)
+def _exact_tol(cfg: RunConfig, T: np.ndarray) -> float:
+    return 0.0 if T.dtype == object else cfg.tolerance(vsdilate.FLOAT_TOL)
 
 
 def _exact_in(cfg: RunConfig, key: str = None) -> np.ndarray:
@@ -1166,8 +1164,8 @@ def _exact_in(cfg: RunConfig, key: str = None) -> np.ndarray:
 @command("vsdilate", "halmos", _RATIONAL)
 def cmd_vsdilate_halmos(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
-    tol = _exact_tol(cfg)
-    quad = vsdilate.halmos(T, cfg.extra["rational"])
+    tol = _exact_tol(cfg, T)
+    quad = vsdilate.halmos(T)
     R.result.update({"dim": int(quad.U.shape[0]), "U": dump_matrix(quad.U)})
     R.check("compression of U returns T", "theorem",
             vsdilate.max_abs(quad.compression(1) - T), tol)
@@ -1181,9 +1179,9 @@ def cmd_vsdilate_halmos(cfg: RunConfig, R: ReportBuilder):
 @command("vsdilate", "ndilate", _RATIONAL, _N)
 def cmd_vsdilate_ndilate(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
-    tol = _exact_tol(cfg)
+    tol = _exact_tol(cfg, T)
     N = cfg.extra["n"]
-    nd = vsdilate.n_dilation(T, N, cfg.extra["rational"])
+    nd = vsdilate.n_dilation(T, N)
     table = [(int(k), float(dft)) for k, dft in nd.table]
     R.result.update({"horizon": nd.horizon,
                      "table": [{"k": k, "defect": dft} for k, dft in table]})
@@ -1199,9 +1197,9 @@ def cmd_vsdilate_ndilate(cfg: RunConfig, R: ReportBuilder):
          _opt("--window", type=int, required=True))
 def cmd_vsdilate_sznagy(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
-    tol = _exact_tol(cfg)
+    tol = _exact_tol(cfg, T)
     w = cfg.extra["window"]
-    bw = vsdilate.banded_sznagy(T, w, cfg.extra["rational"])
+    bw = vsdilate.banded_sznagy(T, w)
     worst = max(vsdilate.max_abs(bw.compression(n) - vsdilate.mat_power(T, n))
                 for n in range(bw.valid_horizon + 1))
     R.result.update({"window": w, "valid_horizon": bw.valid_horizon})
@@ -1214,9 +1212,9 @@ def cmd_vsdilate_sznagy(cfg: RunConfig, R: ReportBuilder):
 @command("vsdilate", "standard", _RATIONAL, _HORIZON)
 def cmd_vsdilate_standard(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
-    tol = _exact_tol(cfg)
+    tol = _exact_tol(cfg, T)
     K = cfg.extra["horizon"]
-    sd = vsdilate.standard_dilation(T, K, cfg.extra["rational"])
+    sd = vsdilate.standard_dilation(T, K)
     worst = max(sd.dilation_defect(n) for n in range(K + 1))
     R.result["horizon"] = K
     R.check(f"I T^n = P U^n I for n <= {K}", "theorem", worst, tol)
@@ -1229,12 +1227,12 @@ def cmd_vsdilate_standard(cfg: RunConfig, R: ReportBuilder):
 def cmd_vsdilate_ando(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
     S = _exact_in(cfg, "other")
-    tol = _exact_tol(cfg)
+    tol = _exact_tol(cfg, T)
     K = cfg.extra["horizon"]
     gap = vsdilate.max_abs(T @ S - S @ T)
     if not R.check("inputs commute: T S = S T", "theorem", gap, tol):
         return
-    ad = vsdilate.ando_like(T, S, K, cfg.extra["rational"])
+    ad = vsdilate.ando_like(T, S, K)
     worst = max(ad.dilation_defect(n, m)
                 for n in range(K + 1) for m in range(K + 1 - n))
     R.result["horizon"] = K
@@ -1250,12 +1248,11 @@ def cmd_vsdilate_intertwine(cfg: RunConfig, R: ReportBuilder):
     T1 = _exact_in(cfg)
     T2 = _exact_in(cfg, "other")
     S = _exact_in(cfg, "s")
-    tol = _exact_tol(cfg)
+    tol = _exact_tol(cfg, T1)
     gap = vsdilate.max_abs(T1 @ S - S @ T2)
     if not R.check("inputs intertwine: T1 S = S T2", "theorem", gap, tol):
         return
-    lift = vsdilate.intertwine_lift(T1, T2, S, cfg.extra["horizon"],
-                                    cfg.extra["rational"])
+    lift = vsdilate.intertwine_lift(T1, T2, S, cfg.extra["horizon"])
     R.check("lifted shift identity U1 R = R U2", "theorem",
             lift.shift_defect, tol)
     R.check("lifted projection identity R P2 = P1 R", "theorem",
@@ -1267,7 +1264,7 @@ def cmd_vsdilate_intertwine(cfg: RunConfig, R: ReportBuilder):
 @command("vsdilate", "witness", _RATIONAL)
 def cmd_vsdilate_witness(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
-    wit = vsdilate.non_similarity_witness(T, cfg.extra["rational"])
+    wit = vsdilate.non_similarity_witness(T)
     R.result.update({"trace_asymmetric": _plain(wit.trace_asymmetric),
                      "trace_halmos": _plain(wit.trace_halmos),
                      "distinct": wit.distinct, "conclusive": wit.conclusive})

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linops
+from . import linops, pasf
 from .errors import HypothesisViolated, NotAFrame
 from .linops import Perturbation, _falsify, herm, inverse
 
@@ -177,33 +177,21 @@ def frame_identity_residuals(F: HilbertFrame, M, h, mode: str = "auto") -> Ident
     return IdentityReport(general_residual, parseval_residual, lower_bound_value)
 
 
-@dataclass(frozen=True)
-class NaimarkDilation:
-    space_dim: int
-    frame: HilbertFrame
-
-
-def naimark_dilate(F: HilbertFrame) -> NaimarkDilation:
+def naimark_dilate(F: HilbertFrame) -> HilbertFrame:
     """Extend tau_n to a Riesz basis omega_n = tau_n (+) (I - P) e_n of C^m.
 
-    P is the canonical coefficient-space projection Theta S^(-1) Theta^H;
-    the second summand is written in an orthonormal basis of range(I - P),
-    so the dilation space has dimension d + (m - d). For a Parseval frame
-    the omega_n are orthonormal.
+    This is ``pasf.dilate`` of the pair (analysis rows, synthesis columns):
+    P is the canonical coefficient-space projection Theta S^(-1) Theta^H,
+    and the second summand is written in an orthonormal basis of
+    range(I - P), so the dilation space has dimension d + (m - d). For a
+    Parseval frame the omega_n are orthonormal.
     """
     if not F.is_frame():
         raise NotAFrame("dilation requires a frame")
-    m, d = F.m, F.d
-    P = F.analysis @ inverse(F.frame_operator) @ F.synthesis
-    Q = np.eye(m) - P
-    U, s, _ = np.linalg.svd(Q)
-    r2 = int((s > RANK_RTOL * max(1.0, s[0] if s.size else 1.0)).sum())
-    if r2 != m - d:
+    omega = pasf.dilate(pasf.PAsf(2.0, F.analysis, F.synthesis)).T
+    if omega.shape[0] != F.m:
         raise NotAFrame("coefficient projection has unexpected rank")
-    B = U[:, :r2]
-    tail = herm(B) @ Q  # coordinates of (I-P) e_n in the basis of range(I-P)
-    omega = np.vstack([F.synthesis, tail])
-    return NaimarkDilation(d + r2, HilbertFrame(omega))
+    return HilbertFrame(omega)
 
 
 def perturb_certificate(F: HilbertFrame, G: HilbertFrame, mode: str,

@@ -245,10 +245,10 @@ def perturb_certificate(P: PAsf, Omega, mode: str = "quadratic",
             raise HypothesisViolated(
                 "need max(alpha + gamma ||theta_f S^-1||, beta) < 1")
         valid, detail = _falsify(
-            lambda C: np.array([(vec_pnorm(diff @ c, p),
-                                 alpha * vec_pnorm(P.T @ c, p)
-                                 + gamma * vec_pnorm(c, p)
-                                 + beta * vec_pnorm(Omega @ c, p))
+            lambda C: np.array([(linops._pnorm(diff @ c, p),
+                                 alpha * linops._pnorm(P.T @ c, p)
+                                 + gamma * linops._pnorm(c, p)
+                                 + beta * linops._pnorm(Omega @ c, p))
                                 for c in C]).T,
             P.m, samples, seed)
         lo = (1 - (alpha + gamma * theta_f_sinv)) / ((1 + beta) * sinv_norm)

@@ -7,15 +7,14 @@ supported sequences, an Ando-like pair of commuting shifts on a grid, the
 intertwining lift between standard dilations, and a trace witness for
 non-similar Halmos dilations.
 
-Rational mode (the default) stores entries as Fraction objects inside
-dense object-dtype numpy arrays, so every identity the theorems assert is
-checked with zero residual; float mode uses float64 for interoperability.
-Past ``as_exact`` the mode is read from the entries: identities and zeros
-are built like a matrix of the same field, and tolerances are 0 for
-object arrays.  The shifts, embeddings and collapses are mostly zero, so
-every product here goes through ``linops._matmul``, the one exact product,
-which multiplies only nonzero entries; the checks still apply the stored
-operators.
+``as_exact`` chooses the field; every construction keeps it. Rational
+entries are Fraction objects inside dense object-dtype numpy arrays, so
+every identity the theorems assert is checked with zero residual; float64
+entries serve interoperability. Identities and zeros are built like a
+matrix of the same field, and tolerances are 0 for object arrays.  The
+shifts, embeddings and collapses are mostly zero, so every product here
+goes through ``linops._matmul``, the one exact product, which multiplies
+only nonzero entries; the checks still apply the stored operators.
 """
 
 from __future__ import annotations
@@ -35,7 +34,8 @@ def as_exact(M, rational: bool = True) -> np.ndarray:
     """2-D matrix with Fraction entries (rational) or float64 entries.
 
     Accepts ints, Fractions, strings like "2/3", and floats (converted to
-    their exact binary value in rational mode).
+    their exact binary value in rational mode). This is the only place the
+    field is chosen: the constructions below take its output and keep it.
     """
     M = np.asarray(M, dtype=object)
     if M.ndim == 0:
@@ -126,10 +126,9 @@ def _first_block_projection(T: np.ndarray, blocks: int) -> np.ndarray:
     return P
 
 
-def halmos(T, rational: bool = True) -> DilationQuadruple:
+def halmos(T: np.ndarray) -> DilationQuadruple:
     """U = [[T, I], [I, 0]] with inverse [[0, I], [I, -T]]; the first
     coordinate compression of U is T."""
-    T = as_exact(T, rational)
     d = T.shape[0]
     if T.shape[1] != d:
         raise ValueError("T must be square")
@@ -147,14 +146,13 @@ class NDilation:
     table: tuple  # (k, max-abs defect of compression(k) - T^k) for k <= N+1
 
 
-def n_dilation(T, N: int, rational: bool = True) -> NDilation:
+def n_dilation(T: np.ndarray, N: int) -> NDilation:
     """Companion-style U on V^(N+1) with T^k = P U^k|_V for k = 1..N.
 
     The verification table carries k = 1..N+1; the last row records the
     defect beyond the horizon, which is I for k = N+1 since U^(N+1)
     reintroduces the identity corner.
     """
-    T = as_exact(T, rational)
     d = T.shape[0]
     N = int(N)
     if T.shape[1] != d:
@@ -221,8 +219,7 @@ class BandedWindow:
         return max_abs(G[:, d:2 * w * d])
 
 
-def banded_sznagy(T, window: int, rational: bool = True) -> BandedWindow:
-    T = as_exact(T, rational)
+def banded_sznagy(T: np.ndarray, window: int) -> BandedWindow:
     d = T.shape[0]
     w = int(window)
     if T.shape[1] != d:
@@ -279,8 +276,7 @@ class StandardDilation:
         return bool(np.array_equal(cols, _eye(cols.shape[0], q.U)))
 
 
-def standard_dilation(T, horizon: int, rational: bool = True) -> StandardDilation:
-    T = as_exact(T, rational)
+def standard_dilation(T: np.ndarray, horizon: int) -> StandardDilation:
     d = T.shape[0]
     K = int(horizon)
     if T.shape[1] != d:
@@ -342,9 +338,7 @@ class AndoDilation:
         return np.array_equal(left, right) and np.array_equal(left, diag)
 
 
-def ando_like(T, S, horizon: int, rational: bool = True) -> AndoDilation:
-    T = as_exact(T, rational)
-    S = as_exact(S, rational)
+def ando_like(T: np.ndarray, S: np.ndarray, horizon: int) -> AndoDilation:
     d = T.shape[0]
     h = int(horizon)
     if T.shape != (d, d) or S.shape != (d, d):
@@ -390,18 +384,15 @@ class IntertwineLift:
     embedding_defect: float   # R I2 - I1 S
 
 
-def intertwine_lift(T1, T2, S, horizon: int,
-                    rational: bool = True) -> IntertwineLift:
-    T1 = as_exact(T1, rational)
-    T2 = as_exact(T2, rational)
-    S = as_exact(S, rational)
+def intertwine_lift(T1: np.ndarray, T2: np.ndarray, S: np.ndarray,
+                    horizon: int) -> IntertwineLift:
     if S.shape != (T1.shape[0], T2.shape[0]):
         raise ValueError("S must map the second space into the first")
     gap = max_abs(_matmul(T1, S) - _matmul(S, T2))
     if gap > _tol(S):
         raise ValueError("T1 S = S T2 must hold")
-    D1 = standard_dilation(T1, horizon, rational)
-    D2 = standard_dilation(T2, horizon, rational)
+    D1 = standard_dilation(T1, horizon)
+    D2 = standard_dilation(T2, horizon)
     blocks = int(horizon) + 1
     d1, d2 = T1.shape[0], T2.shape[0]
     R = _zeros(blocks * d1, blocks * d2, S)
@@ -423,11 +414,10 @@ class SimilarityWitness:
     conclusive: bool
 
 
-def non_similarity_witness(T, rational: bool = True) -> SimilarityWitness:
+def non_similarity_witness(T: np.ndarray) -> SimilarityWitness:
     """Traces of the dilations [[T, T-I], [T+I, T]] and [[T, I], [I, 0]]
     are 2 tr T and tr T; they differ exactly when tr T != 0, certifying
     two non-similar Halmos dilations of T."""
-    T = as_exact(T, rational)
     d = T.shape[0]
     if T.shape[1] != d:
         raise ValueError("T must be square")

@@ -332,31 +332,31 @@ def test_a13_ovf_dual_involution_dilation_and_group_family():
 def test_a14_rational_dilations_are_exact_with_horizon_regression():
     T = as_exact([["1/2", "1/4"], [0, "1/3"]], True)
 
-    quad = vsdilate.halmos(T, True)
+    quad = vsdilate.halmos(T)
     assert max_abs(quad.compression(1) - T) == 0
     assert max_abs(quad.P @ quad.P - quad.P) == 0
     assert quad.inverse_defect() == 0
 
-    nd = vsdilate.n_dilation(T, 3, True)
+    nd = vsdilate.n_dilation(T, 3)
     assert all(defect == 0 for k, defect in nd.table if k <= 3)
 
-    bw = vsdilate.banded_sznagy(T, 5, True)
+    bw = vsdilate.banded_sznagy(T, 5)
     assert bw.interior_identity_defect() == 0
     for n in range(bw.valid_horizon + 1):
         assert max_abs(bw.compression(n) - mat_power(T, n)) == 0
 
-    sd = vsdilate.standard_dilation(T, 4, True)
+    sd = vsdilate.standard_dilation(T, 4)
     assert all(sd.dilation_defect(n) == 0 for n in range(5))
     assert sd.idempotent_defect() == 0
     assert sd.minimality_check()
 
     S = as_exact([["1/5", 0], [0, "1/5"]], True)
-    ad = vsdilate.ando_like(T, S, 3, True)
+    ad = vsdilate.ando_like(T, S, 3)
     assert all(ad.dilation_defect(n, m) == 0
                for n in range(4) for m in range(4 - n))
     assert ad.pad_identity_check()
 
-    lift = vsdilate.intertwine_lift(T, T, as_exact(np.eye(2), True), 3, True)
+    lift = vsdilate.intertwine_lift(T, T, as_exact(np.eye(2), True), 3)
     assert lift.shift_defect == 0
     assert lift.projection_defect == 0
     assert lift.embedding_defect == 0
@@ -364,7 +364,7 @@ def test_a14_rational_dilations_are_exact_with_horizon_regression():
     # one-step dilations stop certifying at the horizon: for T = [2] the
     # compression of U^2 is 5, not 4
     T2 = as_exact([[2]], True)
-    nd2 = vsdilate.n_dilation(T2, 1, True)
+    nd2 = vsdilate.n_dilation(T2, 1)
     comp = nd2.quadruple.compression(2)
     assert comp[0][0] == 5
     assert mat_power(T2, 2)[0][0] == 4
@@ -405,7 +405,7 @@ def test_a17_ando_grid_at_horizon_six_within_budget():
     T = as_exact([["1/2", 0, 0], [0, "2/3", 0], [0, 0, 3]], True)
     S = as_exact([[5, 0, 0], [0, "-1/7", 0], [0, 0, "3/4"]], True)
     t0 = time.perf_counter()
-    ad = vsdilate.ando_like(T, S, 6, True)
+    ad = vsdilate.ando_like(T, S, 6)
     assert all(ad.dilation_defect(n, m) == 0
                for n in range(7) for m in range(7 - n))
     assert ad.pad_identity_check()

@@ -233,8 +233,8 @@ def test_identity_subset_validation():
 def test_naimark_dilation_of_parseval_frame_is_orthonormal():
     F = harmonic_frame(2, 5)
     dil = naimark_dilate(F)
-    assert dil.space_dim == 5
-    W = dil.frame.synthesis
+    assert dil.d == 5
+    W = dil.synthesis
     assert np.abs(W.conj().T @ W - np.eye(5)).max() < 1e-10
     # the first d coordinates recover the frame exactly
     assert np.array_equal(W[:F.d], F.synthesis)
@@ -243,11 +243,11 @@ def test_naimark_dilation_of_parseval_frame_is_orthonormal():
 def test_naimark_dilation_of_general_frame_is_riesz():
     F = random_frame(9, 3, 7)
     dil = naimark_dilate(F)
-    assert dil.space_dim == 7
+    assert dil.d == 7
     # a Riesz basis: as many vectors as dimensions, invertible Gram
-    assert dil.frame.m == dil.frame.d
-    assert linops.is_invertible(dil.frame.gram)
-    assert np.array_equal(dil.frame.synthesis[:F.d], F.synthesis)
+    assert dil.m == dil.d
+    assert linops.is_invertible(dil.gram)
+    assert np.array_equal(dil.synthesis[:F.d], F.synthesis)
 
 
 def test_quadratic_perturbation_certificate():

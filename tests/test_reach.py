@@ -16,9 +16,15 @@ outside the member's own definition; a load on ``self`` reads only the
 members of the class it is written in. Other loads match by name alone, so
 a member that shares its name with one that is read passes unseen. A
 keyword in a constructor call is not a read.
+
+A defaulted parameter of a public function or method is passed by some
+call in the package, by position or by keyword; a knob no caller turns
+is a choice made twice. Calls match by the called name alone, and a call
+inside the function's own definition does not count.
 """
 
 import ast
+import math
 import pathlib
 
 import framekit
@@ -35,6 +41,18 @@ ALLOWED = {
     ("sip", "make_parseval"):
         "test fixture: builds the Parseval semi-inner-product pairs of the "
         "sip tests",
+}
+
+PARAM_ALLOWED = {
+    ("cli", "main", "argv"):
+        "entry point: the console script calls main() with no argument, "
+        "tests pass the argument list",
+    ("cuntz", "concrete_equal", "count"):
+        "test oracle: the number of basis vectors the equality is probed on",
+    ("cuntz", "concrete_equal", "tol"):
+        "test oracle: the tolerance of the concrete equality",
+    ("sip", "make_parseval", "seed"):
+        "test fixture: the seed of the random Parseval pair",
 }
 
 MEMBER_ALLOWED = {
@@ -132,3 +150,72 @@ def test_every_public_member_is_read():
             if (mod, cls, name) not in MEMBER_ALLOWED] == []
     # an allowlist entry goes once its member is deleted or gets a reader
     assert [k for k in MEMBER_ALLOWED if k not in unread] == []
+
+
+def defaulted_params(fn: ast.FunctionDef, offset: int):
+    """(positional index or None, name) of every parameter with a default;
+    offset drops self or cls from the positional count."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    out = [(i - offset, arg.arg) for i, arg in enumerate(positional)
+           if i >= first]
+    out += [(None, arg.arg)
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+            if default is not None]
+    return out
+
+
+def public_defs(tree):
+    """(function, offset) for the public top-level functions and the
+    public methods of public classes; offset is 1 past self or cls."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt, 0
+        elif (isinstance(stmt, ast.ClassDef)
+              and not stmt.name.startswith("_")):
+            for fn in stmt.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    yield fn, 0 if static else 1
+
+
+def unpassed_params():
+    """(spans, unpassed): the defaulted parameters of public functions and
+    of the methods of public classes with the lines of their definition,
+    and those that no call outside that definition passes."""
+    spans, calls = {}, {}
+    for path in SRC.glob("*.py"):
+        mod, tree = path.stem, ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                starred = any(isinstance(x, ast.Starred) for x in node.args)
+                calls.setdefault(name, []).append((
+                    mod, node.lineno,
+                    math.inf if starred else len(node.args),
+                    {k.arg for k in node.keywords}))  # None for **kwargs
+        for fn, offset in public_defs(tree):
+            if fn.name.startswith("_"):
+                continue
+            for index, arg in defaulted_params(fn, offset):
+                spans[mod, fn.name, arg] = (fn.lineno, fn.end_lineno, index)
+    unpassed = {key for key, (lo, hi, index) in spans.items()
+                if not any((index is not None and index < npos)
+                           or key[2] in kws or None in kws
+                           for m, line, npos, kws in calls.get(key[1], ())
+                           if not (m == key[0] and lo <= line <= hi))}
+    return spans, unpassed
+
+
+def test_every_defaulted_param_is_passed():
+    spans, unpassed = unpassed_params()
+    assert ("vsdilate", "as_exact", "rational") in spans  # the scan works
+    assert [f"{mod}.py:{spans[mod, fn, arg][0]} {fn}({arg})"
+            for mod, fn, arg in sorted(unpassed)
+            if (mod, fn, arg) not in PARAM_ALLOWED] == []
+    # an allowlist entry goes once its parameter is deleted or gets a caller
+    assert [k for k in PARAM_ALLOWED if k not in unpassed] == []

@@ -260,8 +260,8 @@ def test_intertwine_defects_read_stored_operators(monkeypatch, which, field):
     for i, j in positions:
         made = []
 
-        def changed(T, horizon, rational=True):
-            sd = real(T, horizon, rational)
+        def changed(T, horizon):
+            sd = real(T, horizon)
             if len(made) == which:
                 getattr(sd.quadruple, field)[i, j] += 1
             made.append(sd)
@@ -276,7 +276,7 @@ def test_intertwine_defects_read_stored_operators(monkeypatch, which, field):
 # ----------------------------------------------------------------- halmos
 
 def test_halmos_zero_map_is_self_inverse_swap():
-    q = halmos([[0, 0], [0, 0]])
+    q = halmos(as_exact([[0, 0], [0, 0]]))
     I2 = as_exact(np.eye(2))
     Z2 = as_exact(np.zeros((2, 2)))
     swap = np.block([[Z2, I2], [I2, Z2]])
@@ -286,7 +286,7 @@ def test_halmos_zero_map_is_self_inverse_swap():
 
 
 def test_halmos_scalar_two_inverse_exact():
-    q = halmos([[2]])
+    q = halmos(as_exact([[2]]))
     assert q.inverse_defect() == 0.0
     assert q.compression(1)[0, 0] == Fraction(2)
 
@@ -303,21 +303,21 @@ def test_halmos_random_rational_exact_identities():
 
 
 def test_halmos_float_mode():
-    q = halmos([[0.5, 0.25], [0.0, -1.5]], rational=False)
+    q = halmos(as_exact([[0.5, 0.25], [0.0, -1.5]], rational=False))
     assert q.inverse_defect() <= 1e-12
     assert max_abs(q.compression(1) - np.array([[0.5, 0.25], [0.0, -1.5]])) == 0.0
 
 
 def test_halmos_rejects_rectangular():
     with pytest.raises(ValueError):
-        halmos([[1, 2, 3], [4, 5, 6]])
+        halmos(as_exact([[1, 2, 3], [4, 5, 6]]))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2),
                 min_size=2, max_size=2))
 def test_halmos_integer_property(rows):
-    q = halmos(rows)
+    q = halmos(as_exact(rows))
     assert q.inverse_defect() == 0.0
     assert np.array_equal(q.compression(1), as_exact(rows))
 
@@ -334,7 +334,7 @@ def test_n_dilation_one_step_matches_halmos():
 def test_n_dilation_scalar_two_regression():
     # beyond the horizon the dilation picks up the reinserted identity:
     # PU^2|_V = T^2 + I = 5 while T^2 = 4
-    nd = n_dilation([[2]], 1)
+    nd = n_dilation(as_exact([[2]]), 1)
     assert nd.quadruple.compression(2)[0, 0] == Fraction(5)
     assert nd.table == ((1, 0.0), (2, 1.0))
 
@@ -368,7 +368,7 @@ def test_n_dilation_inverse_and_idempotent_exact():
 
 def test_n_dilation_requires_positive_horizon():
     with pytest.raises(ValueError):
-        n_dilation([[1]], 0)
+        n_dilation(as_exact([[1]]), 0)
 
 
 # --------------------------------------------------------- banded window
@@ -394,11 +394,11 @@ def test_banded_inverse_identity_away_from_boundary():
 
 
 def test_banded_horizon_enforced():
-    bw = banded_sznagy([[2]], 3)
+    bw = banded_sznagy(as_exact([[2]]), 3)
     with pytest.raises(ValueError):
         bw.compression(3)
     with pytest.raises(ValueError):
-        banded_sznagy([[2]], 1)
+        banded_sznagy(as_exact([[2]]), 1)
 
 
 # -------------------------------------------------------- standard dilation
@@ -447,7 +447,8 @@ def test_standard_defect_appears_past_horizon():
 
 
 def test_standard_float_mode():
-    sd = standard_dilation([[0.5, 0.1], [0.0, 0.25]], 5, rational=False)
+    sd = standard_dilation(as_exact([[0.5, 0.1], [0.0, 0.25]], rational=False),
+                           5)
     for n in range(6):
         assert sd.dilation_defect(n) <= 1e-14
     assert sd.minimality_check()
@@ -500,7 +501,7 @@ def test_ando_pad_identity():
 
 def test_ando_rejects_non_commuting():
     with pytest.raises(ValueError):
-        ando_like([[0, 1], [0, 0]], [[0, 0], [1, 0]], 3)
+        ando_like(as_exact([[0, 1], [0, 0]]), as_exact([[0, 0], [1, 0]]), 3)
 
 
 # ------------------------------------------------------- intertwining lift
@@ -586,7 +587,7 @@ def test_witness_identity_map():
 
 
 def test_witness_zero_trace_inconclusive():
-    w = non_similarity_witness([[1, 0], [0, -1]])
+    w = non_similarity_witness(as_exact([[1, 0], [0, -1]]))
     assert not w.conclusive
     assert not w.distinct
 
@@ -601,3 +602,73 @@ def test_witness_random_nonzero_trace():
         assert w.distinct and w.conclusive
         assert w.trace_asymmetric == 2 * tr
         assert w.trace_halmos == tr
+
+
+# ------------------------------------------------------------------ field
+
+# Each case builds one construction of T and returns (operators, defects);
+# the ando and intertwine cases pair T with T^2 and with T itself.
+
+def halmos_case(T):
+    q = halmos(T)
+    return ([q.embed, q.U, q.P, q.U_inv],
+            [q.inverse_defect(), max_abs(q.compression(1) - T)])
+
+
+def n_dilation_case(T):
+    q = n_dilation(T, 2).quadruple
+    return ([q.U, q.U_inv, q.P],
+            [max_abs(q.compression(k) - mat_power(T, k)) for k in (1, 2)])
+
+
+def banded_case(T):
+    bw = banded_sznagy(T, 3)
+    return ([bw.U, bw.V, bw.compression(2)],
+            [bw.interior_identity_defect(),
+             max_abs(bw.compression(2) - mat_power(T, 2))])
+
+
+def standard_case(T):
+    sd = standard_dilation(T, 3)
+    q = sd.quadruple
+    return ([q.U, q.P, q.embed],
+            [sd.dilation_defect(n) for n in range(4)]
+            + [sd.idempotent_defect()])
+
+
+def ando_case(T):
+    ad = ando_like(T, T @ T, 2)
+    return ([ad.embed, ad.U, ad.V, ad.P],
+            [ad.dilation_defect(n, m) for n in range(3) for m in range(3 - n)])
+
+
+def intertwine_case(T):
+    lift = intertwine_lift(T, T, T, 3)
+    return [], [lift.shift_defect, lift.projection_defect,
+                lift.embedding_defect]
+
+
+def witness_case(T):
+    w = non_similarity_witness(T)
+    return ([np.array([[w.trace_asymmetric, w.trace_halmos]])],
+            [abs(w.trace_asymmetric - 2 * w.trace_halmos)])
+
+
+FIELD_CASES = [halmos_case, n_dilation_case, banded_case, standard_case,
+               ando_case, intertwine_case, witness_case]
+
+
+@pytest.mark.parametrize("case", FIELD_CASES, ids=lambda c: c.__name__)
+def test_constructions_keep_the_field_of_their_input(case):
+    # dyadic entries: every float product here is exact
+    rows = [[0.5, -0.25], [0.0, 1.5]]
+    ops, defects = case(as_exact(rows, rational=False))
+    assert all(M.dtype == np.float64 for M in ops)
+    assert all(isinstance(x, float) and x <= vsdilate.FLOAT_TOL
+               for x in defects)
+
+    ops, defects = case(as_exact(rows))
+    for M in ops:
+        assert M.dtype == object
+        assert all(type(x) is Fraction for x in M.flat)
+    assert all(x == 0 for x in defects)
