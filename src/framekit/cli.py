@@ -1168,12 +1168,9 @@ def cmd_vsdilate_halmos(cfg: RunConfig, R: ReportBuilder):
     quad = vsdilate.halmos(T)
     R.result.update({"dim": int(quad.U.shape[0]), "U": dump_matrix(quad.U)})
     R.check("compression of U returns T", "theorem",
-            vsdilate.max_abs(quad.compression(1) - T), tol)
-    R.check("P is idempotent", "theorem",
-            vsdilate.max_abs(quad.P @ quad.P - quad.P), tol)
-    if quad.U_inv is not None:
-        R.check("closed-form inverse of U", "theorem",
-                quad.inverse_defect(), tol)
+            quad.compression_defects(T, 1)[0], tol)
+    R.check("P is idempotent", "theorem", quad.idempotent_defect(), tol)
+    R.check("closed-form inverse of U", "theorem", quad.inverse_defect(), tol)
 
 
 @command("vsdilate", "ndilate", _RATIONAL, _N)
@@ -1182,15 +1179,13 @@ def cmd_vsdilate_ndilate(cfg: RunConfig, R: ReportBuilder):
     tol = _exact_tol(cfg, T)
     N = cfg.extra["n"]
     nd = vsdilate.n_dilation(T, N)
-    table = [(int(k), float(dft)) for k, dft in nd.table]
-    R.result.update({"horizon": nd.horizon,
-                     "table": [{"k": k, "defect": dft} for k, dft in table]})
-    inside = max((dft for k, dft in table if k <= N), default=0.0)
-    R.check(f"power dilation exact for k <= {N}", "theorem", inside, tol)
-    beyond = [dft for k, dft in table if k == N + 1]
-    if beyond:
-        R.display.append(f"defect at k = {N + 1} (beyond the horizon): "
-                         f"{g(beyond[0])}")
+    *inside, (_, beyond) = nd.table
+    R.result.update({"horizon": nd.horizon, "table": [
+        {"k": k, "defect": dft} for k, dft in nd.table]})
+    R.check(f"power dilation exact for k <= {N}", "theorem",
+            max(dft for _, dft in inside), tol)
+    R.display.append(f"defect at k = {N + 1} (beyond the horizon): "
+                     f"{g(beyond)}")
 
 
 @command("vsdilate", "sznagy", _RATIONAL,
@@ -1200,11 +1195,9 @@ def cmd_vsdilate_sznagy(cfg: RunConfig, R: ReportBuilder):
     tol = _exact_tol(cfg, T)
     w = cfg.extra["window"]
     bw = vsdilate.banded_sznagy(T, w)
-    worst = max(vsdilate.max_abs(bw.compression(n) - vsdilate.mat_power(T, n))
-                for n in range(bw.valid_horizon + 1))
     R.result.update({"window": w, "valid_horizon": bw.valid_horizon})
     R.check(f"windowed powers compress exactly for n <= {bw.valid_horizon}",
-            "theorem", worst, tol)
+            "theorem", bw.compression_defect(), tol)
     R.check("V U = I on the interior block columns", "theorem",
             bw.interior_identity_defect(), tol)
 
@@ -1215,10 +1208,11 @@ def cmd_vsdilate_standard(cfg: RunConfig, R: ReportBuilder):
     tol = _exact_tol(cfg, T)
     K = cfg.extra["horizon"]
     sd = vsdilate.standard_dilation(T, K)
-    worst = max(sd.dilation_defect(n) for n in range(K + 1))
     R.result["horizon"] = K
-    R.check(f"I T^n = P U^n I for n <= {K}", "theorem", worst, tol)
-    R.check("P is idempotent", "theorem", sd.idempotent_defect(), tol)
+    R.check(f"I T^n = P U^n I for n <= {K}", "theorem",
+            sd.dilation_defect(), tol)
+    R.check("P is idempotent", "theorem",
+            sd.quadruple.idempotent_defect(), tol)
     R.check("dilation is minimal (orbit spans the space)", "theorem",
             0.0 if sd.minimality_check() else 1.0, 0.0)
 
@@ -1229,15 +1223,13 @@ def cmd_vsdilate_ando(cfg: RunConfig, R: ReportBuilder):
     S = _exact_in(cfg, "other")
     tol = _exact_tol(cfg, T)
     K = cfg.extra["horizon"]
-    gap = vsdilate.max_abs(T @ S - S @ T)
+    gap = vsdilate.intertwining_gap(T, S, T)
     if not R.check("inputs commute: T S = S T", "theorem", gap, tol):
         return
     ad = vsdilate.ando_like(T, S, K)
-    worst = max(ad.dilation_defect(n, m)
-                for n in range(K + 1) for m in range(K + 1 - n))
     R.result["horizon"] = K
     R.check(f"joint powers dilate exactly for n + m <= {K}", "theorem",
-            worst, tol)
+            ad.dilation_defect(), tol)
     R.check("zero-pad identity V U = U V = joint shift", "theorem",
             0.0 if ad.pad_identity_check() else 1.0, 0.0)
 
@@ -1249,7 +1241,7 @@ def cmd_vsdilate_intertwine(cfg: RunConfig, R: ReportBuilder):
     T2 = _exact_in(cfg, "other")
     S = _exact_in(cfg, "s")
     tol = _exact_tol(cfg, T1)
-    gap = vsdilate.max_abs(T1 @ S - S @ T2)
+    gap = vsdilate.intertwining_gap(T1, S, T2)
     if not R.check("inputs intertwine: T1 S = S T2", "theorem", gap, tol):
         return
     lift = vsdilate.intertwine_lift(T1, T2, S, cfg.extra["horizon"])

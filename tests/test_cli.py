@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framekit import cli, cuntz, hframe, linops, ovf, pasf, sip
+from framekit import cli, cuntz, hframe, linops, ovf, pasf, sip, vsdilate
 from framekit.cli import dump_frame, dump_matrix, dump_ovf, dump_pasf, main
 from framekit.errors import CertifiedFailure
 
@@ -489,6 +489,63 @@ def test_vsdilate_noncommuting_ando_fails_cleanly(capsys, tmp_path):
                               "--other", nil, "--horizon", "2"])
     assert rc == 1
     assert "inputs commute" in out and "FAIL" in out
+
+
+@pytest.mark.parametrize("verb, files", [
+    ("ando", ["--other", "s"]), ("intertwine", ["--other", "s", "--s", "eye"])])
+def test_vsdilate_decides_the_hypothesis_once(capsys, tmp_path, verb, files):
+    # S is T but for 1 + 1e-9 at (0, 0): the report's gap check alone
+    # decides whether the pair commutes (intertwines through the identity)
+    path = {name: write(tmp_path, f"{name}.json",
+                        {"rows": 2, "cols": 2, "re": re})
+            for name, re in (("t", [[1, 0.1], [0, 2]]),
+                             ("s", [[1 + 1e-9, 0.1], [0, 2]]),
+                             ("eye", [[1, 0], [0, 1]]))}
+    argv = (["vsdilate", verb, "--in", path["t"], "--horizon", "2",
+             "--no-rational"] + [path.get(a, a) for a in files])
+    rc, out, err = run(capsys, argv + ["--tol", "1e-6"])
+    assert (rc, err) == (0, "")
+    assert "status: pass" in out
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (1, "")
+    assert "residual 1.00000008274e-" in out and "FAIL" in out
+
+
+# Exact products per verb on a 3 x 3 rational T, with S = T^2 + T: every
+# horizon identity walks each power once.  Rebuilding each power from the
+# identity took 505 at standard --horizon 20, 655 at ando --horizon 6 (then
+# over n + m <= 6 only) and 17 at sznagy --window 4.  halmos made 4 and its
+# handler formed P P with numpy's @; that product is now a fifth.
+WALK_BUDGETS = [
+    (["standard", "--horizon", "20"], 130),
+    (["ando", "--other", "s", "--horizon", "6"], 300),
+    (["sznagy", "--window", "4"], 12),
+    (["halmos"], 5),
+    (["ndilate", "--n", "10"], 33),
+    (["intertwine", "--other", "t", "--s", "s", "--horizon", "4"], 18),
+]
+
+
+@pytest.mark.parametrize("args, budget", WALK_BUDGETS,
+                         ids=[args[0] for args, _ in WALK_BUDGETS])
+def test_vsdilate_walks_each_power_once(capsys, tmp_path, monkeypatch, args,
+                                        budget):
+    T = vsdilate.as_exact([["1/2", "1/3", 0], [0, "2/3", "1/4"],
+                           ["1/5", 0, 1]])
+    path = {name: write(tmp_path, f"{name}.json", {
+        "rows": 3, "cols": 3, "re": [[str(x) for x in row] for row in M]})
+        for name, M in (("t", T.tolist()), ("s", (T @ T + T).tolist()))}
+    real, calls = vsdilate._matmul, []
+
+    def counted(A, B):
+        calls.append(A.shape)
+        return real(A, B)
+
+    monkeypatch.setattr(vsdilate, "_matmul", counted)
+    argv = ["vsdilate", args[0], "--in", path["t"]]
+    rc, out, _ = run(capsys, argv + [path.get(a, a) for a in args[1:]])
+    assert rc == 0 and "status: pass" in out
+    assert 0 < len(calls) <= budget
 
 
 def test_vsdilate_ndilate_shows_horizon_breakdown(capsys, tmp_path):

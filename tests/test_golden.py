@@ -12,6 +12,10 @@ Record the expected files again, only when an output is meant to
 change, with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+Given words, as in ``PYTHONPATH=src python tests/test_golden.py vsdilate
+ando``, it records again only the argvs that start with them and leaves
+every other record and ``options.json`` byte-for-byte as they are.
 """
 
 import argparse
@@ -19,6 +23,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -239,16 +244,20 @@ def test_golden_option_table():
     assert option_table() == _load(OPTIONS)
 
 
-def record() -> None:
+def record(words: list) -> None:
     os.chdir(GOLDEN)
-    records = [_invoke(argv) for argv in _argvs()]
+    old = {tuple(rec["argv"]): rec for rec in _load(EXPECTED)} if words else {}
+    records = [_invoke(argv) if argv[:len(words)] == words
+               else old[tuple(argv)] for argv in _argvs()]
     with open(EXPECTED, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    if words:
+        return
     with open(OPTIONS, "w", encoding="utf-8") as fh:
         json.dump(option_table(), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

@@ -20,7 +20,7 @@ from framekit.vsdilate import (
     banded_sznagy,
     halmos,
     intertwine_lift,
-    mat_power,
+    intertwining_gap,
     max_abs,
     n_dilation,
     non_similarity_witness,
@@ -67,7 +67,7 @@ def invertible_frac_matrix(seed, n):
 
 
 def power_oracle(T, k):
-    # plain repeated multiplication, no shared code path with mat_power
+    # plain repeated multiplication, no shared code path with vsdilate
     n = T.shape[0]
     out = np.full((n, n), Fraction(0), dtype=object)
     for i in range(n):
@@ -79,6 +79,13 @@ def power_oracle(T, k):
                 nxt[i, j] = sum(out[i, r] * T[r, j] for r in range(n))
         out = nxt
     return out
+
+
+def apply_oracle(M, k, x):
+    # M^k x by k dense object products, right to left
+    for _ in range(k):
+        x = M @ x
+    return x
 
 
 def assert_exact_zero(M):
@@ -100,10 +107,13 @@ def test_as_exact_float_mode():
     assert M.dtype == float
 
 
-def test_mat_power_matches_oracle():
-    T = frac_matrix(11, 3)
-    for k in range(5):
-        assert np.array_equal(mat_power(T, k), power_oracle(T, k))
+def test_walks_match_oracle():
+    T, x = frac_matrix(11, 3), frac_matrix(12, 3, 2)
+    for k, (power, col) in enumerate(zip(vsdilate._powers(T, 4),
+                                         vsdilate._orbit(T, x, 4))):
+        assert np.array_equal(power, power_oracle(T, k))
+        assert np.array_equal(col, power_oracle(T, k) @ x)
+    assert [len(vsdilate._powers(T, k)) for k in range(3)] == [1, 2, 3]
 
 
 # ----------------------------------------------------------- exact product
@@ -189,8 +199,8 @@ def test_standard_checks_read_stored_operators():
     q = sd.quadruple
 
     def passes():
-        return (all(sd.dilation_defect(n) == 0 for n in range(4))
-                and sd.idempotent_defect() == 0 and sd.minimality_check())
+        return (sd.dilation_defect() == 0
+                and q.idempotent_defect() == 0 and sd.minimality_check())
 
     assert undetected_changes(q.U, passes) == []
     assert undetected_changes(q.P, passes) == []
@@ -203,9 +213,7 @@ def test_ando_checks_read_stored_operators():
 
     def passes():
         # every cell of the grid is reached by some U^n V^m I
-        return (all(ad.dilation_defect(n, m) == 0
-                    for n in range(3) for m in range(3))
-                and ad.pad_identity_check())
+        return ad.dilation_defect() == 0 and ad.pad_identity_check()
 
     for M in (ad.U, ad.V, ad.P):
         assert undetected_changes(M, passes) == []
@@ -219,8 +227,7 @@ def test_sznagy_checks_read_stored_operators():
     bw = banded_sznagy(T, w)
 
     def passes():
-        return (all(np.array_equal(bw.compression(n), mat_power(T, n))
-                    for n in range(bw.valid_horizon + 1))
+        return (bw.compression_defect() == 0
                 and bw.interior_identity_defect() == 0)
 
     # Only the identity blocks that reach the window's last block (rows
@@ -239,8 +246,7 @@ def test_ndilate_checks_read_stored_operators():
 
     def passes():
         return (q.inverse_defect() == 0
-                and all(np.array_equal(q.compression(k), mat_power(T, k))
-                        for k in range(1, 4)))
+                and q.compression_defects(T, 3) == [0, 0, 0])
 
     assert undetected_changes(q.U, passes) == []
     assert undetected_changes(q.U_inv, passes) == []
@@ -288,14 +294,17 @@ def test_halmos_zero_map_is_self_inverse_swap():
 def test_halmos_scalar_two_inverse_exact():
     q = halmos(as_exact([[2]]))
     assert q.inverse_defect() == 0.0
-    assert q.compression(1)[0, 0] == Fraction(2)
+    assert q.compression_defects(as_exact([[2]]), 1) == [0.0]
+    assert q.compression_defects(as_exact([[3]]), 1) == [1.0]
 
 
 def test_halmos_random_rational_exact_identities():
     T = frac_matrix(7, 3)
     q = halmos(T)
     assert q.inverse_defect() == 0.0
-    assert np.array_equal(q.compression(1), T)
+    assert q.compression_defects(T, 1) == [0]
+    assert np.array_equal(q.embed.T @ q.U @ q.embed, T)
+    assert q.idempotent_defect() == 0
     assert_exact_zero(q.P @ q.P - q.P)
     assert np.array_equal(q.P @ q.embed, q.embed)
     # P(W) is exactly the embedded copy
@@ -305,7 +314,8 @@ def test_halmos_random_rational_exact_identities():
 def test_halmos_float_mode():
     q = halmos(as_exact([[0.5, 0.25], [0.0, -1.5]], rational=False))
     assert q.inverse_defect() <= 1e-12
-    assert max_abs(q.compression(1) - np.array([[0.5, 0.25], [0.0, -1.5]])) == 0.0
+    assert q.compression_defects(
+        np.array([[0.5, 0.25], [0.0, -1.5]]), 1) == [0.0]
 
 
 def test_halmos_rejects_rectangular():
@@ -319,7 +329,7 @@ def test_halmos_rejects_rectangular():
 def test_halmos_integer_property(rows):
     q = halmos(as_exact(rows))
     assert q.inverse_defect() == 0.0
-    assert np.array_equal(q.compression(1), as_exact(rows))
+    assert q.compression_defects(as_exact(rows), 1) == [0]
 
 
 # ------------------------------------------------------------- n-dilation
@@ -335,16 +345,19 @@ def test_n_dilation_scalar_two_regression():
     # beyond the horizon the dilation picks up the reinserted identity:
     # PU^2|_V = T^2 + I = 5 while T^2 = 4
     nd = n_dilation(as_exact([[2]]), 1)
-    assert nd.quadruple.compression(2)[0, 0] == Fraction(5)
+    q = nd.quadruple
+    assert (q.embed.T @ apply_oracle(q.U, 2, q.embed))[0, 0] == Fraction(5)
     assert nd.table == ((1, 0.0), (2, 1.0))
 
 
 def test_n_dilation_integer_exact_up_to_horizon():
     T = as_exact(np.random.default_rng(43).integers(-3, 4, size=(3, 3)))
     nd = n_dilation(T, 4)
+    q = nd.quadruple
     for k in range(1, 5):
         assert nd.table[k - 1] == (k, 0.0)
-        assert np.array_equal(nd.quadruple.compression(k), power_oracle(T, k))
+        assert np.array_equal(q.embed.T @ apply_oracle(q.U, k, q.embed),
+                              power_oracle(T, k))
     assert nd.table[4][1] > 0
 
 
@@ -352,8 +365,8 @@ def test_n_dilation_defect_beyond_horizon_is_identity():
     # U^(N+1) restricted back to V equals T^(N+1) + I exactly
     T = frac_matrix(44, 2)
     N = 3
-    nd = n_dilation(T, N)
-    beyond = nd.quadruple.compression(N + 1)
+    q = n_dilation(T, N).quadruple
+    beyond = q.embed.T @ apply_oracle(q.U, N + 1, q.embed)
     expected = power_oracle(T, N + 1) + as_exact(np.eye(2))
     assert np.array_equal(beyond, expected)
 
@@ -362,6 +375,7 @@ def test_n_dilation_inverse_and_idempotent_exact():
     T = frac_matrix(45, 2)
     q = n_dilation(T, 3).quadruple
     assert q.inverse_defect() == 0.0
+    assert q.idempotent_defect() == 0
     assert_exact_zero(q.P @ q.P - q.P)
     assert np.array_equal(q.P @ q.embed, q.embed)
 
@@ -373,18 +387,27 @@ def test_n_dilation_requires_positive_horizon():
 
 # --------------------------------------------------------- banded window
 
+def compressions(bw, k):
+    # E^T U^n E for n = 0..k, by the dense oracle
+    E = bw.embed
+    return [E.T @ apply_oracle(bw.U, n, E) for n in range(k + 1)]
+
+
 def test_banded_first_power_any_window():
     T = frac_matrix(51, 2)
     for w in (2, 3, 5):
-        assert np.array_equal(banded_sznagy(T, w).compression(1), T)
+        bw = banded_sznagy(T, w)
+        assert np.array_equal(compressions(bw, 1)[1], T)
+        assert bw.compression_defect() == 0
 
 
 def test_banded_window_six_integer_exact():
     T = as_exact(np.random.default_rng(52).integers(-3, 4, size=(2, 2)))
     bw = banded_sznagy(T, 6)
     assert bw.valid_horizon == 5
-    for n in range(6):
-        assert np.array_equal(bw.compression(n), power_oracle(T, n))
+    for n, comp in enumerate(compressions(bw, 5)):
+        assert np.array_equal(comp, power_oracle(T, n))
+    assert bw.compression_defect() == 0
 
 
 def test_banded_inverse_identity_away_from_boundary():
@@ -394,9 +417,11 @@ def test_banded_inverse_identity_away_from_boundary():
 
 
 def test_banded_horizon_enforced():
+    # the defect walks n = 0..w-1 and no further
     bw = banded_sznagy(as_exact([[2]]), 3)
-    with pytest.raises(ValueError):
-        bw.compression(3)
+    assert bw.valid_horizon == 2
+    assert bw.compression_defect() == 0
+    assert len(vsdilate._orbit(bw.U, bw.embed, bw.valid_horizon)) == 3
     with pytest.raises(ValueError):
         banded_sznagy(as_exact([[2]]), 1)
 
@@ -405,7 +430,7 @@ def test_banded_horizon_enforced():
 
 def test_standard_identity_case():
     sd = standard_dilation(frac_matrix(61, 2), 4)
-    assert sd.dilation_defect(0) == 0.0
+    assert sd.dilation_defect() == 0.0
 
 
 def test_standard_nilpotent_annihilation():
@@ -413,18 +438,16 @@ def test_standard_nilpotent_annihilation():
     T = as_exact([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     sd = standard_dilation(T, 6)
     q = sd.quadruple
-    for n in range(7):
-        assert sd.dilation_defect(n) == 0.0
+    assert sd.dilation_defect() == 0.0
     for n in range(3, 7):
-        assert_exact_zero(q.P @ mat_power(q.U, n) @ q.embed)
+        assert_exact_zero(q.P @ apply_oracle(q.U, n, q.embed))
 
 
 def test_standard_random_rational_exact():
     T = frac_matrix(62, 3)
     sd = standard_dilation(T, 8)
-    for n in range(9):
-        assert sd.dilation_defect(n) == 0.0
-    assert sd.idempotent_defect() == 0.0
+    assert sd.dilation_defect() == 0.0
+    assert sd.quadruple.idempotent_defect() == 0.0
     assert sd.minimality_check()
 
 
@@ -441,16 +464,18 @@ def test_standard_defect_appears_past_horizon():
     # U is nilpotent on the truncation, so past the horizon the right side
     # collapses to zero while T^n does not
     T = invertible_frac_matrix(64, 2)
-    sd = standard_dilation(T, 3)
-    assert sd.dilation_defect(4) == max_abs(power_oracle(T, 4))
-    assert sd.dilation_defect(4) > 0
+    q = standard_dilation(T, 3).quadruple
+    rhs = q.P @ apply_oracle(q.U, 4, q.embed)
+    assert_exact_zero(rhs)
+    defect = max_abs(q.embed @ power_oracle(T, 4) - rhs)
+    assert defect == max_abs(power_oracle(T, 4))
+    assert defect > 0
 
 
 def test_standard_float_mode():
     sd = standard_dilation(as_exact([[0.5, 0.1], [0.0, 0.25]], rational=False),
                            5)
-    for n in range(6):
-        assert sd.dilation_defect(n) <= 1e-14
+    assert sd.dilation_defect() <= 1e-14
     assert sd.minimality_check()
 
 
@@ -459,9 +484,7 @@ def test_standard_float_mode():
 def test_ando_with_identity_reduces_to_standard():
     T = frac_matrix(71, 2)
     ad = ando_like(T, as_exact(np.eye(2)), 3)
-    for n in range(4):
-        for m in range(4 - n):
-            assert ad.dilation_defect(n, m) == 0.0
+    assert ad.dilation_defect() == 0.0
     # with S = I the collapse blocks depend on the row index only
     side = 4
     for n in range(side):
@@ -474,11 +497,11 @@ def test_ando_simultaneous_diagonal_exact():
     T = as_exact([[2, 0], [0, 3]])
     S = as_exact([[5, 0], [0, 7]])
     ad = ando_like(T, S, 4)
+    assert ad.dilation_defect() == 0.0
     for n in range(5):
         for m in range(5 - n):
-            assert ad.dilation_defect(n, m) == 0.0
-            top = (ad.P @ (mat_power(ad.U, n)
-                           @ (mat_power(ad.V, m) @ ad.embed)))[:2]
+            top = (ad.P @ apply_oracle(
+                ad.U, n, apply_oracle(ad.V, m, ad.embed)))[:2]
             assert top[0, 0] == Fraction(2) ** n * Fraction(5) ** m
             assert top[1, 1] == Fraction(3) ** n * Fraction(7) ** m
 
@@ -489,9 +512,7 @@ def test_ando_commuting_polynomials_exact():
     T = A @ A + 2 * I3
     S = 3 * A - A @ A @ A
     ad = ando_like(T, S, 5)
-    for n in range(6):
-        for m in range(6 - n):
-            assert ad.dilation_defect(n, m) == 0.0
+    assert ad.dilation_defect() == 0.0
 
 
 def test_ando_pad_identity():
@@ -499,9 +520,16 @@ def test_ando_pad_identity():
     assert ad.pad_identity_check()
 
 
-def test_ando_rejects_non_commuting():
-    with pytest.raises(ValueError):
-        ando_like(as_exact([[0, 1], [0, 0]]), as_exact([[0, 0], [1, 0]]), 3)
+def test_ando_non_commuting_gap():
+    # the caller decides commutation from the gap; the grid model of a
+    # non-commuting pair is still built, and cell (1, 1) collapses
+    # through T S, which is not S T
+    T, S = as_exact([[0, 1], [0, 0]]), as_exact([[0, 0], [1, 0]])
+    assert intertwining_gap(T, S, T) == 1
+    assert intertwining_gap(T, T, T) == 0
+    ad = ando_like(T, S, 1)
+    assert np.array_equal(ad.P[:2, 6:8], T @ S)
+    assert not np.array_equal(T @ S, S @ T)
 
 
 # ------------------------------------------------------- intertwining lift
@@ -570,11 +598,13 @@ def test_intertwine_sylvester_oracle():
             lift.embedding_defect) == (0.0, 0.0, 0.0)
 
 
-def test_intertwine_rejects_non_intertwiner():
+def test_intertwine_non_intertwiner_gap_and_defect():
     T1 = as_exact([[1, 0], [0, 2]])
     T2 = as_exact([[3, 0], [0, 4]])
-    with pytest.raises(ValueError):
-        intertwine_lift(T1, T2, as_exact(np.eye(2)), 3)
+    S = as_exact(np.eye(2))
+    assert intertwining_gap(T1, S, T2) == 2
+    assert intertwining_gap(T1, S, T1) == 0
+    assert intertwine_lift(T1, T2, S, 3).projection_defect > 0
 
 
 # ---------------------------------------------------------- trace witness
@@ -612,34 +642,34 @@ def test_witness_random_nonzero_trace():
 def halmos_case(T):
     q = halmos(T)
     return ([q.embed, q.U, q.P, q.U_inv],
-            [q.inverse_defect(), max_abs(q.compression(1) - T)])
+            [q.inverse_defect(), q.idempotent_defect()]
+            + q.compression_defects(T, 1))
 
 
 def n_dilation_case(T):
-    q = n_dilation(T, 2).quadruple
+    nd = n_dilation(T, 2)
+    q = nd.quadruple
     return ([q.U, q.U_inv, q.P],
-            [max_abs(q.compression(k) - mat_power(T, k)) for k in (1, 2)])
+            q.compression_defects(T, 2) + [dft for _, dft in nd.table[:2]])
 
 
 def banded_case(T):
     bw = banded_sznagy(T, 3)
-    return ([bw.U, bw.V, bw.compression(2)],
-            [bw.interior_identity_defect(),
-             max_abs(bw.compression(2) - mat_power(T, 2))])
+    return ([bw.U, bw.V, bw.embed],
+            [bw.interior_identity_defect(), bw.compression_defect()])
 
 
 def standard_case(T):
     sd = standard_dilation(T, 3)
     q = sd.quadruple
     return ([q.U, q.P, q.embed],
-            [sd.dilation_defect(n) for n in range(4)]
-            + [sd.idempotent_defect()])
+            [sd.dilation_defect(), q.idempotent_defect()])
 
 
 def ando_case(T):
     ad = ando_like(T, T @ T, 2)
     return ([ad.embed, ad.U, ad.V, ad.P],
-            [ad.dilation_defect(n, m) for n in range(3) for m in range(3 - n)])
+            [ad.dilation_defect(), intertwining_gap(T, T @ T, T)])
 
 
 def intertwine_case(T):
