@@ -1228,7 +1228,7 @@ def cmd_vsdilate_ando(cfg: RunConfig, R: ReportBuilder):
         return
     ad = vsdilate.ando_like(T, S, K)
     R.result["horizon"] = K
-    R.check(f"joint powers dilate exactly for n + m <= {K}", "theorem",
+    R.check(f"joint powers dilate exactly for n, m <= {K}", "theorem",
             ad.dilation_defect(), tol)
     R.check("zero-pad identity V U = U V = joint shift", "theorem",
             0.0 if ad.pad_identity_check() else 1.0, 0.0)

@@ -511,6 +511,36 @@ def test_vsdilate_decides_the_hypothesis_once(capsys, tmp_path, verb, files):
     assert "residual 1.00000008274e-" in out and "FAIL" in out
 
 
+def test_vsdilate_ando_checks_the_whole_grid(capsys, tmp_path, monkeypatch):
+    # every entry of every collapse block with n + m > horizon is read
+    mat = write(tmp_path, "t.json",
+                {"rows": 2, "cols": 2, "re": [["1/2", "1/4"], [0, "1/3"]]})
+    half = write(tmp_path, "h.json",
+                 {"rows": 2, "cols": 2, "re": [["1/2", 0], [0, "1/2"]]})
+    argv = ["vsdilate", "ando", "--in", mat, "--other", half,
+            "--horizon", "2"]
+    real, d, side = vsdilate.ando_like, 2, 3
+    beyond = [(n, m) for n in range(side) for m in range(side) if n + m > 2]
+    assert len(beyond) == 3
+    for n, m in beyond:
+        for i in range(d):
+            for j in range(d):
+                col = (n * side + m) * d + j
+
+                def changed(T, S, horizon):
+                    ad = real(T, S, horizon)
+                    ad.P[i, col] += 1
+                    return ad
+
+                monkeypatch.setattr(vsdilate, "ando_like", changed)
+                rc, out, _ = run(capsys, argv)
+                assert rc == 1, (n, m, i, j)
+                assert "n, m <= 2: residual 1 vs tol 0 -> FAIL" in out
+    monkeypatch.setattr(vsdilate, "ando_like", real)
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0 and "n, m <= 2: residual 0 vs tol 0 -> pass" in out
+
+
 # Exact products per verb on a 3 x 3 rational T, with S = T^2 + T: every
 # horizon identity walks each power once.  Rebuilding each power from the
 # identity took 505 at standard --horizon 20, 655 at ando --horizon 6 (then
