@@ -291,8 +291,7 @@ def standard_dilation(T: np.ndarray, horizon: int) -> StandardDilation:
     for i in range(K):
         U[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = I
     P = _zeros(blocks * d, blocks * d, T)
-    for n, power in enumerate(_powers(T, K)):
-        P[:d, n * d:(n + 1) * d] = power
+    P[:d] = np.concatenate(_powers(T, K), axis=1)
     quad = DilationQuadruple(_first_block_embed(T, blocks), U, P)
     return StandardDilation(quad, K, T)
 
@@ -368,13 +367,9 @@ def ando_like(T: np.ndarray, S: np.ndarray, horizon: int) -> AndoDilation:
                 place(V, n, m, n, m + 1)
     P = _zeros(cells * d, cells * d, T)
     Tn, Sm = _powers(T, h), _powers(S, h)
-    for n in range(side):
-        for m in range(side):
-            P[:d, (n * side + m) * d:(n * side + m + 1) * d] = _matmul(
-                Tn[n], Sm[m])
-    embed = _zeros(cells * d, d, T)
-    embed[:d] = I
-    return AndoDilation(embed, U, V, P, h, T, S)
+    P[:d] = np.concatenate([_matmul(Tn[n], Sm[m]) for n in range(side)
+                            for m in range(side)], axis=1)
+    return AndoDilation(_first_block_embed(T, cells), U, V, P, h, T, S)
 
 
 @dataclass(frozen=True)
