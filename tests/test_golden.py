@@ -14,8 +14,9 @@ change, with::
     PYTHONPATH=src python tests/test_golden.py
 
 Given words, as in ``PYTHONPATH=src python tests/test_golden.py vsdilate
-ando``, it records again only the argvs that start with them and leaves
-every other record and ``options.json`` byte-for-byte as they are.
+ando``, it records again only the argvs that start with them, records
+argvs that have no record yet, and leaves every other record and
+``options.json`` byte-for-byte as they are.
 """
 
 import argparse
@@ -178,6 +179,14 @@ USAGE = [
     ["metric", "bounds", "--in", _in("sample_bad"), "--family", "log(1)",
      "--terms", "24"],
     ["multiplier", "lip", "--in", _in("multiplier_bad")],
+    # shape fields that are not integers: a fraction, a string, a bool
+    ["vsdilate", "halmos", "--in", _in("vs_rows_float")],
+    ["vsdilate", "halmos", "--in", _in("vs_cols_str")],
+    ["vsdilate", "halmos", "--in", _in("vs_bool")],
+    ["hframe", "bounds", "--in", _in("frame_rows_float")],
+    ["hframe", "bounds", "--in", _in("frame_dim_str")],
+    ["hframe", "bounds", "--in", _in("frame_dim_bool")],
+    ["pasf", "check", "--in", _in("pasf_shift_float")],
 ]
 
 
@@ -248,7 +257,8 @@ def record(words: list) -> None:
     os.chdir(GOLDEN)
     old = {tuple(rec["argv"]): rec for rec in _load(EXPECTED)} if words else {}
     records = [_invoke(argv) if argv[:len(words)] == words
-               else old[tuple(argv)] for argv in _argvs()]
+               or tuple(argv) not in old else old[tuple(argv)]
+               for argv in _argvs()]
     with open(EXPECTED, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")
