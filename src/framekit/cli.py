@@ -29,17 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from framekit import (
-    cuntz,
-    hframe,
-    linops,
-    metricframe,
-    multiplier as multiplier_mod,
-    ovf,
-    pasf,
-    sip,
-    vsdilate,
-)
+import framekit
 from framekit.errors import CertifiedFailure
 
 
@@ -289,10 +279,10 @@ def parse_vector_field(obj, size: Optional[int], where: str) -> np.ndarray:
     return v
 
 
-def parse_frame(obj) -> hframe.HilbertFrame:
+def parse_frame(obj) -> framekit.hframe.HilbertFrame:
     if isinstance(obj, dict) and "named" in obj:
         try:
-            return hframe.make_named_frame(str(obj["named"]))
+            return framekit.hframe.make_named_frame(str(obj["named"]))
         except ValueError as exc:
             raise CliError(2, str(exc)) from None
     if not isinstance(obj, dict):
@@ -313,26 +303,26 @@ def parse_frame(obj) -> hframe.HilbertFrame:
         raise CliError(2, "frame file: field 'R' but vectors carry "
                           "imaginary parts")
     try:
-        return hframe.HilbertFrame.from_vectors(cols)
+        return framekit.hframe.HilbertFrame.from_vectors(cols)
     except ValueError as exc:
         raise CliError(2, f"frame file: {exc}") from None
 
 
-def dump_frame(F: hframe.HilbertFrame) -> dict:
+def dump_frame(F: framekit.hframe.HilbertFrame) -> dict:
     syn = F.synthesis
     is_c = bool(np.iscomplexobj(syn) and np.abs(syn.imag).max() > 0)
     return {"field": "C" if is_c else "R", "dim": F.d,
             "vectors": [dump_matrix(syn[:, [n]]) for n in range(F.m)]}
 
 
-def parse_pasf(obj) -> pasf.PAsf:
+def parse_pasf(obj) -> framekit.pasf.PAsf:
     if not isinstance(obj, dict):
         raise CliError(2, "pair file: expected an object")
     if obj.get("named") == "shift":
         try:
             m = int(obj.get("m", 8))
             p = float(obj.get("p", 2.0))
-            return pasf.shift_pair(m, p)
+            return framekit.pasf.shift_pair(m, p)
         except (TypeError, ValueError) as exc:
             raise CliError(2, f"pair file: {exc}") from None
     if "named" in obj:
@@ -344,16 +334,16 @@ def parse_pasf(obj) -> pasf.PAsf:
     F = parse_matrix(obj.get("F"), "F")
     T = parse_matrix(obj.get("T"), "T")
     try:
-        return pasf.PAsf(p, F, T)
+        return framekit.pasf.PAsf(p, F, T)
     except ValueError as exc:
         raise CliError(2, f"pair file: {exc}") from None
 
 
-def dump_pasf(P: pasf.PAsf) -> dict:
+def dump_pasf(P: framekit.pasf.PAsf) -> dict:
     return {"p": P.p, "F": dump_matrix(P.F), "T": dump_matrix(P.T)}
 
 
-def parse_sip_pair(obj, p_flag: Optional[float]) -> sip.SipPair:
+def parse_sip_pair(obj, p_flag: Optional[float]) -> framekit.sip.SipPair:
     if not isinstance(obj, dict):
         raise CliError(2, "pair file: expected an object")
     p = p_flag if p_flag is not None else obj.get("p")
@@ -362,44 +352,44 @@ def parse_sip_pair(obj, p_flag: Optional[float]) -> sip.SipPair:
     Omega = parse_matrix(obj.get("Omega"), "Omega")
     Tau = parse_matrix(obj.get("Tau"), "Tau")
     try:
-        return sip.SipPair(float(p), Omega, Tau)
+        return framekit.sip.SipPair(float(p), Omega, Tau)
     except ValueError as exc:
         raise CliError(2, f"pair file: {exc}") from None
 
 
-def parse_sample(obj) -> metricframe.MetricSample:
+def parse_sample(obj) -> framekit.metricframe.MetricSample:
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise CliError(2, "sample file: needs 'points' and 'dist'")
     try:
-        return metricframe.MetricSample(obj["points"], obj["dist"],
+        return framekit.metricframe.MetricSample(obj["points"], obj["dist"],
                                         obj.get("base"))
     except (TypeError, ValueError) as exc:
         raise CliError(2, f"sample file: {exc}") from None
 
 
-def parse_family(obj) -> metricframe.LipschitzFamily:
+def parse_family(obj) -> framekit.metricframe.LipschitzFamily:
     if not isinstance(obj, dict) or "values" not in obj:
         raise CliError(2, "family file: needs 'values'")
     try:
-        return metricframe.LipschitzFamily(np.asarray(obj["values"],
+        return framekit.metricframe.LipschitzFamily(np.asarray(obj["values"],
                                                       dtype=float),
                                            float(obj.get("remainder", 0.0)))
     except (TypeError, ValueError) as exc:
         raise CliError(2, f"family file: {exc}") from None
 
 
-def family_arg(source: str, S: metricframe.MetricSample,
-               terms: int) -> metricframe.LipschitzFamily:
+def family_arg(source: str, S: framekit.metricframe.MetricSample,
+               terms: int) -> framekit.metricframe.LipschitzFamily:
     """A family is either a JSON file or a named builder like log(1)."""
     if source.endswith(".json"):
         return parse_family(load_json(source))
     try:
-        return metricframe.make_named_family(source, S, terms)
+        return framekit.metricframe.make_named_family(source, S, terms)
     except ValueError as exc:
         raise CliError(2, str(exc)) from None
 
 
-def parse_multiplier(obj) -> multiplier_mod.Multiplier:
+def parse_multiplier(obj) -> framekit.multiplier.Multiplier:
     if not isinstance(obj, dict):
         raise CliError(2, "multiplier file: expected an object")
     for key in ("sample", "family", "Tau", "lam", "p"):
@@ -410,7 +400,7 @@ def parse_multiplier(obj) -> multiplier_mod.Multiplier:
     Tau = parse_matrix(obj["Tau"], "Tau")
     lam = parse_vector_field(obj["lam"], None, "lam")
     try:
-        return multiplier_mod.Multiplier(
+        return framekit.multiplier.Multiplier(
             S, fam, Tau, lam, float(obj["p"]),
             out_norm=float(obj.get("out_norm", 2.0)),
             bessel_b=obj.get("bessel_b"), bessel_d=obj.get("bessel_d"))
@@ -418,7 +408,7 @@ def parse_multiplier(obj) -> multiplier_mod.Multiplier:
         raise CliError(2, f"multiplier file: {exc}") from None
 
 
-def parse_ovf(obj) -> ovf.OvfPair:
+def parse_ovf(obj) -> framekit.ovf.OvfPair:
     if not isinstance(obj, dict) or "A" not in obj or "Psi" not in obj:
         raise CliError(2, "pair file: needs 'A' and 'Psi' matrix lists")
     A_list, P_list = obj["A"], obj["Psi"]
@@ -435,10 +425,10 @@ def parse_ovf(obj) -> ovf.OvfPair:
     for key, want in (("r", r), ("d", d)):
         if key in obj and obj[key] != want:
             raise CliError(2, f"pair file: '{key}' disagrees with the blocks")
-    return ovf.OvfPair(np.stack(A), np.stack(Psi))
+    return framekit.ovf.OvfPair(np.stack(A), np.stack(Psi))
 
 
-def dump_ovf(P: ovf.OvfPair) -> dict:
+def dump_ovf(P: framekit.ovf.OvfPair) -> dict:
     return {"d": P.d, "r": P.r,
             "A": [dump_matrix(P.A[n]) for n in range(P.m)],
             "Psi": [dump_matrix(P.Psi[n]) for n in range(P.m)]}
@@ -504,7 +494,7 @@ def subset_arg(text: str, m: int) -> list:
     return idx
 
 
-def interval(iv: linops.NormInterval) -> dict:
+def interval(iv: framekit.linops.NormInterval) -> dict:
     return {"hi": iv.hi, "lo": iv.lo}
 
 
@@ -616,7 +606,7 @@ _HORIZON = _opt("--horizon", type=int, required=True)
 def cmd_hframe_bounds(cfg: RunConfig, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
     tol = cfg.tolerance(1e-12)
-    a, b = hframe.frame_bounds(F)
+    a, b = framekit.hframe.frame_bounds(F)
     tight = abs(b - a) <= tol * abs(b)
     R.result.update({"d": F.d, "m": F.m, "lower": a, "upper": b,
                      "tight": tight, "tight_tol": tol})
@@ -629,7 +619,7 @@ def cmd_hframe_bounds(cfg: RunConfig, R: ReportBuilder):
 def cmd_hframe_dual(cfg: RunConfig, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
     tol = cfg.tolerance(1e-10)
-    dual = hframe.canonical_dual(F)
+    dual = framekit.hframe.canonical_dual(F)
     recon = float(np.abs(dual.synthesis @ F.analysis - np.eye(F.d)).max())
     R.result["dual"] = dump_frame(dual)
     R.check("reconstruction with the canonical dual", "theorem", recon, tol)
@@ -639,7 +629,7 @@ def cmd_hframe_dual(cfg: RunConfig, R: ReportBuilder):
 def cmd_hframe_parsevalize(cfg: RunConfig, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
     tol = cfg.tolerance(1e-10)
-    G = hframe.parsevalize(F)
+    G = framekit.hframe.parsevalize(F)
     R.result["frame"] = dump_frame(G)
     R.check("frame operator of the output is the identity", "theorem",
             G.parseval_residual, tol)
@@ -655,7 +645,7 @@ def cmd_hframe_algorithm(cfg: RunConfig, R: ReportBuilder):
     iters = cfg.extra["iters"]
     rng = np.random.default_rng(cfg.seed)
     h = vector_arg(cfg.extra.get("h"), F.d, rng, "--h")
-    iterates, rho = hframe.frame_algorithm(F, h, iters)
+    iterates, rho = framekit.hframe.frame_algorithm(F, h, iters)
     hn = float(np.linalg.norm(h))
     worst = max(float(np.linalg.norm(hk - h)) - rho ** (k + 1) * hn
                 for k, hk in enumerate(iterates))
@@ -677,7 +667,8 @@ def cmd_hframe_identity(cfg: RunConfig, R: ReportBuilder):
     subset = subset_arg(cfg.extra["subset"], F.m)
     rng = np.random.default_rng(cfg.seed)
     h = vector_arg(cfg.extra.get("h"), F.d, rng, "--h")
-    rep = hframe.frame_identity_residuals(F, subset, h, cfg.extra["mode"])
+    rep = framekit.hframe.frame_identity_residuals(F, subset, h,
+                                                   cfg.extra["mode"])
     R.result["general_residual"] = rep.general_residual
     R.check("frame identity, general form", "theorem",
             rep.general_residual, tol)
@@ -697,7 +688,7 @@ def cmd_hframe_identity(cfg: RunConfig, R: ReportBuilder):
 def cmd_hframe_dilate(cfg: RunConfig, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
     tol = cfg.tolerance(1e-8)
-    big = hframe.naimark_dilate(F)
+    big = framekit.hframe.naimark_dilate(F)
     top = float(np.abs(big.synthesis[:F.d, :] - F.synthesis).max())
     R.result.update({"space_dim": big.d, "frame": dump_frame(big)})
     R.check("restriction to the first coordinates is the input", "theorem",
@@ -719,7 +710,7 @@ def cmd_hframe_perturb(cfg: RunConfig, R: ReportBuilder):
     G = parse_frame(load_json(cfg.extra["other"]))
     tol = cfg.tolerance(1e-9)
     mode = cfg.extra["mode"]
-    cert = hframe.perturb_certificate(
+    cert = framekit.hframe.perturb_certificate(
         F, G, mode, alpha=cfg.extra["alpha"], beta=cfg.extra["beta"],
         gamma=cfg.extra["gamma"], seed=cfg.seed,
         samples=cfg.extra["samples"])
@@ -730,7 +721,7 @@ def cmd_hframe_perturb(cfg: RunConfig, R: ReportBuilder):
             0.0 if cert.valid else 1.0, 0.0)
     if cert.valid and cert.predicted_bounds is not None:
         lo, hi = cert.predicted_bounds
-        a2, b2 = hframe.frame_bounds(G)
+        a2, b2 = framekit.hframe.frame_bounds(G)
         R.result.update({"predicted": [lo, hi], "measured": [a2, b2]})
         R.check("measured bounds inside the predicted window", "theorem",
                 max(lo - a2, b2 - hi, 0.0), tol)
@@ -742,7 +733,7 @@ def cmd_hframe_perturb(cfg: RunConfig, R: ReportBuilder):
 @command("pasf", "check")
 def cmd_pasf_check(cfg: RunConfig, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
-    rep = pasf.check(P, seed=cfg.seed)
+    rep = framekit.pasf.check(P, seed=cfg.seed)
     R.result.update({"d": P.d, "m": P.m, "p": P.p, "is_pasf": rep.is_pasf,
                      "upper": interval(rep.upper)})
     if rep.lower is not None:
@@ -757,31 +748,31 @@ def cmd_pasf_check(cfg: RunConfig, R: ReportBuilder):
 @command("pasf", "dual")
 def cmd_pasf_dual(cfg: RunConfig, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
-    tol = cfg.tolerance(pasf.DUAL_TOL)
-    Q = pasf.canonical_dual(P)
+    tol = cfg.tolerance(framekit.pasf.DUAL_TOL)
+    Q = framekit.pasf.canonical_dual(P)
     R.result["dual"] = dump_pasf(Q)
     R.check("canonical dual reconstructs: T F' = T' F = I", "theorem",
-            pasf.dual_residual(P, Q), tol)
+            framekit.pasf.dual_residual(P, Q), tol)
 
 
 @command("pasf", "alldual", _file("--u"), _file("--v"))
 def cmd_pasf_alldual(cfg: RunConfig, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
-    tol = cfg.tolerance(pasf.DUAL_TOL)
+    tol = cfg.tolerance(framekit.pasf.DUAL_TOL)
     U = parse_matrix(load_json(cfg.extra["u"]), "U")
     V = parse_matrix(load_json(cfg.extra["v"]), "V")
-    Q = pasf.dual_from_operators(P, U, V)
+    Q = framekit.pasf.dual_from_operators(P, U, V)
     R.result["dual"] = dump_pasf(Q)
     R.check("constructed dual reconstructs: T F' = T' F = I", "theorem",
-            pasf.dual_residual(P, Q), tol)
+            framekit.pasf.dual_residual(P, Q), tol)
 
 
 @command("pasf", "similar", _file("--other"))
 def cmd_pasf_similar(cfg: RunConfig, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
     Q = parse_pasf(load_json(cfg.extra["other"]))
-    tol = cfg.tolerance(pasf.SIMILAR_TOL)
-    got = pasf.similarity(P, Q, tol)
+    tol = cfg.tolerance(framekit.pasf.SIMILAR_TOL)
+    got = framekit.pasf.similarity(P, Q, tol)
     if got is None:
         R.result["similar"] = False
         R.check("coefficient idempotents coincide", "theorem", 1.0, 0.0)
@@ -802,15 +793,15 @@ def cmd_pasf_dilate(cfg: RunConfig, R: ReportBuilder):
     if obj.get("named") == "shift":
         # the classical two-sided shift table; its honest truncation has a
         # singular frame operator, so the generic path would refuse it
-        table = pasf.shift_dilation_table(P.m)
+        table = framekit.pasf.shift_dilation_table(P.m)
         R.result["omega"] = [{"first": _plain(t), "second": _plain(s)}
                              for t, s in table]
         for n, (t, s) in enumerate(table, start=1):
             R.display.append(f"omega_{n} = {fmt_basis(t)} (+) {fmt_basis(s)}")
         return
     tol = cfg.tolerance(1e-8)
-    big = pasf.dilate(P)
-    riesz_resid = pasf.riesz_residual(big)
+    big = framekit.pasf.dilate(P)
+    riesz_resid = framekit.pasf.riesz_residual(big)
     restrict = max(float(np.abs(big.F[:, :P.d] - P.F).max()),
                    float(np.abs(big.T[:P.d, :] - P.T).max()))
     R.result.update({"dim": big.d, "added": big.d - P.d,
@@ -828,9 +819,9 @@ def cmd_pasf_dilate(cfg: RunConfig, R: ReportBuilder):
 @command("pasf", "riesz")
 def cmd_pasf_riesz(cfg: RunConfig, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
-    tol = cfg.tolerance(pasf.RIESZ_TOL)
+    tol = cfg.tolerance(framekit.pasf.RIESZ_TOL)
     R.check("approximate Riesz basis: F S^-1 T = I", "theorem",
-            pasf.riesz_residual(P), tol)
+            framekit.pasf.riesz_residual(P), tol)
 
 
 @command("pasf", "perturb",
@@ -850,7 +841,7 @@ def cmd_pasf_perturb(cfg: RunConfig, R: ReportBuilder):
     G = None
     if cfg.extra.get("g") is not None:
         G = parse_matrix(load_json(cfg.extra["g"]), "G")
-    rep = pasf.perturb_certificate(
+    rep = framekit.pasf.perturb_certificate(
         P, Omega, mode, alpha=cfg.extra["alpha"], beta=cfg.extra["beta"],
         gamma=cfg.extra["gamma"], case=cfg.extra["case"], G=G,
         r=cfg.extra["r"], s=cfg.extra["s"], t=cfg.extra["t"],
@@ -870,7 +861,7 @@ def cmd_pasf_expand(cfg: RunConfig, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
     Q = parse_pasf(load_json(cfg.extra["other"]))
     tol = cfg.tolerance(1e-10)
-    exp = pasf.expand_to_asf(P, Q, cfg.extra["lam"])
+    exp = framekit.pasf.expand_to_asf(P, Q, cfg.extra["lam"])
     comb = exp.expanded
     resid = float(np.abs(comb.frame_operator - np.eye(comb.d)).max())
     R.result.update({"n_min": exp.n_min, "appended": comb.m - P.m,
@@ -893,7 +884,7 @@ def _sip_setup(cfg: RunConfig):
 def cmd_sip_identity(cfg: RunConfig, R: ReportBuilder):
     P, subset, x = _sip_setup(cfg)
     tol = cfg.tolerance(1e-8)
-    resid = sip.general_identity_residual(P, subset, x)
+    resid = framekit.sip.general_identity_residual(P, subset, x)
     R.result.update({"p": P.p, "residual": resid})
     R.check("semi-inner-product frame identity", "theorem", resid, tol)
 
@@ -902,8 +893,8 @@ def cmd_sip_identity(cfg: RunConfig, R: ReportBuilder):
 def cmd_sip_parseval(cfg: RunConfig, R: ReportBuilder):
     P, subset, x = _sip_setup(cfg)
     tol = cfg.tolerance(1e-8)
-    resid = sip.parseval_identity_residual(P, subset, x)
-    op_resid = sip.operator_identity_residual(P, subset)
+    resid = framekit.sip.parseval_identity_residual(P, subset, x)
+    op_resid = framekit.sip.operator_identity_residual(P, subset)
     R.result.update({"p": P.p, "residual": resid,
                      "operator_residual": op_resid})
     R.check("Parseval identity on the sample vector", "theorem", resid, tol)
@@ -915,7 +906,7 @@ def cmd_sip_parseval(cfg: RunConfig, R: ReportBuilder):
 def cmd_sip_lower34(cfg: RunConfig, R: ReportBuilder):
     P, subset, x = _sip_setup(cfg)
     slack = cfg.tolerance(1e-9)
-    rep = sip.lower_bound_check(P, subset, x)
+    rep = framekit.sip.lower_bound_check(P, subset, x)
     R.result.update({"condition_value": rep.condition_value,
                      "condition_holds": rep.condition_holds,
                      "value": rep.value, "floor": rep.floor})
@@ -937,7 +928,7 @@ def cmd_sip_lower34(cfg: RunConfig, R: ReportBuilder):
 def cmd_metric_bounds(cfg: RunConfig, R: ReportBuilder):
     S = parse_sample(need_in(cfg))
     fam = family_arg(cfg.extra["family"], S, cfg.extra["terms"])
-    a, b = metricframe.metric_frame_bounds(S, fam, cfg.extra["p"])
+    a, b = framekit.metricframe.metric_frame_bounds(S, fam, cfg.extra["p"])
     R.result.update({"points": S.n, "terms": fam.m, "lower": a, "upper": b,
                      "remainder": fam.remainder})
     R.display.append(f"bounds = ({g(a)}, {g(b)}), certified remainder "
@@ -957,12 +948,12 @@ def cmd_metric_logframe(cfg: RunConfig, R: ReportBuilder):
         raise CliError(2, "--lo must be >= 1 and below --hi")
     rng = np.random.default_rng(cfg.seed)
     pts = np.sort(rng.uniform(lo, hi, cfg.extra["points"]))
-    S = metricframe.sample_from_points(pts, base=0)
-    fam = metricframe.make_named_family(f"log({g(lo)})", S,
+    S = framekit.metricframe.sample_from_points(pts, base=0)
+    fam = framekit.metricframe.make_named_family(f"log({g(lo)})", S,
                                         cfg.extra["terms"])
-    a, b = metricframe.metric_frame_bounds(S, fam, cfg.extra["p"])
-    dev = metricframe.reconstruction_deviation(
-        S, fam, metricframe.log_family_reconstructor)
+    a, b = framekit.metricframe.metric_frame_bounds(S, fam, cfg.extra["p"])
+    dev = framekit.metricframe.reconstruction_deviation(
+        S, fam, framekit.metricframe.log_family_reconstructor)
     tol = cfg.tolerance(1e-6)
     R.result.update({"points": S.n, "terms": fam.m, "lower": a, "upper": b,
                      "remainder": fam.remainder,
@@ -986,7 +977,7 @@ def cmd_multiplier_apply(cfg: RunConfig, R: ReportBuilder):
     idx = cfg.extra["point"]
     if not 0 <= idx < M.sample.n:
         raise CliError(2, f"--point must lie in [0, {M.sample.n})")
-    out = multiplier_mod.apply(M, idx)
+    out = framekit.multiplier.apply(M, idx)
     R.result.update({"point": idx, "value": _plain(out)})
 
 
@@ -994,7 +985,7 @@ def cmd_multiplier_apply(cfg: RunConfig, R: ReportBuilder):
 def cmd_multiplier_lip(cfg: RunConfig, R: ReportBuilder):
     M = parse_multiplier(need_in(cfg))
     tol = cfg.tolerance(1e-9)
-    rep = multiplier_mod.lip_bound_check(M)
+    rep = framekit.multiplier.lip_bound_check(M)
     R.result.update({"measured": rep.measured, "certified": rep.certified,
                      "b": rep.b, "b_source": rep.b_source,
                      "d": rep.d, "d_source": rep.d_source})
@@ -1006,7 +997,7 @@ def cmd_multiplier_lip(cfg: RunConfig, R: ReportBuilder):
 def cmd_multiplier_tail(cfg: RunConfig, R: ReportBuilder):
     M = parse_multiplier(need_in(cfg))
     tol = cfg.tolerance(1e-9)
-    measured, bound = multiplier_mod.tail_decay(M, cfg.extra["cut"])
+    measured, bound = framekit.multiplier.tail_decay(M, cfg.extra["cut"])
     R.result.update({"cut": cfg.extra["cut"], "measured": measured,
                      "bound": bound})
     R.check("tail Lipschitz number under the cut bound", "theorem",
@@ -1025,11 +1016,11 @@ def cmd_multiplier_continuity(cfg: RunConfig, R: ReportBuilder):
         raise CliError(2, "pass exactly one of --symbol, --vectors")
     if symbol is not None:
         lam2 = csv_floats(symbol, "--symbol")
-        measured, bound = multiplier_mod.continuity(M, symbol=lam2)
+        measured, bound = framekit.multiplier.continuity(M, symbol=lam2)
         moved = "symbol"
     else:
         Tau2 = parse_matrix(load_json(vectors), "vectors")
-        measured, bound = multiplier_mod.continuity(M, vectors=Tau2)
+        measured, bound = framekit.multiplier.continuity(M, vectors=Tau2)
         moved = "vectors"
     R.result.update({"moved": moved, "measured": measured, "bound": bound})
     R.check("continuity bound on the moved " + moved, "theorem",
@@ -1042,7 +1033,7 @@ def cmd_multiplier_continuity(cfg: RunConfig, R: ReportBuilder):
 @command("ovf", "check")
 def cmd_ovf_check(cfg: RunConfig, R: ReportBuilder):
     P = parse_ovf(need_in(cfg))
-    rep = ovf.check(P)
+    rep = framekit.ovf.check(P)
     R.result.update({"d": P.d, "r": P.r, "m": P.m, "is_ovf": rep.is_ovf,
                      "lower": rep.lower, "upper": rep.upper})
     R.display.append(f"bounds = ({g(rep.lower)}, {g(rep.upper)})")
@@ -1054,21 +1045,21 @@ def cmd_ovf_check(cfg: RunConfig, R: ReportBuilder):
 def cmd_ovf_dual(cfg: RunConfig, R: ReportBuilder):
     P = parse_ovf(need_in(cfg))
     tol = cfg.tolerance(1e-10)
-    Q = ovf.canonical_dual(P)
-    back = ovf.canonical_dual(Q)
+    Q = framekit.ovf.canonical_dual(P)
+    back = framekit.ovf.canonical_dual(Q)
     R.result["dual"] = dump_ovf(Q)
     R.check("duality: sum Psi_n* B_n = sum Phi_n* A_n = I", "theorem",
-            ovf.duality_residual(P, Q), tol)
+            framekit.ovf.duality_residual(P, Q), tol)
     R.check("dual of the dual returns the pair", "theorem",
-            ovf.block_gap(back, P), tol)
+            framekit.ovf.block_gap(back, P), tol)
 
 
 @command("ovf", "similar", _file("--other"))
 def cmd_ovf_similar(cfg: RunConfig, R: ReportBuilder):
     P = parse_ovf(need_in(cfg))
     Q = parse_ovf(load_json(cfg.extra["other"]))
-    tol = cfg.tolerance(ovf.SIMILAR_TOL)
-    got = ovf.similarity(P, Q, tol)
+    tol = cfg.tolerance(framekit.ovf.SIMILAR_TOL)
+    got = framekit.ovf.similarity(P, Q, tol)
     if got is None:
         R.result["similar"] = False
         R.check("coefficient idempotents coincide", "theorem", 1.0, 0.0)
@@ -1085,7 +1076,7 @@ def cmd_ovf_similar(cfg: RunConfig, R: ReportBuilder):
 @command("ovf", "classify")
 def cmd_ovf_classify(cfg: RunConfig, R: ReportBuilder):
     P = parse_ovf(need_in(cfg))
-    got = ovf.classify(P)
+    got = framekit.ovf.classify(P)
     R.result.update({"riesz": got.riesz, "orthonormal": got.orthonormal})
     R.display.append(f"riesz = {got.riesz}, orthonormal = {got.orthonormal}")
 
@@ -1094,13 +1085,13 @@ def cmd_ovf_classify(cfg: RunConfig, R: ReportBuilder):
 def cmd_ovf_dilate(cfg: RunConfig, R: ReportBuilder):
     P = parse_ovf(need_in(cfg))
     tol = cfg.tolerance(1e-8)
-    dil = ovf.dilate(P)
+    dil = framekit.ovf.dilate(P)
     big = dil.pair
     R.result.update({"dim": big.d, "added": big.d - P.d})
     R.check("restriction recovers the input pair", "theorem",
-            ovf.block_gap(dil.restrict(), P), 0.0)
+            framekit.ovf.block_gap(dil.restrict(), P), 0.0)
     R.check("dilated pair is orthonormal", "theorem",
-            ovf.orthonormal_gap(big), tol)
+            framekit.ovf.orthonormal_gap(big), tol)
 
 
 @command("ovf", "group",
@@ -1113,7 +1104,7 @@ def cmd_ovf_group(cfg: RunConfig, R: ReportBuilder):
     A = parse_matrix(load_json(cfg.extra["a"]), "A")
     Psi = parse_matrix(load_json(cfg.extra["psi"]), "Psi")
     tol = cfg.tolerance(1e-10)
-    got = ovf.group_generated(rep, A, Psi)
+    got = framekit.ovf.group_generated(rep, A, Psi)
     R.result.update({"labels": [str(x) for x in got.labels],
                      "m": got.pair.m,
                      "commutant_residual": got.commutant_residual,
@@ -1133,7 +1124,7 @@ def cmd_ovf_perturb(cfg: RunConfig, R: ReportBuilder):
     B = parse_ovf_stack(load_json(cfg.extra["b"]), P.A.shape, "B")
     tol = cfg.tolerance(1e-9)
     mode = cfg.extra["mode"]
-    rep = ovf.perturb_certificate(
+    rep = framekit.ovf.perturb_certificate(
         P, B, mode, alpha=cfg.extra["alpha"], beta=cfg.extra["beta"],
         gamma=cfg.extra["gamma"], samples=cfg.extra["samples"],
         seed=cfg.seed)
@@ -1151,21 +1142,23 @@ def cmd_ovf_perturb(cfg: RunConfig, R: ReportBuilder):
 
 
 def _exact_tol(cfg: RunConfig, T: np.ndarray) -> float:
-    return 0.0 if T.dtype == object else cfg.tolerance(vsdilate.FLOAT_TOL)
+    if T.dtype == object:
+        return 0.0
+    return cfg.tolerance(framekit.vsdilate.FLOAT_TOL)
 
 
 def _exact_in(cfg: RunConfig, key: str = None) -> np.ndarray:
     obj = need_in(cfg) if key is None else load_json(cfg.extra[key])
     name = "matrix" if key is None else key
     data = parse_exact_matrix(obj, name)
-    return vsdilate.as_exact(data, cfg.extra["rational"])
+    return framekit.vsdilate.as_exact(data, cfg.extra["rational"])
 
 
 @command("vsdilate", "halmos", _RATIONAL)
 def cmd_vsdilate_halmos(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
     tol = _exact_tol(cfg, T)
-    quad = vsdilate.halmos(T)
+    quad = framekit.vsdilate.halmos(T)
     R.result.update({"dim": int(quad.U.shape[0]), "U": dump_matrix(quad.U)})
     R.check("compression of U returns T", "theorem",
             quad.compression_defects(T, 1)[0], tol)
@@ -1178,7 +1171,7 @@ def cmd_vsdilate_ndilate(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
     tol = _exact_tol(cfg, T)
     N = cfg.extra["n"]
-    nd = vsdilate.n_dilation(T, N)
+    nd = framekit.vsdilate.n_dilation(T, N)
     *inside, (_, beyond) = nd.table
     R.result.update({"horizon": nd.horizon, "table": [
         {"k": k, "defect": dft} for k, dft in nd.table]})
@@ -1194,7 +1187,7 @@ def cmd_vsdilate_sznagy(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
     tol = _exact_tol(cfg, T)
     w = cfg.extra["window"]
-    bw = vsdilate.banded_sznagy(T, w)
+    bw = framekit.vsdilate.banded_sznagy(T, w)
     R.result.update({"window": w, "valid_horizon": bw.valid_horizon})
     R.check(f"windowed powers compress exactly for n <= {bw.valid_horizon}",
             "theorem", bw.compression_defect(), tol)
@@ -1207,7 +1200,7 @@ def cmd_vsdilate_standard(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
     tol = _exact_tol(cfg, T)
     K = cfg.extra["horizon"]
-    sd = vsdilate.standard_dilation(T, K)
+    sd = framekit.vsdilate.standard_dilation(T, K)
     R.result["horizon"] = K
     R.check(f"I T^n = P U^n I for n <= {K}", "theorem",
             sd.dilation_defect(), tol)
@@ -1223,10 +1216,10 @@ def cmd_vsdilate_ando(cfg: RunConfig, R: ReportBuilder):
     S = _exact_in(cfg, "other")
     tol = _exact_tol(cfg, T)
     K = cfg.extra["horizon"]
-    gap = vsdilate.intertwining_gap(T, S, T)
+    gap = framekit.vsdilate.intertwining_gap(T, S, T)
     if not R.check("inputs commute: T S = S T", "theorem", gap, tol):
         return
-    ad = vsdilate.ando_like(T, S, K)
+    ad = framekit.vsdilate.ando_like(T, S, K)
     R.result["horizon"] = K
     R.check(f"joint powers dilate exactly for n, m <= {K}", "theorem",
             ad.dilation_defect(), tol)
@@ -1241,10 +1234,10 @@ def cmd_vsdilate_intertwine(cfg: RunConfig, R: ReportBuilder):
     T2 = _exact_in(cfg, "other")
     S = _exact_in(cfg, "s")
     tol = _exact_tol(cfg, T1)
-    gap = vsdilate.intertwining_gap(T1, S, T2)
+    gap = framekit.vsdilate.intertwining_gap(T1, S, T2)
     if not R.check("inputs intertwine: T1 S = S T2", "theorem", gap, tol):
         return
-    lift = vsdilate.intertwine_lift(T1, T2, S, cfg.extra["horizon"])
+    lift = framekit.vsdilate.intertwine_lift(T1, T2, S, cfg.extra["horizon"])
     R.check("lifted shift identity U1 R = R U2", "theorem",
             lift.shift_defect, tol)
     R.check("lifted projection identity R P2 = P1 R", "theorem",
@@ -1256,7 +1249,7 @@ def cmd_vsdilate_intertwine(cfg: RunConfig, R: ReportBuilder):
 @command("vsdilate", "witness", _RATIONAL)
 def cmd_vsdilate_witness(cfg: RunConfig, R: ReportBuilder):
     T = _exact_in(cfg)
-    wit = vsdilate.non_similarity_witness(T)
+    wit = framekit.vsdilate.non_similarity_witness(T)
     R.result.update({"trace_asymmetric": _plain(wit.trace_asymmetric),
                      "trace_halmos": _plain(wit.trace_halmos),
                      "distinct": wit.distinct, "conclusive": wit.conclusive})
@@ -1276,7 +1269,8 @@ def cmd_cuntz_solve(cfg: RunConfig, R: ReportBuilder):
     n = cfg.extra["n"]
     iter_tol = cfg.tolerance(1e-10)
     cert_tol = cfg.tolerance(1e-8)
-    sol = cuntz.solve_b(n, max_iters=cfg.extra["max_iters"], tol=iter_tol)
+    sol = framekit.cuntz.solve_b(n, max_iters=cfg.extra["max_iters"],
+                                 tol=iter_tol)
     R.result.update({"n": n, "delta": sol.delta,
                      "iterations": sol.iterations,
                      "contraction": sol.contraction,
@@ -1300,8 +1294,8 @@ def cmd_cuntz_build(cfg: RunConfig, R: ReportBuilder):
     n, mu = cfg.extra["n"], cfg.extra["mu"]
     if mu <= 0:
         raise CliError(2, "--mu must be positive")
-    built = cuntz.build_DX(n, mu, tol=cfg.tolerance(1e-10))
-    D, X = cuntz.dx_matrices(built.solution, mu)
+    built = framekit.cuntz.build_DX(n, mu, tol=cfg.tolerance(1e-10))
+    D, X = framekit.cuntz.dx_matrices(built.solution, mu)
     R.result.update({"n": n, "mu": mu, "delta": built.delta,
                      "D_norm": interval(built.D_interval),
                      "X_norm": interval(built.X_interval),
@@ -1313,7 +1307,7 @@ def cmd_cuntz_build(cfg: RunConfig, R: ReportBuilder):
         f"||D|| in [{g(built.D_interval.lo)}, {g(built.D_interval.hi)}], "
         f"||X|| in [{g(built.X_interval.lo)}, {g(built.X_interval.hi)}], "
         f"||[D, X] - I|| <= {g(built.error_bound)}")
-    ok = cuntz.lemma_structure(n, Fraction(mu)).ok
+    ok = framekit.cuntz.lemma_structure(n, Fraction(mu)).ok
     R.check("[D, X] - I is supported on the last column "
             "(coefficient-exact)", "theorem", 0.0 if ok else 1.0, 0.0)
 
@@ -1326,7 +1320,8 @@ def cmd_cuntz_build(cfg: RunConfig, R: ReportBuilder):
 def cmd_cuntz_verify(cfg: RunConfig, R: ReportBuilder):
     ns = _parse_range(cfg.extra["n_range"])
     mu = cfg.extra["mu"]
-    reports = [cuntz.build_DX(n, mu, tol=cfg.tolerance(1e-10)) for n in ns]
+    reports = [framekit.cuntz.build_DX(n, mu, tol=cfg.tolerance(1e-10))
+               for n in ns]
     # ||D|| grows like n^5; this ratio stays bounded
     scales = [rep.D_interval.hi / rep.n**5 for rep in reports]
     rows = []
@@ -1347,7 +1342,7 @@ def cmd_cuntz_verify(cfg: RunConfig, R: ReportBuilder):
             max(scales) / min(scales), 1.1)
     for first, second in zip(reports, reports[1:]):
         ratio = second.error_bound / first.error_bound
-        ref = cuntz.decay_reference(first.n, second.n)
+        ref = framekit.cuntz.decay_reference(first.n, second.n)
         off = max(ratio / ref, ref / ratio)
         R.check(f"error decay n = {first.n} -> {second.n} tracks n^3 2^-n",
                 "theorem", off, 1.1)
@@ -1365,7 +1360,7 @@ def cmd_cuntz_obstruction(cfg: RunConfig, R: ReportBuilder):
     for _ in range(trials):
         D = rng.standard_normal((dim, dim))
         X = rng.standard_normal((dim, dim))
-        worst = min(worst, cuntz.finite_obstruction(D, X))
+        worst = min(worst, framekit.cuntz.finite_obstruction(D, X))
     R.result.update({"dim": dim, "trials": trials, "min_distance": worst})
     R.display.append(f"min ||[D, X] - I|| over {trials} pairs: {g(worst)}")
     R.check("no scalar pair reaches [D, X] = I: distance >= 1", "sampled",

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -153,6 +155,59 @@ def test_main_builds_the_parser_at_most_once(capsys, mercedes, monkeypatch):
         assert run(capsys, ["hframe", "bounds", "--in", mercedes])[0] == 0
     assert len(built) <= 1
     assert real() is not real()  # build_parser itself makes a fresh tree
+
+
+MATH_MODULES = ("cuntz", "hframe", "linops", "metricframe", "multiplier",
+                "ovf", "pasf", "sip", "vsdilate")
+
+FRESH_IMPORTS = """
+import contextlib, io, json, sys
+import framekit
+import framekit.cli as cli
+
+names, mercedes = json.loads(sys.argv[1]), sys.argv[2]
+loaded = lambda: [n for n in names if "framekit." + n in sys.modules]
+seen = {}
+cli.build_parser()
+seen["parser"] = loaded()
+with contextlib.redirect_stderr(io.StringIO()):
+    seen["usage_code"] = cli.main(["hframe", "bounds"])
+seen["usage"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["bounds_code"] = cli.main(["hframe", "bounds", "--in", mercedes])
+seen["bounds"] = loaded()
+seen["getattr"] = [getattr(framekit, n) is sys.modules["framekit." + n]
+                   for n in names]
+try:
+    framekit.nosuch
+except AttributeError as exc:
+    seen["unknown"] = str(exc)
+print(json.dumps(seen))
+"""
+
+
+def fresh_python(code, *args, **popen):
+    """A new interpreter that imports framekit from the tested source."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=env,
+                            **popen)
+
+
+def test_a_verb_imports_only_the_modules_of_its_group():
+    proc = fresh_python(FRESH_IMPORTS, json.dumps(MATH_MODULES),
+                        os.path.join(INPUTS, "mercedes.json"),
+                        stdout=subprocess.PIPE)
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    seen = json.loads(out)
+    assert seen["parser"] == [] and seen["usage"] == []
+    assert seen["usage_code"] == 2 and seen["bounds_code"] == 0
+    assert "hframe" in seen["bounds"]
+    assert set(seen["bounds"]).isdisjoint(
+        {"cuntz", "vsdilate", "ovf", "sip", "metricframe", "multiplier"})
+    assert seen["getattr"] == [True] * len(MATH_MODULES)
+    assert seen["unknown"] == "module 'framekit' has no attribute 'nosuch'"
 
 
 def test_json_reports_are_byte_identical(capsys, tmp_path):

@@ -4,7 +4,8 @@ public class is read there.
 
 A name counts as reached when another statement of its module uses it,
 when another module imports it by name, or when another module reads it
-as an attribute of the imported module (``hframe.frame_bounds``). A
+as an attribute of the imported module (``hframe.frame_bounds``, or
+``framekit.hframe.frame_bounds`` after ``import framekit``). A
 decorated function counts as reached, because the decorator registers it
 (every ``cmd_*`` handler of the command line). What no verb reaches gets a
 verb or is deleted; the allowlist holds the few names that tests keep on
@@ -69,8 +70,12 @@ def public_names():
     defined, used = {}, set()
     for mod, tree in modules.items():
         aliases = {}  # local name -> framekit module
+        packages = set()  # local names of the framekit package
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
+            if isinstance(node, ast.Import):
+                packages.update(a.asname or a.name for a in node.names
+                                if a.name == "framekit")
+            elif isinstance(node, ast.ImportFrom):
                 source = (node.module or "").rsplit(".", 1)[-1]
                 for a in node.names:
                     if node.module in (None, "framekit") and a.name in modules:
@@ -88,10 +93,15 @@ def public_names():
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and node.id != own:
                     used.add((mod, node.id))
-                elif (isinstance(node, ast.Attribute)
-                      and isinstance(node.value, ast.Name)
-                      and node.value.id in aliases):
-                    used.add((aliases[node.value.id], node.attr))
+                elif isinstance(node, ast.Attribute):
+                    base = node.value
+                    if isinstance(base, ast.Name) and base.id in aliases:
+                        used.add((aliases[base.id], node.attr))
+                    elif (isinstance(base, ast.Attribute)
+                          and base.attr in modules
+                          and isinstance(base.value, ast.Name)
+                          and base.value.id in packages):
+                        used.add((base.attr, node.attr))
     return defined, used
 
 
