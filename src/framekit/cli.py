@@ -177,14 +177,21 @@ def need_in(cfg: RunConfig):
     return load_json(cfg.in_path)
 
 
+def _integer(x, message: str) -> int:
+    """A whole-number JSON field; a bool, a string, a fraction or a missing
+    field (None) is refused with exit 2 and the caller's message."""
+    if isinstance(x, bool) or not (
+            isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise CliError(2, message)
+    return int(x)
+
+
 def parse_matrix(obj, where: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict):
         raise CliError(2, f"{where}: expected a Matrix object "
                           '{"rows", "cols", "re", "im"?}')
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-    except (KeyError, TypeError, ValueError):
-        raise CliError(2, f"{where}: needs integer 'rows' and 'cols'") from None
+    bad = f"{where}: needs integer 'rows' and 'cols'"
+    rows, cols = _integer(obj.get("rows"), bad), _integer(obj.get("cols"), bad)
     if rows < 1 or cols < 1:
         raise CliError(2, f"{where}: 'rows' and 'cols' must be positive")
     try:
@@ -238,11 +245,11 @@ def parse_exact_matrix(obj, where: str = "matrix") -> list:
             raise CliError(2, f"{where}: 'im' must be a numeric grid") from None
         if not imag == 0:  # a NaN is not 0 either
             raise CliError(2, f"{where}: rational commands take real matrices")
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        grid = obj["re"]
-    except (KeyError, TypeError, ValueError):
-        raise CliError(2, f"{where}: needs 'rows', 'cols' and 're'") from None
+    bad = f"{where}: needs 'rows', 'cols' and 're'"
+    rows, cols = _integer(obj.get("rows"), bad), _integer(obj.get("cols"), bad)
+    if "re" not in obj:
+        raise CliError(2, bad)
+    grid = obj["re"]
     if (not isinstance(grid, list) or len(grid) != rows
             or any(not isinstance(r, list) or len(r) != cols for r in grid)):
         raise CliError(2, f"{where}: 're' must be {rows} x {cols}")
@@ -296,8 +303,10 @@ def parse_frame(obj) -> framekit.hframe.HilbertFrame:
     dim = obj.get("dim")
     cols = [parse_vector_field(v, None, f"vectors[{k}]")
             for k, v in enumerate(vectors)]
-    if dim is not None and any(c.size != int(dim) for c in cols):
-        raise CliError(2, "frame file: vector lengths disagree with 'dim'")
+    disagree = "frame file: vector lengths disagree with 'dim'"
+    if dim is not None and any(c.size != _integer(dim, disagree)
+                               for c in cols):
+        raise CliError(2, disagree)
     if field_name == "R" and any(np.iscomplexobj(c) and
                                  np.abs(c.imag).max() > 0 for c in cols):
         raise CliError(2, "frame file: field 'R' but vectors carry "
@@ -320,7 +329,7 @@ def parse_pasf(obj) -> framekit.pasf.PAsf:
         raise CliError(2, "pair file: expected an object")
     if obj.get("named") == "shift":
         try:
-            m = int(obj.get("m", 8))
+            m = _integer(obj.get("m", 8), "pair file: 'm' must be an integer")
             p = float(obj.get("p", 2.0))
             return framekit.pasf.shift_pair(m, p)
         except (TypeError, ValueError) as exc:

@@ -680,6 +680,28 @@ def test_matrix_loader_refuses_a_non_finite_imaginary_part(capsys, tmp_path):
         assert err.startswith("error: T: entries must be finite")
 
 
+@pytest.mark.parametrize("value, whole", [
+    (2, True), (2.0, True), (2.9, False), ("2", False), (True, False),
+    (math.inf, False), (math.nan, False), ([2], False)])
+def test_shape_fields_take_whole_numbers_only(value, whole):
+    grid = {"rows": value, "cols": 1, "re": [[1], [2]]}
+    loaders = {cli.parse_matrix: "matrix: needs integer 'rows' and 'cols'",
+               cli.parse_exact_matrix: "matrix: needs 'rows', 'cols' and 're'",
+               cli.parse_frame: "frame file: vector lengths disagree with "
+                                "'dim'",
+               cli.parse_pasf: "pair file: 'm' must be an integer"}
+    inputs = {cli.parse_matrix: grid, cli.parse_exact_matrix: grid,
+              cli.parse_frame: {"dim": value, "vectors": [[1, 0], [0, 1]]},
+              cli.parse_pasf: {"named": "shift", "m": value}}
+    for loader, message in loaders.items():
+        if whole:
+            loader(inputs[loader])
+            continue
+        with pytest.raises(cli.CliError) as exc:
+            loader(inputs[loader])
+        assert (exc.value.code, str(exc.value)) == (2, message)
+
+
 @pytest.mark.parametrize("base, why", [
     (1.5, "must be an integer"), (True, "must be an integer"),
     ("0", "must be an integer"), (0.0, "must be an integer"),
