@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -1495,7 +1496,15 @@ def main(argv=None) -> int:
         print(f"error: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
-    print(text)
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # the reader closed the pipe
+        # the exit flush of what is left in the buffer goes nowhere, silently
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return 2
     if cfg.out_path is not None:
         try:
             with open(cfg.out_path, "w", encoding="utf-8") as fh:

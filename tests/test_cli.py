@@ -210,6 +210,30 @@ def test_a_verb_imports_only_the_modules_of_its_group():
     assert seen["unknown"] == "module 'framekit' has no attribute 'nosuch'"
 
 
+MAIN = "import sys, framekit.cli as c; raise SystemExit(c.main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("report, keep", [("small", 0), ("large", 160)])
+def test_a_closed_stdout_exits_two_without_traceback(tmp_path, mercedes,
+                                                     report, keep):
+    # small: the reader is gone before the report is written; large: it
+    # reads the head of a report longer than the pipe holds, as head -c does
+    big = write(tmp_path, "big.json",
+                dump_frame(hframe.harmonic_frame(16, 256)))
+    argv = {"small": ["hframe", "bounds", "--in", mercedes],
+            "large": ["hframe", "dual", "--in", big, "--json"]}[report]
+    proc = fresh_python(MAIN, *argv, stdout=subprocess.PIPE,
+                        stderr=subprocess.PIPE)
+    head = proc.stdout.read(keep)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert len(head) == keep
+    assert err == ("error: cannot write standard output: "
+                   "[Errno 32] Broken pipe\n")
+
+
 def test_json_reports_are_byte_identical(capsys, tmp_path):
     path = write(tmp_path, "f.json", dump_frame(hframe.harmonic_frame(3, 7)))
     argv = ["hframe", "algorithm", "--in", path, "--seed", "9", "--json"]
