@@ -1498,7 +1498,7 @@ def main(argv=None) -> int:
         return 3
     try:
         print(text, flush=True)
-    except OSError as exc:  # the reader closed the pipe
+    except OSError as exc:  # a pipe its reader closed, a full disk, ...
         # the exit flush of what is left in the buffer goes nowhere, silently
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())
