@@ -187,6 +187,13 @@ USAGE = [
     ["hframe", "bounds", "--in", _in("frame_dim_str")],
     ["hframe", "bounds", "--in", _in("frame_dim_bool")],
     ["pasf", "check", "--in", _in("pasf_shift_float")],
+    # scalar fields that are not finite numbers: a list, a string, a bool
+    ["sip", "identity", "--in", _in("sip_p_list"), "--subset", "0"],
+    ["pasf", "check", "--in", _in("pasf_p_str")],
+    ["pasf", "check", "--in", _in("pasf_p_bool")],
+    ["multiplier", "lip", "--in", _in("multiplier_out_norm_bool")],
+    # a rational matrix with no rows
+    ["vsdilate", "halmos", "--in", _in("vs_rows_zero")],
 ]
 
 
