@@ -19,6 +19,7 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -178,43 +179,103 @@ def need_in(cfg: RunConfig):
     return load_json(cfg.in_path)
 
 
-def _integer(x, message: str) -> int:
-    """A whole-number JSON field; a bool, a string, a fraction or a missing
-    field (None) is refused with exit 2 and the caller's message."""
-    if isinstance(x, bool) or not (
-            isinstance(x, int) or isinstance(x, float) and x.is_integer()):
-        raise CliError(2, message)
-    return int(x)
-
-
-def parse_matrix(obj, where: str = "matrix") -> np.ndarray:
+def _fields(obj, where: str, *keys: str) -> dict:
+    """obj, if it is a JSON object that holds every one of keys; anything
+    else is refused with exit 2."""
     if not isinstance(obj, dict):
-        raise CliError(2, f"{where}: expected a Matrix object "
-                          '{"rows", "cols", "re", "im"?}')
+        raise CliError(2, f"{where}: expected an object")
+    for key in keys:
+        if key not in obj:
+            raise CliError(2, f"{where}: missing '{key}'")
+    return obj
+
+
+def _integer(x, message: str) -> int:
+    """A whole-number JSON field, written as a JSON integer; a bool, a
+    string, a float (2.0 too) or a missing field (None) is refused with
+    exit 2 and the caller's message."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise CliError(2, message)
+    return x
+
+
+def _real(obj: dict, key: str, where: str, default=None) -> float:
+    """obj[key] (default when absent) as a finite float; a bool, a string, a
+    list, an object, NaN, an infinity or a missing field with no default is
+    refused with exit 2."""
+    x = obj.get(key, default)
+    try:
+        finite = not isinstance(x, bool) and math.isfinite(x)
+    except (TypeError, OverflowError):  # not a number, or an integer too big
+        finite = False
+    if not finite:
+        raise CliError(2, f"{where}: '{key}' must be a finite number")
+    return float(x)
+
+
+@contextlib.contextmanager
+def _refused(where: str):
+    """Refuses with exit 2 what a constructor rejects with TypeError or
+    ValueError, its message prefixed by where."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise CliError(2, f"{where}: {exc}") from None
+
+
+def _grid(obj: dict, key: str, rows: int, cols: int, where: str) -> np.ndarray:
+    try:
+        a = np.asarray(obj[key], dtype=float)
+    except (TypeError, ValueError):
+        raise CliError(2, f"{where}: '{key}' must be a numeric grid") from None
+    if a.shape != (rows, cols):
+        raise CliError(2, f"{where}: '{key}' must be {rows} x {cols}")
+    return a
+
+
+def parse_matrix(obj, where: str = "matrix", exact: bool = False):
+    """A Matrix object {"rows", "cols", "re", "im"?} as a float or complex
+    array. With exact, as a list of rows of Fractions for the rational
+    commands: entries may also be strings like "2/3", and an imaginary part
+    that is not zero is refused."""
+    obj = _fields(obj, where, "re")
     bad = f"{where}: needs integer 'rows' and 'cols'"
     rows, cols = _integer(obj.get("rows"), bad), _integer(obj.get("cols"), bad)
     if rows < 1 or cols < 1:
         raise CliError(2, f"{where}: 'rows' and 'cols' must be positive")
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-    except KeyError:
-        raise CliError(2, f"{where}: missing 're'") from None
-    except (TypeError, ValueError):
-        raise CliError(2, f"{where}: 're' must be a numeric grid") from None
-    if re.shape != (rows, cols):
+    if not exact:
+        M = _grid(obj, "re", rows, cols, where)
+        if "im" in obj:
+            M = M + 1j * _grid(obj, "im", rows, cols, where)
+        if not np.all(np.isfinite(M)):
+            raise CliError(2, f"{where}: entries must be finite")
+        return M
+    if "im" in obj and not np.all(_grid(obj, "im", rows, cols, where) == 0):
+        # a NaN is not 0 either
+        raise CliError(2, f"{where}: rational commands take real matrices")
+    grid = obj["re"]
+    if (not isinstance(grid, list) or len(grid) != rows
+            or any(not isinstance(r, list) or len(r) != cols for r in grid)):
         raise CliError(2, f"{where}: 're' must be {rows} x {cols}")
-    M = re
-    if "im" in obj:
-        try:
-            im = np.asarray(obj["im"], dtype=float)
-        except (TypeError, ValueError):
-            raise CliError(2, f"{where}: 'im' must be a numeric grid") from None
-        if im.shape != (rows, cols):
-            raise CliError(2, f"{where}: 'im' must be {rows} x {cols}")
-        M = re + 1j * im
-    if not np.all(np.isfinite(M)):
-        raise CliError(2, f"{where}: entries must be finite")
-    return M
+    out = []
+    for r, row in enumerate(grid):
+        new = []
+        for c, v in enumerate(row):
+            try:
+                new.append(Fraction(v))
+            except (TypeError, ValueError, ArithmeticError):
+                raise CliError(2, f"{where}: entry ({r}, {c}) is not a "
+                                  "number or 'p/q' string") from None
+        out.append(new)
+    return out
+
+
+def _matrices(items, where: str) -> list:
+    """A nonempty JSON list of Matrix objects, named where[0], where[1], ..."""
+    if not isinstance(items, list) or not items:
+        raise CliError(2, f"{where}: expected a nonempty list of Matrix "
+                          "objects")
+    return [parse_matrix(M, f"{where}[{n}]") for n, M in enumerate(items)]
 
 
 def dump_matrix(M) -> dict:
@@ -234,67 +295,28 @@ def dump_matrix(M) -> dict:
     return out
 
 
-def parse_exact_matrix(obj, where: str = "matrix") -> list:
-    """Grid for the rational commands: entries may be numbers or strings
-    like "2/3"; imaginary parts are rejected."""
-    if not isinstance(obj, dict):
-        raise CliError(2, f"{where}: expected a Matrix object")
-    if "im" in obj:
-        try:
-            imag = np.abs(np.asarray(obj["im"], dtype=float)).max()
-        except (TypeError, ValueError):
-            raise CliError(2, f"{where}: 'im' must be a numeric grid") from None
-        if not imag == 0:  # a NaN is not 0 either
-            raise CliError(2, f"{where}: rational commands take real matrices")
-    bad = f"{where}: needs 'rows', 'cols' and 're'"
-    rows, cols = _integer(obj.get("rows"), bad), _integer(obj.get("cols"), bad)
-    if "re" not in obj:
-        raise CliError(2, bad)
-    grid = obj["re"]
-    if (not isinstance(grid, list) or len(grid) != rows
-            or any(not isinstance(r, list) or len(r) != cols for r in grid)):
-        raise CliError(2, f"{where}: 're' must be {rows} x {cols}")
-    out = []
-    for r, row in enumerate(grid):
-        new = []
-        for c, v in enumerate(row):
-            try:
-                new.append(Fraction(v))
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise CliError(2, f"{where}: entry ({r}, {c}) is not a "
-                                  "number or 'p/q' string") from None
-        out.append(new)
-    return out
-
-
-def parse_vector_field(obj, size: Optional[int], where: str) -> np.ndarray:
+def parse_vector_field(obj, where: str) -> np.ndarray:
     if isinstance(obj, dict):
         M = parse_matrix(obj, where)
         if 1 not in M.shape:
             raise CliError(2, f"{where}: expected a single column or row")
-        v = M.reshape(-1)
-    elif isinstance(obj, list):
-        try:
-            v = np.asarray(obj, dtype=float)
-        except (TypeError, ValueError):
-            raise CliError(2, f"{where}: expected a list of numbers") from None
-        if v.ndim != 1:
-            raise CliError(2, f"{where}: expected a flat list")
-    else:
+        return M.reshape(-1)
+    if not isinstance(obj, list):
         raise CliError(2, f"{where}: expected a list or Matrix object")
-    if size is not None and v.size != size:
-        raise CliError(2, f"{where}: expected length {size}, got {v.size}")
+    try:
+        v = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):
+        raise CliError(2, f"{where}: expected a list of numbers") from None
+    if v.ndim != 1:
+        raise CliError(2, f"{where}: expected a flat list")
     return v
 
 
 def parse_frame(obj) -> framekit.hframe.HilbertFrame:
-    if isinstance(obj, dict) and "named" in obj:
-        try:
+    obj = _fields(obj, "frame file")
+    if "named" in obj:
+        with _refused("frame file"):
             return framekit.hframe.make_named_frame(str(obj["named"]))
-        except ValueError as exc:
-            raise CliError(2, str(exc)) from None
-    if not isinstance(obj, dict):
-        raise CliError(2, "frame file: expected an object with 'vectors'")
     vectors = obj.get("vectors")
     if not isinstance(vectors, list) or not vectors:
         raise CliError(2, "frame file: needs a nonempty 'vectors' list")
@@ -302,7 +324,7 @@ def parse_frame(obj) -> framekit.hframe.HilbertFrame:
     if field_name not in ("R", "C"):
         raise CliError(2, "frame file: 'field' must be 'R' or 'C'")
     dim = obj.get("dim")
-    cols = [parse_vector_field(v, None, f"vectors[{k}]")
+    cols = [parse_vector_field(v, f"vectors[{k}]")
             for k, v in enumerate(vectors)]
     disagree = "frame file: vector lengths disagree with 'dim'"
     if dim is not None and any(c.size != _integer(dim, disagree)
@@ -312,10 +334,8 @@ def parse_frame(obj) -> framekit.hframe.HilbertFrame:
                                  np.abs(c.imag).max() > 0 for c in cols):
         raise CliError(2, "frame file: field 'R' but vectors carry "
                           "imaginary parts")
-    try:
+    with _refused("frame file"):
         return framekit.hframe.HilbertFrame.from_vectors(cols)
-    except ValueError as exc:
-        raise CliError(2, f"frame file: {exc}") from None
 
 
 def dump_frame(F: framekit.hframe.HilbertFrame) -> dict:
@@ -326,27 +346,19 @@ def dump_frame(F: framekit.hframe.HilbertFrame) -> dict:
 
 
 def parse_pasf(obj) -> framekit.pasf.PAsf:
-    if not isinstance(obj, dict):
-        raise CliError(2, "pair file: expected an object")
+    obj = _fields(obj, "pair file")
     if obj.get("named") == "shift":
-        try:
-            m = _integer(obj.get("m", 8), "pair file: 'm' must be an integer")
-            p = float(obj.get("p", 2.0))
+        m = _integer(obj.get("m", 8), "pair file: 'm' must be an integer")
+        p = _real(obj, "p", "pair file", 2.0)
+        with _refused("pair file"):
             return framekit.pasf.shift_pair(m, p)
-        except (TypeError, ValueError) as exc:
-            raise CliError(2, f"pair file: {exc}") from None
     if "named" in obj:
         raise CliError(2, f"pair file: unknown named pair {obj['named']!r}")
-    try:
-        p = float(obj["p"])
-    except (KeyError, TypeError, ValueError):
-        raise CliError(2, "pair file: needs a numeric 'p'") from None
+    p = _real(obj, "p", "pair file")
     F = parse_matrix(obj.get("F"), "F")
     T = parse_matrix(obj.get("T"), "T")
-    try:
+    with _refused("pair file"):
         return framekit.pasf.PAsf(p, F, T)
-    except ValueError as exc:
-        raise CliError(2, f"pair file: {exc}") from None
 
 
 def dump_pasf(P: framekit.pasf.PAsf) -> dict:
@@ -354,38 +366,29 @@ def dump_pasf(P: framekit.pasf.PAsf) -> dict:
 
 
 def parse_sip_pair(obj, p_flag: Optional[float]) -> framekit.sip.SipPair:
-    if not isinstance(obj, dict):
-        raise CliError(2, "pair file: expected an object")
-    p = p_flag if p_flag is not None else obj.get("p")
-    if p is None:
+    obj = _fields(obj, "pair file")
+    if p_flag is None and "p" not in obj:
         raise CliError(2, "no exponent: pass --p or put 'p' in the file")
+    p = _real(obj, "p", "pair file") if p_flag is None else p_flag
     Omega = parse_matrix(obj.get("Omega"), "Omega")
     Tau = parse_matrix(obj.get("Tau"), "Tau")
-    try:
-        return framekit.sip.SipPair(float(p), Omega, Tau)
-    except ValueError as exc:
-        raise CliError(2, f"pair file: {exc}") from None
+    with _refused("pair file"):
+        return framekit.sip.SipPair(p, Omega, Tau)
 
 
 def parse_sample(obj) -> framekit.metricframe.MetricSample:
-    if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
-        raise CliError(2, "sample file: needs 'points' and 'dist'")
-    try:
+    obj = _fields(obj, "sample file", "points", "dist")
+    with _refused("sample file"):
         return framekit.metricframe.MetricSample(obj["points"], obj["dist"],
-                                        obj.get("base"))
-    except (TypeError, ValueError) as exc:
-        raise CliError(2, f"sample file: {exc}") from None
+                                                 obj.get("base"))
 
 
 def parse_family(obj) -> framekit.metricframe.LipschitzFamily:
-    if not isinstance(obj, dict) or "values" not in obj:
-        raise CliError(2, "family file: needs 'values'")
-    try:
-        return framekit.metricframe.LipschitzFamily(np.asarray(obj["values"],
-                                                      dtype=float),
-                                           float(obj.get("remainder", 0.0)))
-    except (TypeError, ValueError) as exc:
-        raise CliError(2, f"family file: {exc}") from None
+    obj = _fields(obj, "family file", "values")
+    remainder = _real(obj, "remainder", "family file", 0.0)
+    with _refused("family file"):
+        return framekit.metricframe.LipschitzFamily(
+            np.asarray(obj["values"], dtype=float), remainder)
 
 
 def family_arg(source: str, S: framekit.metricframe.MetricSample,
@@ -393,47 +396,38 @@ def family_arg(source: str, S: framekit.metricframe.MetricSample,
     """A family is either a JSON file or a named builder like log(1)."""
     if source.endswith(".json"):
         return parse_family(load_json(source))
-    try:
+    with _refused("--family"):
         return framekit.metricframe.make_named_family(source, S, terms)
-    except ValueError as exc:
-        raise CliError(2, str(exc)) from None
 
 
 def parse_multiplier(obj) -> framekit.multiplier.Multiplier:
-    if not isinstance(obj, dict):
-        raise CliError(2, "multiplier file: expected an object")
-    for key in ("sample", "family", "Tau", "lam", "p"):
-        if key not in obj:
-            raise CliError(2, f"multiplier file: missing '{key}'")
+    where = "multiplier file"
+    obj = _fields(obj, where, "sample", "family", "Tau", "lam", "p")
     S = parse_sample(obj["sample"])
     fam = parse_family(obj["family"])
     Tau = parse_matrix(obj["Tau"], "Tau")
-    lam = parse_vector_field(obj["lam"], None, "lam")
-    try:
-        return framekit.multiplier.Multiplier(
-            S, fam, Tau, lam, float(obj["p"]),
-            out_norm=float(obj.get("out_norm", 2.0)),
-            bessel_b=obj.get("bessel_b"), bessel_d=obj.get("bessel_d"))
-    except (TypeError, ValueError) as exc:
-        raise CliError(2, f"multiplier file: {exc}") from None
+    lam = parse_vector_field(obj["lam"], "lam")
+    p = _real(obj, "p", where)
+    out_norm = _real(obj, "out_norm", where, 2.0)
+    bessel = {key: _real(obj, key, where)
+              for key in ("bessel_b", "bessel_d") if key in obj}
+    with _refused(where):
+        return framekit.multiplier.Multiplier(S, fam, Tau, lam, p,
+                                              out_norm=out_norm, **bessel)
 
 
 def parse_ovf(obj) -> framekit.ovf.OvfPair:
-    if not isinstance(obj, dict) or "A" not in obj or "Psi" not in obj:
-        raise CliError(2, "pair file: needs 'A' and 'Psi' matrix lists")
-    A_list, P_list = obj["A"], obj["Psi"]
-    if (not isinstance(A_list, list) or not isinstance(P_list, list)
-            or not A_list or len(A_list) != len(P_list)):
+    obj = _fields(obj, "pair file", "A", "Psi")
+    A, Psi = _matrices(obj["A"], "A"), _matrices(obj["Psi"], "Psi")
+    if len(A) != len(Psi):
         raise CliError(2, "pair file: 'A' and 'Psi' must be equal-length "
-                          "nonempty lists")
-    A = [parse_matrix(M, f"A[{n}]") for n, M in enumerate(A_list)]
-    Psi = [parse_matrix(M, f"Psi[{n}]") for n, M in enumerate(P_list)]
-    shapes = {M.shape for M in A} | {M.shape for M in Psi}
-    if len(shapes) != 1:
+                          "lists")
+    if len({M.shape for M in A + Psi}) != 1:
         raise CliError(2, "pair file: all blocks must share one r x d shape")
     r, d = A[0].shape
     for key, want in (("r", r), ("d", d)):
-        if key in obj and obj[key] != want:
+        if key in obj and _integer(
+                obj[key], f"pair file: '{key}' must be an integer") != want:
             raise CliError(2, f"pair file: '{key}' disagrees with the blocks")
     return framekit.ovf.OvfPair(np.stack(A), np.stack(Psi))
 
@@ -445,31 +439,26 @@ def dump_ovf(P: framekit.ovf.OvfPair) -> dict:
 
 
 def parse_ovf_stack(obj, shape, where: str) -> np.ndarray:
-    stack = obj.get("A") if isinstance(obj, dict) else obj
-    if not isinstance(stack, list) or len(stack) != shape[0]:
+    stack = _matrices(obj.get("A") if isinstance(obj, dict) else obj, where)
+    if len(stack) != shape[0]:
         raise CliError(2, f"{where}: expected {shape[0]} blocks")
-    mats = [parse_matrix(M, f"{where}[{n}]") for n, M in enumerate(stack)]
-    out = np.stack(mats)
-    if out.shape != shape:
+    if any(M.shape != shape[1:] for M in stack):
         raise CliError(2, f"{where}: blocks must be "
                           f"{shape[1]} x {shape[2]}")
-    return out
+    return np.stack(stack)
 
 
 def parse_group_rep(source: str) -> dict:
     if source == "c4":
         R = np.array([[0.0, -1.0], [1.0, 0.0]])
         return {k: np.linalg.matrix_power(R, k) for k in range(4)}
-    obj = load_json(source)
-    if (not isinstance(obj, dict)
-            or not isinstance(obj.get("labels"), list)
-            or not isinstance(obj.get("matrices"), list)
-            or len(obj["labels"]) != len(obj["matrices"])):
+    obj = _fields(load_json(source), "rep file", "labels", "matrices")
+    matrices = _matrices(obj["matrices"], "matrices")
+    labels = obj["labels"]
+    if not isinstance(labels, list) or len(labels) != len(matrices):
         raise CliError(2, "rep file: needs equal-length 'labels' and "
                           "'matrices'")
-    return {str(lbl): parse_matrix(M, f"matrices[{n}]")
-            for n, (lbl, M) in enumerate(zip(obj["labels"],
-                                             obj["matrices"]))}
+    return {str(lbl): M for lbl, M in zip(labels, matrices)}
 
 
 def csv_floats(text: str, what: str) -> np.ndarray:
@@ -1160,7 +1149,7 @@ def _exact_tol(cfg: RunConfig, T: np.ndarray) -> float:
 def _exact_in(cfg: RunConfig, key: str = None) -> np.ndarray:
     obj = need_in(cfg) if key is None else load_json(cfg.extra[key])
     name = "matrix" if key is None else key
-    data = parse_exact_matrix(obj, name)
+    data = parse_matrix(obj, name, exact=True)
     return framekit.vsdilate.as_exact(data, cfg.extra["rational"])
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -704,17 +705,19 @@ def test_matrix_loader_refuses_a_non_finite_imaginary_part(capsys, tmp_path):
         assert err.startswith("error: T: entries must be finite")
 
 
+# a whole number is a JSON integer: 2.0 is refused, as the metric base is
 @pytest.mark.parametrize("value, whole", [
-    (2, True), (2.0, True), (2.9, False), ("2", False), (True, False),
+    (2, True), (2.0, False), (2.9, False), ("2", False), (True, False),
     (math.inf, False), (math.nan, False), ([2], False)])
 def test_shape_fields_take_whole_numbers_only(value, whole):
     grid = {"rows": value, "cols": 1, "re": [[1], [2]]}
+    exact = functools.partial(cli.parse_matrix, exact=True)
     loaders = {cli.parse_matrix: "matrix: needs integer 'rows' and 'cols'",
-               cli.parse_exact_matrix: "matrix: needs 'rows', 'cols' and 're'",
+               exact: "matrix: needs integer 'rows' and 'cols'",
                cli.parse_frame: "frame file: vector lengths disagree with "
                                 "'dim'",
                cli.parse_pasf: "pair file: 'm' must be an integer"}
-    inputs = {cli.parse_matrix: grid, cli.parse_exact_matrix: grid,
+    inputs = {cli.parse_matrix: grid, exact: grid,
               cli.parse_frame: {"dim": value, "vectors": [[1, 0], [0, 1]]},
               cli.parse_pasf: {"named": "shift", "m": value}}
     for loader, message in loaders.items():
@@ -724,6 +727,57 @@ def test_shape_fields_take_whole_numbers_only(value, whole):
         with pytest.raises(cli.CliError) as exc:
             loader(inputs[loader])
         assert (exc.value.code, str(exc.value)) == (2, message)
+
+
+NUMBER = "must be a finite number"
+# field: (argv without --in, golden input, keys down to the field, message)
+SCALAR_FIELDS = {
+    "pasf p": (["pasf", "check"], "pasf", ("p",), f"pair file: 'p' {NUMBER}"),
+    "shift p": (["pasf", "check"], "pasf_shift", ("p",),
+                f"pair file: 'p' {NUMBER}"),
+    "shift m": (["pasf", "check"], "pasf_shift", ("m",),
+                "pair file: 'm' must be an integer"),
+    "sip p": (["sip", "identity", "--subset", "0"], "sip", ("p",),
+              f"pair file: 'p' {NUMBER}"),
+    **{f"multiplier {key}": (["multiplier", "lip"], "multiplier", (key,),
+                             f"multiplier file: '{key}' {NUMBER}")
+       for key in ("p", "out_norm", "bessel_b", "bessel_d")},
+    "family remainder": (["multiplier", "lip"], "multiplier",
+                         ("family", "remainder"),
+                         f"family file: 'remainder' {NUMBER}"),
+    **{f"ovf {key}": (["ovf", "check"], "ovf", (key,),
+                      f"pair file: '{key}' must be an integer")
+       for key in ("r", "d")},
+    "frame dim": (["hframe", "bounds"], "frame", ("dim",),
+                  "frame file: vector lengths disagree with 'dim'"),
+    "matrix rows": (["pasf", "check"], "pasf", ("F", "rows"),
+                    "F: needs integer 'rows' and 'cols'"),
+    "exact rows": (["vsdilate", "halmos"], "vs_t", ("rows",),
+                   "matrix: needs integer 'rows' and 'cols'"),
+}
+NOT_NUMBERS = {"str": "2", "bool": True, "list": [2], "nan": math.nan,
+               "inf": math.inf}
+POSITIVE = "matrix: 'rows' and 'cols' must be positive"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    *[pytest.param(field, value, SCALAR_FIELDS[field][3], id=f"{field}-{kind}")
+      for field in SCALAR_FIELDS for kind, value in NOT_NUMBERS.items()],
+    pytest.param("exact rows", 0, POSITIVE, id="exact rows-0"),
+    pytest.param("exact rows", -1, POSITIVE, id="exact rows-negative")])
+def test_file_fields_refuse_what_is_not_a_number_of_their_kind(
+        capsys, tmp_path, field, value, message):
+    argv, name, keys, _ = SCALAR_FIELDS[field]
+    with open(golden_input(name), encoding="utf-8") as fh:
+        whole = json.load(fh)
+    *outer, key = keys
+    parent = whole
+    for k in outer:
+        parent = parent[k]
+    parent[key] = value
+    rc, out, err = run(capsys, argv + ["--in", write(tmp_path, "in.json",
+                                                     whole)])
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("base, why", [
