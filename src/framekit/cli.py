@@ -619,7 +619,7 @@ def cmd_hframe_dual(cfg: RunConfig, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
     tol = cfg.tolerance(1e-10)
     dual = framekit.hframe.canonical_dual(F)
-    recon = float(np.abs(dual.synthesis @ F.analysis - np.eye(F.d)).max())
+    recon = framekit.linops.identity_defect(dual.synthesis @ F.analysis)
     R.result["dual"] = dump_frame(dual)
     R.check("reconstruction with the canonical dual", "theorem", recon, tol)
 
@@ -694,7 +694,7 @@ def cmd_hframe_dilate(cfg: RunConfig, R: ReportBuilder):
             top, 0.0)
     if F.is_parseval():
         R.check("dilated family is an orthonormal basis", "theorem",
-                float(np.abs(big.gram - np.eye(big.m)).max()), tol)
+                framekit.linops.identity_defect(big.gram), tol)
     else:
         R.result["parseval_input"] = False
 
@@ -862,7 +862,7 @@ def cmd_pasf_expand(cfg: RunConfig, R: ReportBuilder):
     tol = cfg.tolerance(1e-10)
     exp = framekit.pasf.expand_to_asf(P, Q, cfg.extra["lam"])
     comb = exp.expanded
-    resid = float(np.abs(comb.frame_operator - np.eye(comb.d)).max())
+    resid = framekit.linops.identity_defect(comb.frame_operator)
     R.result.update({"n_min": exp.n_min, "appended": comb.m - P.m,
                      "expanded": dump_pasf(comb)})
     R.check("combined frame operator is the identity", "theorem", resid, tol)

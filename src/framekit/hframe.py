@@ -66,7 +66,7 @@ class HilbertFrame:
     @property
     def parseval_residual(self) -> float:
         """max |S - I|, entrywise; zero exactly for a Parseval frame."""
-        return float(np.abs(self.frame_operator - np.eye(self.d)).max())
+        return linops.identity_defect(self.frame_operator)
 
     def is_parseval(self) -> bool:
         return self.parseval_residual <= 1e-8

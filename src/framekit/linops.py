@@ -74,6 +74,11 @@ def herm(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+def identity_defect(M: np.ndarray) -> float:
+    """max |M - I|, entrywise, for a square M; zero exactly when M = I."""
+    return float(np.abs(M - np.eye(M.shape[0])).max())
+
+
 def _check_p(p) -> float:
     p = float(p)
     if math.isnan(p) or p < 1:

@@ -110,9 +110,8 @@ def dual_residual(P: PAsf, Q: PAsf) -> float:
     """max(|T_P F_Q - I|, |T_Q F_P - I|), entrywise: the duality defect."""
     if (P.d, P.m, P.p) != (Q.d, Q.m, Q.p):
         raise ValueError("pairs must share shape and exponent")
-    eye = np.eye(P.d)
-    return max(float(np.abs(P.T @ Q.F - eye).max()),
-               float(np.abs(Q.T @ P.F - eye).max()))
+    return max(linops.identity_defect(P.T @ Q.F),
+               linops.identity_defect(Q.T @ P.F))
 
 
 def dual_from_operators(P: PAsf, U, V) -> PAsf:
@@ -178,7 +177,7 @@ def riesz_residual(P: PAsf) -> float:
     """Entrywise max of |F S^(-1) T - I_m|; zero exactly for an approximate
     Riesz basis. Raises NotInvertible when S is singular."""
     Sinv = inverse(P.frame_operator)
-    return float(np.abs(P.F @ Sinv @ P.T - np.eye(P.m)).max())
+    return linops.identity_defect(P.F @ Sinv @ P.T)
 
 
 def shift_dilation_table(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -300,7 +299,7 @@ def expand_to_asf(P_weak: PAsf, Q: PAsf, lam: float = 1.0) -> Expansion:
     """
     if P_weak.d != Q.d:
         raise ValueError("pairs must act on the same space")
-    if float(np.abs(Q.T @ Q.F - np.eye(Q.d)).max()) > DUAL_TOL:
+    if linops.identity_defect(Q.T @ Q.F) > DUAL_TOL:
         raise ValueError("Q must reconstruct: T_Q F_Q = I within 1e-9")
     Sp = P_weak.frame_operator
     defect = np.eye(P_weak.d) - Sp

@@ -91,7 +91,7 @@ class SipPair:
         return self.Tau @ self.functionals()
 
     def is_parseval(self) -> bool:
-        return float(np.abs(self.frame_operator() - np.eye(self.d)).max()) <= PARSEVAL_TOL
+        return linops.identity_defect(self.frame_operator()) <= PARSEVAL_TOL
 
 
 def _subset(P: SipPair, M) -> list[int]:
