@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import math
@@ -1486,12 +1487,15 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 3
     try:
+        if sys.stdout is None:  # started with file descriptor 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         print(text, flush=True)
     except OSError as exc:  # a pipe its reader closed, a full disk, ...
-        # the exit flush of what is left in the buffer goes nowhere, silently
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
+        if sys.stdout is not None:
+            # the exit flush of what is left in the buffer goes nowhere
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
         print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return 2
     if cfg.out_path is not None:

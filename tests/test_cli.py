@@ -235,6 +235,18 @@ def test_a_closed_stdout_exits_two_without_traceback(tmp_path, mercedes,
                    "[Errno 32] Broken pipe\n")
 
 
+def test_a_verb_started_without_stdout_exits_two(mercedes):
+    # with file descriptor 1 closed at start, sys.stdout is None and print
+    # writes nothing without raising
+    proc = fresh_python(MAIN, "hframe", "bounds", "--in", mercedes,
+                        stderr=subprocess.PIPE,
+                        preexec_fn=lambda: os.close(1))
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.decode() == ("error: cannot write standard output: "
+                            "[Errno 9] Bad file descriptor\n")
+
+
 def test_json_reports_are_byte_identical(capsys, tmp_path):
     path = write(tmp_path, "f.json", dump_frame(hframe.harmonic_frame(3, 7)))
     argv = ["hframe", "algorithm", "--in", path, "--seed", "9", "--json"]
