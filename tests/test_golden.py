@@ -112,6 +112,8 @@ REPORTS = [
     ["ovf", "dilate", "--in", _in("ovf_parseval")],
     ["ovf", "group", "--rep", "c4", "--a", _in("ovf_a"), "--psi",
      _in("ovf_psi")],
+    ["ovf", "group", "--rep", _in("rep_c4"), "--a", _in("ovf_a"), "--psi",
+     _in("ovf_psi")],
     ["ovf", "perturb", "--in", OVF, "--b", _in("ovf_b")],
     ["ovf", "perturb", "--in", OVF, "--b", _in("ovf_b"), "--mode", "triple",
      "--samples", "8"],
@@ -194,6 +196,16 @@ USAGE = [
     ["multiplier", "lip", "--in", _in("multiplier_out_norm_bool")],
     # a rational matrix with no rows
     ["vsdilate", "halmos", "--in", _in("vs_rows_zero")],
+    # grid entries that are strings or bools
+    ["pasf", "check", "--in", _in("pasf_grid_str_bool")],
+    ["hframe", "bounds", "--in", _in("frame_vector_str_bool")],
+    ["vsdilate", "halmos", "--in", _in("vs_entry_bool")],
+    ["multiplier", "lip", "--in", _in("multiplier_values_str")],
+    # a representation with a repeated label
+    ["ovf", "group", "--rep", _in("rep_label_repeated"), "--a", _in("ovf_a"),
+     "--psi", _in("ovf_psi")],
+    # a sample whose points are not a list
+    ["multiplier", "lip", "--in", _in("multiplier_points_int")],
 ]
 
 
