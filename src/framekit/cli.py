@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -44,28 +43,9 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: subcommand path, file paths, tolerance
-    override, seed and report format, plus the remaining options."""
-
-    command: tuple
-    in_path: Optional[str] = None
-    out_path: Optional[str] = None
-    tol: Optional[float] = None
-    seed: int = 0
-    fmt: str = "text"
-    extra: dict = field(default_factory=dict)
-
-    def tolerance(self, default: float) -> float:
-        return default if self.tol is None else float(self.tol)
-
-    def recorded(self) -> dict:
-        cfg = {"command": " ".join(self.command), "format": self.fmt,
-               "in": self.in_path, "out": self.out_path,
-               "seed": self.seed, "tol": self.tol}
-        cfg.update({k: _plain(v) for k, v in self.extra.items()})
-        return cfg
+def tolerance(cfg: argparse.Namespace, default: float) -> float:
+    """The --tol override of a parsed invocation, else the check's default."""
+    return default if cfg.tol is None else cfg.tol
 
 
 class ReportBuilder:
@@ -174,7 +154,7 @@ def load_json(path: str):
                           f"column {exc.colno}: {exc.msg}") from None
 
 
-def need_in(cfg: RunConfig):
+def need_in(cfg: argparse.Namespace):
     if cfg.in_path is None:
         raise CliError(2, "this command needs --in FILE")
     return load_json(cfg.in_path)
@@ -603,9 +583,9 @@ _HORIZON = _opt("--horizon", type=int, required=True)
 
 
 @command("hframe", "bounds")
-def cmd_hframe_bounds(cfg: RunConfig, R: ReportBuilder):
+def cmd_hframe_bounds(cfg: argparse.Namespace, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
-    tol = cfg.tolerance(1e-12)
+    tol = tolerance(cfg, 1e-12)
     a, b = framekit.hframe.frame_bounds(F)
     tight = abs(b - a) <= tol * abs(b)
     R.result.update({"d": F.d, "m": F.m, "lower": a, "upper": b,
@@ -616,9 +596,9 @@ def cmd_hframe_bounds(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("hframe", "dual")
-def cmd_hframe_dual(cfg: RunConfig, R: ReportBuilder):
+def cmd_hframe_dual(cfg: argparse.Namespace, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
-    tol = cfg.tolerance(1e-10)
+    tol = tolerance(cfg, 1e-10)
     dual = framekit.hframe.canonical_dual(F)
     recon = framekit.linops.identity_defect(dual.synthesis @ F.analysis)
     R.result["dual"] = dump_frame(dual)
@@ -626,9 +606,9 @@ def cmd_hframe_dual(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("hframe", "parsevalize")
-def cmd_hframe_parsevalize(cfg: RunConfig, R: ReportBuilder):
+def cmd_hframe_parsevalize(cfg: argparse.Namespace, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
-    tol = cfg.tolerance(1e-10)
+    tol = tolerance(cfg, 1e-10)
     G = framekit.hframe.parsevalize(F)
     R.result["frame"] = dump_frame(G)
     R.check("frame operator of the output is the identity", "theorem",
@@ -639,12 +619,12 @@ def cmd_hframe_parsevalize(cfg: RunConfig, R: ReportBuilder):
          _opt("--iters", type=_count, default=50,
               help="number of iterations to run"),
          _H)
-def cmd_hframe_algorithm(cfg: RunConfig, R: ReportBuilder):
+def cmd_hframe_algorithm(cfg: argparse.Namespace, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
-    slack = cfg.tolerance(1e-10)
-    iters = cfg.extra["iters"]
+    slack = tolerance(cfg, 1e-10)
+    iters = cfg.iters
     rng = np.random.default_rng(cfg.seed)
-    h = vector_arg(cfg.extra.get("h"), F.d, rng, "--h")
+    h = vector_arg(cfg.h, F.d, rng, "--h")
     iterates, rho = framekit.hframe.frame_algorithm(F, h, iters)
     hn = float(np.linalg.norm(h))
     worst = max(float(np.linalg.norm(hk - h)) - rho ** (k + 1) * hn
@@ -661,14 +641,14 @@ def cmd_hframe_algorithm(cfg: RunConfig, R: ReportBuilder):
          _opt("--mode", choices=("auto", "general", "parseval"),
               default="auto",
               help="identity variant; auto picks from the frame"))
-def cmd_hframe_identity(cfg: RunConfig, R: ReportBuilder):
+def cmd_hframe_identity(cfg: argparse.Namespace, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
-    tol = cfg.tolerance(1e-10)
-    subset = subset_arg(cfg.extra["subset"], F.m)
+    tol = tolerance(cfg, 1e-10)
+    subset = subset_arg(cfg.subset, F.m)
     rng = np.random.default_rng(cfg.seed)
-    h = vector_arg(cfg.extra.get("h"), F.d, rng, "--h")
+    h = vector_arg(cfg.h, F.d, rng, "--h")
     rep = framekit.hframe.frame_identity_residuals(F, subset, h,
-                                                   cfg.extra["mode"])
+                                                   cfg.mode)
     R.result["general_residual"] = rep.general_residual
     R.check("frame identity, general form", "theorem",
             rep.general_residual, tol)
@@ -685,9 +665,9 @@ def cmd_hframe_identity(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("hframe", "dilate")
-def cmd_hframe_dilate(cfg: RunConfig, R: ReportBuilder):
+def cmd_hframe_dilate(cfg: argparse.Namespace, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
-    tol = cfg.tolerance(1e-8)
+    tol = tolerance(cfg, 1e-8)
     big = framekit.hframe.naimark_dilate(F)
     top = float(np.abs(big.synthesis[:F.d, :] - F.synthesis).max())
     R.result.update({"space_dim": big.d, "frame": dump_frame(big)})
@@ -705,15 +685,15 @@ def cmd_hframe_dilate(cfg: RunConfig, R: ReportBuilder):
          _opt("--mode", choices=("quadratic", "general"),
               default="quadratic", help="perturbation hypothesis"),
          *_PERTURB)
-def cmd_hframe_perturb(cfg: RunConfig, R: ReportBuilder):
+def cmd_hframe_perturb(cfg: argparse.Namespace, R: ReportBuilder):
     F = parse_frame(need_in(cfg))
-    G = parse_frame(load_json(cfg.extra["other"]))
-    tol = cfg.tolerance(1e-9)
-    mode = cfg.extra["mode"]
+    G = parse_frame(load_json(cfg.other))
+    tol = tolerance(cfg, 1e-9)
+    mode = cfg.mode
     cert = framekit.hframe.perturb_certificate(
-        F, G, mode, alpha=cfg.extra["alpha"], beta=cfg.extra["beta"],
-        gamma=cfg.extra["gamma"], seed=cfg.seed,
-        samples=cfg.extra["samples"])
+        F, G, mode, alpha=cfg.alpha, beta=cfg.beta,
+        gamma=cfg.gamma, seed=cfg.seed,
+        samples=cfg.samples)
     kind = "theorem" if mode == "quadratic" else "sampled"
     R.result.update({"mode": cert.mode, "valid": cert.valid,
                      "detail": _plain(cert.detail)})
@@ -731,7 +711,7 @@ def cmd_hframe_perturb(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("pasf", "check")
-def cmd_pasf_check(cfg: RunConfig, R: ReportBuilder):
+def cmd_pasf_check(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
     rep = framekit.pasf.check(P, seed=cfg.seed)
     R.result.update({"d": P.d, "m": P.m, "p": P.p, "is_pasf": rep.is_pasf,
@@ -746,9 +726,9 @@ def cmd_pasf_check(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("pasf", "dual")
-def cmd_pasf_dual(cfg: RunConfig, R: ReportBuilder):
+def cmd_pasf_dual(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
-    tol = cfg.tolerance(framekit.pasf.DUAL_TOL)
+    tol = tolerance(cfg, framekit.pasf.DUAL_TOL)
     Q = framekit.pasf.canonical_dual(P)
     R.result["dual"] = dump_pasf(Q)
     R.check("canonical dual reconstructs: T F' = T' F = I", "theorem",
@@ -756,11 +736,11 @@ def cmd_pasf_dual(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("pasf", "alldual", _file("--u"), _file("--v"))
-def cmd_pasf_alldual(cfg: RunConfig, R: ReportBuilder):
+def cmd_pasf_alldual(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
-    tol = cfg.tolerance(framekit.pasf.DUAL_TOL)
-    U = parse_matrix(load_json(cfg.extra["u"]), "U")
-    V = parse_matrix(load_json(cfg.extra["v"]), "V")
+    tol = tolerance(cfg, framekit.pasf.DUAL_TOL)
+    U = parse_matrix(load_json(cfg.u), "U")
+    V = parse_matrix(load_json(cfg.v), "V")
     Q = framekit.pasf.dual_from_operators(P, U, V)
     R.result["dual"] = dump_pasf(Q)
     R.check("constructed dual reconstructs: T F' = T' F = I", "theorem",
@@ -768,10 +748,10 @@ def cmd_pasf_alldual(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("pasf", "similar", _file("--other"))
-def cmd_pasf_similar(cfg: RunConfig, R: ReportBuilder):
+def cmd_pasf_similar(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
-    Q = parse_pasf(load_json(cfg.extra["other"]))
-    tol = cfg.tolerance(framekit.pasf.SIMILAR_TOL)
+    Q = parse_pasf(load_json(cfg.other))
+    tol = tolerance(cfg, framekit.pasf.SIMILAR_TOL)
     got = framekit.pasf.similarity(P, Q, tol)
     if got is None:
         R.result["similar"] = False
@@ -787,7 +767,7 @@ def cmd_pasf_similar(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("pasf", "dilate")
-def cmd_pasf_dilate(cfg: RunConfig, R: ReportBuilder):
+def cmd_pasf_dilate(cfg: argparse.Namespace, R: ReportBuilder):
     obj = need_in(cfg)
     P = parse_pasf(obj)
     if obj.get("named") == "shift":
@@ -799,7 +779,7 @@ def cmd_pasf_dilate(cfg: RunConfig, R: ReportBuilder):
         for n, (t, s) in enumerate(table, start=1):
             R.display.append(f"omega_{n} = {fmt_basis(t)} (+) {fmt_basis(s)}")
         return
-    tol = cfg.tolerance(1e-8)
+    tol = tolerance(cfg, 1e-8)
     big = framekit.pasf.dilate(P)
     riesz_resid = framekit.pasf.riesz_residual(big)
     restrict = max(float(np.abs(big.F[:, :P.d] - P.F).max()),
@@ -817,9 +797,9 @@ def cmd_pasf_dilate(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("pasf", "riesz")
-def cmd_pasf_riesz(cfg: RunConfig, R: ReportBuilder):
+def cmd_pasf_riesz(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
-    tol = cfg.tolerance(framekit.pasf.RIESZ_TOL)
+    tol = tolerance(cfg, framekit.pasf.RIESZ_TOL)
     R.check("approximate Riesz basis: F S^-1 T = I", "theorem",
             framekit.pasf.riesz_residual(P), tol)
 
@@ -834,18 +814,18 @@ def cmd_pasf_riesz(cfg: RunConfig, R: ReportBuilder):
          _opt("--r", type=_finite, default=0.0),
          _opt("--s", type=_finite, default=0.0),
          _opt("--t", type=_finite, default=0.0))
-def cmd_pasf_perturb(cfg: RunConfig, R: ReportBuilder):
+def cmd_pasf_perturb(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
-    Omega = parse_matrix(load_json(cfg.extra["omega"]), "omega")
-    mode = cfg.extra["mode"]
+    Omega = parse_matrix(load_json(cfg.omega), "omega")
+    mode = cfg.mode
     G = None
-    if cfg.extra.get("g") is not None:
-        G = parse_matrix(load_json(cfg.extra["g"]), "G")
+    if cfg.g is not None:
+        G = parse_matrix(load_json(cfg.g), "G")
     rep = framekit.pasf.perturb_certificate(
-        P, Omega, mode, alpha=cfg.extra["alpha"], beta=cfg.extra["beta"],
-        gamma=cfg.extra["gamma"], case=cfg.extra["case"], G=G,
-        r=cfg.extra["r"], s=cfg.extra["s"], t=cfg.extra["t"],
-        seed=cfg.seed, samples=cfg.extra["samples"])
+        P, Omega, mode, alpha=cfg.alpha, beta=cfg.beta,
+        gamma=cfg.gamma, case=cfg.case, G=G,
+        r=cfg.r, s=cfg.s, t=cfg.t,
+        seed=cfg.seed, samples=cfg.samples)
     kind = "sampled" if mode == "general" else "theorem"
     R.result.update({"mode": rep.mode, "valid": rep.valid,
                      "detail": _plain(rep.detail)})
@@ -857,11 +837,11 @@ def cmd_pasf_perturb(cfg: RunConfig, R: ReportBuilder):
 @command("pasf", "expand",
          _file("--other", "reconstructing pair to borrow vectors from"),
          _opt("--lam", type=_finite, default=1.0))
-def cmd_pasf_expand(cfg: RunConfig, R: ReportBuilder):
+def cmd_pasf_expand(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
-    Q = parse_pasf(load_json(cfg.extra["other"]))
-    tol = cfg.tolerance(1e-10)
-    exp = framekit.pasf.expand_to_asf(P, Q, cfg.extra["lam"])
+    Q = parse_pasf(load_json(cfg.other))
+    tol = tolerance(cfg, 1e-10)
+    exp = framekit.pasf.expand_to_asf(P, Q, cfg.lam)
     comb = exp.expanded
     resid = framekit.linops.identity_defect(comb.frame_operator)
     R.result.update({"n_min": exp.n_min, "appended": comb.m - P.m,
@@ -872,27 +852,27 @@ def cmd_pasf_expand(cfg: RunConfig, R: ReportBuilder):
 # ---------------------------------------------------------------- sip
 
 
-def _sip_setup(cfg: RunConfig):
-    P = parse_sip_pair(need_in(cfg), cfg.extra.get("p"))
-    subset = subset_arg(cfg.extra["subset"], P.m)
+def _sip_setup(cfg: argparse.Namespace):
+    P = parse_sip_pair(need_in(cfg), cfg.p)
+    subset = subset_arg(cfg.subset, P.m)
     rng = np.random.default_rng(cfg.seed)
-    x = vector_arg(cfg.extra.get("x"), P.d, rng, "--x")
+    x = vector_arg(cfg.x, P.d, rng, "--x")
     return P, subset, x
 
 
 @command("sip", "identity", *_SIP)
-def cmd_sip_identity(cfg: RunConfig, R: ReportBuilder):
+def cmd_sip_identity(cfg: argparse.Namespace, R: ReportBuilder):
     P, subset, x = _sip_setup(cfg)
-    tol = cfg.tolerance(1e-8)
+    tol = tolerance(cfg, 1e-8)
     resid = framekit.sip.general_identity_residual(P, subset, x)
     R.result.update({"p": P.p, "residual": resid})
     R.check("semi-inner-product frame identity", "theorem", resid, tol)
 
 
 @command("sip", "parseval", *_SIP)
-def cmd_sip_parseval(cfg: RunConfig, R: ReportBuilder):
+def cmd_sip_parseval(cfg: argparse.Namespace, R: ReportBuilder):
     P, subset, x = _sip_setup(cfg)
-    tol = cfg.tolerance(1e-8)
+    tol = tolerance(cfg, 1e-8)
     resid = framekit.sip.parseval_identity_residual(P, subset, x)
     op_resid = framekit.sip.operator_identity_residual(P, subset)
     R.result.update({"p": P.p, "residual": resid,
@@ -903,9 +883,9 @@ def cmd_sip_parseval(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("sip", "lower34", *_SIP)
-def cmd_sip_lower34(cfg: RunConfig, R: ReportBuilder):
+def cmd_sip_lower34(cfg: argparse.Namespace, R: ReportBuilder):
     P, subset, x = _sip_setup(cfg)
-    slack = cfg.tolerance(1e-9)
+    slack = tolerance(cfg, 1e-9)
     rep = framekit.sip.lower_bound_check(P, subset, x)
     R.result.update({"condition_value": rep.condition_value,
                      "condition_holds": rep.condition_holds,
@@ -925,10 +905,10 @@ def cmd_sip_lower34(cfg: RunConfig, R: ReportBuilder):
               help="family JSON file or named builder like 'log(1)'"),
          _opt("--terms", type=int, default=32),
          _opt("--p", type=_finite, default=1.0))
-def cmd_metric_bounds(cfg: RunConfig, R: ReportBuilder):
+def cmd_metric_bounds(cfg: argparse.Namespace, R: ReportBuilder):
     S = parse_sample(need_in(cfg))
-    fam = family_arg(cfg.extra["family"], S, cfg.extra["terms"])
-    a, b = framekit.metricframe.metric_frame_bounds(S, fam, cfg.extra["p"])
+    fam = family_arg(cfg.family, S, cfg.terms)
+    a, b = framekit.metricframe.metric_frame_bounds(S, fam, cfg.p)
     R.result.update({"points": S.n, "terms": fam.m, "lower": a, "upper": b,
                      "remainder": fam.remainder})
     R.display.append(f"bounds = ({g(a)}, {g(b)}), certified remainder "
@@ -942,19 +922,19 @@ def cmd_metric_bounds(cfg: RunConfig, R: ReportBuilder):
          _opt("--terms", type=int, default=40),
          _opt("--p", type=_finite, default=1.0),
          needs_in=False)
-def cmd_metric_logframe(cfg: RunConfig, R: ReportBuilder):
-    lo, hi = cfg.extra["lo"], cfg.extra["hi"]
+def cmd_metric_logframe(cfg: argparse.Namespace, R: ReportBuilder):
+    lo, hi = cfg.lo, cfg.hi
     if not 1.0 <= lo < hi:
         raise CliError(2, "--lo must be >= 1 and below --hi")
     rng = np.random.default_rng(cfg.seed)
-    pts = np.sort(rng.uniform(lo, hi, cfg.extra["points"]))
+    pts = np.sort(rng.uniform(lo, hi, cfg.points))
     S = framekit.metricframe.sample_from_points(pts, base=0)
     fam = framekit.metricframe.make_named_family(f"log({g(lo)})", S,
-                                        cfg.extra["terms"])
-    a, b = framekit.metricframe.metric_frame_bounds(S, fam, cfg.extra["p"])
+                                        cfg.terms)
+    a, b = framekit.metricframe.metric_frame_bounds(S, fam, cfg.p)
     dev = framekit.metricframe.reconstruction_deviation(
         S, fam, framekit.metricframe.log_family_reconstructor)
-    tol = cfg.tolerance(1e-6)
+    tol = tolerance(cfg, 1e-6)
     R.result.update({"points": S.n, "terms": fam.m, "lower": a, "upper": b,
                      "remainder": fam.remainder,
                      "max_deviation": dev})
@@ -972,9 +952,9 @@ def cmd_metric_logframe(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("multiplier", "apply", _opt("--point", type=int, required=True))
-def cmd_multiplier_apply(cfg: RunConfig, R: ReportBuilder):
+def cmd_multiplier_apply(cfg: argparse.Namespace, R: ReportBuilder):
     M = parse_multiplier(need_in(cfg))
-    idx = cfg.extra["point"]
+    idx = cfg.point
     if not 0 <= idx < M.sample.n:
         raise CliError(2, f"--point must lie in [0, {M.sample.n})")
     out = framekit.multiplier.apply(M, idx)
@@ -982,9 +962,9 @@ def cmd_multiplier_apply(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("multiplier", "lip")
-def cmd_multiplier_lip(cfg: RunConfig, R: ReportBuilder):
+def cmd_multiplier_lip(cfg: argparse.Namespace, R: ReportBuilder):
     M = parse_multiplier(need_in(cfg))
-    tol = cfg.tolerance(1e-9)
+    tol = tolerance(cfg, 1e-9)
     rep = framekit.multiplier.lip_bound_check(M)
     R.result.update({"measured": rep.measured, "certified": rep.certified,
                      "b": rep.b, "b_source": rep.b_source,
@@ -994,11 +974,11 @@ def cmd_multiplier_lip(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("multiplier", "tail", _opt("--cut", type=int, required=True))
-def cmd_multiplier_tail(cfg: RunConfig, R: ReportBuilder):
+def cmd_multiplier_tail(cfg: argparse.Namespace, R: ReportBuilder):
     M = parse_multiplier(need_in(cfg))
-    tol = cfg.tolerance(1e-9)
-    measured, bound = framekit.multiplier.tail_decay(M, cfg.extra["cut"])
-    R.result.update({"cut": cfg.extra["cut"], "measured": measured,
+    tol = tolerance(cfg, 1e-9)
+    measured, bound = framekit.multiplier.tail_decay(M, cfg.cut)
+    R.result.update({"cut": cfg.cut, "measured": measured,
                      "bound": bound})
     R.check("tail Lipschitz number under the cut bound", "theorem",
             max(measured - bound, 0.0), tol)
@@ -1007,11 +987,11 @@ def cmd_multiplier_tail(cfg: RunConfig, R: ReportBuilder):
 @command("multiplier", "continuity",
          _opt("--symbol", default=None, help="replacement symbol, csv"),
          _opt("--vectors", default=None, metavar="FILE"))
-def cmd_multiplier_continuity(cfg: RunConfig, R: ReportBuilder):
+def cmd_multiplier_continuity(cfg: argparse.Namespace, R: ReportBuilder):
     M = parse_multiplier(need_in(cfg))
-    tol = cfg.tolerance(1e-9)
-    symbol = cfg.extra.get("symbol")
-    vectors = cfg.extra.get("vectors")
+    tol = tolerance(cfg, 1e-9)
+    symbol = cfg.symbol
+    vectors = cfg.vectors
     if (symbol is None) == (vectors is None):
         raise CliError(2, "pass exactly one of --symbol, --vectors")
     if symbol is not None:
@@ -1031,7 +1011,7 @@ def cmd_multiplier_continuity(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("ovf", "check")
-def cmd_ovf_check(cfg: RunConfig, R: ReportBuilder):
+def cmd_ovf_check(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_ovf(need_in(cfg))
     rep = framekit.ovf.check(P)
     R.result.update({"d": P.d, "r": P.r, "m": P.m, "is_ovf": rep.is_ovf,
@@ -1042,9 +1022,9 @@ def cmd_ovf_check(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("ovf", "dual")
-def cmd_ovf_dual(cfg: RunConfig, R: ReportBuilder):
+def cmd_ovf_dual(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_ovf(need_in(cfg))
-    tol = cfg.tolerance(1e-10)
+    tol = tolerance(cfg, 1e-10)
     Q = framekit.ovf.canonical_dual(P)
     back = framekit.ovf.canonical_dual(Q)
     R.result["dual"] = dump_ovf(Q)
@@ -1055,10 +1035,10 @@ def cmd_ovf_dual(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("ovf", "similar", _file("--other"))
-def cmd_ovf_similar(cfg: RunConfig, R: ReportBuilder):
+def cmd_ovf_similar(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_ovf(need_in(cfg))
-    Q = parse_ovf(load_json(cfg.extra["other"]))
-    tol = cfg.tolerance(framekit.ovf.SIMILAR_TOL)
+    Q = parse_ovf(load_json(cfg.other))
+    tol = tolerance(cfg, framekit.ovf.SIMILAR_TOL)
     got = framekit.ovf.similarity(P, Q, tol)
     if got is None:
         R.result["similar"] = False
@@ -1074,7 +1054,7 @@ def cmd_ovf_similar(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("ovf", "classify")
-def cmd_ovf_classify(cfg: RunConfig, R: ReportBuilder):
+def cmd_ovf_classify(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_ovf(need_in(cfg))
     got = framekit.ovf.classify(P)
     R.result.update({"riesz": got.riesz, "orthonormal": got.orthonormal})
@@ -1082,9 +1062,9 @@ def cmd_ovf_classify(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("ovf", "dilate")
-def cmd_ovf_dilate(cfg: RunConfig, R: ReportBuilder):
+def cmd_ovf_dilate(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_ovf(need_in(cfg))
-    tol = cfg.tolerance(1e-8)
+    tol = tolerance(cfg, 1e-8)
     dil = framekit.ovf.dilate(P)
     big = dil.pair
     R.result.update({"dim": big.d, "added": big.d - P.d})
@@ -1099,11 +1079,11 @@ def cmd_ovf_dilate(cfg: RunConfig, R: ReportBuilder):
               help="'c4' or a JSON file with labels and matrices"),
          _file("--a"), _file("--psi"),
          needs_in=False)
-def cmd_ovf_group(cfg: RunConfig, R: ReportBuilder):
-    rep = parse_group_rep(cfg.extra["rep"])
-    A = parse_matrix(load_json(cfg.extra["a"]), "A")
-    Psi = parse_matrix(load_json(cfg.extra["psi"]), "Psi")
-    tol = cfg.tolerance(1e-10)
+def cmd_ovf_group(cfg: argparse.Namespace, R: ReportBuilder):
+    rep = parse_group_rep(cfg.rep)
+    A = parse_matrix(load_json(cfg.a), "A")
+    Psi = parse_matrix(load_json(cfg.psi), "Psi")
+    tol = tolerance(cfg, 1e-10)
     got = framekit.ovf.group_generated(rep, A, Psi)
     R.result.update({"labels": [str(x) for x in got.labels],
                      "m": got.pair.m,
@@ -1119,14 +1099,14 @@ def cmd_ovf_group(cfg: RunConfig, R: ReportBuilder):
          _file("--b", "replacement block stack"),
          _opt("--mode", choices=("quadratic", "triple"), default="quadratic"),
          *_PERTURB)
-def cmd_ovf_perturb(cfg: RunConfig, R: ReportBuilder):
+def cmd_ovf_perturb(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_ovf(need_in(cfg))
-    B = parse_ovf_stack(load_json(cfg.extra["b"]), P.A.shape, "B")
-    tol = cfg.tolerance(1e-9)
-    mode = cfg.extra["mode"]
+    B = parse_ovf_stack(load_json(cfg.b), P.A.shape, "B")
+    tol = tolerance(cfg, 1e-9)
+    mode = cfg.mode
     rep = framekit.ovf.perturb_certificate(
-        P, B, mode, alpha=cfg.extra["alpha"], beta=cfg.extra["beta"],
-        gamma=cfg.extra["gamma"], samples=cfg.extra["samples"],
+        P, B, mode, alpha=cfg.alpha, beta=cfg.beta,
+        gamma=cfg.gamma, samples=cfg.samples,
         seed=cfg.seed)
     kind = "theorem" if mode == "quadratic" else "sampled"
     lo, hi = rep.predicted
@@ -1141,21 +1121,21 @@ def cmd_ovf_perturb(cfg: RunConfig, R: ReportBuilder):
 # ------------------------------------------------------------ vsdilate
 
 
-def _exact_tol(cfg: RunConfig, T: np.ndarray) -> float:
+def _exact_tol(cfg: argparse.Namespace, T: np.ndarray) -> float:
     if T.dtype == object:
         return 0.0
-    return cfg.tolerance(framekit.vsdilate.FLOAT_TOL)
+    return tolerance(cfg, framekit.vsdilate.FLOAT_TOL)
 
 
-def _exact_in(cfg: RunConfig, key: str = None) -> np.ndarray:
-    obj = need_in(cfg) if key is None else load_json(cfg.extra[key])
+def _exact_in(cfg: argparse.Namespace, key: str = None) -> np.ndarray:
+    obj = need_in(cfg) if key is None else load_json(getattr(cfg, key))
     name = "matrix" if key is None else key
     data = parse_matrix(obj, name, exact=True)
-    return framekit.vsdilate.as_exact(data, cfg.extra["rational"])
+    return framekit.vsdilate.as_exact(data, cfg.rational)
 
 
 @command("vsdilate", "halmos", _RATIONAL)
-def cmd_vsdilate_halmos(cfg: RunConfig, R: ReportBuilder):
+def cmd_vsdilate_halmos(cfg: argparse.Namespace, R: ReportBuilder):
     T = _exact_in(cfg)
     tol = _exact_tol(cfg, T)
     quad = framekit.vsdilate.halmos(T)
@@ -1167,10 +1147,10 @@ def cmd_vsdilate_halmos(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("vsdilate", "ndilate", _RATIONAL, _N)
-def cmd_vsdilate_ndilate(cfg: RunConfig, R: ReportBuilder):
+def cmd_vsdilate_ndilate(cfg: argparse.Namespace, R: ReportBuilder):
     T = _exact_in(cfg)
     tol = _exact_tol(cfg, T)
-    N = cfg.extra["n"]
+    N = cfg.n
     nd = framekit.vsdilate.n_dilation(T, N)
     *inside, (_, beyond) = nd.table
     R.result.update({"horizon": nd.horizon, "table": [
@@ -1183,10 +1163,10 @@ def cmd_vsdilate_ndilate(cfg: RunConfig, R: ReportBuilder):
 
 @command("vsdilate", "sznagy", _RATIONAL,
          _opt("--window", type=int, required=True))
-def cmd_vsdilate_sznagy(cfg: RunConfig, R: ReportBuilder):
+def cmd_vsdilate_sznagy(cfg: argparse.Namespace, R: ReportBuilder):
     T = _exact_in(cfg)
     tol = _exact_tol(cfg, T)
-    w = cfg.extra["window"]
+    w = cfg.window
     bw = framekit.vsdilate.banded_sznagy(T, w)
     R.result.update({"window": w, "valid_horizon": bw.valid_horizon})
     R.check(f"windowed powers compress exactly for n <= {bw.valid_horizon}",
@@ -1196,10 +1176,10 @@ def cmd_vsdilate_sznagy(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("vsdilate", "standard", _RATIONAL, _HORIZON)
-def cmd_vsdilate_standard(cfg: RunConfig, R: ReportBuilder):
+def cmd_vsdilate_standard(cfg: argparse.Namespace, R: ReportBuilder):
     T = _exact_in(cfg)
     tol = _exact_tol(cfg, T)
-    K = cfg.extra["horizon"]
+    K = cfg.horizon
     sd = framekit.vsdilate.standard_dilation(T, K)
     R.result["horizon"] = K
     R.check(f"I T^n = P U^n I for n <= {K}", "theorem",
@@ -1211,11 +1191,11 @@ def cmd_vsdilate_standard(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("vsdilate", "ando", _RATIONAL, _file("--other"), _HORIZON)
-def cmd_vsdilate_ando(cfg: RunConfig, R: ReportBuilder):
+def cmd_vsdilate_ando(cfg: argparse.Namespace, R: ReportBuilder):
     T = _exact_in(cfg)
     S = _exact_in(cfg, "other")
     tol = _exact_tol(cfg, T)
-    K = cfg.extra["horizon"]
+    K = cfg.horizon
     gap = framekit.vsdilate.intertwining_gap(T, S, T)
     if not R.check("inputs commute: T S = S T", "theorem", gap, tol):
         return
@@ -1229,7 +1209,7 @@ def cmd_vsdilate_ando(cfg: RunConfig, R: ReportBuilder):
 
 @command("vsdilate", "intertwine", _RATIONAL, _file("--other"),
          _file("--s", "intertwining matrix"), _HORIZON)
-def cmd_vsdilate_intertwine(cfg: RunConfig, R: ReportBuilder):
+def cmd_vsdilate_intertwine(cfg: argparse.Namespace, R: ReportBuilder):
     T1 = _exact_in(cfg)
     T2 = _exact_in(cfg, "other")
     S = _exact_in(cfg, "s")
@@ -1237,7 +1217,7 @@ def cmd_vsdilate_intertwine(cfg: RunConfig, R: ReportBuilder):
     gap = framekit.vsdilate.intertwining_gap(T1, S, T2)
     if not R.check("inputs intertwine: T1 S = S T2", "theorem", gap, tol):
         return
-    lift = framekit.vsdilate.intertwine_lift(T1, T2, S, cfg.extra["horizon"])
+    lift = framekit.vsdilate.intertwine_lift(T1, T2, S, cfg.horizon)
     R.check("lifted shift identity U1 R = R U2", "theorem",
             lift.shift_defect, tol)
     R.check("lifted projection identity R P2 = P1 R", "theorem",
@@ -1247,7 +1227,7 @@ def cmd_vsdilate_intertwine(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("vsdilate", "witness", _RATIONAL)
-def cmd_vsdilate_witness(cfg: RunConfig, R: ReportBuilder):
+def cmd_vsdilate_witness(cfg: argparse.Namespace, R: ReportBuilder):
     T = _exact_in(cfg)
     wit = framekit.vsdilate.non_similarity_witness(T)
     R.result.update({"trace_asymmetric": _plain(wit.trace_asymmetric),
@@ -1265,11 +1245,11 @@ def cmd_vsdilate_witness(cfg: RunConfig, R: ReportBuilder):
 @command("cuntz", "solve", _N,
          _opt("--max-iters", type=_count, default=200),
          needs_in=False)
-def cmd_cuntz_solve(cfg: RunConfig, R: ReportBuilder):
-    n = cfg.extra["n"]
-    iter_tol = cfg.tolerance(1e-10)
-    cert_tol = cfg.tolerance(1e-8)
-    sol = framekit.cuntz.solve_b(n, max_iters=cfg.extra["max_iters"],
+def cmd_cuntz_solve(cfg: argparse.Namespace, R: ReportBuilder):
+    n = cfg.n
+    iter_tol = tolerance(cfg, 1e-10)
+    cert_tol = tolerance(cfg, 1e-8)
+    sol = framekit.cuntz.solve_b(n, max_iters=cfg.max_iters,
                                  tol=iter_tol)
     R.result.update({"n": n, "delta": sol.delta,
                      "iterations": sol.iterations,
@@ -1290,11 +1270,11 @@ def cmd_cuntz_solve(cfg: RunConfig, R: ReportBuilder):
 
 
 @command("cuntz", "build", _N, _MU, needs_in=False)
-def cmd_cuntz_build(cfg: RunConfig, R: ReportBuilder):
-    n, mu = cfg.extra["n"], cfg.extra["mu"]
+def cmd_cuntz_build(cfg: argparse.Namespace, R: ReportBuilder):
+    n, mu = cfg.n, cfg.mu
     if mu <= 0:
         raise CliError(2, "--mu must be positive")
-    built = framekit.cuntz.build_DX(n, mu, tol=cfg.tolerance(1e-10))
+    built = framekit.cuntz.build_DX(n, mu, tol=tolerance(cfg, 1e-10))
     D, X = framekit.cuntz.dx_matrices(built.solution, mu)
     R.result.update({"n": n, "mu": mu, "delta": built.delta,
                      "D_norm": interval(built.D_interval),
@@ -1317,10 +1297,10 @@ def cmd_cuntz_build(cfg: RunConfig, R: ReportBuilder):
               help="start:stop:step, stop included"),
          _MU,
          needs_in=False)
-def cmd_cuntz_verify(cfg: RunConfig, R: ReportBuilder):
-    ns = _parse_range(cfg.extra["n_range"])
-    mu = cfg.extra["mu"]
-    reports = [framekit.cuntz.build_DX(n, mu, tol=cfg.tolerance(1e-10))
+def cmd_cuntz_verify(cfg: argparse.Namespace, R: ReportBuilder):
+    ns = _parse_range(cfg.n_range)
+    mu = cfg.mu
+    reports = [framekit.cuntz.build_DX(n, mu, tol=tolerance(cfg, 1e-10))
                for n in ns]
     # ||D|| grows like n^5; this ratio stays bounded
     scales = [rep.D_interval.hi / rep.n**5 for rep in reports]
@@ -1352,9 +1332,9 @@ def cmd_cuntz_verify(cfg: RunConfig, R: ReportBuilder):
          _opt("--dim", type=_count, default=5),
          _opt("--trials", type=_count, default=1000),
          needs_in=False)
-def cmd_cuntz_obstruction(cfg: RunConfig, R: ReportBuilder):
-    dim, trials = cfg.extra["dim"], cfg.extra["trials"]
-    tol = cfg.tolerance(1e-9)
+def cmd_cuntz_obstruction(cfg: argparse.Namespace, R: ReportBuilder):
+    dim, trials = cfg.dim, cfg.trials
+    tol = tolerance(cfg, 1e-9)
     rng = np.random.default_rng(cfg.seed)
     worst = float("inf")
     for _ in range(trials):
@@ -1434,23 +1414,27 @@ def _parser() -> argparse.ArgumentParser:
 _SHARED_KEYS = ("group", "verb", "in_path", "out", "tol", "seed", "json")
 
 
-def config_from(args: argparse.Namespace) -> RunConfig:
-    extra = {k: v for k, v in vars(args).items() if k not in _SHARED_KEYS}
-    return RunConfig(command=(args.group, args.verb),
-                     in_path=getattr(args, "in_path", None),
-                     out_path=args.out, tol=args.tol, seed=args.seed,
-                     fmt="json" if args.json else "text", extra=extra)
+def config_from(args: argparse.Namespace) -> dict:
+    """The report's record of one parsed invocation: the shared options,
+    then every option of the verb under its argparse name."""
+    cfg = {"command": f"{args.group} {args.verb}",
+           "format": "json" if args.json else "text",
+           "in": getattr(args, "in_path", None), "out": args.out,
+           "seed": args.seed, "tol": args.tol}
+    cfg.update({k: _plain(v) for k, v in vars(args).items()
+                if k not in _SHARED_KEYS})
+    return cfg
 
 
-def run(cfg: RunConfig) -> tuple:
+def run(args: argparse.Namespace) -> tuple:
     """Execute one command; returns (exit_code, report)."""
-    handler = _HANDLERS[cfg.command]
+    handler = _HANDLERS[(args.group, args.verb)]
     R = ReportBuilder()
     error = None
     try:
         # canonical() refuses a non-finite result; no numpy warning first
         with np.errstate(all="ignore"):
-            handler(cfg, R)
+            handler(args, R)
     except CliError:
         raise
     except CertifiedFailure as exc:
@@ -1461,7 +1445,8 @@ def run(cfg: RunConfig) -> tuple:
         raise CliError(2, "out of floating-point range: "
                           f"{type(exc).__name__}: {exc}") from exc
     status = "pass" if error is None and R.passed else "fail"
-    report = {"command": " ".join(cfg.command), "config": cfg.recorded(),
+    config = config_from(args)
+    report = {"command": config["command"], "config": config,
               "display": R.display, "result": _plain(R.result),
               "checks": R.checks, "status": status}
     if error is not None:
@@ -1474,11 +1459,10 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = config_from(args)
     try:
-        code, report = run(cfg)
+        code, report = run(args)
         payload = canonical(report)
-        text = payload if cfg.fmt == "json" else render_text(report)
+        text = payload if args.json else render_text(report)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -1498,12 +1482,12 @@ def main(argv=None) -> int:
             os.close(null)
         print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return 2
-    if cfg.out_path is not None:
+    if args.out is not None:
         try:
-            with open(cfg.out_path, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")
         except OSError as exc:
-            print(f"error: cannot write {cfg.out_path}: {exc}",
+            print(f"error: cannot write {args.out}: {exc}",
                   file=sys.stderr)
             return 2
     return code

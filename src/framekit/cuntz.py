@@ -134,10 +134,6 @@ def unit() -> CuntzElement:
     return word()
 
 
-def zero() -> CuntzElement:
-    return CuntzElement()
-
-
 U = word("u")
 V = word("v")
 
@@ -349,8 +345,8 @@ def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:
 # so it is decided coefficient-exactly (float coefficients would prune the
 # delta^2 cross terms).  D and X are object matrices of such polynomials,
 # multiplied by linops._matmul, the same exact product as everywhere else.
-# Empty cells are never multiplied: _matmul and the mu scaling skip them, and
-# +, - and * return at once on an empty operand (a _Poly is never changed).
+# Empty cells are never multiplied: _matmul skips them, and +, - and *
+# return at once on an empty operand (a _Poly is never changed).
 
 
 class _Poly(dict):
@@ -383,26 +379,33 @@ class _Poly(dict):
                 out[k] = out[k] + ca * cb if k in out else ca * cb
         return _Poly(out)
 
+    def __rmul__(self, c) -> "_Poly":
+        # a scalar on the left
+        return _Poly({k: c * v for k, v in self.items()})
+
 
 def _const(c) -> _Poly:
     return _Poly({(): Fraction(c)})
 
 
-def _lemma_matrices(n: int):
-    delta = Fraction(1, 2000 * n**5)
-    inv = 1 / delta
-    D = np.full((n, n), _Poly(), dtype=object)
-    X = np.full((n, n), _Poly(), dtype=object)
+def _pair(n: int, mu, delta, b, u, v, one):
+    """The triangular pair D_mu, X_mu as object matrices over the ring of
+    u, v, one and b = (b_1, ..., b_n): the mu = 1 pair conjugated by
+    diag(mu^{n-1}, ..., mu, 1), times 1/mu on D and mu on X. The scalars
+    mu and delta are floats for dx_matrices and Fractions for the exact
+    lemma; an empty cell is the ring's empty element."""
+    D = np.full((n, n), type(one)(), dtype=object)
+    X = np.full((n, n), type(one)(), dtype=object)
     for r in range(n):
-        D[r, r] = _Poly({("v",): inv})
-        if r + 1 < n:
-            X[r + 1, r] = _const(1)
-            D[r + 1, r] = _Poly({("u",): inv})
-            D[r, r + 1] = _const(r + 1)
         i = r + 1
-        D[r, n - 1] = D[r, n - 1] + _Poly({(f"b{i}", "u"): Fraction(1)})
-        X[r, n - 1] = X[r, n - 1] + _Poly({(f"b{i}",): delta})
-    return D, X, delta
+        D[r, r] = (1 / (mu * delta)) * v
+        if r + 1 < n:
+            X[r + 1, r] = one
+            D[r + 1, r] = (1 / (mu * mu * delta)) * u
+            D[r, r + 1] = i * one
+        D[r, n - 1] = D[r, n - 1] + mu ** (n - i - 1) * (b[r] * u)
+        X[r, n - 1] = X[r, n - 1] + (mu ** (n - i + 1) * delta) * b[r]
+    return D, X
 
 
 @dataclass(frozen=True)
@@ -420,29 +423,21 @@ class LemmaReport:
 def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
     """Verify coefficient-exactly that the commutator of the triangular
     pair differs from the identity in the last column only, with the
-    expected entries; mu rescales the pair by the diagonal similarity
-    (the defect entry in row i scales by mu^{n-i})."""
+    expected entries, on the pair D_mu, X_mu that dx_matrices writes out
+    (mu = None is mu = 1; the defect entry in row i scales by mu^{n-i})."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if mu is not None and not Fraction(mu) > 0:
+    mu = Fraction(1 if mu is None else mu)
+    if not mu > 0:
         raise ValueError("mu must be positive")
-    D, X, delta = _lemma_matrices(n)
-    scale = [Fraction(1)] * (n + 1)
-    if mu is not None:
-        # conjugation by diag(mu^{n-1}, ..., mu, 1), times 1/mu on D, mu on X
-        mu = Fraction(mu)
-        power = lru_cache(None)(lambda k: _const(mu ** k))
-        for M, shift in ((D, -1), (X, 1)):
-            for (i, j), cell in np.ndenumerate(M):
-                if cell:
-                    M[i, j] = cell * power(j - i + shift)
-        scale = [mu ** (n - i) for i in range(n + 1)]
-    C = _matmul(D, X) - _matmul(X, D)
-    off = all(C[i, j] == (_const(1) if i == j else {})
-              for i in range(n) for j in range(n - 1))
+    delta = Fraction(1, 2000 * n**5)
     sym = lambda name: _Poly({(name,): Fraction(1)})
     vv, uu = sym("v"), sym("u")
     bb = [None] + [sym(f"b{i}") for i in range(1, n + 1)]
+    D, X = _pair(n, mu, delta, bb[1:], uu, vv, _const(1))
+    C = _matmul(D, X) - _matmul(X, D)
+    off = all(C[i, j] == (_const(1) if i == j else {})
+              for i in range(n) for j in range(n - 1))
     expected = []
     for i in range(1, n + 1):
         e = commutator(vv, bb[i])
@@ -454,7 +449,7 @@ def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
         if i == n:
             # the (n, n) cell is diagonal, so the identity contributes there
             e = e + _const(1 - n)
-        expected.append(e * _const(scale[i]))
+        expected.append(mu ** (n - i) * e)
     last = all(C[i, n - 1] == expected[i] for i in range(n))
     return LemmaReport(off_column_zero=off, last_column_matches=last)
 
@@ -519,20 +514,9 @@ def dx_matrices(sol: SolveResult, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """The pair D_mu, X_mu as object matrices of CuntzElement, for the
     corrector solved in sol. Entries that involve b_i appear as opaque
     atoms "b{i}" (for n = 2 the exact word tables are substituted)."""
-    n, delta = len(sol.bounds), sol.delta
+    n = len(sol.bounds)
     b = sol.b_exact or [word((f"b{i}",)) for i in range(1, n + 1)]
-    D = np.full((n, n), zero(), dtype=object)
-    X = np.full((n, n), zero(), dtype=object)
-    for r in range(n):
-        i = r + 1
-        D[r, r] = D[r, r] + (1.0 / (mu * delta)) * V
-        if r + 1 < n:
-            X[r + 1, r] = unit()
-            D[r + 1, r] = (1.0 / (mu * mu * delta)) * U
-            D[r, r + 1] = D[r, r + 1] + float(i) * unit()
-        D[r, n - 1] = D[r, n - 1] + mu ** (n - i - 1) * (b[r] * U)
-        X[r, n - 1] = X[r, n - 1] + (mu ** (n - i + 1) * delta) * b[r]
-    return D, X
+    return _pair(n, mu, sol.delta, b, U, V, unit())
 
 
 def decay_reference(n1: int, n2: int) -> float:

@@ -11,6 +11,7 @@ from framekit.cuntz import (
     U,
     V,
     ConvergenceError,
+    CuntzElement,
     build_DX,
     commutator,
     concrete_apply,
@@ -24,7 +25,6 @@ from framekit.cuntz import (
     solve_b,
     unit,
     word,
-    zero,
 )
 from framekit.linops import _matmul
 
@@ -45,7 +45,7 @@ def small_elements():
     )
     return st.lists(st.tuples(words, coeffs), min_size=1, max_size=4).map(
         lambda items: sum(
-            (word(w, s, c) for (w, s), c in items), start=zero()
+            (word(w, s, c) for (w, s), c in items), start=CuntzElement()
         )
     )
 
@@ -56,8 +56,8 @@ def small_elements():
 def test_generator_relations():
     assert U_STAR * U == unit()
     assert V_STAR * V == unit()
-    assert (U_STAR * V) == zero()
-    assert (V_STAR * U) == zero()
+    assert (U_STAR * V) == CuntzElement()
+    assert (V_STAR * U) == CuntzElement()
 
 
 def test_range_projections_do_not_reduce():
@@ -81,7 +81,7 @@ def test_opaque_symbol_collision_raises():
 def test_scalar_and_linear_ops():
     x = 2 * U - U
     assert x == U
-    assert (x - x) == zero()
+    assert (x - x) == CuntzElement()
     assert (3 * unit() * 2).coeff("") == 6
 
 
@@ -210,13 +210,14 @@ def test_matmul_adds_inexact_word_products_in_k_order():
                 M[i, j] = cuntz.CuntzElement({
                     (words[rng.integers(3)], words[rng.integers(3)]):
                         coeffs[rng.integers(5)] for _ in range(3)})
-        M[rng.integers(rows), :] = [zero()] * cols
-        M[:, rng.integers(cols)] = [zero()] * rows
+        M[rng.integers(rows), :] = [CuntzElement()] * cols
+        M[:, rng.integers(cols)] = [CuntzElement()] * rows
         return M
 
     for _ in range(10):
         A, B = matrix(3, 5), matrix(5, 3)
-        assert np.array_equal(_matmul(A, B), dense_product(A, B, zero()))
+        assert np.array_equal(_matmul(A, B),
+                              dense_product(A, B, CuntzElement()))
 
 
 def test_matmul_keeps_the_factor_order():
@@ -332,7 +333,7 @@ def test_solve_n2_closed_form_and_zero_residual():
     assert b2 == word(right="v", coeff=-2.0)
     # the quadratic term dies at word level, the rest dies concretely
     quad = b2 * commutator(U, b2)
-    assert quad == zero()
+    assert quad == CuntzElement()
     delta = sol.delta
     residual = (
         commutator(V, b2) + commutator(U, b1) - 2 * unit() + delta * quad
@@ -342,7 +343,7 @@ def test_solve_n2_closed_form_and_zero_residual():
         (("u",), ("u",)),
         (("v",), ("v",)),
     }
-    assert concrete_equal(residual, zero(), count=64)
+    assert concrete_equal(residual, CuntzElement(), count=64)
     assert sol.residual < 1e-10
     assert max(sol.bounds) <= sol.bound_limit
 
@@ -406,10 +407,26 @@ def test_lemma_structure_rejects_nonpositive_mu():
             lemma_structure(3, mu)
 
 
-def test_delta_scaled_column_breaks_structure():
+def lemma_layout(n, mu, monkeypatch):
+    """The exact D and X that lemma_structure(n, mu) lays out with _pair."""
+    real, built = cuntz._pair, []
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cuntz, "_pair", spy)
+    lemma_structure(n, mu)
+    monkeypatch.setattr(cuntz, "_pair", real)
+    (D, X), = built
+    return D, X
+
+
+def test_delta_scaled_column_breaks_structure(monkeypatch):
     # adding the small factor to D's last column leaves defects outside it
     n = 4
-    D, X, delta = cuntz._lemma_matrices(n)
+    D, X = lemma_layout(n, None, monkeypatch)
+    delta = Fraction(1, 2000 * n**5)
     for r in range(n):
         bad = {}
         for k, c in D[r, n - 1].items():
@@ -422,20 +439,20 @@ def test_delta_scaled_column_breaks_structure():
 @pytest.mark.parametrize("n", [3, 6])
 @pytest.mark.parametrize("mu", [None, Fraction(1, 5)])
 def test_lemma_catches_every_changed_coefficient(n, mu, monkeypatch):
-    real = cuntz._lemma_matrices
-    D, X, _ = real(n)
+    real = cuntz._pair
+    D, X = lemma_layout(n, mu, monkeypatch)
     sites = [(which, i, j, w) for which, M in enumerate((D, X))
              for (i, j), p in np.ndenumerate(M) for w in p]
     assert len(sites) == 6 * n - 3
     for site in sites:
-        def mutated(m, site=site):
+        def mutated(*args, site=site):
             which, i, j, w = site
-            mats = real(m)
+            mats = real(*args)
             p = dict(mats[which][i, j])
             p[w] /= 3
             mats[which][i, j] = cuntz._Poly(p)
             return mats
-        monkeypatch.setattr(cuntz, "_lemma_matrices", mutated)
+        monkeypatch.setattr(cuntz, "_pair", mutated)
         assert not lemma_structure(n, mu).ok, site
 
 
@@ -443,20 +460,20 @@ def test_lemma_catches_every_changed_coefficient(n, mu, monkeypatch):
 @pytest.mark.parametrize("mu", [None, Fraction(1, 5)])
 @pytest.mark.parametrize("term", [{("v",): Fraction(1)}, {(): Fraction(3, 7)}])
 def test_lemma_catches_a_term_in_every_zero_cell(n, mu, term, monkeypatch):
-    # the zero-skipping product and scaling must still see a cell that
-    # should be empty and is not
-    real = cuntz._lemma_matrices
-    D, X, _ = real(n)
+    # the zero-skipping product must still see a cell that should be empty
+    # and is not
+    real = cuntz._pair
+    D, X = lemma_layout(n, mu, monkeypatch)
     sites = [(which, i, j) for which, M in enumerate((D, X))
              for (i, j), p in np.ndenumerate(M) if not p]
     assert len(sites) == 2 * n * n - (4 * n - 4) - (2 * n - 1)
     for site in sites:
-        def mutated(m, site=site):
+        def mutated(*args, site=site):
             which, i, j = site
-            mats = real(m)
+            mats = real(*args)
             mats[which][i, j] = cuntz._Poly(term)
             return mats
-        monkeypatch.setattr(cuntz, "_lemma_matrices", mutated)
+        monkeypatch.setattr(cuntz, "_pair", mutated)
         assert not lemma_structure(n, mu).ok, site
 
 
@@ -499,11 +516,11 @@ def test_poly_shortcuts_equal_the_plain_dict_loop(a, b):
 def test_build_n2_exact_commutator_within_bound():
     built = build_DX(2, mu=0.5)
     D, X = dx_matrices(built.solution, 0.5)
-    I2 = np.array([[unit(), zero()], [zero(), unit()]], dtype=object)
+    I2 = np.array([[unit(), CuntzElement()], [CuntzElement(), unit()]], dtype=object)
     C = _matmul(D, X) - _matmul(X, D) - I2
-    assert C[0, 0] == zero()
-    assert C[1, 0] == zero()
-    assert concrete_equal(C[1, 1], zero(), count=64)
+    assert C[0, 0] == CuntzElement()
+    assert C[1, 0] == CuntzElement()
+    assert concrete_equal(C[1, 1], CuntzElement(), count=64)
     top = C[0, 1]
     b1, b2 = built.solution.b_exact
     delta = built.delta
@@ -546,6 +563,22 @@ def test_build_scaling_is_the_lemma_similarity(n, mu):
             assert set(got.table) == set(want.table), (i, j)
             for k, c in got.table.items():
                 assert abs(c - want.table[k]) <= 1e-13 * abs(c), (i, j, k)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("mu", [0.5, 2.0])
+def test_written_pair_is_the_certified_pair(n, mu, monkeypatch):
+    # dx_matrices and the lemma's exact layout at Fraction(mu) hold the same
+    # words in every cell, with coefficients equal up to float rounding
+    D, X = dx_matrices(solve_b(n), mu)
+    exact = lemma_layout(n, Fraction(mu), monkeypatch)
+    for M, E in zip((D, X), exact):
+        for (i, j), cell in np.ndenumerate(M):
+            assert {(w, s) for w, s in cell.table} == {
+                (w, ()) for w in E[i, j]}, (i, j)
+            for (w, _), c in cell.table.items():
+                want = float(E[i, j][w])
+                assert abs(c - want) <= 1e-14 * abs(want), (i, j, w)
 
 
 def test_build_symbolic_entries_and_intervals():
