@@ -155,8 +155,7 @@ def load_json(path: str):
 
 
 def need_in(cfg: argparse.Namespace):
-    if cfg.in_path is None:
-        raise CliError(2, "this command needs --in FILE")
+    # argparse requires --in of every verb registered with needs_in
     return load_json(cfg.in_path)
 
 
@@ -696,7 +695,7 @@ def cmd_hframe_perturb(cfg: argparse.Namespace, R: ReportBuilder):
         samples=cfg.samples)
     kind = "theorem" if mode == "quadratic" else "sampled"
     R.result.update({"mode": cert.mode, "valid": cert.valid,
-                     "detail": _plain(cert.detail)})
+                     "detail": cert.detail})
     R.check("perturbation hypothesis", kind,
             0.0 if cert.valid else 1.0, 0.0)
     if cert.valid and cert.predicted_bounds is not None:
@@ -774,8 +773,7 @@ def cmd_pasf_dilate(cfg: argparse.Namespace, R: ReportBuilder):
         # the classical two-sided shift table; its honest truncation has a
         # singular frame operator, so the generic path would refuse it
         table = framekit.pasf.shift_dilation_table(P.m)
-        R.result["omega"] = [{"first": _plain(t), "second": _plain(s)}
-                             for t, s in table]
+        R.result["omega"] = [{"first": t, "second": s} for t, s in table]
         for n, (t, s) in enumerate(table, start=1):
             R.display.append(f"omega_{n} = {fmt_basis(t)} (+) {fmt_basis(s)}")
         return
@@ -785,8 +783,8 @@ def cmd_pasf_dilate(cfg: argparse.Namespace, R: ReportBuilder):
     restrict = max(float(np.abs(big.F[:, :P.d] - P.F).max()),
                    float(np.abs(big.T[:P.d, :] - P.T).max()))
     R.result.update({"dim": big.d, "added": big.d - P.d,
-                     "omega": [{"first": _plain(big.T[:P.d, n]),
-                                "second": _plain(big.T[P.d:, n])}
+                     "omega": [{"first": big.T[:P.d, n],
+                                "second": big.T[P.d:, n]}
                                for n in range(big.m)]})
     for n in range(big.m):
         R.display.append(f"omega_{n + 1} = {fmt_basis(big.T[:P.d, n])} (+) "
@@ -828,7 +826,7 @@ def cmd_pasf_perturb(cfg: argparse.Namespace, R: ReportBuilder):
         seed=cfg.seed, samples=cfg.samples)
     kind = "sampled" if mode == "general" else "theorem"
     R.result.update({"mode": rep.mode, "valid": rep.valid,
-                     "detail": _plain(rep.detail)})
+                     "detail": rep.detail})
     if rep.predicted_bounds is not None:
         R.result["predicted"] = list(rep.predicted_bounds)
     R.check("perturbation hypothesis", kind, 0.0 if rep.valid else 1.0, 0.0)
@@ -958,7 +956,7 @@ def cmd_multiplier_apply(cfg: argparse.Namespace, R: ReportBuilder):
     if not 0 <= idx < M.sample.n:
         raise CliError(2, f"--point must lie in [0, {M.sample.n})")
     out = framekit.multiplier.apply(M, idx)
-    R.result.update({"point": idx, "value": _plain(out)})
+    R.result.update({"point": idx, "value": out})
 
 
 @command("multiplier", "lip")
@@ -1230,8 +1228,8 @@ def cmd_vsdilate_intertwine(cfg: argparse.Namespace, R: ReportBuilder):
 def cmd_vsdilate_witness(cfg: argparse.Namespace, R: ReportBuilder):
     T = _exact_in(cfg)
     wit = framekit.vsdilate.non_similarity_witness(T)
-    R.result.update({"trace_asymmetric": _plain(wit.trace_asymmetric),
-                     "trace_halmos": _plain(wit.trace_halmos),
+    R.result.update({"trace_asymmetric": wit.trace_asymmetric,
+                     "trace_halmos": wit.trace_halmos,
                      "distinct": wit.distinct, "conclusive": wit.conclusive})
     if wit.conclusive:
         R.display.append("traces differ: the two dilations are not similar")
@@ -1421,7 +1419,7 @@ def config_from(args: argparse.Namespace) -> dict:
            "format": "json" if args.json else "text",
            "in": getattr(args, "in_path", None), "out": args.out,
            "seed": args.seed, "tol": args.tol}
-    cfg.update({k: _plain(v) for k, v in vars(args).items()
+    cfg.update({k: v for k, v in vars(args).items()
                 if k not in _SHARED_KEYS})
     return cfg
 
