@@ -203,11 +203,22 @@ def _refused(where: str):
         raise CliError(2, f"{where}: {exc}") from None
 
 
-def _grid(obj: dict, key: str, rows: int, cols: int, where: str) -> np.ndarray:
+def _floats(x, message: str) -> np.ndarray:
+    """x as a float array; refused with exit 2 and message when numpy cannot
+    read it, or when a list or grid entry is a string or a bool, which
+    np.asarray would read as a number ("1e0", true)."""
     try:
-        a = np.asarray(obj[key], dtype=float)
+        a = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
-        raise CliError(2, f"{where}: '{key}' must be a numeric grid") from None
+        raise CliError(2, message) from None
+    rows = x if a.ndim == 2 else [x] if a.ndim == 1 else []
+    if not {str, bool}.isdisjoint(set().union(*(map(type, r) for r in rows))):
+        raise CliError(2, message)
+    return a
+
+
+def _grid(obj: dict, key: str, rows: int, cols: int, where: str) -> np.ndarray:
+    a = _floats(obj[key], f"{where}: '{key}' must be a numeric grid")
     if a.shape != (rows, cols):
         raise CliError(2, f"{where}: '{key}' must be {rows} x {cols}")
     return a
@@ -242,6 +253,8 @@ def parse_matrix(obj, where: str = "matrix", exact: bool = False):
         new = []
         for c, v in enumerate(row):
             try:
+                if isinstance(v, bool):  # Fraction(True) would be 1
+                    raise TypeError
                 new.append(Fraction(v))
             except (TypeError, ValueError, ArithmeticError):
                 raise CliError(2, f"{where}: entry ({r}, {c}) is not a "
@@ -283,10 +296,7 @@ def parse_vector_field(obj, where: str) -> np.ndarray:
         return M.reshape(-1)
     if not isinstance(obj, list):
         raise CliError(2, f"{where}: expected a list or Matrix object")
-    try:
-        v = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise CliError(2, f"{where}: expected a list of numbers") from None
+    v = _floats(obj, f"{where}: expected a list of numbers")
     if v.ndim != 1:
         raise CliError(2, f"{where}: expected a flat list")
     return v
@@ -358,6 +368,8 @@ def parse_sip_pair(obj, p_flag: Optional[float]) -> framekit.sip.SipPair:
 
 def parse_sample(obj) -> framekit.metricframe.MetricSample:
     obj = _fields(obj, "sample file", "points", "dist")
+    if not isinstance(obj["points"], list):
+        raise CliError(2, "sample file: 'points' must be a list")
     with _refused("sample file"):
         return framekit.metricframe.MetricSample(obj["points"], obj["dist"],
                                                  obj.get("base"))
@@ -366,9 +378,10 @@ def parse_sample(obj) -> framekit.metricframe.MetricSample:
 def parse_family(obj) -> framekit.metricframe.LipschitzFamily:
     obj = _fields(obj, "family file", "values")
     remainder = _real(obj, "remainder", "family file", 0.0)
+    values = _floats(obj["values"],
+                     "family file: 'values' must be a numeric grid")
     with _refused("family file"):
-        return framekit.metricframe.LipschitzFamily(
-            np.asarray(obj["values"], dtype=float), remainder)
+        return framekit.metricframe.LipschitzFamily(values, remainder)
 
 
 def family_arg(source: str, S: framekit.metricframe.MetricSample,
@@ -438,7 +451,12 @@ def parse_group_rep(source: str) -> dict:
     if not isinstance(labels, list) or len(labels) != len(matrices):
         raise CliError(2, "rep file: needs equal-length 'labels' and "
                           "'matrices'")
-    return {str(lbl): M for lbl, M in zip(labels, matrices)}
+    rep = {}
+    for lbl, M in zip(labels, matrices):
+        if str(lbl) in rep:
+            raise CliError(2, f"rep file: label {str(lbl)!r} is repeated")
+        rep[str(lbl)] = M
+    return rep
 
 
 def csv_floats(text: str, what: str) -> np.ndarray:

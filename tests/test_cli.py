@@ -780,6 +780,13 @@ POSITIVE = "matrix: 'rows' and 'cols' must be positive"
 def test_file_fields_refuse_what_is_not_a_number_of_their_kind(
         capsys, tmp_path, field, value, message):
     argv, name, keys, _ = SCALAR_FIELDS[field]
+    assert run_changed(capsys, tmp_path, argv, name, keys, value) == (
+        2, "", f"error: {message}\n")
+
+
+def run_changed(capsys, tmp_path, argv, name, keys, value):
+    """Runs argv on the golden input name with the field at keys set to
+    value."""
     with open(golden_input(name), encoding="utf-8") as fh:
         whole = json.load(fh)
     *outer, key = keys
@@ -787,9 +794,54 @@ def test_file_fields_refuse_what_is_not_a_number_of_their_kind(
     for k in outer:
         parent = parent[k]
     parent[key] = value
-    rc, out, err = run(capsys, argv + ["--in", write(tmp_path, "in.json",
-                                                     whole)])
-    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    return run(capsys, argv + ["--in", write(tmp_path, "in.json", whole)])
+
+
+GRID = "must be a numeric grid"
+# entry: (argv without --in, golden input, keys down to the entry, message)
+GRID_ENTRIES = {
+    "matrix re": (["pasf", "check"], "pasf", ("F", "re", 1, 0),
+                  f"F: 're' {GRID}"),
+    "matrix im": (["ovf", "check"], "ovf", ("A", 0, "im", 0, 1),
+                  f"A[0]: 'im' {GRID}"),
+    "vector list": (["multiplier", "lip"], "multiplier", ("lam", 3),
+                    "lam: expected a list of numbers"),
+    "family values": (["multiplier", "lip"], "multiplier",
+                      ("family", "values", 0, 2),
+                      f"family file: 'values' {GRID}"),
+}
+EXACT_ENTRY = "matrix: entry (1, 0) is not a number or 'p/q' string"
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    *[pytest.param(entry, value, GRID_ENTRIES[entry][3], id=f"{entry}-{value}")
+      for entry in GRID_ENTRIES for value in ("1e0", "0", True, False)],
+    *[pytest.param("exact", value, EXACT_ENTRY, id=f"exact-{value}")
+      for value in (True, False)]])
+def test_grid_entries_refuse_strings_and_bools(capsys, tmp_path, entry,
+                                               value, message):
+    # np.asarray(..., dtype=float) reads "1e0" and true as numbers, and
+    # Fraction(True) is 1
+    argv, name, keys = GRID_ENTRIES.get(
+        entry, (["vsdilate", "halmos"], "vs_t", ("re", 1, 0)))[:3]
+    assert run_changed(capsys, tmp_path, argv, name, keys, value) == (
+        2, "", f"error: {message}\n")
+
+
+def test_rep_file_refuses_a_repeated_label(capsys):
+    argv = ["ovf", "group", "--rep", golden_input("rep_label_repeated"),
+            "--a", golden_input("ovf_a"), "--psi", golden_input("ovf_psi")]
+    assert run(capsys, argv) == (2, "",
+                                 "error: rep file: label 'r' is repeated\n")
+    argv[3] = golden_input("rep_c4")  # the same matrices, distinct labels
+    assert run(capsys, argv)[0] == 0
+
+
+@pytest.mark.parametrize("points", [5, "abcd", {"0": 1.0}, None])
+def test_sample_points_must_be_a_list(capsys, tmp_path, points):
+    assert run_changed(capsys, tmp_path, ["multiplier", "lip"], "multiplier",
+                       ("sample", "points"), points) == (
+        2, "", "error: sample file: 'points' must be a list\n")
 
 
 @pytest.mark.parametrize("base, why", [
