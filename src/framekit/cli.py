@@ -664,8 +664,7 @@ def cmd_hframe_identity(cfg: argparse.Namespace, R: ReportBuilder):
     subset = subset_arg(cfg.subset, F.m)
     rng = np.random.default_rng(cfg.seed)
     h = vector_arg(cfg.h, F.d, rng, "--h")
-    rep = framekit.hframe.frame_identity_residuals(F, subset, h,
-                                                   cfg.mode)
+    rep = framekit.hframe.frame_identity_residuals(F, subset, h, cfg.mode)
     R.result["general_residual"] = rep.general_residual
     R.check("frame identity, general form", "theorem",
             rep.general_residual, tol)
@@ -708,9 +707,8 @@ def cmd_hframe_perturb(cfg: argparse.Namespace, R: ReportBuilder):
     tol = tolerance(cfg, 1e-9)
     mode = cfg.mode
     cert = framekit.hframe.perturb_certificate(
-        F, G, mode, alpha=cfg.alpha, beta=cfg.beta,
-        gamma=cfg.gamma, seed=cfg.seed,
-        samples=cfg.samples)
+        F, G, mode, alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma,
+        seed=cfg.seed, samples=cfg.samples)
     kind = "theorem" if mode == "quadratic" else "sampled"
     R.result.update({"mode": cert.mode, "valid": cert.valid,
                      "detail": cert.detail})
@@ -838,10 +836,9 @@ def cmd_pasf_perturb(cfg: argparse.Namespace, R: ReportBuilder):
     if cfg.g is not None:
         G = parse_matrix(load_json(cfg.g), "G")
     rep = framekit.pasf.perturb_certificate(
-        P, Omega, mode, alpha=cfg.alpha, beta=cfg.beta,
-        gamma=cfg.gamma, case=cfg.case, G=G,
-        r=cfg.r, s=cfg.s, t=cfg.t,
-        seed=cfg.seed, samples=cfg.samples)
+        P, Omega, mode, alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma,
+        case=cfg.case, G=G, r=cfg.r, s=cfg.s, t=cfg.t, seed=cfg.seed,
+        samples=cfg.samples)
     kind = "sampled" if mode == "general" else "theorem"
     R.result.update({"mode": rep.mode, "valid": rep.valid,
                      "detail": rep.detail})
@@ -994,8 +991,7 @@ def cmd_multiplier_tail(cfg: argparse.Namespace, R: ReportBuilder):
     M = parse_multiplier(need_in(cfg))
     tol = tolerance(cfg, 1e-9)
     measured, bound = framekit.multiplier.tail_decay(M, cfg.cut)
-    R.result.update({"cut": cfg.cut, "measured": measured,
-                     "bound": bound})
+    R.result.update({"cut": cfg.cut, "measured": measured, "bound": bound})
     R.check("tail Lipschitz number under the cut bound", "theorem",
             max(measured - bound, 0.0), tol)
 
@@ -1121,9 +1117,8 @@ def cmd_ovf_perturb(cfg: argparse.Namespace, R: ReportBuilder):
     tol = tolerance(cfg, 1e-9)
     mode = cfg.mode
     rep = framekit.ovf.perturb_certificate(
-        P, B, mode, alpha=cfg.alpha, beta=cfg.beta,
-        gamma=cfg.gamma, samples=cfg.samples,
-        seed=cfg.seed)
+        P, B, mode, alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma,
+        samples=cfg.samples, seed=cfg.seed)
     kind = "theorem" if mode == "quadratic" else "sampled"
     lo, hi = rep.predicted
     R.result.update({"mode": rep.mode, "predicted": [lo, hi],
@@ -1265,8 +1260,7 @@ def cmd_cuntz_solve(cfg: argparse.Namespace, R: ReportBuilder):
     n = cfg.n
     iter_tol = tolerance(cfg, 1e-10)
     cert_tol = tolerance(cfg, 1e-8)
-    sol = framekit.cuntz.solve_b(n, max_iters=cfg.max_iters,
-                                 tol=iter_tol)
+    sol = framekit.cuntz.solve_b(n, max_iters=cfg.max_iters, tol=iter_tol)
     R.result.update({"n": n, "delta": sol.delta,
                      "iterations": sol.iterations,
                      "contraction": sol.contraction,
@@ -1437,8 +1431,7 @@ def config_from(args: argparse.Namespace) -> dict:
            "format": "json" if args.json else "text",
            "in": getattr(args, "in_path", None), "out": args.out,
            "seed": args.seed, "tol": args.tol}
-    cfg.update({k: v for k, v in vars(args).items()
-                if k not in _SHARED_KEYS})
+    cfg.update({k: v for k, v in vars(args).items() if k not in _SHARED_KEYS})
     return cfg
 
 
