@@ -47,6 +47,9 @@ FRAME, MERCEDES, PASF, MULT, OVF, VST = (
 REPORTS = [
     ["hframe", "bounds", "--in", FRAME],
     ["hframe", "bounds", "--in", MERCEDES, "--tol", "1e-30"],
+    # the named frames other than mercedes
+    ["hframe", "bounds", "--in", _in("frame_harmonic")],
+    ["hframe", "bounds", "--in", _in("frame_lines")],
     ["hframe", "dual", "--in", FRAME],
     ["hframe", "parsevalize", "--in", FRAME],
     ["hframe", "algorithm", "--in", FRAME, "--iters", "30", "--seed", "9"],
@@ -61,10 +64,12 @@ REPORTS = [
      "0.1", "--samples", "16", "--seed", "2"],
     ["pasf", "check", "--in", PASF],
     ["pasf", "check", "--in", _in("pasf_square"), "--seed", "1"],
+    ["pasf", "check", "--in", _in("pasf_singular")],
     ["pasf", "dual", "--in", PASF],
     ["pasf", "alldual", "--in", PASF, "--u", _in("pasf_u"), "--v",
      _in("pasf_v")],
     ["pasf", "similar", "--in", PASF, "--other", PASF],
+    ["pasf", "similar", "--in", PASF, "--other", _in("pasf_dissimilar")],
     ["pasf", "dilate", "--in", PASF],
     ["pasf", "dilate", "--in", _in("pasf_shift")],
     ["pasf", "riesz", "--in", _in("pasf_square")],
@@ -92,9 +97,12 @@ REPORTS = [
      "--x", "1,-2,0.5"],
     ["metric", "bounds", "--in", _in("sample"), "--family", "log(1)",
      "--terms", "24"],
+    ["metric", "bounds", "--in", _in("sample_rational"), "--family",
+     "rational(1.5,3)", "--terms", "24"],
     ["metric", "logframe", "--points", "25", "--terms", "40", "--seed", "3"],
     ["multiplier", "apply", "--in", MULT, "--point", "2"],
     ["multiplier", "lip", "--in", MULT],
+    ["multiplier", "lip", "--in", _in("multiplier_bessel")],
     ["multiplier", "tail", "--in", MULT, "--cut", "4"],
     # p = 3: the mixed norm 2 -> 1.5 of the vectors has no exact formula
     ["multiplier", "lip", "--in", _in("multiplier_p3")],
@@ -107,6 +115,7 @@ REPORTS = [
     ["ovf", "check", "--in", OVF],
     ["ovf", "dual", "--in", OVF],
     ["ovf", "similar", "--in", OVF, "--other", OVF],
+    ["ovf", "similar", "--in", OVF, "--other", _in("ovf_dissimilar")],
     ["ovf", "classify", "--in", _in("ovf_parseval")],
     ["ovf", "classify", "--in", OVF],
     ["ovf", "dilate", "--in", _in("ovf_parseval")],
@@ -153,6 +162,9 @@ REPORTS = [
     # certified failures: exit 1 with a fail report
     ["pasf", "riesz", "--in", _in("pasf_trunc")],
     ["hframe", "dual", "--in", _in("thin")],
+    # a family whose lower frame bound frame_bounds reports as 0
+    *[["hframe", verb, "--in", _in("frame_ill")]
+      for verb in ("parsevalize", "dual", "dilate")],
     ["ovf", "dilate", "--in", OVF],
     ["vsdilate", "ando", "--in", VST, "--other", _in("vs_nil"),
      "--horizon", "2"],
@@ -206,6 +218,21 @@ USAGE = [
      "--psi", _in("ovf_psi")],
     # a sample whose points are not a list
     ["multiplier", "lip", "--in", _in("multiplier_points_int")],
+    # a sample whose distances hold strings and a bool
+    ["metric", "bounds", "--in", _in("sample_dist_str_bool"), "--family",
+     "log(1)", "--terms", "24"],
+    # negative perturbation parameters and a zero scale
+    ["pasf", "perturb", "--in", PASF, "--omega", _in("pasf_omega"),
+     "--mode", "two_sided", "--g", _in("pasf_g"), "--case", "1",
+     "--alpha", "0.05", "--beta", "0.1", "--gamma", "0.02", "--r", "-0.99",
+     "--s", "0.2", "--t", "0.05"],
+    ["pasf", "perturb", "--in", PASF, "--omega", _in("pasf_omega"),
+     "--mode", "general", "--alpha", "-0.9", "--gamma", "0.5"],
+    ["hframe", "perturb", "--in", FRAME, "--other", _in("frame_g"),
+     "--mode", "general", "--alpha", "-0.5"],
+    ["ovf", "perturb", "--in", OVF, "--b", _in("ovf_b"), "--mode", "triple",
+     "--alpha", "-0.1"],
+    ["cuntz", "verify", "--mu", "0"],
 ]
 
 
