@@ -573,7 +573,8 @@ def _domain(cast, ok, want: str):
 
 
 _finite = _domain(float, math.isfinite, "finite")
-_tolerance = _domain(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
+_nonnegative = _domain(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
+_positive = _domain(float, lambda x: 0 < x < math.inf, "finite and > 0")
 _count = _domain(int, lambda k: k >= 1, ">= 1")
 
 
@@ -582,16 +583,16 @@ def _file(flag: str, help: str = None) -> tuple:
 
 
 _H = _opt("--h", default=None, help="target vector, comma separated")
-_PERTURB = (_opt("--alpha", type=_finite, default=0.0),
-            _opt("--beta", type=_finite, default=0.0),
-            _opt("--gamma", type=_finite, default=0.0),
+_PERTURB = (_opt("--alpha", type=_nonnegative, default=0.0),
+            _opt("--beta", type=_nonnegative, default=0.0),
+            _opt("--gamma", type=_nonnegative, default=0.0),
             _opt("--samples", type=_count, default=256))
 _SIP = (_opt("--p", type=_finite, default=None),
         _opt("--subset", required=True),
         _opt("--x", default=None, help="sample vector, csv"))
 _RATIONAL = _opt("--rational", action=argparse.BooleanOptionalAction,
                  default=True, help="exact Fraction arithmetic")
-_MU = _opt("--mu", type=_finite, default=0.5)
+_MU = _opt("--mu", type=_positive, default=0.5)
 _N = _opt("--n", type=int, required=True)
 _HORIZON = _opt("--horizon", type=int, required=True)
 
@@ -789,25 +790,21 @@ def cmd_pasf_dilate(cfg: argparse.Namespace, R: ReportBuilder):
         # the classical two-sided shift table; its honest truncation has a
         # singular frame operator, so the generic path would refuse it
         table = framekit.pasf.shift_dilation_table(P.m)
-        R.result["omega"] = [{"first": t, "second": s} for t, s in table]
-        for n, (t, s) in enumerate(table, start=1):
-            R.display.append(f"omega_{n} = {fmt_basis(t)} (+) {fmt_basis(s)}")
-        return
-    tol = tolerance(cfg, 1e-8)
-    big = framekit.pasf.dilate(P)
-    riesz_resid = framekit.pasf.riesz_residual(big)
-    restrict = max(float(np.abs(big.F[:, :P.d] - P.F).max()),
-                   float(np.abs(big.T[:P.d, :] - P.T).max()))
-    R.result.update({"dim": big.d, "added": big.d - P.d,
-                     "omega": [{"first": big.T[:P.d, n],
-                                "second": big.T[P.d:, n]}
-                               for n in range(big.m)]})
-    for n in range(big.m):
-        R.display.append(f"omega_{n + 1} = {fmt_basis(big.T[:P.d, n])} (+) "
-                         f"{fmt_basis(big.T[P.d:, n])}")
-    R.check("restriction recovers the input pair", "theorem", restrict, 0.0)
-    R.check("dilated pair is an approximate Riesz basis", "theorem",
-            riesz_resid, tol)
+    else:
+        tol = tolerance(cfg, 1e-8)
+        big = framekit.pasf.dilate(P)
+        riesz_resid = framekit.pasf.riesz_residual(big)
+        restrict = max(float(np.abs(big.F[:, :P.d] - P.F).max()),
+                       float(np.abs(big.T[:P.d, :] - P.T).max()))
+        R.check("restriction recovers the input pair", "theorem",
+                restrict, 0.0)
+        R.check("dilated pair is an approximate Riesz basis", "theorem",
+                riesz_resid, tol)
+        R.result.update({"dim": big.d, "added": big.d - P.d})
+        table = [(big.T[:P.d, n], big.T[P.d:, n]) for n in range(big.m)]
+    R.result["omega"] = [{"first": t, "second": s} for t, s in table]
+    for n, (t, s) in enumerate(table, start=1):
+        R.display.append(f"omega_{n} = {fmt_basis(t)} (+) {fmt_basis(s)}")
 
 
 @command("pasf", "riesz")
@@ -825,9 +822,9 @@ def cmd_pasf_riesz(cfg: argparse.Namespace, R: ReportBuilder):
          *_PERTURB,
          _opt("--case", type=int, default=1),
          _opt("--g", default=None, metavar="FILE"),
-         _opt("--r", type=_finite, default=0.0),
-         _opt("--s", type=_finite, default=0.0),
-         _opt("--t", type=_finite, default=0.0))
+         _opt("--r", type=_nonnegative, default=0.0),
+         _opt("--s", type=_nonnegative, default=0.0),
+         _opt("--t", type=_nonnegative, default=0.0))
 def cmd_pasf_perturb(cfg: argparse.Namespace, R: ReportBuilder):
     P = parse_pasf(need_in(cfg))
     Omega = parse_matrix(load_json(cfg.omega), "omega")
@@ -945,8 +942,7 @@ def cmd_metric_logframe(cfg: argparse.Namespace, R: ReportBuilder):
     fam = framekit.metricframe.make_named_family(f"log({g(lo)})", S,
                                         cfg.terms)
     a, b = framekit.metricframe.metric_frame_bounds(S, fam, cfg.p)
-    dev = framekit.metricframe.reconstruction_deviation(
-        S, fam, framekit.metricframe.log_family_reconstructor)
+    dev = framekit.metricframe.reconstruction_deviation(S, fam)
     tol = tolerance(cfg, 1e-6)
     R.result.update({"points": S.n, "terms": fam.m, "lower": a, "upper": b,
                      "remainder": fam.remainder,
@@ -1119,14 +1115,14 @@ def cmd_ovf_perturb(cfg: argparse.Namespace, R: ReportBuilder):
     rep = framekit.ovf.perturb_certificate(
         P, B, mode, alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma,
         samples=cfg.samples, seed=cfg.seed)
+    got = framekit.ovf.check(framekit.ovf.OvfPair(B, P.Psi))
     kind = "theorem" if mode == "quadratic" else "sampled"
-    lo, hi = rep.predicted
+    lo, hi = rep.predicted_bounds
     R.result.update({"mode": rep.mode, "predicted": [lo, hi],
-                     "measured": [rep.measured.lower, rep.measured.upper]})
-    R.check("perturbation hypothesis", kind,
-            0.0 if rep.hypothesis_holds else 1.0, 0.0)
+                     "measured": [got.lower, got.upper]})
+    R.check("perturbation hypothesis", kind, 0.0 if rep.valid else 1.0, 0.0)
     R.check("measured bounds inside the predicted window", "theorem",
-            max(lo - rep.measured.lower, rep.measured.upper - hi, 0.0), tol)
+            max(lo - got.lower, got.upper - hi, 0.0), tol)
 
 
 # ------------------------------------------------------------ vsdilate
@@ -1282,8 +1278,6 @@ def cmd_cuntz_solve(cfg: argparse.Namespace, R: ReportBuilder):
 @command("cuntz", "build", _N, _MU, needs_in=False)
 def cmd_cuntz_build(cfg: argparse.Namespace, R: ReportBuilder):
     n, mu = cfg.n, cfg.mu
-    if mu <= 0:
-        raise CliError(2, "--mu must be positive")
     built = framekit.cuntz.build_DX(n, mu, tol=tolerance(cfg, 1e-10))
     D, X = framekit.cuntz.dx_matrices(built.solution, mu)
     R.result.update({"n": n, "mu": mu, "delta": built.delta,
@@ -1390,7 +1384,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     shared = _Parser(add_help=False)
-    shared.add_argument("--tol", type=_tolerance, default=None,
+    shared.add_argument("--tol", type=_nonnegative, default=None,
                         help="override the default tolerance of the checks")
     shared.add_argument("--seed", type=int, default=0,
                         help="seed for any sampling step (recorded)")
@@ -1444,8 +1438,6 @@ def run(args: argparse.Namespace) -> tuple:
         # canonical() refuses a non-finite result; no numpy warning first
         with np.errstate(all="ignore"):
             handler(args, R)
-    except CliError:
-        raise
     except CertifiedFailure as exc:
         error = f"{type(exc).__name__}: {exc}"
     except ValueError as exc:

@@ -60,8 +60,7 @@ class HilbertFrame:
         return self.analysis @ linops.as_vector(h)
 
     def is_frame(self) -> bool:
-        smin, smax = linops.singular_extremes(self.synthesis)
-        return smax > 0 and smin / smax > RANK_RTOL
+        return frame_bounds(self)[0] > 0
 
     @property
     def parseval_residual(self) -> float:
@@ -144,8 +143,6 @@ def frame_identity_residuals(F: HilbertFrame, M, h, mode: str = "auto") -> Ident
     sum_{n in M} |<h,tau_n>|^2 + ||sum_{n in M^c} <h,tau_n> tau_n||^2
     is reported; it is bounded below by (3/4)||h||^2.
     """
-    if mode not in ("auto", "general", "parseval"):
-        raise ValueError("mode must be auto, general or parseval")
     h = linops.as_vector(h)
     mask = _subset_mask(F.m, M)
     coeff = F.coefficients(h)
@@ -154,27 +151,20 @@ def frame_identity_residuals(F: HilbertFrame, M, h, mode: str = "auto") -> Ident
         raise ValueError("frame operator is not the identity within 1e-8")
 
     dual = canonical_dual(F)
-
-    def general_side(msk):
-        s_m_h = F.synthesis[:, msk] @ coeff[msk]
-        return float((np.abs(coeff[msk]) ** 2).sum()
-                     - (np.abs(dual.coefficients(s_m_h)) ** 2).sum())
-
-    general_residual = abs(general_side(mask) - general_side(~mask))
-
-    parseval_residual = None
-    lower_bound_value = None
-    if parseval and mode != "general":
-        def parseval_side(msk):
-            s_m_h = F.synthesis[:, msk] @ coeff[msk]
-            return float((np.abs(coeff[msk]) ** 2).sum()
-                         - np.linalg.norm(s_m_h) ** 2)
-
-        parseval_residual = abs(parseval_side(mask) - parseval_side(~mask))
-        s_rest = F.synthesis[:, ~mask] @ coeff[~mask]
-        lower_bound_value = float((np.abs(coeff[mask]) ** 2).sum()
-                                  + np.linalg.norm(s_rest) ** 2)
-    return IdentityReport(general_residual, parseval_residual, lower_bound_value)
+    # each side's energy sum_{n in M} |<h,tau_n>|^2 and its S_M h
+    (e_in, s_in), (e_out, s_out) = [
+        ((np.abs(coeff[msk]) ** 2).sum(), F.synthesis[:, msk] @ coeff[msk])
+        for msk in (mask, ~mask)]
+    general_residual = abs(
+        float(e_in - (np.abs(dual.coefficients(s_in)) ** 2).sum())
+        - float(e_out - (np.abs(dual.coefficients(s_out)) ** 2).sum()))
+    if not parseval or mode == "general":
+        return IdentityReport(general_residual, None, None)
+    norm = np.linalg.norm
+    parseval_residual = abs(float(e_in - norm(s_in) ** 2)
+                            - float(e_out - norm(s_out) ** 2))
+    return IdentityReport(general_residual, parseval_residual,
+                          float(e_in + norm(s_out) ** 2))
 
 
 def naimark_dilate(F: HilbertFrame) -> HilbertFrame:
@@ -224,8 +214,6 @@ def perturb_certificate(F: HilbertFrame, G: HilbertFrame, mode: str,
             bounds = (a * (1 - math.sqrt(c / a)) ** 2,
                       b * (1 + math.sqrt(c / b)) ** 2)
         return Perturbation("quadratic", valid, bounds, {"c": c})
-    if mode != "general":
-        raise ValueError("mode must be quadratic or general")
     if max(alpha + gamma / math.sqrt(a), beta) >= 1:
         raise HypothesisViolated(
             "need max(alpha + gamma/sqrt(a), beta) < 1 for the general certificate")

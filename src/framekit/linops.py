@@ -8,11 +8,12 @@ multiply through it, and it reads the field (or ring) from the entries
 themselves.
 
 ``_falsify`` is the only seeded search for counterexamples to a
-perturbation hypothesis, and ``Perturbation`` the verdict of the hframe and
-pasf certificates. It draws the sample vectors in chunks of at most CHUNK
-entries and passes each chunk to the caller's sides(C) as the rows of one
-matrix C, so a caller may evaluate a chunk's samples at once; sides(C)
-returns (lhs, rhs) with one row per sample.
+perturbation hypothesis, and ``Perturbation`` the verdict of all three
+perturbation certificates: hframe, pasf and ovf. ``_falsify`` draws the
+sample vectors in chunks of at most CHUNK entries and passes each chunk to
+the caller's sides(C) as the rows of one matrix C, so a caller may evaluate
+a chunk's samples at once; sides(C) returns (lhs, rhs) with one row per
+sample.
 
 Operator norms for p outside {1, 2, inf} are NP-hard to compute exactly, so
 they are reported as certified intervals: the lower end comes from a
@@ -141,8 +142,8 @@ def _pnorm_rows(X: np.ndarray, p: float) -> np.ndarray:
 
 
 def _dual_rows(Y: np.ndarray, p: float, q: float) -> np.ndarray:
-    """For every row y of Y, g with <g, y> = ||y||_p and ||g||_q = 1, for
-    q = dual_exponent(p); a zero row gives a zero row."""
+    """For every row y of Y, g with <g, y> = ||y||_p and ||g||_q = 1, for a
+    finite p and q = dual_exponent(p); a zero row gives a zero row."""
     ay = np.abs(Y)
     live = ay.any(axis=1)
     if not live.all():
@@ -154,11 +155,6 @@ def _dual_rows(Y: np.ndarray, p: float, q: float) -> np.ndarray:
     phase = np.where(pos, Y / np.where(pos, ay, 1.0), 0.0)
     if p == 1:
         return phase
-    if math.isinf(p):
-        rows, k = np.arange(len(Y)), np.argmax(ay, axis=1)
-        G = np.zeros_like(Y)
-        G[rows, k] = phase[rows, k]
-        return G
     G = phase * (ay / ay.max(axis=1, keepdims=True)) ** (p - 1.0)
     return G / _pnorm_rows(G, q)[:, None]
 

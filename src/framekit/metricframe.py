@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -335,10 +335,10 @@ def make_named_family(name: str, S: MetricSample, m: int) -> LipschitzFamily:
     return LipschitzFamily(np.vstack(rows), r)
 
 
-def reconstruction_deviation(S: MetricSample, F: LipschitzFamily,
-                             reconstructor: Callable) -> float:
-    """Feed each point's coefficient column through the reconstructor and
-    return the worst distance back to the point (numeric labels)."""
+def reconstruction_deviation(S: MetricSample, F: LipschitzFamily) -> float:
+    """Invert the log family at each point, as 1 + |sum of the non-constant
+    coefficients|, and return the worst distance back to the point (numeric
+    labels)."""
     _check_sizes(S, F)
     if S.base is None:
         raise ValueError("reconstruction needs a pointed sample")
@@ -346,13 +346,6 @@ def reconstruction_deviation(S: MetricSample, F: LipschitzFamily,
         pts = np.asarray([float(x) for x in S.points])
     except (TypeError, ValueError):
         raise ValueError("reconstruction needs numeric point labels") from None
-    outs = np.asarray([reconstructor(F.values[:, j]) for j in range(S.n)],
-                      dtype=float)
+    outs = np.asarray([float(1.0 + abs(F.values[1:, j].sum()))
+                       for j in range(S.n)], dtype=float)
     return float(np.abs(outs - pts).max())
-
-
-def log_family_reconstructor(coeffs) -> float:
-    """Inverts the log family: 1 + |sum of the non-constant coefficients|."""
-    c = np.asarray(coeffs).reshape(-1)
-    return float(1.0 + abs(c[1:].sum()))
-

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linops
 from .errors import HypothesisViolated
-from .linops import _falsify, herm, inverse, singular_extremes
+from .linops import Perturbation, _falsify, herm, inverse, singular_extremes
 
 SIMILAR_TOL = 1e-8
 RIESZ_TOL = 1e-9
@@ -295,18 +295,10 @@ def group_generated(rep: dict, A, Psi) -> GroupOvf:
     return GroupOvf(labels, pair, commutant, gc1_residual(rep, pair))
 
 
-@dataclass(frozen=True)
-class OvfPerturbation:
-    mode: str
-    hypothesis_holds: bool
-    predicted: tuple[float, float]
-    measured: OvfCheck
-
-
 def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
                         alpha: float = 0.0, beta: float = 0.0,
                         gamma: float = 0.0, samples: int = 256,
-                        seed: int = 0) -> OvfPerturbation:
+                        seed: int = 0) -> Perturbation:
     """Stability of (B_n, Psi_n) when B_n replaces A_n.
 
     quadratic: checks sum_n ||A_n - B_n|| ||Psi_n (S*)^{-1}|| < 1 exactly
@@ -332,8 +324,6 @@ def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
     if B.shape != P.A.shape:
         raise ValueError("B must match the shape of A")
     Sinv_star = herm(inverse(P.frame_operator()))
-    new = OvfPair(B, P.Psi)
-    measured = check(new)
     if mode == "quadratic":
         gaps = [_norm2(P.A[n] - B[n]) for n in range(P.m)]
         weights = [_norm2(P.Psi[n] @ Sinv_star) for n in range(P.m)]
@@ -343,17 +333,13 @@ def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
                 f"sum ||A_n - B_n|| ||Psi_n (S*)^{{-1}}|| = {total} >= 1")
         lo = (1 - total) / _norm2(Sinv_star)
         hi = _norm2(P.theta_Psi) * (_l2(gaps) + _norm2(P.theta_A))
-        return OvfPerturbation("quadratic", True, (lo, hi), measured)
-    if mode != "triple":
-        raise ValueError("mode must be 'quadratic' or 'triple'")
-    if min(alpha, beta, gamma) < 0:
-        raise ValueError("alpha, beta, gamma must be nonnegative")
+        return Perturbation("quadratic", True, (lo, hi))
     reach = alpha + gamma * _norm2(P.theta_Psi @ Sinv_star)
     if max(reach, beta) >= 1:
         raise HypothesisViolated(
             f"max(alpha + gamma ||theta_Psi (S*)^{{-1}}||, beta) = "
             f"{max(reach, beta)} >= 1")
-    thA, thB = herm(P.theta_A), herm(new.theta_A)
+    thA, thB = herm(P.theta_A), herm(B.reshape(P.m * P.r, P.d))
     norm = np.linalg.norm
 
     def prefix(y, k):
@@ -408,8 +394,8 @@ def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
             lhs[s, k], rhs[s, k] = prefix(C[s], k + 1)
         return lhs, rhs
 
-    holds, _ = _falsify(sides, n, samples, seed)
+    holds, detail = _falsify(sides, n, samples, seed)
     lo = (1 - reach) / ((1 + beta) * _norm2(Sinv_star))
     hi = _norm2(P.theta_Psi) * ((1 + alpha) * _norm2(P.theta_A) + gamma) / (1 - beta)
-    return OvfPerturbation("triple", holds, (lo, hi), measured)
+    return Perturbation("triple", holds, (lo, hi), detail)
 

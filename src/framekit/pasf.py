@@ -255,33 +255,30 @@ def perturb_certificate(P: PAsf, Omega, mode: str = "quadratic",
               + gamma / (1 - beta)) * theta_f
         return Perturbation("general", valid, (lo, hi), detail)
 
-    if mode == "two_sided":
-        if G is None:
-            raise ValueError("two_sided mode needs the replacement functionals G")
-        G = linops.as_matrix(G)
-        if G.shape != P.F.shape:
-            raise ValueError("replacement functionals must be m x d")
-        if not 1 <= int(case) <= 4:
-            raise ValueError("case must be 1..4")
-        if max(beta, s) >= 1:
-            raise HypothesisViolated("need max(beta, s) < 1")
-        vec = (lambda x: Sinv @ x) if case <= 2 else (lambda x: x)
-        fun = (lambda y: y) if case <= 2 else (lambda y: y @ Sinv)
-        V, W = (P.T, G) if case % 2 else (Omega, P.F)
-        total = float(sum(
-            vec_pnorm(fun(P.F[n] - G[n]), q) * vec_pnorm(vec(V[:, n]), p)
-            + vec_pnorm(fun(W[n]), q)
-            * vec_pnorm(vec(P.T[:, n] - Omega[:, n]), p)
-            for n in range(P.m)))
-        valid = total < 1.0
-        upper = (((1 + alpha) / (1 - beta) * theta_tau + gamma / (1 - beta))
-                 * ((1 + r) / (1 - s) * theta_f + t / (1 - s)))
-        return Perturbation(
-            "two_sided", valid, (0.0, upper) if valid else None,
-            {"case": int(case), "condition_sum": total,
-             "note": "only the upper bound is certified in two_sided mode"})
-
-    raise ValueError("mode must be quadratic, general or two_sided")
+    if G is None:
+        raise ValueError("two_sided mode needs the replacement functionals G")
+    G = linops.as_matrix(G)
+    if G.shape != P.F.shape:
+        raise ValueError("replacement functionals must be m x d")
+    if not 1 <= int(case) <= 4:
+        raise ValueError("case must be 1..4")
+    if max(beta, s) >= 1:
+        raise HypothesisViolated("need max(beta, s) < 1")
+    vec = (lambda x: Sinv @ x) if case <= 2 else (lambda x: x)
+    fun = (lambda y: y) if case <= 2 else (lambda y: y @ Sinv)
+    V, W = (P.T, G) if case % 2 else (Omega, P.F)
+    total = float(sum(
+        vec_pnorm(fun(P.F[n] - G[n]), q) * vec_pnorm(vec(V[:, n]), p)
+        + vec_pnorm(fun(W[n]), q)
+        * vec_pnorm(vec(P.T[:, n] - Omega[:, n]), p)
+        for n in range(P.m)))
+    valid = total < 1.0
+    upper = (((1 + alpha) / (1 - beta) * theta_tau + gamma / (1 - beta))
+             * ((1 + r) / (1 - s) * theta_f + t / (1 - s)))
+    return Perturbation(
+        "two_sided", valid, (0.0, upper) if valid else None,
+        {"case": int(case), "condition_sum": total,
+         "note": "only the upper bound is certified in two_sided mode"})
 
 
 @dataclass(frozen=True)

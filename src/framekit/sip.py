@@ -144,6 +144,18 @@ def general_identity_residual(P: SipPair, M, x) -> float:
     return abs(side(_subset(P, M)) - side(_complement(P, M)))
 
 
+def _parseval_sums(P: SipPair, idx: list, x: np.ndarray) -> tuple:
+    """The two sums of the Parseval identities over idx: sum_{n in idx}
+    [x,w_n][t_n,x] and sum_{n,k in idx} [x,w_n][t_n,w_k][t_k,x]."""
+    p = P.p
+    c = [sip(x, P.Omega[:, n], p) for n in idx]
+    ct = [sip(P.Tau[:, n], x, p) for n in idx]
+    first = sum((a * b for a, b in zip(c, ct)), 0j)
+    second = sum((c[i] * sip(P.Tau[:, n], P.Omega[:, k], p) * ct[j]
+                  for i, n in enumerate(idx) for j, k in enumerate(idx)), 0j)
+    return first, second
+
+
 def parseval_identity_residual(P: SipPair, M, x) -> float:
     """Residual of the Parseval form of the identity:
 
@@ -153,17 +165,9 @@ def parseval_identity_residual(P: SipPair, M, x) -> float:
     if not P.is_parseval():
         raise ValueError("frame operator is not the identity within 1e-8")
     x = linops.as_vector(x)
-    p = P.p
-
-    def side(idx):
-        c = [sip(x, P.Omega[:, n], p) for n in idx]
-        ct = [sip(P.Tau[:, n], x, p) for n in idx]
-        first = sum(a * b for a, b in zip(c, ct))
-        second = sum(c[i] * sip(P.Tau[:, idx[i]], P.Omega[:, idx[k]], p) * ct[k]
-                     for i in range(len(idx)) for k in range(len(idx)))
-        return first - second
-
-    return abs(side(_subset(P, M)) - side(_complement(P, M)))
+    (f_in, s_in), (f_out, s_out) = (_parseval_sums(P, idx, x) for idx in
+                                    (_subset(P, M), _complement(P, M)))
+    return abs((f_in - s_in) - (f_out - s_out))
 
 
 def operator_identity_residual(P: SipPair, M) -> float:
@@ -203,14 +207,7 @@ def lower_bound_check(P: SipPair, M, x) -> LowerBoundReport:
     half = S_M - 0.5 * np.eye(P.d)
     condition_value = sip(half @ half @ x, x, p).real
     condition_holds = condition_value >= -1e-10
-
-    first = sum((sip(x, P.Omega[:, n], p) * sip(P.Tau[:, n], x, p)
-                 for n in M), 0.0 + 0.0j)
-    second = sum((sip(x, P.Omega[:, n], p)
-                  * sip(P.Tau[:, n], P.Omega[:, k], p)
-                  * sip(P.Tau[:, k], x, p)
-                  for n in Mc for k in Mc), 0.0 + 0.0j)
-    value = (first + second).real
+    value = (_parseval_sums(P, M, x)[0] + _parseval_sums(P, Mc, x)[1]).real
     floor = 0.75 * vec_pnorm(x, p) ** 2
     deficit = max(floor - value, 0.0)
     return LowerBoundReport(condition_value, condition_holds, value, floor,

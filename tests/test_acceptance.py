@@ -254,8 +254,7 @@ def test_a11_log_family_is_a_metric_one_frame_with_reconstruction():
     a, b = metricframe.metric_frame_bounds(S, fam, 1)
     assert abs(a - 1.0) <= 1e-6
     assert abs(b - 1.0) <= 1e-6
-    dev = metricframe.reconstruction_deviation(
-        S, fam, metricframe.log_family_reconstructor)
+    dev = metricframe.reconstruction_deviation(S, fam)
     # the certified tail sits far below double precision here, so the
     # comparison carries the usual representation floor
     assert dev <= fam.remainder + 1e-12

@@ -952,3 +952,32 @@ def test_cuntz_range_is_end_inclusive(capsys):
 def test_cuntz_bad_range(capsys):
     rc, _, err = run(capsys, ["cuntz", "verify", "--n-range", "10:6"])
     assert rc == 2
+
+
+# one refusal rule for every verb: each perturbation parameter is a
+# nonnegative number and the Cuntz scale a positive one (the numeric
+# options only: vsdilate intertwine's --s names a file)
+REFUSED = {**dict.fromkeys(("--alpha", "--beta", "--gamma", "--r", "--s",
+                            "--t"), ("-0.1", ">= 0")), "--mu": ("0", "> 0")}
+REFUSALS = [(group, verb, flag)
+            for (group, verb), (_, options) in cli._OPTIONS.items()
+            for flags, kwargs in options if "type" in kwargs
+            for flag in flags if flag in REFUSED]
+
+
+def test_the_refusal_walk_reaches_every_perturb_and_cuntz_scale_verb():
+    assert {(group, verb) for group, verb, _ in REFUSALS} == {
+        ("hframe", "perturb"), ("pasf", "perturb"), ("ovf", "perturb"),
+        ("cuntz", "build"), ("cuntz", "verify")}
+    assert {flag for _, _, flag in REFUSALS} == set(REFUSED)
+
+
+@pytest.mark.parametrize("group, verb, flag", REFUSALS,
+                         ids=[" ".join(case) for case in REFUSALS])
+def test_every_verb_refuses_a_negative_parameter_and_a_zero_scale(
+        capsys, group, verb, flag):
+    value, bound = REFUSED[flag]
+    rc, out, err = run(capsys, [group, verb, flag, value])
+    assert (rc, out) == (2, "")
+    assert [ln for ln in err.splitlines() if "error:" in ln] == [
+        f"error: argument {flag}: must be finite and {bound}, got '{value}'"]

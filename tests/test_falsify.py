@@ -203,7 +203,7 @@ def test_ovf_sampler_equals_the_old_loop(seed, samples, eps, params):
                                       samples=samples, seed=seed)
     except HypothesisViolated:
         assume(False)
-    assert got.hypothesis_holds == ovf_loop(P, B, alpha, beta, gamma, seed,
+    assert got.valid == ovf_loop(P, B, alpha, beta, gamma, seed,
                                             samples)
 
 
@@ -234,7 +234,7 @@ def test_ovf_sampler_equals_the_old_loop_at_a_near_tie(seed, samples, eps,
                                           samples=samples, seed=seed)
         except HypothesisViolated:
             assume(False)
-        assert got.hypothesis_holds == ovf_loop(P, B, alpha, beta, gamma,
+        assert got.valid == ovf_loop(P, B, alpha, beta, gamma,
                                                 seed, samples), gamma
 
 
@@ -265,7 +265,7 @@ def test_the_oracles_see_both_verdicts():
         Q, B = _ovf_case(rng, eps)
         seen["ovf"].add(
             ovf.perturb_certificate(Q, B, "triple", 0.05, samples=20,
-                                    seed=seed).hypothesis_holds)
+                                    seed=seed).valid)
     assert all(v == {True, False} for v in seen.values()), seen
 
 

@@ -9,7 +9,6 @@ from framekit import linops
 from framekit.metricframe import (
     LipschitzFamily,
     MetricSample,
-    log_family_reconstructor,
     make_named_family,
     metric_frame_bounds,
     reconstruction_deviation,
@@ -235,7 +234,7 @@ def test_reconstruction_log_family_binding_remainder():
     # remainder is then a real theorem check, not a rounding artifact
     S = line_sample(18, 40, 1.0, 20.0, base=0)
     F = make_named_family("log(1)", S, 12)
-    dev = reconstruction_deviation(S, F, log_family_reconstructor)
+    dev = reconstruction_deviation(S, F)
     assert dev > 1e-6  # the tail is visibly nonzero here
     assert dev <= F.remainder
 
@@ -245,22 +244,27 @@ def test_reconstruction_log_family_deep_truncation():
     # precision, so the deviation is pure representation noise
     S = line_sample(18, 40, 1.0, 20.0, base=0)
     F = make_named_family("log(1)", S, 40)
-    dev = reconstruction_deviation(S, F, log_family_reconstructor)
+    dev = reconstruction_deviation(S, F)
     assert dev <= F.remainder + 1e-12
 
 
 def test_reconstruction_identity_frame():
-    S = line_sample(19, 9, 0.0, 1.0, base=0)
-    F = LipschitzFamily(np.asarray(S.points).reshape(1, -1))
-    assert reconstruction_deviation(S, F, lambda c: c[0]) == 0.0
-    assert reconstruction_deviation(S, F, lambda c: c[0] + 0.125) == 0.125
+    # log-form tables: the non-constant rows sum to x - 1, exactly on
+    # [1, 1.5], and then to x - 1 + 0.125, so 1 + |sum| is x and x + 0.125
+    S = line_sample(19, 9, 1.0, 1.5, base=0)
+    x = np.asarray(S.points)
+    exact = LipschitzFamily(np.vstack([np.ones_like(x), x - 1.0]))
+    off = LipschitzFamily(np.vstack([np.ones_like(x), x - 1.0,
+                                     np.full_like(x, 0.125)]))
+    assert reconstruction_deviation(S, exact) == 0.0
+    assert reconstruction_deviation(S, off) == 0.125
 
 
 def test_reconstruction_needs_pointed_numeric_sample():
     S = line_sample(20, 5, 0.0, 1.0)  # no base
     F = LipschitzFamily(np.zeros((1, 5)))
     with pytest.raises(ValueError):
-        reconstruction_deviation(S, F, lambda c: 0.0)
+        reconstruction_deviation(S, F)
     S2 = MetricSample(("x", "y"), np.array([[0, 1.0], [1.0, 0]]), base=0)
     with pytest.raises(ValueError):
-        reconstruction_deviation(S2, LipschitzFamily(np.zeros((1, 2))), lambda c: 0.0)
+        reconstruction_deviation(S2, LipschitzFamily(np.zeros((1, 2))))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from framekit import hframe, linops, ovf
+from framekit import cli, hframe, linops, ovf
 from framekit.linops import herm
 from framekit.ovf import (
     HypothesisViolated,
@@ -254,16 +254,17 @@ def test_perturb_quadratic_trivial_and_small():
     P = random_pair(33)
     rep = perturb_certificate(P, P.A, mode="quadratic")
     a, b = check(P).lower, check(P).upper
-    assert math.isclose(rep.predicted[0], a, rel_tol=1e-9)
-    assert rep.predicted[1] >= b - 1e-12
-    assert rep.hypothesis_holds
+    assert math.isclose(rep.predicted_bounds[0], a, rel_tol=1e-9)
+    assert rep.predicted_bounds[1] >= b - 1e-12
+    assert rep.valid
     rng = np.random.default_rng(34)
     B = P.A + 1e-3 * (rng.normal(size=P.A.shape)
                       + 1j * rng.normal(size=P.A.shape))
     rep = perturb_certificate(P, B, mode="quadratic")
-    assert rep.measured.is_ovf
-    assert rep.predicted[0] <= rep.measured.lower + 1e-12
-    assert rep.measured.upper <= rep.predicted[1] + 1e-12
+    measured = check(OvfPair(B, P.Psi))
+    assert measured.is_ovf
+    assert rep.predicted_bounds[0] <= measured.lower + 1e-12
+    assert measured.upper <= rep.predicted_bounds[1] + 1e-12
 
 
 def test_perturb_quadratic_rejects_large():
@@ -278,21 +279,31 @@ def test_perturb_triple_bounds_and_falsification():
     B = P.A + 1e-3 * rng.normal(size=P.A.shape)
     gamma = sum(np.linalg.norm(P.A[n] - B[n], 2) for n in range(P.m))
     rep = perturb_certificate(P, B, mode="triple", gamma=gamma)
-    assert rep.hypothesis_holds
-    assert rep.measured.is_ovf
-    assert rep.predicted[0] <= rep.measured.lower + 1e-12
-    assert rep.measured.upper <= rep.predicted[1] + 1e-12
+    measured = check(OvfPair(B, P.Psi))
+    assert rep.valid
+    assert measured.is_ovf
+    assert rep.predicted_bounds[0] <= measured.lower + 1e-12
+    assert measured.upper <= rep.predicted_bounds[1] + 1e-12
     # gamma too small to cover the gap: sampling finds a counterexample
     rep = perturb_certificate(P, B, mode="triple", gamma=1e-9)
-    assert not rep.hypothesis_holds
+    assert not rep.valid
 
 
 def test_perturb_triple_rejects_reach_past_one():
     P = random_pair(38)
     with pytest.raises(HypothesisViolated, match=">= 1"):
         perturb_certificate(P, P.A, mode="triple", beta=1.0)
-    with pytest.raises(ValueError, match="mode"):
-        perturb_certificate(P, P.A, mode="cubic")
+
+
+def test_perturb_mode_outside_the_choices_is_refused(capsys):
+    # the command line holds the only list of modes
+    code = cli.main(["ovf", "perturb", "--in", "pair.json", "--b", "b.json",
+                     "--mode", "cubic"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert [ln for ln in err.splitlines() if "error:" in ln] == [
+        "error: argument --mode: invalid choice: 'cubic' "
+        "(choose from 'quadratic', 'triple')"]
 
 
 def test_rank_one_blocks_match_hilbert_frame():
