@@ -370,8 +370,9 @@ def parse_sample(obj) -> framekit.metricframe.MetricSample:
     obj = _fields(obj, "sample file", "points", "dist")
     if not isinstance(obj["points"], list):
         raise CliError(2, "sample file: 'points' must be a list")
+    dist = _floats(obj["dist"], "sample file: 'dist' must be a numeric grid")
     with _refused("sample file"):
-        return framekit.metricframe.MetricSample(obj["points"], obj["dist"],
+        return framekit.metricframe.MetricSample(obj["points"], dist,
                                                  obj.get("base"))
 
 

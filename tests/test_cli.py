@@ -809,6 +809,9 @@ GRID_ENTRIES = {
     "family values": (["multiplier", "lip"], "multiplier",
                       ("family", "values", 0, 2),
                       f"family file: 'values' {GRID}"),
+    "sample dist": (["multiplier", "lip"], "multiplier",
+                    ("sample", "dist", 0, 1),
+                    f"sample file: 'dist' {GRID}"),
 }
 EXACT_ENTRY = "matrix: entry (1, 0) is not a number or 'p/q' string"
 
