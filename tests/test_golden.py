@@ -100,6 +100,8 @@ REPORTS = [
     ["metric", "bounds", "--in", _in("sample_rational"), "--family",
      "rational(1.5,3)", "--terms", "24"],
     ["metric", "logframe", "--points", "25", "--terms", "40", "--seed", "3"],
+    # a tail term whose factorial leaves the float range
+    ["metric", "logframe", "--points", "10", "--terms", "172"],
     ["multiplier", "apply", "--in", MULT, "--point", "2"],
     ["multiplier", "lip", "--in", MULT],
     ["multiplier", "lip", "--in", _in("multiplier_bessel")],
@@ -122,6 +124,9 @@ REPORTS = [
     ["ovf", "group", "--rep", "c4", "--a", _in("ovf_a"), "--psi",
      _in("ovf_psi")],
     ["ovf", "group", "--rep", _in("rep_c4"), "--a", _in("ovf_a"), "--psi",
+     _in("ovf_psi")],
+    # a non-abelian group: a swapped product table changes the residuals
+    ["ovf", "group", "--rep", _in("rep_d4"), "--a", _in("ovf_a"), "--psi",
      _in("ovf_psi")],
     ["ovf", "perturb", "--in", OVF, "--b", _in("ovf_b")],
     ["ovf", "perturb", "--in", OVF, "--b", _in("ovf_b"), "--mode", "triple",
@@ -216,6 +221,11 @@ USAGE = [
     # a representation with a repeated label
     ["ovf", "group", "--rep", _in("rep_label_repeated"), "--a", _in("ovf_a"),
      "--psi", _in("ovf_psi")],
+    # representations that are not closed, hold a non-unitary or a
+    # non-square entry, or lack the identity
+    *[["ovf", "group", "--rep", _in(f"rep_{name}"), "--a", _in("ovf_a"),
+       "--psi", _in("ovf_psi")]
+      for name in ("not_closed", "not_unitary", "not_square", "no_identity")],
     # a sample whose points are not a list
     ["multiplier", "lip", "--in", _in("multiplier_points_int")],
     # a sample whose distances hold strings and a bool
