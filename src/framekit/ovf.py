@@ -28,8 +28,20 @@ DILATE_TOL = 1e-8
 REP_TOL = 1e-10
 
 
+def _norms2(stack: np.ndarray) -> np.ndarray:
+    """Spectral norms of a (..., r, c) stack, one per matrix: the largest
+    singular value, from the LAPACK call np.linalg.norm(M, 2) makes for
+    each M, so every value is the one a loop of those calls returns."""
+    return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
+
+
 def _norm2(A) -> float:
-    return float(np.linalg.norm(np.atleast_2d(A), 2))
+    return float(_norms2(np.atleast_2d(A)))
+
+
+def _herms(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return stack.conj().swapaxes(-1, -2)
 
 
 def _l2(values) -> float:
@@ -145,14 +157,12 @@ class OvfClass:
 
 def orthonormal_gap(P: OvfPair) -> float:
     """max(||S - I||, max_{n,k} ||A_n Psi_k* - delta_{nk} I_r||)."""
-    gap = _norm2(P.frame_operator() - np.eye(P.d))
-    for n in range(P.m):
-        for k in range(P.m):
-            C = P.A[n] @ herm(P.Psi[k])
-            if n == k:
-                C = C - np.eye(P.r)
-            gap = max(gap, _norm2(C))
-    return gap
+    C = P.A[:, None] @ _herms(P.Psi)[None, :]
+    n = np.arange(P.m)
+    C[n, n] -= np.eye(P.r)
+    # max in (n, k) order, as a loop keeps it: a NaN never replaces a gap
+    return max([_norm2(P.frame_operator() - np.eye(P.d)),
+                *_norms2(C).ravel().tolist()])
 
 
 def classify(P: OvfPair) -> OvfClass:
@@ -214,57 +224,66 @@ def dilate(P: OvfPair) -> OvfDilation:
     return OvfDilation(pair, P.d)
 
 
-def _match(table: dict, M: np.ndarray, tol: float):
-    for g, Mg in table.items():
-        if _norm2(M - Mg) <= tol:
-            return g
-    return None
-
-
 def _group_table(rep: dict):
-    """Validated (labels, matrices, multiplication, inverses) of a finite
-    unitary representation given as a label -> matrix mapping."""
-    table = {g: linops.as_matrix(M) for g, M in rep.items()}
-    d = next(iter(table.values())).shape[0]
-    I = np.eye(d)
-    mul, inv = {}, {}
-    for g, Mg in table.items():
-        if Mg.shape != (d, d) or _norm2(herm(Mg) @ Mg - I) > REP_TOL:
+    """Validated (labels, T, mul, inv) of a finite unitary representation
+    given as a label -> matrix mapping: T stacks the matrices in label
+    order, T[mul[g, h]] is the first entry within REP_TOL of T[g] T[h],
+    and T[inv[g]] the last h with T[g] T[h] within REP_TOL of I.
+
+    Entries are tested in label order, each for unitarity and then for
+    its products, so a refusal names the first failure of that order.
+    Memory stays O(|G|^2 d^2): one row of products at a time.
+    """
+    labels = tuple(rep)
+    mats = [linops.as_matrix(M) for M in rep.values()]
+    d = mats[0].shape[0]
+    for g, M in zip(labels, mats):
+        if M.shape != (d, d):
             raise ValueError(f"representation entry {g!r} is not unitary")
-        for h, Mh in table.items():
-            k = _match(table, Mg @ Mh, REP_TOL)
-            if k is None:
-                raise ValueError("representation is not closed under products")
-            mul[g, h] = k
-            if _norm2(Mg @ Mh - I) <= REP_TOL:
-                inv[g] = h
-    if _match(table, I, REP_TOL) is None or len(inv) != len(table):
+    T = np.stack(mats)
+    I = np.eye(d)
+    unitary = ~(_norms2(_herms(T) @ T - I) > REP_TOL)
+    # the identity as a last candidate tests every product for an inverse
+    candidates = np.concatenate([T, I[None]])
+    G = len(labels)
+    mul = np.empty((G, G), dtype=int)
+    inv = np.full(G, -1)
+    for n, g in enumerate(labels):
+        if not unitary[n]:
+            raise ValueError(f"representation entry {g!r} is not unitary")
+        close = _norms2((T[n] @ T)[:, None] - candidates) <= REP_TOL
+        if not close[:, :G].any(axis=1).all():
+            raise ValueError("representation is not closed under products")
+        mul[n] = close[:, :G].argmax(axis=1)
+        hits = np.flatnonzero(close[:, G])
+        if hits.size:
+            inv[n] = hits[-1]
+    if not (_norms2(I - T) <= REP_TOL).any() or (inv < 0).any():
         raise ValueError("representation must contain identity and inverses")
-    return tuple(table), table, mul, inv
+    return labels, T, mul, inv
 
 
-def gc1_residual(rep: dict, pair: OvfPair) -> float:
+def gc1_residual(rep: dict, pair: OvfPair, table=None) -> float:
     """Largest defect, over (g, p, q) in G^3, in the group conditions
     A_{gp} A_{gq}* = A_p A_q*, A_{gp} Psi_{gq}* = A_p Psi_q*,
     Psi_{gp} Psi_{gq}* = Psi_p Psi_q*; zero exactly when some unitary
-    representation generates the family from its identity blocks."""
-    labels, _, mul, _ = _group_table(rep)
+    representation generates the family from its identity blocks.
+
+    table is _group_table(rep), when the caller has it. The |G|^2 block
+    products of each side are formed once; each g gathers its (gp, gq)
+    cells and takes one stacked norm, so memory stays O(|G|^2 r^2).
+    """
+    labels, _, mul, _ = _group_table(rep) if table is None else table
     if pair.m != len(labels):
         raise ValueError("pair must have one block per group element")
-    idx = {g: n for n, g in enumerate(labels)}
-    Ag, Pg = pair.A, pair.Psi
+    Ah, Ph = _herms(pair.A)[None, :], _herms(pair.Psi)[None, :]
+    X = np.stack([pair.A[:, None] @ Ah, pair.A[:, None] @ Ph,
+                  pair.Psi[:, None] @ Ph])
     worst = 0.0
-    for g in labels:
-        for p in labels:
-            for q in labels:
-                gp, gq = idx[mul[g, p]], idx[mul[g, q]]
-                p_, q_ = idx[p], idx[q]
-                worst = max(
-                    worst,
-                    _norm2(Ag[gp] @ herm(Ag[gq]) - Ag[p_] @ herm(Ag[q_])),
-                    _norm2(Ag[gp] @ herm(Pg[gq]) - Ag[p_] @ herm(Pg[q_])),
-                    _norm2(Pg[gp] @ herm(Pg[gq]) - Pg[p_] @ herm(Pg[q_])),
-                )
+    for row in mul:
+        defects = _norms2(X[:, row[:, None], row] - X)
+        # fmax, as max() over the triples, never lets a NaN replace worst
+        worst = float(np.fmax.reduce(defects, axis=None, initial=worst))
     return worst
 
 
@@ -286,13 +305,13 @@ def group_generated(rep: dict, A, Psi) -> GroupOvf:
     """
     A = linops.as_matrix(A)
     Psi = linops.as_matrix(Psi)
-    labels, table, _, inv = _group_table(rep)
-    blocks_A = np.stack([A @ table[inv[g]] for g in labels])
-    blocks_P = np.stack([Psi @ table[inv[g]] for g in labels])
-    pair = OvfPair(blocks_A, blocks_P)
+    table = _group_table(rep)
+    labels, T, _, inv = table
+    pair = OvfPair(A @ T[inv], Psi @ T[inv])
     S = pair.frame_operator()
-    commutant = max(_norm2(S @ table[g] - table[g] @ S) for g in labels)
-    return GroupOvf(labels, pair, commutant, gc1_residual(rep, pair))
+    commutant = max(_norms2(S @ T - T @ S).tolist())
+    return GroupOvf(labels, pair, commutant,
+                    gc1_residual(rep, pair, table=table))
 
 
 def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
@@ -325,8 +344,8 @@ def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
         raise ValueError("B must match the shape of A")
     Sinv_star = herm(inverse(P.frame_operator()))
     if mode == "quadratic":
-        gaps = [_norm2(P.A[n] - B[n]) for n in range(P.m)]
-        weights = [_norm2(P.Psi[n] @ Sinv_star) for n in range(P.m)]
+        gaps = _norms2(P.A - B)
+        weights = _norms2(P.Psi @ Sinv_star)
         total = float(np.dot(gaps, weights))
         if total >= 1:
             raise HypothesisViolated(

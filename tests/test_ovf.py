@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framekit import cli, hframe, linops, ovf
 from framekit.linops import herm
@@ -240,6 +242,15 @@ def test_group_rejects_bad_tables():
         group_generated({"e": np.eye(2), "g": rot}, np.eye(2), np.eye(2))
 
 
+def test_group_refuses_an_entry_of_another_shape_by_name():
+    # checked before any product, so numpy never meets mismatched shapes
+    for bad in (np.ones((2, 3)), np.ones((2, 1)), np.eye(3)):
+        with pytest.raises(ValueError,
+                           match="^representation entry 'x' is not unitary$"):
+            group_generated({"e": np.eye(2), "r": -np.eye(2), "x": bad},
+                            np.eye(2), np.eye(2))
+
+
 def test_gc1_detects_hand_perturbed_family():
     rng = np.random.default_rng(32)
     A = rng.normal(size=(2, 2))
@@ -330,3 +341,222 @@ def test_pair_validation():
         OvfPair(np.full((1, 1, 1), np.nan), np.ones((1, 1, 1)))
     with pytest.raises(ValueError, match="equal-shape"):
         OvfPair(np.eye(3), np.eye(3))
+
+
+# ---------------------------------------------- the block loops as oracles
+# The per-block loops that the stacked kernels replace, one
+# np.linalg.norm(M, 2) per matrix. The kernels must return the same floats,
+# tables and blocks bit for bit, and refuse a representation with the
+# message of the loop's first failure in table order.
+
+
+def _norm2_loop(M):
+    return float(np.linalg.norm(np.atleast_2d(M), 2))
+
+
+def _match_loop(table, M, tol):
+    for g, Mg in table.items():
+        if _norm2_loop(M - Mg) <= tol:
+            return g
+    return None
+
+
+def _group_table_loop(rep):
+    table = {g: linops.as_matrix(M) for g, M in rep.items()}
+    d = next(iter(table.values())).shape[0]
+    I = np.eye(d)
+    mul, inv = {}, {}
+    for g, Mg in table.items():
+        if Mg.shape != (d, d) or _norm2_loop(herm(Mg) @ Mg - I) > ovf.REP_TOL:
+            raise ValueError(f"representation entry {g!r} is not unitary")
+        for h, Mh in table.items():
+            k = _match_loop(table, Mg @ Mh, ovf.REP_TOL)
+            if k is None:
+                raise ValueError("representation is not closed under products")
+            mul[g, h] = k
+            if _norm2_loop(Mg @ Mh - I) <= ovf.REP_TOL:
+                inv[g] = h
+    if _match_loop(table, I, ovf.REP_TOL) is None or len(inv) != len(table):
+        raise ValueError("representation must contain identity and inverses")
+    return tuple(table), table, mul, inv
+
+
+def _gc1_loop(rep, pair):
+    labels, _, mul, _ = _group_table_loop(rep)
+    idx = {g: n for n, g in enumerate(labels)}
+    Ag, Pg = pair.A, pair.Psi
+    worst = 0.0
+    for g in labels:
+        for p in labels:
+            for q in labels:
+                gp, gq = idx[mul[g, p]], idx[mul[g, q]]
+                p_, q_ = idx[p], idx[q]
+                worst = max(
+                    worst,
+                    _norm2_loop(Ag[gp] @ herm(Ag[gq]) - Ag[p_] @ herm(Ag[q_])),
+                    _norm2_loop(Ag[gp] @ herm(Pg[gq]) - Ag[p_] @ herm(Pg[q_])),
+                    _norm2_loop(Pg[gp] @ herm(Pg[gq]) - Pg[p_] @ herm(Pg[q_])),
+                )
+    return worst
+
+
+def _group_generated_loop(rep, A, Psi):
+    A = linops.as_matrix(A)
+    Psi = linops.as_matrix(Psi)
+    labels, table, _, inv = _group_table_loop(rep)
+    blocks_A = np.stack([A @ table[inv[g]] for g in labels])
+    blocks_P = np.stack([Psi @ table[inv[g]] for g in labels])
+    pair = OvfPair(blocks_A, blocks_P)
+    S = pair.frame_operator()
+    commutant = max(_norm2_loop(S @ table[g] - table[g] @ S) for g in labels)
+    return labels, pair, commutant, _gc1_loop(rep, pair)
+
+
+def _orthonormal_gap_loop(P):
+    gap = _norm2_loop(P.frame_operator() - np.eye(P.d))
+    for n in range(P.m):
+        for k in range(P.m):
+            C = P.A[n] @ herm(P.Psi[k])
+            if n == k:
+                C = C - np.eye(P.r)
+            gap = max(gap, _norm2_loop(C))
+    return gap
+
+
+def _quadratic_loop(P, B):
+    """(lo, hi) of the quadratic certificate, or the refusal message."""
+    Sinv_star = herm(linops.inverse(P.frame_operator()))
+    gaps = [_norm2_loop(P.A[n] - B[n]) for n in range(P.m)]
+    weights = [_norm2_loop(P.Psi[n] @ Sinv_star) for n in range(P.m)]
+    total = float(np.dot(gaps, weights))
+    if total >= 1:
+        return f"sum ||A_n - B_n|| ||Psi_n (S*)^{{-1}}|| = {total} >= 1"
+    lo = (1 - total) / _norm2_loop(Sinv_star)
+    hi = _norm2_loop(P.theta_Psi) * (ovf._l2(gaps) + _norm2_loop(P.theta_A))
+    return lo, hi
+
+
+def _rotation(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+def _dihedral(k):
+    """D_k as 2 x 2 rotations and reflections."""
+    s = np.diag([1.0, -1.0])
+    rots = [_rotation(2 * math.pi * j / k) for j in range(k)]
+    return rots + [s @ R for R in rots]
+
+
+def _s3():
+    """S_3 as 3 x 3 permutation matrices."""
+    import itertools
+    return [np.eye(3)[list(p)] for p in itertools.permutations(range(3))]
+
+
+@st.composite
+def _group_case(draw):
+    """A finite unitary group in shuffled label order, with a seed for the
+    blocks: C_k (k <= 12) conjugated by a random orthogonal Q, D4 or S3."""
+    kind = draw(st.sampled_from(["cyclic", "d4", "s3"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "cyclic":
+        k = draw(st.integers(1, 12))
+        Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        mats = [Q @ _rotation(2 * math.pi * j / k) @ Q.T for j in range(k)]
+    else:
+        mats = _dihedral(4) if kind == "d4" else _s3()
+    order = draw(st.permutations(range(len(mats))))
+    rep = {f"g{n}": mats[n] for n in order}
+    r = draw(st.sampled_from([1, 2, 3]))
+    complex_blocks = draw(st.booleans())
+    return rep, rng, r, complex_blocks
+
+
+def _blocks(rng, shape, complex_blocks):
+    M = rng.normal(size=shape)
+    return M + 1j * rng.normal(size=shape) if complex_blocks else M
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"refused: {exc}"
+
+
+def _same_group_ovf(got, want):
+    labels, pair, commutant, gc1 = want
+    assert got.labels == labels
+    assert np.array_equal(got.pair.A, pair.A)
+    assert np.array_equal(got.pair.Psi, pair.Psi)
+    assert got.commutant_residual == commutant
+    assert got.gc1_residual == gc1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_group_case())
+def test_group_kernels_equal_the_block_loops(case):
+    rep, rng, r, complex_blocks = case
+    d = next(iter(rep.values())).shape[0]
+    labels, table, mul, inv = _group_table_loop(rep)
+    got_labels, T, got_mul, got_inv = ovf._group_table(rep)
+    assert got_labels == labels
+    assert np.array_equal(T, np.stack([table[g] for g in labels]))
+    assert {(g, h): labels[got_mul[i, j]] for i, g in enumerate(labels)
+            for j, h in enumerate(labels)} == mul
+    assert {g: labels[got_inv[i]] for i, g in enumerate(labels)} == inv
+    A = _blocks(rng, (r, d), complex_blocks)
+    Psi = _blocks(rng, (r, d), complex_blocks)
+    want = _group_generated_loop(rep, A, Psi)
+    _same_group_ovf(group_generated(rep, A, Psi), want)
+    # a family no representation generates: the residual is of order one
+    m = len(rep)
+    P = OvfPair(_blocks(rng, (m, r, d), complex_blocks),
+                _blocks(rng, (m, r, d), complex_blocks))
+    assert gc1_residual(rep, P) == _gc1_loop(rep, P)
+    assert ovf.orthonormal_gap(P) == _orthonormal_gap_loop(P)
+    assert ovf.orthonormal_gap(want[1]) == _orthonormal_gap_loop(want[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_group_case(), st.integers(0, 100), st.sampled_from(["scale", "swap",
+                                                            "random"]))
+def test_corrupted_representations_get_the_loop_message(case, pick, how):
+    rep, rng, r, complex_blocks = case
+    labels = list(rep)
+    g = labels[pick % len(labels)]
+    if how == "scale":
+        rep[g] = 1.01 * rep[g]
+    elif how == "swap":  # another element, so one label is repeated
+        rep[g] = rep[labels[(pick + 1) % len(labels)]]
+    else:
+        rep[g] = rng.normal(size=rep[g].shape)
+    d = rep[g].shape[0]
+    A = _blocks(rng, (r, d), complex_blocks)
+    want = _outcome(_group_generated_loop, rep, A, A)
+    got = _outcome(group_generated, rep, A, A)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _same_group_ovf(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 3),
+       st.booleans(), st.sampled_from([1e-3, 0.1, 3.0]))
+def test_quadratic_certificate_equals_the_block_loop(seed, m, r, complex_blocks,
+                                                     size):
+    rng = np.random.default_rng(seed)
+    d = 3
+    P = OvfPair(_blocks(rng, (m, r, d), complex_blocks) + np.eye(r, d),
+                _blocks(rng, (m, r, d), complex_blocks) + np.eye(r, d))
+    if not check(P).is_ovf:
+        return
+    B = P.A + size * _blocks(rng, P.A.shape, complex_blocks)
+    want = _quadratic_loop(P, B)
+    try:
+        got = perturb_certificate(P, B, mode="quadratic").predicted_bounds
+    except HypothesisViolated as exc:
+        got = str(exc)
+    assert got == want
