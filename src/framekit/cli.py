@@ -70,11 +70,10 @@ class ReportBuilder:
         return all(c["passed"] for c in self.checks)
 
 
-def _plain(x):
-    """JSON-safe copy: numpy scalars to python, Fractions to strings,
-    complex to {"re", "im"}."""
-    if x is None or isinstance(x, (bool, int, float, str)):
-        return x
+def _leaf(x):
+    """json.dumps hook for the leaves json does not know: numpy scalars
+    to python, Fractions to strings, complex to {"re", "im"}, arrays to
+    lists. np.float64 is a float, so json writes it as one."""
     if isinstance(x, np.bool_):
         return bool(x)
     if isinstance(x, np.integer):
@@ -86,19 +85,15 @@ def _plain(x):
         return {"im": z.imag, "re": z.real}
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
     if isinstance(x, np.ndarray):
-        return [_plain(v) for v in x.tolist()]
+        return x.tolist()
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
 def canonical(report: dict) -> str:
     try:
         return json.dumps(report, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False)
+                          allow_nan=False, default=_leaf)
     except ValueError:
         raise CliError(2, "the report holds a non-finite value "
                           "(NaN or infinity)") from None
@@ -109,9 +104,10 @@ def g(x) -> str:
 
 
 def _short(v) -> str:
-    text = json.dumps(_plain(v), sort_keys=True)
+    text = json.dumps(v, sort_keys=True, default=_leaf)
     if len(text) <= 100:
         return text
+    v = json.loads(text)  # a Fraction is counted as its string
     label = "entries" if isinstance(v, dict) else "items"
     return f"<{len(v)} {label}>"
 
@@ -1449,7 +1445,7 @@ def run(args: argparse.Namespace) -> tuple:
     status = "pass" if error is None and R.passed else "fail"
     config = config_from(args)
     report = {"command": config["command"], "config": config,
-              "display": R.display, "result": _plain(R.result),
+              "display": R.display, "result": R.result,
               "checks": R.checks, "status": status}
     if error is not None:
         report["error"] = error

@@ -378,6 +378,92 @@ def test_internal_error_exits_three(capsys, mercedes, monkeypatch):
     assert err == "error: internal error: KeyError: 'lost'\n"
 
 
+# Every leaf type a report may hold, with the bytes each output form gives
+# it: numpy scalars as the Python scalar, complex numbers as {"im", "re"},
+# Fractions as strings, arrays as nested lists; a text line shows a value
+# whose JSON passes 100 characters by its length.
+REPORT_LEAVES = {
+    "bool_": np.bool_(True),
+    "int64": np.int64(-7),
+    "float32": np.float32(0.1),
+    "float64": np.float64(1 / 3),
+    "complex": complex(1.5, -2),
+    "complex128": np.complex128(-0.5j),
+    "fraction": Fraction(-3, 7),
+    "array": np.array([[1.5, 2.0], [0.0, -1.0]]),
+    "complex_array": np.array([1j, 2.0]),
+    "fraction_array": np.array([Fraction(1, 3), Fraction(2)], dtype=object),
+    "tuple": (np.int32(1), Fraction(1, 2), None),
+    "nested": {"b": [np.float64(0.25), np.bool_(False)], "a": {"z": 1j}},
+    "long_array": np.arange(40.0),
+    "long_fraction": Fraction(10 ** 110 + 1, 3),
+    "long_dict": {f"k{n}": np.int64(n) for n in range(20)},
+}
+
+LEAVES_TEXT = (
+    "framekit hframe bounds\n"
+    "  config: in = unused.json, seed = 0\n"
+    "  array = [[1.5, 2.0], [0.0, -1.0]]\n"
+    "  bool_ = true\n"
+    '  complex = {"im": -2.0, "re": 1.5}\n'
+    '  complex128 = {"im": -0.5, "re": -0.0}\n'
+    '  complex_array = [{"im": 1.0, "re": 0.0}, {"im": 0.0, "re": 2.0}]\n'
+    "  float32 = 0.10000000149011612\n"
+    "  float64 = 0.3333333333333333\n"
+    '  fraction = "-3/7"\n'
+    '  fraction_array = ["1/3", "2"]\n'
+    "  int64 = -7\n"
+    "  long_array = <40 items>\n"
+    "  long_dict = <20 entries>\n"
+    "  long_fraction = <113 items>\n"
+    '  nested = {"a": {"z": {"im": 1.0, "re": 0.0}}, "b": [0.25, false]}\n'
+    '  tuple = [1, "1/2", null]\n'
+    "status: pass\n")
+
+LEAVES_JSON = (
+    '{"checks":[],"command":"hframe bounds",'
+    '"config":{"command":"hframe bounds","format":"json",'
+    '"in":"unused.json","out":null,"seed":0,"tol":null},"display":[],'
+    '"result":{"array":[[1.5,2.0],[0.0,-1.0]],"bool_":true,'
+    '"complex":{"im":-2.0,"re":1.5},"complex128":{"im":-0.5,'
+    '"re":-0.0},"complex_array":[{"im":1.0,"re":0.0},{"im":0.0,'
+    '"re":2.0}],"float32":0.10000000149011612,'
+    '"float64":0.3333333333333333,"fraction":"-3/7",'
+    '"fraction_array":["1/3","2"],"int64":-7,"long_array":[0.0,1.0,'
+    "2.0,3.0,4.0,5.0,6.0,7.0,8.0,9.0,10.0,11.0,12.0,13.0,14.0,15.0,"
+    "16.0,17.0,18.0,19.0,20.0,21.0,22.0,23.0,24.0,25.0,26.0,27.0,"
+    "28.0,29.0,30.0,31.0,32.0,33.0,34.0,35.0,36.0,37.0,38.0,39.0],"
+    '"long_dict":{"k0":0,"k1":1,"k10":10,"k11":11,"k12":12,"k13":13,'
+    '"k14":14,"k15":15,"k16":16,"k17":17,"k18":18,"k19":19,"k2":2,'
+    '"k3":3,"k4":4,"k5":5,"k6":6,"k7":7,"k8":8,"k9":9},'
+    '"long_fraction":"10000000000000000000000000000000000000000000000'
+    "0000000000000000000000000000000000000000000000000000000000000001"
+    '/3","nested":{"a":{"z":{"im":1.0,"re":0.0}},"b":[0.25,false]},'
+    '"tuple":[1,"1/2",null]},"status":"pass"}\n')
+
+
+@pytest.mark.parametrize("extra, want", [([], LEAVES_TEXT),
+                                         (["--json"], LEAVES_JSON)])
+def test_report_leaves_encode_to_fixed_bytes(capsys, monkeypatch, extra,
+                                             want):
+    monkeypatch.setitem(cli._HANDLERS, ("hframe", "bounds"),
+                        lambda cfg, R: R.result.update(REPORT_LEAVES))
+    rc, out, err = run(capsys, ["hframe", "bounds", "--in", "unused.json",
+                                *extra])
+    assert (rc, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_a_report_leaf_of_unknown_type_exits_three(capsys, monkeypatch,
+                                                   extra):
+    monkeypatch.setitem(cli._HANDLERS, ("hframe", "bounds"),
+                        lambda cfg, R: R.result.update(odd={1, 2}))
+    rc, out, err = run(capsys, ["hframe", "bounds", "--in", "unused.json",
+                                *extra])
+    assert (rc, out) == (3, "")
+    assert err == "error: internal error: TypeError: cannot serialize set\n"
+
+
 @pytest.mark.parametrize("residual, tolerance, passed", [
     (0.0, 0.0, True), (1e-9, 1e-9, True), (2e-9, 1e-9, False),
     (math.nan, 1.0, False)])
