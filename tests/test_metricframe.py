@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -160,6 +161,22 @@ def test_log_family_is_a_1_frame():
         for j in range(i + 1, S.n):
             s = np.abs(F.values[:, i] - F.values[:, j]).sum()
             assert abs(s - S.dist[i, j]) <= F.remainder + 1e-12
+
+
+def test_log_family_tail_is_finite_past_171_terms():
+    # (m - 1)! leaves the float range at m = 172; the tail c^(m-1)/(m-1)!
+    # is taken in log space and matches the exact quotient
+    S = line_sample(7, 10, 1.0, 20.0)
+    c = Fraction(math.log(20.0))
+    for m in (4, 40, 171, 172, 200):
+        got = make_named_family("log(1)", S, m).remainder
+        want = float(c ** (m - 1) / math.factorial(m - 1) / (1 - c / m))
+        assert got > 0
+        assert math.isclose(got, want, rel_tol=1e-11)
+    # every point at 1: c = 0 and only the first term has a tail, 0^0 = 1
+    S = sample_from_points([1.0 - 1e-12, 1.0])
+    assert make_named_family("log(1)", S, 1).remainder == 1 / (1.0 - 1e-12)
+    assert make_named_family("log(1)", S, 2).remainder == 0.0
 
 
 def test_rational_family_is_a_1_frame():
