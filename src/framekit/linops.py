@@ -72,7 +72,8 @@ def as_vector(x) -> np.ndarray:
 
 
 def herm(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def identity_defect(M: np.ndarray) -> float:

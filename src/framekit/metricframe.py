@@ -314,9 +314,8 @@ def make_named_family(name: str, S: MetricSample, m: int) -> LipschitzFamily:
         for n in range(1, m):
             term = term * logs / n
             rows.append(term)
-        # Lip(f_n) <= (log B)^(n-1)/((n-1)! A); geometric majorant from n = m.
-        # t = c^(m-1)/(m-1)! in log space: (m-1)! leaves the float range
-        # at m = 172; c = 0 (all points at most 1) leaves only 0^0 = 1
+        # Lip(f_n) <= (log B)^(n-1)/((n-1)! A); geometric majorant from n = m,
+        # in log space as (m-1)! overflows at m = 172; c = 0 leaves 0^0 = 1
         t = (math.exp((m - 1) * math.log(c) - math.lgamma(m)) if c > 0
              else float(m == 1))
         r = (t / (1.0 - c / m)) / A

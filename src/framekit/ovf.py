@@ -7,6 +7,11 @@ block embeddings L_n satisfy L_n* L_k = delta_{nk} I and sum L_n L_n* = I
 by construction. S need not be positive or Hermitian; frame bounds are
 the extreme singular values. Every defect a report checks is defined
 here once; the triple hypothesis is sampled by ``linops._falsify``.
+
+Block norms are taken by ``_norms2``, one SVD call over a stack: the same
+LAPACK routine np.linalg.norm(M, 2) runs per matrix, so each value is
+bit-identical to a loop over the blocks. The group kernels take one such
+call per element g, so a step holds O(|G|^2 r^2) numbers, not O(|G|^3 r^2).
 """
 
 from __future__ import annotations
@@ -29,19 +34,12 @@ REP_TOL = 1e-10
 
 
 def _norms2(stack: np.ndarray) -> np.ndarray:
-    """Spectral norms of a (..., r, c) stack, one per matrix: the largest
-    singular value, from the LAPACK call np.linalg.norm(M, 2) makes for
-    each M, so every value is the one a loop of those calls returns."""
+    """Spectral norm of each matrix of a (..., r, c) stack."""
     return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
 
 
 def _norm2(A) -> float:
     return float(_norms2(np.atleast_2d(A)))
-
-
-def _herms(stack: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix in a stack."""
-    return stack.conj().swapaxes(-1, -2)
 
 
 def _l2(values) -> float:
@@ -157,10 +155,10 @@ class OvfClass:
 
 def orthonormal_gap(P: OvfPair) -> float:
     """max(||S - I||, max_{n,k} ||A_n Psi_k* - delta_{nk} I_r||)."""
-    C = P.A[:, None] @ _herms(P.Psi)[None, :]
+    C = P.A[:, None] @ herm(P.Psi)[None, :]
     n = np.arange(P.m)
     C[n, n] -= np.eye(P.r)
-    # max in (n, k) order, as a loop keeps it: a NaN never replaces a gap
+    # max() over a list in (n, k) order: a NaN norm never replaces a gap
     return max([_norm2(P.frame_operator() - np.eye(P.d)),
                 *_norms2(C).ravel().tolist()])
 
@@ -226,14 +224,10 @@ def dilate(P: OvfPair) -> OvfDilation:
 
 def _group_table(rep: dict):
     """Validated (labels, T, mul, inv) of a finite unitary representation
-    given as a label -> matrix mapping: T stacks the matrices in label
-    order, T[mul[g, h]] is the first entry within REP_TOL of T[g] T[h],
-    and T[inv[g]] the last h with T[g] T[h] within REP_TOL of I.
-
-    Entries are tested in label order, each for unitarity and then for
-    its products, so a refusal names the first failure of that order.
-    Memory stays O(|G|^2 d^2): one row of products at a time.
-    """
+    given as a label -> matrix mapping: T stacks the matrices, mul[g, h] is
+    the first k with T[g] T[h] within REP_TOL of T[k], inv[g] the last h
+    with T[g] T[h] within REP_TOL of I. Each g is tested for unitarity, then
+    its products: a refusal names the first failure in label order."""
     labels = tuple(rep)
     mats = [linops.as_matrix(M) for M in rep.values()]
     d = mats[0].shape[0]
@@ -242,25 +236,22 @@ def _group_table(rep: dict):
             raise ValueError(f"representation entry {g!r} is not unitary")
     T = np.stack(mats)
     I = np.eye(d)
-    unitary = ~(_norms2(_herms(T) @ T - I) > REP_TOL)
+    unitary = ~(_norms2(herm(T) @ T - I) > REP_TOL)
     # the identity as a last candidate tests every product for an inverse
     candidates = np.concatenate([T, I[None]])
-    G = len(labels)
-    mul = np.empty((G, G), dtype=int)
-    inv = np.full(G, -1)
+    rows = []  # rows[g][h, k]: T[g] T[h] within REP_TOL of candidate k
     for n, g in enumerate(labels):
         if not unitary[n]:
             raise ValueError(f"representation entry {g!r} is not unitary")
-        close = _norms2((T[n] @ T)[:, None] - candidates) <= REP_TOL
-        if not close[:, :G].any(axis=1).all():
+        rows.append(_norms2((T[n] @ T)[:, None] - candidates) <= REP_TOL)
+        if not rows[n][:, :-1].any(axis=1).all():
             raise ValueError("representation is not closed under products")
-        mul[n] = close[:, :G].argmax(axis=1)
-        hits = np.flatnonzero(close[:, G])
-        if hits.size:
-            inv[n] = hits[-1]
-    if not (_norms2(I - T) <= REP_TOL).any() or (inv < 0).any():
+    close = np.stack(rows)
+    to_I = close[:, :, -1]
+    if not (_norms2(I - T) <= REP_TOL).any() or not to_I.any(axis=1).all():
         raise ValueError("representation must contain identity and inverses")
-    return labels, T, mul, inv
+    inv = len(labels) - 1 - to_I[:, ::-1].argmax(axis=1)
+    return labels, T, close[:, :, :-1].argmax(axis=2), inv
 
 
 def gc1_residual(rep: dict, pair: OvfPair, table=None) -> float:
@@ -269,20 +260,19 @@ def gc1_residual(rep: dict, pair: OvfPair, table=None) -> float:
     Psi_{gp} Psi_{gq}* = Psi_p Psi_q*; zero exactly when some unitary
     representation generates the family from its identity blocks.
 
-    table is _group_table(rep), when the caller has it. The |G|^2 block
-    products of each side are formed once; each g gathers its (gp, gq)
-    cells and takes one stacked norm, so memory stays O(|G|^2 r^2).
+    table is _group_table(rep), when the caller has it. Each side's |G|^2
+    block products are formed once; each g gathers its (gp, gq) cells.
     """
     labels, _, mul, _ = _group_table(rep) if table is None else table
     if pair.m != len(labels):
         raise ValueError("pair must have one block per group element")
-    Ah, Ph = _herms(pair.A)[None, :], _herms(pair.Psi)[None, :]
+    Ah, Ph = herm(pair.A)[None, :], herm(pair.Psi)[None, :]
     X = np.stack([pair.A[:, None] @ Ah, pair.A[:, None] @ Ph,
                   pair.Psi[:, None] @ Ph])
     worst = 0.0
     for row in mul:
         defects = _norms2(X[:, row[:, None], row] - X)
-        # fmax, as max() over the triples, never lets a NaN replace worst
+        # fmax, like max(), never lets a NaN norm replace worst
         worst = float(np.fmax.reduce(defects, axis=None, initial=worst))
     return worst
 

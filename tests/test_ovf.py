@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -449,7 +450,6 @@ def _dihedral(k):
 
 def _s3():
     """S_3 as 3 x 3 permutation matrices."""
-    import itertools
     return [np.eye(3)[list(p)] for p in itertools.permutations(range(3))]
 
 
