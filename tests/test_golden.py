@@ -243,6 +243,17 @@ USAGE = [
     ["ovf", "perturb", "--in", OVF, "--b", _in("ovf_b"), "--mode", "triple",
      "--alpha", "-0.1"],
     ["cuntz", "verify", "--mu", "0"],
+    # float mode on diag(1, 1e200) and diag(1e200, 1): the second power
+    # overflows to infinity, so the residuals meet inf - inf
+    *[["vsdilate", verb, "--in", _in(f"vs_overflow_{where}"), *opts,
+       "--no-rational"]
+      for where in ("last", "first")
+      for verb, *opts in (("ndilate", "--n", "3"),
+                          ("standard", "--horizon", "3"),
+                          ("sznagy", "--window", "3"),
+                          ("intertwine", "--other",
+                           _in(f"vs_overflow_{where}"), "--s", _in("vs_eye"),
+                           "--horizon", "3"))],
 ]
 
 
