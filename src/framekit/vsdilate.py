@@ -20,12 +20,22 @@ Every identity that must hold up to a horizon K reads one walk of each
 side: ``_orbit`` lists x, U x, ..., U^K x by left products and ``_powers``
 lists I, T, ..., T^K by right products, so no power is formed twice in one
 check, and each check returns its worst defect over the whole horizon.
+
+A residual compares the two sides of an identity with ``_defect`` and
+never forms their difference.  In the rational field the cells are
+compared one by one, and only a cell that is nonzero on some side and
+differs is subtracted, so the many zeros cost one truthiness test each.
+In float mode the residual is numpy's max-abs of the difference, and
+every reduction, within a matrix and over a horizon, propagates NaN, so
+an overflowed power (inf - inf) gives a NaN residual wherever it sits.
+
 The constructions build their maps from any input; a hypothesis such as
 T S = S T is decided once, by the caller, from ``intertwining_gap``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -70,7 +80,37 @@ def _eye(n: int, like: np.ndarray) -> np.ndarray:
 
 
 def max_abs(M) -> float:
-    return float(max((abs(x) for x in np.asarray(M).flat), default=0))
+    """Largest |entry| as a float, 0.0 for an empty matrix; numpy's
+    reduction keeps a NaN wherever it sits."""
+    M = np.asarray(M)
+    return float(np.max(np.abs(M))) if M.size else 0.0
+
+
+def _defect(A: np.ndarray, B: np.ndarray) -> float:
+    """max |a - b| over the cells of A and B, as a float: 0.0 exactly when
+    A equals B.  Float arrays take ``max_abs(A - B)``.  Object arrays are
+    compared cell by cell and subtract only where a cell is nonzero on
+    some side and the two differ, so a cell that is zero on both sides
+    costs one truthiness test and A - B is never formed."""
+    if A.shape != B.shape:
+        raise ValueError(f"cannot compare a {A.shape} matrix with a "
+                         f"{B.shape} matrix")
+    if A.dtype != object and B.dtype != object:
+        return max_abs(A - B)
+    worst = 0
+    for a, b in zip(A.ravel().tolist(), B.ravel().tolist()):
+        if (a or b) and a != b:
+            gap = abs(a - b)
+            if gap > worst:
+                worst = gap
+    return float(worst)
+
+
+def _worst(defects) -> float:
+    """The largest of the defects; NaN if any is NaN, where ``max`` would
+    keep a NaN only when it comes first."""
+    defects = list(defects)
+    return math.nan if any(map(math.isnan, defects)) else max(defects)
 
 
 def _orbit(U: np.ndarray, x: np.ndarray, k: int) -> list:
@@ -92,7 +132,7 @@ def _powers(T: np.ndarray, k: int) -> list:
 def intertwining_gap(A: np.ndarray, S: np.ndarray, B: np.ndarray) -> float:
     """max-abs of A S - S B: zero when S intertwines B with A, and, for
     A = B, when S commutes with A."""
-    return max_abs(_matmul(A, S) - _matmul(S, B))
+    return _defect(_matmul(A, S), _matmul(S, B))
 
 
 def _trace(M: np.ndarray):
@@ -114,18 +154,18 @@ class DilationQuadruple:
         """max-abs defects of E^T U^j E - T^j for j = 1..k, where E is
         the embedding: the first-coordinate compressions of U's powers."""
         cols, powers = _orbit(self.U, self.embed, k), _powers(T, k)
-        return [max_abs(_matmul(self.embed.T, col) - power)
+        return [_defect(_matmul(self.embed.T, col), power)
                 for col, power in zip(cols[1:], powers[1:])]
 
     def idempotent_defect(self) -> float:
-        return max_abs(_matmul(self.P, self.P) - self.P)
+        return _defect(_matmul(self.P, self.P), self.P)
 
     def inverse_defect(self) -> float:
         if self.U_inv is None:
             raise ValueError("no closed-form inverse stored")
         I = _eye(self.U.shape[0], self.U)
-        return max(max_abs(_matmul(self.U, self.U_inv) - I),
-                   max_abs(_matmul(self.U_inv, self.U) - I))
+        return _worst((_defect(_matmul(self.U, self.U_inv), I),
+                       _defect(_matmul(self.U_inv, self.U), I)))
 
 
 def _first_block_embed(T: np.ndarray, blocks: int) -> np.ndarray:
@@ -215,15 +255,16 @@ class BandedWindow:
         """Worst max-abs defect of E^T U^n E - T^n over n = 0..w-1."""
         h = self.valid_horizon
         pairs = zip(_orbit(self.U, self.embed, h), _powers(self.T, h))
-        return max(max_abs(_matmul(self.embed.T, col) - power)
-                   for col, power in pairs)
+        return _worst(_defect(_matmul(self.embed.T, col), power)
+                      for col, power in pairs)
 
     def interior_identity_defect(self) -> float:
         """max-abs defect of V U - I on the interior block columns
         -w+1..w-1 (the only place the truncation cannot be felt)."""
         d, w = self.T.shape[0], self.window
-        G = _matmul(self.V, self.U) - _eye((2 * w + 1) * d, self.U)
-        return max_abs(G[:, d:2 * w * d])
+        inner = slice(d, 2 * w * d)
+        return _defect(_matmul(self.V, self.U)[:, inner],
+                       _eye((2 * w + 1) * d, self.U)[:, inner])
 
 
 def banded_sznagy(T: np.ndarray, window: int) -> BandedWindow:
@@ -267,15 +308,15 @@ class StandardDilation:
         """Worst max-abs defect of I T^n = P U^n I over n = 0..horizon."""
         q, K = self.quadruple, self.horizon
         pairs = zip(_powers(self.T, K), _orbit(q.U, q.embed, K))
-        return max(max_abs(_matmul(q.embed, power) - _matmul(q.P, col))
-                   for power, col in pairs)
+        return _worst(_defect(_matmul(q.embed, power), _matmul(q.P, col))
+                      for power, col in pairs)
 
     def minimality_check(self) -> bool:
         """U^n I x over n = 0..horizon spans the truncated space: the
         stacked columns form exactly the identity matrix."""
         q = self.quadruple
         cols = np.concatenate(_orbit(q.U, q.embed, self.horizon), axis=1)
-        return bool(np.array_equal(cols, _eye(cols.shape[0], q.U)))
+        return _defect(cols, _eye(cols.shape[0], q.U)) == 0
 
 
 def standard_dilation(T: np.ndarray, horizon: int) -> StandardDilation:
@@ -314,9 +355,9 @@ class AndoDilation:
         grid n, m <= horizon."""
         h = self.horizon
         Tn, Sm = _powers(self.T, h), _powers(self.S, h)
-        return max(
-            max_abs(_matmul(self.embed, _matmul(Tn[n], Sm[m]))
-                    - _matmul(self.P, cell))
+        return _worst(
+            _defect(_matmul(self.embed, _matmul(Tn[n], Sm[m])),
+                    _matmul(self.P, cell))
             for m, col in enumerate(_orbit(self.V, self.embed, h))
             for n, cell in enumerate(_orbit(self.U, col, h)))
 
@@ -336,7 +377,7 @@ class AndoDilation:
                      (n * side + m) * d:(n * side + m + 1) * d] = I
         left = _matmul(self.V, self.U)
         right = _matmul(self.U, self.V)
-        return np.array_equal(left, right) and np.array_equal(left, diag)
+        return _defect(left, right) == 0 and _defect(left, diag) == 0
 
 
 def ando_like(T: np.ndarray, S: np.ndarray, horizon: int) -> AndoDilation:
@@ -397,9 +438,9 @@ def intertwine_lift(T1: np.ndarray, T2: np.ndarray, S: np.ndarray,
         R[n * d1:(n + 1) * d1, n * d2:(n + 1) * d2] = S
     q1, q2 = D1.quadruple, D2.quadruple
     return IntertwineLift(
-        max_abs(_matmul(q1.U, R) - _matmul(R, q2.U)),
-        max_abs(_matmul(R, q2.P) - _matmul(q1.P, R)),
-        max_abs(_matmul(R, q2.embed) - _matmul(q1.embed, S)),
+        _defect(_matmul(q1.U, R), _matmul(R, q2.U)),
+        _defect(_matmul(R, q2.P), _matmul(q1.P, R)),
+        _defect(_matmul(R, q2.embed), _matmul(q1.embed, S)),
     )
 
 

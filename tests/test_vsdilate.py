@@ -173,6 +173,71 @@ def test_matmul_float_mode_is_plain_product(pair):
     assert np.array_equal(got, A @ B)
 
 
+# --------------------------------------------------------- residual kernel
+
+def dense_defect_oracle(A, B):
+    # the dense residual: max-abs over every cell of A - B
+    return float(max((abs(x) for x in np.asarray(A - B).flat), default=0))
+
+
+@st.composite
+def defect_pair(draw):
+    # B is A itself, -A (every nonzero cell changes sign), A with some
+    # cells redrawn, or a fresh draw of the same shape
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    A = draw(sparse_matrix(n, m))
+    how = draw(st.sampled_from(["equal", "negated", "redrawn", "fresh"]))
+    if how == "equal":
+        return A, A.copy()
+    if how == "negated":
+        return A, -A
+    B = draw(sparse_matrix(n, m))
+    if how == "redrawn":
+        keep = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+        B.flat[np.array(keep)] = A.flat[np.array(keep)]
+    return A, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(defect_pair())
+def test_defect_equals_the_dense_residual(pair):
+    A, B = pair
+    got = vsdilate._defect(A, B)
+    assert type(got) is float
+    assert got == dense_defect_oracle(A, B)
+    assert got == vsdilate._defect(B, A)
+    assert (got == 0) == np.array_equal(A, B)
+
+
+@settings(max_examples=50, deadline=None)
+@given(defect_pair())
+def test_defect_float_mode_is_the_dense_residual(pair):
+    A, B = (M.astype(float) for M in pair)
+    assert vsdilate._defect(A, B) == dense_defect_oracle(A, B)
+
+
+@pytest.mark.parametrize("rational", [True, False])
+def test_defect_refuses_a_shape_mismatch(rational):
+    A = as_exact(np.ones((2, 3)), rational)
+    for B in (as_exact(np.ones((3, 2)), rational),
+              as_exact(np.ones((2, 2)), rational),
+              as_exact(np.ones((1, 6)), rational)):
+        with pytest.raises(ValueError, match="cannot compare"):
+            vsdilate._defect(A, B)
+
+
+@pytest.mark.parametrize("where", [0, 1, 3])
+def test_float_residuals_keep_a_nan_wherever_it_sits(where):
+    A = np.zeros((2, 2))
+    A.flat[where] = np.nan
+    assert np.isnan(max_abs(A))
+    assert np.isnan(vsdilate._defect(A, np.zeros((2, 2))))
+    defects = [0.0, 0.0, 0.0, 0.0]
+    defects[where] = np.nan
+    assert np.isnan(vsdilate._worst(defects))
+    assert vsdilate._worst([0.0, np.inf, 1.0]) == np.inf
+
+
 def undetected_changes(M, passes):
     """Positions of nonzero entries of M whose change to M[i, j] + 1
     leaves passes() true.  M is restored after each change."""
