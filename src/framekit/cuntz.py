@@ -1,19 +1,19 @@
 """Word algebra for a pair of isometries u, v with u*u = v*v = 1 and
-u*v = v*u = 0, its concrete interleaving representation, and the
-almost-commuting triangular matrix pair built on top of it.
+u*v = v*u = 0, and the almost-commuting triangular matrix pair built on
+top of it.
 
 Normal-form words w sigma* (all unstarred letters left of all starred
 ones) are closed under multiplication using only the relations above;
 uu* + vv* = 1 is NOT a rewrite rule and holds only in the concrete
-representation u e_k = e_{2k}, v e_k = e_{2k+1}, where equality is
-decided by applying both sides to basis vectors.
+representation u e_k = e_{2k}, v e_k = e_{2k+1}.  That representation,
+and the exact dyadic entries of the corrector's first iterate in it, are
+test oracles (``tests/oracles.py``): the tests decide equality of words
+on basis vectors with it and check the solver's first bounds against it.
 
-The solver for the corrector sequence b works at two levels: exact
-dyadic entries of the first iterate in the concrete representation, and
-a certified interval recursion on norm bounds for everything after it
-(the exact solution has no finite word table for n >= 3; its Neumann
-series has unbounded coefficient mass even though the operator norms
-contract).
+The solver for the corrector sequence b is a certified interval
+recursion on norm bounds (the exact solution has no finite word table
+for n >= 3; its Neumann series has unbounded coefficient mass even
+though the operator norms contract).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -87,9 +86,6 @@ class CuntzElement:
     def __rmul__(self, other) -> "CuntzElement":
         return self * other
 
-    def coeff(self, left) -> complex:
-        return self.table.get((_letters(left), ()), 0j)
-
     def __bool__(self) -> bool:
         return bool(self.table)
 
@@ -140,89 +136,6 @@ V = word("v")
 
 def commutator(x: CuntzElement, y: CuntzElement) -> CuntzElement:
     return x * y - y * x
-
-
-def _word_apply(w: tuple, s: tuple, k: int) -> Optional[int]:
-    # right* strips low bits (u: 0, v: 1), then left appends bits, first letter lowest
-    for c in s:
-        if c not in _GEN:
-            raise ValueError(f"no concrete action for symbol {c!r}")
-        bit = 0 if c == "u" else 1
-        if k % 2 != bit:
-            return None
-        k //= 2
-    for c in reversed(w):
-        if c not in _GEN:
-            raise ValueError(f"no concrete action for symbol {c!r}")
-        k = 2 * k + (0 if c == "u" else 1)
-    return k
-
-
-def concrete_apply(e: CuntzElement, x) -> dict:
-    """Apply e in the interleaving representation to a finitely supported
-    vector (dict index -> value, or a sequence read as e_0, e_1, ...)."""
-    if not isinstance(x, dict):
-        x = {i: complex(val) for i, val in enumerate(x) if complex(val) != 0}
-    out: dict = {}
-    for (w, s), c in e.table.items():
-        for k, val in x.items():
-            img = _word_apply(w, s, int(k))
-            if img is not None:
-                out[img] = out.get(img, 0j) + c * val
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def concrete_equal(x: CuntzElement, y: CuntzElement, count: int = 16,
-                   tol: float = 1e-12) -> bool:
-    """Equality in the concrete representation, probed on e_0..e_{count-1}."""
-    for k in range(count):
-        a = concrete_apply(x, {k: 1.0})
-        b = concrete_apply(y, {k: 1.0})
-        for idx in set(a) | set(b):
-            if abs(a.get(idx, 0j) - b.get(idx, 0j)) > tol:
-                return False
-    return True
-
-
-# --- dyadic entries of the first corrector iterate ------------------------
-#
-# z = (1-E)^{-1} a with a_i = n·1 at i = n only; in the concrete
-# representation each entry of z satisfies a terminating recursion driven
-# by the parity pattern of its index pair.
-
-
-@lru_cache(maxsize=None)
-def _z_entry(n: int, i: int, p: int, q: int) -> Fraction:
-    if not 2 <= i <= n:
-        return Fraction(0)
-    y = Fraction(n) if (i == n and p == q) else Fraction(0)
-    if p == 0 and q == 0:
-        return 2 * y
-    if p % 2 == 1 and q % 2 == 0:
-        i2 = i + 1
-    elif p % 2 == 0 and q % 2 == 1:
-        i2 = i - 1
-    else:
-        i2 = i
-    return y + Fraction(1, 2) * _z_entry(n, i2, p >> 1, q >> 1)
-
-
-def kernel_entry(n: int, i: int, p: int, q: int) -> Fraction:
-    """Exact concrete entry <e_p, z_i e_q> of z = (1-E)^{-1} a."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if p < 0 or q < 0:
-        raise ValueError("indices must be nonnegative")
-    return _z_entry(n, i, p, q)
-
-
-def first_iterate_entry(n: int, i: int, p: int, q: int) -> Fraction:
-    """Exact concrete entry of the first iterate b0 = L z, 1 <= i <= n."""
-    if not 1 <= i <= n:
-        return Fraction(0)
-    if q % 2 == 1:
-        return -Fraction(1, 2) * kernel_entry(n, i, p, (q - 1) // 2)
-    return -Fraction(1, 2) * kernel_entry(n, i + 1, p, q // 2)
 
 
 # --- certified fixed-point solver -----------------------------------------

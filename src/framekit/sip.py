@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops
-from .linops import herm, inverse, vec_pnorm
+from .linops import inverse, vec_pnorm
 
 PARSEVAL_TOL = 1e-8
 
@@ -212,18 +212,3 @@ def lower_bound_check(P: SipPair, M, x) -> LowerBoundReport:
     deficit = max(floor - value, 0.0)
     return LowerBoundReport(condition_value, condition_holds, value, floor,
                             deficit)
-
-
-def make_parseval(p: float, d: int, m: int, seed: int = 0) -> SipPair:
-    """Random omega_n with tau_n solved so the frame operator is exactly
-    the identity (left inverse of the duality-map matrix)."""
-    if m < d:
-        raise ValueError("need m >= d vectors to reconstruct")
-    rng = np.random.default_rng(seed)
-    while True:
-        Omega = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
-        W = np.vstack([sip_functional(Omega[:, n], p) for n in range(m)])
-        if linops.is_invertible(herm(W) @ W):
-            break
-    Tau = inverse(herm(W) @ W) @ herm(W)
-    return SipPair(p, Omega, Tau)

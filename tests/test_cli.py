@@ -9,9 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framekit import cli, cuntz, hframe, linops, ovf, pasf, sip, vsdilate
+from framekit import cli, cuntz, hframe, linops, ovf, pasf, vsdilate
 from framekit.cli import dump_frame, dump_matrix, dump_ovf, dump_pasf, main
 from framekit.errors import CertifiedFailure
+from oracles import make_parseval
 
 
 INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -537,7 +538,7 @@ def test_pasf_generic_dilate_restricts_exactly(capsys, tmp_path):
 
 
 def test_sip_verbs(capsys, tmp_path):
-    P = sip.make_parseval(2.0, 3, 5, seed=4)
+    P = make_parseval(2.0, 3, 5, seed=4)
     path = write(tmp_path, "s.json", {"p": 2.0, "Omega": dump_matrix(P.Omega),
                                       "Tau": dump_matrix(P.Tau)})
     for argv in (["sip", "identity", "--in", path, "--subset", "0,2"],

@@ -14,19 +14,22 @@ from framekit.cuntz import (
     CuntzElement,
     build_DX,
     commutator,
-    concrete_apply,
-    concrete_equal,
     decay_reference,
     dx_matrices,
     finite_obstruction,
-    first_iterate_entry,
-    kernel_entry,
     lemma_structure,
     solve_b,
     unit,
     word,
 )
 from framekit.linops import _matmul
+from oracles import (
+    coeff,
+    concrete_apply,
+    concrete_equal,
+    first_iterate_entry,
+    kernel_entry,
+)
 
 U_STAR, V_STAR = word(right="u"), word(right="v")
 
@@ -82,7 +85,7 @@ def test_scalar_and_linear_ops():
     x = 2 * U - U
     assert x == U
     assert (x - x) == CuntzElement()
-    assert (3 * unit() * 2).coeff("") == 6
+    assert coeff(3 * unit() * 2, "") == 6
 
 
 @settings(max_examples=25, deadline=None)
@@ -538,14 +541,14 @@ def test_build_mu_one_matches_raw_layout():
     built = build_DX(n, mu=1.0)
     D, X = dx_matrices(built.solution, 1.0)
     inv_delta = 2000.0 * n**5
-    assert D[0, 0].coeff("v") == pytest.approx(inv_delta)
-    assert D[1, 0].coeff("u") == pytest.approx(inv_delta)
-    assert D[1, 2].coeff("") == pytest.approx(2.0)
-    assert D[0, 3].coeff(("b1", "u")) == pytest.approx(1.0)
-    assert D[2, 3].coeff("") == pytest.approx(3.0)
-    assert D[2, 3].coeff(("b3", "u")) == pytest.approx(1.0)
+    assert coeff(D[0, 0], "v") == pytest.approx(inv_delta)
+    assert coeff(D[1, 0], "u") == pytest.approx(inv_delta)
+    assert coeff(D[1, 2], "") == pytest.approx(2.0)
+    assert coeff(D[0, 3], ("b1", "u")) == pytest.approx(1.0)
+    assert coeff(D[2, 3], "") == pytest.approx(3.0)
+    assert coeff(D[2, 3], ("b3", "u")) == pytest.approx(1.0)
     assert X[2, 1] == unit()
-    assert X[0, 3].coeff(("b1",)) == pytest.approx(built.delta)
+    assert coeff(X[0, 3], ("b1",)) == pytest.approx(built.delta)
     assert lemma_structure(n, Fraction(1)).ok
 
 
@@ -585,7 +588,7 @@ def test_build_symbolic_entries_and_intervals():
     n = 5
     built = build_DX(n)
     entry = dx_matrices(built.solution, 0.5)[0][0, n - 1]
-    assert entry.coeff(("b1", "u")) == pytest.approx(0.5 ** (n - 2))
+    assert coeff(entry, ("b1", "u")) == pytest.approx(0.5 ** (n - 2))
     assert built.X_interval.hi <= 2.0
     assert built.X_interval.lo == 1.0
     assert built.D_interval.lo <= built.D_interval.hi

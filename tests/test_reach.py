@@ -8,8 +8,8 @@ as an attribute of the imported module (``hframe.frame_bounds``, or
 ``framekit.hframe.frame_bounds`` after ``import framekit``). A
 decorated function counts as reached, because the decorator registers it
 (every ``cmd_*`` handler of the command line). What no verb reaches gets a
-verb or is deleted; the allowlist holds the few names that tests keep on
-purpose.
+verb or is deleted; the test oracles live in ``tests/oracles.py``, so the
+allowlists hold only the entry point's parameter.
 
 A member (a method, property or annotated field, dunders aside) counts as
 read when an attribute load of its name appears anywhere in the package
@@ -32,35 +32,15 @@ import framekit
 
 SRC = pathlib.Path(framekit.__file__).parent
 
-ALLOWED = {
-    ("cuntz", "concrete_equal"):
-        "test oracle: equality of word-algebra elements in the concrete "
-        "representation",
-    ("cuntz", "first_iterate_entry"):
-        "test oracle: the exact first corrector iterate, against which the "
-        "tests check solve_b's certified first bounds",
-    ("sip", "make_parseval"):
-        "test fixture: builds the Parseval semi-inner-product pairs of the "
-        "sip tests",
-}
+ALLOWED = {}
 
 PARAM_ALLOWED = {
     ("cli", "main", "argv"):
         "entry point: the console script calls main() with no argument, "
         "tests pass the argument list",
-    ("cuntz", "concrete_equal", "count"):
-        "test oracle: the number of basis vectors the equality is probed on",
-    ("cuntz", "concrete_equal", "tol"):
-        "test oracle: the tolerance of the concrete equality",
-    ("sip", "make_parseval", "seed"):
-        "test fixture: the seed of the random Parseval pair",
 }
 
-MEMBER_ALLOWED = {
-    ("cuntz", "CuntzElement", "coeff"):
-        "test oracle: the coefficient of one word, which the word-algebra "
-        "and dx_matrices tests read",
-}
+MEMBER_ALLOWED = {}
 
 
 def public_names():

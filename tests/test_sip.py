@@ -3,12 +3,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from framekit import hframe, linops
+from oracles import make_parseval
+
 from framekit.sip import (
     LowerBoundReport,
     SipPair,
     general_identity_residual,
     lower_bound_check,
-    make_parseval,
     operator_identity_residual,
     parseval_identity_residual,
     partial_operator,
