@@ -14,11 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from framekit.cuntz import CuntzElement, _letters
+from framekit.cuntz import _GEN, CuntzElement, _letters
 from framekit.linops import herm, inverse, is_invertible
 from framekit.sip import SipPair, sip_functional
-
-_LETTERS = ("u", "v")
 
 
 def coeff(e: CuntzElement, left) -> complex:
@@ -35,14 +33,14 @@ def coeff(e: CuntzElement, left) -> complex:
 def _word_apply(w: tuple, s: tuple, k: int) -> Optional[int]:
     # right* strips low bits (u: 0, v: 1), then left appends bits, first letter lowest
     for c in s:
-        if c not in _LETTERS:
+        if c not in _GEN:
             raise ValueError(f"no concrete action for symbol {c!r}")
         bit = 0 if c == "u" else 1
         if k % 2 != bit:
             return None
         k //= 2
     for c in reversed(w):
-        if c not in _LETTERS:
+        if c not in _GEN:
             raise ValueError(f"no concrete action for symbol {c!r}")
         k = 2 * k + (0 if c == "u" else 1)
     return k
