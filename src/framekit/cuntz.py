@@ -257,9 +257,9 @@ def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:
 # coefficients; the commutator identity below uses no relations at all,
 # so it is decided coefficient-exactly (float coefficients would prune the
 # delta^2 cross terms).  D and X are object matrices of such polynomials,
-# multiplied by linops._matmul, the same exact product as everywhere else.
-# Empty cells are never multiplied: _matmul skips them, and +, - and *
-# return at once on an empty operand (a _Poly is never changed).
+# multiplied by linops._matmul in the sparse form of every exact product:
+# empty cells are never multiplied, and +, - and * return at once on an
+# empty operand (a _Poly is never changed, so cells may share one).
 
 
 class _Poly(dict):

@@ -2,10 +2,12 @@
 intervals, inverses, Hermitian spectra, the one exact matrix product and
 the one sampled falsification loop.
 
-``_matmul`` is the only product of object-dtype matrices in framekit: the
-exact dilations of ``vsdilate`` and the Cuntz lemma's word polynomials
-multiply through it, and it reads the field (or ring) from the entries
-themselves.
+``_Sparse`` is the only product of object-dtype matrices in framekit: a
+matrix kept as its rows of nonzero (column, value) pairs, which ``_form``
+reads once from a dense one.  The exact dilations of ``vsdilate``
+multiply and compare in that form, the Cuntz lemma's word polynomials
+through ``_matmul``, its dense wrapper; either reads the field (or ring)
+from the entries.
 
 ``_falsify`` is the only seeded search for counterexamples to a
 perturbation hypothesis, and ``Perturbation`` the verdict of all three
@@ -355,27 +357,50 @@ def hermitian_extremes(S) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
+class _Sparse:
+    """An object matrix as its rows of nonzero (column, value) pairs, in
+    increasing column, and its shape; products share rows, so none is
+    changed.  Entries are ring elements with +, * and a falsy zero."""
+
+    def __init__(self, rows: list, cols: int):
+        self.rows, self.shape = rows, (len(rows), cols)
+
+    def __matmul__(self, other: "_Sparse") -> "_Sparse":
+        """Row by row (Gustavson): row i sums a * b over its pairs (k, a),
+        in increasing k, against the pairs (j, b) of row k, as the dense
+        loop does.  A factor equal to 1 adds b itself (a row of one pair
+        (k, 1) is row k of other); a cell that cancels to zero is dropped."""
+        out = []
+        for row in self.rows:
+            if len(row) == 1 and row[0][1] == 1:
+                out.append(other.rows[row[0][0]])
+                continue
+            acc = {}
+            for k, a in row:
+                one = a == 1
+                for j, b in other.rows[k]:
+                    ab = b if one else a * b
+                    acc[j] = acc[j] + ab if j in acc else ab
+            out.append([(j, x) for j, x in sorted(acc.items()) if x])
+        return _Sparse(out, other.shape[1])
+
+    def dense(self, zero) -> np.ndarray:
+        """The object array, zero in every cell without a pair."""
+        out = np.full(self.shape, zero, dtype=object)
+        for i, row in enumerate(self.rows):
+            out[i, [j for j, _ in row]] = [x for _, x in row]
+        return out
+
+
+def _form(M: np.ndarray):
+    """M as products take it: an object array read into its sparse form,
+    with one truthiness test per cell; a float array as it is."""
+    return M if M.dtype != object else _Sparse(
+        [[(j, x) for j, x in enumerate(row) if x] for row in M.tolist()],
+        M.shape[1])
+
+
 def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B.  Float arrays go to numpy.  Object arrays may hold any ring
-    elements with +, * and a falsy zero (Fractions, word polynomials,
-    Cuntz elements): each row of A accumulates over its own nonzero
-    entries, among the rows of B that have any, against the nonzero
-    (column, value) pairs of those rows, always as a * b and in increasing
-    k within a cell, so noncommuting and inexact entries give what the
-    dense loop gives; untouched cells hold the zero of B's entries,
-    ``type(B.flat[0])()``."""
-    if A.dtype != object and B.dtype != object:
-        return A @ B
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in B.tolist()]
-    live = [k for k, pairs in enumerate(nonzero) if pairs]
-    zero, cols = type(B.flat[0])(), range(B.shape[1])
-    out = np.empty((A.shape[0], B.shape[1]), dtype=object)
-    for i, row in enumerate(A.tolist()):
-        acc = {}
-        for k in live:
-            a = row[k]
-            if a:
-                for j, b in nonzero[k]:
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-        out[i] = [acc.get(j, zero) for j in cols]
-    return out
+    """A @ B of object arrays, taken in the sparse form; untouched cells
+    hold the zero of B's entries, ``type(B.flat[0])()``."""
+    return (_form(A) @ _form(B)).dense(type(B.flat[0])())

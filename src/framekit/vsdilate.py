@@ -12,9 +12,9 @@ entries are Fraction objects inside dense object-dtype numpy arrays, so
 every identity the theorems assert is checked with zero residual; float64
 entries serve interoperability. Identities and zeros are built like a
 matrix of the same field, and tolerances are 0 for object arrays.  The
-shifts, embeddings and collapses are mostly zero, so every product here
-goes through ``linops._matmul``, the one exact product, which multiplies
-only nonzero entries; the checks still apply the stored operators.
+shifts, embeddings and collapses are mostly zero: each check reads every
+stored operator once, when it runs, into rows of nonzero entries with
+``linops._form`` (float arrays stay) and multiplies only those.
 
 Every identity that must hold up to a horizon K reads one walk of each
 side: ``_orbit`` lists x, U x, ..., U^K x by left products and ``_powers``
@@ -22,12 +22,12 @@ lists I, T, ..., T^K by right products, so no power is formed twice in one
 check, and each check returns its worst defect over the whole horizon.
 
 A residual compares the two sides of an identity with ``_defect`` and
-never forms their difference.  In the rational field the cells are
-compared one by one, and only a cell that is nonzero on some side and
-differs is subtracted, so the many zeros cost one truthiness test each.
-In float mode the residual is numpy's max-abs of the difference, and
-every reduction, within a matrix and over a horizon, propagates NaN, so
-an overflowed power (inf - inf) gives a NaN residual wherever it sits.
+never forms their difference.  In the rational field the two forms are
+compared row by row, a missing pair reading as zero, so zeros cost
+nothing and only a cell that differs is subtracted.  In float mode the
+residual is numpy's max-abs of the difference, and every reduction,
+within a matrix and over a horizon, propagates NaN, so an overflowed
+power (inf - inf) gives a NaN residual wherever it sits.
 
 The constructions build their maps from any input; a hypothesis such as
 T S = S T is decided once, by the caller, from ``intertwining_gap``.
@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linops import _matmul
+from .linops import _form
 
 FLOAT_TOL = 1e-12
 
@@ -79,6 +79,11 @@ def _eye(n: int, like: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dense(X, like: np.ndarray) -> np.ndarray:
+    """A product of forms as a matrix over like's field."""
+    return X if isinstance(X, np.ndarray) else X.dense(type(like.flat[0])())
+
+
 def max_abs(M) -> float:
     """Largest |entry| as a float, 0.0 for an empty matrix; numpy's
     reduction keeps a NaN wherever it sits."""
@@ -86,23 +91,22 @@ def max_abs(M) -> float:
     return float(np.max(np.abs(M))) if M.size else 0.0
 
 
-def _defect(A: np.ndarray, B: np.ndarray) -> float:
-    """max |a - b| over the cells of A and B, as a float: 0.0 exactly when
-    A equals B.  Float arrays take ``max_abs(A - B)``.  Object arrays are
-    compared cell by cell and subtract only where a cell is nonzero on
-    some side and the two differ, so a cell that is zero on both sides
-    costs one truthiness test and A - B is never formed."""
+def _defect(A, B) -> float:
+    """max |a - b| over the cells of two forms A and B, as a float: 0.0
+    exactly when A equals B.  Arrays take ``max_abs(A - B)``.  Sparse
+    forms are compared row by row, a missing pair reading as zero, and
+    only a row that differs is subtracted, so A - B is never formed."""
     if A.shape != B.shape:
         raise ValueError(f"cannot compare a {A.shape} matrix with a "
                          f"{B.shape} matrix")
-    if A.dtype != object and B.dtype != object:
+    if isinstance(A, np.ndarray):
         return max_abs(A - B)
     worst = 0
-    for a, b in zip(A.ravel().tolist(), B.ravel().tolist()):
-        if (a or b) and a != b:
-            gap = abs(a - b)
-            if gap > worst:
-                worst = gap
+    for a_row, b_row in zip(A.rows, B.rows):
+        if a_row != b_row:
+            b = dict(b_row)
+            gaps = [abs(a - b.pop(j, 0)) for j, a in a_row]
+            worst = max(worst, *gaps, *map(abs, b.values()))
     return float(worst)
 
 
@@ -113,26 +117,27 @@ def _worst(defects) -> float:
     return math.nan if any(map(math.isnan, defects)) else max(defects)
 
 
-def _orbit(U: np.ndarray, x: np.ndarray, k: int) -> list:
+def _orbit(U, x, k: int) -> list:
     """[x, U x, ..., U^k x], each the one before times U on the left."""
     out = [x]
     while len(out) <= k:
-        out.append(_matmul(U, out[-1]))
+        out.append(U @ out[-1])
     return out
 
 
 def _powers(T: np.ndarray, k: int) -> list:
-    """[I, T, ..., T^k], each after T the one before times T."""
-    out = [_eye(T.shape[0], T), T]
+    """Forms of [I, T, ..., T^k], each after T the one before times T."""
+    out = [_form(_eye(T.shape[0], T)), _form(T)]
     while len(out) <= k:
-        out.append(_matmul(out[-1], T))
+        out.append(out[-1] @ out[1])
     return out[:k + 1]
 
 
 def intertwining_gap(A: np.ndarray, S: np.ndarray, B: np.ndarray) -> float:
     """max-abs of A S - S B: zero when S intertwines B with A, and, for
     A = B, when S commutes with A."""
-    return _defect(_matmul(A, S), _matmul(S, B))
+    A, S, B = map(_form, (A, S, B))
+    return _defect(A @ S, S @ B)
 
 
 def _trace(M: np.ndarray):
@@ -153,19 +158,20 @@ class DilationQuadruple:
     def compression_defects(self, T: np.ndarray, k: int) -> list:
         """max-abs defects of E^T U^j E - T^j for j = 1..k, where E is
         the embedding: the first-coordinate compressions of U's powers."""
-        cols, powers = _orbit(self.U, self.embed, k), _powers(T, k)
-        return [_defect(_matmul(self.embed.T, col), power)
-                for col, power in zip(cols[1:], powers[1:])]
+        cols = _orbit(_form(self.U), _form(self.embed), k)[1:]
+        E_T = _form(self.embed.T)
+        return [_defect(E_T @ c, p) for c, p in zip(cols, _powers(T, k)[1:])]
 
     def idempotent_defect(self) -> float:
-        return _defect(_matmul(self.P, self.P), self.P)
+        P = _form(self.P)
+        return _defect(P @ P, P)
 
     def inverse_defect(self) -> float:
         if self.U_inv is None:
             raise ValueError("no closed-form inverse stored")
-        I = _eye(self.U.shape[0], self.U)
-        return _worst((_defect(_matmul(self.U, self.U_inv), I),
-                       _defect(_matmul(self.U_inv, self.U), I)))
+        U, V = _form(self.U), _form(self.U_inv)
+        I = _form(_eye(self.U.shape[0], self.U))
+        return _worst((_defect(U @ V, I), _defect(V @ U, I)))
 
 
 def _first_block_embed(T: np.ndarray, blocks: int) -> np.ndarray:
@@ -253,18 +259,18 @@ class BandedWindow:
 
     def compression_defect(self) -> float:
         """Worst max-abs defect of E^T U^n E - T^n over n = 0..w-1."""
-        h = self.valid_horizon
-        pairs = zip(_orbit(self.U, self.embed, h), _powers(self.T, h))
-        return _worst(_defect(_matmul(self.embed.T, col), power)
-                      for col, power in pairs)
+        h, E_T = self.valid_horizon, _form(self.embed.T)
+        pairs = zip(_orbit(_form(self.U), _form(self.embed), h),
+                    _powers(self.T, h))
+        return _worst(_defect(E_T @ col, power) for col, power in pairs)
 
     def interior_identity_defect(self) -> float:
         """max-abs defect of V U - I on the interior block columns
         -w+1..w-1 (the only place the truncation cannot be felt)."""
         d, w = self.T.shape[0], self.window
         inner = slice(d, 2 * w * d)
-        return _defect(_matmul(self.V, self.U)[:, inner],
-                       _eye((2 * w + 1) * d, self.U)[:, inner])
+        return _defect(_form(self.V) @ _form(self.U[:, inner]),
+                       _form(_eye((2 * w + 1) * d, self.U)[:, inner]))
 
 
 def banded_sznagy(T: np.ndarray, window: int) -> BandedWindow:
@@ -307,16 +313,17 @@ class StandardDilation:
     def dilation_defect(self) -> float:
         """Worst max-abs defect of I T^n = P U^n I over n = 0..horizon."""
         q, K = self.quadruple, self.horizon
-        pairs = zip(_powers(self.T, K), _orbit(q.U, q.embed, K))
-        return _worst(_defect(_matmul(q.embed, power), _matmul(q.P, col))
-                      for power, col in pairs)
+        E, P = _form(q.embed), _form(q.P)
+        pairs = zip(_powers(self.T, K), _orbit(_form(q.U), E, K))
+        return _worst(_defect(E @ power, P @ col) for power, col in pairs)
 
     def minimality_check(self) -> bool:
         """U^n I x over n = 0..horizon spans the truncated space: the
         stacked columns form exactly the identity matrix."""
         q = self.quadruple
-        cols = np.concatenate(_orbit(q.U, q.embed, self.horizon), axis=1)
-        return _defect(cols, _eye(cols.shape[0], q.U)) == 0
+        cols = _orbit(_form(q.U), _form(q.embed), self.horizon)
+        I = np.split(_eye(q.U.shape[0], q.U), len(cols), axis=1)
+        return all(_defect(c, _form(b)) == 0 for c, b in zip(cols, I))
 
 
 def standard_dilation(T: np.ndarray, horizon: int) -> StandardDilation:
@@ -332,7 +339,7 @@ def standard_dilation(T: np.ndarray, horizon: int) -> StandardDilation:
     for i in range(K):
         U[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = I
     P = _zeros(blocks * d, blocks * d, T)
-    P[:d] = np.concatenate(_powers(T, K), axis=1)
+    P[:d] = np.concatenate([_dense(X, T) for X in _powers(T, K)], axis=1)
     quad = DilationQuadruple(_first_block_embed(T, blocks), U, P)
     return StandardDilation(quad, K, T)
 
@@ -353,13 +360,12 @@ class AndoDilation:
     def dilation_defect(self) -> float:
         """Worst max-abs defect of I T^n S^m = P U^n V^m I over the whole
         grid n, m <= horizon."""
-        h = self.horizon
+        h, E, P, U = self.horizon, *map(_form, (self.embed, self.P, self.U))
         Tn, Sm = _powers(self.T, h), _powers(self.S, h)
         return _worst(
-            _defect(_matmul(self.embed, _matmul(Tn[n], Sm[m])),
-                    _matmul(self.P, cell))
-            for m, col in enumerate(_orbit(self.V, self.embed, h))
-            for n, cell in enumerate(_orbit(self.U, col, h)))
+            _defect(E @ (Tn[n] @ Sm[m]), P @ cell)
+            for m, col in enumerate(_orbit(_form(self.V), E, h))
+            for n, cell in enumerate(_orbit(U, col, h)))
 
     def pad_identity_check(self) -> bool:
         """Prefixing a zero column to the row-shifted array equals stacking
@@ -375,9 +381,9 @@ class AndoDilation:
                 diag[((n + 1) * side + m + 1) * d:
                      ((n + 1) * side + m + 2) * d,
                      (n * side + m) * d:(n * side + m + 1) * d] = I
-        left = _matmul(self.V, self.U)
-        right = _matmul(self.U, self.V)
-        return _defect(left, right) == 0 and _defect(left, diag) == 0
+        U, V = _form(self.U), _form(self.V)
+        left = V @ U
+        return _defect(left, U @ V) == 0 and _defect(left, _form(diag)) == 0
 
 
 def ando_like(T: np.ndarray, S: np.ndarray, horizon: int) -> AndoDilation:
@@ -408,7 +414,7 @@ def ando_like(T: np.ndarray, S: np.ndarray, horizon: int) -> AndoDilation:
                 place(V, n, m, n, m + 1)
     P = _zeros(cells * d, cells * d, T)
     Tn, Sm = _powers(T, h), _powers(S, h)
-    P[:d] = np.concatenate([_matmul(Tn[n], Sm[m]) for n in range(side)
+    P[:d] = np.concatenate([_dense(Tn[n] @ Sm[m], T) for n in range(side)
                             for m in range(side)], axis=1)
     return AndoDilation(_first_block_embed(T, cells), U, V, P, h, T, S)
 
@@ -437,11 +443,10 @@ def intertwine_lift(T1: np.ndarray, T2: np.ndarray, S: np.ndarray,
     for n in range(blocks):
         R[n * d1:(n + 1) * d1, n * d2:(n + 1) * d2] = S
     q1, q2 = D1.quadruple, D2.quadruple
-    return IntertwineLift(
-        _defect(_matmul(q1.U, R), _matmul(R, q2.U)),
-        _defect(_matmul(R, q2.P), _matmul(q1.P, R)),
-        _defect(_matmul(R, q2.embed), _matmul(q1.embed, S)),
-    )
+    U1, P1, E1, U2, P2, E2, R, S = map(_form, (
+        q1.U, q1.P, q1.embed, q2.U, q2.P, q2.embed, R, S))
+    return IntertwineLift(_defect(U1 @ R, R @ U2), _defect(R @ P2, P1 @ R),
+                          _defect(R @ E2, E1 @ S))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from framekit.cuntz import (
     unit,
     word,
 )
-from framekit.linops import _matmul
+from framekit.linops import _form, _matmul
 from oracles import (
     coeff,
     concrete_apply,
@@ -219,8 +219,10 @@ def test_matmul_adds_inexact_word_products_in_k_order():
 
     for _ in range(10):
         A, B = matrix(3, 5), matrix(5, 3)
-        assert np.array_equal(_matmul(A, B),
-                              dense_product(A, B, CuntzElement()))
+        expected = dense_product(A, B, CuntzElement())
+        assert np.array_equal(_matmul(A, B), expected)
+        assert np.array_equal((_form(A) @ _form(B)).dense(CuntzElement()),
+                              expected)
 
 
 def test_matmul_keeps_the_factor_order():
@@ -231,6 +233,13 @@ def test_matmul_keeps_the_factor_order():
     u_star, v = (np.array([[x]], dtype=object) for x in (U_STAR, V))
     assert not _matmul(u_star, v)[0, 0]  # u* v = 0
     assert _matmul(v, u_star)[0, 0] == word("v", "u")
+    # in the sparse form: the factors keep their order, a factor equal to
+    # 1 is never assumed (a _Poly or CuntzElement is not == 1), and the
+    # zero product u* v leaves no pair
+    assert (_form(a) @ _form(b)).rows == [[(0, {("a", "b"): 1})]]
+    assert (_form(b) @ _form(a)).rows == [[(0, {("b", "a"): 1})]]
+    assert (_form(u_star) @ _form(v)).rows == [[]]
+    assert (_form(v) @ _form(u_star)).rows == [[(0, word("v", "u"))]]
 
 
 # --- dyadic kernel ---------------------------------------------------------

@@ -4,6 +4,7 @@ Rational mode is held to zero residual everywhere; the oracles recompute
 matrix powers by plain loops and solve the Sylvester equation independently.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framekit import vsdilate
+from framekit import linops, vsdilate
 from framekit.vsdilate import (
     AndoDilation,
     BandedWindow,
@@ -107,18 +108,37 @@ def test_as_exact_float_mode():
     assert M.dtype == float
 
 
+def dense(X):
+    """A sparse form filled out with Fraction zeros."""
+    return X.dense(Fraction(0))
+
+
 def test_walks_match_oracle():
     T, x = frac_matrix(11, 3), frac_matrix(12, 3, 2)
-    for k, (power, col) in enumerate(zip(vsdilate._powers(T, 4),
-                                         vsdilate._orbit(T, x, 4))):
-        assert np.array_equal(power, power_oracle(T, k))
-        assert np.array_equal(col, power_oracle(T, k) @ x)
+    walks = zip(vsdilate._powers(T, 4),
+                vsdilate._orbit(linops._form(T), linops._form(x), 4))
+    for k, (power, col) in enumerate(walks):
+        assert np.array_equal(dense(power), power_oracle(T, k))
+        assert np.array_equal(dense(col), power_oracle(T, k) @ x)
     assert [len(vsdilate._powers(T, k)) for k in range(3)] == [1, 2, 3]
+
+
+def test_a_walk_drops_the_cells_that_cancel():
+    # U^2 = 0 exactly: every cell of U^2 x sums to zero and is dropped,
+    # and U^3 x multiplies nothing
+    U = as_exact([[1, -1, 0], [1, -1, 0], [0, 0, 0]])
+    x = as_exact([["1/2", 0], ["-1/3", 1], [0, 0]])
+    walk = vsdilate._orbit(linops._form(U), linops._form(x), 3)
+    assert [row for row in walk[1].rows if row]
+    assert walk[2].rows == walk[3].rows == [[], [], []]
+    for k, col in enumerate(walk):
+        assert np.array_equal(dense(col), power_oracle(U, k) @ x)
 
 
 # ----------------------------------------------------------- exact product
 
 sparse_entries = st.one_of(st.just(Fraction(0)),
+                           st.sampled_from([Fraction(1), Fraction(-1)]),
                            st.fractions(-5, 5, max_denominator=9))
 
 
@@ -142,10 +162,15 @@ def sparse_pair(draw):
 
 
 def assert_matmul_is_dense_product(A, B):
-    got = vsdilate._matmul(A, B)
-    assert got.dtype == object and got.shape == (A.shape[0], B.shape[1])
-    assert all(type(x) is Fraction for x in got.flat)
-    assert np.array_equal(got, A @ B)
+    form = linops._form(A) @ linops._form(B)
+    assert form.shape == (A.shape[0], B.shape[1])
+    assert all(x and type(x) is Fraction for row in form.rows for _, x in row)
+    assert all(js == sorted(set(js))
+               for js in ([j for j, _ in row] for row in form.rows))
+    for got in (dense(form), linops._matmul(A, B)):
+        assert got.dtype == object and got.shape == form.shape
+        assert all(type(x) is Fraction for x in got.flat)
+        assert np.array_equal(got, A @ B)
 
 
 @settings(max_examples=150, deadline=None)
@@ -168,8 +193,8 @@ def test_matmul_row_and_column_shapes(n):
 @given(sparse_pair())
 def test_matmul_float_mode_is_plain_product(pair):
     A, B = (M.astype(float) for M in pair)
-    got = vsdilate._matmul(A, B)
-    assert got.dtype == float
+    got = linops._form(A) @ linops._form(B)
+    assert type(got) is np.ndarray and got.dtype == float
     assert np.array_equal(got, A @ B)
 
 
@@ -202,10 +227,11 @@ def defect_pair(draw):
 @given(defect_pair())
 def test_defect_equals_the_dense_residual(pair):
     A, B = pair
-    got = vsdilate._defect(A, B)
+    got = vsdilate._defect(linops._form(A), linops._form(B))
     assert type(got) is float
     assert got == dense_defect_oracle(A, B)
-    assert got == vsdilate._defect(B, A)
+    assert got == vsdilate._defect(linops._form(B), linops._form(A))
+    assert got == vsdilate._defect(A, B)
     assert (got == 0) == np.array_equal(A, B)
 
 
@@ -224,6 +250,9 @@ def test_defect_refuses_a_shape_mismatch(rational):
               as_exact(np.ones((1, 6)), rational)):
         with pytest.raises(ValueError, match="cannot compare"):
             vsdilate._defect(A, B)
+        message = f"cannot compare a {A.shape} matrix with a {B.shape} matrix"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            vsdilate._defect(linops._form(A), linops._form(B))
 
 
 @pytest.mark.parametrize("where", [0, 1, 3])
