@@ -159,9 +159,12 @@ REPORTS = [
      "--horizon", "4", "--no-rational"],
     ["cuntz", "solve", "--n", "4"],
     ["cuntz", "build", "--n", "3"],
+    # n = 2 writes the exact corrector: D[0, 1] sums 1 and -2 u*u
+    ["cuntz", "build", "--n", "2"],
     ["cuntz", "verify", "--n-range", "6:8:2"],
     # sizes where the lemma's exact commutator is large and mostly zero
     ["cuntz", "build", "--n", "12", "--mu", "0.2"],
+    ["cuntz", "build", "--n", "40", "--mu", "0.4"],
     ["cuntz", "verify", "--n-range", "21:33:4"],
     ["cuntz", "obstruction", "--dim", "3", "--trials", "40"],
     # certified failures: exit 1 with a fail report
