@@ -521,9 +521,15 @@ def dump_word_element(e) -> list:
 
 
 def dump_word_matrix(M) -> dict:
+    """A square sparse form of word elements, [] in each empty cell."""
     n = M.shape[0]
-    return {"n": n, "entries": [[dump_word_element(M[i, j]) for j in range(n)]
-                                for i in range(n)]}
+    entries = []
+    for row in M.rows:
+        cells = [[] for _ in range(n)]
+        for j, e in row:
+            cells[j] = dump_word_element(e)
+        entries.append(cells)
+    return {"n": n, "entries": entries}
 
 
 # ----------------------------------------------------------- dispatching

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError
-from .linops import NormInterval, _matmul
+from .linops import NormInterval, _Sparse
 
 WORD_PRUNE = 1e-14
 _GEN = ("u", "v")
@@ -256,10 +256,10 @@ def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:
 # Free noncommutative polynomials over u, v, b_1..b_n with Fraction
 # coefficients; the commutator identity below uses no relations at all,
 # so it is decided coefficient-exactly (float coefficients would prune the
-# delta^2 cross terms).  D and X are object matrices of such polynomials,
-# multiplied by linops._matmul in the sparse form of every exact product:
-# empty cells are never multiplied, and +, - and * return at once on an
-# empty operand (a _Poly is never changed, so cells may share one).
+# delta^2 cross terms).  D and X are built as linops._Sparse forms of such
+# polynomials, rows of their nonzero cells, and multiplied in that form:
+# empty cells are never stored or multiplied, and +, - and * return at once
+# on an empty operand (a _Poly is never changed, so cells may share one).
 
 
 class _Poly(dict):
@@ -301,24 +301,30 @@ def _const(c) -> _Poly:
     return _Poly({(): Fraction(c)})
 
 
-def _pair(n: int, mu, delta, b, u, v, one):
-    """The triangular pair D_mu, X_mu as object matrices over the ring of
+def _pair(n: int, mu, delta, b, u, v, one) -> tuple[_Sparse, _Sparse]:
+    """The triangular pair D_mu, X_mu as sparse forms over the ring of
     u, v, one and b = (b_1, ..., b_n): the mu = 1 pair conjugated by
     diag(mu^{n-1}, ..., mu, 1), times 1/mu on D and mu on X. The scalars
     mu and delta are floats for dx_matrices and Fractions for the exact
-    lemma; an empty cell is the ring's empty element."""
-    D = np.full((n, n), type(one)(), dtype=object)
-    X = np.full((n, n), type(one)(), dtype=object)
+    lemma.  The b term of a row goes to its last column, added to what the
+    row already holds there or to the ring's empty element; a row's cells
+    are laid out in increasing column and empty ones are left out.  The
+    cells below and on the diagonal hold one shared u and v term each."""
+    zero = type(one)()
+    du, dv = (1 / (mu * mu * delta)) * u, (1 / (mu * delta)) * v
+    D, X = [], []
     for r in range(n):
         i = r + 1
-        D[r, r] = (1 / (mu * delta)) * v
-        if r + 1 < n:
-            X[r + 1, r] = one
-            D[r + 1, r] = (1 / (mu * mu * delta)) * u
-            D[r, r + 1] = i * one
-        D[r, n - 1] = D[r, n - 1] + mu ** (n - i - 1) * (b[r] * u)
-        X[r, n - 1] = X[r, n - 1] + (mu ** (n - i + 1) * delta) * b[r]
-    return D, X
+        d = {r - 1: du} if r else {}
+        d[r] = dv
+        if i < n:
+            d[i] = i * one
+        d[n - 1] = d.get(n - 1, zero) + mu ** (n - i - 1) * (b[r] * u)
+        x = {r - 1: one} if r else {}
+        x[n - 1] = zero + (mu ** (n - i + 1) * delta) * b[r]
+        D.append([(j, c) for j, c in d.items() if c])
+        X.append([(j, c) for j, c in x.items() if c])
+    return _Sparse(D, n), _Sparse(X, n)
 
 
 @dataclass(frozen=True)
@@ -347,10 +353,9 @@ def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
     sym = lambda name: _Poly({(name,): Fraction(1)})
     vv, uu = sym("v"), sym("u")
     bb = [None] + [sym(f"b{i}") for i in range(1, n + 1)]
-    D, X = _pair(n, mu, delta, bb[1:], uu, vv, _const(1))
-    C = _matmul(D, X) - _matmul(X, D)
-    off = all(C[i, j] == (_const(1) if i == j else {})
-              for i in range(n) for j in range(n - 1))
+    one, empty = _const(1), _Poly()
+    D, X = _pair(n, mu, delta, bb[1:], uu, vv, one)
+    ubn = commutator(uu, bb[n]) * _const(delta)
     expected = []
     for i in range(1, n + 1):
         e = commutator(vv, bb[i])
@@ -358,12 +363,22 @@ def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
             e = e + commutator(uu, bb[i - 1])
         if i < n:
             e = e + bb[i + 1] * _const(i * delta)
-        e = e + bb[i] * commutator(uu, bb[n]) * _const(delta)
+        e = e + bb[i] * ubn
         if i == n:
             # the (n, n) cell is diagonal, so the identity contributes there
             e = e + _const(1 - n)
         expected.append(mu ** (n - i) * e)
-    last = all(C[i, n - 1] == expected[i] for i in range(n))
+    # row i of C = D X - X D from the two products' rows, whose cells are
+    # nonzero: C's diagonal and last column are taken as differences, and
+    # every other cell is zero exactly when its two products are equal
+    off = last = True
+    for i, (dx, xd) in enumerate(zip((D @ X).rows, (X @ D).rows)):
+        a, b = dict(dx), dict(xd)
+        cell = a.pop(n - 1, empty) - b.pop(n - 1, empty)
+        last = last and cell == expected[i]
+        if i < n - 1:
+            off = off and a.pop(i, empty) - b.pop(i, empty) == one
+        off = off and a == b
     return LemmaReport(off_column_zero=off, last_column_matches=last)
 
 
@@ -423,8 +438,8 @@ def build_DX(n: int, mu: float = 0.5, tol: float = 1e-10) -> DXBuild:
     )
 
 
-def dx_matrices(sol: SolveResult, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """The pair D_mu, X_mu as object matrices of CuntzElement, for the
+def dx_matrices(sol: SolveResult, mu: float) -> tuple[_Sparse, _Sparse]:
+    """The pair D_mu, X_mu as sparse forms of CuntzElement, for the
     corrector solved in sol. Entries that involve b_i appear as opaque
     atoms "b{i}" (for n = 2 the exact word tables are substituted)."""
     n = len(sol.bounds)

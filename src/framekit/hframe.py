@@ -15,7 +15,8 @@ import numpy as np
 
 from . import linops, pasf
 from .errors import HypothesisViolated, NotAFrame
-from .linops import Perturbation, _falsify, herm, inverse
+from .linops import (Perturbation, _apply_rows, _falsify, _norm_rows, herm,
+                     inverse)
 
 RANK_RTOL = 1e-10
 
@@ -217,11 +218,10 @@ def perturb_certificate(F: HilbertFrame, G: HilbertFrame, mode: str,
     if max(alpha + gamma / math.sqrt(a), beta) >= 1:
         raise HypothesisViolated(
             "need max(alpha + gamma/sqrt(a), beta) < 1 for the general certificate")
-    norm = np.linalg.norm
+    norms = lambda A, C: _norm_rows(_apply_rows(A, C))
     valid, detail = _falsify(
-        lambda C: np.array([(norm(diff @ c), alpha * norm(F.synthesis @ c)
-                             + beta * norm(G.synthesis @ c) + gamma * norm(c))
-                            for c in C]).T,
+        lambda C: (norms(diff, C), alpha * norms(F.synthesis, C)
+                   + beta * norms(G.synthesis, C) + gamma * _norm_rows(C)),
         F.m, samples, seed)
     mu = (alpha + beta + gamma / math.sqrt(a)) / (1 + beta)
     nu = (alpha + beta + gamma / math.sqrt(b)) / (1 - beta)

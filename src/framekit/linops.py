@@ -5,17 +5,17 @@ the one sampled falsification loop.
 ``_Sparse`` is the only product of object-dtype matrices in framekit: a
 matrix kept as its rows of nonzero (column, value) pairs, which ``_form``
 reads once from a dense one.  The exact dilations of ``vsdilate``
-multiply and compare in that form, the Cuntz lemma's word polynomials
-through ``_matmul``, its dense wrapper; either reads the field (or ring)
-from the entries.
+multiply and compare in that form, and the Cuntz pair of ``cuntz`` is
+built in it, so its word polynomials are never laid out dense; the
+product reads the field (or ring) from the entries.
 
 ``_falsify`` is the only seeded search for counterexamples to a
 perturbation hypothesis, and ``Perturbation`` the verdict of all three
 perturbation certificates: hframe, pasf and ovf. ``_falsify`` draws the
 sample vectors in chunks of at most CHUNK entries and passes each chunk to
-the caller's sides(C) as the rows of one matrix C, so a caller may evaluate
-a chunk's samples at once; sides(C) returns (lhs, rhs) with one row per
-sample.
+the caller's sides(C) as the rows of one matrix C; all three callers
+evaluate a chunk's samples at once. sides(C) returns (lhs, rhs) with one
+row per sample.
 
 Operator norms for p outside {1, 2, inf} are NP-hard to compute exactly, so
 they are reported as certified intervals: the lower end comes from a
@@ -125,12 +125,30 @@ def _pnorm(x: np.ndarray, p: float) -> float:
     return r
 
 
+def _apply_rows(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A x for every row x of X, as the rows of the result: one stacked
+    product that runs, per row, the matrix-vector product A @ x runs."""
+    return (A @ X[:, :, None])[:, :, 0]
+
+
+def _norm_rows(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of every row of X, bit for bit: the root of the BLAS
+    dot of the row with itself, or of its real part plus that of its
+    imaginary part, each dot a stacked (1, m) @ (m, 1) product."""
+    def dots(Y):
+        return (Y[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+    if np.iscomplexobj(X):
+        return np.sqrt(dots(X.real) + dots(X.imag))
+    return np.sqrt(dots(X))
+
+
 def _pnorm_rows(X: np.ndarray, p: float) -> np.ndarray:
     """_pnorm of every row of X, bit for bit: the same operations row by
     row, each row's sum reduced on its own."""
     v = np.abs(X)
     if p == 2:
-        r = np.array([np.linalg.norm(row) for row in v])
+        r = _norm_rows(v)
     elif p == 1:
         r = v.sum(axis=1)
     else:
@@ -187,13 +205,13 @@ def _ascent_lower(A: np.ndarray, p: float, seed: int) -> float:
     X = np.array(starts)
     nx = _pnorm_rows(X, p)
     X, nx = X[nx != 0], nx[nx != 0]
-    Y = (A @ (X / nx[:, None])[:, :, None])[:, :, 0]
+    Y = _apply_rows(A, X / nx[:, None])
     val = _pnorm_rows(Y, p)
     done = [0.0]  # the value each start stops at
     for _ in range(60):
         if not len(val):
             break
-        Z = (Ah @ _dual_rows(Y, p, q)[:, :, None])[:, :, 0]
+        Z = _apply_rows(Ah, _dual_rows(Y, p, q))
         go = np.abs(Z).any(axis=1)
         done += val[~go].tolist()
         X = _dual_rows(Z[go], q, q_dual).conj()
@@ -201,7 +219,7 @@ def _ascent_lower(A: np.ndarray, p: float, seed: int) -> float:
         go = nx != 0
         done += val[~go].tolist()
         val = val[go]
-        Y = (A @ (X[go] / nx[go, None])[:, :, None])[:, :, 0]
+        Y = _apply_rows(A, X[go] / nx[go, None])
         val_new = _pnorm_rows(Y, p)
         go = ~(val_new <= val * (1 + 1e-14))
         done += np.where(val_new > val, val_new, val)[~go].tolist()
@@ -299,7 +317,8 @@ def _falsify(sides, size: int, samples: int, seed: int) -> tuple[bool, dict]:
     the stream of two standard_normal(size) draws per sample, so memory is
     bounded by the chunk, not by samples. sides(C) returns the arrays
     (lhs, rhs) with one row per row of C: one pair, or a row of pairs, per
-    sample, taken in sample order and then along the row.
+    sample, taken in sample order and then along the row.  hframe, pasf
+    and ovf each evaluate a whole chunk at once, as stacked products.
     """
     rng = np.random.default_rng(seed)
     holds, worst = True, -math.inf
@@ -399,8 +418,3 @@ def _form(M: np.ndarray):
         [[(j, x) for j, x in enumerate(row) if x] for row in M.tolist()],
         M.shape[1])
 
-
-def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B of object arrays, taken in the sparse form; untouched cells
-    hold the zero of B's entries, ``type(B.flat[0])()``."""
-    return (_form(A) @ _form(B)).dense(type(B.flat[0])())

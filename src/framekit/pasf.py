@@ -243,12 +243,11 @@ def perturb_certificate(P: PAsf, Omega, mode: str = "quadratic",
         if max(alpha + gamma * theta_f_sinv, beta) >= 1:
             raise HypothesisViolated(
                 "need max(alpha + gamma ||theta_f S^-1||, beta) < 1")
+        norms = lambda A, C: linops._pnorm_rows(linops._apply_rows(A, C), p)
         valid, detail = _falsify(
-            lambda C: np.array([(linops._pnorm(diff @ c, p),
-                                 alpha * linops._pnorm(P.T @ c, p)
-                                 + gamma * linops._pnorm(c, p)
-                                 + beta * linops._pnorm(Omega @ c, p))
-                                for c in C]).T,
+            lambda C: (norms(diff, C), alpha * norms(P.T, C)
+                       + gamma * linops._pnorm_rows(C, p)
+                       + beta * norms(Omega, C)),
             P.m, samples, seed)
         lo = (1 - (alpha + gamma * theta_f_sinv)) / ((1 + beta) * sinv_norm)
         hi = ((1 + alpha) / (1 - beta) * theta_tau

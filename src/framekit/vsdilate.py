@@ -11,10 +11,12 @@ non-similar Halmos dilations.
 entries are Fraction objects inside dense object-dtype numpy arrays, so
 every identity the theorems assert is checked with zero residual; float64
 entries serve interoperability. Identities and zeros are built like a
-matrix of the same field, and tolerances are 0 for object arrays.  The
-shifts, embeddings and collapses are mostly zero: each check reads every
-stored operator once, when it runs, into rows of nonzero entries with
-``linops._form`` (float arrays stay) and multiplies only those.
+matrix of the same field, and tolerances are 0 for object arrays; an
+identity that a check only compares against is built as its form, one
+1 per row, with no matrix to read.  The shifts, embeddings and
+collapses are mostly zero: each check reads every stored operator once,
+when it runs, into rows of nonzero entries with ``linops._form`` (float
+arrays stay) and multiplies only those.
 
 Every identity that must hold up to a horizon K reads one walk of each
 side: ``_orbit`` lists x, U x, ..., U^K x by left products and ``_powers``
@@ -42,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linops import _form
+from .linops import _Sparse, _form
 
 FLOAT_TOL = 1e-12
 
@@ -77,6 +79,28 @@ def _eye(n: int, like: np.ndarray) -> np.ndarray:
     out = _zeros(n, n, like)
     np.fill_diagonal(out, type(like.flat[0])(1))
     return out
+
+
+def _unit_form(cols, width: int, like: np.ndarray):
+    """The form of the matrix over like's field with a 1 in column cols[i]
+    of row i, and no entry in a row whose cols[i] is None: rows [(j, 1)]
+    in the rational field, the array itself in float mode."""
+    cols = list(cols)
+    if like.dtype != object:
+        M = np.zeros((len(cols), width), dtype=like.dtype)
+        hot = [i for i, j in enumerate(cols) if j is not None]
+        M[hot, [cols[i] for i in hot]] = 1
+        return M
+    one = type(like.flat[0])(1)
+    return _Sparse([[] if j is None else [(j, one)] for j in cols], width)
+
+
+def _eye_form(n: int, like: np.ndarray, lo: int = 0, hi: Optional[int] = None):
+    """The form of columns lo..hi-1, all by default, of the n x n identity
+    over like's field."""
+    hi = n if hi is None else hi
+    return _unit_form((i - lo if lo <= i < hi else None for i in range(n)),
+                      hi - lo, like)
 
 
 def _dense(X, like: np.ndarray) -> np.ndarray:
@@ -127,7 +151,7 @@ def _orbit(U, x, k: int) -> list:
 
 def _powers(T: np.ndarray, k: int) -> list:
     """Forms of [I, T, ..., T^k], each after T the one before times T."""
-    out = [_form(_eye(T.shape[0], T)), _form(T)]
+    out = [_eye_form(T.shape[0], T), _form(T)]
     while len(out) <= k:
         out.append(out[-1] @ out[1])
     return out[:k + 1]
@@ -170,7 +194,7 @@ class DilationQuadruple:
         if self.U_inv is None:
             raise ValueError("no closed-form inverse stored")
         U, V = _form(self.U), _form(self.U_inv)
-        I = _form(_eye(self.U.shape[0], self.U))
+        I = _eye_form(self.U.shape[0], self.U)
         return _worst((_defect(U @ V, I), _defect(V @ U, I)))
 
 
@@ -270,7 +294,7 @@ class BandedWindow:
         d, w = self.T.shape[0], self.window
         inner = slice(d, 2 * w * d)
         return _defect(_form(self.V) @ _form(self.U[:, inner]),
-                       _form(_eye((2 * w + 1) * d, self.U)[:, inner]))
+                       _eye_form((2 * w + 1) * d, self.U, d, 2 * w * d))
 
 
 def banded_sznagy(T: np.ndarray, window: int) -> BandedWindow:
@@ -322,8 +346,9 @@ class StandardDilation:
         stacked columns form exactly the identity matrix."""
         q = self.quadruple
         cols = _orbit(_form(q.U), _form(q.embed), self.horizon)
-        I = np.split(_eye(q.U.shape[0], q.U), len(cols), axis=1)
-        return all(_defect(c, _form(b)) == 0 for c, b in zip(cols, I))
+        n, d = q.U.shape[0], self.T.shape[0]
+        return all(_defect(c, _eye_form(n, q.U, k * d, (k + 1) * d)) == 0
+                   for k, c in enumerate(cols))
 
 
 def standard_dilation(T: np.ndarray, horizon: int) -> StandardDilation:
@@ -372,18 +397,14 @@ class AndoDilation:
         a zero row over the column-shifted array.  On the grid model the
         zero-column prefix is V itself and the zero-row stack is U itself,
         so the identity reads V U = U V = diagonal shift, exactly."""
-        h, d = self.horizon, self.T.shape[0]
-        side = h + 1
-        diag = _zeros(side * side * d, side * side * d, self.U)
-        I = _eye(d, self.U)
-        for n in range(h):
-            for m in range(h):
-                diag[((n + 1) * side + m + 1) * d:
-                     ((n + 1) * side + m + 2) * d,
-                     (n * side + m) * d:(n * side + m + 1) * d] = I
+        d, side = self.T.shape[0], self.horizon + 1
+        # cell (n, m) of the grid, n, m >= 1, takes cell (n - 1, m - 1)
+        diag = _unit_form(
+            (i - (side + 1) * d if i // (side * d) and i // d % side else None
+             for i in range(side * side * d)), side * side * d, self.U)
         U, V = _form(self.U), _form(self.V)
         left = V @ U
-        return _defect(left, U @ V) == 0 and _defect(left, _form(diag)) == 0
+        return _defect(left, U @ V) == 0 and _defect(left, diag) == 0
 
 
 def ando_like(T: np.ndarray, S: np.ndarray, horizon: int) -> AndoDilation:

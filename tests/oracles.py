@@ -1,9 +1,11 @@
 """Test oracles: the coefficients and the concrete representation of the
-Cuntz word algebra, the exact dyadic entries of the corrector's first
-iterate, and random Parseval semi-inner-product pairs.
+Cuntz word algebra, the dense layout of the Cuntz pair and its dump, the
+exact dyadic entries of the corrector's first iterate, the dense fill of
+a sparse product, and random Parseval semi-inner-product pairs.
 
 The package itself needs none of these; the tests check its word algebra,
-its certified first bounds and its sip identities against them.
+its written pair, its certified first bounds, its exact products and its
+sip identities against them.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
+from framekit.cli import dump_word_element
 from framekit.cuntz import _GEN, CuntzElement, _letters
-from framekit.linops import herm, inverse, is_invertible
+from framekit.linops import _form, herm, inverse, is_invertible
 from framekit.sip import SipPair, sip_functional
 
 
@@ -70,6 +73,40 @@ def concrete_equal(x: CuntzElement, y: CuntzElement, count: int = 16,
             if abs(a.get(idx, 0j) - b.get(idx, 0j)) > tol:
                 return False
     return True
+
+
+# --- the Cuntz pair laid out dense ------------------------------------------
+
+
+def dense_pair(n: int, mu, delta, b, u, v, one):
+    """D_mu, X_mu as dense object matrices, cell by cell, with the ring's
+    empty element in every other cell: the layout that cuntz._pair keeps
+    as rows of its nonzero cells."""
+    D = np.full((n, n), type(one)(), dtype=object)
+    X = np.full((n, n), type(one)(), dtype=object)
+    for r in range(n):
+        i = r + 1
+        D[r, r] = (1 / (mu * delta)) * v
+        if r + 1 < n:
+            X[r + 1, r] = one
+            D[r + 1, r] = (1 / (mu * mu * delta)) * u
+            D[r, r + 1] = i * one
+        D[r, n - 1] = D[r, n - 1] + mu ** (n - i - 1) * (b[r] * u)
+        X[r, n - 1] = X[r, n - 1] + (mu ** (n - i + 1) * delta) * b[r]
+    return D, X
+
+
+def dense_word_matrix(M) -> dict:
+    """The report entry of a dense matrix of word elements, cell by cell."""
+    n = M.shape[0]
+    return {"n": n, "entries": [[dump_word_element(M[i, j]) for j in range(n)]
+                                for i in range(n)]}
+
+
+def sparse_product(A, B):
+    """A @ B of object arrays, taken in the sparse form and filled out with
+    the zero of B's entries, ``type(B.flat[0])()``."""
+    return (_form(A) @ _form(B)).dense(type(B.flat[0])())
 
 
 # --- dyadic entries of the first corrector iterate ------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -22,13 +23,17 @@ from framekit.cuntz import (
     unit,
     word,
 )
-from framekit.linops import _form, _matmul
+from framekit.cli import dump_word_matrix
+from framekit.linops import _form
 from oracles import (
     coeff,
     concrete_apply,
     concrete_equal,
+    dense_pair,
+    dense_word_matrix,
     first_iterate_entry,
     kernel_entry,
+    sparse_product,
 )
 
 U_STAR, V_STAR = word(right="u"), word(right="v")
@@ -195,7 +200,7 @@ def entry_pair(draw):
 def test_matmul_equals_dense_loop_on_noncommuting_entries(pair):
     A, B = pair
     zero = type(B.flat[0])()
-    got = _matmul(A, B)
+    got = sparse_product(A, B)
     assert got.shape == (A.shape[0], B.shape[1])
     assert all(type(x) is type(zero) for x in got.flat)
     assert np.array_equal(got, dense_product(A, B, zero))
@@ -220,19 +225,17 @@ def test_matmul_adds_inexact_word_products_in_k_order():
     for _ in range(10):
         A, B = matrix(3, 5), matrix(5, 3)
         expected = dense_product(A, B, CuntzElement())
-        assert np.array_equal(_matmul(A, B), expected)
-        assert np.array_equal((_form(A) @ _form(B)).dense(CuntzElement()),
-                              expected)
+        assert np.array_equal(sparse_product(A, B), expected)
 
 
 def test_matmul_keeps_the_factor_order():
     a = np.array([[cuntz._Poly({("a",): 1})]], dtype=object)
     b = np.array([[cuntz._Poly({("b",): 1})]], dtype=object)
-    assert _matmul(a, b)[0, 0] == {("a", "b"): 1}
-    assert _matmul(b, a)[0, 0] == {("b", "a"): 1}
+    assert sparse_product(a, b)[0, 0] == {("a", "b"): 1}
+    assert sparse_product(b, a)[0, 0] == {("b", "a"): 1}
     u_star, v = (np.array([[x]], dtype=object) for x in (U_STAR, V))
-    assert not _matmul(u_star, v)[0, 0]  # u* v = 0
-    assert _matmul(v, u_star)[0, 0] == word("v", "u")
+    assert not sparse_product(u_star, v)[0, 0]  # u* v = 0
+    assert sparse_product(v, u_star)[0, 0] == word("v", "u")
     # in the sparse form: the factors keep their order, a factor equal to
     # 1 is never assumed (a _Poly or CuntzElement is not == 1), and the
     # zero product u* v leaves no pair
@@ -419,53 +422,99 @@ def test_lemma_structure_rejects_nonpositive_mu():
             lemma_structure(3, mu)
 
 
-def lemma_layout(n, mu, monkeypatch):
-    """The exact D and X that lemma_structure(n, mu) lays out with _pair."""
+def lemma_call(n, mu, monkeypatch):
+    """The arguments lemma_structure(n, mu) passes to _pair, and the
+    sparse D and X that _pair returns to it."""
     real, built = cuntz._pair, []
 
     def spy(*args):
-        built.append(real(*args))
-        return built[-1]
+        built.append((args, real(*args)))
+        return built[-1][1]
 
     monkeypatch.setattr(cuntz, "_pair", spy)
     lemma_structure(n, mu)
     monkeypatch.setattr(cuntz, "_pair", real)
-    (D, X), = built
-    return D, X
+    (args, forms), = built
+    return args, forms
+
+
+def filled(forms, zero):
+    """Sparse forms filled out dense with zero in every empty cell."""
+    return tuple(M.dense(zero) for M in forms)
+
+
+def lemma_layout(n, mu, monkeypatch):
+    """The exact D and X that lemma_structure(n, mu) lays out with _pair,
+    as dense object arrays."""
+    return filled(lemma_call(n, mu, monkeypatch)[1], cuntz._Poly())
+
+
+def use_pair(mats, monkeypatch):
+    """Let lemma_structure take the dense pair mats, through its sparse
+    forms, in place of the pair it lays out."""
+    forms = tuple(map(_form, mats))
+    monkeypatch.setattr(cuntz, "_pair", lambda *args: forms)
+
+
+def commutator_flags(D, X, last_column):
+    """The lemma's two verdicts read off the dense commutator C = D X - X D:
+    C is the identity off its last column, and that column is
+    last_column."""
+    n = D.shape[0]
+    C = sparse_product(D, X) - sparse_product(X, D)
+    off = all(C[i, j] == ({(): 1} if i == j else {})
+              for i in range(n) for j in range(n - 1))
+    return off, list(C[:, n - 1]) == last_column
+
+
+def assert_lemma_fails_as_the_dense_commutator(n, mu, mats, last_column,
+                                               monkeypatch, site):
+    use_pair(mats, monkeypatch)
+    report = lemma_structure(n, mu)
+    assert not report.ok, site
+    assert (report.off_column_zero, report.last_column_matches) == \
+        commutator_flags(*mats, last_column), site
+
+
+def true_last_column(D, X):
+    """The last column of D X - X D for the pair the lemma certifies."""
+    return list((sparse_product(D, X) - sparse_product(X, D))[:, -1])
 
 
 def test_delta_scaled_column_breaks_structure(monkeypatch):
     # adding the small factor to D's last column leaves defects outside it
     n = 4
     D, X = lemma_layout(n, None, monkeypatch)
+    last_column = true_last_column(D, X)
     delta = Fraction(1, 2000 * n**5)
+    D = D.copy()
     for r in range(n):
-        bad = {}
-        for k, c in D[r, n - 1].items():
-            bad[k] = c * delta if k and k[0].startswith("b") else c
-        D[r, n - 1] = cuntz._Poly(bad)
-    C = _matmul(D, X) - _matmul(X, D)
+        D[r, n - 1] = cuntz._Poly({
+            k: c * delta if k and k[0].startswith("b") else c
+            for k, c in D[r, n - 1].items()})
+    C = sparse_product(D, X) - sparse_product(X, D)
     assert C[0, n - 2] != {}
+    assert_lemma_fails_as_the_dense_commutator(n, None, (D, X), last_column,
+                                               monkeypatch, "delta")
+    assert not lemma_structure(n).off_column_zero
 
 
 @pytest.mark.parametrize("n", [3, 6])
 @pytest.mark.parametrize("mu", [None, Fraction(1, 5)])
 def test_lemma_catches_every_changed_coefficient(n, mu, monkeypatch):
-    real = cuntz._pair
+    # each verdict also equals the one read off the dense commutator
     D, X = lemma_layout(n, mu, monkeypatch)
+    last_column = true_last_column(D, X)
     sites = [(which, i, j, w) for which, M in enumerate((D, X))
              for (i, j), p in np.ndenumerate(M) for w in p]
     assert len(sites) == 6 * n - 3
-    for site in sites:
-        def mutated(*args, site=site):
-            which, i, j, w = site
-            mats = real(*args)
-            p = dict(mats[which][i, j])
-            p[w] /= 3
-            mats[which][i, j] = cuntz._Poly(p)
-            return mats
-        monkeypatch.setattr(cuntz, "_pair", mutated)
-        assert not lemma_structure(n, mu).ok, site
+    for which, i, j, w in sites:
+        mats = [D.copy(), X.copy()]
+        p = dict(mats[which][i, j])
+        p[w] /= 3
+        mats[which][i, j] = cuntz._Poly(p)
+        assert_lemma_fails_as_the_dense_commutator(
+            n, mu, mats, last_column, monkeypatch, (which, i, j, w))
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -473,20 +522,17 @@ def test_lemma_catches_every_changed_coefficient(n, mu, monkeypatch):
 @pytest.mark.parametrize("term", [{("v",): Fraction(1)}, {(): Fraction(3, 7)}])
 def test_lemma_catches_a_term_in_every_zero_cell(n, mu, term, monkeypatch):
     # the zero-skipping product must still see a cell that should be empty
-    # and is not
-    real = cuntz._pair
+    # and is not; each verdict also equals the dense commutator's
     D, X = lemma_layout(n, mu, monkeypatch)
+    last_column = true_last_column(D, X)
     sites = [(which, i, j) for which, M in enumerate((D, X))
              for (i, j), p in np.ndenumerate(M) if not p]
     assert len(sites) == 2 * n * n - (4 * n - 4) - (2 * n - 1)
-    for site in sites:
-        def mutated(*args, site=site):
-            which, i, j = site
-            mats = real(*args)
-            mats[which][i, j] = cuntz._Poly(term)
-            return mats
-        monkeypatch.setattr(cuntz, "_pair", mutated)
-        assert not lemma_structure(n, mu).ok, site
+    for which, i, j in sites:
+        mats = [D.copy(), X.copy()]
+        mats[which][i, j] = cuntz._Poly(term)
+        assert_lemma_fails_as_the_dense_commutator(
+            n, mu, mats, last_column, monkeypatch, (which, i, j))
 
 
 def plain_sum(a, b, sign):
@@ -525,11 +571,17 @@ def test_poly_shortcuts_equal_the_plain_dict_loop(a, b):
 # --- assembled matrices -----------------------------------------------------
 
 
+def written(sol, mu):
+    """dx_matrices(sol, mu) filled out dense, CuntzElement() in every
+    empty cell."""
+    return filled(dx_matrices(sol, mu), CuntzElement())
+
+
 def test_build_n2_exact_commutator_within_bound():
     built = build_DX(2, mu=0.5)
     D, X = dx_matrices(built.solution, 0.5)
     I2 = np.array([[unit(), CuntzElement()], [CuntzElement(), unit()]], dtype=object)
-    C = _matmul(D, X) - _matmul(X, D) - I2
+    C = (D @ X).dense(CuntzElement()) - (X @ D).dense(CuntzElement()) - I2
     assert C[0, 0] == CuntzElement()
     assert C[1, 0] == CuntzElement()
     assert concrete_equal(C[1, 1], CuntzElement(), count=64)
@@ -548,7 +600,7 @@ def test_build_n2_exact_commutator_within_bound():
 def test_build_mu_one_matches_raw_layout():
     n = 4
     built = build_DX(n, mu=1.0)
-    D, X = dx_matrices(built.solution, 1.0)
+    D, X = written(built.solution, 1.0)
     inv_delta = 2000.0 * n**5
     assert coeff(D[0, 0], "v") == pytest.approx(inv_delta)
     assert coeff(D[1, 0], "u") == pytest.approx(inv_delta)
@@ -568,7 +620,7 @@ def test_build_scaling_is_the_lemma_similarity(n, mu):
     # diag(mu^(n-1), ..., mu, 1), times 1/mu on D and mu on X: the scaling
     # lemma_structure certifies, entry by entry
     sol = solve_b(n)
-    (D1, X1), (D, X) = dx_matrices(sol, 1.0), dx_matrices(sol, mu)
+    (D1, X1), (D, X) = written(sol, 1.0), written(sol, mu)
     for (i, j), d in np.ndenumerate(D):
         for got, want in ((d, D1[i, j] * mu ** (j - i - 1)),
                           (X[i, j], X1[i, j] * mu ** (j - i + 1))):
@@ -582,7 +634,7 @@ def test_build_scaling_is_the_lemma_similarity(n, mu):
 def test_written_pair_is_the_certified_pair(n, mu, monkeypatch):
     # dx_matrices and the lemma's exact layout at Fraction(mu) hold the same
     # words in every cell, with coefficients equal up to float rounding
-    D, X = dx_matrices(solve_b(n), mu)
+    D, X = written(solve_b(n), mu)
     exact = lemma_layout(n, Fraction(mu), monkeypatch)
     for M, E in zip((D, X), exact):
         for (i, j), cell in np.ndenumerate(M):
@@ -593,10 +645,31 @@ def test_written_pair_is_the_certified_pair(n, mu, monkeypatch):
                 assert abs(c - want) <= 1e-14 * abs(want), (i, j, w)
 
 
+@pytest.mark.parametrize("mu", [0.2, 0.4, 1.0, 3.0, 1e-3])
+def test_written_pair_dumps_as_the_dense_layout(mu, monkeypatch):
+    # the sparse pair holds the nonzero cells of the dense layout in
+    # increasing column and writes its bytes, [] in every empty cell; the
+    # lemma's exact pair is the sparse form of the same layout
+    for n in range(2, 13):
+        sol = solve_b(n)
+        b = sol.b_exact or [word((f"b{i}",)) for i in range(1, n + 1)]
+        dense = dense_pair(n, mu, sol.delta, b, U, V, unit())
+        for got, want in zip(dx_matrices(sol, mu), dense):
+            assert got.shape == (n, n)
+            for row in got.rows:
+                assert all(c for _, c in row), n
+                assert [j for j, _ in row] == sorted({j for j, _ in row}), n
+            assert json.dumps(dump_word_matrix(got)) == json.dumps(
+                dense_word_matrix(want)), n
+        args, forms = lemma_call(n, Fraction(mu), monkeypatch)
+        for got, want in zip(forms, dense_pair(*args)):
+            assert got.rows == _form(want).rows, n
+
+
 def test_build_symbolic_entries_and_intervals():
     n = 5
     built = build_DX(n)
-    entry = dx_matrices(built.solution, 0.5)[0][0, n - 1]
+    entry = written(built.solution, 0.5)[0][0, n - 1]
     assert coeff(entry, ("b1", "u")) == pytest.approx(0.5 ** (n - 2))
     assert built.X_interval.hi <= 2.0
     assert built.X_interval.lo == 1.0

@@ -129,7 +129,13 @@ def _cnormal(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _hframe_case(rng, eps):
+def _hframe_case(rng, eps, wide=False):
+    if wide:  # a real synthesis of up to 40 vectors, as "field": "R" reads
+        d = int(rng.integers(1, 9))
+        m = int(rng.integers(d + 1, 41))
+        F = hframe.HilbertFrame(rng.standard_normal((d, m)))
+        return F, hframe.HilbertFrame(
+            F.synthesis + eps * rng.standard_normal((d, m)))
     d = int(rng.integers(1, 4))
     m = int(rng.integers(d + 1, d + 5))
     F = hframe.HilbertFrame(_cnormal(rng, d, m))
@@ -137,12 +143,26 @@ def _hframe_case(rng, eps):
     return F, G
 
 
-def _pasf_case(rng, eps, p):
+def _pasf_case(rng, eps, p, wide=False):
+    if wide:  # real vectors and functionals, up to 40 of each
+        d = int(rng.integers(1, 9))
+        m = int(rng.integers(d, 41))
+        F, T = rng.standard_normal((m, d)), rng.standard_normal((d, m))
+        return (pasf.PAsf(p, F, T), T + eps * rng.standard_normal((d, m)),
+                F + eps * rng.standard_normal((m, d)))
     d = int(rng.integers(1, 4))
     m = int(rng.integers(d, d + 4))
     F, T = _cnormal(rng, m, d), _cnormal(rng, d, m)
     P = pasf.PAsf(p, F, T)
     return P, T + eps * _cnormal(rng, d, m), F + eps * _cnormal(rng, m, d)
+
+
+def _samples(extra, cross, m):
+    """extra samples, or extra more than one chunk holds, so that the
+    sampler calls sides(C) on a full chunk and then on the rest."""
+    samples = extra + (linops.CHUNK // m if cross else 0)
+    assert (samples > linops.CHUNK // m) == cross
+    return samples
 
 
 def _ovf_case(rng, eps):
@@ -159,11 +179,14 @@ PARAMS = st.tuples(st.sampled_from([0.0, 0.05, 0.3]),
 EPS = st.sampled_from([1e-6, 0.05, 1.0])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), EPS, PARAMS)
-def test_hframe_sampler_equals_the_old_loop(seed, samples, eps, params):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), EPS, PARAMS,
+       st.booleans(), st.booleans())
+def test_hframe_sampler_equals_the_old_loop(seed, extra, eps, params, wide,
+                                            cross):
     alpha, beta, gamma = params
-    F, G = _hframe_case(np.random.default_rng(seed), eps)
+    F, G = _hframe_case(np.random.default_rng(seed), eps, wide)
+    samples = _samples(extra, cross, F.m)
     try:
         got = hframe.perturb_certificate(F, G, "general", alpha, beta, gamma,
                                          seed=seed, samples=samples)
@@ -175,13 +198,16 @@ def test_hframe_sampler_equals_the_old_loop(seed, samples, eps, params):
     assert got.detail["samples"] == samples
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), EPS, PARAMS,
-       st.sampled_from([1.0, 1.5, 2.0, 3.0]))
-def test_pasf_sampler_equals_the_old_loop(seed, samples, eps, params, p):
+       st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]), st.booleans(),
+       st.booleans())
+def test_pasf_sampler_equals_the_old_loop(seed, extra, eps, params, p, wide,
+                                          cross):
     alpha, beta, gamma = params
-    P, Omega, _ = _pasf_case(np.random.default_rng(seed), eps, p)
+    P, Omega, _ = _pasf_case(np.random.default_rng(seed), eps, p, wide)
     assume(P.is_pasf())
+    samples = _samples(extra, cross, P.m)
     try:
         got = pasf.perturb_certificate(P, Omega, "general", alpha, beta,
                                        gamma, seed=seed, samples=samples)

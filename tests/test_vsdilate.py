@@ -27,6 +27,7 @@ from framekit.vsdilate import (
     non_similarity_witness,
     standard_dilation,
 )
+from oracles import sparse_product
 
 
 def frac_matrix(seed, rows, cols=None):
@@ -113,6 +114,24 @@ def dense(X):
     return X.dense(Fraction(0))
 
 
+@pytest.mark.parametrize("rational", [True, False])
+def test_identity_forms_equal_the_read_identity(rational):
+    # an identity built as its form equals the form read from the dense
+    # identity's columns, in either field
+    T = as_exact([[1, 2], [3, 4]], rational)
+    I = vsdilate._eye(6, T)
+    for lo, hi in ((0, 6), (2, 4), (0, 2), (4, 6), (1, 6)):
+        got = vsdilate._eye_form(6, T, lo, hi)
+        want = linops._form(I[:, lo:hi])
+        if rational:
+            assert (got.shape, got.rows) == (want.shape, want.rows)
+            assert all(type(x) is Fraction for row in got.rows for _, x in row)
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(dense(vsdilate._eye_form(3, as_exact([[5]]))),
+                          vsdilate._eye(3, as_exact([[5]])))
+
+
 def test_walks_match_oracle():
     T, x = frac_matrix(11, 3), frac_matrix(12, 3, 2)
     walks = zip(vsdilate._powers(T, 4),
@@ -167,7 +186,7 @@ def assert_matmul_is_dense_product(A, B):
     assert all(x and type(x) is Fraction for row in form.rows for _, x in row)
     assert all(js == sorted(set(js))
                for js in ([j for j, _ in row] for row in form.rows))
-    for got in (dense(form), linops._matmul(A, B)):
+    for got in (dense(form), sparse_product(A, B)):
         assert got.dtype == object and got.shape == form.shape
         assert all(type(x) is Fraction for x in got.flat)
         assert np.array_equal(got, A @ B)
