@@ -487,11 +487,11 @@ def test_delta_scaled_column_breaks_structure(monkeypatch):
     D, X = lemma_layout(n, None, monkeypatch)
     last_column = true_last_column(D, X)
     delta = Fraction(1, 2000 * n**5)
-    D = D.copy()
     for r in range(n):
-        D[r, n - 1] = cuntz._Poly({
-            k: c * delta if k and k[0].startswith("b") else c
-            for k, c in D[r, n - 1].items()})
+        bad = {}
+        for k, c in D[r, n - 1].items():
+            bad[k] = c * delta if k and k[0].startswith("b") else c
+        D[r, n - 1] = cuntz._Poly(bad)
     C = sparse_product(D, X) - sparse_product(X, D)
     assert C[0, n - 2] != {}
     assert_lemma_fails_as_the_dense_commutator(n, None, (D, X), last_column,
