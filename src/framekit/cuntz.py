@@ -263,21 +263,36 @@ def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:
 
 
 class _Poly(dict):
-    """Word tuple -> nonzero Fraction; the empty polynomial is falsy."""
+    """Word tuple -> nonzero Fraction; the empty polynomial is falsy.  The
+    constructor drops zero terms; the operations build their results
+    directly and test only the sums where two words meet, since a
+    product or negation of nonzero Fractions is never zero."""
 
     def __init__(self, terms=()):
         super().__init__((k, c) for k, c in dict(terms).items() if c)
 
+    @staticmethod
+    def _of(terms) -> "_Poly":
+        """The _Poly of terms whose coefficients are all nonzero."""
+        out = dict.__new__(_Poly)
+        out.update(terms)
+        return out
+
     def __add__(self, other: "_Poly") -> "_Poly":
         if not other or not self:
             return self or other
-        out = dict(self)
+        out = _Poly._of(self)
         for k, c in other.items():
-            out[k] = out[k] + c if k in out else c
-        return _Poly(out)
+            if k in out:
+                c = out[k] + c
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
+        return out
 
     def __neg__(self) -> "_Poly":
-        return _Poly({k: -c for k, c in self.items()})
+        return _Poly._of((k, -c) for k, c in self.items())
 
     def __sub__(self, other: "_Poly") -> "_Poly":
         return self + -other if other else self
@@ -285,16 +300,19 @@ class _Poly(dict):
     def __mul__(self, other: "_Poly") -> "_Poly":
         if not self or not other:
             return _Poly()
-        out: dict = {}
+        out = _Poly._of(())
         for wa, ca in self.items():
             for wb, cb in other.items():
                 k = wa + wb
                 out[k] = out[k] + ca * cb if k in out else ca * cb
-        return _Poly(out)
+        # a word reached twice may have summed to zero
+        return out if len(out) == len(self) * len(other) else _Poly(out)
 
     def __rmul__(self, c) -> "_Poly":
         # a scalar on the left
-        return _Poly({k: c * v for k, v in self.items()})
+        if not c:
+            return _Poly()
+        return _Poly._of((k, c * v) for k, v in self.items())
 
 
 def _const(c) -> _Poly:

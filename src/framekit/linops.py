@@ -6,8 +6,11 @@ the one sampled falsification loop.
 matrix kept as its rows of nonzero (column, value) pairs, which ``_form``
 reads once from a dense one.  The exact dilations of ``vsdilate``
 multiply and compare in that form, and the Cuntz pair of ``cuntz`` is
-built in it, so its word polynomials are never laid out dense; the
-product reads the field (or ring) from the entries.
+built in it, so its word polynomials are never laid out dense.  The
+field is the type of the array's entries: a Fraction array is read
+fraction-free, into Python ints over one common denominator, so a
+product multiplies ints and no gcd is taken until a form is filled out
+dense; any other ring's entries are kept and multiplied as they are.
 
 ``_falsify`` is the only seeded search for counterexamples to a
 perturbation hypothesis, and ``Perturbation`` the verdict of all three
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -379,16 +383,21 @@ def hermitian_extremes(S) -> tuple[float, float]:
 class _Sparse:
     """An object matrix as its rows of nonzero (column, value) pairs, in
     increasing column, and its shape; products share rows, so none is
-    changed.  Entries are ring elements with +, * and a falsy zero."""
+    changed.  A rational form holds Python ints over one positive common
+    denominator ``den``, cell (i, j) reading x / den; a generic form
+    (``den`` None) holds ring elements with +, * and a falsy zero."""
 
-    def __init__(self, rows: list, cols: int):
-        self.rows, self.shape = rows, (len(rows), cols)
+    def __init__(self, rows: list, cols: int, den=None):
+        self.rows, self.shape, self.den = rows, (len(rows), cols), den
 
     def __matmul__(self, other: "_Sparse") -> "_Sparse":
         """Row by row (Gustavson): row i sums a * b over its pairs (k, a),
         in increasing k, against the pairs (j, b) of row k, as the dense
         loop does.  A factor equal to 1 adds b itself (a row of one pair
-        (k, 1) is row k of other); a cell that cancels to zero is dropped."""
+        (k, 1) is row k of other); a cell that cancels to zero is dropped.
+        Rational forms multiply their ints, never reduced, over the
+        product of the two denominators."""
+        den = self.den * other.den if _rational(self, other) else None
         out = []
         for row in self.rows:
             if len(row) == 1 and row[0][1] == 1:
@@ -401,20 +410,39 @@ class _Sparse:
                     ab = b if one else a * b
                     acc[j] = acc[j] + ab if j in acc else ab
             out.append([(j, x) for j, x in sorted(acc.items()) if x])
-        return _Sparse(out, other.shape[1])
+        return _Sparse(out, other.shape[1], den)
 
     def dense(self, zero) -> np.ndarray:
-        """The object array, zero in every cell without a pair."""
+        """The object array, zero in every cell without a pair; a rational
+        form's cells are filled out as reduced Fractions."""
         out = np.full(self.shape, zero, dtype=object)
         for i, row in enumerate(self.rows):
-            out[i, [j for j, _ in row]] = [x for _, x in row]
+            cells = [x for _, x in row]
+            if self.den is not None:
+                cells = [Fraction(x, self.den) for x in cells]
+            out[i, [j for j, _ in row]] = cells
         return out
+
+
+def _rational(A: _Sparse, B: _Sparse) -> bool:
+    """Whether two forms to be combined are rational; one of each field
+    is refused."""
+    if (A.den is None) != (B.den is None):
+        raise TypeError("cannot combine a rational form with a generic one")
+    return A.den is not None
 
 
 def _form(M: np.ndarray):
     """M as products take it: an object array read into its sparse form,
-    with one truthiness test per cell; a float array as it is."""
-    return M if M.dtype != object else _Sparse(
-        [[(j, x) for j, x in enumerate(row) if x] for row in M.tolist()],
-        M.shape[1])
-
+    with one truthiness test per cell; a float array as it is.  The field
+    is the type of M's entries, read off its first cell as ``as_exact``
+    chose it: an array of Fractions is read into ints over the lcm of its
+    denominators, any other object array keeps its entries."""
+    if M.dtype != object:
+        return M
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in M.tolist()]
+    if not M.size or type(M.flat[0]) is not Fraction:
+        return _Sparse(rows, M.shape[1])
+    den = math.lcm(*{x.denominator for row in rows for _, x in row})
+    return _Sparse([[(j, x.numerator * (den // x.denominator)) for j, x in row]
+                    for row in rows], M.shape[1], den)

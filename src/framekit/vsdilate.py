@@ -8,15 +8,16 @@ intertwining lift between standard dilations, and a trace witness for
 non-similar Halmos dilations.
 
 ``as_exact`` chooses the field; every construction keeps it. Rational
-entries are Fraction objects inside dense object-dtype numpy arrays, so
-every identity the theorems assert is checked with zero residual; float64
-entries serve interoperability. Identities and zeros are built like a
-matrix of the same field, and tolerances are 0 for object arrays; an
-identity that a check only compares against is built as its form, one
-1 per row, with no matrix to read.  The shifts, embeddings and
-collapses are mostly zero: each check reads every stored operator once,
-when it runs, into rows of nonzero entries with ``linops._form`` (float
-arrays stay) and multiplies only those.
+matrices are stored as Fraction objects inside dense object-dtype numpy
+arrays, so every identity the theorems assert is checked with zero
+residual; float64 entries serve interoperability. Identities and zeros
+are built like a matrix of the same field, and tolerances are 0 for
+object arrays; an identity that a check only compares against is built
+as its form, one int 1 per row over denominator 1, with no matrix to
+read.  The shifts, embeddings and collapses are mostly zero: each check
+reads every stored operator once, when it runs, with ``linops._form``
+into rows of nonzero ints over one common denominator (float arrays
+stay) and multiplies only those.
 
 Every identity that must hold up to a horizon K reads one walk of each
 side: ``_orbit`` lists x, U x, ..., U^K x by left products and ``_powers``
@@ -25,8 +26,10 @@ check, and each check returns its worst defect over the whole horizon.
 
 A residual compares the two sides of an identity with ``_defect`` and
 never forms their difference.  In the rational field the two forms are
-compared row by row, a missing pair reading as zero, so zeros cost
-nothing and only a cell that differs is subtracted.  In float mode the
+compared row by row as ints, after cross-multiplying onto one
+denominator when theirs differ, a missing pair reading as zero, so
+zeros cost nothing, only a cell that differs is subtracted and the
+worst gap becomes one Fraction at the end.  In float mode the
 residual is numpy's max-abs of the difference, and every reduction,
 within a matrix and over a horizon, propagates NaN, so an overflowed
 power (inf - inf) gives a NaN residual wherever it sits.
@@ -44,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linops import _Sparse, _form
+from .linops import _Sparse, _form, _rational
 
 FLOAT_TOL = 1e-12
 
@@ -84,15 +87,15 @@ def _eye(n: int, like: np.ndarray) -> np.ndarray:
 def _unit_form(cols, width: int, like: np.ndarray):
     """The form of the matrix over like's field with a 1 in column cols[i]
     of row i, and no entry in a row whose cols[i] is None: rows [(j, 1)]
-    in the rational field, the array itself in float mode."""
+    of int 1 over den 1 in the rational field, the array itself in float
+    mode."""
     cols = list(cols)
     if like.dtype != object:
         M = np.zeros((len(cols), width), dtype=like.dtype)
         hot = [i for i, j in enumerate(cols) if j is not None]
         M[hot, [cols[i] for i in hot]] = 1
         return M
-    one = type(like.flat[0])(1)
-    return _Sparse([[] if j is None else [(j, one)] for j in cols], width)
+    return _Sparse([[] if j is None else [(j, 1)] for j in cols], width, 1)
 
 
 def _eye_form(n: int, like: np.ndarray, lo: int = 0, hi: Optional[int] = None):
@@ -119,19 +122,28 @@ def _defect(A, B) -> float:
     """max |a - b| over the cells of two forms A and B, as a float: 0.0
     exactly when A equals B.  Arrays take ``max_abs(A - B)``.  Sparse
     forms are compared row by row, a missing pair reading as zero, and
-    only a row that differs is subtracted, so A - B is never formed."""
+    only a row that differs is subtracted, so A - B is never formed.  Two
+    rational forms over different denominators are first cross-multiplied
+    onto the lcm of the two."""
     if A.shape != B.shape:
         raise ValueError(f"cannot compare a {A.shape} matrix with a "
                          f"{B.shape} matrix")
     if isinstance(A, np.ndarray):
         return max_abs(A - B)
+    a_rows, b_rows, den = A.rows, B.rows, A.den
+    if _rational(A, B) and A.den != B.den:
+        g = math.gcd(A.den, B.den)
+        ka, kb = B.den // g, A.den // g
+        a_rows = [[(j, a * ka) for j, a in row] for row in a_rows]
+        b_rows = [[(j, b * kb) for j, b in row] for row in b_rows]
+        den *= ka
     worst = 0
-    for a_row, b_row in zip(A.rows, B.rows):
+    for a_row, b_row in zip(a_rows, b_rows):
         if a_row != b_row:
             b = dict(b_row)
             gaps = [abs(a - b.pop(j, 0)) for j, a in a_row]
             worst = max(worst, *gaps, *map(abs, b.values()))
-    return float(worst)
+    return float(worst if den is None else Fraction(worst, den))
 
 
 def _worst(defects) -> float:

@@ -568,6 +568,25 @@ def test_poly_shortcuts_equal_the_plain_dict_loop(a, b):
     assert (dict(a), dict(b)) == before  # operands are never changed
 
 
+def test_poly_results_drop_the_terms_that_cancel():
+    # the operations skip the zero filter where no word meets another;
+    # where words meet, a cancelled term is dropped, and a zero scalar
+    # gives the empty polynomial
+    one, a = cuntz._Poly({(): Fraction(1)}), cuntz._Poly({("a",): Fraction(1)})
+    cases = [((one + a) * (a - one), {("a", "a"): 1, (): -1}),
+             ((a - one) * (one + a), {("a", "a"): 1, (): -1}),
+             ((one + a) + (-a), {(): 1}),
+             ((one + a) - (one + a), {}),
+             (Fraction(0) * (one + a), {}),
+             (0 * a, {}),
+             (Fraction(-2, 3) * (one + a), {(): Fraction(-2, 3),
+                                            ("a",): Fraction(-2, 3)})]
+    for got, want in cases:
+        assert type(got) is cuntz._Poly
+        assert got == want and all(got.values())
+    assert cuntz._Poly({("a",): Fraction(0), (): Fraction(2)}) == {(): 2}
+
+
 # --- assembled matrices -----------------------------------------------------
 
 

@@ -4,6 +4,7 @@ Rational mode is held to zero residual everywhere; the oracles recompute
 matrix powers by plain loops and solve the Sylvester equation independently.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framekit import linops, vsdilate
+from framekit import cuntz, linops, vsdilate
 from framekit.vsdilate import (
     AndoDilation,
     BandedWindow,
@@ -114,6 +115,21 @@ def dense(X):
     return X.dense(Fraction(0))
 
 
+def assert_rational_form(X):
+    """X holds nonzero ints in increasing column over a positive int den."""
+    assert type(X.den) is int and X.den > 0
+    for row in X.rows:
+        js = [j for j, _ in row]
+        assert js == sorted(set(js))
+        assert all(type(x) is int and x for _, x in row)
+
+
+def assert_reduced(M):
+    """Every cell of M is a Fraction in lowest terms."""
+    assert all(type(x) is Fraction and x.denominator > 0
+               and math.gcd(x.numerator, x.denominator) == 1 for x in M.flat)
+
+
 @pytest.mark.parametrize("rational", [True, False])
 def test_identity_forms_equal_the_read_identity(rational):
     # an identity built as its form equals the form read from the dense
@@ -124,8 +140,10 @@ def test_identity_forms_equal_the_read_identity(rational):
         got = vsdilate._eye_form(6, T, lo, hi)
         want = linops._form(I[:, lo:hi])
         if rational:
-            assert (got.shape, got.rows) == (want.shape, want.rows)
-            assert all(type(x) is Fraction for row in got.rows for _, x in row)
+            assert (got.shape, got.rows, got.den) == \
+                (want.shape, want.rows, want.den)
+            assert_rational_form(got)
+            assert np.array_equal(dense(got), I[:, lo:hi])
         else:
             assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(dense(vsdilate._eye_form(3, as_exact([[5]]))),
@@ -183,12 +201,10 @@ def sparse_pair(draw):
 def assert_matmul_is_dense_product(A, B):
     form = linops._form(A) @ linops._form(B)
     assert form.shape == (A.shape[0], B.shape[1])
-    assert all(x and type(x) is Fraction for row in form.rows for _, x in row)
-    assert all(js == sorted(set(js))
-               for js in ([j for j, _ in row] for row in form.rows))
+    assert_rational_form(form)
     for got in (dense(form), sparse_product(A, B)):
         assert got.dtype == object and got.shape == form.shape
-        assert all(type(x) is Fraction for x in got.flat)
+        assert_reduced(got)
         assert np.array_equal(got, A @ B)
 
 
@@ -215,6 +231,131 @@ def test_matmul_float_mode_is_plain_product(pair):
     got = linops._form(A) @ linops._form(B)
     assert type(got) is np.ndarray and got.dtype == float
     assert np.array_equal(got, A @ B)
+
+
+# ---------------------------------------------------------- rational forms
+#
+# A Fraction array is read into nonzero ints over one common denominator
+# den; products multiply the ints and the dens, and nothing is reduced
+# until a form is filled out dense or a residual is read as a float.
+
+# denominators up to 7, as in the exact benchmark, with exact +-1 and zero
+rational_entries = st.one_of(
+    st.just(Fraction(0)), st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-14, 14), st.integers(1, 7)))
+
+
+@st.composite
+def rational_matrix(draw, rows, cols):
+    M = np.array([[draw(rational_entries) for _ in range(cols)]
+                  for _ in range(rows)], dtype=object).reshape(rows, cols)
+    for i in draw(st.sets(st.integers(0, rows - 1))):
+        M[i, :] = Fraction(0)
+    return M
+
+
+@st.composite
+def square_pair(draw):
+    n = draw(st.integers(1, 5))
+    return draw(rational_matrix(n, n)), draw(rational_matrix(n, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_pair())
+def test_rational_form_is_ints_over_the_lcm_of_the_denominators(pair):
+    for M in pair:
+        X = linops._form(M)
+        assert_rational_form(X)
+        assert X.den == math.lcm(*(x.denominator for x in M.flat))
+        got = dense(X)
+        assert_reduced(got)
+        assert np.array_equal(got, M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_pair())
+def test_rational_product_is_the_dense_product_in_both_orders(pair):
+    A, B = pair
+    for L, R in ((A, B), (B, A)):
+        fl, fr = linops._form(L), linops._form(R)
+        form = fl @ fr
+        assert form.den == fl.den * fr.den
+        assert_rational_form(form)
+        got = dense(form)
+        assert_reduced(got)
+        assert np.array_equal(got, L @ R)
+
+
+@pytest.mark.parametrize("one", [Fraction(1), Fraction(-1), Fraction(1, 6),
+                                 Fraction(-1, 6), Fraction(2, 3), Fraction(6)])
+def test_the_unit_factor_shortcut_is_exact_over_any_den(one):
+    # row 0 holds one pair; its int is 1 only for the entry 1 / den, and
+    # the shortcut must then take row 0 of the right factor over the
+    # product of the two dens, not over the right factor's den
+    A = as_exact([[one, 0], ["1/2", "1/3"]])
+    B = as_exact([["5/7", "-1/2"], [3, "1/7"]])
+    for L, R in ((A, B), (B, A), (A, A)):
+        form = linops._form(L) @ linops._form(R)
+        assert_rational_form(form)
+        assert np.array_equal(dense(form), L @ R)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_matrix(3, 3))
+def test_rational_walks_to_horizon_ten(T):
+    # the dens and ints grow with every factor and are never reduced;
+    # the right products of _powers and the left products of _orbit
+    # both fill out as the plain powers of T
+    I = vsdilate._eye(3, as_exact([[1]]))
+    powers = vsdilate._powers(T, 10)
+    walk = vsdilate._orbit(linops._form(T), linops._form(I), 10)
+    want = I
+    for k, (power, col) in enumerate(zip(powers, walk)):
+        for X in (power, col):
+            assert_rational_form(X)
+            assert np.array_equal(dense(X), want), k
+        assert vsdilate._defect(power, col) == 0.0
+        assert vsdilate._defect(power, linops._form(want)) == 0.0
+        want = want @ T
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_pair(), st.booleans())
+def test_defect_of_a_product_over_its_own_den(pair, swap):
+    # a product's den is the product of its factors' dens, the form read
+    # from its value has the lcm of the reduced entries: their dens differ
+    # while the matrices agree, and a change to one cell still shows
+    A, B = pair[::-1] if swap else pair
+    P = linops._form(A) @ linops._form(B)
+    Q = linops._form(A @ B)
+    assert vsdilate._defect(P, Q) == vsdilate._defect(Q, P) == 0.0
+    C = A @ B
+    C[0, 0] += Fraction(1, 5)
+    R = linops._form(C)
+    want = dense_defect_oracle(A @ B, C)
+    assert vsdilate._defect(P, R) == vsdilate._defect(R, P) == want == 0.2
+
+
+def test_field_comes_from_the_entry_type():
+    # an all-zero array has no nonzero entry to read the field from: its
+    # entry type still decides, and only Fractions read as rational
+    word_zero = np.full((2, 3), cuntz.CuntzElement(), dtype=object)
+    poly_zero = np.full((2, 3), cuntz._Poly(), dtype=object)
+    for M in (word_zero, poly_zero):
+        X = linops._form(M)
+        assert X.den is None and X.rows == [[], []] and X.shape == (2, 3)
+        assert np.array_equal(X.dense(type(M.flat[0])()), M)
+    Z = linops._form(as_exact(np.zeros((2, 3))))
+    assert (Z.den, Z.rows) == (1, [[], []])
+    # a rational form never meets a generic one, in either order
+    Q, G = linops._form(as_exact(np.ones((3, 3)))), linops._form(
+        np.full((3, 3), cuntz.word("u"), dtype=object))
+    for L, R in ((Q, G), (G, Q), (Z, linops._form(word_zero.T))):
+        with pytest.raises(TypeError, match="rational form with a generic"):
+            L @ R
+    for L, R in ((Q, G), (G, Q), (Z, linops._form(word_zero))):
+        with pytest.raises(TypeError, match="rational form with a generic"):
+            vsdilate._defect(L, R)
 
 
 # --------------------------------------------------------- residual kernel
