@@ -248,7 +248,7 @@ rational_entries = st.one_of(
 @st.composite
 def rational_matrix(draw, rows, cols):
     M = np.array([[draw(rational_entries) for _ in range(cols)]
-                  for _ in range(rows)], dtype=object).reshape(rows, cols)
+                  for _ in range(rows)], dtype=object)
     for i in draw(st.sets(st.integers(0, rows - 1))):
         M[i, :] = Fraction(0)
     return M
