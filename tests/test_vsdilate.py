@@ -239,25 +239,10 @@ def test_matmul_float_mode_is_plain_product(pair):
 # den; products multiply the ints and the dens, and nothing is reduced
 # until a form is filled out dense or a residual is read as a float.
 
-# denominators up to 7, as in the exact benchmark, with exact +-1 and zero
-rational_entries = st.one_of(
-    st.just(Fraction(0)), st.sampled_from([Fraction(1), Fraction(-1)]),
-    st.builds(Fraction, st.integers(-14, 14), st.integers(1, 7)))
-
-
-@st.composite
-def rational_matrix(draw, rows, cols):
-    M = np.array([[draw(rational_entries) for _ in range(cols)]
-                  for _ in range(rows)], dtype=object)
-    for i in draw(st.sets(st.integers(0, rows - 1))):
-        M[i, :] = Fraction(0)
-    return M
-
-
 @st.composite
 def square_pair(draw):
     n = draw(st.integers(1, 5))
-    return draw(rational_matrix(n, n)), draw(rational_matrix(n, n))
+    return draw(sparse_matrix(n, n)), draw(sparse_matrix(n, n))
 
 
 @settings(max_examples=100, deadline=None)
@@ -301,7 +286,7 @@ def test_the_unit_factor_shortcut_is_exact_over_any_den(one):
 
 
 @settings(max_examples=30, deadline=None)
-@given(rational_matrix(3, 3))
+@given(sparse_matrix(3, 3))
 def test_rational_walks_to_horizon_ten(T):
     # the dens and ints grow with every factor and are never reduced;
     # the right products of _powers and the left products of _orbit
