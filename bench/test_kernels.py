@@ -1,0 +1,68 @@
+"""Kernel benchmarks, outside tier-1: the pair scan behind metric frame
+bounds and multiplier Lipschitz numbers, the triangle scan of a distance
+table, and the row p-norm, at the shapes of perfbench's pairscan workload.
+
+    PYTHONPATH=src python -m pytest bench --benchmark-only
+
+Inputs are fixed and seeded. Each benchmark checks its result, so that a
+kernel that stops early cannot read as fast.
+"""
+
+import numpy as np
+import pytest
+
+from framekit import linops
+from framekit.metricframe import (
+    DIST_TOL,
+    _over_dist,
+    _PairNorms,
+    _triangle_violation,
+    make_named_family,
+    sample_from_points,
+)
+
+
+def line(n, hi, seed):
+    rng = np.random.default_rng(seed)
+    return sample_from_points(np.sort(rng.uniform(1.0, hi, n)), base=0)
+
+
+def pointed_log_rows(S, terms):
+    """(log x)^n / n! for n = 1..terms, shifted to vanish at the base."""
+    V = make_named_family("log(1)", S, terms + 1).values[1:]
+    return V - V[:, [S.base]]
+
+
+def test_over_dist_log_family_170x40_p1(benchmark):
+    # metric bounds: every ratio of the log family is 1 up to rounding
+    S = line(170, 30.0, 1)
+    F = make_named_family("log(1)", S, 40)
+    lo, hi = benchmark(_over_dist, S, _PairNorms(F.values, 1.0))
+    assert abs(lo - 1.0) < 1e-9 and abs(hi - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("dim", [None, 3])
+def test_over_dist_pointed_110x12_p2(benchmark, dim):
+    # the multiplier's family bound (no Tau) and Lipschitz number (3 x 12 Tau)
+    S = line(110, 12.0, 2)
+    V = pointed_log_rows(S, 12)
+    Tau = coeff = None
+    if dim is not None:
+        rng = np.random.default_rng(3)
+        Tau = linops.as_matrix(rng.standard_normal((dim, 12)))
+        coeff = linops.as_vector(0.7 ** np.arange(12))
+    lo, hi = benchmark(_over_dist, S, _PairNorms(V, 2.0, Tau, coeff))
+    assert 0.0 < lo <= hi < np.inf
+
+
+@pytest.mark.parametrize("n", [110, 170])
+def test_triangle_violation(benchmark, n):
+    D = line(n, 30.0, 4).dist
+    assert benchmark(_triangle_violation, D, DIST_TOL * D.max()) is None
+
+
+def test_pnorm_rows_p3(benchmark):
+    # one chunk of pair differences at width 40
+    X = np.random.default_rng(5).standard_normal((409, 40))
+    r = benchmark(linops._pnorm_rows, X, 3.0)
+    assert r.shape == (409,) and np.all(r > 0)

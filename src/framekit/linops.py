@@ -160,7 +160,7 @@ def _pnorm_rows(X: np.ndarray, p: float) -> np.ndarray:
         if not math.isinf(p):
             ok = (r != 0) & (r != math.inf)
             s = np.power(v[ok] / r[ok, None], p).sum(axis=1)
-            r[ok] *= [float(t) ** (1.0 / p) for t in s]
+            r[ok] *= np.float_power(s, 1.0 / p)  # libm pow, as float ** is
     for row in X[~np.isfinite(r)]:
         as_vector(row)
     return r

@@ -9,12 +9,12 @@ an exhaustive pair scan.
 Families cut from infinite series carry a certified truncation remainder
 that widens the reported upper bound.
 
-One kernel, _extremes, runs every pair scan here and in the multiplier
-module, in numpy chunks of at most CHUNK elements per temporary. Where the
-batched arithmetic is the scalar one (1- and max-norms, moduli) its values
-are final; elsewhere they only screen, and every pair whose a-priori
-rounding window can reach an extreme is recomputed on the scalar vec_pnorm
-path. Reported extremes therefore equal the exhaustive scalar scan.
+One kernel, _over_dist, runs every pair scan here and in the multiplier
+module, in numpy chunks of at most CHUNK elements per temporary. Each
+chunk's norms come from linops' row kernels, which run per pair the
+operations of vec_pnorm and of a matrix-vector product, so every batched
+value is the scalar one and the reported extremes equal the exhaustive
+scalar scan.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ from typing import Optional
 import numpy as np
 
 from . import linops
-from .linops import vec_pnorm
 
 DIST_TOL = 1e-12
 CHUNK = 1 << 14  # array elements per temporary of a pair scan
-_U = 2.0 ** -53
-_TINY, _HUGE = 2.0 ** -500, 2.0 ** 500
 
 
 @dataclass(frozen=True)
@@ -158,102 +155,43 @@ def _pairs(n: int, width: int):
         yield i, k - start[i] + i + 1
 
 
-def _extremes(n: int, width: int, block, exact):
-    """Least and greatest exact(i, j) over the pairs i < j of n points.
-
-    block(i, j) screens a chunk: arrays (val, err) with |exact - val| <= err,
-    err = 0 where val is exact and inf or nan where nothing is known; a nan
-    val with err = 0, or a nan from exact, skips the pair. Only pairs whose
-    window val +- err reaches an extreme go to exact.
-    """
-    known = [math.inf, -math.inf]  # extremes of the exact values so far
-    reach = [math.inf, -math.inf]  # least val + err, greatest val - err
-    held = np.empty((4, 0))  # i, j, val, err of screened pairs still in play
-    for i, j in _pairs(n, width):
-        val, err = block(i, j)
-        sure = err == 0
-        known = [np.fmin.reduce(val[sure], initial=known[0]),
-                 np.fmax.reduce(val[sure], initial=known[1])]
-        reach = [np.fmin.reduce(val + err, initial=reach[0]),
-                 np.fmax.reduce(val - err, initial=reach[1])]
-        new = ~sure
-        I, J, V, E = held = np.hstack([held, [i[new], j[new], val[new], err[new]]])
-        held = held[:, ~((V - E > reach[0]) & (V + E < reach[1]))]
-    for i, j in held[:2].T.astype(int).tolist():
-        x = exact(i, j)
-        if not math.isnan(x):
-            known = [min(known[0], x), max(known[1], x)]
-    return known[0], known[1]
-
-
 class _PairNorms:
     """Norms ||Tau (coeff (f(x_i) - f(x_j)))||_p over pairs of points, with
     values[n][j] = f_n(point j); Tau and coeff are optional.
 
-    at(i, j) is the scalar vec_pnorm path. chunk(i, j) does many pairs with
-    numpy and bounds its distance from at() by err. Both paths give the
-    norm of one vector within relative gamma_(w+16) (Higham's
-    gamma_k = k u / (1 - k u), w the longest vector) plus 2^-500 (squares
-    underflowing in the unscaled p = 2 path), and the product within
-    sqrt(2) gamma_(m+2) |Tau| |coeff diff| per entry. err is 0 for 1- and
-    max-norms without Tau, whose reductions are the scalar ones, and on
-    zero rows; it is inf from 2^500 up, where the p = 2 path may overflow.
+    chunk(i, j) does many pairs at once: the rows of the pair differences
+    go through linops._apply_rows and linops._pnorm_rows, which run per row
+    the operations of Tau @ x and vec_pnorm, so each norm equals the scalar
+    one bit for bit.
     """
 
     def __init__(self, values, p, Tau=None, coeff=None):
-        self.values, self.p = values, linops._check_p(p)
+        self.p = linops._check_p(p)
         self.Tau, self.coeff = Tau, coeff
         self.rows = np.ascontiguousarray(values.T)
         self.width = max(values.shape[0], 0 if Tau is None else Tau.shape[0])
-        self.g = (self.width + 16) * _U / (1 - (self.width + 16) * _U)
-        self.exact = Tau is None and self.p in (1, math.inf)
 
-    def at(self, i: int, j: int) -> float:
-        diff = self.values[:, i] - self.values[:, j]
-        return vec_pnorm(diff if self.Tau is None
-                         else self.Tau @ (self.coeff * diff), self.p)
-
-    def _norms(self, A: np.ndarray) -> np.ndarray:
-        a, p = np.abs(A), self.p
-        if p == 1:
-            return a.sum(axis=1)
-        mx = a.max(axis=1)
-        if math.isinf(p):
-            return mx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = mx * np.power(a / mx[:, None], p).sum(axis=1) ** (1.0 / p)
-        return np.where(mx > 0, s, 0.0)
-
-    def chunk(self, i: np.ndarray, j: np.ndarray):
+    def chunk(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         D = self.rows[i] - self.rows[j]
-        if self.Tau is None:
-            N = top = self._norms(D)
-        else:
-            D = self.coeff * D
-            N = self._norms(D @ self.Tau.T)
-            top = self._norms(np.abs(D) @ np.abs(self.Tau).T)
-        err = 0.0 if self.exact else 6 * self.g * (N + top) + 4 * _TINY
-        return N, np.where(top < _HUGE, np.where(D.any(axis=1), err, 0.0), math.inf)
+        if self.Tau is not None:
+            D = linops._apply_rows(self.Tau, self.coeff * D)
+        return linops._pnorm_rows(D, self.p)
 
 
 def _over_dist(S: MetricSample, num: _PairNorms) -> tuple[float, float]:
-    """Extremes of num / d(x_i, x_j) over the pairs at positive distance;
-    a pair at distance 0 whose norm exceeds DIST_TOL raises ValueError."""
-    def block(i, j):
-        N, e = num.chunk(i, j)
-        d = S.dist[i, j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (np.where(d > 0, N / d, math.nan), np.where(
-                d > 0, e / d, np.where(N + e <= DIST_TOL, 0.0, math.inf)))
-
-    def exact(i, j):
-        x, d = num.at(i, j), S.dist[i, j]
-        if d <= 0 and x > DIST_TOL:
+    """Least and greatest num / d(x_i, x_j) over the pairs i < j at positive
+    distance (inf, -inf when there are none); a pair at distance 0 whose
+    norm exceeds DIST_TOL raises ValueError."""
+    lo, hi = math.inf, -math.inf
+    for i, j in _pairs(S.n, num.width):
+        N, d = num.chunk(i, j), S.dist[i, j]
+        far = d > 0
+        if (N[~far] > DIST_TOL).any():
             raise ValueError("points at distance 0 take different values: "
                              "no finite upper bound")
-        return x / d if d > 0 else math.nan
-
-    return _extremes(S.n, num.width, block, exact)
+        r = N[far] / d[far]
+        lo, hi = r.min(initial=lo), r.max(initial=hi)
+    return float(lo), float(hi)
 
 
 def metric_frame_bounds(S: MetricSample, F: LipschitzFamily, p) -> tuple[float, float]:
@@ -348,6 +286,8 @@ def reconstruction_deviation(S: MetricSample, F: LipschitzFamily) -> float:
         pts = np.asarray([float(x) for x in S.points])
     except (TypeError, ValueError):
         raise ValueError("reconstruction needs numeric point labels") from None
-    outs = np.asarray([float(1.0 + abs(F.values[1:, j].sum()))
-                       for j in range(S.n)], dtype=float)
+    # contiguous rows keep each column's sum in numpy's pairwise order;
+    # hypot is the scalar abs, which np.abs of a complex array is not
+    s = np.ascontiguousarray(F.values[1:].T).sum(axis=1)
+    outs = 1.0 + np.hypot(s.real, s.imag)
     return float(np.abs(outs - pts).max())

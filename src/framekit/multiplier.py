@@ -4,9 +4,8 @@ M x = sum_n lambda_n f_n(x) tau_n, built from a symbol lambda, a pointed
 Lipschitz p-Bessel family f_n (f_n(base) = 0) and vectors tau_n in K^d.
 The module measures Lipschitz numbers by exhaustive pair scans and checks
 them against the certified products of Bessel constants. The scans run in
-metricframe's chunked pair kernel; since the product Tau @ diff rounds
-differently in a batch, the batch only screens and every pair that can
-reach the maximum is recomputed on the scalar path, whose value is reported.
+metricframe's chunked pair kernel, whose batched product Tau @ diff and
+norm are the scalar ones bit for bit.
 """
 
 from __future__ import annotations
@@ -166,6 +165,6 @@ def continuity(M: Multiplier, symbol=None, vectors=None) -> tuple[float, float]:
     if Tau2.shape != M.Tau.shape:
         raise ValueError("replacement vectors have the wrong shape")
     measured = _pair_lip(M, M.lam, Tau2 - M.Tau)
-    gaps = np.asarray([vec_pnorm(Tau2[:, n] - M.Tau[:, n], M.out_norm)
-                       for n in range(M.m)])
+    # contiguous rows, so each row's norm is vec_pnorm of that column
+    gaps = linops._pnorm_rows(np.ascontiguousarray((Tau2 - M.Tau).T), M.out_norm)
     return measured, b * vec_pnorm(M.lam, M.p) * vec_pnorm(gaps, M.q)

@@ -133,6 +133,20 @@ def test_row_pnorms_are_bit_identical_to_pnorm(rows, p):
     assert [float(r).hex() for r in got] == [w.hex() for w in want]
 
 
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 50.0])
+def test_row_pnorms_are_bit_identical_to_pnorm_on_long_rows(p):
+    # 1,200 rows of 1-80 entries over six decades: enough roots that a
+    # pow differing from float ** in the last bit shows
+    rng = np.random.default_rng(int(10 * p))
+    for n in range(1, 81):
+        X = rng.standard_normal((15, n)) * 10.0 ** rng.uniform(-3, 3, (15, 1))
+        if n % 2:
+            X = X + 1j * rng.standard_normal((15, n))
+        got = linops._pnorm_rows(X, p)
+        want = [linops._pnorm(x, p) for x in X]
+        assert [float(r).hex() for r in got] == [w.hex() for w in want], n
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
 def test_row_pnorms_refuse_a_non_finite_row_as_pnorm_does(p):
     X = np.array([[1.0, 2.0], [1.0, complex(0, math.nan)]])

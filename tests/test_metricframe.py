@@ -277,6 +277,21 @@ def test_reconstruction_identity_frame():
     assert reconstruction_deviation(S, off) == 0.125
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_reconstruction_deviation_equals_the_column_loop(seed):
+    # per-column sums of up to 60 non-constant rows, real and complex,
+    # large enough that the last bit of each modulus survives the 1 +
+    rng = np.random.default_rng(seed)
+    S = line_sample(seed, int(rng.integers(2, 40)), 1.0, 20.0, base=0)
+    V = 100.0 * rng.standard_normal((int(rng.integers(1, 61)), S.n))
+    if seed % 2:
+        V = V + 1j * rng.standard_normal(V.shape)
+    pts = np.asarray(S.points)
+    want = max(abs(float(1.0 + abs(V[1:, j].sum())) - pts[j])
+               for j in range(S.n))
+    assert reconstruction_deviation(S, LipschitzFamily(V)) == want
+
+
 def test_reconstruction_needs_pointed_numeric_sample():
     S = line_sample(20, 5, 0.0, 1.0)  # no base
     F = LipschitzFamily(np.zeros((1, 5)))

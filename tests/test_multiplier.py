@@ -215,8 +215,12 @@ def test_continuity_symbol_zero_gap():
 
 
 def test_continuity_vectors_bound():
-    for seed in (15, 16):
-        M = pointed_instance(seed, p=1.5)
+    # d = 12 puts twelve entries in each gap: read as strided rows, the
+    # 1- and 2-norms of the gaps would sum out of vec_pnorm's order
+    cases = [(15, 4, 6, 2.0), (16, 4, 6, 2.0)]
+    cases += [(seed, 12, 20, 1.0 + seed % 2) for seed in range(18, 24)]
+    for seed, d, m, out_norm in cases:
+        M = pointed_instance(seed, d=d, m=m, p=1.5, out_norm=out_norm)
         rng = np.random.default_rng(seed + 200)
         Tau2 = M.Tau + 0.05 * (rng.normal(size=M.Tau.shape)
                                + 1j * rng.normal(size=M.Tau.shape))
@@ -229,9 +233,8 @@ def test_continuity_vectors_bound():
         b, _ = M.family_bessel()
         gaps = [linops.vec_pnorm(Tau2[:, n] - M.Tau[:, n], M.out_norm)
                 for n in range(M.m)]
-        assert math.isclose(bound, b * linops.vec_pnorm(M.lam, M.p)
-                            * linops.vec_pnorm(np.array(gaps), M.q),
-                            rel_tol=1e-12)
+        assert bound == (b * linops.vec_pnorm(M.lam, M.p)
+                         * linops.vec_pnorm(np.array(gaps), M.q))
 
 
 def test_continuity_requires_exactly_one_replacement():

@@ -1,10 +1,10 @@
 """The chunked pair kernel against the exhaustive scalar scan.
 
 The references below are the plain i < j loops that computed every pair
-with vec_pnorm before the kernel existed. The kernel must reproduce their
-extremes exactly (==), including where its batched arithmetic differs
-from vec_pnorm in the last bits, and must stay within a small memory
-budget because it never builds the whole pair-difference tensor.
+with vec_pnorm before the kernel existed. Every norm a chunk returns is
+the scalar one bit for bit, so the kernel must reproduce their extremes
+exactly (==), ties included, and must stay within a small memory budget
+because it never builds the whole pair-difference tensor.
 """
 
 import json
@@ -21,6 +21,8 @@ from framekit.metricframe import (
     DIST_TOL,
     LipschitzFamily,
     MetricSample,
+    _pairs,
+    _PairNorms,
     make_named_family,
     metric_frame_bounds,
     sample_from_points,
@@ -127,6 +129,37 @@ cases = st.fixed_dictionaries({
 })
 
 
+# ------------------------------------------------------------ chunks
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("dim", [None, 1, 3, 12])
+def test_chunk_norms_are_vec_pnorm_bit_for_bit(p, cplx, dim):
+    # every value of every chunk, not only the extremes: with a Tau of dim
+    # rows (None: no Tau) each norm is vec_pnorm of Tau @ (coeff * diff)
+    rng = np.random.default_rng(int(10 * p) + 7 * (dim or 0) + cplx)
+    S = make_sample(rng, 2)
+    V = make_values(rng, S, "smooth", cplx)
+    Tau = coeff = None
+    if dim is not None:
+        Tau = rng.standard_normal((dim, TERMS))
+        coeff = 0.8 ** np.arange(TERMS) * rng.uniform(0.5, 1.0, TERMS)
+        if cplx:
+            Tau = Tau + 1j * rng.standard_normal((dim, TERMS))
+            coeff = coeff * np.exp(1j * rng.uniform(0, 6, TERMS))
+    num = _PairNorms(V, p, Tau, coeff)
+    chunks = 0
+    for i, j in _pairs(S.n, num.width):
+        got = num.chunk(i, j)
+        for a, b, x in zip(i.tolist(), j.tolist(), got.tolist()):
+            diff = V[:, a] - V[:, b]
+            want = vec_pnorm(diff if Tau is None else Tau @ (coeff * diff), p)
+            assert x.hex() == want.hex(), (a, b)
+        chunks += 1
+    assert chunks > 1
+
+
 # ----------------------------------------------------------- metric
 
 
@@ -218,14 +251,20 @@ def test_cli_multiplier_lip_refuses_separated_points(tmp_path):
 
 
 def test_bounds_scan_memory_stays_chunk_sized():
-    # the whole pair-difference tensor would take ~57 MiB here
+    # the whole pair-difference tensor would take ~57 MiB here, twice that
+    # for the complex coeff * diff of the multiplier's Tau path
     S = make_sample(np.random.default_rng(5), 0, n=600)
-    F = LipschitzFamily(make_values(np.random.default_rng(6), S, "smooth",
-                                    False))
-    for p in (1.0, 2.0):
+    V = make_values(np.random.default_rng(6), S, "smooth", False)
+    F = LipschitzFamily(V)
+    M = Multiplier(S, LipschitzFamily(V - V[:, [0]]),
+                   np.random.default_rng(8).standard_normal((3, TERMS)),
+                   0.8 ** np.arange(TERMS), 2.0)
+    for scan in (lambda: metric_frame_bounds(S, F, 1.0),
+                 lambda: metric_frame_bounds(S, F, 2.0),
+                 lambda: multiplier._pair_lip(M, M.lam, M.Tau)):
         tracemalloc.start()
         try:
-            metric_frame_bounds(S, F, p)
+            scan()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
