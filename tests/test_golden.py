@@ -157,6 +157,13 @@ REPORTS = [
      "--horizon", "4"],
     ["vsdilate", "ando", "--in", _in("vs_half"), "--other", _in("vs_eye"),
      "--horizon", "4", "--no-rational"],
+    # float mode on the verbs whose other records are exact; sznagy's
+    # residual 2.78e-17 moves with any change to the order of a float sum
+    ["vsdilate", "witness", "--in", VST, "--no-rational"],
+    ["vsdilate", "sznagy", "--in", VST, "--window", "4", "--no-rational"],
+    ["vsdilate", "intertwine", "--in", VST, "--other", VST, "--s",
+     _in("vs_eye"), "--horizon", "3", "--no-rational"],
+    ["vsdilate", "ndilate", "--in", VST, "--n", "2", "--no-rational"],
     ["cuntz", "solve", "--n", "4"],
     ["cuntz", "build", "--n", "3"],
     # n = 2 writes the exact corrector: D[0, 1] sums 1 and -2 u*u
@@ -176,6 +183,8 @@ REPORTS = [
     ["ovf", "dilate", "--in", OVF],
     ["vsdilate", "ando", "--in", VST, "--other", _in("vs_nil"),
      "--horizon", "2"],
+    ["vsdilate", "ando", "--in", VST, "--other", _in("vs_nil"),
+     "--horizon", "2", "--no-rational"],
 ]
 
 # Usage errors: exit 2, nothing on stdout.
@@ -257,6 +266,20 @@ USAGE = [
                           ("intertwine", "--other",
                            _in(f"vs_overflow_{where}"), "--s", _in("vs_eye"),
                            "--horizon", "3"))],
+    # a T that is not square, and sizes below the least each verb takes
+    ["vsdilate", "halmos", "--in", _in("vs_wide")],
+    ["vsdilate", "ndilate", "--in", VST, "--n", "0"],
+    ["vsdilate", "sznagy", "--in", VST, "--window", "1"],
+    ["vsdilate", "standard", "--in", VST, "--horizon", "0"],
+    # an S of the wrong shape: T1 S and S T2 cannot both be formed
+    ["vsdilate", "intertwine", "--in", VST, "--other", VST, "--s",
+     _in("vs_wide"), "--horizon", "2", "--no-rational"],
+    # rational inputs of unequal sizes: an exact product whose factors
+    # do not fit
+    ["vsdilate", "ando", "--in", _in("vs_t3"), "--other", VST,
+     "--horizon", "2"],
+    ["vsdilate", "intertwine", "--in", _in("vs_t3"), "--other",
+     _in("vs_t3"), "--s", VST, "--horizon", "2"],
 ]
 
 
