@@ -1,6 +1,7 @@
 """Kernel benchmarks, outside tier-1: the pair scan behind metric frame
 bounds and multiplier Lipschitz numbers, the triangle scan of a distance
-table, and the row p-norm, at the shapes of perfbench's pairscan workload.
+table, and the row p-norm, at the shapes of perfbench's pairscan workload;
+and the exact Ando grid, built and checked over its whole horizon.
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 
@@ -20,6 +21,7 @@ from framekit.metricframe import (
     make_named_family,
     sample_from_points,
 )
+from framekit.vsdilate import ando_like, as_exact
 
 
 def line(n, hi, seed):
@@ -66,3 +68,20 @@ def test_pnorm_rows_p3(benchmark):
     X = np.random.default_rng(5).standard_normal((409, 40))
     r = benchmark(linops._pnorm_rows, X, 3.0)
     assert r.shape == (409,) and np.all(r > 0)
+
+
+# A 3 x 3 rational T with denominators 2, 3, 5 and 7, and S = T^2 - 3T,
+# which commutes with it: the cost of the grid grows with (horizon + 1)^2
+# cells, each checked against a product of powers.
+PROBE_T = as_exact([["1/2", "1/3", 0], [0, "2/5", "1/7"], ["3/7", 0, 1]])
+
+
+@pytest.mark.parametrize("horizon", [4, 8, 12])
+def test_ando_dilation_defect(benchmark, horizon):
+    T = PROBE_T
+    S = T @ T - 3 * T
+
+    def build_and_check():
+        return ando_like(T, S, horizon).dilation_defect()
+
+    assert benchmark(build_and_check) == 0.0

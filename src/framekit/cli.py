@@ -1149,7 +1149,9 @@ def cmd_vsdilate_halmos(cfg: argparse.Namespace, R: ReportBuilder):
     T = _exact_in(cfg)
     tol = _exact_tol(cfg, T)
     quad = framekit.vsdilate.halmos(T)
-    R.result.update({"dim": int(quad.U.shape[0]), "U": dump_matrix(quad.U)})
+    # the one operator a report writes out, filled out once from its form
+    U = quad.U if T.dtype != object else quad.U.dense(Fraction(0))
+    R.result.update({"dim": int(U.shape[0]), "U": dump_matrix(U)})
     R.check("compression of U returns T", "theorem",
             quad.compression_defects(T, 1)[0], tol)
     R.check("P is idempotent", "theorem", quad.idempotent_defect(), tol)

@@ -3,14 +3,15 @@ intervals, inverses, Hermitian spectra, the one exact matrix product and
 the one sampled falsification loop.
 
 ``_Sparse`` is the only product of object-dtype matrices in framekit: a
-matrix kept as its rows of nonzero (column, value) pairs, which ``_form``
-reads once from a dense one.  The exact dilations of ``vsdilate``
-multiply and compare in that form, and the Cuntz pair of ``cuntz`` is
-built in it, so its word polynomials are never laid out dense.  The
-field is the type of the array's entries: a Fraction array is read
-fraction-free, into Python ints over one common denominator, so a
-product multiplies ints and no gcd is taken until a form is filled out
-dense; any other ring's entries are kept and multiplied as they are.
+matrix kept as its rows of nonzero (column, value) pairs.  The exact
+dilations of ``vsdilate`` and the Cuntz pair of ``cuntz`` are built in
+that form from the start, so their operators are never laid out dense
+or read back from a dense array; ``_form`` reads only a small input
+matrix.  A rational form holds Python ints over one common
+denominator, so a product multiplies ints and no gcd is taken until a
+form is filled out dense; any other ring's entries are kept and
+multiplied as they are.  A Fraction array is read into the rational
+form, any other object array into the generic one.
 
 ``_falsify`` is the only seeded search for counterexamples to a
 perturbation hypothesis, and ``Perturbation`` the verdict of all three
@@ -397,6 +398,9 @@ class _Sparse:
         (k, 1) is row k of other); a cell that cancels to zero is dropped.
         Rational forms multiply their ints, never reduced, over the
         product of the two denominators."""
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by a "
+                             f"{other.shape} matrix")
         den = self.den * other.den if _rational(self, other) else None
         out = []
         for row in self.rows:
@@ -411,6 +415,15 @@ class _Sparse:
                     acc[j] = acc[j] + ab if j in acc else ab
             out.append([(j, x) for j, x in sorted(acc.items()) if x])
         return _Sparse(out, other.shape[1], den)
+
+    @property
+    def T(self) -> "_Sparse":
+        """The transpose, its rows in increasing column."""
+        rows = [[] for _ in range(self.shape[1])]
+        for i, row in enumerate(self.rows):
+            for j, x in row:
+                rows[j].append((i, x))
+        return _Sparse(rows, self.shape[0], self.den)
 
     def dense(self, zero) -> np.ndarray:
         """The object array, zero in every cell without a pair; a rational

@@ -8,16 +8,14 @@ intertwining lift between standard dilations, and a trace witness for
 non-similar Halmos dilations.
 
 ``as_exact`` chooses the field; every construction keeps it. Rational
-matrices are stored as Fraction objects inside dense object-dtype numpy
-arrays, so every identity the theorems assert is checked with zero
-residual; float64 entries serve interoperability. Identities and zeros
-are built like a matrix of the same field, and tolerances are 0 for
-object arrays; an identity that a check only compares against is built
-as its form, one int 1 per row over denominator 1, with no matrix to
-read.  The shifts, embeddings and collapses are mostly zero: each check
-reads every stored operator once, when it runs, with ``linops._form``
-into rows of nonzero ints over one common denominator (float arrays
-stay) and multiplies only those.
+entries are Fractions, so every identity the theorems assert is checked
+with zero residual against tolerance 0; float64 entries serve
+interoperability.  Every operator is a grid of d x d blocks, almost all
+of them 0 or I, and is built as a form from the start by ``_grid``: in
+the rational field a ``linops._Sparse`` of nonzero ints over the lcm of
+its blocks' denominators, in float mode the dense float array.  The
+dataclasses store these forms and the checks multiply them as they are;
+no operator is laid out as a dense Fraction array or read back from one.
 
 Every identity that must hold up to a horizon K reads one walk of each
 side: ``_orbit`` lists x, U x, ..., U^K x by left products and ``_powers``
@@ -43,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -73,42 +71,34 @@ def as_exact(M, rational: bool = True) -> np.ndarray:
     return out
 
 
-def _zeros(n: int, m: int, like: np.ndarray) -> np.ndarray:
-    """n x m zero matrix over the field of like's entries."""
-    return np.full((n, m), type(like.flat[0])(), dtype=like.dtype)
+def _eye(n: int, like):
+    """The form of the n x n identity over the field of like, a matrix or
+    a form: int 1s over den 1 in the rational field, the float array in
+    float mode."""
+    if isinstance(like, np.ndarray) and like.dtype != object:
+        return np.eye(n, dtype=like.dtype)
+    return _Sparse([[(i, 1)] for i in range(n)], n, 1)
 
 
-def _eye(n: int, like: np.ndarray) -> np.ndarray:
-    out = _zeros(n, n, like)
-    np.fill_diagonal(out, type(like.flat[0])(1))
-    return out
-
-
-def _unit_form(cols, width: int, like: np.ndarray):
-    """The form of the matrix over like's field with a 1 in column cols[i]
-    of row i, and no entry in a row whose cols[i] is None: rows [(j, 1)]
-    of int 1 over den 1 in the rational field, the array itself in float
+def _grid(blocks: dict, rows: int, cols: int):
+    """The form of a rows x cols grid of equal-shaped blocks, block (r, c)
+    the form blocks[r, c] and every other block zero: ints over the lcm
+    of the blocks' dens in the rational field, the dense array in float
     mode."""
-    cols = list(cols)
-    if like.dtype != object:
-        M = np.zeros((len(cols), width), dtype=like.dtype)
-        hot = [i for i, j in enumerate(cols) if j is not None]
-        M[hot, [cols[i] for i in hot]] = 1
-        return M
-    return _Sparse([[] if j is None else [(j, 1)] for j in cols], width, 1)
-
-
-def _eye_form(n: int, like: np.ndarray, lo: int = 0, hi: Optional[int] = None):
-    """The form of columns lo..hi-1, all by default, of the n x n identity
-    over like's field."""
-    hi = n if hi is None else hi
-    return _unit_form((i - lo if lo <= i < hi else None for i in range(n)),
-                      hi - lo, like)
-
-
-def _dense(X, like: np.ndarray) -> np.ndarray:
-    """A product of forms as a matrix over like's field."""
-    return X if isinstance(X, np.ndarray) else X.dense(type(like.flat[0])())
+    first = next(iter(blocks.values()))
+    h, w = first.shape
+    if isinstance(first, np.ndarray):
+        out = np.zeros((rows * h, cols * w), dtype=first.dtype)
+        for (r, c), X in blocks.items():
+            out[r * h:(r + 1) * h, c * w:(c + 1) * w] = X
+        return out
+    den = math.lcm(*(X.den for X in blocks.values()))
+    grid = [[] for _ in range(rows * h)]
+    for (r, c), X in sorted(blocks.items()):
+        k = den // X.den
+        for a, row in enumerate(X.rows):
+            grid[r * h + a] += [(c * w + j, x * k) for j, x in row]
+    return _Sparse(grid, cols * w, den)
 
 
 def max_abs(M) -> float:
@@ -163,7 +153,7 @@ def _orbit(U, x, k: int) -> list:
 
 def _powers(T: np.ndarray, k: int) -> list:
     """Forms of [I, T, ..., T^k], each after T the one before times T."""
-    out = [_eye_form(T.shape[0], T), _form(T)]
+    out = [_eye(T.shape[0], T), _form(T)]
     while len(out) <= k:
         out.append(out[-1] @ out[1])
     return out[:k + 1]
@@ -176,65 +166,60 @@ def intertwining_gap(A: np.ndarray, S: np.ndarray, B: np.ndarray) -> float:
     return _defect(A @ S, S @ B)
 
 
-def _trace(M: np.ndarray):
-    return sum(M[i, i] for i in range(M.shape[0]))
+Form = Union[_Sparse, np.ndarray]  # a rational form or a float array
 
 
 @dataclass(frozen=True)
 class DilationQuadruple:
     """(I, U, P): embedding I of V into a direct sum of copies of V,
     dilation map U, idempotent P onto the embedded copy, and U's inverse
-    when the construction supplies one in closed form."""
+    when the construction supplies one in closed form, all as forms."""
 
-    embed: np.ndarray
-    U: np.ndarray
-    P: np.ndarray
-    U_inv: Optional[np.ndarray] = None
+    embed: Form
+    U: Form
+    P: Form
+    U_inv: Optional[Form] = None
 
     def compression_defects(self, T: np.ndarray, k: int) -> list:
         """max-abs defects of E^T U^j E - T^j for j = 1..k, where E is
         the embedding: the first-coordinate compressions of U's powers."""
-        cols = _orbit(_form(self.U), _form(self.embed), k)[1:]
-        E_T = _form(self.embed.T)
+        cols = _orbit(self.U, self.embed, k)[1:]
+        E_T = self.embed.T
         return [_defect(E_T @ c, p) for c, p in zip(cols, _powers(T, k)[1:])]
 
     def idempotent_defect(self) -> float:
-        P = _form(self.P)
-        return _defect(P @ P, P)
+        return _defect(self.P @ self.P, self.P)
 
     def inverse_defect(self) -> float:
         if self.U_inv is None:
             raise ValueError("no closed-form inverse stored")
-        U, V = _form(self.U), _form(self.U_inv)
-        I = _eye_form(self.U.shape[0], self.U)
+        U, V = self.U, self.U_inv
+        I = _eye(U.shape[0], U)
         return _worst((_defect(U @ V, I), _defect(V @ U, I)))
 
 
-def _first_block_embed(T: np.ndarray, blocks: int) -> np.ndarray:
-    d = T.shape[0]
-    E = _zeros(blocks * d, d, T)
-    E[:d, :] = _eye(d, T)
-    return E
-
-
-def _first_block_projection(T: np.ndarray, blocks: int) -> np.ndarray:
-    d = T.shape[0]
-    P = _zeros(blocks * d, blocks * d, T)
-    P[:d, :d] = _eye(d, T)
-    return P
-
-
-def halmos(T: np.ndarray) -> DilationQuadruple:
-    """U = [[T, I], [I, 0]] with inverse [[0, I], [I, -T]]; the first
-    coordinate compression of U is T."""
+def _companion(T: np.ndarray, N: int) -> DilationQuadruple:
+    """U on V^(N+1) with T and I in its first block row and I on its
+    subdiagonal, its closed-form inverse, and E and P on the first block."""
     d = T.shape[0]
     if T.shape[1] != d:
         raise ValueError("T must be square")
-    I, Z = _eye(d, T), _zeros(d, d, T)
-    U = np.block([[T, I], [I, Z]])
-    V = np.block([[Z, I], [I, -T]])
-    return DilationQuadruple(_first_block_embed(T, 2),
-                             U, _first_block_projection(T, 2), V)
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    blocks, I = N + 1, _eye(d, T)
+    U = {(0, 0): _form(T), (0, N): I}
+    U.update({(i, i - 1): I for i in range(1, blocks)})
+    V = {(i, i + 1): I for i in range(N)}
+    V.update({(N, 0): I, (N, 1): _form(-T)})
+    return DilationQuadruple(
+        _grid({(0, 0): I}, blocks, 1), _grid(U, blocks, blocks),
+        _grid({(0, 0): I}, blocks, blocks), _grid(V, blocks, blocks))
+
+
+def halmos(T: np.ndarray) -> DilationQuadruple:
+    """U = [[T, I], [I, 0]] with inverse [[0, I], [I, -T]], the companion
+    dilation at N = 1; the first coordinate compression of U is T."""
+    return _companion(T, 1)
 
 
 @dataclass(frozen=True)
@@ -251,26 +236,8 @@ def n_dilation(T: np.ndarray, N: int) -> NDilation:
     defect beyond the horizon, which is I for k = N+1 since U^(N+1)
     reintroduces the identity corner.
     """
-    d = T.shape[0]
     N = int(N)
-    if T.shape[1] != d:
-        raise ValueError("T must be square")
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    blocks = N + 1
-    I = _eye(d, T)
-    U = _zeros(blocks * d, blocks * d, T)
-    U[:d, :d] = T
-    U[:d, N * d:] = I
-    for i in range(1, blocks):
-        U[i * d:(i + 1) * d, (i - 1) * d:i * d] = I
-    V = _zeros(blocks * d, blocks * d, T)
-    for i in range(blocks - 1):
-        V[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = I
-    V[N * d:, :d] = I
-    V[N * d:, d:2 * d] = -T
-    quad = DilationQuadruple(_first_block_embed(T, blocks), U,
-                             _first_block_projection(T, blocks), V)
+    quad = _companion(T, N)
     table = enumerate(quad.compression_defects(T, N + 1), 1)
     return NDilation(quad, N, tuple(table))
 
@@ -283,9 +250,9 @@ class BandedWindow:
     Powers of U compress to powers of T for n <= w-1 (mass never leaves
     the window)."""
 
-    U: np.ndarray
-    V: np.ndarray
-    embed: np.ndarray
+    U: Form
+    V: Form
+    embed: Form
     window: int
     T: np.ndarray
 
@@ -295,18 +262,18 @@ class BandedWindow:
 
     def compression_defect(self) -> float:
         """Worst max-abs defect of E^T U^n E - T^n over n = 0..w-1."""
-        h, E_T = self.valid_horizon, _form(self.embed.T)
-        pairs = zip(_orbit(_form(self.U), _form(self.embed), h),
-                    _powers(self.T, h))
+        h, E_T = self.valid_horizon, self.embed.T
+        pairs = zip(_orbit(self.U, self.embed, h), _powers(self.T, h))
         return _worst(_defect(E_T @ col, power) for col, power in pairs)
 
     def interior_identity_defect(self) -> float:
         """max-abs defect of V U - I on the interior block columns
         -w+1..w-1 (the only place the truncation cannot be felt)."""
         d, w = self.T.shape[0], self.window
-        inner = slice(d, 2 * w * d)
-        return _defect(_form(self.V) @ _form(self.U[:, inner]),
-                       _eye_form((2 * w + 1) * d, self.U, d, 2 * w * d))
+        # J: the identity's columns of those blocks; U J is U's there
+        J = _grid({(c, c - 1): _eye(d, self.T) for c in range(1, 2 * w)},
+                  2 * w + 1, 2 * w - 1)
+        return _defect(self.V @ (self.U @ J), J)
 
 
 def banded_sznagy(T: np.ndarray, window: int) -> BandedWindow:
@@ -316,24 +283,14 @@ def banded_sznagy(T: np.ndarray, window: int) -> BandedWindow:
         raise ValueError("T must be square")
     if w < 2:
         raise ValueError("window must be at least 2")
-    size = 2 * w + 1
-    I = _eye(d, T)
-
-    def at(M, i, j, block):  # i, j in -w..w
-        r, c = (i + w) * d, (j + w) * d
-        M[r:r + d, c:c + d] = block
-
-    U = _zeros(size * d, size * d, T)
-    at(U, 0, 0, T)
-    for n in range(-w, w):
-        at(U, n, n + 1, I)
-    V = _zeros(size * d, size * d, T)
-    at(V, 1, -1, -T)
-    for n in range(-w + 1, w + 1):
-        at(V, n, n - 1, I)
-    E = _zeros(size * d, d, T)
-    E[w * d:(w + 1) * d] = I
-    return BandedWindow(U, V, E, w, T)
+    size, I = 2 * w + 1, _eye(d, T)
+    # block i of -w..w is block i + w of the grid
+    U = {(w, w): _form(T)}
+    U.update({(i, i + 1): I for i in range(size - 1)})
+    V = {(w + 1, w - 1): _form(-T)}
+    V.update({(i, i - 1): I for i in range(1, size)})
+    return BandedWindow(_grid(U, size, size), _grid(V, size, size),
+                        _grid({(w, 0): I}, size, 1), w, T)
 
 
 @dataclass(frozen=True)
@@ -349,17 +306,17 @@ class StandardDilation:
     def dilation_defect(self) -> float:
         """Worst max-abs defect of I T^n = P U^n I over n = 0..horizon."""
         q, K = self.quadruple, self.horizon
-        E, P = _form(q.embed), _form(q.P)
-        pairs = zip(_powers(self.T, K), _orbit(_form(q.U), E, K))
+        E, P = q.embed, q.P
+        pairs = zip(_powers(self.T, K), _orbit(q.U, E, K))
         return _worst(_defect(E @ power, P @ col) for power, col in pairs)
 
     def minimality_check(self) -> bool:
         """U^n I x over n = 0..horizon spans the truncated space: the
         stacked columns form exactly the identity matrix."""
-        q = self.quadruple
-        cols = _orbit(_form(q.U), _form(q.embed), self.horizon)
-        n, d = q.U.shape[0], self.T.shape[0]
-        return all(_defect(c, _eye_form(n, q.U, k * d, (k + 1) * d)) == 0
+        q, blocks = self.quadruple, self.horizon + 1
+        I = _eye(self.T.shape[0], self.T)
+        cols = _orbit(q.U, q.embed, self.horizon)
+        return all(_defect(c, _grid({(k, 0): I}, blocks, 1)) == 0
                    for k, c in enumerate(cols))
 
 
@@ -370,14 +327,11 @@ def standard_dilation(T: np.ndarray, horizon: int) -> StandardDilation:
         raise ValueError("T must be square")
     if K < 1:
         raise ValueError("horizon must be at least 1")
-    blocks = K + 1
-    I = _eye(d, T)
-    U = _zeros(blocks * d, blocks * d, T)
-    for i in range(K):
-        U[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = I
-    P = _zeros(blocks * d, blocks * d, T)
-    P[:d] = np.concatenate([_dense(X, T) for X in _powers(T, K)], axis=1)
-    quad = DilationQuadruple(_first_block_embed(T, blocks), U, P)
+    blocks, I = K + 1, _eye(d, T)
+    U = _grid({(i + 1, i): I for i in range(K)}, blocks, blocks)
+    P = _grid({(0, n): X for n, X in enumerate(_powers(T, K))},
+              blocks, blocks)
+    quad = DilationQuadruple(_grid({(0, 0): I}, blocks, 1), U, P)
     return StandardDilation(quad, K, T)
 
 
@@ -386,10 +340,10 @@ class AndoDilation:
     """Commuting pair dilated to row and column shifts on the grid
     0..horizon x 0..horizon; P collapses cell (n, m) through T^n S^m."""
 
-    embed: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
-    P: np.ndarray
+    embed: Form
+    U: Form
+    V: Form
+    P: Form
     horizon: int
     T: np.ndarray
     S: np.ndarray
@@ -397,11 +351,11 @@ class AndoDilation:
     def dilation_defect(self) -> float:
         """Worst max-abs defect of I T^n S^m = P U^n V^m I over the whole
         grid n, m <= horizon."""
-        h, E, P, U = self.horizon, *map(_form, (self.embed, self.P, self.U))
+        h, E, P, U = self.horizon, self.embed, self.P, self.U
         Tn, Sm = _powers(self.T, h), _powers(self.S, h)
         return _worst(
             _defect(E @ (Tn[n] @ Sm[m]), P @ cell)
-            for m, col in enumerate(_orbit(_form(self.V), E, h))
+            for m, col in enumerate(_orbit(self.V, E, h))
             for n, cell in enumerate(_orbit(U, col, h)))
 
     def pad_identity_check(self) -> bool:
@@ -409,14 +363,13 @@ class AndoDilation:
         a zero row over the column-shifted array.  On the grid model the
         zero-column prefix is V itself and the zero-row stack is U itself,
         so the identity reads V U = U V = diagonal shift, exactly."""
-        d, side = self.T.shape[0], self.horizon + 1
+        side, I = self.horizon + 1, _eye(self.T.shape[0], self.T)
         # cell (n, m) of the grid, n, m >= 1, takes cell (n - 1, m - 1)
-        diag = _unit_form(
-            (i - (side + 1) * d if i // (side * d) and i // d % side else None
-             for i in range(side * side * d)), side * side * d, self.U)
-        U, V = _form(self.U), _form(self.V)
-        left = V @ U
-        return _defect(left, U @ V) == 0 and _defect(left, diag) == 0
+        diag = _grid({(n * side + m, (n - 1) * side + m - 1): I
+                      for n in range(1, side) for m in range(1, side)},
+                     side * side, side * side)
+        left = self.V @ self.U
+        return _defect(left, self.U @ self.V) == 0 and _defect(left, diag) == 0
 
 
 def ando_like(T: np.ndarray, S: np.ndarray, horizon: int) -> AndoDilation:
@@ -432,24 +385,18 @@ def ando_like(T: np.ndarray, S: np.ndarray, horizon: int) -> AndoDilation:
     side = h + 1
     cells = side * side
     I = _eye(d, T)
-
-    def place(M, n, m, n2, m2):
-        M[(n2 * side + m2) * d:(n2 * side + m2 + 1) * d,
-          (n * side + m) * d:(n * side + m + 1) * d] = I
-
-    U = _zeros(cells * d, cells * d, T)
-    V = _zeros(cells * d, cells * d, T)
-    for n in range(side):
-        for m in range(side):
-            if n + 1 < side:
-                place(U, n, m, n + 1, m)
-            if m + 1 < side:
-                place(V, n, m, n, m + 1)
-    P = _zeros(cells * d, cells * d, T)
+    # cell (n, m) of the grid is block n * side + m; U takes it to
+    # (n + 1, m) and V to (n, m + 1)
+    U = {((n + 1) * side + m, n * side + m): I
+         for n in range(h) for m in range(side)}
+    V = {(n * side + m + 1, n * side + m): I
+         for n in range(side) for m in range(h)}
     Tn, Sm = _powers(T, h), _powers(S, h)
-    P[:d] = np.concatenate([_dense(Tn[n] @ Sm[m], T) for n in range(side)
-                            for m in range(side)], axis=1)
-    return AndoDilation(_first_block_embed(T, cells), U, V, P, h, T, S)
+    P = {(0, n * side + m): Tn[n] @ Sm[m]
+         for n in range(side) for m in range(side)}
+    return AndoDilation(_grid({(0, 0): I}, cells, 1), _grid(U, cells, cells),
+                        _grid(V, cells, cells), _grid(P, cells, cells),
+                        h, T, S)
 
 
 @dataclass(frozen=True)
@@ -468,18 +415,13 @@ def intertwine_lift(T1: np.ndarray, T2: np.ndarray, S: np.ndarray,
     caller decides with ``intertwining_gap(T1, S, T2)``."""
     if S.shape != (T1.shape[0], T2.shape[0]):
         raise ValueError("S must map the second space into the first")
-    D1 = standard_dilation(T1, horizon)
-    D2 = standard_dilation(T2, horizon)
-    blocks = int(horizon) + 1
-    d1, d2 = T1.shape[0], T2.shape[0]
-    R = _zeros(blocks * d1, blocks * d2, S)
-    for n in range(blocks):
-        R[n * d1:(n + 1) * d1, n * d2:(n + 1) * d2] = S
-    q1, q2 = D1.quadruple, D2.quadruple
-    U1, P1, E1, U2, P2, E2, R, S = map(_form, (
-        q1.U, q1.P, q1.embed, q2.U, q2.P, q2.embed, R, S))
-    return IntertwineLift(_defect(U1 @ R, R @ U2), _defect(R @ P2, P1 @ R),
-                          _defect(R @ E2, E1 @ S))
+    q1 = standard_dilation(T1, horizon).quadruple
+    q2 = standard_dilation(T2, horizon).quadruple
+    blocks, S = int(horizon) + 1, _form(S)
+    R = _grid({(n, n): S for n in range(blocks)}, blocks, blocks)
+    return IntertwineLift(_defect(q1.U @ R, R @ q2.U),
+                          _defect(R @ q2.P, q1.P @ R),
+                          _defect(R @ q2.embed, q1.embed @ S))
 
 
 @dataclass(frozen=True)
@@ -497,9 +439,9 @@ def non_similarity_witness(T: np.ndarray) -> SimilarityWitness:
     d = T.shape[0]
     if T.shape[1] != d:
         raise ValueError("T must be square")
-    I, Z = _eye(d, T), _zeros(d, d, T)
-    t1 = _trace(np.block([[T, T - I], [T + I, T]]))
-    t2 = _trace(np.block([[T, I], [I, Z]]))
-    tr = _trace(T)
+    # each trace sums the diagonals of its diagonal blocks in turn: T, T
+    # for the first, T and 0 for the second, whose zeros change no sum
+    diag = [T[i, i] for i in range(d)]
+    t1, tr = sum(diag + diag), sum(diag)
     conclusive = abs(tr) > (0 if T.dtype == object else FLOAT_TOL)
-    return SimilarityWitness(t1, t2, bool(t1 != t2), bool(conclusive))
+    return SimilarityWitness(t1, tr, bool(t1 != tr), bool(conclusive))

@@ -1,11 +1,12 @@
 """Test oracles: the coefficients and the concrete representation of the
 Cuntz word algebra, the dense layout of the Cuntz pair and its dump, the
 exact dyadic entries of the corrector's first iterate, the dense fill of
-a sparse product, and random Parseval semi-inner-product pairs.
+a sparse product, the dense block layouts of the vsdilate dilations, and
+random Parseval semi-inner-product pairs.
 
 The package itself needs none of these; the tests check its word algebra,
-its written pair, its certified first bounds, its exact products and its
-sip identities against them.
+its written pair, its certified first bounds, its exact products, its
+stored dilations and its sip identities against them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from framekit.cli import dump_word_element
 from framekit.cuntz import _GEN, CuntzElement, _letters
-from framekit.linops import _form, herm, inverse, is_invertible
+from framekit.linops import _Sparse, _form, herm, inverse, is_invertible
 from framekit.sip import SipPair, sip_functional
 
 
@@ -107,6 +108,161 @@ def sparse_product(A, B):
     """A @ B of object arrays, taken in the sparse form and filled out with
     the zero of B's entries, ``type(B.flat[0])()``."""
     return (_form(A) @ _form(B)).dense(type(B.flat[0])())
+
+
+def filled(X):
+    """A stored operator as a matrix: a float array as it is, a rational
+    form filled out with Fraction zeros."""
+    return X if isinstance(X, np.ndarray) else X.dense(Fraction(0))
+
+
+def same_form(X, M) -> bool:
+    """Whether the stored operator X is the dense matrix M.  In the
+    rational field X is a form of nonzero ints in increasing column over
+    a positive int den, with one pair for each nonzero cell of M, reading
+    that cell; in float mode X is M's float array, bit for bit."""
+    if M.dtype != object:
+        return (type(X) is np.ndarray and X.dtype == M.dtype
+                and X.shape == M.shape and X.tobytes() == M.tobytes())
+    cells = {(i, j): Fraction(x, X.den)
+             for i, row in enumerate(X.rows) for j, x in row}
+    return (type(X) is _Sparse and X.shape == M.shape
+            and type(X.den) is int and X.den > 0
+            and all(type(x) is int for row in X.rows for _, x in row)
+            and all([j for j, _ in row] == sorted({j for j, _ in row})
+                    for row in X.rows)
+            and cells == {(int(i), int(j)): M[i, j]
+                          for i, j in zip(*np.nonzero(M != 0))})
+
+
+def bump(X, i: int, j: int) -> None:
+    """Add 1 to cell (i, j) of the rational form X, in place."""
+    cells = dict(X.rows[i])
+    cells[j] = cells.get(j, 0) + X.den
+    X.rows[i][:] = sorted((k, x) for k, x in cells.items() if x)
+
+
+# --- the dilations of vsdilate laid out dense ------------------------------
+#
+# Each layout fills a dense matrix over the field of T block by block; the
+# operators vsdilate builds as forms are compared against them.
+
+
+def zeros(n: int, m: int, like: np.ndarray) -> np.ndarray:
+    """n x m zero matrix over the field of like's entries."""
+    return np.full((n, m), type(like.flat[0])(), dtype=like.dtype)
+
+
+def eye(n: int, like: np.ndarray) -> np.ndarray:
+    out = zeros(n, n, like)
+    np.fill_diagonal(out, type(like.flat[0])(1))
+    return out
+
+
+def powers(T: np.ndarray, k: int) -> list:
+    """[I, T, ..., T^k], each after T the one before times T."""
+    out = [eye(T.shape[0], T), T]
+    while len(out) <= k:
+        out.append(out[-1] @ T)
+    return out[:k + 1]
+
+
+def first_block(T: np.ndarray, blocks: int) -> tuple:
+    """The embedding of V as the first of blocks copies, and the
+    projection onto that copy."""
+    d = T.shape[0]
+    E = zeros(blocks * d, d, T)
+    E[:d, :] = eye(d, T)
+    P = zeros(blocks * d, blocks * d, T)
+    P[:d, :d] = eye(d, T)
+    return E, P
+
+
+def halmos_layout(T: np.ndarray) -> dict:
+    """U = [[T, I], [I, 0]] and its inverse [[0, I], [I, -T]]."""
+    d = T.shape[0]
+    I, Z = eye(d, T), zeros(d, d, T)
+    E, P = first_block(T, 2)
+    return {"embed": E, "U": np.block([[T, I], [I, Z]]), "P": P,
+            "U_inv": np.block([[Z, I], [I, -T]])}
+
+
+def companion_layout(T: np.ndarray, N: int) -> dict:
+    """The N-step companion dilation and its inverse on V^(N+1)."""
+    d, blocks = T.shape[0], N + 1
+    I = eye(d, T)
+    U = zeros(blocks * d, blocks * d, T)
+    U[:d, :d] = T
+    U[:d, N * d:] = I
+    for i in range(1, blocks):
+        U[i * d:(i + 1) * d, (i - 1) * d:i * d] = I
+    V = zeros(blocks * d, blocks * d, T)
+    for i in range(blocks - 1):
+        V[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = I
+    V[N * d:, :d] = I
+    V[N * d:, d:2 * d] = -T
+    E, P = first_block(T, blocks)
+    return {"embed": E, "U": U, "P": P, "U_inv": V}
+
+
+def banded_layout(T: np.ndarray, w: int) -> dict:
+    """Rows and columns -w..w of the banded dilation and its inverse."""
+    d, size = T.shape[0], 2 * w + 1
+    I = eye(d, T)
+
+    def at(M, i, j, block):  # i, j in -w..w
+        r, c = (i + w) * d, (j + w) * d
+        M[r:r + d, c:c + d] = block
+
+    U = zeros(size * d, size * d, T)
+    at(U, 0, 0, T)
+    for n in range(-w, w):
+        at(U, n, n + 1, I)
+    V = zeros(size * d, size * d, T)
+    at(V, 1, -1, -T)
+    for n in range(-w + 1, w + 1):
+        at(V, n, n - 1, I)
+    E = zeros(size * d, d, T)
+    E[w * d:(w + 1) * d] = I
+    return {"U": U, "V": V, "embed": E}
+
+
+def standard_layout(T: np.ndarray, K: int) -> dict:
+    """The shift down one index and the collapse through T^n, truncated
+    at horizon K."""
+    d, blocks = T.shape[0], K + 1
+    U = zeros(blocks * d, blocks * d, T)
+    for i in range(K):
+        U[(i + 1) * d:(i + 2) * d, i * d:(i + 1) * d] = eye(d, T)
+    P = zeros(blocks * d, blocks * d, T)
+    P[:d] = np.concatenate(powers(T, K), axis=1)
+    return {"embed": first_block(T, blocks)[0], "U": U, "P": P}
+
+
+def ando_layout(T: np.ndarray, S: np.ndarray, h: int) -> dict:
+    """Row and column shifts on the grid 0..h x 0..h, and the collapse of
+    cell (n, m) through T^n S^m."""
+    d, side = T.shape[0], h + 1
+    cells = side * side
+    I = eye(d, T)
+
+    def place(M, n, m, n2, m2):
+        M[(n2 * side + m2) * d:(n2 * side + m2 + 1) * d,
+          (n * side + m) * d:(n * side + m + 1) * d] = I
+
+    U = zeros(cells * d, cells * d, T)
+    V = zeros(cells * d, cells * d, T)
+    for n in range(side):
+        for m in range(side):
+            if n + 1 < side:
+                place(U, n, m, n + 1, m)
+            if m + 1 < side:
+                place(V, n, m, n, m + 1)
+    P = zeros(cells * d, cells * d, T)
+    Tn, Sm = powers(T, h), powers(S, h)
+    P[:d] = np.concatenate([Tn[n] @ Sm[m] for n in range(side)
+                            for m in range(side)], axis=1)
+    return {"embed": first_block(T, cells)[0], "U": U, "V": V, "P": P}
 
 
 # --- dyadic entries of the first corrector iterate ------------------------

@@ -12,7 +12,7 @@ import pytest
 from framekit import cli, cuntz, hframe, linops, ovf, pasf, vsdilate
 from framekit.cli import dump_frame, dump_matrix, dump_ovf, dump_pasf, main
 from framekit.errors import CertifiedFailure
-from oracles import make_parseval
+from oracles import bump, make_parseval
 
 
 INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -708,7 +708,7 @@ def test_vsdilate_ando_checks_the_whole_grid(capsys, tmp_path, monkeypatch):
 
                 def changed(T, S, horizon):
                     ad = real(T, S, horizon)
-                    ad.P[i, col] += 1
+                    bump(ad.P, i, col)
                     return ad
 
                 monkeypatch.setattr(vsdilate, "ando_like", changed)

@@ -28,7 +28,18 @@ from framekit.vsdilate import (
     non_similarity_witness,
     standard_dilation,
 )
-from oracles import sparse_product
+from oracles import (
+    ando_layout,
+    banded_layout,
+    bump,
+    companion_layout,
+    eye,
+    filled,
+    halmos_layout,
+    same_form,
+    sparse_product,
+    standard_layout,
+)
 
 
 def frac_matrix(seed, rows, cols=None):
@@ -110,11 +121,6 @@ def test_as_exact_float_mode():
     assert M.dtype == float
 
 
-def dense(X):
-    """A sparse form filled out with Fraction zeros."""
-    return X.dense(Fraction(0))
-
-
 def assert_rational_form(X):
     """X holds nonzero ints in increasing column over a positive int den."""
     assert type(X.den) is int and X.den > 0
@@ -132,22 +138,26 @@ def assert_reduced(M):
 
 @pytest.mark.parametrize("rational", [True, False])
 def test_identity_forms_equal_the_read_identity(rational):
-    # an identity built as its form equals the form read from the dense
-    # identity's columns, in either field
+    # an identity built as its form, and a grid of its blocks, equal the
+    # forms read from the dense identity and its block columns, in either
+    # field; the field may come from a matrix or from a form
     T = as_exact([[1, 2], [3, 4]], rational)
-    I = vsdilate._eye(6, T)
-    for lo, hi in ((0, 6), (2, 4), (0, 2), (4, 6), (1, 6)):
-        got = vsdilate._eye_form(6, T, lo, hi)
-        want = linops._form(I[:, lo:hi])
+    I = eye(6, T)
+    for like in (T, linops._form(T)):
+        assert same_form(vsdilate._eye(6, like), I)
+    I2 = vsdilate._eye(2, T)
+    for lo, hi in ((0, 3), (1, 2), (0, 1), (2, 3), (1, 3)):
+        got = vsdilate._grid({(c, c - lo): I2 for c in range(lo, hi)},
+                             3, hi - lo)
+        want = linops._form(I[:, 2 * lo:2 * hi])
+        assert same_form(got, I[:, 2 * lo:2 * hi])
         if rational:
             assert (got.shape, got.rows, got.den) == \
                 (want.shape, want.rows, want.den)
-            assert_rational_form(got)
-            assert np.array_equal(dense(got), I[:, lo:hi])
         else:
             assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(dense(vsdilate._eye_form(3, as_exact([[5]]))),
-                          vsdilate._eye(3, as_exact([[5]])))
+    one = as_exact([[5]])
+    assert same_form(vsdilate._eye(3, one), eye(3, one))
 
 
 def test_walks_match_oracle():
@@ -155,8 +165,8 @@ def test_walks_match_oracle():
     walks = zip(vsdilate._powers(T, 4),
                 vsdilate._orbit(linops._form(T), linops._form(x), 4))
     for k, (power, col) in enumerate(walks):
-        assert np.array_equal(dense(power), power_oracle(T, k))
-        assert np.array_equal(dense(col), power_oracle(T, k) @ x)
+        assert np.array_equal(filled(power), power_oracle(T, k))
+        assert np.array_equal(filled(col), power_oracle(T, k) @ x)
     assert [len(vsdilate._powers(T, k)) for k in range(3)] == [1, 2, 3]
 
 
@@ -169,7 +179,7 @@ def test_a_walk_drops_the_cells_that_cancel():
     assert [row for row in walk[1].rows if row]
     assert walk[2].rows == walk[3].rows == [[], [], []]
     for k, col in enumerate(walk):
-        assert np.array_equal(dense(col), power_oracle(U, k) @ x)
+        assert np.array_equal(filled(col), power_oracle(U, k) @ x)
 
 
 # ----------------------------------------------------------- exact product
@@ -202,7 +212,7 @@ def assert_matmul_is_dense_product(A, B):
     form = linops._form(A) @ linops._form(B)
     assert form.shape == (A.shape[0], B.shape[1])
     assert_rational_form(form)
-    for got in (dense(form), sparse_product(A, B)):
+    for got in (filled(form), sparse_product(A, B)):
         assert got.dtype == object and got.shape == form.shape
         assert_reduced(got)
         assert np.array_equal(got, A @ B)
@@ -224,6 +234,26 @@ def test_matmul_row_and_column_shapes(n):
     assert_matmul_is_dense_product(row, zero)
 
 
+def test_matmul_refuses_a_shape_mismatch():
+    # the inner dimensions must agree, in either field of forms
+    A = linops._form(as_exact(np.ones((2, 3))))
+    W = linops._form(np.full((2, 3), cuntz.word("u"), dtype=object))
+    for L in (A, W):
+        for R in (L, linops._form(as_exact(np.ones((4, 2)))),
+                  linops._form(np.full((2, 2), cuntz.word("v"),
+                                       dtype=object))):
+            message = f"cannot multiply a (2, 3) matrix by a {R.shape} matrix"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                L @ R
+
+
+@settings(max_examples=50, deadline=None)
+@given(sparse_matrix(4, 3) | sparse_matrix(1, 5))
+def test_transpose_is_the_dense_transpose(M):
+    X = linops._form(M).T
+    assert same_form(X, M.T) and X.den == linops._form(M).den
+
+
 @settings(max_examples=50, deadline=None)
 @given(sparse_pair())
 def test_matmul_float_mode_is_plain_product(pair):
@@ -231,6 +261,37 @@ def test_matmul_float_mode_is_plain_product(pair):
     got = linops._form(A) @ linops._form(B)
     assert type(got) is np.ndarray and got.dtype == float
     assert np.array_equal(got, A @ B)
+
+
+@st.composite
+def block_grid(draw):
+    # a rows x cols grid of h x w blocks, some of them absent, each drawn
+    # with its own denominators
+    rows, cols, h, w = (draw(st.integers(1, 3)) for _ in range(4))
+    where = draw(st.sets(st.tuples(st.integers(0, rows - 1),
+                                   st.integers(0, cols - 1)), min_size=1))
+    return {rc: draw(sparse_matrix(h, w)) for rc in sorted(where)}, rows, cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_grid(), st.booleans())
+def test_grid_is_the_dense_block_layout(grid, rational):
+    # _grid of the blocks' forms is the dense matrix with those blocks in
+    # place and zeros elsewhere, in either field
+    blocks, rows, cols = grid
+    if not rational:
+        blocks = {rc: X.astype(float) for rc, X in blocks.items()}
+    h, w = next(iter(blocks.values())).shape
+    M = np.full((rows * h, cols * w), Fraction(0) if rational else 0.0,
+                dtype=object if rational else float)
+    for (r, c), X in blocks.items():
+        M[r * h:(r + 1) * h, c * w:(c + 1) * w] = X
+    got = vsdilate._grid({rc: linops._form(X) for rc, X in blocks.items()},
+                         rows, cols)
+    assert same_form(got, M)
+    if rational:
+        assert got.den == math.lcm(*(linops._form(X).den
+                                     for X in blocks.values()))
 
 
 # ---------------------------------------------------------- rational forms
@@ -252,7 +313,7 @@ def test_rational_form_is_ints_over_the_lcm_of_the_denominators(pair):
         X = linops._form(M)
         assert_rational_form(X)
         assert X.den == math.lcm(*(x.denominator for x in M.flat))
-        got = dense(X)
+        got = filled(X)
         assert_reduced(got)
         assert np.array_equal(got, M)
 
@@ -266,7 +327,7 @@ def test_rational_product_is_the_dense_product_in_both_orders(pair):
         form = fl @ fr
         assert form.den == fl.den * fr.den
         assert_rational_form(form)
-        got = dense(form)
+        got = filled(form)
         assert_reduced(got)
         assert np.array_equal(got, L @ R)
 
@@ -282,7 +343,7 @@ def test_the_unit_factor_shortcut_is_exact_over_any_den(one):
     for L, R in ((A, B), (B, A), (A, A)):
         form = linops._form(L) @ linops._form(R)
         assert_rational_form(form)
-        assert np.array_equal(dense(form), L @ R)
+        assert np.array_equal(filled(form), L @ R)
 
 
 @settings(max_examples=30, deadline=None)
@@ -291,14 +352,14 @@ def test_rational_walks_to_horizon_ten(T):
     # the dens and ints grow with every factor and are never reduced;
     # the right products of _powers and the left products of _orbit
     # both fill out as the plain powers of T
-    I = vsdilate._eye(3, as_exact([[1]]))
+    I = eye(3, as_exact([[1]]))
     powers = vsdilate._powers(T, 10)
     walk = vsdilate._orbit(linops._form(T), linops._form(I), 10)
     want = I
     for k, (power, col) in enumerate(zip(powers, walk)):
         for X in (power, col):
             assert_rational_form(X)
-            assert np.array_equal(dense(X), want), k
+            assert np.array_equal(filled(X), want), k
         assert vsdilate._defect(power, col) == 0.0
         assert vsdilate._defect(power, linops._form(want)) == 0.0
         want = want @ T
@@ -412,30 +473,35 @@ def test_float_residuals_keep_a_nan_wherever_it_sits(where):
     assert vsdilate._worst([0.0, np.inf, 1.0]) == np.inf
 
 
-def undetected_changes(M, passes):
-    """Positions of nonzero entries of M whose change to M[i, j] + 1
-    leaves passes() true.  M is restored after each change."""
+def undetected_changes(X, passes):
+    """Positions (i, j) of the pairs of the rational form X, one for each
+    nonzero cell, whose change to cell + 1 leaves passes() true.  X is
+    restored after each change."""
     assert passes()
     missed = []
-    for i, j in zip(*np.nonzero(M != 0)):
-        old = M[i, j]
-        M[i, j] = old + 1
-        try:
-            if passes():
-                missed.append((int(i), int(j)))
-        finally:
-            M[i, j] = old
+    for i, row in enumerate(X.rows):
+        for k, (j, x) in enumerate(row):
+            row[k] = (j, x + X.den)
+            try:
+                if passes():
+                    missed.append((i, j))
+            finally:
+                row[k] = (j, x)
     assert passes()
     return missed
 
 
 # Each check multiplies the operators the dilation stores, so changing any
 # entry it reads must show up as a nonzero defect or a failed identity.
+# Every stored form holds one pair for each nonzero cell of its dense
+# layout, so every nonzero entry is changed once.
 
 def test_standard_checks_read_stored_operators():
     T = frac_matrix(91, 2)
     sd = standard_dilation(T, 3)
     q = sd.quadruple
+    layout = standard_layout(T, 3)
+    assert same_form(q.U, layout["U"]) and same_form(q.P, layout["P"])
 
     def passes():
         return (sd.dilation_defect() == 0
@@ -448,7 +514,10 @@ def test_standard_checks_read_stored_operators():
 
 def test_ando_checks_read_stored_operators():
     T = frac_matrix(92, 2)
-    ad = ando_like(T, T @ T - as_exact(np.eye(2)), 2)
+    S = T @ T - as_exact(np.eye(2))
+    ad = ando_like(T, S, 2)
+    layout = ando_layout(T, S, 2)
+    assert all(same_form(getattr(ad, k), layout[k]) for k in "UVP")
 
     def passes():
         # every cell of the grid is reached by some U^n V^m I
@@ -464,6 +533,8 @@ def test_sznagy_checks_read_stored_operators():
     T = frac_matrix(93, 2)
     d, w = 2, 3
     bw = banded_sznagy(T, w)
+    layout = banded_layout(T, w)
+    assert all(same_form(getattr(bw, k), layout[k]) for k in "UV")
 
     def passes():
         return (bw.compression_defect() == 0
@@ -482,6 +553,8 @@ def test_sznagy_checks_read_stored_operators():
 def test_ndilate_checks_read_stored_operators():
     T = frac_matrix(94, 2)
     q = n_dilation(T, 3).quadruple
+    layout = companion_layout(T, 3)
+    assert same_form(q.U, layout["U"]) and same_form(q.U_inv, layout["U_inv"])
 
     def passes():
         return (q.inverse_defect() == 0
@@ -498,8 +571,10 @@ def test_intertwine_defects_read_stored_operators(monkeypatch, which, field):
     T2 = frac_matrix(96, 2)
     T1 = A @ T2 @ inverse_oracle(A)
     real = vsdilate.standard_dilation
-    M = getattr(real((T1, T2)[which], 3).quadruple, field)
-    positions = list(zip(*np.nonzero(M != 0)))
+    T = (T1, T2)[which]
+    X = getattr(real(T, 3).quadruple, field)
+    assert same_form(X, standard_layout(T, 3)[field])
+    positions = [(i, j) for i, row in enumerate(X.rows) for j, _ in row]
     assert positions
 
     for i, j in positions:
@@ -508,7 +583,7 @@ def test_intertwine_defects_read_stored_operators(monkeypatch, which, field):
         def changed(T, horizon):
             sd = real(T, horizon)
             if len(made) == which:
-                getattr(sd.quadruple, field)[i, j] += 1
+                bump(getattr(sd.quadruple, field), i, j)
             made.append(sd)
             return sd
 
@@ -525,8 +600,8 @@ def test_halmos_zero_map_is_self_inverse_swap():
     I2 = as_exact(np.eye(2))
     Z2 = as_exact(np.zeros((2, 2)))
     swap = np.block([[Z2, I2], [I2, Z2]])
-    assert np.array_equal(q.U, swap)
-    assert np.array_equal(q.U_inv, swap)
+    assert same_form(q.U, swap)
+    assert same_form(q.U_inv, swap)
     assert q.inverse_defect() == 0.0
 
 
@@ -540,14 +615,15 @@ def test_halmos_scalar_two_inverse_exact():
 def test_halmos_random_rational_exact_identities():
     T = frac_matrix(7, 3)
     q = halmos(T)
+    E, U, P = map(filled, (q.embed, q.U, q.P))
     assert q.inverse_defect() == 0.0
     assert q.compression_defects(T, 1) == [0]
-    assert np.array_equal(q.embed.T @ q.U @ q.embed, T)
+    assert np.array_equal(E.T @ U @ E, T)
     assert q.idempotent_defect() == 0
-    assert_exact_zero(q.P @ q.P - q.P)
-    assert np.array_equal(q.P @ q.embed, q.embed)
+    assert_exact_zero(P @ P - P)
+    assert np.array_equal(P @ E, E)
     # P(W) is exactly the embedded copy
-    assert np.array_equal(q.P, q.embed @ q.embed.T)
+    assert np.array_equal(P, E @ E.T)
 
 
 def test_halmos_float_mode():
@@ -574,28 +650,36 @@ def test_halmos_integer_property(rows):
 # ------------------------------------------------------------- n-dilation
 
 def test_n_dilation_one_step_matches_halmos():
-    T = frac_matrix(41, 2)
-    nd = n_dilation(T, 1)
-    assert np.array_equal(nd.quadruple.U, halmos(T).U)
-    assert nd.table[0] == (1, 0.0)
+    # one construction: at N = 1 the companion dilation stores the same
+    # four forms as halmos, and they are [[T, I], [I, 0]], its inverse
+    # [[0, I], [I, -T]] and the first block, in either field
+    for T in (frac_matrix(41, 2), frac_matrix(41, 2).astype(float)):
+        nd, q = n_dilation(T, 1), halmos(T)
+        layout = halmos_layout(T)
+        for name, M in layout.items():
+            got, want = getattr(nd.quadruple, name), getattr(q, name)
+            assert same_form(got, M) and same_form(want, M)
+            if T.dtype == object:
+                assert (got.rows, got.den) == (want.rows, want.den)
+        assert nd.table[0] == (1, 0.0)
 
 
 def test_n_dilation_scalar_two_regression():
     # beyond the horizon the dilation picks up the reinserted identity:
     # PU^2|_V = T^2 + I = 5 while T^2 = 4
     nd = n_dilation(as_exact([[2]]), 1)
-    q = nd.quadruple
-    assert (q.embed.T @ apply_oracle(q.U, 2, q.embed))[0, 0] == Fraction(5)
+    E, U = map(filled, (nd.quadruple.embed, nd.quadruple.U))
+    assert (E.T @ apply_oracle(U, 2, E))[0, 0] == Fraction(5)
     assert nd.table == ((1, 0.0), (2, 1.0))
 
 
 def test_n_dilation_integer_exact_up_to_horizon():
     T = as_exact(np.random.default_rng(43).integers(-3, 4, size=(3, 3)))
     nd = n_dilation(T, 4)
-    q = nd.quadruple
+    E, U = map(filled, (nd.quadruple.embed, nd.quadruple.U))
     for k in range(1, 5):
         assert nd.table[k - 1] == (k, 0.0)
-        assert np.array_equal(q.embed.T @ apply_oracle(q.U, k, q.embed),
+        assert np.array_equal(E.T @ apply_oracle(U, k, E),
                               power_oracle(T, k))
     assert nd.table[4][1] > 0
 
@@ -605,7 +689,8 @@ def test_n_dilation_defect_beyond_horizon_is_identity():
     T = frac_matrix(44, 2)
     N = 3
     q = n_dilation(T, N).quadruple
-    beyond = q.embed.T @ apply_oracle(q.U, N + 1, q.embed)
+    E, U = map(filled, (q.embed, q.U))
+    beyond = E.T @ apply_oracle(U, N + 1, E)
     expected = power_oracle(T, N + 1) + as_exact(np.eye(2))
     assert np.array_equal(beyond, expected)
 
@@ -613,10 +698,11 @@ def test_n_dilation_defect_beyond_horizon_is_identity():
 def test_n_dilation_inverse_and_idempotent_exact():
     T = frac_matrix(45, 2)
     q = n_dilation(T, 3).quadruple
+    E, P = map(filled, (q.embed, q.P))
     assert q.inverse_defect() == 0.0
     assert q.idempotent_defect() == 0
-    assert_exact_zero(q.P @ q.P - q.P)
-    assert np.array_equal(q.P @ q.embed, q.embed)
+    assert_exact_zero(P @ P - P)
+    assert np.array_equal(P @ E, E)
 
 
 def test_n_dilation_requires_positive_horizon():
@@ -628,8 +714,8 @@ def test_n_dilation_requires_positive_horizon():
 
 def compressions(bw, k):
     # E^T U^n E for n = 0..k, by the dense oracle
-    E = bw.embed
-    return [E.T @ apply_oracle(bw.U, n, E) for n in range(k + 1)]
+    E, U = map(filled, (bw.embed, bw.U))
+    return [E.T @ apply_oracle(U, n, E) for n in range(k + 1)]
 
 
 def test_banded_first_power_any_window():
@@ -676,10 +762,11 @@ def test_standard_nilpotent_annihilation():
     # strict shift: T^3 = 0, so the collapsed blocks vanish from n = 3 on
     T = as_exact([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     sd = standard_dilation(T, 6)
-    q = sd.quadruple
+    E, U, P = map(filled, (sd.quadruple.embed, sd.quadruple.U,
+                           sd.quadruple.P))
     assert sd.dilation_defect() == 0.0
     for n in range(3, 7):
-        assert_exact_zero(q.P @ apply_oracle(q.U, n, q.embed))
+        assert_exact_zero(P @ apply_oracle(U, n, E))
 
 
 def test_standard_random_rational_exact():
@@ -693,7 +780,7 @@ def test_standard_random_rational_exact():
 def test_standard_projection_blocks_are_powers():
     T = frac_matrix(63, 2)
     sd = standard_dilation(T, 5)
-    P = sd.quadruple.P
+    P = filled(sd.quadruple.P)
     for n in range(6):
         assert np.array_equal(P[:2, 2 * n:2 * (n + 1)], power_oracle(T, n))
     assert_exact_zero(P[2:, :])
@@ -704,9 +791,10 @@ def test_standard_defect_appears_past_horizon():
     # collapses to zero while T^n does not
     T = invertible_frac_matrix(64, 2)
     q = standard_dilation(T, 3).quadruple
-    rhs = q.P @ apply_oracle(q.U, 4, q.embed)
+    E, U, P = map(filled, (q.embed, q.U, q.P))
+    rhs = P @ apply_oracle(U, 4, E)
     assert_exact_zero(rhs)
-    defect = max_abs(q.embed @ power_oracle(T, 4) - rhs)
+    defect = max_abs(E @ power_oracle(T, 4) - rhs)
     assert defect == max_abs(power_oracle(T, 4))
     assert defect > 0
 
@@ -728,7 +816,7 @@ def test_ando_with_identity_reduces_to_standard():
     side = 4
     for n in range(side):
         for m in range(side):
-            blk = ad.P[:2, (n * side + m) * 2:(n * side + m + 1) * 2]
+            blk = filled(ad.P)[:2, (n * side + m) * 2:(n * side + m + 1) * 2]
             assert np.array_equal(blk, power_oracle(T, n))
 
 
@@ -736,11 +824,11 @@ def test_ando_simultaneous_diagonal_exact():
     T = as_exact([[2, 0], [0, 3]])
     S = as_exact([[5, 0], [0, 7]])
     ad = ando_like(T, S, 4)
+    E, U, V, P = map(filled, (ad.embed, ad.U, ad.V, ad.P))
     assert ad.dilation_defect() == 0.0
     for n in range(5):
         for m in range(5 - n):
-            top = (ad.P @ apply_oracle(
-                ad.U, n, apply_oracle(ad.V, m, ad.embed)))[:2]
+            top = (P @ apply_oracle(U, n, apply_oracle(V, m, E)))[:2]
             assert top[0, 0] == Fraction(2) ** n * Fraction(5) ** m
             assert top[1, 1] == Fraction(3) ** n * Fraction(7) ** m
 
@@ -767,7 +855,7 @@ def test_ando_non_commuting_gap():
     assert intertwining_gap(T, S, T) == 1
     assert intertwining_gap(T, T, T) == 0
     ad = ando_like(T, S, 1)
-    assert np.array_equal(ad.P[:2, 6:8], T @ S)
+    assert np.array_equal(filled(ad.P)[:2, 6:8], T @ S)
     assert not np.array_equal(T @ S, S @ T)
 
 
@@ -873,6 +961,24 @@ def test_witness_random_nonzero_trace():
         assert w.trace_halmos == tr
 
 
+def test_witness_float_traces_are_the_dense_block_traces():
+    # each trace sums the diagonal of its dilation laid out dense, in
+    # order, so float mode rounds as that sum does, bit for bit; on some
+    # of these inputs 2 tr T rounds otherwise
+    rng = np.random.default_rng(5)
+    rounded_otherwise = 0
+    for d in list(range(1, 9)) * 5:
+        T = rng.standard_normal((d, d))
+        I, Z = np.eye(d), np.zeros((d, d))
+        w = non_similarity_witness(T)
+        asym = np.block([[T, T - I], [T + I, T]])
+        for got, M in ((w.trace_asymmetric, asym),
+                       (w.trace_halmos, np.block([[T, I], [I, Z]]))):
+            assert got.hex() == sum(M[i, i] for i in range(2 * d)).hex()
+        rounded_otherwise += w.trace_asymmetric != 2 * w.trace_halmos
+    assert rounded_otherwise
+
+
 # ------------------------------------------------------------------ field
 
 # Each case builds one construction of T and returns (operators, defects);
@@ -932,12 +1038,44 @@ def test_constructions_keep_the_field_of_their_input(case):
     # dyadic entries: every float product here is exact
     rows = [[0.5, -0.25], [0.0, 1.5]]
     ops, defects = case(as_exact(rows, rational=False))
-    assert all(M.dtype == np.float64 for M in ops)
+    assert all(type(M) is np.ndarray and M.dtype == np.float64 for M in ops)
     assert all(isinstance(x, float) and x <= vsdilate.FLOAT_TOL
                for x in defects)
 
     ops, defects = case(as_exact(rows))
     for M in ops:
+        if type(M) is linops._Sparse:  # a stored operator: its form
+            assert_rational_form(M)
+            M = filled(M)
         assert M.dtype == object
         assert all(type(x) is Fraction for x in M.flat)
     assert all(x == 0 for x in defects)
+
+
+# Each construction with the dense layout of its stored operators.
+LAYOUT_CASES = [
+    (lambda T: halmos(T), halmos_layout),
+    (lambda T: n_dilation(T, 3).quadruple,
+     lambda T: companion_layout(T, 3)),
+    (lambda T: banded_sznagy(T, 3), lambda T: banded_layout(T, 3)),
+    (lambda T: standard_dilation(T, 4).quadruple,
+     lambda T: standard_layout(T, 4)),
+    (lambda T: ando_like(T, T @ T, 3), lambda T: ando_layout(T, T @ T, 3)),
+]
+
+
+@pytest.mark.parametrize("build, layout", LAYOUT_CASES,
+                         ids=["halmos", "ndilate", "sznagy", "standard",
+                              "ando"])
+@pytest.mark.parametrize("rational", [True, False])
+def test_stored_forms_are_the_dense_layouts(build, layout, rational):
+    # every operator a construction stores is its dense block layout: one
+    # pair per nonzero cell in the rational field, the same float array
+    # bit for bit in float mode (entries with denominators 3 and 7, so
+    # the float products round)
+    F = Fraction
+    T = as_exact([[F(1, 3), F(-2, 7), 0], [0, F(5, 3), 1],
+                  [F(1, 7), 0, F(-1, 3)]], rational)
+    built, want = build(T), layout(T)
+    for name, M in want.items():
+        assert same_form(getattr(built, name), M), name
