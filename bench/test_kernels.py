@@ -1,7 +1,9 @@
 """Kernel benchmarks, outside tier-1: the pair scan behind metric frame
 bounds and multiplier Lipschitz numbers, the triangle scan of a distance
 table, and the row p-norm, at the shapes of perfbench's pairscan workload;
-and the exact Ando grid, built and checked over its whole horizon.
+the exact Ando grid and standard dilation, built and checked over their
+whole horizon as block forms; and the Cuntz lemma, whose products run the
+generic sparse product on polynomial entries.
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 
@@ -9,10 +11,12 @@ Inputs are fixed and seeded. Each benchmark checks its result, so that a
 kernel that stops early cannot read as fast.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from framekit import linops
+from framekit import cuntz, linops
 from framekit.metricframe import (
     DIST_TOL,
     _over_dist,
@@ -21,7 +25,7 @@ from framekit.metricframe import (
     make_named_family,
     sample_from_points,
 )
-from framekit.vsdilate import ando_like, as_exact
+from framekit.vsdilate import ando_like, as_exact, standard_dilation
 
 
 def line(n, hi, seed):
@@ -75,8 +79,12 @@ def test_pnorm_rows_p3(benchmark):
 # cells, each checked against a product of powers.
 PROBE_T = as_exact([["1/2", "1/3", 0], [0, "2/5", "1/7"], ["3/7", 0, 1]])
 
+# The horizon gate: ando's build and check at horizon 24 take less than
+# this many seconds (median), with residual 0.
+ANDO_24_SECONDS = 0.3
 
-@pytest.mark.parametrize("horizon", [4, 8, 12])
+
+@pytest.mark.parametrize("horizon", [4, 8, 12, 16, 24])
 def test_ando_dilation_defect(benchmark, horizon):
     T = PROBE_T
     S = T @ T - 3 * T
@@ -85,3 +93,18 @@ def test_ando_dilation_defect(benchmark, horizon):
         return ando_like(T, S, horizon).dilation_defect()
 
     assert benchmark(build_and_check) == 0.0
+    if horizon == 24 and benchmark.stats is not None:
+        assert benchmark.stats.stats.median < ANDO_24_SECONDS
+
+
+@pytest.mark.parametrize("horizon", [8, 16, 24])
+def test_standard_dilation_defect(benchmark, horizon):
+    def build_and_check():
+        return standard_dilation(PROBE_T, horizon).dilation_defect()
+
+    assert benchmark(build_and_check) == 0.0
+
+
+def test_cuntz_lemma_structure_n40(benchmark):
+    # D X and X D of the triangular pair at n = 40, with _Poly entries
+    assert benchmark(cuntz.lemma_structure, 40, Fraction(0.2)).ok

@@ -1208,7 +1208,7 @@ def cmd_vsdilate_ando(cfg: argparse.Namespace, R: ReportBuilder):
     S = _exact_in(cfg, "other")
     tol = _exact_tol(cfg, T)
     K = cfg.horizon
-    gap = framekit.vsdilate.intertwining_gap(T, S, T)
+    gap = framekit.vsdilate.intertwining_gap(T, S)
     if not R.check("inputs commute: T S = S T", "theorem", gap, tol):
         return
     ad = framekit.vsdilate.ando_like(T, S, K)

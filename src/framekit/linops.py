@@ -11,7 +11,9 @@ matrix.  A rational form holds Python ints over one common
 denominator, so a product multiplies ints and no gcd is taken until a
 form is filled out dense; any other ring's entries are kept and
 multiplied as they are.  A Fraction array is read into the rational
-form, any other object array into the generic one.
+form, any other object array into the generic one.  ``vsdilate`` keeps
+its dilations as block forms: generic forms whose entries are rational
+forms, the blocks of a grid, or ints c for c I.
 
 ``_falsify`` is the only seeded search for counterexamples to a
 perturbation hypothesis, and ``Perturbation`` the verdict of all three
@@ -386,48 +388,114 @@ class _Sparse:
     increasing column, and its shape; products share rows, so none is
     changed.  A rational form holds Python ints over one positive common
     denominator ``den``, cell (i, j) reading x / den; a generic form
-    (``den`` None) holds ring elements with +, * and a falsy zero."""
+    (``den`` None) holds ring elements with +, * and a falsy zero.
 
-    def __init__(self, rows: list, cols: int, den=None):
-        self.rows, self.shape, self.den = rows, (len(rows), cols), den
+    A block form is a generic form of h x w blocks, ``block`` = (h, w):
+    each entry a rational form over its own den or an int c for c I (the
+    1 a product passes through); a zero block has no pair.  So a
+    rational form is a ring element: * and + take a form or an int, and
+    it is false when every cell is zero.  A product shares an empty row
+    and skips a pair that meets one, so zero blocks cost nothing."""
+
+    def __init__(self, rows: list, cols: int, den=None, block=None):
+        self.rows, self.shape = rows, (len(rows), cols)
+        self.den, self.block = den, block
 
     def __matmul__(self, other: "_Sparse") -> "_Sparse":
         """Row by row (Gustavson): row i sums a * b over its pairs (k, a),
         in increasing k, against the pairs (j, b) of row k, as the dense
-        loop does.  A factor equal to 1 adds b itself (a row of one pair
-        (k, 1) is row k of other); a cell that cancels to zero is dropped.
-        Rational forms multiply their ints, never reduced, over the
-        product of the two denominators."""
+        loop does.  An empty row of either factor costs nothing: an empty
+        row of self is shared as it is, and a pair (k, a) whose row k is
+        empty is skipped before a is tested.  A factor equal to 1 adds b
+        itself (a row of one pair (k, 1) is row k of other); a cell that
+        cancels to zero is dropped.  Rational forms multiply their ints,
+        never reduced, over the product of the two denominators."""
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"cannot multiply a {self.shape} matrix by a "
                              f"{other.shape} matrix")
         den = self.den * other.den if _rational(self, other) else None
-        out = []
+        right, out = other.rows, []
         for row in self.rows:
-            if len(row) == 1 and row[0][1] == 1:
-                out.append(other.rows[row[0][0]])
+            if not row:
+                out.append(row)
+                continue
+            k, a = row[0]
+            if len(row) == 1 and (not right[k] or a == 1):
+                out.append(right[k])
                 continue
             acc = {}
             for k, a in row:
+                if not right[k]:
+                    continue
                 one = a == 1
-                for j, b in other.rows[k]:
+                for j, b in right[k]:
                     ab = b if one else a * b
                     acc[j] = acc[j] + ab if j in acc else ab
             out.append([(j, x) for j, x in sorted(acc.items()) if x])
-        return _Sparse(out, other.shape[1], den)
+        block = None if self.block is None else (self.block[0],
+                                                 other.block[1])
+        return _Sparse(out, other.shape[1], den, block)
+
+    def __mul__(self, other) -> "_Sparse":
+        """A block times a block, their product, or times an int c, in
+        either order, c times it: the block itself for c = 1."""
+        if type(other) is _Sparse:
+            return self @ other
+        if other == 1:
+            return self
+        return _Sparse([[(j, x * other) for j, x in row]
+                        for row in self.rows], self.shape[1], self.den)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other) -> "_Sparse":
+        """The sum of two rational forms of one shape, or of a square form
+        and c I for an int c, over the den of ``_common``; a cell that
+        cancels to zero is dropped."""
+        if type(other) is int:
+            other = _Sparse([[(i, other)] for i in range(self.shape[0])],
+                            self.shape[1], 1)
+        a_rows, b_rows, den = _common(self, other)
+        rows = []
+        for a, b in zip(a_rows, b_rows):
+            acc = dict(a)
+            for j, x in b:
+                acc[j] = acc[j] + x if j in acc else x
+            rows.append([(j, x) for j, x in sorted(acc.items()) if x])
+        return _Sparse(rows, self.shape[1], den)
+
+    __radd__ = __add__
+
+    def __bool__(self) -> bool:
+        return any(self.rows)
 
     @property
     def T(self) -> "_Sparse":
-        """The transpose, its rows in increasing column."""
+        """The transpose, its rows in increasing column; a block form's
+        blocks are transposed too."""
         rows = [[] for _ in range(self.shape[1])]
         for i, row in enumerate(self.rows):
             for j, x in row:
-                rows[j].append((i, x))
-        return _Sparse(rows, self.shape[0], self.den)
+                rows[j].append((i, x.T if type(x) is _Sparse else x))
+        block = None if self.block is None else self.block[::-1]
+        return _Sparse(rows, self.shape[0], self.den, block)
 
     def dense(self, zero) -> np.ndarray:
         """The object array, zero in every cell without a pair; a rational
-        form's cells are filled out as reduced Fractions."""
+        form's cells are filled out as reduced Fractions, and a block
+        form's blocks in place, c I for an int c."""
+        if self.block is not None:
+            h, w = self.block
+            out = np.full((self.shape[0] * h, self.shape[1] * w), zero,
+                          dtype=object)
+            for i, row in enumerate(self.rows):
+                for j, x in row:
+                    cell = out[i * h:(i + 1) * h, j * w:(j + 1) * w]
+                    if type(x) is int:
+                        np.fill_diagonal(cell, zero + x)
+                    else:
+                        cell[...] = x.dense(zero)
+            return out
         out = np.full(self.shape, zero, dtype=object)
         for i, row in enumerate(self.rows):
             cells = [x for _, x in row]
@@ -443,6 +511,17 @@ def _rational(A: _Sparse, B: _Sparse) -> bool:
     if (A.den is None) != (B.den is None):
         raise TypeError("cannot combine a rational form with a generic one")
     return A.den is not None
+
+
+def _common(A: _Sparse, B: _Sparse) -> tuple:
+    """The rows of two rational forms over one den, and that den: their
+    own when the dens agree, else both cross-multiplied onto the lcm."""
+    if A.den == B.den:
+        return A.rows, B.rows, A.den
+    g = math.gcd(A.den, B.den)
+    ka, kb = B.den // g, A.den // g
+    return ([[(j, a * ka) for j, a in row] for row in A.rows],
+            [[(j, b * kb) for j, b in row] for row in B.rows], A.den * ka)
 
 
 def _form(M: np.ndarray):

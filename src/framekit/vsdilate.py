@@ -12,10 +12,14 @@ entries are Fractions, so every identity the theorems assert is checked
 with zero residual against tolerance 0; float64 entries serve
 interoperability.  Every operator is a grid of d x d blocks, almost all
 of them 0 or I, and is built as a form from the start by ``_grid``: in
-the rational field a ``linops._Sparse`` of nonzero ints over the lcm of
-its blocks' denominators, in float mode the dense float array.  The
-dataclasses store these forms and the checks multiply them as they are;
-no operator is laid out as a dense Fraction array or read back from one.
+the rational field a block form (``linops._Sparse``) of its nonzero
+blocks, each a rational form over its own denominator or an int c for
+c I; in float mode the dense float array.  An input such as T is a
+one-block form.  A product passes identity blocks through and skips
+zero blocks, so a check costs one d x d product per pair of blocks that
+meet.  The dataclasses store these forms and the checks multiply them
+as they are; no operator is laid out as a dense Fraction array or read
+back from one.
 
 Every identity that must hold up to a horizon K reads one walk of each
 side: ``_orbit`` lists x, U x, ..., U^K x by left products and ``_powers``
@@ -23,17 +27,19 @@ lists I, T, ..., T^K by right products, so no power is formed twice in one
 check, and each check returns its worst defect over the whole horizon.
 
 A residual compares the two sides of an identity with ``_defect`` and
-never forms their difference.  In the rational field the two forms are
-compared row by row as ints, after cross-multiplying onto one
-denominator when theirs differ, a missing pair reading as zero, so
-zeros cost nothing, only a cell that differs is subtracted and the
-worst gap becomes one Fraction at the end.  In float mode the
-residual is numpy's max-abs of the difference, and every reduction,
+never forms their difference.  In the rational field two block forms
+are compared block by block (a missing block reads as zero, an int c
+as c I) and two blocks row by row as ints over one denominator, so
+zeros and shared rows cost nothing, only a cell that differs is
+subtracted and the worst gap stays exact until the end.  In float mode
+the residual is numpy's max-abs of the difference, and every reduction,
 within a matrix and over a horizon, propagates NaN, so an overflowed
 power (inf - inf) gives a NaN residual wherever it sits.
 
-The constructions build their maps from any input; a hypothesis such as
-T S = S T is decided once, by the caller, from ``intertwining_gap``.
+The constructions build their maps from any input of the right
+shapes; a hypothesis such as T S = S T is decided once, by the caller,
+from ``intertwining_gap``, which checks the shapes first as the
+construction does.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .linops import _Sparse, _form, _rational
+from .linops import _common, _Sparse, _form, _rational
 
 FLOAT_TOL = 1e-12
 
@@ -54,8 +60,9 @@ def as_exact(M, rational: bool = True) -> np.ndarray:
     """2-D matrix with Fraction entries (rational) or float64 entries.
 
     Accepts ints, Fractions, strings like "2/3", and floats (converted to
-    their exact binary value in rational mode). This is the only place the
-    field is chosen: the constructions below take its output and keep it.
+    their exact binary value in rational mode); a Fraction is kept as it
+    is. This is the only place the field is chosen: the constructions
+    below take its output and keep it.
     """
     M = np.asarray(M, dtype=object)
     if M.ndim == 0:
@@ -67,38 +74,50 @@ def as_exact(M, rational: bool = True) -> np.ndarray:
     out = np.empty(M.shape, dtype=object)
     for i in range(M.shape[0]):
         for j in range(M.shape[1]):
-            out[i, j] = Fraction(M[i, j])
+            x = M[i, j]
+            out[i, j] = x if type(x) is Fraction else Fraction(x)
     return out
 
 
-def _eye(n: int, like):
-    """The form of the n x n identity over the field of like, a matrix or
-    a form: int 1s over den 1 in the rational field, the float array in
-    float mode."""
-    if isinstance(like, np.ndarray) and like.dtype != object:
-        return np.eye(n, dtype=like.dtype)
-    return _Sparse([[(i, 1)] for i in range(n)], n, 1)
+def _block(T: np.ndarray):
+    """The form of a matrix as one block: in the rational field the 1 x 1
+    block form of its rational form, no pair when T is zero; in float
+    mode the float array."""
+    if T.dtype != object:
+        return T
+    X = _form(T)
+    return _Sparse([[(0, X)] if X else []], 1, block=T.shape)
+
+
+def _eye(like):
+    """The form of the identity on the rows of like, over its field: for
+    a d x d matrix the one block 1, for a block form of n block rows n
+    blocks 1 on the diagonal, and np.eye in float mode."""
+    if isinstance(like, np.ndarray):
+        if like.dtype != object:
+            return np.eye(like.shape[0], dtype=like.dtype)
+        n, h = 1, like.shape[0]
+    else:
+        n, h = like.shape[0], like.block[0]
+    return _Sparse([[(i, 1)] for i in range(n)], n, block=(h, h))
 
 
 def _grid(blocks: dict, rows: int, cols: int):
     """The form of a rows x cols grid of equal-shaped blocks, block (r, c)
-    the form blocks[r, c] and every other block zero: ints over the lcm
-    of the blocks' dens in the rational field, the dense array in float
-    mode."""
+    the one-block form blocks[r, c] and every other block zero: the block
+    form holding each block's entry at (r, c) in the rational field, the
+    dense array in float mode."""
     first = next(iter(blocks.values()))
-    h, w = first.shape
     if isinstance(first, np.ndarray):
+        h, w = first.shape
         out = np.zeros((rows * h, cols * w), dtype=first.dtype)
         for (r, c), X in blocks.items():
             out[r * h:(r + 1) * h, c * w:(c + 1) * w] = X
         return out
-    den = math.lcm(*(X.den for X in blocks.values()))
-    grid = [[] for _ in range(rows * h)]
+    grid = [[] for _ in range(rows)]
     for (r, c), X in sorted(blocks.items()):
-        k = den // X.den
-        for a, row in enumerate(X.rows):
-            grid[r * h + a] += [(c * w + j, x * k) for j, x in row]
-    return _Sparse(grid, cols * w, den)
+        grid[r] += [(c, x) for _, x in X.rows[0]]
+    return _Sparse(grid, cols, block=first.block)
 
 
 def max_abs(M) -> float:
@@ -110,30 +129,44 @@ def max_abs(M) -> float:
 
 def _defect(A, B) -> float:
     """max |a - b| over the cells of two forms A and B, as a float: 0.0
-    exactly when A equals B.  Arrays take ``max_abs(A - B)``.  Sparse
-    forms are compared row by row, a missing pair reading as zero, and
-    only a row that differs is subtracted, so A - B is never formed.  Two
-    rational forms over different denominators are first cross-multiplied
-    onto the lcm of the two."""
+    exactly when A equals B.  Arrays take ``max_abs(A - B)``; forms take
+    the exact ``_gap``, so A - B is never formed."""
     if A.shape != B.shape:
         raise ValueError(f"cannot compare a {A.shape} matrix with a "
                          f"{B.shape} matrix")
     if isinstance(A, np.ndarray):
         return max_abs(A - B)
-    a_rows, b_rows, den = A.rows, B.rows, A.den
-    if _rational(A, B) and A.den != B.den:
-        g = math.gcd(A.den, B.den)
-        ka, kb = B.den // g, A.den // g
-        a_rows = [[(j, a * ka) for j, a in row] for row in a_rows]
-        b_rows = [[(j, b * kb) for j, b in row] for row in b_rows]
-        den *= ka
+    return float(_gap(A, B))
+
+
+def _gap(A, B):
+    """max |a - b| over the cells of two forms, or two blocks, of one
+    shape, exactly.  Rows are compared as they are, and only a row that
+    differs is read, a missing pair reading as zero: two rational forms
+    as ints over the den of ``_common``, two block forms block by block,
+    where an int c reads as c I."""
+    if type(A) is int or type(B) is int:
+        if type(A) is type(B):
+            return abs(A - B)
+        c, X = (A, B) if type(A) is int else (B, A)
+        h, w = X.shape
+        A, B = X, _Sparse([[(i, c)] if c else [] for i in range(h)], w, 1)
+    if _rational(A, B):
+        a_rows, b_rows, den = _common(A, B)
+        worst = 0
+        for a_row, b_row in zip(a_rows, b_rows):
+            if a_row != b_row:
+                b = dict(b_row)
+                gaps = [abs(a - b.pop(j, 0)) for j, a in a_row]
+                worst = max(worst, *gaps, *map(abs, b.values()))
+        return Fraction(worst, den)
     worst = 0
-    for a_row, b_row in zip(a_rows, b_rows):
+    for a_row, b_row in zip(A.rows, B.rows):
         if a_row != b_row:
             b = dict(b_row)
-            gaps = [abs(a - b.pop(j, 0)) for j, a in a_row]
-            worst = max(worst, *gaps, *map(abs, b.values()))
-    return float(worst if den is None else Fraction(worst, den))
+            gaps = [_gap(a, b.pop(j, 0)) for j, a in a_row]
+            worst = max(worst, *gaps, *(_gap(0, x) for x in b.values()))
+    return worst
 
 
 def _worst(defects) -> float:
@@ -152,21 +185,35 @@ def _orbit(U, x, k: int) -> list:
 
 
 def _powers(T: np.ndarray, k: int) -> list:
-    """Forms of [I, T, ..., T^k], each after T the one before times T."""
-    out = [_eye(T.shape[0], T), _form(T)]
+    """One-block forms of [I, T, ..., T^k], each after T the one before
+    times T."""
+    out = [_eye(T), _block(T)]
     while len(out) <= k:
         out.append(out[-1] @ out[1])
     return out[:k + 1]
 
 
-def intertwining_gap(A: np.ndarray, S: np.ndarray, B: np.ndarray) -> float:
-    """max-abs of A S - S B: zero when S intertwines B with A, and, for
-    A = B, when S commutes with A."""
-    A, S, B = map(_form, (A, S, B))
-    return _defect(A @ S, S @ B)
+def _check_shapes(T1: np.ndarray, S: np.ndarray, T2=None) -> None:
+    """Refuse matrices that cannot meet in T1 S = S T2: a pair (T2 None)
+    as ``ando_like`` refuses it, a triple as ``intertwine_lift`` does."""
+    d = T1.shape[0]
+    if T2 is None:
+        if T1.shape != (d, d) or S.shape != (d, d):
+            raise ValueError("T and S must be square of equal size")
+    elif S.shape != (d, T2.shape[0]):
+        raise ValueError("S must map the second space into the first")
 
 
-Form = Union[_Sparse, np.ndarray]  # a rational form or a float array
+def intertwining_gap(A: np.ndarray, S: np.ndarray, B=None) -> float:
+    """max-abs of A S - S B: zero when S intertwines B with A; with B
+    omitted, of A S - S A, zero when S commutes with A.  The shapes are
+    refused first, as the construction that takes them refuses them."""
+    _check_shapes(A, S, B)
+    A, S = _form(A), _form(S)
+    return _defect(A @ S, S @ (A if B is None else _form(B)))
+
+
+Form = Union[_Sparse, np.ndarray]  # a block form or a float array
 
 
 @dataclass(frozen=True)
@@ -194,23 +241,22 @@ class DilationQuadruple:
         if self.U_inv is None:
             raise ValueError("no closed-form inverse stored")
         U, V = self.U, self.U_inv
-        I = _eye(U.shape[0], U)
+        I = _eye(U)
         return _worst((_defect(U @ V, I), _defect(V @ U, I)))
 
 
 def _companion(T: np.ndarray, N: int) -> DilationQuadruple:
     """U on V^(N+1) with T and I in its first block row and I on its
     subdiagonal, its closed-form inverse, and E and P on the first block."""
-    d = T.shape[0]
-    if T.shape[1] != d:
+    if T.shape[0] != T.shape[1]:
         raise ValueError("T must be square")
     if N < 1:
         raise ValueError("N must be at least 1")
-    blocks, I = N + 1, _eye(d, T)
-    U = {(0, 0): _form(T), (0, N): I}
+    blocks, I = N + 1, _eye(T)
+    U = {(0, 0): _block(T), (0, N): I}
     U.update({(i, i - 1): I for i in range(1, blocks)})
     V = {(i, i + 1): I for i in range(N)}
-    V.update({(N, 0): I, (N, 1): _form(-T)})
+    V.update({(N, 0): I, (N, 1): _block(-T)})
     return DilationQuadruple(
         _grid({(0, 0): I}, blocks, 1), _grid(U, blocks, blocks),
         _grid({(0, 0): I}, blocks, blocks), _grid(V, blocks, blocks))
@@ -269,25 +315,24 @@ class BandedWindow:
     def interior_identity_defect(self) -> float:
         """max-abs defect of V U - I on the interior block columns
         -w+1..w-1 (the only place the truncation cannot be felt)."""
-        d, w = self.T.shape[0], self.window
+        w = self.window
         # J: the identity's columns of those blocks; U J is U's there
-        J = _grid({(c, c - 1): _eye(d, self.T) for c in range(1, 2 * w)},
+        J = _grid({(c, c - 1): _eye(self.T) for c in range(1, 2 * w)},
                   2 * w + 1, 2 * w - 1)
         return _defect(self.V @ (self.U @ J), J)
 
 
 def banded_sznagy(T: np.ndarray, window: int) -> BandedWindow:
-    d = T.shape[0]
     w = int(window)
-    if T.shape[1] != d:
+    if T.shape[0] != T.shape[1]:
         raise ValueError("T must be square")
     if w < 2:
         raise ValueError("window must be at least 2")
-    size, I = 2 * w + 1, _eye(d, T)
+    size, I = 2 * w + 1, _eye(T)
     # block i of -w..w is block i + w of the grid
-    U = {(w, w): _form(T)}
+    U = {(w, w): _block(T)}
     U.update({(i, i + 1): I for i in range(size - 1)})
-    V = {(w + 1, w - 1): _form(-T)}
+    V = {(w + 1, w - 1): _block(-T)}
     V.update({(i, i - 1): I for i in range(1, size)})
     return BandedWindow(_grid(U, size, size), _grid(V, size, size),
                         _grid({(w, 0): I}, size, 1), w, T)
@@ -314,20 +359,19 @@ class StandardDilation:
         """U^n I x over n = 0..horizon spans the truncated space: the
         stacked columns form exactly the identity matrix."""
         q, blocks = self.quadruple, self.horizon + 1
-        I = _eye(self.T.shape[0], self.T)
+        I = _eye(self.T)
         cols = _orbit(q.U, q.embed, self.horizon)
         return all(_defect(c, _grid({(k, 0): I}, blocks, 1)) == 0
                    for k, c in enumerate(cols))
 
 
 def standard_dilation(T: np.ndarray, horizon: int) -> StandardDilation:
-    d = T.shape[0]
     K = int(horizon)
-    if T.shape[1] != d:
+    if T.shape[0] != T.shape[1]:
         raise ValueError("T must be square")
     if K < 1:
         raise ValueError("horizon must be at least 1")
-    blocks, I = K + 1, _eye(d, T)
+    blocks, I = K + 1, _eye(T)
     U = _grid({(i + 1, i): I for i in range(K)}, blocks, blocks)
     P = _grid({(0, n): X for n, X in enumerate(_powers(T, K))},
               blocks, blocks)
@@ -363,7 +407,7 @@ class AndoDilation:
         a zero row over the column-shifted array.  On the grid model the
         zero-column prefix is V itself and the zero-row stack is U itself,
         so the identity reads V U = U V = diagonal shift, exactly."""
-        side, I = self.horizon + 1, _eye(self.T.shape[0], self.T)
+        side, I = self.horizon + 1, _eye(self.T)
         # cell (n, m) of the grid, n, m >= 1, takes cell (n - 1, m - 1)
         diag = _grid({(n * side + m, (n - 1) * side + m - 1): I
                       for n in range(1, side) for m in range(1, side)},
@@ -375,16 +419,14 @@ class AndoDilation:
 def ando_like(T: np.ndarray, S: np.ndarray, horizon: int) -> AndoDilation:
     """The grid model of a pair.  U and V commute, so it dilates the pair
     only when T and S commute; the caller decides that with
-    ``intertwining_gap(T, S, T)``."""
-    d = T.shape[0]
+    ``intertwining_gap(T, S)``."""
+    _check_shapes(T, S)
     h = int(horizon)
-    if T.shape != (d, d) or S.shape != (d, d):
-        raise ValueError("T and S must be square of equal size")
     if h < 1:
         raise ValueError("horizon must be at least 1")
     side = h + 1
     cells = side * side
-    I = _eye(d, T)
+    I = _eye(T)
     # cell (n, m) of the grid is block n * side + m; U takes it to
     # (n + 1, m) and V to (n, m + 1)
     U = {((n + 1) * side + m, n * side + m): I
@@ -413,11 +455,10 @@ def intertwine_lift(T1: np.ndarray, T2: np.ndarray, S: np.ndarray,
                     horizon: int) -> IntertwineLift:
     """The lift of S; its defects vanish only when T1 S = S T2, which the
     caller decides with ``intertwining_gap(T1, S, T2)``."""
-    if S.shape != (T1.shape[0], T2.shape[0]):
-        raise ValueError("S must map the second space into the first")
+    _check_shapes(T1, S, T2)
     q1 = standard_dilation(T1, horizon).quadruple
     q2 = standard_dilation(T2, horizon).quadruple
-    blocks, S = int(horizon) + 1, _form(S)
+    blocks, S = int(horizon) + 1, _block(S)
     R = _grid({(n, n): S for n in range(blocks)}, blocks, blocks)
     return IntertwineLift(_defect(q1.U @ R, R @ q2.U),
                           _defect(R @ q2.P, q1.P @ R),

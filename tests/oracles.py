@@ -112,34 +112,85 @@ def sparse_product(A, B):
 
 def filled(X):
     """A stored operator as a matrix: a float array as it is, a rational
-    form filled out with Fraction zeros."""
+    or block form filled out with Fraction zeros."""
     return X if isinstance(X, np.ndarray) else X.dense(Fraction(0))
 
 
+def _cells(X, shape) -> Optional[dict]:
+    """The nonzero cells (i, j) -> Fraction of X, read as the form of a
+    matrix of this shape, or None when X is not such a form.  An int
+    c != 0 is c I; a rational form holds nonzero ints in increasing
+    column over a positive int den; a block form of h x w blocks holds,
+    in increasing column, entries that are themselves such forms of one
+    block, none of them zero."""
+    if type(X) is int:
+        return ({(k, k): Fraction(X) for k in range(shape[0])}
+                if X and shape[0] == shape[1] else None)
+    if type(X) is not _Sparse:
+        return None
+    if X.block is None:
+        if not (type(X.den) is int and X.den > 0):
+            return None
+        h = w = 1
+    else:
+        if X.den is not None:
+            return None
+        h, w = X.block
+    if (X.shape[0] * h, X.shape[1] * w) != tuple(shape):
+        return None
+    cells = {}
+    for r, row in enumerate(X.rows):
+        if [c for c, _ in row] != sorted({c for c, _ in row}):
+            return None
+        for c, x in row:
+            if X.block is None:
+                if not (type(x) is int and x):
+                    return None
+                cells[r, c] = Fraction(x, X.den)
+                continue
+            block = _cells(x, (h, w))
+            if not block:
+                return None
+            cells.update({(r * h + i, c * w + j): v
+                          for (i, j), v in block.items()})
+    return cells
+
+
 def same_form(X, M) -> bool:
-    """Whether the stored operator X is the dense matrix M.  In the
-    rational field X is a form of nonzero ints in increasing column over
-    a positive int den, with one pair for each nonzero cell of M, reading
-    that cell; in float mode X is M's float array, bit for bit."""
+    """Whether the stored operator X is the dense matrix M.  In float mode
+    X is M's float array, bit for bit.  In the rational field X is a
+    rational form with one pair for each nonzero cell of M, reading that
+    cell, or a block form with one entry for each nonzero block of M,
+    reading that block: an int c for c I, or a rational form with one
+    pair for each nonzero cell of the block (see ``_cells``)."""
     if M.dtype != object:
         return (type(X) is np.ndarray and X.dtype == M.dtype
                 and X.shape == M.shape and X.tobytes() == M.tobytes())
-    cells = {(i, j): Fraction(x, X.den)
-             for i, row in enumerate(X.rows) for j, x in row}
-    return (type(X) is _Sparse and X.shape == M.shape
-            and type(X.den) is int and X.den > 0
-            and all(type(x) is int for row in X.rows for _, x in row)
-            and all([j for j, _ in row] == sorted({j for j, _ in row})
-                    for row in X.rows)
-            and cells == {(int(i), int(j)): M[i, j]
-                          for i, j in zip(*np.nonzero(M != 0))})
+    return _cells(X, M.shape) == {(int(i), int(j)): M[i, j]
+                                  for i, j in zip(*np.nonzero(M != 0))}
 
 
 def bump(X, i: int, j: int) -> None:
-    """Add 1 to cell (i, j) of the rational form X, in place."""
-    cells = dict(X.rows[i])
-    cells[j] = cells.get(j, 0) + X.den
-    X.rows[i][:] = sorted((k, x) for k, x in cells.items() if x)
+    """Add 1 to cell (i, j) of the rational or block form X, in place.  A
+    block form's block there is replaced by a new rational form of the
+    changed block (none when it becomes zero): blocks are shared between
+    forms, and only X changes."""
+    if X.block is None:
+        cells = dict(X.rows[i])
+        cells[j] = cells.get(j, 0) + X.den
+        X.rows[i][:] = sorted((k, x) for k, x in cells.items() if x)
+        return
+    (h, w), blocks = X.block, dict(X.rows[i // X.block[0]])
+    old = blocks.pop(j // w, 0)
+    M = np.full((h, w), Fraction(0), dtype=object)
+    if type(old) is int:
+        np.fill_diagonal(M, Fraction(old))
+    else:
+        M = old.dense(Fraction(0))
+    M[i % h, j % w] += 1
+    if (M != 0).any():
+        blocks[j // w] = _form(M)
+    X.rows[i // h][:] = sorted(blocks.items())
 
 
 # --- the dilations of vsdilate laid out dense ------------------------------

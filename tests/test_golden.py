@@ -274,8 +274,8 @@ USAGE = [
     # an S of the wrong shape: T1 S and S T2 cannot both be formed
     ["vsdilate", "intertwine", "--in", VST, "--other", VST, "--s",
      _in("vs_wide"), "--horizon", "2", "--no-rational"],
-    # rational inputs of unequal sizes: an exact product whose factors
-    # do not fit
+    # rational inputs of unequal sizes, refused by the construction's own
+    # shape check before the hypothesis multiplies them
     ["vsdilate", "ando", "--in", _in("vs_t3"), "--other", VST,
      "--horizon", "2"],
     ["vsdilate", "intertwine", "--in", _in("vs_t3"), "--other",

@@ -116,13 +116,35 @@ def test_as_exact_accepts_strings_ints_fractions():
     assert M.dtype == object
 
 
+def test_as_exact_keeps_a_fraction_as_it_is():
+    # a Fraction is not wrapped again; every other entry becomes one, and
+    # the input array is never the output
+    f = Fraction(-4, 6)
+    src = np.array([[f, 1], ["2/4", 0.5]], dtype=object)
+    M = as_exact(src)
+    assert M[0, 0] is f and M is not src
+    assert [type(x) for x in M.flat] == [Fraction] * 4
+    assert M.tolist() == [[Fraction(-2, 3), 1], [Fraction(1, 2), 0.5]]
+
+
 def test_as_exact_float_mode():
     M = as_exact([[1, 2], [3, 4]], rational=False)
     assert M.dtype == float
 
 
 def assert_rational_form(X):
-    """X holds nonzero ints in increasing column over a positive int den."""
+    """X holds nonzero ints in increasing column over a positive int den,
+    or, as a block form, nonzero blocks in increasing column, each a
+    nonzero int or such a rational form."""
+    if X.block is not None:
+        assert X.den is None
+        for row in X.rows:
+            assert [c for c, _ in row] == sorted({c for c, _ in row})
+            for _, x in row:
+                assert type(x) is int and x or x.rows and any(x.rows)
+                if type(x) is not int:
+                    assert_rational_form(x)
+        return
     assert type(X.den) is int and X.den > 0
     for row in X.rows:
         js = [j for j, _ in row]
@@ -139,25 +161,23 @@ def assert_reduced(M):
 @pytest.mark.parametrize("rational", [True, False])
 def test_identity_forms_equal_the_read_identity(rational):
     # an identity built as its form, and a grid of its blocks, equal the
-    # forms read from the dense identity and its block columns, in either
-    # field; the field may come from a matrix or from a form
+    # dense identity and its block columns, in either field; the field
+    # and the size may come from a matrix or from a form
     T = as_exact([[1, 2], [3, 4]], rational)
     I = eye(6, T)
-    for like in (T, linops._form(T)):
-        assert same_form(vsdilate._eye(6, like), I)
-    I2 = vsdilate._eye(2, T)
+    I2 = vsdilate._eye(T)
+    assert same_form(I2, I[:2, :2])
     for lo, hi in ((0, 3), (1, 2), (0, 1), (2, 3), (1, 3)):
         got = vsdilate._grid({(c, c - lo): I2 for c in range(lo, hi)},
                              3, hi - lo)
-        want = linops._form(I[:, 2 * lo:2 * hi])
         assert same_form(got, I[:, 2 * lo:2 * hi])
-        if rational:
-            assert (got.shape, got.rows, got.den) == \
-                (want.shape, want.rows, want.den)
-        else:
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if rational:  # every identity block is the int 1
+            assert [row for row in got.rows if row] == [
+                [(c - lo, 1)] for c in range(lo, hi)]
+    G = vsdilate._grid({(c, c): I2 for c in range(3)}, 3, 3)
+    assert same_form(vsdilate._eye(G), I)
     one = as_exact([[5]])
-    assert same_form(vsdilate._eye(3, one), eye(3, one))
+    assert same_form(vsdilate._eye(one), eye(1, one))
 
 
 def test_walks_match_oracle():
@@ -286,12 +306,130 @@ def test_grid_is_the_dense_block_layout(grid, rational):
                 dtype=object if rational else float)
     for (r, c), X in blocks.items():
         M[r * h:(r + 1) * h, c * w:(c + 1) * w] = X
-    got = vsdilate._grid({rc: linops._form(X) for rc, X in blocks.items()},
-                         rows, cols)
+    forms = {rc: vsdilate._block(X) for rc, X in blocks.items()}
+    got = vsdilate._grid(forms, rows, cols)
     assert same_form(got, M)
     if rational:
-        assert got.den == math.lcm(*(linops._form(X).den
-                                     for X in blocks.values()))
+        # each nonzero block is placed as it is, over its own den
+        placed = {(r, c): x for r, row in enumerate(got.rows) for c, x in row}
+        assert placed.keys() == {rc for rc, F in forms.items() if F.rows[0]}
+        assert all(x is forms[rc].rows[0][0][1] for rc, x in placed.items())
+
+
+# ------------------------------------------------------------- block forms
+#
+# A block form is a generic form whose entries are h x h blocks: an int c
+# for c I, or a rational form over its own den; a zero block is absent.
+# Products, sums, transposes and residuals of block forms must fill out
+# as the dense object arrays do.
+
+@st.composite
+def block_entry(draw, h):
+    # None for an absent block
+    kind = draw(st.sampled_from(["absent", "int", "block"]))
+    if kind == "int":
+        return draw(st.integers(-3, 3).filter(bool))
+    X = linops._form(draw(sparse_matrix(h, h)))
+    return X if kind == "block" and X else None
+
+
+@st.composite
+def block_form(draw, rows, cols, h):
+    grid = [[(c, x) for c in range(cols)
+             for x in [draw(block_entry(h))] if x is not None]
+            for _ in range(rows)]
+    return linops._Sparse(grid, cols, block=(h, h))
+
+
+@st.composite
+def block_pair(draw):
+    h, n, p, m = (draw(st.integers(1, 3)) for _ in range(4))
+    return draw(block_form(n, p, h)), draw(block_form(p, m, h))
+
+
+def filled_entry(x, h):
+    """An entry of a block form as its dense h x h block."""
+    if type(x) is int:
+        return x * eye(h, as_exact([[1]]))
+    return filled(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_pair())
+def test_block_forms_fill_out_as_the_dense_oracle(pair):
+    A, B = pair
+    dA, dB = filled(A), filled(B)
+    assert same_form(A, dA) and same_form(B, dB)
+    assert same_form(A @ B, dA @ dB)
+    assert same_form(A.T, dA.T) and same_form(B.T, dB.T)
+    C = B.T.T
+    assert same_form(C, dB)
+    for L, R in ((A, A), (A @ B, (A @ B).T.T), (B, C)):
+        assert vsdilate._defect(L, R) == 0.0
+    if A.shape == B.shape:
+        assert vsdilate._defect(A, B) == dense_defect_oracle(dA, dB)
+        assert vsdilate._defect(B, A) == dense_defect_oracle(dB, dA)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda h: st.tuples(st.just(h), block_entry(h), block_entry(h))))
+def test_block_entries_add_and_multiply_as_dense(drawn):
+    # the ring of the entries: a sum or product of two blocks, of a block
+    # and an int c (c I) in either order, or of two ints
+    h, x, y = drawn
+    x, y = (1 if e is None else e for e in (x, y))
+    dx, dy = filled_entry(x, h), filled_entry(y, h)
+    for got, want in ((x + y, dx + dy), (y + x, dy + dx),
+                      (x * y, dx @ dy), (y * x, dy @ dx)):
+        if type(got) is int:
+            assert type(x) is type(y) is int
+            got = got * eye(h, dx)
+        else:
+            assert_rational_form(got)
+            assert bool(got) == bool((want != 0).any())
+            got = filled(got)
+        assert np.array_equal(got, want)
+    if type(x) is not int:
+        assert 1 * x is x and x * 1 is x
+
+
+def test_a_block_that_cancels_is_false_and_dropped():
+    # T + (-T) has no nonzero cell: it is false, and a product whose
+    # blocks cancel holds no entry there
+    T = linops._form(frac_matrix(7, 2))
+    minus = linops._form(-frac_matrix(7, 2))
+    assert T and not (T + minus) and (T + minus).rows == [[], []]
+    one = linops._Sparse([[(0, 1), (1, 1)]], 2, block=(2, 2))
+    col = linops._Sparse([[(0, T)], [(0, minus)]], 1, block=(2, 2))
+    assert (one @ col).rows == [[]]
+
+
+class _Loud:
+    """A ring element that records every == test made on it."""
+
+    def __init__(self, seen):
+        self.seen = seen
+
+    def __eq__(self, other):
+        self.seen.append(other)
+        return False
+
+    def __mul__(self, other):
+        return other
+
+
+def test_matmul_skips_empty_rows_before_testing_for_one():
+    # an empty left row is shared as it is, and a pair whose right row is
+    # empty is skipped before its factor is compared with 1
+    skipped, seen = [], []
+    a, b = _Loud(skipped), _Loud(seen)
+    right = linops._Sparse([[], [(0, 5)], []], 1)
+    left = linops._Sparse([[], [(0, a)], [(0, a), (2, a)], [(1, b)]], 3)
+    out = left @ right
+    assert out.rows == [[], [], [], [(0, 5)]]
+    assert out.rows[0] is left.rows[0] and out.rows[1] is right.rows[0]
+    assert skipped == [] and seen and set(seen) == {1}
 
 
 # ---------------------------------------------------------- rational forms
@@ -350,18 +488,19 @@ def test_the_unit_factor_shortcut_is_exact_over_any_den(one):
 @given(sparse_matrix(3, 3))
 def test_rational_walks_to_horizon_ten(T):
     # the dens and ints grow with every factor and are never reduced;
-    # the right products of _powers and the left products of _orbit
-    # both fill out as the plain powers of T
+    # the right products of _powers and the left products of _orbit,
+    # one block each, both fill out as the plain powers of T
     I = eye(3, as_exact([[1]]))
     powers = vsdilate._powers(T, 10)
-    walk = vsdilate._orbit(linops._form(T), linops._form(I), 10)
+    walk = vsdilate._orbit(vsdilate._block(T), vsdilate._block(I), 10)
     want = I
     for k, (power, col) in enumerate(zip(powers, walk)):
         for X in (power, col):
             assert_rational_form(X)
+            assert same_form(X, want), k
             assert np.array_equal(filled(X), want), k
         assert vsdilate._defect(power, col) == 0.0
-        assert vsdilate._defect(power, linops._form(want)) == 0.0
+        assert vsdilate._defect(power, vsdilate._block(want)) == 0.0
         want = want @ T
 
 
@@ -474,27 +613,30 @@ def test_float_residuals_keep_a_nan_wherever_it_sits(where):
 
 
 def undetected_changes(X, passes):
-    """Positions (i, j) of the pairs of the rational form X, one for each
-    nonzero cell, whose change to cell + 1 leaves passes() true.  X is
+    """Positions (i, j) of the nonzero cells of the form X whose change to
+    cell + 1 (``bump``) leaves passes() true, in row-major order.  X is
     restored after each change."""
     assert passes()
     missed = []
-    for i, row in enumerate(X.rows):
-        for k, (j, x) in enumerate(row):
-            row[k] = (j, x + X.den)
-            try:
-                if passes():
-                    missed.append((i, j))
-            finally:
-                row[k] = (j, x)
+    h = 1 if X.block is None else X.block[0]
+    for i, j in zip(*np.nonzero(filled(X) != 0)):
+        i, j = int(i), int(j)
+        row = X.rows[i // h]
+        saved = list(row)
+        bump(X, i, j)
+        try:
+            if passes():
+                missed.append((i, j))
+        finally:
+            row[:] = saved
     assert passes()
     return missed
 
 
 # Each check multiplies the operators the dilation stores, so changing any
 # entry it reads must show up as a nonzero defect or a failed identity.
-# Every stored form holds one pair for each nonzero cell of its dense
-# layout, so every nonzero entry is changed once.
+# Every stored form is its dense layout (``same_form``), so every nonzero
+# cell of it, in an identity block or any other, is changed once.
 
 def test_standard_checks_read_stored_operators():
     T = frac_matrix(91, 2)
@@ -574,7 +716,7 @@ def test_intertwine_defects_read_stored_operators(monkeypatch, which, field):
     T = (T1, T2)[which]
     X = getattr(real(T, 3).quadruple, field)
     assert same_form(X, standard_layout(T, 3)[field])
-    positions = [(i, j) for i, row in enumerate(X.rows) for j, _ in row]
+    positions = list(zip(*np.nonzero(filled(X) != 0)))
     assert positions
 
     for i, j in positions:
@@ -649,6 +791,13 @@ def test_halmos_integer_property(rows):
 
 # ------------------------------------------------------------- n-dilation
 
+def entries(X):
+    """The entries of a block form, row by row: (column, int) for an int,
+    (column, den, rows) for a rational block."""
+    return [[(c, x) if type(x) is int else (c, x.den, x.rows)
+             for c, x in row] for row in X.rows]
+
+
 def test_n_dilation_one_step_matches_halmos():
     # one construction: at N = 1 the companion dilation stores the same
     # four forms as halmos, and they are [[T, I], [I, 0]], its inverse
@@ -660,7 +809,8 @@ def test_n_dilation_one_step_matches_halmos():
             got, want = getattr(nd.quadruple, name), getattr(q, name)
             assert same_form(got, M) and same_form(want, M)
             if T.dtype == object:
-                assert (got.rows, got.den) == (want.rows, want.den)
+                assert got.block == want.block
+                assert entries(got) == entries(want)
         assert nd.table[0] == (1, 0.0)
 
 
@@ -857,6 +1007,44 @@ def test_ando_non_commuting_gap():
     ad = ando_like(T, S, 1)
     assert np.array_equal(filled(ad.P)[:2, 6:8], T @ S)
     assert not np.array_equal(T @ S, S @ T)
+
+
+def test_horizon_24_reads_residual_zero():
+    # the probe pair of the kernel benchmark: denominators 2, 3, 5 and 7
+    # and S = T^2 - 3T, which commutes with T; every identity up to
+    # horizon 24 holds exactly (no time is asserted here)
+    T = as_exact([["1/2", "1/3", 0], [0, "2/5", "1/7"], ["3/7", 0, 1]])
+    S = T @ T - 3 * T
+    assert intertwining_gap(T, S) == 0.0
+    ad = ando_like(T, S, 24)
+    assert ad.dilation_defect() == 0.0 and ad.pad_identity_check()
+    sd = standard_dilation(T, 24)
+    assert sd.dilation_defect() == 0.0
+    assert sd.quadruple.idempotent_defect() == 0.0 and sd.minimality_check()
+
+
+@pytest.mark.parametrize("rational", [True, False])
+def test_shapes_are_refused_before_anything_is_multiplied(rational):
+    # intertwining_gap refuses what the construction that takes the same
+    # matrices refuses, with its message: a pair (T, S) for ando_like,
+    # a triple (T1, S, T2) for intertwine_lift
+    T2, T3 = as_exact(np.eye(2), rational), as_exact(np.eye(3), rational)
+    wide = as_exact(np.ones((2, 3)), rational)
+    pair = "T and S must be square of equal size"
+    lift = "S must map the second space into the first"
+    for T, S in ((T3, T2), (T2, T3), (T2, wide), (wide, T2)):
+        with pytest.raises(ValueError, match=pair):
+            intertwining_gap(T, S)
+        with pytest.raises(ValueError, match=pair):
+            ando_like(T, S, 2)
+    for T1, S, T in ((T3, T2, T3), (T2, wide, T2), (T2, wide.T, T3)):
+        with pytest.raises(ValueError, match=lift):
+            intertwining_gap(T1, S, T)
+        with pytest.raises(ValueError, match=lift):
+            intertwine_lift(T1, T, S, 2)
+    # S of shape (rows of T1, rows of T2) is taken
+    assert intertwining_gap(T2, wide, T3) == 0.0
+    assert intertwine_lift(T2, T3, wide, 2).shift_defect == 0.0
 
 
 # ------------------------------------------------------- intertwining lift
