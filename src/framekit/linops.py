@@ -437,8 +437,8 @@ class _Sparse:
         return _Sparse(out, other.shape[1], den, block)
 
     def __mul__(self, other) -> "_Sparse":
-        """A block times a block, their product, or times an int c, in
-        either order, c times it: the block itself for c = 1."""
+        """The product of two blocks, or c times a block for an int c on
+        either side (the block itself for c = 1)."""
         if type(other) is _Sparse:
             return self @ other
         if other == 1:

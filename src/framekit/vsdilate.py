@@ -202,6 +202,8 @@ def _check_shapes(T1: np.ndarray, S: np.ndarray, T2=None) -> None:
             raise ValueError("T and S must be square of equal size")
     elif S.shape != (d, T2.shape[0]):
         raise ValueError("S must map the second space into the first")
+    elif T1.shape[1] != d or T2.shape[1] != T2.shape[0]:
+        raise ValueError("T must be square")
 
 
 def intertwining_gap(A: np.ndarray, S: np.ndarray, B=None) -> float:

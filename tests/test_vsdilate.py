@@ -1042,6 +1042,12 @@ def test_shapes_are_refused_before_anything_is_multiplied(rational):
             intertwining_gap(T1, S, T)
         with pytest.raises(ValueError, match=lift):
             intertwine_lift(T1, T, S, 2)
+    # a T that is not square, as standard_dilation refuses it
+    for T1, S, T in ((wide, T2, T2), (T2, T2, wide)):
+        with pytest.raises(ValueError, match="T must be square"):
+            intertwining_gap(T1, S, T)
+        with pytest.raises(ValueError, match="T must be square"):
+            intertwine_lift(T1, T, S, 2)
     # S of shape (rows of T1, rows of T2) is taken
     assert intertwining_gap(T2, wide, T3) == 0.0
     assert intertwine_lift(T2, T3, wide, 2).shift_defect == 0.0
