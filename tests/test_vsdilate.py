@@ -342,9 +342,30 @@ def block_form(draw, rows, cols, h):
 
 
 @st.composite
-def block_pair(draw):
+def block_triple(draw):
+    # A and B to multiply, and C of A's shape whose rows are A's own or
+    # another draw's, to compare with A
     h, n, p, m = (draw(st.integers(1, 3)) for _ in range(4))
-    return draw(block_form(n, p, h)), draw(block_form(p, m, h))
+    A, B, other = (draw(block_form(r, c, h))
+                   for r, c in ((n, p), (p, m), (n, p)))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rows = [a if k else b for a, b, k in zip(A.rows, other.rows, keep)]
+    return A, B, linops._Sparse(rows, p, block=(h, h))
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_triple())
+def test_block_forms_fill_out_as_the_dense_oracle(triple):
+    A, B, C = triple
+    dA, dB, dC = map(filled, triple)
+    assert same_form(A, dA) and same_form(B, dB)
+    assert same_form(A @ B, dA @ dB)
+    assert same_form(A.T, dA.T) and same_form(B.T, dB.T)
+    assert same_form(A.T.T, dA)
+    assert vsdilate._defect(A @ B, (A @ B).T.T) == 0.0
+    got = vsdilate._defect(A, C)
+    assert got == vsdilate._defect(C, A) == dense_defect_oracle(dA, dC)
+    assert (got == 0) == np.array_equal(dA, dC)
 
 
 def filled_entry(x, h):
@@ -352,23 +373,6 @@ def filled_entry(x, h):
     if type(x) is int:
         return x * eye(h, as_exact([[1]]))
     return filled(x)
-
-
-@settings(max_examples=100, deadline=None)
-@given(block_pair())
-def test_block_forms_fill_out_as_the_dense_oracle(pair):
-    A, B = pair
-    dA, dB = filled(A), filled(B)
-    assert same_form(A, dA) and same_form(B, dB)
-    assert same_form(A @ B, dA @ dB)
-    assert same_form(A.T, dA.T) and same_form(B.T, dB.T)
-    C = B.T.T
-    assert same_form(C, dB)
-    for L, R in ((A, A), (A @ B, (A @ B).T.T), (B, C)):
-        assert vsdilate._defect(L, R) == 0.0
-    if A.shape == B.shape:
-        assert vsdilate._defect(A, B) == dense_defect_oracle(dA, dB)
-        assert vsdilate._defect(B, A) == dense_defect_oracle(dB, dA)
 
 
 @settings(max_examples=100, deadline=None)
