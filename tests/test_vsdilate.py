@@ -141,8 +141,9 @@ def assert_rational_form(X):
         for row in X.rows:
             assert [c for c, _ in row] == sorted({c for c, _ in row})
             for _, x in row:
-                assert type(x) is int and x or x.rows and any(x.rows)
+                assert x  # no zero block is stored
                 if type(x) is not int:
+                    assert x.block is None
                     assert_rational_form(x)
         return
     assert type(X.den) is int and X.den > 0
