@@ -2,8 +2,9 @@
 bounds and multiplier Lipschitz numbers, the triangle scan of a distance
 table, and the row p-norm, at the shapes of perfbench's pairscan workload;
 the exact Ando grid and standard dilation, built and checked over their
-whole horizon as block forms; and the Cuntz lemma, whose products run the
-generic sparse product on polynomial entries.
+whole horizon as block forms; the Cuntz lemma, whose products run the
+generic sparse product on polynomial entries with int coefficients; and
+the Cuntz corrector's certified bound recursion.
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 
@@ -105,6 +106,16 @@ def test_standard_dilation_defect(benchmark, horizon):
     assert benchmark(build_and_check) == 0.0
 
 
-def test_cuntz_lemma_structure_n40(benchmark):
-    # D X and X D of the triangular pair at n = 40, with _Poly entries
-    assert benchmark(cuntz.lemma_structure, 40, Fraction(0.2)).ok
+@pytest.mark.parametrize("mu", [0.2, 0.4, 0.6, 0.8])
+def test_cuntz_lemma_structure_n40(benchmark, mu):
+    # D X and X D of the triangular pair at n = 40 over _Poly, mu and delta
+    # symbols, at the four scales of perfbench's certify builds
+    assert benchmark(cuntz.lemma_structure, 40, Fraction(mu)).ok
+
+
+@pytest.mark.parametrize("n", [21, 33, 40])
+def test_cuntz_solve_b(benchmark, n):
+    # the corrector's bound recursion at the sizes certify verifies and
+    # builds, to its default tolerance
+    sol = benchmark(cuntz.solve_b, n)
+    assert sol.residual < 1e-8 and sol.contraction < 1.0

@@ -175,26 +175,28 @@ def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     delta = 1.0 / (2000 * n**5)
-    w = {i: math.sqrt(2.0 - (i * i) / (n * n)) for i in range(2, n + 1)}
+    js = range(2, n + 1)
+    w = [math.sqrt(2.0 - (j * j) / (n * n)) for j in js]
+    scale = [x * 8 * n * n for x in w]
 
-    def rmap(yb: dict) -> dict:
-        peak = max(yb[j] / w[j] for j in range(2, n + 1))
-        zb = {i: w[i] * 8 * n * n * peak for i in range(2, n + 1)}
-        return {
-            i: 0.5 * math.hypot(zb.get(i, 0.0), zb.get(i + 1, 0.0))
-            for i in range(1, n + 1)
-        }
+    # lists run over j = 2..n (y, w, scale) or i = 1..n (the bounds)
+    def rmap(yb: list) -> list:
+        peak = max(y / x for y, x in zip(yb, w))
+        zb = [0.0] + [c * peak for c in scale] + [0.0]
+        return [0.5 * math.hypot(a, b) for a, b in zip(zb, zb[1:])]
 
-    def ymap(B: dict) -> dict:
-        return {
-            j: (float(n) if j == n else 0.0)
-            + delta * (j * B[j + 1] if j < n else 0.0)
-            + 2.0 * delta * B[j] * B[n]
-            for j in range(2, n + 1)
-        }
+    def ymap(B: list) -> list:
+        return [(float(n) if j == n else 0.0)
+                + delta * (j * B[j] if j < n else 0.0)
+                + 2.0 * delta * B[j - 1] * B[-1] for j in js]
 
-    B = rmap({j: float(n) if j == n else 0.0 for j in range(2, n + 1)})
-    first_bounds = tuple(B[i] for i in range(1, n + 1))
+    def dmap(Dlt: list, B: list, B_prev: list) -> list:
+        return [delta * (j * Dlt[j] if j < n else 0.0)
+                + 2.0 * delta * (Dlt[j - 1] * B[-1] + B_prev[j - 1] * Dlt[-1])
+                for j in js]
+
+    B = rmap([0.0] * (n - 2) + [float(n)])
+    first_bounds = tuple(B)
     B_prev = None
     Dlt = None
     contraction = math.inf
@@ -203,37 +205,21 @@ def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:
     for _ in range(max_iters):
         iterations += 1
         if Dlt is None:
-            dy = {
-                j: delta * (j * B[j + 1] if j < n else 0.0)
-                + 2.0 * delta * B[j] * B[n]
-                for j in range(2, n + 1)
-            }
+            Dlt_new = rmap([delta * (j * B[j] if j < n else 0.0)
+                            + 2.0 * delta * B[j - 1] * B[-1] for j in js])
         else:
-            dy = {
-                j: delta * (j * Dlt[j + 1] if j < n else 0.0)
-                + 2.0 * delta * (Dlt[j] * B[n] + B_prev[j] * Dlt[n])
-                for j in range(2, n + 1)
-            }
-        Dlt_new = rmap(dy)
-        if Dlt is not None:
-            contraction = max(
-                Dlt_new[i] / Dlt[i] for i in range(1, n + 1) if Dlt[i] > 0
-            )
-        B_new_map = rmap(ymap(B))
-        B_new = {i: min(B_new_map[i], B[i] + Dlt_new[i]) for i in range(1, n + 1)}
+            Dlt_new = rmap(dmap(Dlt, B, B_prev))
+            contraction = max(a / b for a, b in zip(Dlt_new, Dlt) if b > 0)
+        B_new = [min(a, b + d) for a, b, d in zip(rmap(ymap(B)), B, Dlt_new)]
         B_prev, B, Dlt = B, B_new, Dlt_new
-        if max(Dlt.values()) < tol:
+        if max(Dlt) < tol:
             converged = True
             break
     if not converged:
-        raise ConvergenceError(iterations, contraction, max(Dlt.values()))
+        raise ConvergenceError(iterations, contraction, max(Dlt))
 
-    residual_rows = tuple(
-        delta * (j * Dlt[j + 1] if j < n else 0.0)
-        + 2.0 * delta * (Dlt[j] * B[n] + B_prev[j] * Dlt[n])
-        for j in range(2, n + 1)
-    )
-    bounds = tuple(B[i] for i in range(1, n + 1))
+    residual_rows = tuple(dmap(Dlt, B, B_prev))
+    bounds = tuple(B)
     limit = 16.0 * math.sqrt(2.0) * n**3
     b_exact = None
     if n == 2:
@@ -253,20 +239,25 @@ def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:
 
 # --- exact structural check of the commutator identity --------------------
 #
-# Free noncommutative polynomials over u, v, b_1..b_n with Fraction
-# coefficients; the commutator identity below uses no relations at all,
-# so it is decided coefficient-exactly (float coefficients would prune the
-# delta^2 cross terms).  D and X are built as linops._Sparse forms of such
-# polynomials, rows of their nonzero cells, and multiplied in that form:
-# empty cells are never stored or multiplied, and +, - and * return at once
-# on an empty operand (a _Poly is never changed, so cells may share one).
+# Free noncommutative polynomials over u, v, b_1..b_n whose scalars mu and
+# delta are commuting symbols, with int coefficients: the commutator
+# identity below uses no relations at all, so it is decided in this ring
+# first, coefficient-exactly and with no Fraction (float coefficients
+# would prune the delta^2 cross terms).  Only a cell whose difference is
+# left over is evaluated, with Fractions, at the given mu and delta, so
+# each verdict is the one the evaluated ring would give.  D and X are
+# built as linops._Sparse forms of such polynomials, rows of their
+# nonzero cells, and multiplied in that form: empty cells are never
+# stored or multiplied, and +, - and * return at once on an empty operand
+# (a _Poly is never changed, so cells may share one).
 
 
 class _Poly(dict):
-    """Word tuple -> nonzero Fraction; the empty polynomial is falsy.  The
-    constructor drops zero terms; the operations build their results
-    directly and test only the sums where two words meet, since a
-    product or negation of nonzero Fractions is never zero."""
+    """(word, i, j) -> nonzero int, the key standing for mu^i delta^j word
+    with i and j any ints; the empty polynomial is falsy.  The constructor
+    drops zero terms; the operations build their results directly and
+    test only the sums where two keys meet, since a product or negation
+    of nonzero ints is never zero."""
 
     def __init__(self, terms=()):
         super().__init__((k, c) for k, c in dict(terms).items() if c)
@@ -301,11 +292,11 @@ class _Poly(dict):
         if not self or not other:
             return _Poly()
         out = _Poly._of(())
-        for wa, ca in self.items():
-            for wb, cb in other.items():
-                k = wa + wb
+        for (wa, ia, ja), ca in self.items():
+            for (wb, ib, jb), cb in other.items():
+                k = (wa + wb, ia + ib, ja + jb)
                 out[k] = out[k] + ca * cb if k in out else ca * cb
-        # a word reached twice may have summed to zero
+        # a key reached twice may have summed to zero
         return out if len(out) == len(self) * len(other) else _Poly(out)
 
     def __rmul__(self, c) -> "_Poly":
@@ -314,20 +305,27 @@ class _Poly(dict):
             return _Poly()
         return _Poly._of((k, c * v) for k, v in self.items())
 
+    def __pow__(self, k: int) -> "_Poly":
+        # a scalar monomial c mu^i delta^j; a negative k needs c = +-1
+        ((w, i, j), c), = self.items()
+        if w or k < 0 and c * c != 1:
+            raise ValueError("only a unit scalar monomial has an inverse")
+        return _Poly._of({((), i * k, j * k): c ** abs(k)})
 
-def _const(c) -> _Poly:
-    return _Poly({(): Fraction(c)})
+    def __rtruediv__(self, c) -> "_Poly":
+        return c * self ** -1
 
 
 def _pair(n: int, mu, delta, b, u, v, one) -> tuple[_Sparse, _Sparse]:
     """The triangular pair D_mu, X_mu as sparse forms over the ring of
     u, v, one and b = (b_1, ..., b_n): the mu = 1 pair conjugated by
     diag(mu^{n-1}, ..., mu, 1), times 1/mu on D and mu on X. The scalars
-    mu and delta are floats for dx_matrices and Fractions for the exact
-    lemma.  The b term of a row goes to its last column, added to what the
-    row already holds there or to the ring's empty element; a row's cells
-    are laid out in increasing column and empty ones are left out.  The
-    cells below and on the diagonal hold one shared u and v term each."""
+    mu and delta are floats for dx_matrices and the monomials mu and delta
+    of _Poly for the exact lemma.  The b term of a row goes to its last
+    column, added to what the row already holds there or to the ring's
+    empty element; a row's cells are laid out in increasing column and
+    empty ones are left out.  The cells below and on the diagonal hold one
+    shared u and v term each."""
     zero = type(one)()
     du, dv = (1 / (mu * mu * delta)) * u, (1 / (mu * delta)) * v
     D, X = [], []
@@ -361,42 +359,58 @@ def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
     """Verify coefficient-exactly that the commutator of the triangular
     pair differs from the identity in the last column only, with the
     expected entries, on the pair D_mu, X_mu that dx_matrices writes out
-    (mu = None is mu = 1; the defect entry in row i scales by mu^{n-i})."""
+    (mu = None is mu = 1; the defect entry in row i scales by mu^{n-i}).
+    The pair is laid out and multiplied over _Poly, with mu and delta as
+    symbols; a cell is equal to what it should be when the two agree in
+    that ring, and otherwise when their difference vanishes at the given
+    mu and delta = 1/(2000 n^5), evaluated with Fractions."""
     if n < 2:
         raise ValueError("n must be >= 2")
     mu = Fraction(1 if mu is None else mu)
     if not mu > 0:
         raise ValueError("mu must be positive")
     delta = Fraction(1, 2000 * n**5)
-    sym = lambda name: _Poly({(name,): Fraction(1)})
-    vv, uu = sym("v"), sym("u")
-    bb = [None] + [sym(f"b{i}") for i in range(1, n + 1)]
-    one, empty = _const(1), _Poly()
-    D, X = _pair(n, mu, delta, bb[1:], uu, vv, one)
-    ubn = commutator(uu, bb[n]) * _const(delta)
-    expected = []
-    for i in range(1, n + 1):
-        e = commutator(vv, bb[i])
-        if i > 1:
-            e = e + commutator(uu, bb[i - 1])
-        if i < n:
-            e = e + bb[i + 1] * _const(i * delta)
-        e = e + bb[i] * ubn
-        if i == n:
-            # the (n, n) cell is diagonal, so the identity contributes there
-            e = e + _const(1 - n)
-        expected.append(mu ** (n - i) * e)
+    sym = lambda w, i=0, j=0: _Poly._of({(w, i, j): 1})
+    b = [f"b{i}" for i in range(1, n + 1)]
+    one, empty = sym(()), _Poly()
+    D, X = _pair(n, sym((), 1), sym((), 0, 1), [sym((x,)) for x in b],
+                 sym(("u",)), sym(("v",)), one)
+
+    def expected(r):
+        # mu^{n-i} ([v, b_i] + [u, b_{i-1}] + i delta b_{i+1}
+        # + delta b_i [u, b_n]) in row i = r + 1, and 1 - n on the diagonal
+        e, t = n - r - 1, {((), 0, 0): 1 - n} if r == n - 1 else {}
+        t.update({(("v", b[r]), e, 0): 1, ((b[r], "v"), e, 0): -1,
+                  ((b[r], "u", b[-1]), e, 1): 1,
+                  ((b[r], b[-1], "u"), e, 1): -1})
+        if r:
+            t.update({(("u", b[r - 1]), e, 0): 1, ((b[r - 1], "u"), e, 0): -1})
+        if r < n - 1:
+            t[(b[r + 1],), e, 1] = r + 1
+        return _Poly._of(t)
+
+    def equal(p, q):
+        # equal in _Poly, or else their difference is zero at mu, delta
+        if p == q:
+            return True
+        value = {}
+        for (w, i, j), c in (p - q).items():
+            value[w] = value.get(w, 0) + c * mu**i * delta**j
+        return not any(value.values())
+
     # row i of C = D X - X D from the two products' rows, whose cells are
     # nonzero: C's diagonal and last column are taken as differences, and
-    # every other cell is zero exactly when its two products are equal
+    # every other cell, present in one product or both, is the difference
+    # of the two (the empty polynomial where one is absent)
     off = last = True
     for i, (dx, xd) in enumerate(zip((D @ X).rows, (X @ D).rows)):
-        a, b = dict(dx), dict(xd)
-        cell = a.pop(n - 1, empty) - b.pop(n - 1, empty)
-        last = last and cell == expected[i]
+        a, c = dict(dx), dict(xd)
+        cell = a.pop(n - 1, empty) - c.pop(n - 1, empty)
+        last = last and equal(cell, expected(i))
         if i < n - 1:
-            off = off and a.pop(i, empty) - b.pop(i, empty) == one
-        off = off and a == b
+            off = off and equal(a.pop(i, empty) - c.pop(i, empty), one)
+        off = off and all(equal(a.get(j, empty), c.get(j, empty))
+                          for j in a.keys() | c.keys())
     return LemmaReport(off_column_zero=off, last_column_matches=last)
 
 

@@ -25,6 +25,8 @@ Every identity that must hold up to a horizon K reads one walk of each
 side: ``_orbit`` lists x, U x, ..., U^K x by left products and ``_powers``
 lists I, T, ..., T^K by right products, so no power is formed twice in one
 check, and each check returns its worst defect over the whole horizon.
+The standard and Ando dilations keep the powers their P is built from,
+so their checks read them instead of forming them again.
 
 A residual compares the two sides of an identity with ``_defect`` and
 never forms their difference.  In the rational field two block forms
@@ -344,24 +346,25 @@ def banded_sznagy(T: np.ndarray, window: int) -> BandedWindow:
 class StandardDilation:
     """Minimal dilation on sequences truncated at the horizon: I places x
     at index 0, U shifts down one index, P collapses index n through T^n
-    back to index 0."""
+    back to index 0.  powers holds I, T, ..., T^horizon, formed once for
+    P and read again by the check."""
 
     quadruple: DilationQuadruple
     horizon: int
-    T: np.ndarray
+    powers: list
 
     def dilation_defect(self) -> float:
         """Worst max-abs defect of I T^n = P U^n I over n = 0..horizon."""
         q, K = self.quadruple, self.horizon
         E, P = q.embed, q.P
-        pairs = zip(_powers(self.T, K), _orbit(q.U, E, K))
+        pairs = zip(self.powers, _orbit(q.U, E, K))
         return _worst(_defect(E @ power, P @ col) for power, col in pairs)
 
     def minimality_check(self) -> bool:
         """U^n I x over n = 0..horizon spans the truncated space: the
         stacked columns form exactly the identity matrix."""
         q, blocks = self.quadruple, self.horizon + 1
-        I = _eye(self.T)
+        I = self.powers[0]
         cols = _orbit(q.U, q.embed, self.horizon)
         return all(_defect(c, _grid({(k, 0): I}, blocks, 1)) == 0
                    for k, c in enumerate(cols))
@@ -373,32 +376,34 @@ def standard_dilation(T: np.ndarray, horizon: int) -> StandardDilation:
         raise ValueError("T must be square")
     if K < 1:
         raise ValueError("horizon must be at least 1")
-    blocks, I = K + 1, _eye(T)
+    powers = _powers(T, K)
+    blocks, I = K + 1, powers[0]
     U = _grid({(i + 1, i): I for i in range(K)}, blocks, blocks)
-    P = _grid({(0, n): X for n, X in enumerate(_powers(T, K))},
-              blocks, blocks)
+    P = _grid({(0, n): X for n, X in enumerate(powers)}, blocks, blocks)
     quad = DilationQuadruple(_grid({(0, 0): I}, blocks, 1), U, P)
-    return StandardDilation(quad, K, T)
+    return StandardDilation(quad, K, powers)
 
 
 @dataclass(frozen=True)
 class AndoDilation:
     """Commuting pair dilated to row and column shifts on the grid
-    0..horizon x 0..horizon; P collapses cell (n, m) through T^n S^m."""
+    0..horizon x 0..horizon; P collapses cell (n, m) through T^n S^m.
+    Tn and Sm hold the powers of T and S up to the horizon, formed once
+    for P and read again by the check."""
 
     embed: Form
     U: Form
     V: Form
     P: Form
     horizon: int
-    T: np.ndarray
-    S: np.ndarray
+    Tn: list
+    Sm: list
 
     def dilation_defect(self) -> float:
         """Worst max-abs defect of I T^n S^m = P U^n V^m I over the whole
         grid n, m <= horizon."""
         h, E, P, U = self.horizon, self.embed, self.P, self.U
-        Tn, Sm = _powers(self.T, h), _powers(self.S, h)
+        Tn, Sm = self.Tn, self.Sm
         return _worst(
             _defect(E @ (Tn[n] @ Sm[m]), P @ cell)
             for m, col in enumerate(_orbit(self.V, E, h))
@@ -409,7 +414,7 @@ class AndoDilation:
         a zero row over the column-shifted array.  On the grid model the
         zero-column prefix is V itself and the zero-row stack is U itself,
         so the identity reads V U = U V = diagonal shift, exactly."""
-        side, I = self.horizon + 1, _eye(self.T)
+        side, I = self.horizon + 1, self.Tn[0]
         # cell (n, m) of the grid, n, m >= 1, takes cell (n - 1, m - 1)
         diag = _grid({(n * side + m, (n - 1) * side + m - 1): I
                       for n in range(1, side) for m in range(1, side)},
@@ -440,7 +445,7 @@ def ando_like(T: np.ndarray, S: np.ndarray, horizon: int) -> AndoDilation:
          for n in range(side) for m in range(side)}
     return AndoDilation(_grid({(0, 0): I}, cells, 1), _grid(U, cells, cells),
                         _grid(V, cells, cells), _grid(P, cells, cells),
-                        h, T, S)
+                        h, Tn, Sm)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,20 @@
 """Test oracles: the coefficients and the concrete representation of the
 Cuntz word algebra, the dense layout of the Cuntz pair and its dump, the
-exact dyadic entries of the corrector's first iterate, the dense fill of
-a sparse product, the dense block layouts of the vsdilate dilations, and
-random Parseval semi-inner-product pairs.
+lemma's polynomials evaluated and their commutator taken densely over
+Fractions, the exact dyadic entries of the corrector's first iterate, the
+corrector's solver as it was written on dicts, the dense fill of a sparse
+product, the dense block layouts of the vsdilate dilations, and random
+Parseval semi-inner-product pairs.
 
 The package itself needs none of these; the tests check its word algebra,
-its written pair, its certified first bounds, its exact products, its
-stored dilations and its sip identities against them.
+its written pair, its lemma verdicts, its certified first bounds, its
+solver, its exact products, its stored dilations and its sip identities
+against them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -18,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from framekit.cli import dump_word_element
-from framekit.cuntz import _GEN, CuntzElement, _letters
+from framekit.cuntz import _GEN, CuntzElement, SolveResult, _letters, word
+from framekit.errors import ConvergenceError
 from framekit.linops import _Sparse, _form, herm, inverse, is_invertible
 from framekit.sip import SipPair, sip_functional
 
@@ -102,6 +107,37 @@ def dense_word_matrix(M) -> dict:
     n = M.shape[0]
     return {"n": n, "entries": [[dump_word_element(M[i, j]) for j in range(n)]
                                 for i in range(n)]}
+
+
+def poly_value(p, mu, delta) -> dict:
+    """The lemma's polynomial p, whose key (word, i, j) stands for
+    mu^i delta^j word, at the given scalars: word -> nonzero Fraction."""
+    out: dict = {}
+    for (w, i, j), c in p.items():
+        out[w] = out.get(w, 0) + c * Fraction(mu) ** i * Fraction(delta) ** j
+    return {w: c for w, c in out.items() if c}
+
+
+def value_commutator(D, X, mu, delta) -> list:
+    """C = D X - X D of two dense matrices of lemma polynomials, each cell
+    evaluated at mu and delta first and C taken by the dense triple loop
+    over word -> Fraction dicts; C[i][j] holds no zero coefficient."""
+    n = D.shape[0]
+    Dv, Xv = ([[poly_value(M[i, j], mu, delta) for j in range(n)]
+               for i in range(n)] for M in (D, X))
+    C = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc: dict = {}
+            for k in range(n):
+                for A, B, sign in ((Dv, Xv, 1), (Xv, Dv, -1)):
+                    for wa, ca in A[i][k].items():
+                        for wb, cb in B[k][j].items():
+                            acc[wa + wb] = acc.get(wa + wb, 0) + sign * ca * cb
+            row.append({w: c for w, c in acc.items() if c})
+        C.append(row)
+    return C
 
 
 def sparse_product(A, B):
@@ -355,6 +391,101 @@ def first_iterate_entry(n: int, i: int, p: int, q: int) -> Fraction:
     if q % 2 == 1:
         return -Fraction(1, 2) * kernel_entry(n, i, p, (q - 1) // 2)
     return -Fraction(1, 2) * kernel_entry(n, i + 1, p, q // 2)
+
+
+# --- the Cuntz solver on dicts ---------------------------------------------
+
+
+def solve_b_dicts(n: int, max_iters: int = 200,
+                  tol: float = 1e-10) -> SolveResult:
+    """cuntz.solve_b as it was written on dicts keyed by index: iterate
+    b <- R(a + dF(b) + dG(b,b)) on certified norm bounds.
+
+    R = L (1-E)^{-1} is applied through its proven component bounds
+    ||z_i|| <= w_i · 8 n^2 · max_j ||y_j||/w_j with w_i = sqrt(2 - i^2/n^2)
+    and ||(Lz)_i|| <= sqrt(||z_i||^2 + ||z_{i+1}||^2)/2, and T R = 1 holds
+    exactly, so the residual of iterate m is y(b_{m-1}) - y(b_m), bounded
+    by the same recursion applied to successive differences.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    delta = 1.0 / (2000 * n**5)
+    w = {i: math.sqrt(2.0 - (i * i) / (n * n)) for i in range(2, n + 1)}
+
+    def rmap(yb: dict) -> dict:
+        peak = max(yb[j] / w[j] for j in range(2, n + 1))
+        zb = {i: w[i] * 8 * n * n * peak for i in range(2, n + 1)}
+        return {
+            i: 0.5 * math.hypot(zb.get(i, 0.0), zb.get(i + 1, 0.0))
+            for i in range(1, n + 1)
+        }
+
+    def ymap(B: dict) -> dict:
+        return {
+            j: (float(n) if j == n else 0.0)
+            + delta * (j * B[j + 1] if j < n else 0.0)
+            + 2.0 * delta * B[j] * B[n]
+            for j in range(2, n + 1)
+        }
+
+    B = rmap({j: float(n) if j == n else 0.0 for j in range(2, n + 1)})
+    first_bounds = tuple(B[i] for i in range(1, n + 1))
+    B_prev = None
+    Dlt = None
+    contraction = math.inf
+    converged = False
+    iterations = 0
+    for _ in range(max_iters):
+        iterations += 1
+        if Dlt is None:
+            dy = {
+                j: delta * (j * B[j + 1] if j < n else 0.0)
+                + 2.0 * delta * B[j] * B[n]
+                for j in range(2, n + 1)
+            }
+        else:
+            dy = {
+                j: delta * (j * Dlt[j + 1] if j < n else 0.0)
+                + 2.0 * delta * (Dlt[j] * B[n] + B_prev[j] * Dlt[n])
+                for j in range(2, n + 1)
+            }
+        Dlt_new = rmap(dy)
+        if Dlt is not None:
+            contraction = max(
+                Dlt_new[i] / Dlt[i] for i in range(1, n + 1) if Dlt[i] > 0
+            )
+        B_new_map = rmap(ymap(B))
+        B_new = {i: min(B_new_map[i], B[i] + Dlt_new[i]) for i in range(1, n + 1)}
+        B_prev, B, Dlt = B, B_new, Dlt_new
+        if max(Dlt.values()) < tol:
+            converged = True
+            break
+    if not converged:
+        raise ConvergenceError(iterations, contraction, max(Dlt.values()))
+
+    residual_rows = tuple(
+        delta * (j * Dlt[j + 1] if j < n else 0.0)
+        + 2.0 * delta * (Dlt[j] * B[n] + B_prev[j] * Dlt[n])
+        for j in range(2, n + 1)
+    )
+    bounds = tuple(B[i] for i in range(1, n + 1))
+    limit = 16.0 * math.sqrt(2.0) * n**3
+    b_exact = None
+    if n == 2:
+        b_exact = (word(right="u", coeff=-2.0), word(right="v", coeff=-2.0))
+    return SolveResult(
+        delta=delta,
+        iterations=iterations,
+        contraction=contraction,
+        bounds=bounds,
+        first_bounds=first_bounds,
+        bound_limit=limit,
+        residual=max(residual_rows),
+        residual_rows=residual_rows,
+        b_exact=b_exact,
+    )
 
 
 # --- Parseval semi-inner-product pairs -------------------------------------

@@ -33,7 +33,10 @@ from oracles import (
     dense_word_matrix,
     first_iterate_entry,
     kernel_entry,
+    poly_value,
+    solve_b_dicts,
     sparse_product,
+    value_commutator,
 )
 
 U_STAR, V_STAR = word(right="u"), word(right="v")
@@ -162,9 +165,12 @@ def dense_product(A, B, zero):
 
 
 POLY_LETTERS = st.lists(st.sampled_from("abc"), max_size=2).map(tuple)
+# keys (word, i, j) for mu^i delta^j word, with small exponents of either
+# sign so that keys meet in sums and products; zero coefficients are
+# drawn too, and the constructor drops them
 polys = st.dictionaries(
-    POLY_LETTERS,
-    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.tuples(POLY_LETTERS, st.integers(-1, 1), st.integers(-1, 1)),
+    st.integers(min_value=-3, max_value=3),
     max_size=3).map(cuntz._Poly)
 CUNTZ_WORDS = st.lists(st.sampled_from("uv"), max_size=1).map(tuple)
 elements = st.dictionaries(
@@ -229,18 +235,20 @@ def test_matmul_adds_inexact_word_products_in_k_order():
 
 
 def test_matmul_keeps_the_factor_order():
-    a = np.array([[cuntz._Poly({("a",): 1})]], dtype=object)
-    b = np.array([[cuntz._Poly({("b",): 1})]], dtype=object)
-    assert sparse_product(a, b)[0, 0] == {("a", "b"): 1}
-    assert sparse_product(b, a)[0, 0] == {("b", "a"): 1}
+    # mu a times 2 b / delta: the words keep their order, the exponents add
+    a = np.array([[cuntz._Poly({(("a",), 1, 0): 1})]], dtype=object)
+    b = np.array([[cuntz._Poly({(("b",), 0, -1): 2})]], dtype=object)
+    ab, ba = {(("a", "b"), 1, -1): 2}, {(("b", "a"), 1, -1): 2}
+    assert sparse_product(a, b)[0, 0] == ab
+    assert sparse_product(b, a)[0, 0] == ba
     u_star, v = (np.array([[x]], dtype=object) for x in (U_STAR, V))
     assert not sparse_product(u_star, v)[0, 0]  # u* v = 0
     assert sparse_product(v, u_star)[0, 0] == word("v", "u")
     # in the sparse form: the factors keep their order, a factor equal to
     # 1 is never assumed (a _Poly or CuntzElement is not == 1), and the
     # zero product u* v leaves no pair
-    assert (_form(a) @ _form(b)).rows == [[(0, {("a", "b"): 1})]]
-    assert (_form(b) @ _form(a)).rows == [[(0, {("b", "a"): 1})]]
+    assert (_form(a) @ _form(b)).rows == [[(0, ab)]]
+    assert (_form(b) @ _form(a)).rows == [[(0, ba)]]
     assert (_form(u_star) @ _form(v)).rows == [[]]
     assert (_form(v) @ _form(u_star)).rows == [[(0, word("v", "u"))]]
 
@@ -390,6 +398,27 @@ def test_solve_nonconvergence_diagnostics():
     assert math.isfinite(err.value.contraction)
 
 
+def solve_outcome(solver, n, **kwargs):
+    """The SolveResult of solver(n, **kwargs), or the fields and message of
+    the ConvergenceError it raises."""
+    try:
+        return solver(n, **kwargs)
+    except ConvergenceError as err:
+        return (err.iterations, err.contraction, err.last_delta, str(err))
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": 1e-8}, {"tol": 1e-12},
+                                    {"max_iters": 3}])
+def test_solve_equals_the_dict_solver(kwargs):
+    # the list passes keep every float operation of the dict solver, in its
+    # order, so every field of every result and error is equal
+    outcomes = [solve_outcome(solve_b, n, **kwargs) for n in range(2, 61)]
+    assert outcomes == [solve_outcome(solve_b_dicts, n, **kwargs)
+                        for n in range(2, 61)]
+    errors = sum(not isinstance(x, cuntz.SolveResult) for x in outcomes)
+    assert errors == (59 if "max_iters" in kwargs else 0)
+
+
 def test_solve_rejects_small_n():
     with pytest.raises(ValueError):
         solve_b(1)
@@ -456,46 +485,49 @@ def use_pair(mats, monkeypatch):
     monkeypatch.setattr(cuntz, "_pair", lambda *args: forms)
 
 
-def commutator_flags(D, X, last_column):
-    """The lemma's two verdicts read off the dense commutator C = D X - X D:
+def scalars(n, mu):
+    """The mu and delta at which lemma_structure(n, mu) decides a cell."""
+    return Fraction(1 if mu is None else mu), Fraction(1, 2000 * n**5)
+
+
+def commutator_flags(D, X, n, mu, last_column):
+    """The lemma's two verdicts read off the dense commutator C = D X - X D
+    of the pair evaluated at the scalars of (n, mu), taken over Fractions:
     C is the identity off its last column, and that column is
     last_column."""
-    n = D.shape[0]
-    C = sparse_product(D, X) - sparse_product(X, D)
-    off = all(C[i, j] == ({(): 1} if i == j else {})
+    C = value_commutator(D, X, *scalars(n, mu))
+    off = all(C[i][j] == ({(): 1} if i == j else {})
               for i in range(n) for j in range(n - 1))
-    return off, list(C[:, n - 1]) == last_column
+    return off, [row[n - 1] for row in C] == last_column
 
 
-def assert_lemma_fails_as_the_dense_commutator(n, mu, mats, last_column,
-                                               monkeypatch, site):
+def assert_lemma_as_the_dense_commutator(n, mu, mats, last_column,
+                                         monkeypatch, site, ok=False):
     use_pair(mats, monkeypatch)
     report = lemma_structure(n, mu)
-    assert not report.ok, site
+    assert report.ok is ok, site
     assert (report.off_column_zero, report.last_column_matches) == \
-        commutator_flags(*mats, last_column), site
+        commutator_flags(*mats, n, mu, last_column), site
 
 
-def true_last_column(D, X):
-    """The last column of D X - X D for the pair the lemma certifies."""
-    return list((sparse_product(D, X) - sparse_product(X, D))[:, -1])
+def true_last_column(D, X, n, mu):
+    """The last column of D X - X D, evaluated at the scalars of (n, mu),
+    for the pair the lemma certifies."""
+    return [row[-1] for row in value_commutator(D, X, *scalars(n, mu))]
 
 
 def test_delta_scaled_column_breaks_structure(monkeypatch):
     # adding the small factor to D's last column leaves defects outside it
     n = 4
     D, X = lemma_layout(n, None, monkeypatch)
-    last_column = true_last_column(D, X)
-    delta = Fraction(1, 2000 * n**5)
+    last_column = true_last_column(D, X, n, None)
     for r in range(n):
-        bad = {}
-        for k, c in D[r, n - 1].items():
-            bad[k] = c * delta if k and k[0].startswith("b") else c
-        D[r, n - 1] = cuntz._Poly(bad)
-    C = sparse_product(D, X) - sparse_product(X, D)
-    assert C[0, n - 2] != {}
-    assert_lemma_fails_as_the_dense_commutator(n, None, (D, X), last_column,
-                                               monkeypatch, "delta")
+        D[r, n - 1] = cuntz._Poly({
+            (w, i, j + 1 if w and w[0].startswith("b") else j): c
+            for (w, i, j), c in D[r, n - 1].items()})
+    assert value_commutator(D, X, *scalars(n, None))[0][n - 2] != {}
+    assert_lemma_as_the_dense_commutator(n, None, (D, X), last_column,
+                                         monkeypatch, "delta")
     assert not lemma_structure(n).off_column_zero
 
 
@@ -504,35 +536,75 @@ def test_delta_scaled_column_breaks_structure(monkeypatch):
 def test_lemma_catches_every_changed_coefficient(n, mu, monkeypatch):
     # each verdict also equals the one read off the dense commutator
     D, X = lemma_layout(n, mu, monkeypatch)
-    last_column = true_last_column(D, X)
-    sites = [(which, i, j, w) for which, M in enumerate((D, X))
-             for (i, j), p in np.ndenumerate(M) for w in p]
+    last_column = true_last_column(D, X, n, mu)
+    sites = [(which, i, j, k) for which, M in enumerate((D, X))
+             for (i, j), p in np.ndenumerate(M) for k in p]
     assert len(sites) == 6 * n - 3
-    for which, i, j, w in sites:
+    for which, i, j, k in sites:
         mats = [D.copy(), X.copy()]
         p = dict(mats[which][i, j])
-        p[w] /= 3
+        p[k] *= 3
         mats[which][i, j] = cuntz._Poly(p)
-        assert_lemma_fails_as_the_dense_commutator(
-            n, mu, mats, last_column, monkeypatch, (which, i, j, w))
+        assert_lemma_as_the_dense_commutator(
+            n, mu, mats, last_column, monkeypatch, (which, i, j, k))
 
 
 @pytest.mark.parametrize("n", [3, 6])
 @pytest.mark.parametrize("mu", [None, Fraction(1, 5)])
-@pytest.mark.parametrize("term", [{("v",): Fraction(1)}, {(): Fraction(3, 7)}])
+@pytest.mark.parametrize("term", [{(("v",), 0, 0): 1}, {((), 2, -1): 3}])
 def test_lemma_catches_a_term_in_every_zero_cell(n, mu, term, monkeypatch):
     # the zero-skipping product must still see a cell that should be empty
-    # and is not; each verdict also equals the dense commutator's
+    # and is not (v, or the scalar 3 mu^2 / delta); each verdict also
+    # equals the dense commutator's
     D, X = lemma_layout(n, mu, monkeypatch)
-    last_column = true_last_column(D, X)
+    last_column = true_last_column(D, X, n, mu)
     sites = [(which, i, j) for which, M in enumerate((D, X))
              for (i, j), p in np.ndenumerate(M) if not p]
     assert len(sites) == 2 * n * n - (4 * n - 4) - (2 * n - 1)
     for which, i, j in sites:
         mats = [D.copy(), X.copy()]
         mats[which][i, j] = cuntz._Poly(term)
-        assert_lemma_fails_as_the_dense_commutator(
+        assert_lemma_as_the_dense_commutator(
             n, mu, mats, last_column, monkeypatch, (which, i, j))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("mu, c", [(None, 1), (Fraction(1, 5), 5),
+                                   (Fraction(3, 2), 2)])
+def test_lemma_evaluates_a_term_that_vanishes_only_at_mu(n, mu, c,
+                                                         monkeypatch):
+    # c mu w - c mu0 w is not the zero polynomial, but it is zero at
+    # mu = mu0: added to any cell of D or X, the pair is unchanged at mu0,
+    # so the lemma must evaluate the cells it leaves and pass there, and
+    # fail at mu0 + 1, each time with the dense commutator's verdicts
+    D, X = lemma_layout(n, mu, monkeypatch)
+    mu0 = scalars(n, mu)[0]
+    term = cuntz._Poly({(("v",), 1, 0): c, (("v",), 0, 0): -int(c * mu0)})
+    assert term and not poly_value(term, *scalars(n, mu))
+    columns = {m: true_last_column(D, X, n, m) for m in (mu, mu0 + 1)}
+    for which, i, j in [(which, i, j) for which in (0, 1)
+                        for i in range(n) for j in range(n)]:
+        mats = [D.copy(), X.copy()]
+        mats[which][i, j] = mats[which][i, j] + term
+        for m, ok in ((mu, True), (mu0 + 1, False)):
+            assert_lemma_as_the_dense_commutator(
+                n, m, mats, columns[m], monkeypatch, (which, i, j, m), ok)
+
+
+def test_lemma_compares_a_one_sided_cell_with_the_empty_polynomial(
+        monkeypatch):
+    # a term in the empty cell D[0, 2] puts the cell (0, 1) in D X only;
+    # that cell is compared with the empty polynomial of X D, so it passes
+    # where the term vanishes and fails where it does not
+    n, mu = 6, Fraction(1, 5)
+    D, X = lemma_layout(n, mu, monkeypatch)
+    columns = {m: true_last_column(D, X, n, m) for m in (mu, 1)}
+    D[0, 2] = cuntz._Poly({((), 1, 0): 5, ((), 0, 0): -1})
+    dx, xd = ((_form(A) @ _form(B)).rows[0] for A, B in ((D, X), (X, D)))
+    assert 1 in dict(dx) and 1 not in dict(xd)
+    for m, ok in ((mu, True), (1, False)):
+        assert_lemma_as_the_dense_commutator(
+            n, m, (D, X), columns[m], monkeypatch, m, ok)
 
 
 def plain_sum(a, b, sign):
@@ -544,9 +616,10 @@ def plain_sum(a, b, sign):
 
 def plain_product(a, b):
     out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+    for (wa, ia, ja), ca in a.items():
+        for (wb, ib, jb), cb in b.items():
+            k = (wa + wb, ia + ib, ja + jb)
+            out[k] = out.get(k, 0) + ca * cb
     return {k: c for k, c in out.items() if c}
 
 
@@ -569,22 +642,49 @@ def test_poly_shortcuts_equal_the_plain_dict_loop(a, b):
 
 
 def test_poly_results_drop_the_terms_that_cancel():
-    # the operations skip the zero filter where no word meets another;
-    # where words meet, a cancelled term is dropped, and a zero scalar
-    # gives the empty polynomial
-    one, a = cuntz._Poly({(): Fraction(1)}), cuntz._Poly({("a",): Fraction(1)})
-    cases = [((one + a) * (a - one), {("a", "a"): 1, (): -1}),
-             ((a - one) * (one + a), {("a", "a"): 1, (): -1}),
-             ((one + a) + (-a), {(): 1}),
+    # the operations skip the zero filter where no key meets another;
+    # where keys meet, a cancelled term is dropped, and a zero scalar
+    # gives the empty polynomial; a word times different powers of mu
+    # and delta is a different key
+    one, a = cuntz._Poly({((), 0, 0): 1}), cuntz._Poly({(("a",), 0, 0): 1})
+    mu_a = cuntz._Poly({(("a",), 1, 0): 1})
+    cases = [((one + a) * (a - one), {(("a", "a"), 0, 0): 1, ((), 0, 0): -1}),
+             ((a - one) * (one + a), {(("a", "a"), 0, 0): 1, ((), 0, 0): -1}),
+             ((one + a) + (-a), {((), 0, 0): 1}),
              ((one + a) - (one + a), {}),
-             (Fraction(0) * (one + a), {}),
+             (0 * (one + a), {}),
              (0 * a, {}),
-             (Fraction(-2, 3) * (one + a), {(): Fraction(-2, 3),
-                                            ("a",): Fraction(-2, 3)})]
+             (-2 * (one + a), {((), 0, 0): -2, (("a",), 0, 0): -2}),
+             (mu_a - a, {(("a",), 1, 0): 1, (("a",), 0, 0): -1}),
+             ((mu_a - a) * (mu_a + a),
+              {(("a", "a"), 2, 0): 1, (("a", "a"), 0, 0): -1})]
     for got, want in cases:
         assert type(got) is cuntz._Poly
         assert got == want and all(got.values())
-    assert cuntz._Poly({("a",): Fraction(0), (): Fraction(2)}) == {(): 2}
+    assert cuntz._Poly({(("a",), 0, 0): 0, ((), 0, 0): 2}) == {((), 0, 0): 2}
+
+
+def test_poly_powers_and_inverses_of_scalar_monomials():
+    # _pair takes mu ** k for k of either sign and 1 / (mu mu delta)
+    mu, delta = cuntz._Poly({((), 1, 0): 1}), cuntz._Poly({((), 0, 1): 1})
+    cases = [(mu ** 3, {((), 3, 0): 1}),
+             (mu ** 0, {((), 0, 0): 1}),
+             (mu ** -2 * delta, {((), -2, 1): 1}),
+             ((-(mu * delta)) ** -3, {((), -3, -3): -1}),
+             ((-mu) ** -2, {((), -2, 0): 1}),
+             (cuntz._Poly({((), 1, 2): 3}) ** 2, {((), 2, 4): 9}),
+             (1 / (mu * mu * delta), {((), -2, -1): 1}),
+             (4 / (-delta), {((), 0, -1): -4})]
+    for got, want in cases:
+        assert type(got) is cuntz._Poly
+        assert got == want
+    for bad in (lambda: cuntz._Poly({((), 1, 0): 2}) ** -1,
+                lambda: 1 / cuntz._Poly({(("a",), 0, 0): 1}),
+                lambda: cuntz._Poly({(("a",), 0, 0): 1}) ** 2):
+        with pytest.raises(ValueError):
+            bad()
+    with pytest.raises(ValueError):
+        (mu + delta) ** 2  # not a monomial
 
 
 # --- assembled matrices -----------------------------------------------------
@@ -651,16 +751,18 @@ def test_build_scaling_is_the_lemma_similarity(n, mu):
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("mu", [0.5, 2.0])
 def test_written_pair_is_the_certified_pair(n, mu, monkeypatch):
-    # dx_matrices and the lemma's exact layout at Fraction(mu) hold the same
-    # words in every cell, with coefficients equal up to float rounding
+    # dx_matrices and the lemma's exact layout, evaluated at Fraction(mu),
+    # hold the same words in every cell, with coefficients equal up to
+    # float rounding
     D, X = written(solve_b(n), mu)
     exact = lemma_layout(n, Fraction(mu), monkeypatch)
     for M, E in zip((D, X), exact):
         for (i, j), cell in np.ndenumerate(M):
+            value = poly_value(E[i, j], *scalars(n, mu))
             assert {(w, s) for w, s in cell.table} == {
-                (w, ()) for w in E[i, j]}, (i, j)
+                (w, ()) for w in value}, (i, j)
             for (w, _), c in cell.table.items():
-                want = float(E[i, j][w])
+                want = float(value[w])
                 assert abs(c - want) <= 1e-14 * abs(want), (i, j, w)
 
 
