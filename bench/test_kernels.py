@@ -3,8 +3,9 @@ bounds and multiplier Lipschitz numbers, the triangle scan of a distance
 table, and the row p-norm, at the shapes of perfbench's pairscan workload;
 the exact Ando grid and standard dilation, built and checked over their
 whole horizon as block forms; the Cuntz lemma, whose products run the
-generic sparse product on polynomial entries with int coefficients; and
-the Cuntz corrector's certified bound recursion.
+generic sparse product on polynomial entries with int coefficients; the
+Cuntz corrector's certified bound recursion; and ovf's triple
+falsification over every prefix of every sample.
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from framekit import cuntz, linops
+from framekit import cuntz, linops, ovf
 from framekit.metricframe import (
     DIST_TOL,
     _over_dist,
@@ -119,3 +120,17 @@ def test_cuntz_solve_b(benchmark, n):
     # builds, to its default tolerance
     sol = benchmark(cuntz.solve_b, n)
     assert sol.residual < 1e-8 and sol.contraction < 1.0
+
+
+@pytest.mark.parametrize("m, r", [(20, 2), (60, 1)])
+def test_ovf_perturb_triple(benchmark, m, r):
+    # the sampled sides of ovf perturb --mode triple at certify's shape
+    # (m = 20, r = 2, d = 6, 256 samples) and at m = 60; gamma exceeds
+    # ||theta_A - theta_B||, so no prefix of any sample falsifies
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((m, r, 6)) + 1j * rng.standard_normal((m, r, 6))
+    B = A + 1e-3 * rng.standard_normal((m, r, 6))
+    gamma = 1.5 * linops._norm_2((A - B).reshape(m * r, 6))
+    got = benchmark(ovf.perturb_certificate, ovf.OvfPair(A, A), B, "triple",
+                    gamma=gamma, samples=256, seed=1)
+    assert got.valid and got.detail["samples"] == 256

@@ -242,8 +242,13 @@ def _norm_inf(A: np.ndarray) -> float:
     return float(np.abs(A).sum(axis=1).max())
 
 
+def _norms2(stack: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix of a (..., r, c) stack."""
+    return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
+
+
 def _norm_2(A: np.ndarray) -> float:
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    return float(_norms2(A))
 
 
 def opnorm_upper(A, p) -> float:

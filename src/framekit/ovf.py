@@ -8,15 +8,15 @@ by construction. S need not be positive or Hermitian; frame bounds are
 the extreme singular values. Every defect a report checks is defined
 here once; the triple hypothesis is sampled by ``linops._falsify``.
 
-Block norms are taken by ``_norms2``, one SVD call over a stack: the same
-LAPACK routine np.linalg.norm(M, 2) runs per matrix, so each value is
-bit-identical to a loop over the blocks. The group kernels take one such
-call per element g, so a step holds O(|G|^2 r^2) numbers, not O(|G|^3 r^2).
+Block norms are taken by ``linops._norms2``, one SVD call over a stack:
+the same LAPACK routine np.linalg.norm(M, 2) runs per matrix, so each
+value is bit-identical to a loop over the blocks. The group kernels take
+one such call per element g, so a step holds O(|G|^2 r^2) numbers, not
+O(|G|^3 r^2).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,22 +24,14 @@ import numpy as np
 
 from . import linops
 from .errors import HypothesisViolated
-from .linops import Perturbation, _falsify, herm, inverse, singular_extremes
+from .linops import (Perturbation, _apply_rows, _falsify, _norm_2, _norm_rows,
+                     _norms2, herm, inverse, singular_extremes)
 
 SIMILAR_TOL = 1e-8
 RIESZ_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-8
 DILATE_TOL = 1e-8
 REP_TOL = 1e-10
-
-
-def _norms2(stack: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix of a (..., r, c) stack."""
-    return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
-
-
-def _norm2(A) -> float:
-    return float(_norms2(np.atleast_2d(A)))
 
 
 def _l2(values) -> float:
@@ -93,7 +85,8 @@ class OvfPair:
         return self.theta_A @ inverse(S) @ herm(self.theta_Psi)
 
     def is_parseval(self) -> bool:
-        return _norm2(self.frame_operator() - np.eye(self.d)) <= ORTHONORMAL_TOL
+        return (_norm_2(self.frame_operator() - np.eye(self.d))
+                <= ORTHONORMAL_TOL)
 
 
 @dataclass(frozen=True)
@@ -122,8 +115,8 @@ def duality_residual(P: OvfPair, Q: OvfPair) -> float:
     if P.A.shape != Q.A.shape:
         raise ValueError("shape mismatch")
     I = np.eye(P.d)
-    return max(_norm2(herm(P.theta_Psi) @ Q.theta_A - I),
-               _norm2(herm(Q.theta_Psi) @ P.theta_A - I))
+    return max(_norm_2(herm(P.theta_Psi) @ Q.theta_A - I),
+               _norm_2(herm(Q.theta_Psi) @ P.theta_A - I))
 
 
 def block_gap(P: OvfPair, Q: OvfPair) -> float:
@@ -139,7 +132,7 @@ def similarity(P: OvfPair, Q: OvfPair,
     P_{A,Psi} and P_{B,Phi} coincide."""
     if P.A.shape != Q.A.shape:
         raise ValueError("shape mismatch")
-    if _norm2(P.projection() - Q.projection()) > tol:
+    if _norm_2(P.projection() - Q.projection()) > tol:
         return None
     Sinv = inverse(P.frame_operator())
     R_ab = Sinv @ herm(P.theta_Psi) @ Q.theta_A
@@ -159,14 +152,14 @@ def orthonormal_gap(P: OvfPair) -> float:
     n = np.arange(P.m)
     C[n, n] -= np.eye(P.r)
     # max() over a list in (n, k) order: a NaN norm never replaces a gap
-    return max([_norm2(P.frame_operator() - np.eye(P.d)),
+    return max([_norm_2(P.frame_operator() - np.eye(P.d)),
                 *_norms2(C).ravel().tolist()])
 
 
 def classify(P: OvfPair) -> OvfClass:
     """Riesz: the idempotent is the identity of the stacked space.
     Orthonormal: Parseval with A_n Psi_k* = delta_{nk} I_r."""
-    riesz = _norm2(P.projection() - np.eye(P.m * P.r)) <= RIESZ_TOL
+    riesz = _norm_2(P.projection() - np.eye(P.m * P.r)) <= RIESZ_TOL
     orthonormal = P.is_parseval() and orthonormal_gap(P) <= ORTHONORMAL_TOL
     return OvfClass(riesz, orthonormal)
 
@@ -203,12 +196,13 @@ def dilate(P: OvfPair) -> OvfDilation:
     I = np.eye(P.d)
     Pr = P.projection()
     failures = []
-    if _norm2(S - I) > DILATE_TOL:
+    if _norm_2(S - I) > DILATE_TOL:
         failures.append("not Parseval")
     QA, QP = _range_basis(P.theta_A), _range_basis(P.theta_Psi)
-    if _norm2(QA @ herm(QA) - QP @ herm(QP)) > DILATE_TOL:
+    if _norm_2(QA @ herm(QA) - QP @ herm(QP)) > DILATE_TOL:
         failures.append("analysis ranges differ")
-    if _norm2(Pr - herm(Pr)) > DILATE_TOL or _norm2(Pr @ Pr - Pr) > DILATE_TOL:
+    if (_norm_2(Pr - herm(Pr)) > DILATE_TOL
+            or _norm_2(Pr @ Pr - Pr) > DILATE_TOL):
         failures.append("idempotent is not an orthogonal projection")
     if failures:
         raise HypothesisViolated("; ".join(failures))
@@ -319,13 +313,10 @@ def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
     ||sum_{n<=k} (A_n* - B_n*) y_n|| <= alpha ||sum A_n* y_n||
       + beta ||sum B_n* y_n|| + gamma (sum ||y_n||^2)^(1/2)
     over seeded random stacked vectors (a sampled falsification, not a
-    proof). Each chunk of samples is evaluated at once: the products
-    A_n* y_n of every block, summed over n, give theta_A* y_k for every
-    prefix k, and likewise for B. These sums round differently from the
-    product of theta_A* with the zero-padded y_k, so every (sample, prefix)
-    cell whose lhs - rhs lies within a rounding window of the 1e-12 slack is
-    evaluated again as that product; the verdict is the one of the
-    per-prefix products. Predicts
+    proof). A chunk of samples is evaluated one prefix k at a time, as the
+    rows zero-padded after block k: ``linops._apply_rows`` and
+    ``_norm_rows`` run per row the operations of theta_A* y_k and its
+    norm, so every cell equals the per-prefix product bit for bit. Predicts
     (1 - alpha - gamma ||theta_Psi (S*)^{-1}||) / ((1 + beta) ||(S*)^{-1}||)
     and ||theta_Psi|| ((1 + alpha) ||theta_A|| + gamma) / (1 - beta).
     """
@@ -340,71 +331,33 @@ def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
         if total >= 1:
             raise HypothesisViolated(
                 f"sum ||A_n - B_n|| ||Psi_n (S*)^{{-1}}|| = {total} >= 1")
-        lo = (1 - total) / _norm2(Sinv_star)
-        hi = _norm2(P.theta_Psi) * (_l2(gaps) + _norm2(P.theta_A))
+        lo = (1 - total) / _norm_2(Sinv_star)
+        hi = _norm_2(P.theta_Psi) * (_l2(gaps) + _norm_2(P.theta_A))
         return Perturbation("quadratic", True, (lo, hi))
-    reach = alpha + gamma * _norm2(P.theta_Psi @ Sinv_star)
+    reach = alpha + gamma * _norm_2(P.theta_Psi @ Sinv_star)
     if max(reach, beta) >= 1:
         raise HypothesisViolated(
             f"max(alpha + gamma ||theta_Psi (S*)^{{-1}}||, beta) = "
             f"{max(reach, beta)} >= 1")
     thA, thB = herm(P.theta_A), herm(B.reshape(P.m * P.r, P.d))
-    norm = np.linalg.norm
-
-    def prefix(y, k):
-        yk = np.zeros_like(y)
-        yk[:k * P.r] = y[:k * P.r]
-        a, b = thA @ yk, thB @ yk
-        return (norm(a - b), alpha * norm(a) + beta * norm(b)
-                + gamma * norm(yk))
-
-    # Window w on |(lhs - rhs) - (the prefix() values' lhs - rhs)|, with
-    # u = 2^-53, n = m r and Higham's g_k = k u / (1 - k u):
-    # - each entry of theta_A* y_k, whether one gemv over the zero-padded
-    #   y_k or block products summed over the blocks, is within
-    #   sqrt(2) g_(n+2) (|A*| |y_k|) of the exact value (complex inner
-    #   products in any summation order); so the two a's differ by at most
-    #   2 E_A in 2-norm, E_A = sqrt(2) g_(n+2) ||A||_F ||y_k|| bounding
-    #   sqrt(2) g_(n+2) || |A*| |y_k| ||, and the same for b and B;
-    # - lhs moves by at most 2 (E_A + E_B), rhs by 2 (alpha E_A + beta E_B);
-    # - the norms, a - b, the products by alpha, beta, gamma, the sums and
-    #   the comparison with rhs + 1e-12 round within g_(n+d+8) of
-    #   lhs + rhs + 1e-12 on each path;
-    # - squares and products below 2^-1074 lose at most 2^-500 per norm;
-    #   beyond 2^500 a square may overflow on one path only, so w = inf.
-    # A safety factor 4 covers the rest. A cell whose lhs - rhs - 1e-12 is
-    # farther than w from 0 has the verdict of prefix(); the others are
-    # re-evaluated with it.
-    u, n = 2.0 ** -53, P.m * P.r
-    g = math.sqrt(2) * (n + 2) * u / (1 - (n + 2) * u)
-    g_round = (n + P.d + 8) * u / (1 - (n + P.d + 8) * u)
-    frob = float(norm(P.A) + norm(B))
-    Ac, Bc = P.A.conj(), B.conj()
 
     def sides(C):
-        # block products, summed up to each prefix: a[k - 1, s] is
-        # theta_A* y_k of sample s, ny[k - 1, s] its ||y_k||; the sums run
-        # in place, as np.cumsum over the outer axis strides through memory
-        Y = C.reshape(len(C), P.m, P.r).transpose(1, 0, 2)
-        a, b = Y @ Ac, Y @ Bc
-        for k in range(1, P.m):
-            a[k] += a[k - 1]
-            b[k] += b[k - 1]
-        ny = np.sqrt(np.cumsum((Y.real ** 2 + Y.imag ** 2).sum(axis=2),
-                               axis=0))
-        lhs = norm(a - b, axis=2).T
-        rhs = (alpha * norm(a, axis=2) + beta * norm(b, axis=2) + gamma * ny).T
-        ny = ny.T
-        w = 4 * (2 * (1 + alpha + beta) * g * frob * ny
-                 + g_round * (lhs + rhs + 1e-12)
-                 + (1 + alpha + beta + gamma) * 2.0 ** -500)
-        w[~(frob * ny + lhs + rhs < 2.0 ** 500)] = math.inf
-        for s, k in np.argwhere(~(np.abs(lhs - rhs - 1e-12) > w)).tolist():
-            lhs[s, k], rhs[s, k] = prefix(C[s], k + 1)
+        # prefix k of every sample, zero-padded after block k, grows in one
+        # buffer; each row runs the matrix-vector products and norms of
+        # thA @ y_k, thB @ y_k and np.linalg.norm
+        Y = np.zeros_like(C)
+        lhs, rhs = np.empty((2, len(C), P.m))
+        for k in range(P.m):
+            Y[:, k * P.r:(k + 1) * P.r] = C[:, k * P.r:(k + 1) * P.r]
+            a, b = _apply_rows(thA, Y), _apply_rows(thB, Y)
+            lhs[:, k] = _norm_rows(a - b)
+            rhs[:, k] = (alpha * _norm_rows(a) + beta * _norm_rows(b)
+                         + gamma * _norm_rows(Y))
         return lhs, rhs
 
-    holds, detail = _falsify(sides, n, samples, seed)
-    lo = (1 - reach) / ((1 + beta) * _norm2(Sinv_star))
-    hi = _norm2(P.theta_Psi) * ((1 + alpha) * _norm2(P.theta_A) + gamma) / (1 - beta)
+    holds, detail = _falsify(sides, P.m * P.r, samples, seed)
+    lo = (1 - reach) / ((1 + beta) * _norm_2(Sinv_star))
+    hi = (_norm_2(P.theta_Psi) * ((1 + alpha) * _norm_2(P.theta_A) + gamma)
+          / (1 - beta))
     return Perturbation("triple", holds, (lo, hi), detail)
 

@@ -7,9 +7,10 @@ sampler existed, and ``two_sided_sum`` is a verbatim copy of the four
 separate condition sums of ``pasf``'s two_sided mode. The library must
 reproduce their verdicts and margins exactly (``==``), so that reports do
 not move by a single bit. That still holds now that the sampler draws its
-vectors in chunks and ``ovf`` evaluates a chunk's prefixes as cumulative
-block sums: the near-tie test puts ``ovf``'s worst prefix within 8 ulp of
-the slack, where only the per-prefix products decide.
+vectors in chunks and ``ovf`` evaluates a chunk one prefix at a time on
+the row kernels of ``linops``: the near-tie test puts ``ovf``'s worst
+prefix within 8 ulp of the slack, where a cell that rounded otherwise
+would flip the verdict.
 """
 
 import math
@@ -231,6 +232,10 @@ def test_ovf_sampler_equals_the_old_loop(seed, samples, eps, params):
         assume(False)
     assert got.valid == ovf_loop(P, B, alpha, beta, gamma, seed,
                                             samples)
+    worst = -math.inf
+    for left, ab, ny in ovf_cells(P, B, alpha, beta, seed, samples):
+        worst = max(worst, left - (ab + gamma * ny))
+    assert got.detail["worst_margin"] == worst
 
 
 @settings(max_examples=30, deadline=None)
@@ -327,6 +332,24 @@ def test_sampler_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert holds and detail["worst_margin"] == -1.0
+    assert peak < 4 * 2**20
+
+
+def test_ovf_triple_memory_is_bounded_by_the_chunk():
+    # ovf's sides take one prefix of a chunk at a time: every prefix of a
+    # 273 x 60 chunk laid out at once would take 15 MiB
+    rng = np.random.default_rng(0)
+    A = _cnormal(rng, 60, 1, 6)
+    P = ovf.OvfPair(A, A + 0.1 * _cnormal(rng, 60, 1, 6))
+    B = A + 0.01 * _cnormal(rng, 60, 1, 6)
+    tracemalloc.start()
+    try:
+        got = ovf.perturb_certificate(P, B, "triple", 0.1, 0.1, 0.0,
+                                      samples=20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.valid and got.detail["samples"] == 20_000
     assert peak < 4 * 2**20
 
 

@@ -56,6 +56,8 @@ REPORTS = [
     ["hframe", "identity", "--in", MERCEDES, "--subset", "0,2"],
     ["hframe", "identity", "--in", FRAME, "--subset", "1,3", "--mode",
      "general", "--h", "1,2,3"],
+    # a Parseval frame: auto adds the Parseval form and the 3/4 lower bound
+    ["hframe", "identity", "--in", _in("frame_harmonic"), "--subset", "0,1"],
     ["hframe", "dilate", "--in", FRAME],
     ["hframe", "dilate", "--in", MERCEDES],
     ["hframe", "perturb", "--in", FRAME, "--other", _in("frame_g")],
@@ -165,6 +167,8 @@ REPORTS = [
      _in("vs_eye"), "--horizon", "3", "--no-rational"],
     ["vsdilate", "ndilate", "--in", VST, "--n", "2", "--no-rational"],
     ["cuntz", "solve", "--n", "4"],
+    # n = 2 writes the exact b
+    ["cuntz", "solve", "--n", "2"],
     ["cuntz", "build", "--n", "3"],
     # n = 2 writes the exact corrector: D[0, 1] sums 1 and -2 u*u
     ["cuntz", "build", "--n", "2"],

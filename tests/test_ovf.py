@@ -48,7 +48,7 @@ def parseval_pair(seed, m=4, r=2, d=5):
     A = rng.normal(size=(m, r, d)) + 1j * rng.normal(size=(m, r, d))
     SA = frame_op_oracle(A, A)
     P = OvfPair(A, A @ herm(np.linalg.inv(SA)))
-    assert ovf._norm2(P.frame_operator() - np.eye(P.d)) <= 1e-10
+    assert linops._norm_2(P.frame_operator() - np.eye(P.d)) <= 1e-10
     return P
 
 
