@@ -1,6 +1,8 @@
 """Kernel benchmarks, outside tier-1: the pair scan behind metric frame
 bounds and multiplier Lipschitz numbers, the triangle scan of a distance
-table, and the row p-norm, at the shapes of perfbench's pairscan workload;
+table, the sample constructor on a line table (no scan) and on a metric
+that is not one (full scan), and the row p-norm, at the shapes of
+perfbench's pairscan workload;
 the exact Ando grid and standard dilation, built and checked over their
 whole horizon as block forms; the Cuntz lemma, whose products run the
 generic sparse product on polynomial entries with int coefficients; the
@@ -21,6 +23,7 @@ import pytest
 from framekit import cuntz, linops, ovf
 from framekit.metricframe import (
     DIST_TOL,
+    MetricSample,
     _over_dist,
     _PairNorms,
     _triangle_violation,
@@ -67,6 +70,16 @@ def test_over_dist_pointed_110x12_p2(benchmark, dim):
 def test_triangle_violation(benchmark, n):
     D = line(n, 30.0, 4).dist
     assert benchmark(_triangle_violation, D, DIST_TOL * D.max()) is None
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.0])
+@pytest.mark.parametrize("n", [110, 170])
+def test_metric_sample(benchmark, n, offset):
+    # offset 0 is the line table of the labels, which skips the triangle
+    # scan; + 1 off the diagonal keeps every triangle but is scanned in full
+    S = line(n, 30.0, 4)
+    D = S.dist + offset * (1.0 - np.eye(n))
+    assert benchmark(MetricSample, S.points, D, 0).n == n
 
 
 def test_pnorm_rows_p3(benchmark):

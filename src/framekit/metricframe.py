@@ -5,9 +5,9 @@ A family of Lipschitz functions f_n is a metric p-frame when
     a d(x,y) <= (sum_n |f_n(x) - f_n(y)|^p)^(1/p) <= b d(x,y)
 
 for all points x, y. On a finite sample the frame bounds are decidable by
-an exhaustive pair scan.
-Families cut from infinite series carry a certified truncation remainder
-that widens the reported upper bound.
+an exhaustive pair scan; MetricSample's O(n^3) triangle scan is skipped on
+line tables, which provably pass it. Families cut from infinite series
+carry a certified truncation remainder that widens the upper bound.
 
 One kernel, _over_dist, runs every pair scan here and in the multiplier
 module, in numpy chunks of at most CHUNK elements per temporary. Each
@@ -39,6 +39,13 @@ class MetricSample:
     The table must be symmetric with zero diagonal and satisfy the
     triangle inequality, each within 1e-12 times its largest distance;
     labels are opaque except where an operation states otherwise.
+
+    The O(n^3) triangle scan is skipped on a line table, numpy's |x_i - x_j|
+    bit for bit of labels all int or float (not bool) under 2^1023 in size,
+    where it cannot fail: each entry and finite sum it forms is exact times
+    1 + e, |e| <= u = 2^-53, so each excess D[i, j] - (D[i, k] + D[k, j]) is
+    at most about 3u |x_i - x_j|, far under the slack 1e-12 max D, and is
+    exact, hence at most 0, when every entry is subnormal.
     """
 
     points: tuple
@@ -46,42 +53,35 @@ class MetricSample:
     base: Optional[int] = None
 
     def __post_init__(self):
-        S = _unscanned(self.points, self.dist, self.base)
-        k = _triangle_violation(S.dist, DIST_TOL * S.dist.max())
-        if k is not None:
-            raise ValueError(f"triangle inequality fails through point {S.points[k]!r}")
-        vars(self).update(vars(S))
+        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "dist", np.asarray(self.dist, dtype=float))
+        points, D, n, base = self.points, self.dist, self.n, self.base
+        if n < 1 or D.shape != (n, n):
+            raise ValueError("distance table must be square and match the points")
+        if not np.all(np.isfinite(D)):
+            raise ValueError("distances must be finite")
+        if D.min() < 0:
+            raise ValueError("distances must be nonnegative")
+        slack = DIST_TOL * D.max()
+        if np.abs(np.diagonal(D)).max(initial=0.0) > slack:
+            raise ValueError("diagonal must be zero")
+        if np.abs(D - D.T).max(initial=0.0) > slack:
+            raise ValueError("distance table must be symmetric")
+        if base is not None and (isinstance(base, bool)
+                                 or not isinstance(base, (int, np.integer))):
+            raise ValueError("base must be an integer point index")
+        if base is not None and not 0 <= base < n:
+            raise ValueError("base index out of range")
+        object.__setattr__(self, "base", None if base is None else int(base))
+        x = np.array([float(p) for p in points  # other labels leave x short
+                      if type(p) in (int, float) and abs(p) < 2.0 ** 1023])
+        line = np.array_equal(D, np.abs(x[:, None] - x[None, :]))
+        if not line and (k := _triangle_violation(D, slack)) is not None:
+            raise ValueError(f"triangle inequality fails through point {points[k]!r}")
 
     @property
     def n(self) -> int:
         return len(self.points)
-
-
-def _unscanned(points, dist, base) -> MetricSample:
-    """A sample after the O(n^2) checks only: for the line metric of
-    sample_from_points, a metric by construction. MetricSample adds the
-    O(n^3) triangle scan."""
-    points, D = tuple(points), np.asarray(dist, dtype=float)
-    n = len(points)
-    if n < 1 or D.shape != (n, n):
-        raise ValueError("distance table must be square and match the points")
-    if not np.all(np.isfinite(D)):
-        raise ValueError("distances must be finite")
-    if D.min() < 0:
-        raise ValueError("distances must be nonnegative")
-    slack = DIST_TOL * D.max()
-    if np.abs(np.diagonal(D)).max(initial=0.0) > slack:
-        raise ValueError("diagonal must be zero")
-    if np.abs(D - D.T).max(initial=0.0) > slack:
-        raise ValueError("distance table must be symmetric")
-    if base is not None and (isinstance(base, bool)
-                             or not isinstance(base, (int, np.integer))):
-        raise ValueError("base must be an integer point index")
-    if base is not None and not 0 <= base < n:
-        raise ValueError("base index out of range")
-    S = object.__new__(MetricSample)
-    vars(S).update(points=points, dist=D, base=None if base is None else int(base))
-    return S
 
 
 def _triangle_violation(D: np.ndarray, slack: float) -> Optional[int]:
@@ -134,7 +134,7 @@ class LipschitzFamily:
 def sample_from_points(points, base: Optional[int] = None) -> MetricSample:
     """Sample of the real line: numeric labels, d(x, y) = |x - y|."""
     x = np.asarray(points, dtype=float).reshape(-1)
-    return _unscanned(x.tolist(), np.abs(x[:, None] - x[None, :]), base)
+    return MetricSample(x.tolist(), np.abs(x[:, None] - x[None, :]), base)
 
 
 def _check_sizes(S: MetricSample, F: LipschitzFamily):

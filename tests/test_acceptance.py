@@ -428,12 +428,22 @@ def test_a19_logframe_at_thousand_points_within_budget(capsys):
     assert '"status":"pass"' in capsys.readouterr().out
 
 
-def test_a20_thousand_point_table_validated_within_budget():
+def test_a20_thousand_point_table_validated_within_budget(monkeypatch):
+    # |x - y| + 1 off the diagonal keeps every triangle but is not the line
+    # table of its labels, so the constructor runs the full triangle scan
     x = np.sort(np.random.default_rng(20).uniform(1.0, 30.0, 1000))
     D = np.abs(x[:, None] - x[None, :])
+    E = D + 1.0 - np.eye(1000)
     t0 = time.perf_counter()
-    S = metricframe.MetricSample(tuple(x.tolist()), D, 0)
+    S = metricframe.MetricSample(tuple(x.tolist()), E, 0)
     assert time.perf_counter() - t0 < 2.5
-    D[1, 4] = D[4, 1] = 1.5 * D[1, 4]  # one distance raised: refused
+    E[1, 4] = E[4, 1] = E[1, 4] + 1.5  # one distance raised: refused
     with pytest.raises(ValueError, match="triangle inequality fails"):
-        metricframe.MetricSample(S.points, D, 0)
+        metricframe.MetricSample(S.points, E, 0)
+
+    def scan(D, slack):
+        raise AssertionError("a line table was scanned")
+
+    # the line table itself is a metric by construction: no scan
+    monkeypatch.setattr(metricframe, "_triangle_violation", scan)
+    assert metricframe.MetricSample(S.points, D, 0).n == 1000

@@ -101,6 +101,10 @@ REPORTS = [
      "--terms", "24"],
     ["metric", "bounds", "--in", _in("sample_rational"), "--family",
      "rational(1.5,3)", "--terms", "24"],
+    # a metric that is not the line metric of its labels (each distance
+    # is |x - y| + 1): the constructor runs the full triangle scan
+    ["metric", "bounds", "--in", _in("sample_offset"), "--family", "log(1)",
+     "--terms", "24"],
     ["metric", "logframe", "--points", "25", "--terms", "40", "--seed", "3"],
     # a tail term whose factorial leaves the float range
     ["metric", "logframe", "--points", "10", "--terms", "172"],

@@ -5,6 +5,12 @@ pass over the whole table per point k. The kernel must give the same
 verdict and name the same first failing point on every table, including
 tables whose excess sits exactly at the slack or one rounding step away
 from it, and tables whose only violation lies in the last block of rows.
+
+MetricSample skips the scan on a line table, |x_i - x_j| of its own
+numeric labels bit for bit. The last tests check that the scan passes
+every such table, that the constructor still gives the reference's
+verdict on tables one step away from one, and that it skips the scan on
+exactly those tables.
 """
 
 import math
@@ -13,11 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from framekit import metricframe
 from framekit.linops import vec_pnorm
 from framekit.metricframe import (
     DIST_TOL,
     MetricSample,
     _triangle_violation,
+    sample_from_points,
 )
 
 
@@ -200,3 +208,147 @@ def test_public_constructor_reports_the_point():
     D[3, 6] = D[6, 3] = 3.5
     with pytest.raises(ValueError, match="through point 'e'$"):
         MetricSample(tuple("abcdefgh"), D)
+
+
+# ------------------------------------------------------ line tables
+
+
+def line_of(x):
+    x = np.asarray(x, dtype=float)
+    return np.abs(x[:, None] - x[None, :])
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+       scale=st.integers(-1074, 1000), repeats=st.integers(0, 4))
+def test_every_line_table_passes_the_scan(x, scale, repeats):
+    # the proof in MetricSample's docstring, tried: at every scale from the
+    # least subnormal up, with subnormal and repeated points, no excess
+    # reaches the slack
+    x = np.array(x + x[:repeats]) * 2.0 ** scale
+    D = line_of(x)
+    assert _triangle_violation(D, DIST_TOL * D.max()) is None
+
+
+@pytest.mark.parametrize("scale", [-1074, -1060, -1022, -520, 0, 520, 1000])
+def test_line_tables_of_crowded_points_pass_the_scan(scale):
+    # points a few ulps apart and integers, where every sum rounds
+    rng = np.random.default_rng(scale + 1074)
+    for x in (1.0 + rng.integers(0, 8, 30) * 2.0 ** -52,
+              rng.integers(-50, 50, 30).astype(float),
+              rng.integers(0, 2 ** 20, 30).astype(float)):
+        D = line_of(x * 2.0 ** scale)
+        assert _triangle_violation(D, DIST_TOL * D.max()) is None
+
+
+def verdict(labels, D):
+    """The constructor's outcome: None, or its ValueError message."""
+    try:
+        MetricSample(labels, D)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def reference(labels, D):
+    """The same outcome with every triangle scanned by per_k_reference."""
+    slack = DIST_TOL * D.max()
+    if np.abs(D - D.T).max() > slack:
+        return "distance table must be symmetric"
+    k = per_k_reference(D, slack)
+    return None if k is None else (
+        f"triangle inequality fails through point {labels[k]!r}")
+
+
+def moved(D, i, j, how, mirror):
+    D = D.copy()
+    D[i, j] = {"up": np.nextafter(D[i, j], np.inf),
+               "down": np.nextafter(D[i, j], 0.0),
+               "x1.1": D[i, j] * 1.1, "x0.9": D[i, j] * 0.9}[how]
+    if mirror:
+        D[j, i] = D[i, j]
+    return D
+
+
+LABELINGS = {
+    "floats": lambda x: [float(v) for v in x],
+    "ints": lambda x: [int(v) for v in x],
+    "bools": lambda x: [bool(i % 2) for i in range(len(x))],
+    "strings": lambda x: [repr(float(v)) for v in x],
+    "huge ints": lambda x: [10 ** 400 + i for i in range(len(x))],
+    "inf": lambda x: [math.inf] + [float(v) for v in x[1:]],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30),
+       labeling=st.sampled_from(sorted(LABELINGS)),
+       how=st.sampled_from(["none", "up", "down", "x1.1", "x0.9"]),
+       mirror=st.booleans())
+def test_constructor_agrees_with_the_full_scan(seed, n, labeling, how, mirror):
+    # line tables of integer points, planted or not; with numeric labels the
+    # unplanted table skips the scan, and every other table is scanned
+    rng = np.random.default_rng(seed)
+    x = rng.permutation(np.arange(n))[:n] * 3.0
+    labels = LABELINGS[labeling](x)
+    D = line_of(x)
+    if how != "none":
+        i, j = rng.choice(n, size=2, replace=False)
+        D = moved(D, i, j, how, mirror)
+    assert verdict(labels, D) == reference(labels, D)
+
+
+def test_constructor_names_the_reference_point_on_planted_tables():
+    rng = np.random.default_rng(11)
+    x = np.sort(rng.uniform(1.0, 9.0, 25))
+    refused = 0
+    for labels in (x.tolist(), [str(v) for v in x], [10 ** 400] * 25):
+        for i, j in ((3, 11), (0, 24), (12, 13)):
+            for how in ("up", "down", "x1.1", "x0.9"):
+                D = moved(line_of(x), i, j, how, mirror=True)
+                want = reference(labels, D)
+                assert verdict(labels, D) == want
+                refused += want is not None
+    assert refused > 0
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The number of calls of the triangle scan since the fixture began."""
+    calls = []
+
+    def counted(D, slack):
+        calls.append(len(D))
+        return _triangle_violation(D, slack)
+
+    monkeypatch.setattr(metricframe, "_triangle_violation", counted)
+    return calls
+
+
+def test_scan_is_skipped_exactly_on_line_tables(scans):
+    x = [1.0, 2.5, -4.0, 2.5, 7.25]
+    D = line_of(x)
+    skipped = [
+        (x, D),
+        ([1, 3, -2, 0], line_of([1, 3, -2, 0])),
+        ([-0.0, 0.0, 5e-324], line_of([0.0, 0.0, 5e-324])),
+        ([7.5], np.zeros((1, 1))),
+    ]
+    for labels, table in skipped:
+        MetricSample(labels, table)
+    sample_from_points([3.0, 1.0, 2.0], base=0)
+    assert scans == []
+    scanned = [
+        (x, D + 1.0 - np.eye(5)),  # a metric, not the line table
+        (x, moved(D, 1, 2, "up", mirror=True)),
+        ([str(v) for v in x], D),
+        (x[:4] + ["a"], D),
+        ([False, True], line_of([0, 1])),
+        ([10 ** 400, 10 ** 400 + 1], line_of([0, 1])),
+        ([math.inf, 1.0], line_of([0, 1])),
+        ([math.nan, 1.0], line_of([0, 1])),
+        ([2.0 ** 1023, 0.0], line_of([2.0 ** 1023, 0.0])),
+    ]
+    for labels, table in scanned:
+        MetricSample(labels, table)
+    assert scans == [len(table) for _, table in scanned]
