@@ -97,6 +97,13 @@ REPORTS = [
     ["sip", "lower34", "--in", _in("sip"), "--subset", "0,3", "--seed", "6"],
     ["sip", "identity", "--in", _in("sip"), "--subset", "1", "--p", "3",
      "--x", "1,-2,0.5"],
+    # a Parseval pair at p = 3 with d = 4 and m = 12 (tests/oracles.py's
+    # make_parseval(3.0, 4, 12, 3)); on 1,5,7 at seed 0 the sign
+    # condition of the 3/4 bound fails
+    *[["sip", verb, "--in", _in("sip_d4"), "--subset", "0,3,4,9", "--seed",
+       "1"] for verb in ("identity", "parseval", "lower34")],
+    ["sip", "lower34", "--in", _in("sip_d4"), "--subset", "1,5,7", "--seed",
+     "0"],
     ["metric", "bounds", "--in", _in("sample"), "--family", "log(1)",
      "--terms", "24"],
     ["metric", "bounds", "--in", _in("sample_rational"), "--family",
@@ -182,6 +189,8 @@ REPORTS = [
     ["cuntz", "build", "--n", "40", "--mu", "0.4"],
     ["cuntz", "verify", "--n-range", "21:33:4"],
     ["cuntz", "obstruction", "--dim", "3", "--trials", "40"],
+    # more trials than one draw of the obstruction holds at dim 3
+    ["cuntz", "obstruction", "--dim", "3", "--trials", "1000"],
     # certified failures: exit 1 with a fail report
     ["pasf", "riesz", "--in", _in("pasf_trunc")],
     ["hframe", "dual", "--in", _in("thin")],
