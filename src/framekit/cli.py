@@ -1346,10 +1346,12 @@ def cmd_cuntz_obstruction(cfg: argparse.Namespace, R: ReportBuilder):
     tol = tolerance(cfg, 1e-9)
     rng = np.random.default_rng(cfg.seed)
     worst = float("inf")
-    for _ in range(trials):
-        D = rng.standard_normal((dim, dim))
-        X = rng.standard_normal((dim, dim))
-        worst = min(worst, framekit.cuntz.finite_obstruction(D, X))
+    # the stream of one D and then one X per trial, CHUNK entries a draw
+    step = max(1, framekit.linops.CHUNK // (2 * dim * dim))
+    for done in range(0, trials, step):
+        z = rng.standard_normal((min(step, trials - done), 2, dim, dim))
+        norms = framekit.cuntz.finite_obstruction(z[:, 0], z[:, 1])
+        worst = min(worst, float(norms.min()))
     R.result.update({"dim": dim, "trials": trials, "min_distance": worst})
     R.display.append(f"min ||[D, X] - I|| over {trials} pairs: {g(worst)}")
     R.check("no scalar pair reaches [D, X] = I: distance >= 1", "sampled",

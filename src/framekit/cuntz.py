@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError
-from .linops import NormInterval, _Sparse
+from .linops import NormInterval, _norm_2, _norms2, _Sparse
 
 WORD_PRUNE = 1e-14
 _GEN = ("u", "v")
@@ -484,12 +484,12 @@ def decay_reference(n1: int, n2: int) -> float:
     return (n2**3 / n1**3) * 2.0 ** (-(n2 - n1))
 
 
-def finite_obstruction(D, X) -> float:
-    """Distance ||[D, X] - I||_2 for concrete square matrices; always >= 1
-    since the commutator is traceless."""
+def finite_obstruction(D, X):
+    """||[D, X] - I||_2 of square matrices (a float) or of each pair of two
+    (..., n, n) stacks; always >= 1 since the commutator is traceless."""
     D = np.atleast_2d(np.asarray(D, dtype=complex))
     X = np.atleast_2d(np.asarray(X, dtype=complex))
-    if D.shape != X.shape or D.shape[0] != D.shape[1]:
+    if D.shape != X.shape or D.shape[-1] != D.shape[-2]:
         raise ValueError("D and X must be square matrices of equal size")
-    C = D @ X - X @ D - np.eye(D.shape[0])
-    return float(np.linalg.norm(C, 2))
+    C = D @ X - X @ D - np.eye(D.shape[-1])
+    return _norm_2(C) if C.ndim == 2 else _norms2(C)

@@ -8,6 +8,10 @@ linear in x, with [x, x] = ||x||_p^2 and |[x, y]| <= ||x|| ||y||. Frame-type
 families (omega_n, tau_n) act through partial operators
 S_M x = sum_{n in M} [x, omega_n] tau_n; the module checks the resulting
 identities and the 3/4 lower bound.
+
+A SipPair computes its duality maps w_n = [., omega_n] once and a check the
+map of its x once: m + O(1) maps and O(m^2) dot products, each the sum sip()
+takes, so the bits equal those of a fresh sip() per scalar.
 """
 
 from __future__ import annotations
@@ -32,7 +36,11 @@ def sip(x, y, p) -> complex:
     w = sip_functional(y, p)
     if x.size != w.size:
         raise ValueError("vectors must share a dimension")
-    return complex((x * w).sum())
+    return _dot(x, w)
+
+
+def _dot(v: np.ndarray, w: np.ndarray) -> complex:  # [v, y], w the map at y
+    return complex((v * w).sum())
 
 
 def sip_functional(y, p) -> np.ndarray:
@@ -73,6 +81,9 @@ class SipPair:
         object.__setattr__(self, "Tau", linops.as_matrix(self.Tau))
         if self.Omega.shape != self.Tau.shape:
             raise ValueError("Omega and Tau must share shape")
+        object.__setattr__(self, "_W", np.vstack(
+            [sip_functional(self.Omega[:, n], p) for n in range(self.m)]))
+        self._W.flags.writeable = False
 
     @property
     def d(self) -> int:
@@ -83,9 +94,8 @@ class SipPair:
         return self.Omega.shape[1]
 
     def functionals(self) -> np.ndarray:
-        """Matrix W (m x d) with row n the duality map of omega_n."""
-        return np.vstack([sip_functional(self.Omega[:, n], self.p)
-                          for n in range(self.m)])
+        """Read-only W (m x d), row n the duality map of omega_n."""
+        return self._W
 
     def frame_operator(self) -> np.ndarray:
         return self.Tau @ self.functionals()
@@ -128,30 +138,30 @@ def general_identity_residual(P: SipPair, M, x) -> float:
     relation [w, (S_M)* x] = [S_M w, x]; no generalized adjoint is built.
     """
     x = linops.as_vector(x)
+    W, wx = P.functionals(), sip_functional(x, P.p)
     Sinv = inverse(P.frame_operator())
-    p = P.p
+    dual = [Sinv @ P.Tau[:, n] for n in range(P.m)]
 
     def side(idx):
-        first = sum(sip(x, P.Omega[:, n], p) * sip(P.Tau[:, n], x, p)
-                    for n in idx)
-        u = Sinv @ partial_operator(P, idx) @ x
-        w = sum((sip(u, P.Omega[:, n], p) * (Sinv @ P.Tau[:, n])
-                 for n in range(P.m)),
+        first = sum(_dot(x, W[n]) * _dot(P.Tau[:, n], wx) for n in idx)
+        u = linops.as_vector(Sinv @ partial_operator(P, idx) @ x)
+        w = sum((_dot(u, W[n]) * dual[n] for n in range(P.m)),
                 np.zeros(P.d, dtype=complex))
-        second = sip(partial_operator(P, idx) @ w, x, p)
+        second = _dot(linops.as_vector(partial_operator(P, idx) @ w), wx)
         return first - second
 
     return abs(side(_subset(P, M)) - side(_complement(P, M)))
 
 
-def _parseval_sums(P: SipPair, idx: list, x: np.ndarray) -> tuple:
+def _parseval_sums(P: SipPair, idx: list, x, wx) -> tuple:
     """The two sums of the Parseval identities over idx: sum_{n in idx}
-    [x,w_n][t_n,x] and sum_{n,k in idx} [x,w_n][t_n,w_k][t_k,x]."""
-    p = P.p
-    c = [sip(x, P.Omega[:, n], p) for n in idx]
-    ct = [sip(P.Tau[:, n], x, p) for n in idx]
+    [x,w_n][t_n,x] and sum_{n,k in idx} [x,w_n][t_n,w_k][t_k,x]; wx is the
+    duality map at x."""
+    W = P.functionals()
+    c = [_dot(x, W[n]) for n in idx]
+    ct = [_dot(P.Tau[:, n], wx) for n in idx]
     first = sum((a * b for a, b in zip(c, ct)), 0j)
-    second = sum((c[i] * sip(P.Tau[:, n], P.Omega[:, k], p) * ct[j]
+    second = sum((c[i] * _dot(P.Tau[:, n], W[k]) * ct[j]
                   for i, n in enumerate(idx) for j, k in enumerate(idx)), 0j)
     return first, second
 
@@ -165,7 +175,8 @@ def parseval_identity_residual(P: SipPair, M, x) -> float:
     if not P.is_parseval():
         raise ValueError("frame operator is not the identity within 1e-8")
     x = linops.as_vector(x)
-    (f_in, s_in), (f_out, s_out) = (_parseval_sums(P, idx, x) for idx in
+    wx = sip_functional(x, P.p)
+    (f_in, s_in), (f_out, s_out) = (_parseval_sums(P, idx, x, wx) for idx in
                                     (_subset(P, M), _complement(P, M)))
     return abs((f_in - s_in) - (f_out - s_out))
 
@@ -177,7 +188,7 @@ def operator_identity_residual(P: SipPair, M) -> float:
     S_M = partial_operator(P, M)
     S_Mc = partial_operator(P, _complement(P, M))
     R = S_M + S_Mc @ S_Mc - S_Mc - S_M @ S_M
-    return float(np.linalg.norm(R, 2))
+    return linops._norm_2(R)
 
 
 @dataclass(frozen=True)
@@ -207,7 +218,9 @@ def lower_bound_check(P: SipPair, M, x) -> LowerBoundReport:
     half = S_M - 0.5 * np.eye(P.d)
     condition_value = sip(half @ half @ x, x, p).real
     condition_holds = condition_value >= -1e-10
-    value = (_parseval_sums(P, M, x)[0] + _parseval_sums(P, Mc, x)[1]).real
+    wx = sip_functional(x, p)
+    value = (_parseval_sums(P, M, x, wx)[0]
+             + _parseval_sums(P, Mc, x, wx)[1]).real
     floor = 0.75 * vec_pnorm(x, p) ** 2
     deficit = max(floor - value, 0.0)
     return LowerBoundReport(condition_value, condition_holds, value, floor,

@@ -3,8 +3,9 @@ Cuntz word algebra, the dense layout of the Cuntz pair and its dump, the
 lemma's polynomials evaluated and their commutator taken densely over
 Fractions, the exact dyadic entries of the corrector's first iterate, the
 corrector's solver as it was written on dicts, the dense fill of a sparse
-product, the dense block layouts of the vsdilate dilations, and random
-Parseval semi-inner-product pairs.
+product, the dense block layouts of the vsdilate dilations, random
+Parseval semi-inner-product pairs, and the sip residuals with one fresh
+duality map per scalar.
 
 The package itself needs none of these; the tests check its word algebra,
 its written pair, its lemma verdicts, its certified first bounds, its
@@ -24,8 +25,9 @@ import numpy as np
 from framekit.cli import dump_word_element
 from framekit.cuntz import _GEN, CuntzElement, SolveResult, _letters, word
 from framekit.errors import ConvergenceError
-from framekit.linops import _Sparse, _form, herm, inverse, is_invertible
-from framekit.sip import SipPair, sip_functional
+from framekit.linops import (_Sparse, _form, as_vector, herm, inverse,
+                             is_invertible, vec_pnorm)
+from framekit.sip import SipPair, _complement, _subset, sip, sip_functional
 
 
 def coeff(e: CuntzElement, left) -> complex:
@@ -504,3 +506,77 @@ def make_parseval(p: float, d: int, m: int, seed: int = 0) -> SipPair:
             break
     Tau = inverse(herm(W) @ W) @ herm(W)
     return SipPair(p, Omega, Tau)
+
+
+# --- sip residuals, one duality map per scalar ------------------------------
+#
+# Each [v, y] is a fresh sip(v, y, p), and each partial operator builds all
+# m maps again: the residuals as written before SipPair kept its maps.
+
+
+def _maps(P: SipPair) -> np.ndarray:
+    return np.vstack([sip_functional(P.Omega[:, n], P.p) for n in range(P.m)])
+
+
+def partial_loop(P: SipPair, M) -> np.ndarray:
+    idx = _subset(P, M)
+    W = _maps(P)
+    if not idx:
+        return np.zeros((P.d, P.d), dtype=complex)
+    return P.Tau[:, idx] @ W[idx, :]
+
+
+def general_identity_loop(P: SipPair, M, x) -> float:
+    x = as_vector(x)
+    Sinv = inverse(P.Tau @ _maps(P))
+    p = P.p
+
+    def side(idx):
+        first = sum(sip(x, P.Omega[:, n], p) * sip(P.Tau[:, n], x, p)
+                    for n in idx)
+        u = Sinv @ partial_loop(P, idx) @ x
+        w = sum((sip(u, P.Omega[:, n], p) * (Sinv @ P.Tau[:, n])
+                 for n in range(P.m)),
+                np.zeros(P.d, dtype=complex))
+        second = sip(partial_loop(P, idx) @ w, x, p)
+        return first - second
+
+    return abs(side(_subset(P, M)) - side(_complement(P, M)))
+
+
+def _parseval_sums_loop(P: SipPair, idx: list, x: np.ndarray) -> tuple:
+    p = P.p
+    c = [sip(x, P.Omega[:, n], p) for n in idx]
+    ct = [sip(P.Tau[:, n], x, p) for n in idx]
+    first = sum((a * b for a, b in zip(c, ct)), 0j)
+    second = sum((c[i] * sip(P.Tau[:, n], P.Omega[:, k], p) * ct[j]
+                  for i, n in enumerate(idx) for j, k in enumerate(idx)), 0j)
+    return first, second
+
+
+def parseval_identity_loop(P: SipPair, M, x) -> float:
+    """Without the Parseval precondition, which the tests check apart."""
+    x = as_vector(x)
+    (f_in, s_in), (f_out, s_out) = (_parseval_sums_loop(P, idx, x) for idx
+                                    in (_subset(P, M), _complement(P, M)))
+    return abs((f_in - s_in) - (f_out - s_out))
+
+
+def operator_identity_loop(P: SipPair, M) -> float:
+    S_M = partial_loop(P, M)
+    S_Mc = partial_loop(P, _complement(P, M))
+    R = S_M + S_Mc @ S_Mc - S_Mc - S_M @ S_M
+    return float(np.linalg.norm(R, 2))
+
+
+def lower_bound_loop(P: SipPair, M, x) -> tuple:
+    """(condition_value, value, floor) of the 3/4 lower bound."""
+    x = as_vector(x)
+    p = P.p
+    M = _subset(P, M)
+    Mc = _complement(P, M)
+    half = partial_loop(P, M) - 0.5 * np.eye(P.d)
+    condition_value = sip(half @ half @ x, x, p).real
+    value = (_parseval_sums_loop(P, M, x)[0]
+             + _parseval_sums_loop(P, Mc, x)[1]).real
+    return condition_value, value, 0.75 * vec_pnorm(x, p) ** 2
