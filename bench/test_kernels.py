@@ -6,8 +6,10 @@ perfbench's pairscan workload;
 the exact Ando grid and standard dilation, built and checked over their
 whole horizon as block forms; the Cuntz lemma, whose products run the
 generic sparse product on polynomial entries with int coefficients; the
-Cuntz corrector's certified bound recursion; and ovf's triple
-falsification over every prefix of every sample.
+Cuntz corrector's certified bound recursion; ovf's triple
+falsification over every prefix of every sample; the three semi-inner-
+product residuals at perfbench's sweep shape and at d = 10, m = 40; and
+the `cuntz obstruction` verb at dim 5 over 1,000 sampled pairs.
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 
@@ -15,12 +17,14 @@ Inputs are fixed and seeded. Each benchmark checks its result, so that a
 kernel that stops early cannot read as fast.
 """
 
+import contextlib
+import io
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from framekit import cuntz, linops, ovf
+from framekit import cli, cuntz, linops, ovf, sip
 from framekit.metricframe import (
     DIST_TOL,
     MetricSample,
@@ -147,3 +151,42 @@ def test_ovf_perturb_triple(benchmark, m, r):
     got = benchmark(ovf.perturb_certificate, ovf.OvfPair(A, A), B, "triple",
                     gamma=gamma, samples=256, seed=1)
     assert got.valid and got.detail["samples"] == 256
+
+
+def parseval_pair(d, m, seed):
+    """A Parseval pair at p = 3: tau_n solved so the frame operator is
+    the identity."""
+    rng = np.random.default_rng(seed)
+    Omega = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+    W = np.vstack([sip.sip_functional(Omega[:, n], 3.0) for n in range(m)])
+    Wh = linops.herm(W)
+    return sip.SipPair(3.0, Omega, linops.inverse(Wh @ W) @ Wh)
+
+
+def lower_bound_deficit(P, M, x):
+    return sip.lower_bound_check(P, M, x).deficit
+
+
+@pytest.mark.parametrize("residual", [sip.general_identity_residual,
+                                      sip.parseval_identity_residual,
+                                      lower_bound_deficit])
+@pytest.mark.parametrize("d, m", [(3, 5), (10, 40)])
+def test_sip_residual(benchmark, residual, d, m):
+    # sip identity, parseval and lower34 on every other index, the pair's
+    # construction (its m duality maps) included
+    P = parseval_pair(d, m, 8)
+    x = np.random.default_rng(9).standard_normal(d) + 0j
+    M = list(range(0, m, 2))
+    got = benchmark(lambda: residual(sip.SipPair(3.0, P.Omega, P.Tau), M, x))
+    assert 0.0 <= got < 1e-8
+
+
+def test_cuntz_obstruction_dim5(benchmark):
+    # the whole verb, argv to report: 1,000 pairs drawn in four stacks;
+    # exit 0 means no pair came closer to I than distance 1
+    def verb():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(["cuntz", "obstruction", "--dim", "5",
+                             "--trials", "1000", "--json"])
+
+    assert benchmark(verb) == 0

@@ -4,8 +4,8 @@ lemma's polynomials evaluated and their commutator taken densely over
 Fractions, the exact dyadic entries of the corrector's first iterate, the
 corrector's solver as it was written on dicts, the dense fill of a sparse
 product, the dense block layouts of the vsdilate dilations, random
-Parseval semi-inner-product pairs, and the sip residuals with one fresh
-duality map per scalar.
+Parseval semi-inner-product pairs, the sip residuals with one fresh
+duality map per scalar, and the Cuntz obstruction drawn one trial at a time.
 
 The package itself needs none of these; the tests check its word algebra,
 its written pair, its lemma verdicts, its certified first bounds, its
@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from framekit.cli import dump_word_element
-from framekit.cuntz import _GEN, CuntzElement, SolveResult, _letters, word
+from framekit.cuntz import (_GEN, CuntzElement, SolveResult, _letters,
+                            finite_obstruction, word)
 from framekit.errors import ConvergenceError
 from framekit.linops import (_Sparse, _form, as_vector, herm, inverse,
                              is_invertible, vec_pnorm)
@@ -580,3 +581,17 @@ def lower_bound_loop(P: SipPair, M, x) -> tuple:
     value = (_parseval_sums_loop(P, M, x)[0]
              + _parseval_sums_loop(P, Mc, x)[1]).real
     return condition_value, value, 0.75 * vec_pnorm(x, p) ** 2
+
+
+# --- the Cuntz obstruction, one trial at a time ----------------------------
+
+
+def obstruction_loop(dim: int, trials: int, seed) -> float:
+    """min ||[D, X] - I||_2 over trials pairs, D and then X drawn per trial."""
+    rng = np.random.default_rng(seed)
+    worst = float("inf")
+    for _ in range(trials):
+        D = rng.standard_normal((dim, dim))
+        X = rng.standard_normal((dim, dim))
+        worst = min(worst, finite_obstruction(D, X))
+    return worst

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framekit import cuntz
+from framekit import cli, cuntz, linops
 from framekit.cuntz import (
     U,
     V,
@@ -33,6 +36,7 @@ from oracles import (
     dense_word_matrix,
     first_iterate_entry,
     kernel_entry,
+    obstruction_loop,
     poly_value,
     solve_b_dicts,
     sparse_product,
@@ -851,3 +855,51 @@ def test_finite_obstruction_shape_mismatch():
         finite_obstruction(np.zeros((2, 2)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
         finite_obstruction(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def _min_distance(dim: int, trials: int, seed: int) -> float:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["cuntz", "obstruction", "--dim", str(dim), "--trials",
+                         str(trials), "--seed", str(seed), "--json"])
+    assert code == 0
+    return json.loads(out.getvalue())["result"]["min_distance"]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_obstruction_draws_equal_the_trial_loop(dim):
+    # the chunked stack draws one D and then one X per trial, as the loop
+    # does; trial counts on both sides of one and two chunks
+    step = linops.CHUNK // (2 * dim * dim)
+    for seed, trials in enumerate((1, step - 1, step, step + 1, 2 * step + 7)):
+        got = _min_distance(dim, trials, seed)
+        assert got.hex() == obstruction_loop(dim, trials, seed).hex()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 40])
+def test_finite_obstruction_stack_equals_each_pair(dim):
+    rng = np.random.default_rng(dim)
+    shape = (7, dim, dim)
+    D = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    X = rng.standard_normal(shape)
+    got = finite_obstruction(D, X)
+    assert got.shape == (7,)
+    assert [v.hex() for v in got.tolist()] == [
+        finite_obstruction(D[k], X[k]).hex() for k in range(7)]
+    assert finite_obstruction(D[:, None], X[:, None]).shape == (7, 1)
+
+
+def test_finite_obstruction_of_one_pair_is_a_float():
+    got = finite_obstruction(np.eye(3), np.diag([1.0, 2.0, 3.0]))
+    assert type(got) is float and got == 1.0
+
+
+def test_obstruction_memory_is_bounded_by_the_chunk():
+    # 2,000 pairs at dim 40 drawn at once would take 51 MB
+    tracemalloc.start()
+    try:
+        _min_distance(40, 2000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -1,9 +1,20 @@
+import contextlib
+import io
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from framekit import hframe, linops
-from oracles import make_parseval
+import framekit.sip
+from framekit import cli, hframe, linops
+from oracles import (
+    general_identity_loop,
+    lower_bound_loop,
+    make_parseval,
+    operator_identity_loop,
+    parseval_identity_loop,
+)
 
 from framekit.sip import (
     LowerBoundReport,
@@ -344,3 +355,121 @@ def test_make_parseval_solves_to_identity():
 def test_mismatched_shapes_rejected():
     with pytest.raises(ValueError):
         SipPair(2, np.eye(3), np.eye(2))
+
+
+# --- one duality map per vector, bit for bit -------------------------------
+
+
+def _bits(z) -> tuple:
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _outcome(f, *args):
+    """The hex digits of f's result, or the name of what it raised."""
+    try:
+        got = f(*args)
+    except ValueError as err:  # NotInvertible is one too
+        return type(err).__name__
+    if isinstance(got, tuple):
+        return tuple(_bits(v) for v in got)
+    return _bits(got)
+
+
+def _lower_bound(P, M, x) -> tuple:
+    rep = lower_bound_check(P, M, x)
+    return rep.condition_value, rep.value, rep.floor
+
+
+def assert_residuals_equal_the_loops(P, M, x):
+    checks = [(general_identity_residual, general_identity_loop, (P, M, x))]
+    parseval = [
+        (parseval_identity_residual, parseval_identity_loop, (P, M, x)),
+        (operator_identity_residual, operator_identity_loop, (P, M)),
+        (_lower_bound, lower_bound_loop, (P, M, x))]
+    if P.is_parseval():
+        checks += parseval
+    else:
+        for f, _, args in parseval:
+            assert _outcome(f, *args) == "ValueError"
+    for f, loop, args in checks:
+        assert _outcome(f, *args) == _outcome(loop, *args)
+
+
+@st.composite
+def sip_cases(draw):
+    """A pair, a subset and an x: Parseval pairs and plain ones, with an
+    omega column and x possibly zero, at scales 2^-500, 1 and 2^500."""
+    d, m = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    p = draw(st.sampled_from([1.2, 1.5, 3.0, 7.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero = draw(st.sampled_from([None, *range(m)]))
+    live = m - (zero is not None)
+    if live >= d and draw(st.booleans()):
+        P = make_parseval(p, d, live, int(rng.integers(2**32)))
+        Omega, Tau = P.Omega, P.Tau
+    else:
+        Omega, Tau = (rng.standard_normal((d, live))
+                      + 1j * rng.standard_normal((d, live)) for _ in "ot")
+    if zero is not None:
+        # a zero omega_n adds nothing to the frame operator
+        Omega = np.insert(Omega, zero, 0.0, axis=1)
+        Tau = np.insert(Tau, zero, rng.standard_normal(d), axis=1)
+    s = draw(st.sampled_from([2.0 ** -500, 1.0, 2.0 ** 500]))
+    M = draw(st.one_of(st.just([]), st.just(list(range(m))),
+                       st.lists(st.integers(0, m - 1), unique=True)))
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    if draw(st.booleans()):
+        x = 0.0 * x
+    return SipPair(p, s * Omega, Tau / s), M, s * x
+
+
+@settings(max_examples=200, deadline=None)
+@given(sip_cases())
+def test_residuals_equal_one_map_per_scalar(case):
+    # every [v, omega_n] and [tau_n, x] is the sum a fresh sip() takes, on
+    # the maps SipPair keeps: equal hex digits, or the same refusal
+    assert_residuals_equal_the_loops(*case)
+
+
+@pytest.mark.parametrize("d, m", [(3, 5), (10, 40)])
+def test_residuals_equal_one_map_per_scalar_at_bench_shapes(d, m):
+    # d = 10 sums rows of more than eight entries
+    P = make_parseval(3.0, d, m, seed=d)
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    for M in (range(0, m, 2), [1], []):
+        assert_residuals_equal_the_loops(P, list(M), x)
+    assert_residuals_equal_the_loops(random_pair(d, d, m, 1.5), [0, 2], x)
+
+
+def test_functionals_are_read_only():
+    P = random_pair(0, 3, 4, 3.0)
+    assert P.functionals() is P.functionals()
+    with pytest.raises(ValueError):
+        P.functionals()[0, 0] = 1.0
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+
+
+@pytest.mark.parametrize("name, subset", [("sip", "0,2"),
+                                          ("sip_d4", "0,3,4,9")])
+@pytest.mark.parametrize("verb", ["identity", "parseval", "lower34"])
+def test_verbs_compute_m_plus_three_maps_at_most(monkeypatch, name, subset,
+                                                 verb):
+    # the pair's m maps, then x's map and, in lower34, the sign
+    # condition's [v, x]: a map per scalar would take 47 at m = 5
+    calls = []
+    real = framekit.sip.sip_functional
+
+    def counted(y, p):
+        calls.append(1)
+        return real(y, p)
+
+    monkeypatch.setattr(framekit.sip, "sip_functional", counted)
+    path = os.path.join(GOLDEN, f"{name}.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sip", verb, "--in", path, "--subset", subset,
+                         "--seed", "1"]) == 0
+    assert len(calls) <= cli.load_json(path)["Omega"]["cols"] + 3
