@@ -9,9 +9,9 @@ families (omega_n, tau_n) act through partial operators
 S_M x = sum_{n in M} [x, omega_n] tau_n; the module checks the resulting
 identities and the 3/4 lower bound.
 
-A SipPair computes its duality maps w_n = [., omega_n] once and a check the
-map of its x once: m + O(1) maps and O(m^2) dot products, each the sum sip()
-takes, so the bits equal those of a fresh sip() per scalar.
+A SipPair computes its duality maps w_n = [., omega_n] once, so a check takes
+m + O(1) maps and O(m^2) dot products, each the sum sip() takes: the bits of
+a fresh sip() per scalar.
 """
 
 from __future__ import annotations
