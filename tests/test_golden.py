@@ -66,6 +66,9 @@ REPORTS = [
      "0.1", "--samples", "16", "--seed", "2"],
     ["pasf", "check", "--in", PASF],
     ["pasf", "check", "--in", _in("pasf_square"), "--seed", "1"],
+    # p = 3, d = 8, m = 10 (standard normal, seed 0): the ||S||_p ascent
+    # runs to its 60-iteration cap
+    ["pasf", "check", "--in", _in("pasf_d8")],
     ["pasf", "check", "--in", _in("pasf_singular")],
     ["pasf", "dual", "--in", PASF],
     ["pasf", "alldual", "--in", PASF, "--u", _in("pasf_u"), "--v",
