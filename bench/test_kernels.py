@@ -4,12 +4,14 @@ table, the sample constructor on a line table (no scan) and on a metric
 that is not one (full scan), and the row p-norm, at the shapes of
 perfbench's pairscan workload;
 the exact Ando grid and standard dilation, built and checked over their
-whole horizon as block forms; the Cuntz lemma, whose products run the
-generic sparse product on polynomial entries with int coefficients; the
-Cuntz corrector's certified bound recursion; ovf's triple
-falsification over every prefix of every sample; the three semi-inner-
-product residuals at perfbench's sweep shape and at d = 10, m = 40; and
-the `cuntz obstruction` verb at dim 5 over 1,000 sampled pairs.
+whole horizon as block forms; the certified ||S||_p interval on
+certify's 32 x 32 frame operator; the Cuntz lemma, whose products run
+the generic sparse product on polynomial entries with int coefficients;
+the written Cuntz pair and its dump at n = 40; the Cuntz corrector's
+certified bound recursion; ovf's triple falsification over every prefix
+of every sample; the three semi-inner-product residuals at perfbench's
+sweep shape and at d = 10, m = 40; and the `cuntz obstruction` verb at
+dim 5 over 1,000 sampled pairs.
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 
@@ -93,6 +95,31 @@ def test_pnorm_rows_p3(benchmark):
     assert r.shape == (409,) and np.all(r > 0)
 
 
+def frame_operator_32(seed):
+    """S = T F of a 32 x 40 pair whose factors keep their singular values
+    within a ratio of 0.05, as pasf check reads in perfbench's certify."""
+    rng = np.random.default_rng(seed)
+
+    def conditioned(rows, cols):
+        while True:
+            M = rng.standard_normal((rows, cols))
+            s = np.linalg.svd(M, compute_uv=False)
+            if s[-1] > 0.05 * s[0]:
+                return M
+
+    F = conditioned(40, 32)
+    return conditioned(32, 40) @ F
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_opnorm_interval_certify_32(benchmark, p):
+    # the ||S||_p interval: the interpolation bound and the dual-norm
+    # ascent from 18 starts, most of which run many of their 60 steps
+    S = frame_operator_32(7)
+    iv = benchmark(linops.opnorm_interval, S, p, 3)
+    assert 0.0 < iv.lo <= iv.hi
+
+
 # A 3 x 3 rational T with denominators 2, 3, 5 and 7, and S = T^2 - 3T,
 # which commutes with it: the cost of the grid grows with (horizon + 1)^2
 # cells, each checked against a product of powers.
@@ -129,6 +156,19 @@ def test_cuntz_lemma_structure_n40(benchmark, mu):
     # D X and X D of the triangular pair at n = 40 over _Poly, mu and delta
     # symbols, at the four scales of perfbench's certify builds
     assert benchmark(cuntz.lemma_structure, 40, Fraction(mu)).ok
+
+
+def test_cuntz_dx_matrices_dump_n40(benchmark):
+    # cuntz build's written pair at n = 40: the word elements of D and X
+    # laid out, then dumped as the report's two n x n tables
+    sol = cuntz.solve_b(40)
+
+    def build_and_dump():
+        D, X = cuntz.dx_matrices(sol, 0.4)
+        return cli.dump_word_matrix(D), cli.dump_word_matrix(X)
+
+    D, X = benchmark(build_and_dump)
+    assert D["n"] == X["n"] == 40 and len(D["entries"][39]) == 40
 
 
 @pytest.mark.parametrize("n", [21, 33, 40])

@@ -521,11 +521,11 @@ def dump_word_element(e) -> list:
 
 
 def dump_word_matrix(M) -> dict:
-    """A square sparse form of word elements, [] in each empty cell."""
-    n = M.shape[0]
+    """A square sparse form of word elements, one shared [] per empty cell."""
+    n, empty = M.shape[0], []
     entries = []
     for row in M.rows:
-        cells = [[] for _ in range(n)]
+        cells = [empty] * n
         for j, e in row:
             cells[j] = dump_word_element(e)
         entries.append(cells)

@@ -29,6 +29,7 @@ from .errors import ConvergenceError
 from .linops import NormInterval, _norm_2, _norms2, _Sparse
 
 WORD_PRUNE = 1e-14
+_UNIT = ((), 0, 0)  # the key of _Poly's unit, coefficient 1
 _GEN = ("u", "v")
 
 
@@ -56,11 +57,22 @@ class CuntzElement:
                 t[key] = t.get(key, 0j) + c
         self.table = {k: c for k, c in t.items() if c != 0}
 
+    @staticmethod
+    def _of(table: dict) -> "CuntzElement":
+        """The element of a table as __init__ leaves one: nonzero complex
+        coefficients, none with a part -0.0 (0j + c turns one into 0.0),
+        as none is in a sum of two of them."""
+        out = object.__new__(CuntzElement)
+        out.table = table
+        return out
+
     def __add__(self, other: "CuntzElement") -> "CuntzElement":
         t = dict(self.table)
         for k, c in other.table.items():
-            t[k] = t.get(k, 0j) + c
-        return CuntzElement(t)
+            t[k] = t[k] + c if k in t else c
+            if not t[k]:
+                del t[k]
+        return CuntzElement._of(t)
 
     def __neg__(self) -> "CuntzElement":
         return CuntzElement({k: -c for k, c in self.table.items()})
@@ -70,7 +82,9 @@ class CuntzElement:
 
     def __mul__(self, other):
         if not isinstance(other, CuntzElement):
-            return CuntzElement({k: c * complex(other) for k, c in self.table.items()})
+            z = complex(other)
+            return CuntzElement._of({k: v for k, c in self.table.items()
+                                     if (v := 0j + c * z)})
         t: dict = {}
         for (w1, s1), c1 in self.table.items():
             for (w2, s2), c2 in other.table.items():
@@ -289,8 +303,17 @@ class _Poly(dict):
         return self + -other if other else self
 
     def __mul__(self, other: "_Poly") -> "_Poly":
+        # the unit gives the other factor itself, two terms one term
         if not self or not other:
             return _Poly()
+        if len(other) == 1 and other.get(_UNIT) == 1:
+            return self
+        if len(self) == 1 and self.get(_UNIT) == 1:
+            return other
+        if len(self) == len(other) == 1:
+            ((wa, ia, ja), ca), = self.items()
+            ((wb, ib, jb), cb), = other.items()
+            return _Poly._of({(wa + wb, ia + ib, ja + jb): ca * cb})
         out = _Poly._of(())
         for (wa, ia, ja), ca in self.items():
             for (wb, ib, jb), cb in other.items():

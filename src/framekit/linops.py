@@ -150,10 +150,11 @@ def _norm_rows(X: np.ndarray) -> np.ndarray:
     return np.sqrt(dots(X))
 
 
-def _pnorm_rows(X: np.ndarray, p: float) -> np.ndarray:
+def _pnorm_rows(X: np.ndarray, p: float, v=None) -> np.ndarray:
     """_pnorm of every row of X, bit for bit: the same operations row by
-    row, each row's sum reduced on its own."""
-    v = np.abs(X)
+    row, each row's sum reduced on its own.  v is np.abs(X), for a caller
+    that already holds it."""
+    v = np.abs(X) if v is None else v
     if p == 2:
         r = _norm_rows(v)
     elif p == 1:
@@ -162,6 +163,8 @@ def _pnorm_rows(X: np.ndarray, p: float) -> np.ndarray:
         r = v.max(axis=1)  # the norm for p = inf
         if not math.isinf(p):
             ok = (r != 0) & (r != math.inf)
+            if ok.all():
+                ok = slice(None)
             s = np.power(v[ok] / r[ok, None], p).sum(axis=1)
             r[ok] *= np.float_power(s, 1.0 / p)  # libm pow, as float ** is
     for row in X[~np.isfinite(r)]:
@@ -169,18 +172,20 @@ def _pnorm_rows(X: np.ndarray, p: float) -> np.ndarray:
     return r
 
 
-def _dual_rows(Y: np.ndarray, p: float, q: float) -> np.ndarray:
+def _dual_rows(Y: np.ndarray, p: float, q: float, ay=None) -> np.ndarray:
     """For every row y of Y, g with <g, y> = ||y||_p and ||g||_q = 1, for a
-    finite p and q = dual_exponent(p); a zero row gives a zero row."""
-    ay = np.abs(Y)
+    finite p and q = dual_exponent(p); a zero row gives a zero row.  ay is
+    np.abs(Y), for a caller that already holds it."""
+    ay = np.abs(Y) if ay is None else ay
     live = ay.any(axis=1)
     if not live.all():
         G = np.zeros_like(Y)
         if live.any():
-            G[live] = _dual_rows(Y[live], p, q)
+            G[live] = _dual_rows(Y[live], p, q, ay[live])
         return G
     pos = ay > 0
-    phase = np.where(pos, Y / np.where(pos, ay, 1.0), 0.0)
+    phase = Y / ay if pos.all() else np.where(pos, Y / np.where(pos, ay, 1.0),
+                                              0.0)
     if p == 1:
         return phase
     G = phase * (ay / ay.max(axis=1, keepdims=True)) ** (p - 1.0)
@@ -213,24 +218,28 @@ def _ascent_lower(A: np.ndarray, p: float, seed: int) -> float:
     nx = _pnorm_rows(X, p)
     X, nx = X[nx != 0], nx[nx != 0]
     Y = _apply_rows(A, X / nx[:, None])
-    val = _pnorm_rows(Y, p)
-    done = [0.0]  # the value each start stops at
+    ay = np.abs(Y)
+    val = _pnorm_rows(Y, p, ay)
+    done = [0.0]  # the value each start stops at, in any order (see max)
     for _ in range(60):
         if not len(val):
             break
-        Z = _apply_rows(Ah, _dual_rows(Y, p, q))
-        go = np.abs(Z).any(axis=1)
-        done += val[~go].tolist()
-        X = _dual_rows(Z[go], q, q_dual).conj()
-        nx, val = _pnorm_rows(X, p), val[go]
+        # a zero row of A* g gives a zero iterate, which stops below
+        Z = _apply_rows(Ah, _dual_rows(Y, p, q, ay))
+        X = _dual_rows(Z, q, q_dual).conj()
+        nx = _pnorm_rows(X, p)
         go = nx != 0
-        done += val[~go].tolist()
-        val = val[go]
-        Y = _apply_rows(A, X[go] / nx[go, None])
-        val_new = _pnorm_rows(Y, p)
+        if not go.all():
+            done += val[~go].tolist()
+            X, nx, val = X[go], nx[go], val[go]
+        Y = _apply_rows(A, X / nx[:, None])
+        ay = np.abs(Y)
+        val_new = _pnorm_rows(Y, p, ay)
         go = ~(val_new <= val * (1 + 1e-14))
-        done += np.where(val_new > val, val_new, val)[~go].tolist()
-        Y, val = Y[go], val_new[go]
+        if not go.all():
+            done += np.where(val_new > val, val_new, val)[~go].tolist()
+            Y, ay, val_new = Y[go], ay[go], val_new[go]
+        val = val_new
     return max(done + val.tolist())
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops
-from .errors import HypothesisViolated, NotADual
+from .errors import HypothesisViolated, NotADual, NotInvertible
 from .linops import (NormInterval, Perturbation, _falsify, inverse,
                      opnorm_interval, opnorm_upper, vec_pnorm)
 
@@ -76,12 +76,14 @@ class PasfCheck:
 
 def check(P: PAsf, seed: int = 0) -> PasfCheck:
     """Frame bounds as certified intervals: the lower bound is the
-    reciprocal of the ||S^(-1)||_p interval, the upper is the ||S||_p
-    interval."""
-    upper = opnorm_interval(P.frame_operator, P.p, seed=seed)
-    if not P.is_pasf():
+    reciprocal of the ||S^(-1)||_p interval (none when ``inverse`` finds
+    S singular), the upper is the ||S||_p interval."""
+    S = P.frame_operator
+    upper = opnorm_interval(S, P.p, seed=seed)
+    try:
+        inv_iv = opnorm_interval(inverse(S), P.p, seed=seed)
+    except NotInvertible:
         return PasfCheck(False, None, upper)
-    inv_iv = opnorm_interval(inverse(P.frame_operator), P.p, seed=seed)
     lower = NormInterval(1.0 / inv_iv.hi, 1.0 / inv_iv.lo)
     return PasfCheck(True, lower, upper)
 

@@ -10,8 +10,9 @@ S_M x = sum_{n in M} [x, omega_n] tau_n; the module checks the resulting
 identities and the 3/4 lower bound.
 
 A SipPair computes its duality maps w_n = [., omega_n] once, so a check takes
-m + O(1) maps and O(m^2) dot products, each the sum sip() takes: the bits of
-a fresh sip() per scalar.
+m + 1 maps and O(m^2) dot products: each [v, y] is _dot(v, w), the sum
+(v * w).sum() with w = sip_functional(y, p), the bits of a fresh map per
+scalar.
 """
 
 from __future__ import annotations
@@ -25,18 +26,6 @@ from . import linops
 from .linops import inverse, vec_pnorm
 
 PARSEVAL_TOL = 1e-8
-
-
-def sip(x, y, p) -> complex:
-    """The canonical semi-inner product [x, y] on l^p, p > 1."""
-    p = float(p)
-    if not p > 1 or math.isinf(p):
-        raise ValueError("the semi-inner product needs 1 < p < inf")
-    x = linops.as_vector(x)
-    w = sip_functional(y, p)
-    if x.size != w.size:
-        raise ValueError("vectors must share a dimension")
-    return _dot(x, w)
 
 
 def _dot(v: np.ndarray, w: np.ndarray) -> complex:  # [v, y], w the map at y
@@ -153,14 +142,16 @@ def general_identity_residual(P: SipPair, M, x) -> float:
     return abs(side(_subset(P, M)) - side(_complement(P, M)))
 
 
-def _parseval_sums(P: SipPair, idx: list, x, wx) -> tuple:
+def _parseval_sums(P: SipPair, idx: list, x, wx, second=True) -> tuple:
     """The two sums of the Parseval identities over idx: sum_{n in idx}
-    [x,w_n][t_n,x] and sum_{n,k in idx} [x,w_n][t_n,w_k][t_k,x]; wx is the
-    duality map at x."""
+    [x,w_n][t_n,x] and sum_{n,k in idx} [x,w_n][t_n,w_k][t_k,x], or None
+    for the second when it is not asked for; wx is the duality map at x."""
     W = P.functionals()
     c = [_dot(x, W[n]) for n in idx]
     ct = [_dot(P.Tau[:, n], wx) for n in idx]
     first = sum((a * b for a, b in zip(c, ct)), 0j)
+    if not second:
+        return first, None
     second = sum((c[i] * _dot(P.Tau[:, n], W[k]) * ct[j]
                   for i, n in enumerate(idx) for j, k in enumerate(idx)), 0j)
     return first, second
@@ -216,10 +207,10 @@ def lower_bound_check(P: SipPair, M, x) -> LowerBoundReport:
     Mc = _complement(P, M)
     S_M = partial_operator(P, M)
     half = S_M - 0.5 * np.eye(P.d)
-    condition_value = sip(half @ half @ x, x, p).real
-    condition_holds = condition_value >= -1e-10
     wx = sip_functional(x, p)
-    value = (_parseval_sums(P, M, x, wx)[0]
+    condition_value = _dot(linops.as_vector(half @ half @ x), wx).real
+    condition_holds = condition_value >= -1e-10
+    value = (_parseval_sums(P, M, x, wx, second=False)[0]
              + _parseval_sums(P, Mc, x, wx)[1]).real
     floor = 0.75 * vec_pnorm(x, p) ** 2
     deficit = max(floor - value, 0.0)

@@ -4,8 +4,9 @@ lemma's polynomials evaluated and their commutator taken densely over
 Fractions, the exact dyadic entries of the corrector's first iterate, the
 corrector's solver as it was written on dicts, the dense fill of a sparse
 product, the dense block layouts of the vsdilate dilations, random
-Parseval semi-inner-product pairs, the sip residuals with one fresh
-duality map per scalar, and the Cuntz obstruction drawn one trial at a time.
+Parseval semi-inner-product pairs, the semi-inner product itself and the
+sip residuals with one fresh duality map per scalar, and the Cuntz
+obstruction drawn one trial at a time.
 
 The package itself needs none of these; the tests check its word algebra,
 its written pair, its lemma verdicts, its certified first bounds, its
@@ -28,7 +29,8 @@ from framekit.cuntz import (_GEN, CuntzElement, SolveResult, _letters,
 from framekit.errors import ConvergenceError
 from framekit.linops import (_Sparse, _form, as_vector, herm, inverse,
                              is_invertible, vec_pnorm)
-from framekit.sip import SipPair, _complement, _subset, sip, sip_functional
+from framekit.sip import (SipPair, _complement, _dot, _subset,
+                          sip_functional)
 
 
 def coeff(e: CuntzElement, left) -> complex:
@@ -513,6 +515,19 @@ def make_parseval(p: float, d: int, m: int, seed: int = 0) -> SipPair:
 #
 # Each [v, y] is a fresh sip(v, y, p), and each partial operator builds all
 # m maps again: the residuals as written before SipPair kept its maps.
+
+
+def sip(x, y, p) -> complex:
+    """The canonical semi-inner product [x, y] on l^p, p > 1, one fresh
+    duality map at y per call."""
+    p = float(p)
+    if not p > 1 or math.isinf(p):
+        raise ValueError("the semi-inner product needs 1 < p < inf")
+    x = as_vector(x)
+    w = sip_functional(y, p)
+    if x.size != w.size:
+        raise ValueError("vectors must share a dimension")
+    return _dot(x, w)
 
 
 def _maps(P: SipPair) -> np.ndarray:

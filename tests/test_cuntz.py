@@ -645,6 +645,81 @@ def test_poly_shortcuts_equal_the_plain_dict_loop(a, b):
     assert (dict(a), dict(b)) == before  # operands are never changed
 
 
+POLY_UNIT = cuntz._Poly({((), 0, 0): 1})
+# the unit, scalar monomials c mu^i delta^j (c = 1 at (0, 0) is the unit,
+# c = -1 there is not), one-term words and sums of up to three terms
+ring_polys = st.one_of(
+    st.just(POLY_UNIT), st.just(cuntz._Poly()),
+    st.builds(lambda c, i, j: cuntz._Poly({((), i, j): c}),
+              st.sampled_from([-2, -1, 1, 3]), st.integers(-1, 1),
+              st.integers(-1, 1)),
+    polys)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_polys, ring_polys, st.booleans())
+def test_poly_products_by_the_unit_and_one_term_equal_the_double_loop(
+        a, b, cancel):
+    # with cancel, b is -a: the sum cancels to the empty polynomial
+    if cancel:
+        b = -a
+    before = (list(a.items()), list(b.items()))
+    for op, got, want in (("*", a * b, plain_product(a, b)),
+                          ("+", a + b, plain_sum(a, b, 1)),
+                          ("-", a - b, plain_sum(a, b, -1))):
+        assert type(got) is cuntz._Poly, op
+        assert got == want and all(got.values()), op
+    assert (list(a.items()), list(b.items())) == before
+    if POLY_UNIT in (a, b) and a and b:  # the other factor, shared
+        assert a * b is (a if b == POLY_UNIT else b)
+    assert (a + b == {}) == (not a + b)
+
+
+def bits(e: CuntzElement) -> list:
+    """The table of e with the key order and every coefficient's bits,
+    the sign of a zero part included."""
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in e.table.items()]
+
+
+def init_scalar_product(x: CuntzElement, s) -> CuntzElement:
+    return CuntzElement({k: c * complex(s) for k, c in x.table.items()})
+
+
+def init_sum(x: CuntzElement, y: CuntzElement) -> CuntzElement:
+    t = dict(x.table)
+    for k, c in y.table.items():
+        t[k] = t.get(k, 0j) + c
+    return CuntzElement(t)
+
+
+signed_elements = st.dictionaries(
+    st.tuples(CUNTZ_WORDS, CUNTZ_WORDS),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5, 0.3, -1 / 3, 1e-300,
+                     cuntz.WORD_PRUNE, -cuntz.WORD_PRUNE, 2.0 - 1.5j,
+                     complex(-0.0, -1.0), complex(-2.0, 0.0)]),
+    max_size=4).map(CuntzElement)
+
+
+@settings(max_examples=400, deadline=None)
+@given(signed_elements, signed_elements,
+       st.sampled_from([0, 1, -1, -3.0, 0.5, 1e-300, 1e300, -0.0, 2j,
+                        -1 - 1j, cuntz.WORD_PRUNE]),
+       st.booleans())
+def test_element_scalar_products_and_sums_equal_the_init_path(x, y, s,
+                                                              cancel):
+    # zero coefficients are dropped where __init__ drops them, products
+    # whose part is -0.0 read 0.0 as through __init__, and a term of
+    # size WORD_PRUNE or below is kept: the prune is the element product's
+    if cancel:
+        y = init_sum(-x, y)
+    before = (bits(x), bits(y))
+    assert bits(x * s) == bits(init_scalar_product(x, s))
+    assert bits(s * x) == bits(init_scalar_product(x, s))
+    assert bits(x + y) == bits(init_sum(x, y))
+    assert bits(x - y) == bits(init_sum(x, -y))
+    assert (bits(x), bits(y)) == before
+
+
 def test_poly_results_drop_the_terms_that_cancel():
     # the operations skip the zero filter where no key meets another;
     # where keys meet, a cancelled term is dropped, and a zero scalar

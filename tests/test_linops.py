@@ -234,6 +234,49 @@ def test_batched_ascent_equals_the_per_start_loop(seed, p, kind):
     assert got.hex() == want.hex()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1.2, 1.5, 3.0, 7.5]),
+       st.sampled_from(["zero_rows", "scattered"]))
+def test_batched_ascent_equals_the_per_start_loop_on_zero_entries(seed, p,
+                                                                  kind):
+    # a zero row of A puts an exact zero in every A x, and zeros scattered
+    # through A put them in some A x and some A* g: the phase then takes
+    # the masked path, and elsewhere y / |y|
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(2, 12)), int(rng.integers(1, 12))
+    A = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    if kind == "zero_rows":
+        A[::2] = 0
+    else:
+        A[rng.random((m, d)) < 0.4] = 0
+    with np.errstate(all="ignore"):
+        want = per_start_ascent(A, p, seed)
+        got = linops._ascent_lower(A, p, seed)
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_batched_ascent_equals_the_per_start_loop_at_the_cap(p, monkeypatch):
+    # S = T F of a d = 8, m = 10 standard-normal pair (seed 0): at p = 3
+    # some start still gains after 60 steps, so the ascent stops at its
+    # cap (one product for the starts and two per step)
+    rng = np.random.default_rng(0)
+    F, T = rng.standard_normal((10, 8)), rng.standard_normal((8, 10))
+    S = linops.as_matrix(T @ F)
+    calls = []
+    real = linops._apply_rows
+
+    def counted(A, X):
+        calls.append(len(X))
+        return real(A, X)
+
+    monkeypatch.setattr(linops, "_apply_rows", counted)
+    got = linops._ascent_lower(S, p, 0)
+    assert got.hex() == per_start_ascent(S, p, 0).hex()
+    if p == 3.0:
+        assert len(calls) == 1 + 2 * 60 and calls[-1] >= 1
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_vec_pnorm_of_an_overflowing_modulus_is_inf(p):
     # |1.5e308 + 1.5e308j| overflows; the norm is inf, as for p = 1 and 2

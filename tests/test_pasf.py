@@ -62,6 +62,37 @@ def test_check_flags_singular_pair():
     assert not rep.is_pasf and rep.lower is None
 
 
+@pytest.mark.parametrize("singular", [False, True])
+def test_check_forms_the_frame_operator_and_decides_invertibility_once(
+        singular, monkeypatch):
+    # the intervals as they were taken with S formed three times and its
+    # singular values taken in is_pasf and again in inverse
+    P = random_pasf(4, 3, 6, 3.0)
+    if singular:
+        P = PAsf(3.0, P.F, np.vstack([P.T[:2], 0 * P.T[2]]))
+    S = P.T @ P.F
+    upper = linops.opnorm_interval(S, 3.0, seed=2)
+    lower = None
+    if linops.is_invertible(S):
+        iv = linops.opnorm_interval(linops.inverse(S), 3.0, seed=2)
+        lower = (1.0 / iv.hi, 1.0 / iv.lo)
+    forms, svds = [], []
+    frame_operator = PAsf.frame_operator.fget
+    singular_extremes = linops.singular_extremes
+    monkeypatch.setattr(PAsf, "frame_operator", property(
+        lambda Q: forms.append(1) or frame_operator(Q)))
+    monkeypatch.setattr(linops, "singular_extremes",
+                        lambda A: svds.append(1) or singular_extremes(A))
+    rep = check(P, seed=2)
+    assert (len(forms), len(svds)) == (1, 1)
+    assert rep.is_pasf is (lower is not None) is (not singular)
+    assert (rep.upper.lo.hex(), rep.upper.hi.hex()) == (upper.lo.hex(),
+                                                        upper.hi.hex())
+    if lower is not None:
+        assert (rep.lower.lo.hex(), rep.lower.hi.hex()) == tuple(
+            x.hex() for x in lower)
+
+
 def test_projection_is_idempotent():
     for seed, p in ((3, 1), (4, 2), (5, 2.5)):
         P = random_pasf(seed, 3, 7, p)

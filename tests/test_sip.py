@@ -14,6 +14,7 @@ from oracles import (
     make_parseval,
     operator_identity_loop,
     parseval_identity_loop,
+    sip,
 )
 
 from framekit.sip import (
@@ -24,7 +25,6 @@ from framekit.sip import (
     operator_identity_residual,
     parseval_identity_residual,
     partial_operator,
-    sip,
     sip_functional,
 )
 
@@ -458,8 +458,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "inputs")
 @pytest.mark.parametrize("verb", ["identity", "parseval", "lower34"])
 def test_verbs_compute_m_plus_three_maps_at_most(monkeypatch, name, subset,
                                                  verb):
-    # the pair's m maps, then x's map and, in lower34, the sign
-    # condition's [v, x]: a map per scalar would take 47 at m = 5
+    # the pair's m maps, then x's map, which lower34's sign condition
+    # [v, x] reads too: a map per scalar would take 47 at m = 5
     calls = []
     real = framekit.sip.sip_functional
 
@@ -472,4 +472,28 @@ def test_verbs_compute_m_plus_three_maps_at_most(monkeypatch, name, subset,
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["sip", verb, "--in", path, "--subset", subset,
                          "--seed", "1"]) == 0
-    assert len(calls) <= cli.load_json(path)["Omega"]["cols"] + 3
+    m = cli.load_json(path)["Omega"]["cols"]
+    assert len(calls) <= m + (1 if verb == "lower34" else 3)
+
+
+def test_lower34_takes_only_the_sums_it_reads(monkeypatch):
+    # d = 10, m = 40, M every other index: [x, w_n] and [t_n, x] over M
+    # for the first sum, the same over the complement and its 20 x 20
+    # [t_n, w_k] for the second, and one [v, x] for the sign condition
+    # (881 when both sums were taken over both halves)
+    P = make_parseval(3.0, 10, 40, seed=5)
+    x = np.random.default_rng(6).standard_normal(10) + 0j
+    M = list(range(0, 40, 2))
+    want = lower_bound_loop(P, M, x)
+    calls = []
+    real = framekit.sip._dot
+
+    def counted(v, w):
+        calls.append(1)
+        return real(v, w)
+
+    monkeypatch.setattr(framekit.sip, "_dot", counted)
+    rep = lower_bound_check(P, M, x)
+    assert len(calls) == 2 * 20 + 2 * 20 + 20 * 20 + 1
+    got = (rep.condition_value, rep.value, rep.floor)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
