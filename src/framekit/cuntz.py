@@ -60,8 +60,8 @@ class CuntzElement:
     @staticmethod
     def _of(table: dict) -> "CuntzElement":
         """The element of a table as __init__ leaves one: nonzero complex
-        coefficients, none with a part -0.0 (0j + c turns one into 0.0),
-        as none is in a sum of two of them."""
+        coefficients with no part -0.0 (its 0j + c makes one 0.0, and a
+        sum of two such coefficients has none)."""
         out = object.__new__(CuntzElement)
         out.table = table
         return out

@@ -164,7 +164,7 @@ def _pnorm_rows(X: np.ndarray, p: float, v=None) -> np.ndarray:
         if not math.isinf(p):
             ok = (r != 0) & (r != math.inf)
             if ok.all():
-                ok = slice(None)
+                ok = slice(None)  # every row, as a view
             s = np.power(v[ok] / r[ok, None], p).sum(axis=1)
             r[ok] *= np.float_power(s, 1.0 / p)  # libm pow, as float ** is
     for row in X[~np.isfinite(r)]:
@@ -220,7 +220,9 @@ def _ascent_lower(A: np.ndarray, p: float, seed: int) -> float:
     Y = _apply_rows(A, X / nx[:, None])
     ay = np.abs(Y)
     val = _pnorm_rows(Y, p, ay)
-    done = [0.0]  # the value each start stops at, in any order (see max)
+    # the value each start stops at; their order is immaterial, as max
+    # passes over a nan anywhere after the first value 0.0
+    done = [0.0]
     for _ in range(60):
         if not len(val):
             break

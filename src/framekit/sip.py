@@ -142,15 +142,15 @@ def general_identity_residual(P: SipPair, M, x) -> float:
     return abs(side(_subset(P, M)) - side(_complement(P, M)))
 
 
-def _parseval_sums(P: SipPair, idx: list, x, wx, second=True) -> tuple:
+def _parseval_sums(P: SipPair, idx: list, x, wx, both=True) -> tuple:
     """The two sums of the Parseval identities over idx: sum_{n in idx}
-    [x,w_n][t_n,x] and sum_{n,k in idx} [x,w_n][t_n,w_k][t_k,x], or None
-    for the second when it is not asked for; wx is the duality map at x."""
+    [x,w_n][t_n,x] and sum_{n,k in idx} [x,w_n][t_n,w_k][t_k,x] (None in
+    place of the second unless both); wx is the duality map at x."""
     W = P.functionals()
     c = [_dot(x, W[n]) for n in idx]
     ct = [_dot(P.Tau[:, n], wx) for n in idx]
     first = sum((a * b for a, b in zip(c, ct)), 0j)
-    if not second:
+    if not both:
         return first, None
     second = sum((c[i] * _dot(P.Tau[:, n], W[k]) * ct[j]
                   for i, n in enumerate(idx) for j, k in enumerate(idx)), 0j)
@@ -210,7 +210,7 @@ def lower_bound_check(P: SipPair, M, x) -> LowerBoundReport:
     wx = sip_functional(x, p)
     condition_value = _dot(linops.as_vector(half @ half @ x), wx).real
     condition_holds = condition_value >= -1e-10
-    value = (_parseval_sums(P, M, x, wx, second=False)[0]
+    value = (_parseval_sums(P, M, x, wx, both=False)[0]
              + _parseval_sums(P, Mc, x, wx)[1]).real
     floor = 0.75 * vec_pnorm(x, p) ** 2
     deficit = max(floor - value, 0.0)
