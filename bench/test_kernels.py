@@ -9,9 +9,11 @@ certify's 32 x 32 frame operator; the Cuntz lemma, whose products run
 the generic sparse product on polynomial entries with int coefficients;
 the written Cuntz pair and its dump at n = 40; the Cuntz corrector's
 certified bound recursion; ovf's triple falsification over every prefix
-of every sample; the three semi-inner-product residuals at perfbench's
-sweep shape and at d = 10, m = 40; and the `cuntz obstruction` verb at
-dim 5 over 1,000 sampled pairs.
+of every sample; ovf's group table of the built-in C_4; the three
+semi-inner-product residuals at perfbench's sweep shape and at d = 10,
+m = 40; the `cuntz obstruction` verb at dim 5 over 1,000 sampled pairs;
+and the per-call floor of `cli.main`, in process, on a small verb and on
+a usage error.
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 
@@ -193,6 +195,16 @@ def test_ovf_perturb_triple(benchmark, m, r):
     assert got.valid and got.detail["samples"] == 256
 
 
+def test_ovf_group_table_c4(benchmark):
+    # ovf group --rep c4: unitarity, every product against every element
+    # and the identity, by one stacked 2-norm per element
+    labels, _, mul, inv = benchmark(ovf._group_table,
+                                    cli.parse_group_rep("c4"))
+    k = np.arange(4)
+    assert labels == (0, 1, 2, 3)
+    assert (mul == (k[:, None] + k) % 4).all() and (inv == -k % 4).all()
+
+
 def parseval_pair(d, m, seed):
     """A Parseval pair at p = 3: tau_n solved so the frame operator is
     the identity."""
@@ -230,3 +242,27 @@ def test_cuntz_obstruction_dim5(benchmark):
                              "--trials", "1000", "--json"])
 
     assert benchmark(verb) == 0
+
+
+def main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_cuntz_solve_n4(benchmark):
+    # the per-call floor on a verb whose own work is small: parse, solve
+    # at n = 4, the report and its canonical JSON
+    code, out, err = benchmark(main_outcome,
+                               ["cuntz", "solve", "--n", "4", "--json"])
+    assert code == 0 and err == ""
+    assert out.startswith('{"checks":') and out.endswith('"status":"pass"}\n')
+
+
+def test_main_usage_error(benchmark):
+    # hframe bounds without --in: refused by the verb's parser, exit 2
+    code, out, err = benchmark(main_outcome, ["hframe", "bounds"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: the following arguments are required: "
+                          "--in\nusage: framekit hframe bounds ")

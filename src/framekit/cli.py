@@ -441,7 +441,7 @@ def parse_ovf_stack(obj, shape, where: str) -> np.ndarray:
 def parse_group_rep(source: str) -> dict:
     if source == "c4":
         R = np.array([[0.0, -1.0], [1.0, 0.0]])
-        return {k: np.linalg.matrix_power(R, k) for k in range(4)}
+        return dict(enumerate(framekit.linops._powers(R, 4)))
     obj = _fields(load_json(source), "rep file", "labels", "matrices")
     matrices = _matrices(obj["matrices"], "matrices")
     labels = obj["labels"]
@@ -647,11 +647,12 @@ def cmd_hframe_algorithm(cfg: argparse.Namespace, R: ReportBuilder):
     rng = np.random.default_rng(cfg.seed)
     h = vector_arg(cfg.h, F.d, rng, "--h")
     iterates, rho = framekit.hframe.frame_algorithm(F, h, iters)
-    hn = float(np.linalg.norm(h))
-    worst = max(float(np.linalg.norm(hk - h)) - rho ** (k + 1) * hn
+    norm = framekit.linops._vec_norm
+    hn = norm(h)
+    worst = max(norm(hk - h) - rho ** (k + 1) * hn
                 for k, hk in enumerate(iterates))
     R.result.update({"rho": rho, "iterations": iters,
-                     "final_error": float(np.linalg.norm(iterates[-1] - h))})
+                     "final_error": norm(iterates[-1] - h)})
     R.check("error envelope ||h_k - h|| <= rho^k ||h||", "theorem",
             max(worst, 0.0), slack)
 
@@ -677,7 +678,7 @@ def cmd_hframe_identity(cfg: argparse.Namespace, R: ReportBuilder):
         R.check("frame identity, Parseval form", "theorem",
                 rep.parseval_residual, tol)
     if rep.lower_bound_value is not None:
-        floor = 0.75 * float(np.linalg.norm(h)) ** 2
+        floor = 0.75 * framekit.linops._vec_norm(h) ** 2
         R.result.update({"lower_bound_value": rep.lower_bound_value,
                          "lower_bound_floor": floor})
         R.check("3/4 lower bound", "theorem",
@@ -1406,8 +1407,10 @@ def build_parser() -> argparse.ArgumentParser:
     verbs = {name: groups.add_parser(name, help=text).add_subparsers(
                  dest="verb", required=True)
              for name, text in _GROUP_HELP.items()}
+    top._verbs = {}  # (group, verb) -> its subparser, for main
     for (group, verb), (needs_in, options) in _OPTIONS.items():
-        sub = verbs[group].add_parser(verb, parents=[shared])
+        sub = top._verbs[group, verb] = verbs[group].add_parser(
+            verb, parents=[shared])
         if needs_in:
             sub.add_argument("--in", dest="in_path", required=True,
                              metavar="FILE", help="input JSON file")
@@ -1463,8 +1466,15 @@ def run(args: argparse.Namespace) -> tuple:
 
 
 def main(argv=None) -> int:
+    """Runs one command line and returns its exit status. A verb's own
+    subparser parses it; the tree serves only help and bad commands."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        if sub := _parser()._verbs.get(tuple(argv[:2])):
+            args, extra = sub.parse_known_args(
+                argv[2:], argparse.Namespace(group=argv[0], verb=argv[1]))
+        if not sub or extra:  # the tree refuses a word left over
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -262,6 +262,14 @@ def _norm_2(A: np.ndarray) -> float:
     return float(_norms2(A))
 
 
+def _vec_norm(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x))
+
+
+def _powers(A: np.ndarray, n: int) -> list:
+    return [np.linalg.matrix_power(A, k) for k in range(n)]
+
+
 def opnorm_upper(A, p) -> float:
     """Certified upper bound for the operator norm of A on the p-norm.
 

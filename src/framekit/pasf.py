@@ -63,9 +63,6 @@ class PAsf:
         """The idempotent P_{f,tau} = F S^(-1) T on coefficient space."""
         return self.F @ inverse(self.frame_operator) @ self.T
 
-    def is_pasf(self) -> bool:
-        return linops.is_invertible(self.frame_operator)
-
 
 @dataclass(frozen=True)
 class PasfCheck:

@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -13,6 +15,7 @@ from framekit import cli, cuntz, hframe, linops, ovf, pasf, vsdilate
 from framekit.cli import dump_frame, dump_matrix, dump_ovf, dump_pasf, main
 from framekit.errors import CertifiedFailure
 from oracles import bump, make_parseval
+from test_golden import GOLDEN, REPORTS, USAGE
 
 
 INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -157,6 +160,83 @@ def test_main_builds_the_parser_at_most_once(capsys, mercedes, monkeypatch):
         assert run(capsys, ["hframe", "bounds", "--in", mercedes])[0] == 0
     assert len(built) <= 1
     assert real() is not real()  # build_parser itself makes a fresh tree
+
+
+def _tree_main(top, argv) -> int:
+    """main as it was when the whole tree parsed every argv."""
+    try:
+        args = top.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        code, report = cli.run(args)
+        payload = cli.canonical(report)
+        text = payload if args.json else cli.render_text(report)
+    except cli.CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    print(text, flush=True)
+    return code
+
+
+def _outcome(fn, argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = fn(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+FRAME = "inputs/frame.json"
+MALFORMED = [
+    ["hframe", "bounds", "--in", FRAME, "--bogus"],
+    ["hframe", "bounds", "--in", FRAME, "stray"],
+    ["hframe", "bounds", "--in", FRAME, "stray", "--bogus", "1"],
+    ["--json", "hframe", "bounds", "--in", FRAME],
+    ["hframe", "--json", "bounds", "--in", FRAME],
+    ["-h"],
+    ["hframe", "-h"],
+    ["hframe", "bounds", "-h"],
+    ["hframe", "bounds", "--in", FRAME, "--json", "--help"],
+    ["hframe", "bounds", "--in"],
+    ["hframe", "bounds", f"--in={FRAME}", "--json"],
+    ["hframe", "bounds", "--in", FRAME, "--"],
+    ["hframe", "bounds", "--", "--in", FRAME],
+    ["hframe", "bounds", "--in", FRAME, "--tol", "1", "--tol", "1e-30",
+     "--json"],
+    ["hframe", "bounds", "--in", FRAME, "--j"],
+    ["hframe"],
+    ["hframe", "check", "--in", FRAME],
+    ["pasf", "bounds", "--in", FRAME],
+    ["cuntz", "solve", "--n", "4", "--n", "x"],
+]
+
+
+@pytest.fixture(scope="module")
+def tree():
+    return cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [a for argv in REPORTS
+                                  for a in (argv, argv + ["--json"])]
+                         + USAGE + MALFORMED, ids=" ".join)
+def test_main_prints_what_the_whole_tree_printed(argv, tree, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    assert _outcome(main, argv) == _outcome(
+        functools.partial(_tree_main, tree), argv)
+
+
+def test_a_known_verb_never_walks_the_tree(monkeypatch):
+    top, walks = cli._parser(), []
+    real = top.parse_known_args
+    monkeypatch.setattr(top, "parse_known_args",
+                        lambda *a, **k: walks.append(a) or real(*a, **k))
+    monkeypatch.chdir(GOLDEN)
+    first = {tuple(argv[:2]): argv for argv in reversed(REPORTS)}
+    for argv in first.values():
+        assert _outcome(main, argv)[0] in (0, 1)
+    assert walks == []
+    assert _outcome(main, ["hframe", "nosuch"])[0] == 2
+    assert len(walks) == 1  # the counter sees the tree's own walk
 
 
 MATH_MODULES = ("cuntz", "hframe", "linops", "metricframe", "multiplier",

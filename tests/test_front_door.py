@@ -20,9 +20,6 @@ import framekit
 SRC = pathlib.Path(framekit.__file__).parent
 
 ALLOWED = {
-    ("cli", "cmd_hframe_algorithm", "norm"): 3,
-    ("cli", "cmd_hframe_identity", "norm"): 1,
-    ("cli", "parse_group_rep", "matrix_power"): 1,
     ("hframe", "frame_identity_residuals", "norm"): 1,
     ("hframe", "parsevalize", "eigh"): 1,
     ("ovf", "_range_basis", "svd"): 1,

@@ -30,7 +30,7 @@ def random_pasf(seed, d, m, p):
         F = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
         T = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
         P = PAsf(p, F, T)
-        if P.is_pasf():
+        if linops.is_invertible(P.frame_operator):
             return P
 
 
