@@ -43,6 +43,21 @@ FRAME, MERCEDES, PASF, MULT, OVF, VST = (
     _in("frame"), _in("mercedes"), _in("pasf"), _in("multiplier"),
     _in("ovf"), _in("vs_t"))
 
+
+def _overflow(*mode) -> list:
+    """The four verbs that form T^2 on diag(1, 1e200) and diag(1e200, 1),
+    whose second power holds 1e400, past the largest double."""
+    return [["vsdilate", verb, "--in", _in(f"vs_overflow_{where}"), *opts,
+             *mode]
+            for where in ("last", "first")
+            for verb, *opts in (("ndilate", "--n", "3"),
+                                ("standard", "--horizon", "3"),
+                                ("sznagy", "--window", "3"),
+                                ("intertwine", "--other",
+                                 _in(f"vs_overflow_{where}"), "--s",
+                                 _in("vs_eye"), "--horizon", "3"))]
+
+
 # Reports: each argv runs with text output and again with --json.
 REPORTS = [
     ["hframe", "bounds", "--in", FRAME],
@@ -205,6 +220,8 @@ REPORTS = [
      "--horizon", "2"],
     ["vsdilate", "ando", "--in", VST, "--other", _in("vs_nil"),
      "--horizon", "2", "--no-rational"],
+    # the exact field on the inputs whose second power leaves the doubles
+    *_overflow(),
 ]
 
 # Usage errors: exit 2, nothing on stdout.
@@ -277,15 +294,7 @@ USAGE = [
     ["cuntz", "verify", "--mu", "0"],
     # float mode on diag(1, 1e200) and diag(1e200, 1): the second power
     # overflows to infinity, so the residuals meet inf - inf
-    *[["vsdilate", verb, "--in", _in(f"vs_overflow_{where}"), *opts,
-       "--no-rational"]
-      for where in ("last", "first")
-      for verb, *opts in (("ndilate", "--n", "3"),
-                          ("standard", "--horizon", "3"),
-                          ("sznagy", "--window", "3"),
-                          ("intertwine", "--other",
-                           _in(f"vs_overflow_{where}"), "--s", _in("vs_eye"),
-                           "--horizon", "3"))],
+    *_overflow("--no-rational"),
     # a T that is not square, and sizes below the least each verb takes
     ["vsdilate", "halmos", "--in", _in("vs_wide")],
     ["vsdilate", "ndilate", "--in", VST, "--n", "0"],
