@@ -4,7 +4,8 @@ table, the sample constructor on a line table (no scan) and on a metric
 that is not one (full scan), and the row p-norm, at the shapes of
 perfbench's pairscan workload;
 the exact Ando grid and standard dilation, built and checked over their
-whole horizon as block forms; the certified ||S||_p interval on
+whole horizon as block forms, and the Ando grid at horizon 24 on large
+and on 53-bit dyadic entries; the certified ||S||_p interval on
 certify's 32 x 32 frame operator; the Cuntz lemma, whose products run
 the generic sparse product on polynomial entries with int coefficients;
 the written Cuntz pair and its dump at n = 40; the Cuntz corrector's
@@ -143,6 +144,26 @@ def test_ando_dilation_defect(benchmark, horizon):
     assert benchmark(build_and_check) == 0.0
     if horizon == 24 and benchmark.stats is not None:
         assert benchmark.stats.stats.median < ANDO_24_SECONDS
+
+
+# The exact cost grows with the bit size of the entries: ando at horizon
+# 24 on PROBE_T scaled by 2^500, whose 48th powers leave the doubles, and
+# on a T of 53-bit dyadic doubles read as --no-rational reads them.
+BIT_SIZE_T = {
+    "probe_2^500": PROBE_T * 2 ** 500,
+    "doubles": as_exact(np.random.default_rng(3).standard_normal((3, 3)),
+                        rational=False)}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_SIZE_T))
+def test_ando_24_by_bit_size(benchmark, name):
+    T = BIT_SIZE_T[name]
+    S = T @ T - 3 * T
+
+    def build_and_check():
+        return ando_like(T, S, 24).dilation_defect()
+
+    assert benchmark(build_and_check) == 0.0
 
 
 @pytest.mark.parametrize("horizon", [8, 16, 24])

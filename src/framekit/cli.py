@@ -594,7 +594,9 @@ _SIP = (_opt("--p", type=_finite, default=None),
         _opt("--subset", required=True),
         _opt("--x", default=None, help="sample vector, csv"))
 _RATIONAL = _opt("--rational", action=argparse.BooleanOptionalAction,
-                 default=True, help="exact Fraction arithmetic")
+                 default=True, help="take the entries as given; "
+                 "--no-rational rounds each to the nearest double before the "
+                 "exact computation")
 _MU = _opt("--mu", type=_positive, default=0.5)
 _N = _opt("--n", type=int, required=True)
 _HORIZON = _opt("--horizon", type=int, required=True)
@@ -1130,12 +1132,8 @@ def cmd_ovf_perturb(cfg: argparse.Namespace, R: ReportBuilder):
 
 
 # ------------------------------------------------------------ vsdilate
-
-
-def _exact_tol(cfg: argparse.Namespace, T: np.ndarray) -> float:
-    if T.dtype == object:
-        return 0.0
-    return tolerance(cfg, framekit.vsdilate.FLOAT_TOL)
+# Every vsdilate check is exact: residual 0 against tolerance 0, whatever
+# --tol says.
 
 
 def _exact_in(cfg: argparse.Namespace, key: str = None) -> np.ndarray:
@@ -1148,28 +1146,26 @@ def _exact_in(cfg: argparse.Namespace, key: str = None) -> np.ndarray:
 @command("vsdilate", "halmos", _RATIONAL)
 def cmd_vsdilate_halmos(cfg: argparse.Namespace, R: ReportBuilder):
     T = _exact_in(cfg)
-    tol = _exact_tol(cfg, T)
     quad = framekit.vsdilate.halmos(T)
     # the one operator a report writes out, filled out once from its form
-    U = quad.U if T.dtype != object else quad.U.dense(Fraction(0))
+    U = quad.U.dense(Fraction(0))
     R.result.update({"dim": int(U.shape[0]), "U": dump_matrix(U)})
     R.check("compression of U returns T", "theorem",
-            quad.compression_defects(T, 1)[0], tol)
-    R.check("P is idempotent", "theorem", quad.idempotent_defect(), tol)
-    R.check("closed-form inverse of U", "theorem", quad.inverse_defect(), tol)
+            quad.compression_defects(T, 1)[0], 0.0)
+    R.check("P is idempotent", "theorem", quad.idempotent_defect(), 0.0)
+    R.check("closed-form inverse of U", "theorem", quad.inverse_defect(), 0.0)
 
 
 @command("vsdilate", "ndilate", _RATIONAL, _N)
 def cmd_vsdilate_ndilate(cfg: argparse.Namespace, R: ReportBuilder):
     T = _exact_in(cfg)
-    tol = _exact_tol(cfg, T)
     N = cfg.n
     nd = framekit.vsdilate.n_dilation(T, N)
     *inside, (_, beyond) = nd.table
     R.result.update({"horizon": nd.horizon, "table": [
         {"k": k, "defect": dft} for k, dft in nd.table]})
     R.check(f"power dilation exact for k <= {N}", "theorem",
-            max(dft for _, dft in inside), tol)
+            max(dft for _, dft in inside), 0.0)
     R.display.append(f"defect at k = {N + 1} (beyond the horizon): "
                      f"{g(beyond)}")
 
@@ -1178,27 +1174,25 @@ def cmd_vsdilate_ndilate(cfg: argparse.Namespace, R: ReportBuilder):
          _opt("--window", type=int, required=True))
 def cmd_vsdilate_sznagy(cfg: argparse.Namespace, R: ReportBuilder):
     T = _exact_in(cfg)
-    tol = _exact_tol(cfg, T)
     w = cfg.window
     bw = framekit.vsdilate.banded_sznagy(T, w)
     R.result.update({"window": w, "valid_horizon": bw.valid_horizon})
     R.check(f"windowed powers compress exactly for n <= {bw.valid_horizon}",
-            "theorem", bw.compression_defect(), tol)
+            "theorem", bw.compression_defect(), 0.0)
     R.check("V U = I on the interior block columns", "theorem",
-            bw.interior_identity_defect(), tol)
+            bw.interior_identity_defect(), 0.0)
 
 
 @command("vsdilate", "standard", _RATIONAL, _HORIZON)
 def cmd_vsdilate_standard(cfg: argparse.Namespace, R: ReportBuilder):
     T = _exact_in(cfg)
-    tol = _exact_tol(cfg, T)
     K = cfg.horizon
     sd = framekit.vsdilate.standard_dilation(T, K)
     R.result["horizon"] = K
     R.check(f"I T^n = P U^n I for n <= {K}", "theorem",
-            sd.dilation_defect(), tol)
+            sd.dilation_defect(), 0.0)
     R.check("P is idempotent", "theorem",
-            sd.quadruple.idempotent_defect(), tol)
+            sd.quadruple.idempotent_defect(), 0.0)
     R.check("dilation is minimal (orbit spans the space)", "theorem",
             0.0 if sd.minimality_check() else 1.0, 0.0)
 
@@ -1207,15 +1201,14 @@ def cmd_vsdilate_standard(cfg: argparse.Namespace, R: ReportBuilder):
 def cmd_vsdilate_ando(cfg: argparse.Namespace, R: ReportBuilder):
     T = _exact_in(cfg)
     S = _exact_in(cfg, "other")
-    tol = _exact_tol(cfg, T)
     K = cfg.horizon
     gap = framekit.vsdilate.intertwining_gap(T, S)
-    if not R.check("inputs commute: T S = S T", "theorem", gap, tol):
+    if not R.check("inputs commute: T S = S T", "theorem", gap, 0.0):
         return
     ad = framekit.vsdilate.ando_like(T, S, K)
     R.result["horizon"] = K
     R.check(f"joint powers dilate exactly for n, m <= {K}", "theorem",
-            ad.dilation_defect(), tol)
+            ad.dilation_defect(), 0.0)
     R.check("zero-pad identity V U = U V = joint shift", "theorem",
             0.0 if ad.pad_identity_check() else 1.0, 0.0)
 
@@ -1226,17 +1219,16 @@ def cmd_vsdilate_intertwine(cfg: argparse.Namespace, R: ReportBuilder):
     T1 = _exact_in(cfg)
     T2 = _exact_in(cfg, "other")
     S = _exact_in(cfg, "s")
-    tol = _exact_tol(cfg, T1)
     gap = framekit.vsdilate.intertwining_gap(T1, S, T2)
-    if not R.check("inputs intertwine: T1 S = S T2", "theorem", gap, tol):
+    if not R.check("inputs intertwine: T1 S = S T2", "theorem", gap, 0.0):
         return
     lift = framekit.vsdilate.intertwine_lift(T1, T2, S, cfg.horizon)
     R.check("lifted shift identity U1 R = R U2", "theorem",
-            lift.shift_defect, tol)
+            lift.shift_defect, 0.0)
     R.check("lifted projection identity R P2 = P1 R", "theorem",
-            lift.projection_defect, tol)
+            lift.projection_defect, 0.0)
     R.check("lifted embedding identity R I2 = I1 S", "theorem",
-            lift.embedding_defect, tol)
+            lift.embedding_defect, 0.0)
 
 
 @command("vsdilate", "witness", _RATIONAL)

@@ -161,7 +161,7 @@ def frame_identity_residuals(F: HilbertFrame, M, h, mode: str = "auto") -> Ident
         - float(e_out - (np.abs(dual.coefficients(s_out)) ** 2).sum()))
     if not parseval or mode == "general":
         return IdentityReport(general_residual, None, None)
-    norm = np.linalg.norm
+    norm = linops._vec_norm
     parseval_residual = abs(float(e_in - norm(s_in) ** 2)
                             - float(e_out - norm(s_out) ** 2))
     return IdentityReport(general_residual, parseval_residual,

@@ -549,13 +549,11 @@ def _common(A: _Sparse, B: _Sparse) -> tuple:
 
 
 def _form(M: np.ndarray):
-    """M as products take it: an object array read into its sparse form,
-    with one truthiness test per cell; a float array as it is.  The field
-    is the type of M's entries, read off its first cell as ``as_exact``
-    chose it: an array of Fractions is read into ints over the lcm of its
-    denominators, any other object array keeps its entries."""
-    if M.dtype != object:
-        return M
+    """An object array M as products take it: read into its sparse form,
+    with one truthiness test per cell.  The field is the type of M's
+    entries, read off its first cell: an array of Fractions is read into
+    ints over the lcm of its denominators, any other object array keeps
+    its entries."""
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in M.tolist()]
     if not M.size or type(M.flat[0]) is not Fraction:
         return _Sparse(rows, M.shape[1])

@@ -7,19 +7,17 @@ supported sequences, an Ando-like pair of commuting shifts on a grid, the
 intertwining lift between standard dilations, and a trace witness for
 non-similar Halmos dilations.
 
-``as_exact`` chooses the field; every construction keeps it. Rational
-entries are Fractions, so every identity the theorems assert is checked
-with zero residual against tolerance 0; float64 entries serve
-interoperability.  Every operator is a grid of d x d blocks, almost all
-of them 0 or I, and is built as a form from the start by ``_grid``: in
-the rational field a block form (``linops._Sparse``) of its nonzero
-blocks, each a rational form over its own denominator or an int c for
-c I; in float mode the dense float array.  An input such as T is a
-one-block form.  A product passes identity blocks through and skips
-zero blocks, so a check costs one d x d product per pair of blocks that
-meet.  The dataclasses store these forms and the checks multiply them
-as they are; no operator is laid out as a dense Fraction array or read
-back from one.
+The field is the rationals: ``as_exact`` reads every entry as a
+Fraction, so every identity the theorems assert is checked with zero
+residual against tolerance 0.  Every operator is a grid of d x d blocks,
+almost all of them 0 or I, and is built as a form from the start by
+``_grid``: a block form (``linops._Sparse``) of its nonzero blocks, each
+a rational form over its own denominator or an int c for c I.  An input
+such as T is a one-block form.  A product passes identity blocks
+through and skips zero blocks, so a check costs one d x d product per
+pair of blocks that meet.  The dataclasses store these forms and the
+checks multiply them as they are; no operator is laid out as a dense
+Fraction array or read back from one.
 
 Every identity that must hold up to a horizon K reads one walk of each
 side: ``_orbit`` lists x, U x, ..., U^K x by left products and ``_powers``
@@ -29,14 +27,11 @@ The standard and Ando dilations keep the powers their P is built from,
 so their checks read them instead of forming them again.
 
 A residual compares the two sides of an identity with ``_defect`` and
-never forms their difference.  In the rational field two block forms
-are compared block by block (a missing block reads as zero, an int c
-as c I) and two blocks row by row as ints over one denominator, so
-zeros and shared rows cost nothing, only a cell that differs is
-subtracted and the worst gap stays exact until the end.  In float mode
-the residual is numpy's max-abs of the difference, and every reduction,
-within a matrix and over a horizon, propagates NaN, so an overflowed
-power (inf - inf) gives a NaN residual wherever it sits.
+never forms their difference.  Two block forms are compared block by
+block (a missing block reads as zero, an int c as c I) and two blocks
+row by row as ints over one denominator, so zeros and shared rows cost
+nothing, only a cell that differs is subtracted and the worst gap stays
+exact until the end.
 
 The constructions build their maps from any input of the right
 shapes; a hypothesis such as T S = S T is decided once, by the caller,
@@ -46,98 +41,74 @@ construction does.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .linops import _common, _Sparse, _form, _rational
 
-FLOAT_TOL = 1e-12
-
 
 def as_exact(M, rational: bool = True) -> np.ndarray:
-    """2-D matrix with Fraction entries (rational) or float64 entries.
+    """2-D matrix with Fraction entries.
 
     Accepts ints, Fractions, strings like "2/3", and floats (converted to
-    their exact binary value in rational mode); a Fraction is kept as it
-    is. This is the only place the field is chosen: the constructions
-    below take its output and keep it.
+    their exact binary value); a Fraction is kept as it is.  With
+    rational False every entry is first rounded to the nearest double and
+    taken as that double's exact value, Fraction(float(x)); the
+    constructions below are exact either way.
     """
     M = np.asarray(M, dtype=object)
     if M.ndim == 0:
         M = M.reshape(1, 1)
     if M.ndim != 2 or min(M.shape) < 1:
         raise ValueError("expected a nonempty matrix")
-    if not rational:
-        return M.astype(float)
     out = np.empty(M.shape, dtype=object)
     for i in range(M.shape[0]):
         for j in range(M.shape[1]):
             x = M[i, j]
-            out[i, j] = x if type(x) is Fraction else Fraction(x)
+            x = x if type(x) is Fraction else Fraction(x)
+            out[i, j] = x if rational else Fraction(float(x))
     return out
 
 
-def _block(T: np.ndarray):
-    """The form of a matrix as one block: in the rational field the 1 x 1
-    block form of its rational form, no pair when T is zero; in float
-    mode the float array."""
-    if T.dtype != object:
-        return T
+def _block(T: np.ndarray) -> _Sparse:
+    """The form of a matrix as one block: the 1 x 1 block form of its
+    rational form, no pair when T is zero."""
     X = _form(T)
     return _Sparse([[(0, X)] if X else []], 1, block=T.shape)
 
 
-def _eye(like):
-    """The form of the identity on the rows of like, over its field: for
-    a d x d matrix the one block 1, for a block form of n block rows n
-    blocks 1 on the diagonal, and np.eye in float mode."""
+def _eye(like) -> _Sparse:
+    """The form of the identity on the rows of like: for a d x d matrix
+    the one block 1, for a block form of n block rows n blocks 1 on the
+    diagonal."""
     if isinstance(like, np.ndarray):
-        if like.dtype != object:
-            return np.eye(like.shape[0], dtype=like.dtype)
         n, h = 1, like.shape[0]
     else:
         n, h = like.shape[0], like.block[0]
     return _Sparse([[(i, 1)] for i in range(n)], n, block=(h, h))
 
 
-def _grid(blocks: dict, rows: int, cols: int):
+def _grid(blocks: dict, rows: int, cols: int) -> _Sparse:
     """The form of a rows x cols grid of equal-shaped blocks, block (r, c)
     the one-block form blocks[r, c] and every other block zero: the block
-    form holding each block's entry at (r, c) in the rational field, the
-    dense array in float mode."""
+    form holding each block's entry at (r, c)."""
     first = next(iter(blocks.values()))
-    if isinstance(first, np.ndarray):
-        h, w = first.shape
-        out = np.zeros((rows * h, cols * w), dtype=first.dtype)
-        for (r, c), X in blocks.items():
-            out[r * h:(r + 1) * h, c * w:(c + 1) * w] = X
-        return out
     grid = [[] for _ in range(rows)]
     for (r, c), X in sorted(blocks.items()):
         grid[r] += [(c, x) for _, x in X.rows[0]]
     return _Sparse(grid, cols, block=first.block)
 
 
-def max_abs(M) -> float:
-    """Largest |entry| as a float, 0.0 for an empty matrix; numpy's
-    reduction keeps a NaN wherever it sits."""
-    M = np.asarray(M)
-    return float(np.max(np.abs(M))) if M.size else 0.0
-
-
-def _defect(A, B) -> float:
+def _defect(A: _Sparse, B: _Sparse) -> float:
     """max |a - b| over the cells of two forms A and B, as a float: 0.0
-    exactly when A equals B.  Arrays take ``max_abs(A - B)``; forms take
-    the exact ``_gap``, so A - B is never formed."""
+    exactly when A equals B.  ``_gap`` takes it exactly, so A - B is never
+    formed."""
     if A.shape != B.shape:
         raise ValueError(f"cannot compare a {A.shape} matrix with a "
                          f"{B.shape} matrix")
-    if isinstance(A, np.ndarray):
-        return max_abs(A - B)
     return float(_gap(A, B))
 
 
@@ -169,13 +140,6 @@ def _gap(A, B):
             gaps = [_gap(a, b.pop(j, 0)) for j, a in a_row]
             worst = max(worst, *gaps, *(_gap(0, x) for x in b.values()))
     return worst
-
-
-def _worst(defects) -> float:
-    """The largest of the defects; NaN if any is NaN, where ``max`` would
-    keep a NaN only when it comes first."""
-    defects = list(defects)
-    return math.nan if any(map(math.isnan, defects)) else max(defects)
 
 
 def _orbit(U, x, k: int) -> list:
@@ -217,19 +181,16 @@ def intertwining_gap(A: np.ndarray, S: np.ndarray, B=None) -> float:
     return _defect(A @ S, S @ (A if B is None else _form(B)))
 
 
-Form = Union[_Sparse, np.ndarray]  # a block form or a float array
-
-
 @dataclass(frozen=True)
 class DilationQuadruple:
     """(I, U, P): embedding I of V into a direct sum of copies of V,
     dilation map U, idempotent P onto the embedded copy, and U's inverse
     when the construction supplies one in closed form, all as forms."""
 
-    embed: Form
-    U: Form
-    P: Form
-    U_inv: Optional[Form] = None
+    embed: _Sparse
+    U: _Sparse
+    P: _Sparse
+    U_inv: Optional[_Sparse] = None
 
     def compression_defects(self, T: np.ndarray, k: int) -> list:
         """max-abs defects of E^T U^j E - T^j for j = 1..k, where E is
@@ -246,7 +207,7 @@ class DilationQuadruple:
             raise ValueError("no closed-form inverse stored")
         U, V = self.U, self.U_inv
         I = _eye(U)
-        return _worst((_defect(U @ V, I), _defect(V @ U, I)))
+        return max(_defect(U @ V, I), _defect(V @ U, I))
 
 
 def _companion(T: np.ndarray, N: int) -> DilationQuadruple:
@@ -300,9 +261,9 @@ class BandedWindow:
     Powers of U compress to powers of T for n <= w-1 (mass never leaves
     the window)."""
 
-    U: Form
-    V: Form
-    embed: Form
+    U: _Sparse
+    V: _Sparse
+    embed: _Sparse
     window: int
     T: np.ndarray
 
@@ -314,7 +275,7 @@ class BandedWindow:
         """Worst max-abs defect of E^T U^n E - T^n over n = 0..w-1."""
         h, E_T = self.valid_horizon, self.embed.T
         pairs = zip(_orbit(self.U, self.embed, h), _powers(self.T, h))
-        return _worst(_defect(E_T @ col, power) for col, power in pairs)
+        return max(_defect(E_T @ col, power) for col, power in pairs)
 
     def interior_identity_defect(self) -> float:
         """max-abs defect of V U - I on the interior block columns
@@ -358,7 +319,7 @@ class StandardDilation:
         q, K = self.quadruple, self.horizon
         E, P = q.embed, q.P
         pairs = zip(self.powers, _orbit(q.U, E, K))
-        return _worst(_defect(E @ power, P @ col) for power, col in pairs)
+        return max(_defect(E @ power, P @ col) for power, col in pairs)
 
     def minimality_check(self) -> bool:
         """U^n I x over n = 0..horizon spans the truncated space: the
@@ -391,10 +352,10 @@ class AndoDilation:
     Tn and Sm hold the powers of T and S up to the horizon, formed once
     for P and read again by the check."""
 
-    embed: Form
-    U: Form
-    V: Form
-    P: Form
+    embed: _Sparse
+    U: _Sparse
+    V: _Sparse
+    P: _Sparse
     horizon: int
     Tn: list
     Sm: list
@@ -404,7 +365,7 @@ class AndoDilation:
         grid n, m <= horizon."""
         h, E, P, U = self.horizon, self.embed, self.P, self.U
         Tn, Sm = self.Tn, self.Sm
-        return _worst(
+        return max(
             _defect(E @ (Tn[n] @ Sm[m]), P @ cell)
             for m, col in enumerate(_orbit(self.V, E, h))
             for n, cell in enumerate(_orbit(U, col, h)))
@@ -491,5 +452,4 @@ def non_similarity_witness(T: np.ndarray) -> SimilarityWitness:
     # for the first, T and 0 for the second, whose zeros change no sum
     diag = [T[i, i] for i in range(d)]
     t1, tr = sum(diag + diag), sum(diag)
-    conclusive = abs(tr) > (0 if T.dtype == object else FLOAT_TOL)
-    return SimilarityWitness(t1, tr, bool(t1 != tr), bool(conclusive))
+    return SimilarityWitness(t1, tr, bool(t1 != tr), bool(tr != 0))

@@ -152,9 +152,9 @@ def sparse_product(A, B):
 
 
 def filled(X):
-    """A stored operator as a matrix: a float array as it is, a rational
-    or block form filled out with Fraction zeros."""
-    return X if isinstance(X, np.ndarray) else X.dense(Fraction(0))
+    """A stored operator, a rational or block form, as a matrix filled out
+    with Fraction zeros."""
+    return X.dense(Fraction(0))
 
 
 def _cells(X, shape) -> Optional[dict]:
@@ -198,15 +198,11 @@ def _cells(X, shape) -> Optional[dict]:
 
 
 def same_form(X, M) -> bool:
-    """Whether the stored operator X is the dense matrix M.  In float mode
-    X is M's float array, bit for bit.  In the rational field X is a
+    """Whether the stored operator X is the dense matrix M of Fractions: a
     rational form with one pair for each nonzero cell of M, reading that
     cell, or a block form with one entry for each nonzero block of M,
     reading that block: an int c for c I, or a rational form with one
     pair for each nonzero cell of the block (see ``_cells``)."""
-    if M.dtype != object:
-        return (type(X) is np.ndarray and X.dtype == M.dtype
-                and X.shape == M.shape and X.tobytes() == M.tobytes())
     return _cells(X, M.shape) == {(int(i), int(j)): M[i, j]
                                   for i, j in zip(*np.nonzero(M != 0))}
 

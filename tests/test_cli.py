@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framekit import cli, cuntz, hframe, linops, ovf, pasf, vsdilate
 from framekit.cli import dump_frame, dump_matrix, dump_ovf, dump_pasf, main
@@ -750,24 +752,99 @@ def test_vsdilate_noncommuting_ando_fails_cleanly(capsys, tmp_path):
     assert "inputs commute" in out and "FAIL" in out
 
 
-@pytest.mark.parametrize("verb, files", [
-    ("ando", ["--other", "s"]), ("intertwine", ["--other", "s", "--s", "eye"])])
-def test_vsdilate_decides_the_hypothesis_once(capsys, tmp_path, verb, files):
+@pytest.mark.parametrize("verb, files, factor", [
+    ("ando", ["--other", "s"], Fraction(0.1)),
+    ("intertwine", ["--other", "s", "--s", "eye"], 1)],
+    ids=["ando", "intertwine"])
+def test_vsdilate_decides_the_hypothesis_once(capsys, tmp_path, verb, files,
+                                              factor):
     # S is T but for 1 + 1e-9 at (0, 0): the report's gap check alone
-    # decides whether the pair commutes (intertwines through the identity)
+    # decides whether the pair commutes (intertwines through the identity),
+    # exactly, so its gap (that 1e-9 as a double, times the 0.1 of T S for
+    # ando) fails in either mode and at any --tol, and no other check runs
     path = {name: write(tmp_path, f"{name}.json",
                         {"rows": 2, "cols": 2, "re": re})
             for name, re in (("t", [[1, 0.1], [0, 2]]),
                              ("s", [[1 + 1e-9, 0.1], [0, 2]]),
                              ("eye", [[1, 0], [0, 1]]))}
-    argv = (["vsdilate", verb, "--in", path["t"], "--horizon", "2",
-             "--no-rational"] + [path.get(a, a) for a in files])
-    rc, out, err = run(capsys, argv + ["--tol", "1e-6"])
-    assert (rc, err) == (0, "")
-    assert "status: pass" in out
-    rc, out, err = run(capsys, argv)
-    assert (rc, err) == (1, "")
-    assert "residual 1.00000008274e-" in out and "FAIL" in out
+    argv = (["vsdilate", verb, "--in", path["t"], "--horizon", "2"]
+            + [path.get(a, a) for a in files])
+    gap = (Fraction(1 + 1e-9) - 1) * factor
+    for extra in ([], ["--no-rational"], ["--tol", "1e-6"],
+                  ["--no-rational", "--tol", "1e-6"]):
+        rc, out, err = run(capsys, argv + extra)
+        assert (rc, err) == (1, ""), extra
+        assert out.count("[theorem]") == 1
+        assert f"residual {cli.g(float(gap))} vs tol 0 -> FAIL" in out
+
+
+# Entries a --no-rational run rounds to doubles, and ones it keeps: ints
+# (some past 2^53), dyadic floats, "p/q" strings, and doubles such as 0.1,
+# 1e200 and the least subnormal.
+VS_ENTRY = st.one_of(
+    st.integers(-9, 9), st.integers(2 ** 53, 2 ** 60),
+    st.integers(-64, 64).map(lambda k: k / 8),
+    st.fractions(max_denominator=12).map(str),
+    st.sampled_from([0.1, -1 / 3, 1e200, -1e-200, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+VS_ARGS = {"halmos": [], "ndilate": ["--n", "2"], "sznagy": ["--window", "2"],
+           "standard": ["--horizon", "2"],
+           "ando": ["--other", "t.json", "--horizon", "2"],
+           "intertwine": ["--other", "t.json", "--s", "s.json",
+                          "--horizon", "2"],
+           "witness": []}
+
+
+@st.composite
+def vs_inputs(draw):
+    """T and S, square of one size; S is T itself half the time, so that
+    intertwine's lift is reached."""
+    d = draw(st.integers(1, 2))
+    square = st.lists(st.lists(VS_ENTRY, min_size=d, max_size=d),
+                      min_size=d, max_size=d)
+    T = draw(square)
+    return T, T if draw(st.booleans()) else draw(square)
+
+
+def run_in(where, argv):
+    """(exit, stdout, stderr) of main on argv with where as the working
+    directory, so that the report's config names the files as argv does."""
+    out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(where)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        os.chdir(home)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("verb", sorted(VS_ARGS))
+@settings(max_examples=12, deadline=None)
+@given(pair=vs_inputs(), tol=st.sampled_from(["1e-6", "0.5", "1e300"]))
+def test_vsdilate_no_rational_rounds_the_input_to_doubles(
+        tmp_path_factory, verb, pair, tol):
+    # --no-rational reads each entry as the nearest double and then runs
+    # the exact path: its report is that of the doubles' exact values
+    # written out as "p/q" strings, but for config.rational; and --tol
+    # moves no vsdilate report but for config.tol
+    given_dir, rounded_dir = (tmp_path_factory.mktemp(name)
+                              for name in ("given", "rounded"))
+    for name, M in zip(("t", "s"), pair):
+        d = len(M)
+        write(given_dir, f"{name}.json", {"rows": d, "cols": d, "re": M})
+        write(rounded_dir, f"{name}.json", {"rows": d, "cols": d, "re": [
+            [str(Fraction(float(Fraction(x)))) for x in row] for row in M]})
+    argv = ["vsdilate", verb, "--in", "t.json", *VS_ARGS[verb], "--json"]
+    rc, out, err = run_in(given_dir, argv + ["--no-rational"])
+    rc_r, out_r, err_r = run_in(rounded_dir, argv)
+    assert (rc, err) == (rc_r, err_r) and rc in (0, 1)
+    assert out == out_r.replace('"rational":true', '"rational":false', 1)
+    rc_t, out_t, _ = run_in(rounded_dir, argv + ["--tol", tol])
+    report, with_tol = json.loads(out_r), json.loads(out_t)
+    assert rc_t == rc_r and with_tol["config"].pop("tol") == float(tol)
+    assert report["config"].pop("tol") is None and with_tol == report
 
 
 def test_vsdilate_ando_checks_the_whole_grid(capsys, tmp_path, monkeypatch):

@@ -20,7 +20,6 @@ import framekit
 SRC = pathlib.Path(framekit.__file__).parent
 
 ALLOWED = {
-    ("hframe", "frame_identity_residuals", "norm"): 1,
     ("hframe", "parsevalize", "eigh"): 1,
     ("ovf", "_range_basis", "svd"): 1,
     ("ovf", "dilate", "svd"): 1,

@@ -220,8 +220,10 @@ REPORTS = [
      "--horizon", "2"],
     ["vsdilate", "ando", "--in", VST, "--other", _in("vs_nil"),
      "--horizon", "2", "--no-rational"],
-    # the exact field on the inputs whose second power leaves the doubles
+    # inputs whose second power leaves the doubles, in the exact field,
+    # as given and rounded to doubles
     *_overflow(),
+    *_overflow("--no-rational"),
 ]
 
 # Usage errors: exit 2, nothing on stdout.
@@ -292,9 +294,6 @@ USAGE = [
     ["ovf", "perturb", "--in", OVF, "--b", _in("ovf_b"), "--mode", "triple",
      "--alpha", "-0.1"],
     ["cuntz", "verify", "--mu", "0"],
-    # float mode on diag(1, 1e200) and diag(1e200, 1): the second power
-    # overflows to infinity, so the residuals meet inf - inf
-    *_overflow("--no-rational"),
     # a T that is not square, and sizes below the least each verb takes
     ["vsdilate", "halmos", "--in", _in("vs_wide")],
     ["vsdilate", "ndilate", "--in", VST, "--n", "0"],

@@ -213,6 +213,29 @@ def test_identities_on_parseval_frames(seed):
     assert rep.lower_bound_value >= 0.75 * np.linalg.norm(h) ** 2 - 1e-10
 
 
+def test_identity_residuals_keep_the_bits_of_numpys_norm(monkeypatch):
+    # frame_identity_residuals squares linops._vec_norm, a float, where it
+    # squared np.linalg.norm, an np.float64: the two squares are one double
+    # wherever they are finite, so every residual keeps its bits
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(200_000) * 2.0 ** rng.integers(-500, 500, 200_000)
+    assert all((float(v) ** 2).hex() == float(v ** 2).hex() for v in x)
+    cases = []
+    for seed in range(20):
+        d = int(rng.integers(2, 5))
+        F = parsevalize(random_frame(seed, d, int(rng.integers(d, 10))))
+        h = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        cases.append((F, [n for n in range(F.m) if rng.random() < 0.5], h))
+    reports = []
+    for norm in (linops._vec_norm, np.linalg.norm):
+        monkeypatch.setattr(linops, "_vec_norm", norm)
+        reps = [frame_identity_residuals(F, M, h) for F, M, h in cases]
+        reports.append([[float(x).hex() for x in (
+            r.general_residual, r.parseval_residual, r.lower_bound_value)]
+            for r in reps])
+    assert reports[0] == reports[1]
+
+
 def test_general_identity_holds_for_non_parseval_frames():
     F = random_frame(5, 3, 8)
     rng = np.random.default_rng(5)
