@@ -787,10 +787,15 @@ VS_ENTRY = st.one_of(
     st.fractions(max_denominator=12).map(str),
     st.sampled_from([0.1, -1 / 3, 1e200, -1e-200, 5e-324]),
     st.floats(allow_nan=False, allow_infinity=False))
+# entries that no double holds, so that every drawn T rounds
+NOT_A_DOUBLE = st.one_of(
+    st.integers(2 ** 53, 2 ** 60).map(lambda k: 2 * k + 1),
+    st.fractions(max_denominator=12).filter(
+        lambda q: q.denominator not in (1, 2, 4, 8)).map(str))
 
 VS_ARGS = {"halmos": [], "ndilate": ["--n", "2"], "sznagy": ["--window", "2"],
            "standard": ["--horizon", "2"],
-           "ando": ["--other", "t.json", "--horizon", "2"],
+           "ando": ["--other", "s.json", "--horizon", "2"],
            "intertwine": ["--other", "t.json", "--s", "s.json",
                           "--horizon", "2"],
            "witness": []}
@@ -798,12 +803,14 @@ VS_ARGS = {"halmos": [], "ndilate": ["--n", "2"], "sznagy": ["--window", "2"],
 
 @st.composite
 def vs_inputs(draw):
-    """T and S, square of one size; S is T itself half the time, so that
-    intertwine's lift is reached."""
+    """T and S, square of one size, T with one entry that no double
+    holds; S is T itself half the time, so that ando's grid and
+    intertwine's lift are reached."""
     d = draw(st.integers(1, 2))
     square = st.lists(st.lists(VS_ENTRY, min_size=d, max_size=d),
                       min_size=d, max_size=d)
     T = draw(square)
+    T[0][0] = draw(NOT_A_DOUBLE)
     return T, T if draw(st.booleans()) else draw(square)
 
 
@@ -839,11 +846,15 @@ def test_vsdilate_no_rational_rounds_the_input_to_doubles(
     argv = ["vsdilate", verb, "--in", "t.json", *VS_ARGS[verb], "--json"]
     rc, out, err = run_in(given_dir, argv + ["--no-rational"])
     rc_r, out_r, err_r = run_in(rounded_dir, argv)
-    assert (rc, err) == (rc_r, err_r) and rc in (0, 1)
+    assert (rc, err) == (rc_r, err_r)
     assert out == out_r.replace('"rational":true', '"rational":false', 1)
-    rc_t, out_t, _ = run_in(rounded_dir, argv + ["--tol", tol])
+    rc_t, out_t, err_t = run_in(rounded_dir, argv + ["--tol", tol])
+    assert (rc_t, err_t) == (rc_r, err_r)
+    if rc_r == 2:  # a residual past the largest double, refused
+        assert out_r == out_t == ""
+        return
     report, with_tol = json.loads(out_r), json.loads(out_t)
-    assert rc_t == rc_r and with_tol["config"].pop("tol") == float(tol)
+    assert with_tol["config"].pop("tol") == float(tol)
     assert report["config"].pop("tol") is None and with_tol == report
 
 

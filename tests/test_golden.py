@@ -45,8 +45,9 @@ FRAME, MERCEDES, PASF, MULT, OVF, VST = (
 
 
 def _overflow(*mode) -> list:
-    """The four verbs that form T^2 on diag(1, 1e200) and diag(1e200, 1),
-    whose second power holds 1e400, past the largest double."""
+    """The argvs, ending in mode, of the four verbs that form T^2 on
+    diag(1, 1e200) and diag(1e200, 1), whose 1e400 is past the largest
+    double."""
     return [["vsdilate", verb, "--in", _in(f"vs_overflow_{where}"), *opts,
              *mode]
             for where in ("last", "first")
@@ -188,8 +189,8 @@ REPORTS = [
      "--horizon", "4"],
     ["vsdilate", "ando", "--in", _in("vs_half"), "--other", _in("vs_eye"),
      "--horizon", "4", "--no-rational"],
-    # float mode on the verbs whose other records are exact; sznagy's
-    # residual 2.78e-17 moves with any change to the order of a float sum
+    # the verbs whose other records take vs_t's entries as given, here
+    # rounded to doubles (1/3 is not one) and then computed exactly
     ["vsdilate", "witness", "--in", VST, "--no-rational"],
     ["vsdilate", "sznagy", "--in", VST, "--window", "4", "--no-rational"],
     ["vsdilate", "intertwine", "--in", VST, "--other", VST, "--s",

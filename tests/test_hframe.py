@@ -230,7 +230,7 @@ def test_identity_residuals_keep_the_bits_of_numpys_norm(monkeypatch):
     for norm in (linops._vec_norm, np.linalg.norm):
         monkeypatch.setattr(linops, "_vec_norm", norm)
         reps = [frame_identity_residuals(F, M, h) for F, M, h in cases]
-        reports.append([[float(x).hex() for x in (
+        reports.append([[float(value).hex() for value in (
             r.general_residual, r.parseval_residual, r.lower_bound_value)]
             for r in reps])
     assert reports[0] == reports[1]
