@@ -180,6 +180,8 @@ REPORTS = [
     ["vsdilate", "intertwine", "--in", VST, "--other", VST, "--s",
      _in("vs_eye"), "--horizon", "3"],
     ["vsdilate", "witness", "--in", VST],
+    # a nilpotent T: its trace vanishes and the witness is inconclusive
+    ["vsdilate", "witness", "--in", _in("vs_nil")],
     # sizes where the exact products are large and mostly zero
     ["vsdilate", "standard", "--in", VST, "--horizon", "20"],
     ["vsdilate", "standard", "--in", VST, "--horizon", "20", "--no-rational"],
@@ -197,6 +199,8 @@ REPORTS = [
      _in("vs_eye"), "--horizon", "3", "--no-rational"],
     ["vsdilate", "ndilate", "--in", VST, "--n", "2", "--no-rational"],
     ["cuntz", "solve", "--n", "4"],
+    # one iteration stops short of the tolerance: a ConvergenceError
+    ["cuntz", "solve", "--n", "4", "--max-iters", "1"],
     # n = 2 writes the exact b
     ["cuntz", "solve", "--n", "2"],
     ["cuntz", "build", "--n", "3"],
@@ -221,6 +225,9 @@ REPORTS = [
      "--horizon", "2"],
     ["vsdilate", "ando", "--in", VST, "--other", _in("vs_nil"),
      "--horizon", "2", "--no-rational"],
+    # T S and S T differ: the hypothesis fails before the lift
+    ["vsdilate", "intertwine", "--in", VST, "--other", VST, "--s",
+     _in("vs_nil"), "--horizon", "2"],
     # inputs whose second power leaves the doubles, in the exact field,
     # as given and rounded to doubles
     *_overflow(),
@@ -240,12 +247,20 @@ USAGE = [
     ["hframe", "identity", "--in", FRAME],
     ["hframe", "identity", "--in", FRAME, "--subset", "0", "--mode", "bogus"],
     ["hframe", "identity", "--in", FRAME, "--subset", "0,9"],
+    ["sip", "identity", "--in", _in("sip"), "--subset", "0,9"],
     ["multiplier", "continuity", "--in", MULT],
+    # a symbol and vectors both replaced
+    ["multiplier", "continuity", "--in", MULT, "--symbol",
+     "1,1,1,1,1,1,1,1,1,1", "--vectors", _in("multiplier_vectors")],
     ["multiplier", "apply", "--in", MULT, "--point", "7"],
     ["metric", "logframe", "--lo", "0.5"],
     ["vsdilate", "halmos", "--in", _in("vs_bad")],
     ["cuntz", "verify", "--n-range", "10:6"],
     ["cuntz", "build", "--n", "2", "--mu", "0"],
+    # sizes below the least the corrector takes, and no iteration
+    ["cuntz", "solve", "--n", "1"],
+    ["cuntz", "build", "--n", "1"],
+    ["cuntz", "solve", "--n", "4", "--max-iters", "0"],
     # tables that break the triangle inequality through one middle point
     ["metric", "bounds", "--in", _in("sample_bad"), "--family", "log(1)",
      "--terms", "24"],
