@@ -93,6 +93,8 @@ REPORTS = [
     ["pasf", "similar", "--in", PASF, "--other", _in("pasf_dissimilar")],
     ["pasf", "dilate", "--in", PASF],
     ["pasf", "dilate", "--in", _in("pasf_shift")],
+    # added vectors that are not basis vectors
+    ["pasf", "dilate", "--in", _in("pasf_square")],
     ["pasf", "riesz", "--in", _in("pasf_square")],
     ["pasf", "perturb", "--in", PASF, "--omega", _in("pasf_omega")],
     ["pasf", "perturb", "--in", PASF, "--omega", _in("pasf_omega"),
@@ -109,6 +111,12 @@ REPORTS = [
      "--mode", "two_sided", "--g", _in("pasf_g"), "--case", "1",
      "--alpha", "0.05", "--beta", "0.1", "--gamma", "0.02", "--r", "0.1",
      "--s", "0.2", "--t", "0.05"],
+    # p = 1: the exact 1-norms, and the dual exponent inf
+    ["pasf", "perturb", "--in", _in("pasf_p1"), "--omega", _in("pasf_omega")],
+    ["pasf", "perturb", "--in", _in("pasf_p1"), "--omega", _in("pasf_omega"),
+     "--mode", "two_sided", "--g", _in("pasf_g"), "--case", "1",
+     "--alpha", "0.05", "--beta", "0.1", "--gamma", "0.02", "--r", "0.1",
+     "--s", "0.2", "--t", "0.05"],
     ["pasf", "expand", "--in", _in("pasf_weak"), "--other", PASF,
      "--lam", "1.5"],
     ["sip", "identity", "--in", _in("sip"), "--subset", "0,2", "--seed", "6"],
@@ -116,6 +124,12 @@ REPORTS = [
     ["sip", "lower34", "--in", _in("sip"), "--subset", "0,3", "--seed", "6"],
     ["sip", "identity", "--in", _in("sip"), "--subset", "1", "--p", "3",
      "--x", "1,-2,0.5"],
+    # x = 0, whose semi-inner-product functional is 0
+    ["sip", "identity", "--in", _in("sip"), "--subset", "1", "--p", "3",
+     "--x", "0,0,0"],
+    # the whole index set: the complement's partial operator is 0
+    ["sip", "parseval", "--in", _in("sip"), "--subset", "0,1,2,3,4",
+     "--seed", "6"],
     # a Parseval pair at p = 3 with d = 4 and m = 12 (tests/oracles.py's
     # make_parseval(3.0, 4, 12, 3)); on 1,5,7 at seed 0 the sign
     # condition of the 3/4 bound fails
@@ -131,6 +145,9 @@ REPORTS = [
     # is |x - y| + 1): the constructor runs the full triangle scan
     ["metric", "bounds", "--in", _in("sample_offset"), "--family", "log(1)",
      "--terms", "24"],
+    # a family read from a file: multiplier.json's sample and family
+    ["metric", "bounds", "--in", _in("multiplier_sample"), "--family",
+     _in("multiplier_family")],
     ["metric", "logframe", "--points", "25", "--terms", "40", "--seed", "3"],
     # a tail term whose factorial leaves the float range
     ["metric", "logframe", "--points", "10", "--terms", "172"],
@@ -140,6 +157,10 @@ REPORTS = [
     ["multiplier", "tail", "--in", MULT, "--cut", "4"],
     # p = 3: the mixed norm 2 -> 1.5 of the vectors has no exact formula
     ["multiplier", "lip", "--in", _in("multiplier_p3")],
+    # out_norm = 1: the vectors' norm is taken from inf to q
+    ["multiplier", "lip", "--in", _in("multiplier_out1")],
+    # p = 1.5: q = 3 > 2, so the 2 -> q bound interpolates 2 -> 2 and 2 -> inf
+    ["multiplier", "lip", "--in", _in("multiplier_p15")],
     ["multiplier", "tail", "--in", _in("multiplier_p3"), "--cut", "4"],
     ["multiplier", "continuity", "--in", MULT, "--symbol",
      "0.9,0.45,0.225,0.1125,0.05625,0.028125,0.0140625,0.00703125,"
@@ -172,6 +193,8 @@ REPORTS = [
     ["vsdilate", "halmos", "--in", VST],
     ["vsdilate", "halmos", "--in", VST, "--no-rational"],
     ["vsdilate", "ndilate", "--in", VST, "--n", "2"],
+    # a nilpotent T: past the horizon, T^2 = 0 meets a nonzero int block
+    ["vsdilate", "ndilate", "--in", _in("vs_nil"), "--n", "1"],
     ["vsdilate", "sznagy", "--in", VST, "--window", "4"],
     ["vsdilate", "standard", "--in", VST, "--horizon", "3"],
     ["vsdilate", "standard", "--in", VST, "--horizon", "3", "--no-rational"],
