@@ -284,6 +284,9 @@ USAGE = [
     ["cuntz", "solve", "--n", "1"],
     ["cuntz", "build", "--n", "1"],
     ["cuntz", "solve", "--n", "4", "--max-iters", "0"],
+    # arithmetic past the float range, and a report holding an infinity
+    ["cuntz", "build", "--n", "2", "--mu", "1e-300"],
+    ["hframe", "algorithm", "--in", MERCEDES, "--h", "1e308,1e308"],
     # tables that break the triangle inequality through one middle point
     ["metric", "bounds", "--in", _in("sample_bad"), "--family", "log(1)",
      "--terms", "24"],
