@@ -271,6 +271,12 @@ USAGE = [
     ["hframe", "identity", "--in", FRAME, "--subset", "0", "--mode", "bogus"],
     ["hframe", "identity", "--in", FRAME, "--subset", "0,9"],
     ["sip", "identity", "--in", _in("sip"), "--subset", "0,9"],
+    # sip.json at p = 3 is not a Parseval pair
+    ["sip", "parseval", "--in", _in("sip"), "--subset", "1", "--p", "3"],
+    # blocks of the wrong shape, and operators of swapped shapes
+    ["ovf", "perturb", "--in", OVF, "--b", _in("ovf_parseval")],
+    ["pasf", "alldual", "--in", PASF, "--u", _in("pasf_v"), "--v",
+     _in("pasf_u")],
     ["multiplier", "continuity", "--in", MULT],
     # a symbol and vectors both replaced
     ["multiplier", "continuity", "--in", MULT, "--symbol",
