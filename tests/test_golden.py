@@ -86,6 +86,9 @@ REPORTS = [
     # runs to its 60-iteration cap
     ["pasf", "check", "--in", _in("pasf_d8")],
     ["pasf", "check", "--in", _in("pasf_singular")],
+    # p = 1e300, whose dual exponent rounds to 1.0: the ascent's dual map
+    # runs at p = 1
+    ["pasf", "check", "--in", _in("pasf_p1e300")],
     ["pasf", "dual", "--in", PASF],
     ["pasf", "alldual", "--in", PASF, "--u", _in("pasf_u"), "--v",
      _in("pasf_v")],
