@@ -269,8 +269,6 @@ def _matrices(items, where: str) -> list:
 
 def dump_matrix(M) -> dict:
     M = np.asarray(M)
-    if M.ndim == 1:
-        M = M.reshape(-1, 1)
     out = {"rows": int(M.shape[0]), "cols": int(M.shape[1])}
     if M.dtype == object:
         # rational matrices travel as exact strings plus a float view
@@ -510,14 +508,8 @@ def fmt_basis(v: np.ndarray) -> str:
 
 
 def dump_word_element(e) -> list:
-    rows = []
-    for (left, right), c in sorted(e.table.items()):
-        z = complex(c)
-        row = {"left": list(left), "right": list(right), "re": z.real}
-        if z.imag:
-            row["im"] = z.imag
-        rows.append(row)
-    return rows
+    return [{"left": list(left), "right": list(right), "re": complex(c).real}
+            for (left, right), c in sorted(e.table.items())]
 
 
 def dump_word_matrix(M) -> dict:
@@ -1132,8 +1124,8 @@ def cmd_ovf_perturb(cfg: argparse.Namespace, R: ReportBuilder):
 
 
 # ------------------------------------------------------------ vsdilate
-# Every vsdilate check is exact: residual 0 against tolerance 0, whatever
-# --tol says.
+# Every vsdilate check is exact: residual 0 against tolerance 0. No verb
+# here takes --tol.
 
 
 def _exact_in(cfg: argparse.Namespace, key: str = None) -> np.ndarray:
@@ -1383,9 +1375,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    tol = _Parser(add_help=False)
+    tol.add_argument("--tol", type=_nonnegative, default=None,
+                     help="override the default tolerance of the checks")
     shared = _Parser(add_help=False)
-    shared.add_argument("--tol", type=_nonnegative, default=None,
-                        help="override the default tolerance of the checks")
     shared.add_argument("--seed", type=int, default=0,
                         help="seed for any sampling step (recorded)")
     shared.add_argument("--json", action="store_true",
@@ -1401,8 +1394,9 @@ def build_parser() -> argparse.ArgumentParser:
              for name, text in _GROUP_HELP.items()}
     top._verbs = {}  # (group, verb) -> its subparser, for main
     for (group, verb), (needs_in, options) in _OPTIONS.items():
+        # every vsdilate check is exact, so its verbs take no --tol
         sub = top._verbs[group, verb] = verbs[group].add_parser(
-            verb, parents=[shared])
+            verb, parents=[shared] if group == "vsdilate" else [tol, shared])
         if needs_in:
             sub.add_argument("--in", dest="in_path", required=True,
                              metavar="FILE", help="input JSON file")
@@ -1426,7 +1420,7 @@ def config_from(args: argparse.Namespace) -> dict:
     cfg = {"command": f"{args.group} {args.verb}",
            "format": "json" if args.json else "text",
            "in": getattr(args, "in_path", None), "out": args.out,
-           "seed": args.seed, "tol": args.tol}
+           "seed": args.seed, "tol": getattr(args, "tol", None)}
     cfg.update({k: v for k, v in vars(args).items() if k not in _SHARED_KEYS})
     return cfg
 

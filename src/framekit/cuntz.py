@@ -186,8 +186,6 @@ def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     delta = 1.0 / (2000 * n**5)
     js = range(2, n + 1)
     w = [math.sqrt(2.0 - (j * j) / (n * n)) for j in js]
@@ -387,11 +385,7 @@ def lemma_structure(n: int, mu: Optional[Fraction] = None) -> LemmaReport:
     symbols; a cell is equal to what it should be when the two agree in
     that ring, and otherwise when their difference vanishes at the given
     mu and delta = 1/(2000 n^5), evaluated with Fractions."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     mu = Fraction(1 if mu is None else mu)
-    if not mu > 0:
-        raise ValueError("mu must be positive")
     delta = Fraction(1, 2000 * n**5)
     sym = lambda w, i=0, j=0: _Poly._of({(w, i, j): 1})
     b = [f"b{i}" for i in range(1, n + 1)]
@@ -457,8 +451,6 @@ class DXBuild:
 
 
 def build_DX(n: int, mu: float = 0.5, tol: float = 1e-10) -> DXBuild:
-    if not mu > 0:
-        raise ValueError("mu must be positive")
     sol = solve_b(n, tol=tol)
     delta = sol.delta
     B = {i: sol.bounds[i - 1] for i in range(1, n + 1)}
@@ -512,7 +504,5 @@ def finite_obstruction(D, X):
     (..., n, n) stacks; always >= 1 since the commutator is traceless."""
     D = np.atleast_2d(np.asarray(D, dtype=complex))
     X = np.atleast_2d(np.asarray(X, dtype=complex))
-    if D.shape != X.shape or D.shape[-1] != D.shape[-2]:
-        raise ValueError("D and X must be square matrices of equal size")
     C = D @ X - X @ D - np.eye(D.shape[-1])
     return _norm_2(C) if C.ndim == 2 else _norms2(C)

@@ -1,6 +1,7 @@
 """Dense linear-algebra kernel: vector/operator p-norms with certified
-intervals, inverses, Hermitian spectra, the one exact matrix product and
-the one sampled falsification loop.
+intervals, inverses, Hermitian spectra and inverse square roots, ranks and
+orthonormal range bases, the one exact matrix product and the one sampled
+falsification loop.
 
 ``_Sparse`` is the only product of object-dtype matrices in framekit: a
 matrix kept as its rows of nonzero (column, value) pairs.  The exact
@@ -175,7 +176,9 @@ def _pnorm_rows(X: np.ndarray, p: float, v=None) -> np.ndarray:
 def _dual_rows(Y: np.ndarray, p: float, q: float, ay=None) -> np.ndarray:
     """For every row y of Y, g with <g, y> = ||y||_p and ||g||_q = 1, for a
     finite p and q = dual_exponent(p); a zero row gives a zero row.  ay is
-    np.abs(Y), for a caller that already holds it."""
+    np.abs(Y), for a caller that already holds it.  The ascent runs only
+    for p outside {1, 2, inf}, but it also maps by the dual exponent of
+    its p, which is 1.0 once p is past about 2^53: there p = 1 here."""
     ay = np.abs(Y) if ay is None else ay
     live = ay.any(axis=1)
     if not live.all():
@@ -376,9 +379,6 @@ def singular_extremes(A) -> tuple[float, float]:
 
 
 def is_invertible(A) -> bool:
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        return False
     smin, smax = singular_extremes(A)
     return smax > 0 and smin / smax > SINGULAR_RTOL
 
@@ -386,8 +386,6 @@ def is_invertible(A) -> bool:
 def inverse(A) -> np.ndarray:
     """Inverse of a square matrix; singularity decided by sigma_min/sigma_max."""
     A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("inverse requires a square matrix")
     smin, smax = singular_extremes(A)
     if smax == 0 or smin / smax <= SINGULAR_RTOL:
         raise NotInvertible(
@@ -398,13 +396,41 @@ def inverse(A) -> np.ndarray:
 def hermitian_extremes(S) -> tuple[float, float]:
     """Extreme eigenvalues (lambda_min, lambda_max) of a Hermitian matrix."""
     S = as_matrix(S)
-    if S.shape[0] != S.shape[1]:
-        raise ValueError("expected a square matrix")
     scale = max(1.0, float(np.abs(S).max()))
     if float(np.abs(S - herm(S)).max()) > 1e-8 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     w = np.linalg.eigvalsh((S + herm(S)) / 2)
     return float(w[0]), float(w[-1])
+
+
+def inverse_sqrt(S: np.ndarray) -> np.ndarray:
+    """S^(-1/2) of a Hermitian positive definite S, from its eigenvectors."""
+    w, Q = np.linalg.eigh(S)
+    return Q @ np.diag(1.0 / np.sqrt(w)) @ herm(Q)
+
+
+def _rank(s: np.ndarray, floor: float) -> int:
+    """How many singular values s (largest first) exceed
+    SINGULAR_RTOL * max(floor, s[0])."""
+    return int((s > SINGULAR_RTOL * max(floor, s[0])).sum())
+
+
+def rank(A: np.ndarray) -> int:
+    """Numerical rank: the singular values above 1e-10 max(1, sigma_max)."""
+    return _rank(np.linalg.svd(A, compute_uv=False), 1.0)
+
+
+def range_basis(M: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of range(M): the left singular vectors whose
+    singular value exceeds SINGULAR_RTOL * max(floor, sigma_max)."""
+    u, s, _ = np.linalg.svd(M, full_matrices=False)
+    return u[:, :_rank(s, floor)]
+
+
+def complement_basis(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of range(M)^perp for an M of full column rank: the
+    left singular vectors past its columns."""
+    return np.linalg.svd(M)[0][:, M.shape[1]:]
 
 
 class _Sparse:

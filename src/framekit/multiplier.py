@@ -93,8 +93,6 @@ class Multiplier:
 def apply(M: Multiplier, point_index: int) -> np.ndarray:
     """sum_n lambda_n f_n(x) tau_n at the sample point with that index."""
     j = int(point_index)
-    if not 0 <= j < M.sample.n:
-        raise ValueError(f"unknown point index {point_index}")
     return M.Tau @ (M.lam * M.family.values[:, j])
 
 
@@ -151,8 +149,6 @@ def continuity(M: Multiplier, symbol=None, vectors=None) -> tuple[float, float]:
     symbol:  measured <= b d ||lambda' - lambda||_p
     vectors: measured <= b ||lambda||_p (sum_n ||tau'_n - tau_n||^q)^(1/q)
     """
-    if (symbol is None) == (vectors is None):
-        raise ValueError("replace exactly one of symbol, vectors")
     b, _ = M.family_bessel()
     if symbol is not None:
         lam2 = linops.as_vector(symbol)

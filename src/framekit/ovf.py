@@ -112,8 +112,6 @@ def canonical_dual(P: OvfPair) -> OvfPair:
 
 def duality_residual(P: OvfPair, Q: OvfPair) -> float:
     """max(||sum Psi_n* B_n - I||, ||sum Phi_n* A_n - I||)."""
-    if P.A.shape != Q.A.shape:
-        raise ValueError("shape mismatch")
     I = np.eye(P.d)
     return max(_norm_2(herm(P.theta_Psi) @ Q.theta_A - I),
                _norm_2(herm(Q.theta_Psi) @ P.theta_A - I))
@@ -164,12 +162,6 @@ def classify(P: OvfPair) -> OvfClass:
     return OvfClass(riesz, orthonormal)
 
 
-def _range_basis(M: np.ndarray) -> np.ndarray:
-    u, s, _ = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(s > s[0] * linops.SINGULAR_RTOL))
-    return u[:, :rank]
-
-
 @dataclass(frozen=True)
 class OvfDilation:
     """Orthonormal pair on K^d (+) range(theta_A)^perp, stored in the
@@ -198,7 +190,7 @@ def dilate(P: OvfPair) -> OvfDilation:
     failures = []
     if _norm_2(S - I) > DILATE_TOL:
         failures.append("not Parseval")
-    QA, QP = _range_basis(P.theta_A), _range_basis(P.theta_Psi)
+    QA, QP = linops.range_basis(P.theta_A), linops.range_basis(P.theta_Psi)
     if _norm_2(QA @ herm(QA) - QP @ herm(QP)) > DILATE_TOL:
         failures.append("analysis ranges differ")
     if (_norm_2(Pr - herm(Pr)) > DILATE_TOL
@@ -206,8 +198,7 @@ def dilate(P: OvfPair) -> OvfDilation:
         failures.append("idempotent is not an orthogonal projection")
     if failures:
         raise HypothesisViolated("; ".join(failures))
-    u, _, _ = np.linalg.svd(P.theta_A)
-    C = u[:, P.d:]  # orthonormal basis of range(theta_A)^perp
+    C = linops.complement_basis(P.theta_A)  # basis of range(theta_A)^perp
     theta_B = np.hstack([P.theta_A, C])
     theta_Phi = np.hstack([P.theta_Psi, C])
     mr = P.m * P.r
@@ -258,8 +249,6 @@ def gc1_residual(rep: dict, pair: OvfPair, table=None) -> float:
     block products are formed once; each g gathers its (gp, gq) cells.
     """
     labels, _, mul, _ = _group_table(rep) if table is None else table
-    if pair.m != len(labels):
-        raise ValueError("pair must have one block per group element")
     Ah, Ph = herm(pair.A)[None, :], herm(pair.Psi)[None, :]
     X = np.stack([pair.A[:, None] @ Ah, pair.A[:, None] @ Ph,
                   pair.Psi[:, None] @ Ph])
@@ -321,8 +310,6 @@ def perturb_certificate(P: OvfPair, B, mode: str = "quadratic",
     and ||theta_Psi|| ((1 + alpha) ||theta_A|| + gamma) / (1 - beta).
     """
     B = np.asarray(B, dtype=complex)
-    if B.shape != P.A.shape:
-        raise ValueError("B must match the shape of A")
     Sinv_star = herm(inverse(P.frame_operator()))
     if mode == "quadratic":
         gaps = _norms2(P.A - B)

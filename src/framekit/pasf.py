@@ -107,8 +107,6 @@ def canonical_dual(P: PAsf) -> PAsf:
 
 def dual_residual(P: PAsf, Q: PAsf) -> float:
     """max(|T_P F_Q - I|, |T_Q F_P - I|), entrywise: the duality defect."""
-    if (P.d, P.m, P.p) != (Q.d, Q.m, Q.p):
-        raise ValueError("pairs must share shape and exponent")
     return max(linops.identity_defect(P.T @ Q.F),
                linops.identity_defect(Q.T @ P.F))
 
@@ -164,9 +162,7 @@ def dilate(P: PAsf) -> PAsf:
     m, d = P.m, P.d
     Pm = P.projection()
     Q = np.eye(m) - Pm
-    U, s, _ = np.linalg.svd(Q)
-    r2 = int((s > 1e-10 * max(1.0, s[0] if s.size else 1.0)).sum())
-    B = U[:, :r2]
+    B = linops.range_basis(Q, 1.0)  # orthonormal basis of range(I - P)
     G1 = np.hstack([P.F, B])
     T1 = np.vstack([P.T, linops.herm(B) @ Q])
     return PAsf(P.p, G1, T1)
@@ -186,8 +182,6 @@ def shift_dilation_table(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
     length-m vectors: row 1 is (0, 0), row 2 is (e_1, 0), and row n >= 3 is
     (e_{n-1}, e_{n-1}).
     """
-    if m < 2:
-        raise ValueError("need m >= 2")
     table = []
     for n in range(1, m + 1):
         tau = np.zeros(m)
@@ -301,6 +295,5 @@ def expand_to_asf(P_weak: PAsf, Q: PAsf, lam: float = 1.0) -> Expansion:
     appended = defect @ Q.T
     F_comb = np.vstack([P_weak.F, Q.F])
     T_comb = np.hstack([P_weak.T, appended])
-    sv = np.linalg.svd(lam * np.eye(P_weak.d) - Sp, compute_uv=False)
-    n_min = int((sv > 1e-10 * max(1.0, sv[0] if sv.size else 1.0)).sum())
+    n_min = linops.rank(lam * np.eye(P_weak.d) - Sp)
     return Expansion(PAsf(P_weak.p, F_comb, T_comb), n_min)

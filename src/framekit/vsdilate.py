@@ -60,10 +60,6 @@ def as_exact(M, rational: bool = True) -> np.ndarray:
     constructions below are exact either way.
     """
     M = np.asarray(M, dtype=object)
-    if M.ndim == 0:
-        M = M.reshape(1, 1)
-    if M.ndim != 2 or min(M.shape) < 1:
-        raise ValueError("expected a nonempty matrix")
     out = np.empty(M.shape, dtype=object)
     for i in range(M.shape[0]):
         for j in range(M.shape[1]):
@@ -203,8 +199,6 @@ class DilationQuadruple:
         return _defect(self.P @ self.P, self.P)
 
     def inverse_defect(self) -> float:
-        if self.U_inv is None:
-            raise ValueError("no closed-form inverse stored")
         U, V = self.U, self.U_inv
         I = _eye(U)
         return max(_defect(U @ V, I), _defect(V @ U, I))

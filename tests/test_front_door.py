@@ -19,13 +19,7 @@ import framekit
 
 SRC = pathlib.Path(framekit.__file__).parent
 
-ALLOWED = {
-    ("hframe", "parsevalize", "eigh"): 1,
-    ("ovf", "_range_basis", "svd"): 1,
-    ("ovf", "dilate", "svd"): 1,
-    ("pasf", "dilate", "svd"): 1,
-    ("pasf", "expand_to_asf", "svd"): 1,
-}
+ALLOWED = {}
 
 
 def _uses(tree: ast.Module):

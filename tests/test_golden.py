@@ -359,6 +359,9 @@ USAGE = [
      "--horizon", "2"],
     ["vsdilate", "intertwine", "--in", _in("vs_t3"), "--other",
      _in("vs_t3"), "--s", VST, "--horizon", "2"],
+    # every vsdilate check is exact, so no vsdilate verb takes --tol
+    ["vsdilate", "ando", "--in", VST, "--other", VST, "--horizon", "2",
+     "--tol", "1e-6"],
 ]
 
 

@@ -247,12 +247,6 @@ def test_general_identity_holds_for_non_parseval_frames():
         frame_identity_residuals(F, [0, 2, 5], h, mode="parseval")
 
 
-def test_identity_subset_validation():
-    F = mercedes_frame()
-    with pytest.raises(ValueError):
-        frame_identity_residuals(F, [3], np.array([1.0, 0.0]))
-
-
 def test_naimark_dilation_of_parseval_frame_is_orthonormal():
     F = harmonic_frame(2, 5)
     dil = naimark_dilate(F)

@@ -305,7 +305,7 @@ def test_singular_extremes_of_the_inverse_are_reciprocal():
     assert 0 < smin <= smax
     assert imin == pytest.approx(1 / smax, rel=1e-10)
     assert imax == pytest.approx(1 / smin, rel=1e-10)
-    assert linops.is_invertible(A) and not linops.is_invertible(A[:, :3])
+    assert linops.is_invertible(A)
 
 
 def test_opnorm_exact_cases_match_column_row_oracles():
