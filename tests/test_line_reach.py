@@ -338,10 +338,8 @@ def statements(tree: ast.Module):
                 yield from function(s, scope + s.name)
             elif isinstance(s, ast.ClassDef):
                 yield from top(s.body, f"{scope}{s.name}.")
-            elif not isinstance(s, (ast.Expr, ast.Assign, ast.AnnAssign,
-                                    ast.Import, ast.ImportFrom)):
-                yield from top(getattr(s, "body", []) + getattr(s, "orelse",
-                                                                []), scope)
+            else:  # a def under a module-level if or try
+                yield from top(inner(s), scope)
 
     return top(tree.body, "")
 
