@@ -2,7 +2,7 @@
 bounds and multiplier Lipschitz numbers, the triangle scan of a distance
 table, the sample constructor on a line table (no scan) and on a metric
 that is not one (full scan), and the row p-norm, at the shapes of
-perfbench's pairscan workload;
+perfbench's pairscan workload; vec_pnorm on one vector of 16 entries;
 the exact Ando grid and standard dilation, built and checked over their
 whole horizon as block forms, and the Ando grid at horizon 24 on large
 and on 53-bit dyadic entries; the certified ||S||_p interval on
@@ -96,6 +96,15 @@ def test_pnorm_rows_p3(benchmark):
     X = np.random.default_rng(5).standard_normal((409, 40))
     r = benchmark(linops._pnorm_rows, X, 3.0)
     assert r.shape == (409,) and np.all(r > 0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_vec_pnorm(benchmark, p):
+    # one vector at d = 16: the per-call cost of the row kernel on one row,
+    # which pasf's and the multiplier's per-column norms pay
+    x = np.random.default_rng(6).standard_normal(16) + 0j
+    r = benchmark(linops.vec_pnorm, x, p)
+    assert 0.0 < r < np.inf
 
 
 def frame_operator_32(seed):

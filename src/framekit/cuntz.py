@@ -103,22 +103,6 @@ class CuntzElement:
     def __bool__(self) -> bool:
         return bool(self.table)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CuntzElement) and self.table == other.table
-
-    def __hash__(self):
-        return hash(frozenset(self.table.items()))
-
-    def __repr__(self) -> str:
-        if not self.table:
-            return "CuntzElement(0)"
-        parts = []
-        for (w, s), c in sorted(self.table.items()):
-            left = "".join(w) or "1"
-            right = "".join(f"{a}*" for a in reversed(s))
-            parts.append(f"({c:.6g})·{left}{right}")
-        return "CuntzElement(" + " + ".join(parts) + ")"
-
 
 def _word_mul(w1, s1, w2, s2):
     # cancel sigma1* against w2 letter by letter; None encodes the zero product
@@ -260,8 +244,9 @@ def solve_b(n: int, max_iters: int = 200, tol: float = 1e-10) -> SolveResult:
 # each verdict is the one the evaluated ring would give.  D and X are
 # built as linops._Sparse forms of such polynomials, rows of their
 # nonzero cells, and multiplied in that form: empty cells are never
-# stored or multiplied, and +, - and * return at once on an empty operand
-# (a _Poly is never changed, so cells may share one).
+# stored or multiplied, + and - return at once on an empty operand, and
+# * forms no term for one (a _Poly is never changed, so cells may share
+# one).
 
 
 class _Poly(dict):
@@ -302,8 +287,6 @@ class _Poly(dict):
 
     def __mul__(self, other: "_Poly") -> "_Poly":
         # the unit gives the other factor itself, two terms one term
-        if not self or not other:
-            return _Poly()
         if len(other) == 1 and other.get(_UNIT) == 1:
             return self
         if len(self) == 1 and self.get(_UNIT) == 1:

@@ -10,8 +10,8 @@ line tables, which provably pass it. Families cut from infinite series
 carry a certified truncation remainder that widens the upper bound.
 
 One kernel, _over_dist, runs every pair scan here and in the multiplier
-module, in numpy chunks of at most CHUNK elements per temporary. Each
-chunk's norms come from linops' row kernels, which run per pair the
+module, in numpy chunks of at most linops.CHUNK elements per temporary.
+Each chunk's norms come from linops' row kernels, which run per pair the
 operations of vec_pnorm and of a matrix-vector product, so every batched
 value is the scalar one and the reported extremes equal the exhaustive
 scalar scan.
@@ -29,7 +29,6 @@ import numpy as np
 from . import linops
 
 DIST_TOL = 1e-12
-CHUNK = 1 << 14  # array elements per temporary of a pair scan
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def _triangle_violation(D: np.ndarray, slack: float) -> Optional[int]:
     None: each row block takes the least sum over the k below the least failure
     so far and, rounding being monotone, fails exactly when its per-k scan does."""
     n = len(D)
-    rows, first = max(1, 4 * CHUNK // n), n
+    rows, first = max(1, 4 * linops.CHUNK // n), n
     with np.errstate(over="ignore"):  # a sum that overflows to inf never fails
         for r in range(0, n, rows):
             R = D[r:r + rows]
@@ -146,9 +145,9 @@ def _check_sizes(S: MetricSample, F: LipschitzFamily):
 
 def _pairs(n: int, width: int):
     """Index arrays (i, j) of the pairs i < j in row-major order, at most
-    CHUNK // width pairs at a time."""
+    linops.CHUNK // width pairs at a time."""
     start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    step = max(1, CHUNK // width)
+    step = max(1, linops.CHUNK // width)
     for k0 in range(0, start[-1], step):
         k = np.arange(k0, min(k0 + step, start[-1]))
         i = np.searchsorted(start, k, side="right") - 1

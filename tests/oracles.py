@@ -5,13 +5,14 @@ Fractions, the exact dyadic entries of the corrector's first iterate, the
 corrector's solver as it was written on dicts, the dense fill of a sparse
 product, the dense block layouts of the vsdilate dilations, random
 Parseval semi-inner-product pairs, the semi-inner product itself and the
-sip residuals with one fresh duality map per scalar, and the Cuntz
-obstruction drawn one trial at a time.
+sip residuals with one fresh duality map per scalar, the Cuntz
+obstruction drawn one trial at a time, and the p-norm of one vector
+taken on its own, with no row kernel.
 
 The package itself needs none of these; the tests check its word algebra,
 its written pair, its lemma verdicts, its certified first bounds, its
-solver, its exact products, its stored dilations and its sip identities
-against them.
+solver, its exact products, its stored dilations, its sip identities and
+its p-norms against them.
 """
 
 from __future__ import annotations
@@ -36,6 +37,13 @@ from framekit.sip import (SipPair, _complement, _dot, _subset,
 def coeff(e: CuntzElement, left) -> complex:
     """The coefficient of the unstarred word left in e."""
     return e.table.get((_letters(left), ()), 0j)
+
+
+def cells(M: np.ndarray) -> list:
+    """The entries of an object array as nested lists, each CuntzElement
+    by its table, so that == compares elements by their coefficients."""
+    return [[x.table if type(x) is CuntzElement else x for x in row]
+            for row in M.tolist()]
 
 
 # --- concrete interleaving representation ---------------------------------
@@ -606,3 +614,25 @@ def obstruction_loop(dim: int, trials: int, seed) -> float:
         X = rng.standard_normal((dim, dim))
         worst = min(worst, finite_obstruction(D, X))
     return worst
+
+
+def pnorm(x: np.ndarray, p: float) -> float:
+    """The p-norm of a complex vector for a checked p, taken on its own:
+    the scalar twin of linops._pnorm_rows, whose rows and vec_pnorm must
+    equal it bit for bit.  The entries are checked only when the norm is
+    not finite, as a non-finite entry always makes it."""
+    v = np.abs(x)
+    if math.isinf(p):
+        r = float(v.max())
+    elif p == 1:
+        r = float(v.sum())
+    elif p == 2:
+        r = float(np.linalg.norm(v))
+    else:
+        r = mx = float(v.max())  # 0, or inf when a modulus overflows
+        if mx and mx != math.inf:
+            # factor out the max to avoid overflow for large p
+            r = mx * float(np.power(v / mx, p).sum()) ** (1.0 / p)
+    if not math.isfinite(r):
+        as_vector(x)
+    return r

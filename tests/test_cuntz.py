@@ -29,6 +29,7 @@ from framekit.cuntz import (
 from framekit.cli import dump_word_matrix
 from framekit.linops import _form
 from oracles import (
+    cells,
     coeff,
     concrete_apply,
     concrete_equal,
@@ -69,10 +70,10 @@ def small_elements():
 
 
 def test_generator_relations():
-    assert U_STAR * U == unit()
-    assert V_STAR * V == unit()
-    assert (U_STAR * V) == CuntzElement()
-    assert (V_STAR * U) == CuntzElement()
+    assert (U_STAR * U).table == unit().table
+    assert (V_STAR * V).table == unit().table
+    assert (U_STAR * V).table == {}
+    assert (V_STAR * U).table == {}
 
 
 def test_range_projections_do_not_reduce():
@@ -83,9 +84,9 @@ def test_range_projections_do_not_reduce():
 
 
 def test_normal_form_product_cancels_middle():
-    assert word("u", "v") * word("v", "u") == word("u", "u")
-    assert word("u", "vv") * word("v", "") == word("u", "v")
-    assert word("", "uv") * word("u", "") == word("", "v")
+    assert (word("u", "v") * word("v", "u")).table == word("u", "u").table
+    assert (word("u", "vv") * word("v", "")).table == word("u", "v").table
+    assert (word("", "uv") * word("u", "")).table == word("", "v").table
 
 
 def test_opaque_symbol_collision_raises():
@@ -95,8 +96,8 @@ def test_opaque_symbol_collision_raises():
 
 def test_scalar_and_linear_ops():
     x = 2 * U - U
-    assert x == U
-    assert (x - x) == CuntzElement()
+    assert x.table == U.table
+    assert (x - x).table == {}
     assert coeff(3 * unit() * 2, "") == 6
 
 
@@ -213,7 +214,7 @@ def test_matmul_equals_dense_loop_on_noncommuting_entries(pair):
     got = sparse_product(A, B)
     assert got.shape == (A.shape[0], B.shape[1])
     assert all(type(x) is type(zero) for x in got.flat)
-    assert np.array_equal(got, dense_product(A, B, zero))
+    assert cells(got) == cells(dense_product(A, B, zero))
 
 
 def test_matmul_adds_inexact_word_products_in_k_order():
@@ -235,7 +236,7 @@ def test_matmul_adds_inexact_word_products_in_k_order():
     for _ in range(10):
         A, B = matrix(3, 5), matrix(5, 3)
         expected = dense_product(A, B, CuntzElement())
-        assert np.array_equal(sparse_product(A, B), expected)
+        assert cells(sparse_product(A, B)) == cells(expected)
 
 
 def test_matmul_keeps_the_factor_order():
@@ -247,14 +248,16 @@ def test_matmul_keeps_the_factor_order():
     assert sparse_product(b, a)[0, 0] == ba
     u_star, v = (np.array([[x]], dtype=object) for x in (U_STAR, V))
     assert not sparse_product(u_star, v)[0, 0]  # u* v = 0
-    assert sparse_product(v, u_star)[0, 0] == word("v", "u")
+    assert sparse_product(v, u_star)[0, 0].table == word("v", "u").table
     # in the sparse form: the factors keep their order, a factor equal to
     # 1 is never assumed (a _Poly or CuntzElement is not == 1), and the
     # zero product u* v leaves no pair
     assert (_form(a) @ _form(b)).rows == [[(0, ab)]]
     assert (_form(b) @ _form(a)).rows == [[(0, ba)]]
     assert (_form(u_star) @ _form(v)).rows == [[]]
-    assert (_form(v) @ _form(u_star)).rows == [[(0, word("v", "u"))]]
+    assert [[(j, x.table) for j, x in row]
+            for row in (_form(v) @ _form(u_star)).rows] == [
+                [(0, word("v", "u").table)]]
 
 
 # --- dyadic kernel ---------------------------------------------------------
@@ -356,11 +359,11 @@ def test_kernel_input_validation():
 def test_solve_n2_closed_form_and_zero_residual():
     sol = solve_b(2)
     b1, b2 = sol.b_exact
-    assert b1 == word(right="u", coeff=-2.0)
-    assert b2 == word(right="v", coeff=-2.0)
+    assert b1.table == word(right="u", coeff=-2.0).table
+    assert b2.table == word(right="v", coeff=-2.0).table
     # the quadratic term dies at word level, the rest dies concretely
     quad = b2 * commutator(U, b2)
-    assert quad == CuntzElement()
+    assert quad.table == {}
     delta = sol.delta
     residual = (
         commutator(V, b2) + commutator(U, b1) - 2 * unit() + delta * quad
@@ -403,12 +406,17 @@ def test_solve_nonconvergence_diagnostics():
 
 
 def solve_outcome(solver, n, **kwargs):
-    """The SolveResult of solver(n, **kwargs), or the fields and message of
-    the ConvergenceError it raises."""
+    """The fields of the SolveResult of solver(n, **kwargs), b_exact's
+    elements by their tables, or the fields and message of the
+    ConvergenceError it raises."""
     try:
-        return solver(n, **kwargs)
+        res = solver(n, **kwargs)
     except ConvergenceError as err:
         return (err.iterations, err.contraction, err.last_delta, str(err))
+    fields = dict(vars(res))
+    if res.b_exact is not None:
+        fields["b_exact"] = tuple(b.table for b in res.b_exact)
+    return fields
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": 1e-8}, {"tol": 1e-12},
@@ -419,7 +427,7 @@ def test_solve_equals_the_dict_solver(kwargs):
     outcomes = [solve_outcome(solve_b, n, **kwargs) for n in range(2, 61)]
     assert outcomes == [solve_outcome(solve_b_dicts, n, **kwargs)
                         for n in range(2, 61)]
-    errors = sum(not isinstance(x, cuntz.SolveResult) for x in outcomes)
+    errors = sum(type(x) is tuple for x in outcomes)
     assert errors == (59 if "max_iters" in kwargs else 0)
 
 
@@ -769,8 +777,8 @@ def test_build_n2_exact_commutator_within_bound():
     D, X = dx_matrices(built.solution, 0.5)
     I2 = np.array([[unit(), CuntzElement()], [CuntzElement(), unit()]], dtype=object)
     C = (D @ X).dense(CuntzElement()) - (X @ D).dense(CuntzElement()) - I2
-    assert C[0, 0] == CuntzElement()
-    assert C[1, 0] == CuntzElement()
+    assert C[0, 0].table == {}
+    assert C[1, 0].table == {}
     assert concrete_equal(C[1, 1], CuntzElement(), count=64)
     top = C[0, 1]
     b1, b2 = built.solution.b_exact
@@ -795,7 +803,7 @@ def test_build_mu_one_matches_raw_layout():
     assert coeff(D[0, 3], ("b1", "u")) == pytest.approx(1.0)
     assert coeff(D[2, 3], "") == pytest.approx(3.0)
     assert coeff(D[2, 3], ("b3", "u")) == pytest.approx(1.0)
-    assert X[2, 1] == unit()
+    assert X[2, 1].table == unit().table
     assert coeff(X[0, 3], ("b1",)) == pytest.approx(built.delta)
     assert lemma_structure(n, Fraction(1)).ok
 

@@ -92,10 +92,9 @@ COMPLEX_TABLE = ("a complex entry in a pasf dilate table; every golden pair "
                  "is real")
 CANCEL = "a sum of Cuntz words that cancels; no golden sum does"
 PRUNE = "a word product below WORD_PRUNE; no golden product is that small"
-DUNDER = "no verb compares, hashes or prints a CuntzElement; tests do"
 OPAQUE = ("a guard: an opaque symbol meets a starred generator; "
           "tests/test_cuntz.py::test_opaque_symbol_collision_raises")
-ZERO_POLY = "a product with the zero polynomial, which no golden lemma forms"
+ZERO_SCALAR = "a polynomial times the scalar 0, which no golden lemma forms"
 POLY_INVERSE = ("a guard: the lemma inverts only the unit monomials mu and "
                 "delta")
 FRACTION = ("the lemma's Fraction fallback, for a cell its symbols cannot "
@@ -107,14 +106,6 @@ NONFINITE = ("reads the vector again when its norm is not finite, to refuse "
 ZERO_ROW = "a zero row in the p-norm ascent; no golden operator gives one"
 SVD_FAILED = "an SVD that does not converge"
 ZERO_ITERATE = "a zero ascent iterate; no golden operator gives one"
-P_INF = ("an operator norm at p = inf, which no verb asks for: pasf's p and "
-         "a multiplier's q are finite")
-P_IN_1 = ("p_in = 1 needs a multiplier's out_norm = inf, and the file holds "
-          "a finite number")
-P_OUT_INF = ("p_out = inf needs a multiplier's q = inf, so p = 1, which "
-             "Multiplier refuses")
-HERMITIAN = ("a guard: every caller passes a frame operator, which is "
-             "Hermitian")
 SHAPES = ("a guard: the constructions' shape checks refuse unequal shapes "
           "first")
 SCALED_BLOCK = ("c times a block for an int c other than 1; no golden run "
@@ -175,19 +166,8 @@ ALLOWED = {
     ("cli", "main", 'print(f"error: cannot write {args.out}: {exc}",'): (1, OUT_FAILED),
     ("cuntz", "CuntzElement.__add__", "del t[k]"): (1, CANCEL),
     ("cuntz", "CuntzElement.__mul__", "continue"): (1, PRUNE),
-    ("cuntz", "CuntzElement.__eq__", "return isinstance(other, CuntzElement) and self.table == other.table"): (1, DUNDER),
-    ("cuntz", "CuntzElement.__hash__", "return hash(frozenset(self.table.items()))"): (1, DUNDER),
-    ("cuntz", "CuntzElement.__repr__", "if not self.table:"): (1, DUNDER),
-    ("cuntz", "CuntzElement.__repr__", 'return "CuntzElement(0)"'): (1, DUNDER),
-    ("cuntz", "CuntzElement.__repr__", "parts = []"): (1, DUNDER),
-    ("cuntz", "CuntzElement.__repr__", "for (w, s), c in sorted(self.table.items()):"): (1, DUNDER),
-    ("cuntz", "CuntzElement.__repr__", 'left = "".join(w) or "1"'): (1, DUNDER),
-    ("cuntz", "CuntzElement.__repr__", 'right = "".join(f"{a}*" for a in reversed(s))'): (1, DUNDER),
-    ("cuntz", "CuntzElement.__repr__", 'parts.append(f"({c:.6g})·{left}{right}")'): (1, DUNDER),
-    ("cuntz", "CuntzElement.__repr__", 'return "CuntzElement(" + " + ".join(parts) + ")"'): (1, DUNDER),
     ("cuntz", "_word_mul", "raise ValueError("): (1, OPAQUE),
-    ("cuntz", "_Poly.__mul__", "return _Poly()"): (1, ZERO_POLY),
-    ("cuntz", "_Poly.__rmul__", "return _Poly()"): (1, ZERO_POLY),
+    ("cuntz", "_Poly.__rmul__", "return _Poly()"): (1, ZERO_SCALAR),
     ("cuntz", "_Poly.__pow__", 'raise ValueError("only a unit scalar monomial has an inverse")'): (1, POLY_INVERSE),
     ("cuntz", "lemma_structure.equal", "value = {}"): (1, FRACTION),
     ("cuntz", "lemma_structure.equal", "for (w, i, j), c in (p - q).items():"): (1, FRACTION),
@@ -212,7 +192,6 @@ ALLOWED = {
     ("linops", "as_vector", 'raise ValueError("expected a nonempty vector")'): (1, INVARIANT),
     ("linops", "as_vector", 'raise ValueError("vector entries must be finite")'): (1, INVARIANT),
     ("linops", "_check_p", 'raise ValueError("p must satisfy 1 <= p <= inf")'): (1, INVARIANT),
-    ("linops", "_pnorm", "as_vector(x)"): (1, NONFINITE),
     ("linops", "_pnorm_rows", "as_vector(row)"): (1, NONFINITE),
     ("linops", "_dual_rows", "G = np.zeros_like(Y)"): (1, ZERO_ROW),
     ("linops", "_dual_rows", "if live.any():"): (1, ZERO_ROW),
@@ -221,10 +200,6 @@ ALLOWED = {
     ("linops", "_ascent_lower", "pass"): (1, SVD_FAILED),
     ("linops", "_ascent_lower", "done += val[~go].tolist()"): (1, ZERO_ITERATE),
     ("linops", "_ascent_lower", "X, nx, val = X[go], nx[go], val[go]"): (1, ZERO_ITERATE),
-    ("linops", "opnorm_upper", "return _norm_inf(A)"): (1, P_INF),
-    ("linops", "opnorm_mixed_upper", "return max(vec_pnorm(A[:, j], p_out) for j in range(d))"): (1, P_IN_1),
-    ("linops", "opnorm_mixed_upper", "return max(vec_pnorm(A[i, :], q_in) for i in range(m))"): (1, P_OUT_INF),
-    ("linops", "hermitian_extremes", 'raise ValueError("matrix is not Hermitian within tolerance")'): (1, HERMITIAN),
     ("linops", "_Sparse.__matmul__", 'raise ValueError(f"cannot multiply a {self.shape} matrix by a "'): (1, SHAPES),
     ("linops", "_Sparse.__mul__", "return _Sparse([[(j, x * other) for j, x in row]"): (1, SCALED_BLOCK),
     ("linops", "_rational", 'raise TypeError("cannot combine a rational form with a generic one")'): (1, FIELDS),

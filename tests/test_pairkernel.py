@@ -88,7 +88,7 @@ def outcome(f, *args):
 
 # ----------------------------------------------------------- inputs
 
-# n = 60 with m = 40 spans five chunks of metricframe.CHUNK elements
+# n = 60 with m = 40 spans five chunks of linops.CHUNK elements
 N_POINTS, TERMS = 60, 40
 P_VALUES = [1.0, 1.5, 2.0, 3.0, 50.0]
 
